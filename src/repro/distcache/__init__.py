@@ -75,6 +75,8 @@ from repro.distcache.report import (
 from repro.distcache.runner import (
     DEFAULT_ANCHOR_PERIOD,
     PLACEMENT_MODES,
+    BarrierOutputs,
+    BarrierReport,
     DirectoryPublication,
     DistCacheCellReport,
     DistCacheRunner,
@@ -90,6 +92,8 @@ from repro.distcache.runner import (
 __all__ = [
     "DEFAULT_ANCHOR_PERIOD",
     "PLACEMENT_MODES",
+    "BarrierOutputs",
+    "BarrierReport",
     "CrossShardDirectory",
     "DirectoryDelta",
     "DirectoryEntry",

@@ -409,20 +409,22 @@ class PartitionedEconomyEngine(EconomyEngine):
         self._placement_bids.clear()
         return items
 
-    def transfer_regret_to(self, other: "PartitionedEconomyEngine",
-                           structure: CacheStructure) -> float:
-        """Move a structure's in-flight regret to its new owner's tracker.
+    def surrender_regret(self, key: str) -> float:
+        """Release a handed-off structure's in-flight regret.
 
         Part of an ownership handoff: demand signal already accumulated
-        here must follow the structure, or the new owner would rediscover
-        it one epoch late. Returns the amount moved (usually 0.0 for a
+        here must follow the structure to its new owner
+        (:meth:`adopt_regret`), or the new owner would rediscover it one
+        epoch late. Returns the amount released (usually 0.0 for a
         resident structure — building it reset the regret — but eviction
         races can leave a residue).
         """
-        amount = self._regret.reset(structure.key)
+        return self._regret.reset(key)
+
+    def adopt_regret(self, structure: CacheStructure, amount: float) -> None:
+        """Take over the regret a structure's previous owner released."""
         if amount > 0:
-            other._regret.distribute((structure,), amount)
-        return amount
+            self._regret.distribute((structure,), amount)
 
     # -- owned-only investment -------------------------------------------------
 

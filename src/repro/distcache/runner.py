@@ -4,26 +4,31 @@ One partitioned cell run executes like this::
 
     route queries by template  ->  partition 0 .. N-1 substreams
     for each epoch (settlement barrier to settlement barrier):
-        every partition replays its substream slice against its OWN
-        PartitionedCacheManager + provider sub-account (in-process, or
-        fanned over a ProcessPoolExecutor when max_workers > 1)
-        at the barrier:
-            settle maintenance on every partition up to the barrier
-            [adaptive placement] drain per-structure benefit bids,
-            apply the PlacementPolicy's ownership handoffs (override
-            table + residency state + in-flight regret move together)
+        every partition, in the process that holds it, folds in the
+        previous barrier's outputs, replays its substream slice against
+        its OWN PartitionedCacheManager + provider sub-account, audits
+        its sub-account, and reports its barrier state
+        at the barrier, in this process:
+            [adaptive placement] record the drained benefit bids, decide
+            the ownership handoffs, and move each handed-off entry with
+            its in-flight regret from the old owner to the new one
             route foreign regret to the (possibly new) owners
             publish the directory: a delta against the previous epoch,
             fold-verified (prev + delta == full) with a periodic
             full-snapshot anchor
-            verify sub-account ledger integrity + payment conservation
-    final barrier: wallet integrity audit, fold into a TenantCellResult
+            record the audited checkpoint
+    end of the cell: the schemes come back once; wallet integrity audit,
+    fold into a TenantCellResult
 
-Workers are stateless between epochs: a partition's entire mutable state
-(cache, sub-account, regret, registry) travels inside its pickled scheme,
-so every epoch task is a pure function of its inputs and the run is
-deterministic regardless of pool scheduling — ``max_workers`` changes
-wall-clock, never results.
+Partitions are **resident**: a partition's scheme (cache, sub-account,
+regret, registry) ships once, inside its first epoch task, and then stays
+in one process for the whole cell — this process with one worker, else
+the single-process pool ``p % workers`` for partition ``p``. Later tasks
+carry only the epoch's arrivals and the previous barrier's outputs, and
+results only the replay record and the barrier report. Every
+cross-partition decision is taken here, from the reports, in partition
+order, so the run is deterministic regardless of pool scheduling —
+``max_workers`` changes wall-clock, never results.
 
 Unlike the replicated-replay sharding mode, each query here is planned,
 priced, and negotiated by exactly **one** partition: total per-query
@@ -36,11 +41,14 @@ divergence report against the global-cache baseline and documented in
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.cache.storage import CacheEntry
 from repro.distcache.directory import (
     CrossShardDirectory,
     DirectoryDelta,
@@ -63,7 +71,7 @@ from repro.distcache.placement import (
 from repro.economy.account import CloudAccount
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import DistCacheError
+from repro.errors import DistCacheError, ReproError
 from repro.experiments.tenants import (
     ARRIVAL_STREAMED,
     TenantCellResult,
@@ -79,6 +87,7 @@ from repro.simulator.events import (
     TenantBudgetSqueezeEvent,
 )
 from repro.simulator.metrics import MetricsSummary
+from repro.structures.base import CacheStructure
 from repro.system import CloudSystem
 from repro.workload.generator import ArrivalEnvelope
 from repro.workload.grammar import compile_shock_events
@@ -95,24 +104,81 @@ _PRIORITY_PRICE_SHOCK = 14
 _PRIORITY_SQUEEZE = 16
 _PRIORITY_QUERY = 30
 
+#: A resident partition's store key: ``(run id, partition index)``.
+ResidentKey = Tuple[int, int]
+#: A cache snapshot: ``(key, size_bytes)`` of every live structure.
+Snapshot = Tuple[Tuple[str, int], ...]
+#: Regret owed to a structure's owner, as ``(structure, dollars)`` pairs.
+RegretItems = Tuple[Tuple[CacheStructure, float], ...]
+#: Handed-off entries, each with the regret that travels with it.
+MovedEntries = Tuple[Tuple[CacheEntry, float], ...]
+
 
 class PartitionImbalanceWarning(UserWarning):
     """More cache partitions than busy templates: some serve no queries."""
 
 
 @dataclass(frozen=True)
-class PartitionEpochTask:
-    """Everything one partition worker needs to replay one epoch."""
+class BarrierOutputs:
+    """What one barrier sends a partition, applied before it runs again.
 
-    scheme: CachingScheme
+    Attributes:
+        directory: the publication — the :class:`DirectoryDelta` against
+            the snapshot the partition holds, or the full
+            :class:`CrossShardDirectory` at anchors; ``None`` before the
+            first barrier.
+        forwarded_regret: regret other partitions earned on structures
+            this partition owns.
+        partitioner: the partitioner carrying the current override table
+            (adaptive placement only).
+        sample: ``(time_s, epoch, final)`` of the barrier whose metrics
+            sample is due (``--metrics`` only). It is taken once the
+            outputs above are applied, so it sees the barrier's handoffs.
+    """
+
+    directory: Union[None, CrossShardDirectory, DirectoryDelta] = None
+    forwarded_regret: RegretItems = ()
+    partitioner: Optional[StructurePartitioner] = None
+    sample: Optional[Tuple[float, int, bool]] = None
+
+
+@dataclass(frozen=True)
+class PartitionEpochTask:
+    """Everything one resident partition needs to replay one epoch.
+
+    ``scheme`` is set on a partition's first task only; it becomes the
+    resident state stored under ``resident_key``.
+    """
+
+    resident_key: ResidentKey
+    epoch: int
     items: Tuple[Tuple[int, object], ...]
     settle_to_s: float
     last_settled_s: float
+    inbound: BarrierOutputs = BarrierOutputs()
+    scheme: Optional[CachingScheme] = None
+
+
+@dataclass(frozen=True)
+class BarrierReport:
+    """One partition's state at a barrier, read where the state lives.
+
+    ``query_payments`` (the provider side) and ``outcome_charges`` (the
+    tenant side) are folded independently and were verified bitwise
+    equal before the report was built.
+    """
+
+    snapshot: Snapshot
+    foreign_regret: RegretItems
+    placement_bids: Tuple[Tuple[str, float], ...]
+    subaccount_credit: float
+    query_payments: float
+    outcome_charges: float
 
 
 @dataclass(frozen=True)
 class PartitionEpochResult:
-    """One partition's epoch output: updated state plus the replay record.
+    """One partition's epoch output: the replay record and its barrier report.
 
     ``eviction_losses`` carries the dollar loss of each kernel-driven
     eviction (invalidation shocks, strict-maintenance shutdowns) in
@@ -121,10 +187,10 @@ class PartitionEpochResult:
     unpartitioned run.
     """
 
-    scheme: CachingScheme
     steps: Tuple[SchemeStep, ...]
     maintenance: Tuple[Tuple[float, float], ...]
     last_settled_s: float
+    report: BarrierReport
     eviction_losses: Tuple[float, ...] = ()
 
 
@@ -153,8 +219,8 @@ class DirectoryPublication:
 
     @property
     def published_bytes(self) -> int:
-        """Modeled bytes actually shipped: the full snapshot at anchors,
-        the delta everywhere else."""
+        """Modeled bytes of what the barrier ships to the partitions: the
+        full snapshot at anchors, the delta everywhere else."""
         return self.full_bytes if self.anchored else self.delta_bytes
 
 
@@ -221,8 +287,96 @@ class DistCacheCellReport:
         return sum(pub.full_bytes for pub in self.publications)
 
 
+# -- resident partitions: runs in whichever process holds the partition --------
+
+#: The schemes resident in this process: a pool worker holds the
+#: partitions mapped to it, an in-process run holds all of them.
+_RESIDENT: Dict[ResidentKey, CachingScheme] = {}
+
+#: Run ids handed out by this process. A counter rather than ``id()``, so
+#: the store keys of a repeated run pickle to the same bytes.
+_RUN_IDS = itertools.count()
+
+
+def _engine_of(scheme: CachingScheme) -> PartitionedEconomyEngine:
+    engine = getattr(scheme, "engine", None)
+    if not isinstance(engine, PartitionedEconomyEngine):
+        raise DistCacheError(
+            f"scheme {scheme.name!r} is not running a partitioned engine")
+    return engine
+
+
+def _resident(resident_key: ResidentKey) -> CachingScheme:
+    try:
+        return _RESIDENT[resident_key]
+    except KeyError:
+        raise DistCacheError(
+            f"cache partition {resident_key[1]} of run {resident_key[0]} "
+            f"is not resident in this process") from None
+
+
+def _apply_barrier_outputs(scheme: CachingScheme,
+                           outputs: BarrierOutputs) -> None:
+    """Fold the previous barrier's outputs into a resident partition.
+
+    A delta folds onto the snapshot this partition holds, so the version
+    check of :meth:`CrossShardDirectory.apply_delta` runs against the
+    state the partition actually priced with.
+    """
+    engine = _engine_of(scheme)
+    cache = engine.partitioned_cache
+    if outputs.partitioner is not None:
+        cache.set_partitioner(outputs.partitioner)
+    if outputs.forwarded_regret:
+        engine.absorb_forwarded_regret(outputs.forwarded_regret)
+    directory = outputs.directory
+    if isinstance(directory, DirectoryDelta):
+        directory = cache.directory.apply_delta(directory)
+    if directory is not None:
+        cache.set_directory(directory)
+    if outputs.sample is not None:
+        _sample_partition(scheme, engine, *outputs.sample)
+
+
+def _sample_partition(scheme: CachingScheme,
+                      engine: PartitionedEconomyEngine, time_s: float,
+                      epoch: int, final: bool) -> None:
+    """Take one barrier's metrics sample off the partition's collector
+    (read-only), so the per-epoch counter deltas pair with the gauges."""
+    from repro.obs.metrics import metrics_part
+
+    collector = metrics_part(engine.trace)
+    if collector is None:
+        return
+    collector.sample(
+        time_s=time_s, epoch=epoch, final=final,
+        provider_credit=engine.account.credit,
+        query_payments=engine.account.totals_by_category().get(
+            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0),
+        wallet_credit=scheme.tenant_registry.total_credit(),
+        remote_hits=engine.remote_hits,
+        remote_surcharge_dollars=engine.remote_dollars,
+        cache_entries=len(engine.partitioned_cache.entries),
+        disk_used_bytes=engine.partitioned_cache.disk_used_bytes,
+    )
+
+
+def _barrier_report(engine: PartitionedEconomyEngine) -> BarrierReport:
+    """Audit the sub-account, then read what the barrier needs."""
+    verify_subaccount_integrity((engine,))
+    (payments,), (charges,) = verify_payment_conservation((engine,))
+    return BarrierReport(
+        snapshot=engine.partitioned_cache.snapshot(),
+        foreign_regret=engine.drain_foreign_regret(),
+        placement_bids=engine.drain_placement_bids(),
+        subaccount_credit=engine.account.credit,
+        query_payments=payments,
+        outcome_charges=charges,
+    )
+
+
 def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
-    """Replay one partition's slice of one epoch (process-pool entry point).
+    """Replay one partition's slice of one epoch where the partition lives.
 
     Items carry the same instant-ordering ranks the simulation kernel
     uses, so maintenance settles at exactly the instants — and in exactly
@@ -231,7 +385,10 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     if not isinstance(task, PartitionEpochTask):
         raise DistCacheError(
             f"expected a PartitionEpochTask, got {type(task).__name__}")
-    scheme = task.scheme
+    if task.scheme is not None:
+        _RESIDENT[task.resident_key] = task.scheme
+    scheme = _resident(task.resident_key)
+    _apply_barrier_outputs(scheme, task.inbound)
     registry = scheme.tenant_registry
     steps: List[SchemeStep] = []
     maintenance: List[Tuple[float, float]] = []
@@ -286,12 +443,112 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     eviction_losses.extend(
         scheme.eviction_loss(record) for record in records)
     return PartitionEpochResult(
-        scheme=scheme,
         steps=tuple(steps),
         maintenance=tuple(maintenance),
         last_settled_s=last_settled_s,
+        report=_barrier_report(_engine_of(scheme)),
         eviction_losses=tuple(eviction_losses),
     )
+
+
+def _hand_off(resident_key: ResidentKey, keys: Tuple[str, ...]
+              ) -> Tuple[MovedEntries, Snapshot]:
+    """Release handed-off entries, each with its in-flight regret.
+
+    Returns the entries in ``keys`` order and the snapshot left behind.
+    """
+    engine = _engine_of(_resident(resident_key))
+    cache = engine.partitioned_cache
+    moved = tuple((cache.extract_entry(key), engine.surrender_regret(key))
+                  for key in keys)
+    return moved, cache.snapshot()
+
+
+def _take_over(resident_key: ResidentKey, partitioner: StructurePartitioner,
+               moved: MovedEntries, now: float) -> Snapshot:
+    """Install handed-off entries under the new override table; returns
+    the snapshot after the installs."""
+    engine = _engine_of(_resident(resident_key))
+    cache = engine.partitioned_cache
+    cache.set_partitioner(partitioner)
+    for entry, regret in moved:
+        cache.install_entry(entry, now=now)
+        engine.adopt_regret(entry.structure, regret)
+    return cache.snapshot()
+
+
+def _release(resident_key: ResidentKey,
+             outputs: BarrierOutputs) -> CachingScheme:
+    """Apply the final barrier's outputs and hand the scheme back."""
+    scheme = _resident(resident_key)
+    _apply_barrier_outputs(scheme, outputs)
+    del _RESIDENT[resident_key]
+    return scheme
+
+
+class _PartitionHosts:
+    """The processes holding one run's partitions.
+
+    With one worker every partition lives in this process; with more,
+    partition ``p`` lives in the single-process pool ``p % workers`` for
+    the whole run, so a call always reaches the process that holds the
+    partition's state. Pools fork from this process (the platform
+    default) when first called.
+
+    A failed call — an exception escaping it, or a worker process that
+    died — raises an error naming the partition, the epoch, and the
+    cell's config hash. Library errors keep their type, so callers that
+    catch one still do; anything else becomes a :class:`DistCacheError`.
+    """
+
+    def __init__(self, resident_keys: Sequence[ResidentKey], workers: int,
+                 cell_hash: str) -> None:
+        self._keys = tuple(resident_keys)
+        self._cell_hash = cell_hash
+        self._pools: List[ProcessPoolExecutor] = []
+        if workers > 1:
+            self._pools = [ProcessPoolExecutor(max_workers=1)
+                           for _ in range(workers)]
+
+    def call(self, epoch: int,
+             calls: Sequence[Tuple[int, Callable, tuple]]) -> List:
+        """Run each ``(partition, fn, args)`` where the partition lives.
+
+        Calls on different workers run side by side; results come back
+        in call order.
+        """
+        if not self._pools:
+            return [self._checked(partition, epoch, fn, *args)
+                    for partition, fn, args in calls]
+        futures = [
+            (partition, self._checked(
+                partition, epoch,
+                self._pools[partition % len(self._pools)].submit, fn, *args))
+            for partition, fn, args in calls]
+        return [self._checked(partition, epoch, future.result)
+                for partition, future in futures]
+
+    def _checked(self, partition: int, epoch: int, fn: Callable, *args):
+        where = (f"cache partition {partition}, epoch {epoch}, cell config "
+                 f"{self._cell_hash}")
+        try:
+            return fn(*args)
+        except BrokenProcessPool as error:
+            raise DistCacheError(
+                f"{where}: the worker process holding it died") from error
+        except ReproError as error:
+            error.args = (f"{where}: {error}",)
+            raise
+        except Exception as error:
+            raise DistCacheError(
+                f"{where}: {type(error).__name__}: {error}") from error
+
+    def close(self) -> None:
+        """Shut the pools down and drop what this process still holds."""
+        for pool in self._pools:
+            pool.shutdown(cancel_futures=True)
+        for key in self._keys:
+            _RESIDENT.pop(key, None)
 
 
 class DistCacheRunner:
@@ -299,7 +556,9 @@ class DistCacheRunner:
 
     Args:
         partition_count: cache partitions per cell.
-        max_workers: process-pool size for the per-epoch partition tasks.
+        max_workers: processes holding the partitions; partition ``p``
+            stays in worker ``p % max_workers`` for the whole cell (1 =
+            every partition in this process).
         remote: the remote-access surcharge model in force.
         compare_baseline: also run the global-cache twin for the
             divergence report (skipped with one partition).
@@ -345,13 +604,12 @@ class DistCacheRunner:
         self._handoff_threshold = handoff_threshold
         self._anchor_period = anchor_period
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
-        # Per-partition recorders live on the engines (travelling through
-        # the per-epoch pickle round-trips inside their schemes) and are
-        # absorbed into these collectors when a cell completes. The
-        # partitioned run has no kernel, so the barrier loop below doubles
-        # as the metrics sampler: per-partition samples are taken off the
-        # live engines at every barrier, exactly where a kernel run's
-        # settlement observer would fire.
+        # Per-partition recorders live on the engines, stay resident with
+        # them, and are absorbed into these collectors when the schemes
+        # come back at the end of the cell. The partitioned run has no
+        # kernel, so the barriers double as the metrics sampler: each
+        # partition samples its engine once a barrier is fully applied,
+        # exactly where a kernel run's settlement observer would fire.
         self._trace = trace
         self._metrics = metrics
 
@@ -475,6 +733,8 @@ class DistCacheRunner:
                 "partitioned mode does not support streamed arrivals: the "
                 "distributed cache materialises per-partition workloads "
                 "eagerly (use --shards for streamed scale-out)")
+        from repro.obs.manifest import config_hash
+
         # Ownership overrides are per-cell state: every cell starts from
         # pure hash placement, whatever the previous cell handed off.
         self._partitioner = self._base_partitioner
@@ -487,14 +747,14 @@ class DistCacheRunner:
         queries = list(populated.queries)
         schemes = self._build_schemes(config, populated.profiles)
         if self._trace is not None or self._metrics is not None:
-            # Per-partition recorders ride inside the schemes through the
-            # per-epoch worker round-trips; absorbed after the last barrier.
+            # Per-partition recorders stay resident with their schemes;
+            # absorbed once the schemes come back after the last barrier.
             from repro.obs.metrics import MetricsTimeseries, combined_recorder
             from repro.obs.trace import TraceRecorder
 
             for index, scheme in enumerate(schemes):
                 source = f"partition{index}"
-                self._engine_of(scheme).attach_trace(combined_recorder(
+                _engine_of(scheme).attach_trace(combined_recorder(
                     TraceRecorder(source=source)
                     if self._trace is not None else None,
                     MetricsTimeseries(source=source)
@@ -530,25 +790,29 @@ class DistCacheRunner:
         if not barriers or barriers[-1] != end_s:
             barriers.append(end_s)
 
+        partitions = range(self.partition_count)
+        run_id = next(_RUN_IDS)
+        resident_keys = [(run_id, partition) for partition in partitions]
         cursor = [0] * self.partition_count
         last_settled = [start_s] * self.partition_count
-        steps: List[List[SchemeStep]] = [[] for _ in schemes]
-        maintenance: List[List[Tuple[float, float]]] = [[] for _ in schemes]
-        kernel_losses: List[List[float]] = [[] for _ in schemes]
+        inbound = [BarrierOutputs()] * self.partition_count
+        steps: List[List[SchemeStep]] = [[] for _ in partitions]
+        maintenance: List[List[Tuple[float, float]]] = [[] for _ in partitions]
+        kernel_losses: List[List[float]] = [[] for _ in partitions]
         checkpoints: List[PartitionCheckpoint] = []
         handoffs: List[HandoffRecord] = []
         publications: List[DirectoryPublication] = []
         directory = CrossShardDirectory.empty()
 
-        executor: Optional[ProcessPoolExecutor] = None
-        workers = min(self._max_workers, self.partition_count)
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
+        hosts = _PartitionHosts(
+            resident_keys, min(self._max_workers, self.partition_count),
+            config_hash(config))
         try:
             for epoch, barrier in enumerate(barriers):
+                number = epoch + 1
                 is_final = epoch == len(barriers) - 1
                 tasks: List[PartitionEpochTask] = []
-                for partition, scheme in enumerate(schemes):
+                for partition in partitions:
                     partition_items = items[partition]
                     begin = cursor[partition]
                     index = begin
@@ -566,41 +830,66 @@ class DistCacheRunner:
                         index += 1
                     cursor[partition] = index
                     tasks.append(PartitionEpochTask(
-                        scheme=scheme,
+                        resident_key=resident_keys[partition],
+                        epoch=number,
                         items=tuple((rank, payload) for _, rank, _, payload
                                     in partition_items[begin:index]),
                         settle_to_s=barrier,
                         last_settled_s=last_settled[partition],
+                        inbound=inbound[partition],
+                        scheme=schemes[partition] if epoch == 0 else None,
                     ))
-                if executor is not None:
-                    results = list(executor.map(run_partition_epoch, tasks))
-                else:
-                    results = [run_partition_epoch(task) for task in tasks]
+                # The processes holding the partitions own the schemes
+                # from here on; they come back after the last barrier.
+                schemes = []
+                results: List[PartitionEpochResult] = hosts.call(
+                    number, [(partition, run_partition_epoch, (task,))
+                             for partition, task in zip(partitions, tasks)])
 
                 for partition, result in enumerate(results):
-                    schemes[partition] = result.scheme
                     steps[partition].extend(result.steps)
                     maintenance[partition].extend(result.maintenance)
                     kernel_losses[partition].extend(result.eviction_losses)
                     last_settled[partition] = result.last_settled_s
+                reports = [result.report for result in results]
+                snapshots = dict(enumerate(
+                    report.snapshot for report in reports))
 
                 applied: List[HandoffRecord] = []
                 if policy is not None:
                     applied = self._apply_handoffs(
-                        schemes, policy, epoch=epoch + 1, now=barrier)
+                        hosts, resident_keys, reports, snapshots, policy,
+                        epoch=number, now=barrier)
                     handoffs.extend(applied)
-                self._forward_regret(schemes)
-                directory, publication = self._publish_directory(
-                    schemes, epoch + 1, previous=directory)
+                forwarded = self._route_regret(reports)
+                directory, delta, publication = self._publish_directory(
+                    snapshots, number, previous=directory)
                 publications.append(publication)
-                checkpoints.append(self._checkpoint(
-                    schemes, barrier, epoch + 1, directory,
-                    handoffs_applied=len(applied)))
+                checkpoints.append(PartitionCheckpoint(
+                    time_s=barrier,
+                    epoch=number,
+                    directory_size=len(directory),
+                    subaccount_credit=tuple(
+                        report.subaccount_credit for report in reports),
+                    query_payments=tuple(
+                        report.query_payments for report in reports),
+                    outcome_charges=tuple(
+                        report.outcome_charges for report in reports),
+                    handoffs_applied=len(applied),
+                ))
+                inbound = [BarrierOutputs(
+                    directory=directory if publication.anchored else delta,
+                    forwarded_regret=forwarded[partition],
+                    partitioner=(self._partitioner if policy is not None
+                                 else None),
+                    sample=((barrier, number, is_final)
+                            if self._metrics is not None else None),
+                ) for partition in partitions]
                 if self._trace is not None:
                     epoch_start = barriers[epoch - 1] if epoch else start_s
                     self._trace.span(
                         "settlement_barrier", start_s=epoch_start,
-                        end_s=barrier, epoch=epoch + 1,
+                        end_s=barrier, epoch=number,
                         directory_entries=len(directory),
                         directory_delta_bytes=publication.delta_bytes,
                         handoffs_applied=len(applied), final=is_final)
@@ -610,12 +899,18 @@ class DistCacheRunner:
                             from_partition=record.from_partition,
                             to_partition=record.to_partition)
                 if self._metrics is not None:
-                    self._sample_barrier(schemes, barrier, epoch + 1,
-                                         is_final, directory, publication,
-                                         len(applied))
+                    self._metrics.sample(
+                        time_s=barrier, epoch=number, final=is_final,
+                        directory_entries=len(directory),
+                        directory_delta_bytes=publication.delta_bytes,
+                        handoffs_applied=len(applied),
+                    )
+            schemes = hosts.call(len(barriers), [
+                (partition, _release,
+                 (resident_keys[partition], inbound[partition]))
+                for partition in partitions])
         finally:
-            if executor is not None:
-                executor.shutdown()
+            hosts.close()
 
         registries = [scheme.tenant_registry for scheme in schemes]
         verify_wallet_integrity(registries)
@@ -633,7 +928,7 @@ class DistCacheRunner:
             from repro.obs.metrics import metrics_part, trace_part
 
             for partition, scheme in enumerate(schemes):
-                engine = self._engine_of(scheme)
+                engine = _engine_of(scheme)
                 if self._trace is not None:
                     self._trace.event(
                         "partition_summary", time_s=end_s,
@@ -677,108 +972,117 @@ class DistCacheRunner:
 
     # -- barrier work ----------------------------------------------------------
 
-    def _apply_handoffs(self, schemes: Sequence[CachingScheme],
+    def _apply_handoffs(self, hosts: _PartitionHosts,
+                        resident_keys: Sequence[ResidentKey],
+                        reports: Sequence[BarrierReport],
+                        snapshots: Dict[int, Snapshot],
                         policy: PlacementPolicy, epoch: int,
                         now: float) -> List[HandoffRecord]:
         """Adaptive placement's barrier step: decide and apply handoffs.
 
-        Drains every engine's per-structure benefit bids into the policy,
-        asks it for this epoch's handoff set (only structures currently
-        resident on their owner are eligible — a handoff always has
-        residency state to move), then applies each handoff atomically
-        from the run's perspective:
+        Feeds every partition's drained per-structure benefit bids to the
+        policy and asks it for this epoch's handoff set (only structures
+        currently resident on their owner are eligible — a handoff always
+        has residency state to move). The handoffs then apply in one
+        exchange, before the directory is published:
 
-        1. the ownership-override table is extended and installed on
-           every partition (one shared :class:`StructurePartitioner`, so
-           directory checks, admission guards, and regret routing all
-           flip together);
-        2. the structure's :class:`~repro.cache.storage.CacheEntry` —
-           billing watermark, usage recency, amortisation state — moves
-           to the new owner's cache without an eviction record;
-        3. the structure's in-flight regret moves to the new owner's
-           tracker.
+        1. the ownership-override table is extended (one shared
+           :class:`StructurePartitioner`, so directory checks, admission
+           guards, and regret routing all flip together; partitions
+           outside the exchange receive it before their next epoch);
+        2. every old owner releases its handed-off
+           :class:`~repro.cache.storage.CacheEntry` objects — billing
+           watermark, usage recency, amortisation state — without an
+           eviction record, each with its in-flight regret;
+        3. every new owner installs them under the new table and adopts
+           the regret.
 
-        No account is touched, so the bitwise sub-account reconciliation
-        of the same barrier is unaffected; subsequent epochs bill the
-        structure's maintenance and amortisation to the new owner's
-        traffic.
+        ``snapshots`` is updated in place with the caches after the
+        exchange. No account is touched, so the bitwise sub-account
+        reconciliation of the same barrier is unaffected; subsequent
+        epochs bill the structure's maintenance and amortisation to the
+        new owner's traffic.
         """
-        engines = [self._engine_of(scheme) for scheme in schemes]
-        for partition, engine in enumerate(engines):
-            for key, benefit in engine.drain_placement_bids():
+        for partition, report in enumerate(reports):
+            for key, benefit in report.placement_bids:
                 policy.record(key, partition, benefit)
 
-        caches = [engine.partitioned_cache for engine in engines]
+        held = {partition: {key for key, _ in snapshot}
+                for partition, snapshot in snapshots.items()}
         owners: Dict[str, int] = {}
         for key in policy.pending_keys():
             owner = self._partitioner.partition_of(key)
-            if caches[owner].contains(key):
+            if key in held[owner]:
                 owners[key] = owner
         decisions = policy.propose(owners)
         if not decisions:
             return []
 
-        entries = [caches[decision.from_partition].extract_entry(decision.key)
-                   for decision in decisions]
         self._partitioner = self._partitioner.with_overrides(
             {decision.key: decision.to_partition for decision in decisions})
-        for cache in caches:
-            cache.set_partitioner(self._partitioner)
+        outgoing: Dict[int, List[str]] = {}
+        for decision in decisions:
+            outgoing.setdefault(decision.from_partition, []).append(
+                decision.key)
+        released = hosts.call(epoch, [
+            (partition, _hand_off, (resident_keys[partition], tuple(keys)))
+            for partition, keys in outgoing.items()])
+        moved: Dict[str, Tuple[CacheEntry, float]] = {}
+        for (partition, keys), (entries, snapshot) in zip(outgoing.items(),
+                                                          released):
+            moved.update(zip(keys, entries))
+            snapshots[partition] = snapshot
+        incoming: Dict[int, List[Tuple[CacheEntry, float]]] = {}
+        for decision in decisions:
+            incoming.setdefault(decision.to_partition, []).append(
+                moved[decision.key])
+        installed = hosts.call(epoch, [
+            (partition, _take_over,
+             (resident_keys[partition], self._partitioner, tuple(entries),
+              now))
+            for partition, entries in incoming.items()])
+        snapshots.update(zip(incoming, installed))
+        return [HandoffRecord(
+            epoch=epoch,
+            key=decision.key,
+            from_partition=decision.from_partition,
+            to_partition=decision.to_partition,
+            margin=decision.margin,
+        ) for decision in decisions]
 
-        records: List[HandoffRecord] = []
-        for decision, entry in zip(decisions, entries):
-            caches[decision.to_partition].install_entry(entry, now=now)
-            engines[decision.from_partition].transfer_regret_to(
-                engines[decision.to_partition], entry.structure)
-            records.append(HandoffRecord(
-                epoch=epoch,
-                key=decision.key,
-                from_partition=decision.from_partition,
-                to_partition=decision.to_partition,
-                margin=decision.margin,
-            ))
-        return records
-
-    def _forward_regret(self, schemes: Sequence[CachingScheme]) -> None:
+    def _route_regret(self, reports: Sequence[BarrierReport]
+                      ) -> List[RegretItems]:
         """Route regret earned on foreign-owned structures to their owners.
 
         Part of the barrier exchange: demand observed by a borrowing
         partition reaches the owner's investment rule one epoch late.
-        Partitions are drained and credited in index order, so the
-        exchange is deterministic.
+        Reports are read in partition order, so the exchange is
+        deterministic.
         """
-        engines = [self._engine_of(scheme) for scheme in schemes]
-        forwarded: List[List[Tuple[object, float]]] = [
-            [] for _ in engines
+        forwarded: List[List[Tuple[CacheStructure, float]]] = [
+            [] for _ in reports
         ]
-        for engine in engines:
-            for structure, amount in engine.drain_foreign_regret():
+        for report in reports:
+            for structure, amount in report.foreign_regret:
                 owner = self._partitioner.partition_of(structure.key)
                 forwarded[owner].append((structure, amount))
-        for engine, items in zip(engines, forwarded):
-            if items:
-                engine.absorb_forwarded_regret(items)
+        return [tuple(items) for items in forwarded]
 
-    def _publish_directory(self, schemes: Sequence[CachingScheme],
+    def _publish_directory(self, snapshots: Dict[int, Snapshot],
                            version: int,
                            previous: CrossShardDirectory
-                           ) -> Tuple[CrossShardDirectory,
+                           ) -> Tuple[CrossShardDirectory, DirectoryDelta,
                                       DirectoryPublication]:
         """Publish one barrier's directory as a fold-verified delta.
 
         The full snapshot is still assembled (and its ownership
-        invariants verified) every barrier — what changes is the modeled
-        *wire* cost: barriers ship only the delta against the previous
-        epoch, except every ``anchor_period``-th, which ships the full
-        snapshot as an audit anchor. ``prev + delta == full`` is
-        re-verified before the snapshot is installed, so a divergent
-        delta can never propagate.
+        invariants verified) every barrier — what changes is what the
+        partitions receive: the delta against the previous epoch, except
+        every ``anchor_period``-th barrier, which ships the full snapshot
+        as an audit anchor. ``prev + delta == full`` is re-verified here
+        before anything ships, and every partition folds the delta onto
+        its own snapshot, so a divergent delta can never propagate.
         """
-        snapshots: Dict[int, Tuple[Tuple[str, int], ...]] = {}
-        for partition, scheme in enumerate(schemes):
-            cache = scheme.cache
-            assert isinstance(cache, PartitionedCacheManager)
-            snapshots[partition] = cache.snapshot()
         directory = CrossShardDirectory.publish(
             snapshots, self._partitioner, version=version)
         directory.verify_backed_by({
@@ -797,80 +1101,14 @@ class DistCacheRunner:
             full_bytes=directory.wire_bytes,
             anchored=version % self._anchor_period == 0,
         )
-        for scheme in schemes:
-            cache = scheme.cache
-            assert isinstance(cache, PartitionedCacheManager)
-            cache.set_directory(directory)
-        return directory, publication
-
-    def _checkpoint(self, schemes: Sequence[CachingScheme], barrier: float,
-                    epoch: int, directory: CrossShardDirectory,
-                    handoffs_applied: int = 0) -> PartitionCheckpoint:
-        engines = [self._engine_of(scheme) for scheme in schemes]
-        verify_subaccount_integrity(engines)
-        payments, charges = verify_payment_conservation(engines)
-        return PartitionCheckpoint(
-            time_s=barrier,
-            epoch=epoch,
-            directory_size=len(directory),
-            subaccount_credit=tuple(
-                engine.account.credit for engine in engines),
-            query_payments=payments,
-            outcome_charges=charges,
-            handoffs_applied=handoffs_applied,
-        )
-
-    def _sample_barrier(self, schemes: Sequence[CachingScheme],
-                        barrier: float, epoch: int, is_final: bool,
-                        directory: CrossShardDirectory,
-                        publication: "DirectoryPublication",
-                        handoffs_applied: int) -> None:
-        """Take this barrier's metrics samples (read-only, post-barrier).
-
-        One sample per partition (off its engine-held collector, so the
-        per-epoch counter deltas pair with the gauges read here) plus one
-        runner-level sample carrying the cross-partition barrier state
-        (directory size, delta bytes, handoffs).
-        """
-        from repro.obs.metrics import metrics_part
-
-        for scheme in schemes:
-            engine = self._engine_of(scheme)
-            collector = metrics_part(engine.trace)
-            if collector is None:
-                continue
-            collector.sample(
-                time_s=barrier, epoch=epoch, final=is_final,
-                provider_credit=engine.account.credit,
-                query_payments=engine.account.totals_by_category().get(
-                    CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0),
-                wallet_credit=scheme.tenant_registry.total_credit(),
-                remote_hits=engine.remote_hits,
-                remote_surcharge_dollars=engine.remote_dollars,
-                cache_entries=len(engine.partitioned_cache.entries),
-                disk_used_bytes=engine.partitioned_cache.disk_used_bytes,
-            )
-        self._metrics.sample(
-            time_s=barrier, epoch=epoch, final=is_final,
-            directory_entries=len(directory),
-            directory_delta_bytes=publication.delta_bytes,
-            handoffs_applied=handoffs_applied,
-        )
-
-    @staticmethod
-    def _engine_of(scheme: CachingScheme) -> PartitionedEconomyEngine:
-        engine = getattr(scheme, "engine", None)
-        if not isinstance(engine, PartitionedEconomyEngine):
-            raise DistCacheError(
-                f"scheme {scheme.name!r} is not running a partitioned engine")
-        return engine
+        return directory, delta, publication
 
     def _partition_stats(self, schemes: Sequence[CachingScheme],
                          steps: Sequence[Sequence[SchemeStep]]
                          ) -> List[PartitionRunStats]:
         stats: List[PartitionRunStats] = []
         for partition, scheme in enumerate(schemes):
-            engine = self._engine_of(scheme)
+            engine = _engine_of(scheme)
             cache = engine.partitioned_cache
             stats.append(PartitionRunStats(
                 partition_index=partition,
@@ -917,7 +1155,7 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                                anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                                trace=None,
                                metrics=None) -> List[DistCacheCellReport]:
-    """Run many cells partitioned; ``jobs`` sizes each cell's worker pool."""
+    """Run many cells partitioned; ``jobs`` sizes each cell's worker set."""
     runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
                              compare_baseline=compare_baseline,
                              placement=placement,
