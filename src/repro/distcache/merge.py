@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.distcache.engine import PartitionedEconomyEngine
-from repro.economy.account import CloudAccount
+from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
@@ -72,19 +72,6 @@ class PartitionCheckpoint:
         for charge in self.outcome_charges:
             total += charge
         return total
-
-
-def ledger_fold(account: CloudAccount) -> float:
-    """Left fold of an account's ledger, in ledger order.
-
-    Bitwise equal to the live credit when (and only when) every mutation
-    went through the ledger: IEEE-754 addition is deterministic, and the
-    live credit is maintained by exactly these additions in this order.
-    """
-    credit = 0.0
-    for transaction in account.transactions:
-        credit += transaction.amount
-    return credit
 
 
 def outcome_charge_fold(engine: PartitionedEconomyEngine) -> float:

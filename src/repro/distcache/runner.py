@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -71,7 +70,7 @@ from repro.distcache.placement import (
 from repro.economy.account import CloudAccount
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import DistCacheError, ReproError
+from repro.errors import DistCacheError, call_naming_failures
 from repro.experiments.tenants import (
     ARRIVAL_STREAMED,
     TenantCellResult,
@@ -529,19 +528,10 @@ class _PartitionHosts:
                 for partition, future in futures]
 
     def _checked(self, partition: int, epoch: int, fn: Callable, *args):
-        where = (f"cache partition {partition}, epoch {epoch}, cell config "
-                 f"{self._cell_hash}")
-        try:
-            return fn(*args)
-        except BrokenProcessPool as error:
-            raise DistCacheError(
-                f"{where}: the worker process holding it died") from error
-        except ReproError as error:
-            error.args = (f"{where}: {error}",)
-            raise
-        except Exception as error:
-            raise DistCacheError(
-                f"{where}: {type(error).__name__}: {error}") from error
+        return call_naming_failures(
+            lambda: (f"cache partition {partition}, epoch {epoch}, cell "
+                     f"config {self._cell_hash}"),
+            DistCacheError, fn, *args)
 
     def close(self) -> None:
         """Shut the pools down and drop what this process still holds."""

@@ -173,3 +173,16 @@ class CloudAccount:
     def total_withdrawn(self) -> float:
         """Sum of the magnitudes of all negative ledger entries."""
         return sum(-t.amount for t in self._transactions if t.amount < 0)
+
+
+def ledger_fold(account: CloudAccount) -> float:
+    """Left fold of an account's ledger, in ledger order.
+
+    Bitwise equal to the live credit when (and only when) every mutation
+    went through the ledger: IEEE-754 addition is deterministic, and the
+    live credit is maintained by exactly these additions in this order.
+    """
+    credit = 0.0
+    for transaction in account.transactions:
+        credit += transaction.amount
+    return credit

@@ -30,10 +30,9 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Set, Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.economy.account import CloudAccount
+from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
 from repro.economy.regret import RegretTracker
 from repro.economy.user_model import UserModel
@@ -154,6 +153,12 @@ class TenantRegistry:
         >>> registry.active_ids()
         ['alice']
     """
+
+    #: Wallet ledgers folded when churn dropped their wallet, and how many
+    #: of those did not fold to the wallet's balance. Registries that keep
+    #: every wallet (this one) never drop a ledger.
+    churned_ledgers_folded = 0
+    churned_ledger_mismatches = 0
 
     def __init__(self) -> None:
         self._states: Dict[str, TenantState] = {}
@@ -409,15 +414,18 @@ class GenerativeTenantRegistry(TenantRegistry):
     (:meth:`total_credit`, :meth:`total_charged`) are maintained as O(1)
     running sums; per-tenant wallet values are bitwise identical to the
     eager registry's, because each materialised wallet replays exactly
-    the charges the eager wallet received.
+    the charges the eager wallet received. A wallet's ledger is folded
+    when churn drops it (:attr:`churned_ledgers_folded`,
+    :attr:`churned_ledger_mismatches`), so a conservation audit still
+    covers the wallets no longer held.
+
+    The registry accounts for every tenant; a subclass may narrow that
+    through the :meth:`_owned_index` hook (the sharded execution layer
+    scopes it to one shard). Tenants it does not own are tracked only
+    through the mint high-water mark, so their profiles stay derivable.
 
     Args:
         source: the pure profile derivation.
-        owns: optional ownership predicate ``(index, tenant_id) -> bool``
-            restricting which tenants this registry accounts for (the
-            sharded execution layer passes its partitioner; ``None`` owns
-            everything). Foreign tenants are tracked only through the
-            mint high-water mark so their profiles stay derivable.
 
     Example:
         >>> from repro.workload.population import (GenerativeProfileSource,
@@ -439,12 +447,9 @@ class GenerativeTenantRegistry(TenantRegistry):
         7.5
     """
 
-    def __init__(self, source: "GenerativeProfileSource",
-                 owns: Optional[Callable[[Optional[int], str], bool]] = None
-                 ) -> None:
+    def __init__(self, source: "GenerativeProfileSource") -> None:
         super().__init__()
         self._source = source
-        self._owns = owns
         self._minted = 0
         self._owned_minted = 0
         self._seed_total = 0.0
@@ -467,7 +472,11 @@ class GenerativeTenantRegistry(TenantRegistry):
         return self._minted
 
     def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
-        return self._owns is None or self._owns(index, tenant_id)
+        """Ownership hook: whether this registry accounts for the tenant
+        (``index`` is ``None`` for ad-hoc ids). Every tenant, here; a
+        subclass that narrows it rejects foreign ``ensure``/``register``
+        calls itself."""
+        return True
 
     def _advance_minted(self, new_minted: int) -> None:
         """Observe population indices up to ``new_minted`` (exclusive).
@@ -529,17 +538,9 @@ class GenerativeTenantRegistry(TenantRegistry):
             return state
         index = self._source.index_of(tenant_id)
         if index is not None:
-            if not self._owned_index(index, tenant_id):
-                raise EconomyError(
-                    f"tenant {tenant_id!r} is not owned by this registry"
-                )
             if index >= self._minted:
                 self._advance_minted(index + 1)
             return self._materialize(index)
-        if not self._owned_index(None, tenant_id):
-            raise EconomyError(
-                f"tenant {tenant_id!r} is not owned by this registry"
-            )
         # Auto-registration dispatches back through :meth:`register`, which
         # records the ad-hoc id and the materialisation peak.
         return super().ensure(tenant_id)
@@ -589,6 +590,9 @@ class GenerativeTenantRegistry(TenantRegistry):
         if state is not None:
             state.active = False
             state.churned_at_s = now
+            self.churned_ledgers_folded += 1
+            if ledger_fold(state.account) != state.account.credit:
+                self.churned_ledger_mismatches += 1
             if state.account.total_withdrawn() > 0:
                 self._archived[index] = (state.account.credit,
                                          state.account.total_withdrawn())

@@ -7,6 +7,9 @@ such as ``TypeError`` raised by misuse of the Python API itself.
 
 from __future__ import annotations
 
+import concurrent.futures.process
+from typing import Callable, Type
+
 
 class ReproError(Exception):
     """Base class for every error raised by the ``repro`` package."""
@@ -106,3 +109,24 @@ class DistCacheError(ReproError):
     partition that does not own its key, a directory entry without a live
     owner, or a sub-account whose ledger no longer folds to its credit.
     """
+
+
+def call_naming_failures(where: Callable[[], str],
+                         error_type: Type[ReproError], fn: Callable, *args):
+    """``fn(*args)``, with any failure prefixed by ``where()``.
+
+    The guard the process-parallel layers put around each worker call: a
+    dead worker process (``BrokenProcessPool``) and any non-library
+    exception become ``error_type``; library errors keep their type, so
+    callers that catch one still do, and gain the same prefix.
+    """
+    try:
+        return fn(*args)
+    except concurrent.futures.process.BrokenProcessPool as error:
+        raise error_type(f"{where()}: a worker process died") from error
+    except ReproError as error:
+        error.args = (f"{where()}: {error}",)
+        raise
+    except Exception as error:
+        raise error_type(
+            f"{where()}: {type(error).__name__}: {error}") from error

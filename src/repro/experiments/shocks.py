@@ -29,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.distcache.merge import ledger_fold
-from repro.economy.account import CloudAccount
+# ledger_fold stays a module global here: benchmarks/e2e times it.
+from repro.economy.account import CloudAccount, ledger_fold
 from repro.errors import ExperimentError
 from repro.experiments.reporting import format_table
 # sorted_breakdowns stays importable here: benchmarks/e2e times it.
@@ -49,8 +49,11 @@ class ConservationAudit:
 
     ``query_payments`` and ``outcome_charges`` are the provider-side and
     tenant-side folds of the same money stream, computed independently;
-    ``wallet_ledger_mismatches`` counts wallets whose balance did not
-    fold bitwise from their own ledger (always 0 on a passing run).
+    ``wallets_audited`` counts the wallet ledgers actually folded (a
+    streamed registry folds each wallet churn drops, so a tenant that
+    churns twice is folded twice), and ``wallet_ledger_mismatches``
+    counts those whose balance did not fold bitwise from their own
+    ledger (always 0 on a passing run).
     """
 
     query_payments: float
@@ -123,15 +126,19 @@ def audited_shock_cell(
         charged = 0.0
         for outcome in engine.outcomes:
             charged += outcome.charge
+        # The wallets still held are folded here; a streamed registry
+        # folded the ones churn dropped as it dropped them.
+        states = registry.states()
         mismatches = sum(
-            1 for state in registry.states()
+            1 for state in states
             if ledger_fold(state.account) != state.account.credit
         )
         audit = ConservationAudit(
             query_payments=banked,
             outcome_charges=charged,
-            wallets_audited=len(registry),
-            wallet_ledger_mismatches=mismatches,
+            wallets_audited=len(states) + registry.churned_ledgers_folded,
+            wallet_ledger_mismatches=(
+                mismatches + registry.churned_ledger_mismatches),
         )
     return cell.outcome(result), audit
 

@@ -12,6 +12,11 @@ The two parallelism axes compose: ``max_workers`` is the total process
 budget, shared by the ``cells x shards`` task matrix, so scheme-level
 parallelism (the old ``--jobs``) and tenant-level sharding (``--shards``)
 never fight over who gets to spawn.
+
+A shard that fails — an exception escaping ``run_shard``, or a worker
+process that died — raises an error naming the shard and its cell's
+config hash: a :class:`~repro.errors.ShardingError`, or the library error
+that escaped, which keeps its type.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
-from repro.errors import ShardingError
+from repro.errors import ShardingError, call_naming_failures
 from repro.experiments.tenants import TenantExperimentConfig
+from repro.obs.manifest import config_hash
 from repro.sharding.merge import ShardMergeReport, merge_shard_results
 from repro.sharding.worker import ShardResult, ShardTask, run_shard
 
@@ -121,6 +127,18 @@ class ShardCoordinator:
     def _execute(self, tasks: List[ShardTask]) -> List[ShardResult]:
         workers = min(self._plan.max_workers, len(tasks))
         if workers == 1:
-            return [run_shard(task) for task in tasks]
+            return [_checked(task, run_shard, task) for task in tasks]
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(run_shard, tasks))
+            futures = [_checked(task, executor.submit, run_shard, task)
+                       for task in tasks]
+            return [_checked(task, future.result)
+                    for task, future in zip(tasks, futures)]
+
+
+def _checked(task: ShardTask, fn: Callable, *args):
+    """``fn(*args)``; a failure names the shard and its cell's config hash
+    (see :func:`~repro.errors.call_naming_failures`)."""
+    return call_naming_failures(
+        lambda: (f"tenant shard {task.shard_index} of {task.shard_count}, "
+                 f"cell config {config_hash(task.config)}"),
+        ShardingError, fn, *args)

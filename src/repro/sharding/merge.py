@@ -104,8 +104,7 @@ def _verify_conservation(shards: Sequence[ShardResult]) -> Tuple[int, float]:
     Two identities per barrier:
 
     * each shard's own books balance: the seed credit minted by the
-      barrier (``owned_seed_credit`` — constant for eager registration,
-      growing with arrivals for a generative registry) == wallet credit
+      barrier (``owned_seed_credit``, growing with arrivals) == wallet credit
       left plus everything charged out of the shard's wallets;
     * the union of shard-local charges equals the query payments the
       replicated provider account banked — i.e. every dollar the provider

@@ -10,24 +10,31 @@ depend only on a tenant's static :class:`~repro.economy.tenancy.TenantProfile`
 state. A wallet balance is pure accounting output; it cannot change which
 plan wins a negotiation.
 
-:class:`ShardScopedRegistry` therefore holds every profile (static, small)
-but answers the engine's hooks in two modes:
+:class:`ShardScopedRegistry` is a
+:class:`~repro.economy.tenancy.GenerativeTenantRegistry` whose ownership
+hook is the shared partitioner, so it answers the engine's hooks in two
+modes:
 
-* **owned tenant** — exactly the base :class:`TenantRegistry` behaviour:
-  state is materialised, charges hit the wallet, regret is recorded.
+* **owned tenant** — exactly the generative registry's behaviour: state
+  mints at arrival, materialises at first query, and drops back to (at
+  most) two floats at churn.
 * **foreign tenant** — the *decision-relevant* part is replicated bitwise
-  (the budget function is derived from the same profile the owning shard
-  uses), while the accounting part is skipped; the amount that would have
-  been charged is only tallied into :attr:`foreign_charged` for the
-  coordinator's cross-shard conservation audit.
+  (the budget function is derived from the same generative profile the
+  owning shard uses), while the accounting part is skipped; the amount
+  that would have been charged is only tallied into
+  :attr:`foreign_charged` for the coordinator's cross-shard conservation
+  audit.
 
-Materialising a foreign tenant's state is a bug by definition, so
-:meth:`ensure` raises for foreign ids rather than silently registering.
+No profile table is held, not even for owned tenants, so per-worker memory
+is bounded by the shard's concurrently live (and charged) tenants, never by
+the population. Materialising a foreign tenant's state is a bug by
+definition, so :meth:`ensure` raises for foreign ids rather than silently
+registering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.economy.budget import BudgetFunction
 from repro.economy.tenancy import (GenerativeTenantRegistry, TenantProfile,
@@ -35,52 +42,45 @@ from repro.economy.tenancy import (GenerativeTenantRegistry, TenantProfile,
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError, ShardingError
 from repro.sharding.partition import TenantPartitioner
-from repro.workload.population import GenerativeProfileSource, tenant_id_for
+from repro.workload.population import GenerativeProfileSource
 from repro.workload.query import Query
 
 
-class ShardScopedRegistry(TenantRegistry):
-    """A :class:`TenantRegistry` scoped to one shard of the population.
+class ShardScopedRegistry(GenerativeTenantRegistry):
+    """A :class:`GenerativeTenantRegistry` scoped to one shard.
 
     Args:
-        profiles: the **complete** population, in registration order (the
-            same order the unsharded run registers them in); every shard
-            receives all profiles but materialises only its own subset.
+        source: the pure profile derivation shared by all shards.
         partitioner: the tenant → shard mapping shared by all workers.
         shard_index: which shard this registry embodies.
+
+    Example:
+        >>> from repro.workload.population import PopulationSpec
+        >>> source = GenerativeProfileSource(PopulationSpec(
+        ...     tenant_count=4, initial_credit=10.0))
+        >>> partitioner = TenantPartitioner(2)
+        >>> registry = ShardScopedRegistry(source, partitioner, 0)
+        >>> foreign = next(f"t{i:05d}" for i in range(4)
+        ...                if not partitioner.owns(0, f"t{i:05d}"))
+        >>> _ = registry.activate(foreign)          # mints, accounts nothing
+        >>> registry.charge(foreign, 2.0, now=1.0)  # tallied, not booked
+        >>> registry.foreign_charged, registry.total_charged()
+        (2.0, 0.0)
     """
 
-    def __init__(self, profiles: Sequence[TenantProfile],
+    def __init__(self, source: GenerativeProfileSource,
                  partitioner: TenantPartitioner, shard_index: int) -> None:
-        super().__init__()
         partitioner.validate_index(shard_index)
+        super().__init__(source)
         self._partitioner = partitioner
         self._shard_index = shard_index
-        self._all_profiles = {}
-        self._profile_index = {}
         self._foreign_charged = 0.0
         self._foreign_charge_count = 0
-        # Ad-hoc ids (outside the initial population) are indexed by first
-        # touch: every shard observes the same replicated call stream, so
-        # the counter advances identically everywhere and the merge can
-        # reproduce the unsharded registry's registration order exactly.
-        self._adhoc_index = {}
-        owned = []
-        for index, profile in enumerate(profiles):
-            if profile.tenant_id in self._all_profiles:
-                raise ShardingError(
-                    f"duplicate tenant id {profile.tenant_id!r} in population"
-                )
-            self._all_profiles[profile.tenant_id] = profile
-            self._profile_index[profile.tenant_id] = index
-            if partitioner.owns(shard_index, profile.tenant_id):
-                owned.append(profile)
-        # Ownership is consulted several times per query on the replay hot
-        # path; the population's split is frozen here so the common case is
-        # one set lookup instead of a fresh content hash.
-        self._owned_ids = frozenset(p.tenant_id for p in owned)
-        for profile in owned:
-            super().register(profile)
+        # Ad-hoc ids (outside the population's id scheme) are indexed by
+        # first touch: every shard observes the same replicated call
+        # stream, so the counter advances identically everywhere and the
+        # merge can reproduce the unsharded registry's registration order.
+        self._adhoc_index: Dict[str, int] = {}
 
     # -- introspection ---------------------------------------------------------
 
@@ -96,8 +96,8 @@ class ShardScopedRegistry(TenantRegistry):
 
     @property
     def population_size(self) -> int:
-        """Size of the full population (owned + foreign profiles)."""
-        return len(self._all_profiles)
+        """Population indices minted so far (owned + foreign)."""
+        return self.population_minted
 
     @property
     def foreign_charged(self) -> float:
@@ -116,67 +116,56 @@ class ShardScopedRegistry(TenantRegistry):
 
     def owns(self, tenant_id: str) -> bool:
         """Whether this shard owns ``tenant_id``."""
-        if tenant_id in self._owned_ids:
-            return True
-        if tenant_id in self._all_profiles:
-            return False
         return self._partitioner.owns(self._shard_index, tenant_id)
 
+    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
+        return self.owns(tenant_id)
+
     def _note_touch(self, tenant_id: str) -> None:
-        """Record first contact with an id outside the initial population.
+        """Record first contact with an id outside the population scheme.
 
         Called on every hook a query stream can reach, owned or foreign,
         so the counter is replicated bitwise across shards; the resulting
         index orders ad-hoc wallets exactly like the unsharded registry's
-        registration order.
+        registration order. Population ids are ordered by their index.
         """
-        if tenant_id in self._all_profiles or tenant_id in self._adhoc_index:
+        if (tenant_id in self._adhoc_index
+                or self._source.index_of(tenant_id) is not None):
             return
         self._adhoc_index[tenant_id] = len(self._adhoc_index)
 
-    # -- scoping guards --------------------------------------------------------
-
-    def register(self, profile: TenantProfile) -> TenantState:
-        """Register an ad-hoc owned tenant; foreign profiles are rejected."""
-        self._note_touch(profile.tenant_id)
-        if not self.owns(profile.tenant_id):
-            raise ShardingError(
-                f"tenant {profile.tenant_id!r} belongs to shard "
-                f"{self._partitioner.shard_of(profile.tenant_id)}, not "
-                f"{self._shard_index}; foreign state must never materialise"
-            )
-        return super().register(profile)
-
-    def ensure(self, tenant_id: str) -> TenantState:
-        """The owned tenant's state; raises for tenants of other shards.
-
-        Owned ids outside the initial population (e.g. the default tenant
-        in ad-hoc runs) still auto-register a neutral profile, exactly as
-        the base registry would.
-        """
-        self._note_touch(tenant_id)
+    def _require_owned(self, tenant_id: str) -> None:
         if not self.owns(tenant_id):
             raise ShardingError(
                 f"tenant {tenant_id!r} belongs to shard "
                 f"{self._partitioner.shard_of(tenant_id)}, not "
                 f"{self._shard_index}; foreign state must never materialise"
             )
+
+    # -- scoping guards --------------------------------------------------------
+
+    def register(self, profile: TenantProfile) -> TenantState:
+        """Register an ad-hoc owned tenant; foreign profiles are rejected."""
+        self._note_touch(profile.tenant_id)
+        self._require_owned(profile.tenant_id)
+        return super().register(profile)
+
+    def ensure(self, tenant_id: str) -> TenantState:
+        """The owned tenant's state; raises for tenants of other shards."""
+        state = self._states.get(tenant_id)
+        if state is not None:
+            # Only owned tenants ever materialise, and their first touch
+            # was noted when they did.
+            return state
+        self._note_touch(tenant_id)
+        self._require_owned(tenant_id)
         return super().ensure(tenant_id)
 
-    # -- lifecycle (foreign ids ignored) ---------------------------------------
-
-    def activate(self, tenant_id: str, now: float = 0.0) -> Optional[TenantState]:
-        """Activate an owned tenant; a foreign arrival is a no-op (``None``)."""
+    def activate(self, tenant_id: str, now: float = 0.0
+                 ) -> Optional[TenantState]:
+        """Observe an arrival: every shard mints, only the owner accounts."""
         self._note_touch(tenant_id)
-        if not self.owns(tenant_id):
-            return None
         return super().activate(tenant_id, now=now)
-
-    def deactivate(self, tenant_id: str, now: float = 0.0) -> Optional[TenantState]:
-        """Deactivate an owned tenant; a foreign churn is a no-op (``None``)."""
-        if not self.owns(tenant_id):
-            return None
-        return super().deactivate(tenant_id, now=now)
 
     # -- economy hooks ---------------------------------------------------------
 
@@ -185,18 +174,25 @@ class ShardScopedRegistry(TenantRegistry):
                    default_model: UserModel) -> BudgetFunction:
         """The issuing tenant's budget, identical on every shard.
 
-        For owned tenants this is the base implementation. For foreign
-        tenants the same curve is derived from the static profile without
-        touching any mutable state — bitwise the budget the owning shard
-        computes, which is what keeps all replicas on one trajectory.
+        For owned tenants this is the generative registry's budget. For
+        foreign tenants the same curve is derived from the *generative*
+        profile — a pure function of the population seed and the tenant's
+        index — without touching any mutable state. Ids at or beyond the
+        mint high-water mark (and ad-hoc ids) derive a ``None`` profile,
+        i.e. the neutral budget an auto-registered tenant gets.
         """
-        self._note_touch(query.tenant_id)
-        if self.owns(query.tenant_id):
+        tenant_id = query.tenant_id
+        self._note_touch(tenant_id)
+        if self.owns(tenant_id):
             return super().budget_for(query, backend_price,
                                       backend_response_time_s, default_model)
-        return self.derive_budget(
-            self._all_profiles.get(query.tenant_id), query, backend_price,
-            backend_response_time_s, default_model,
+        index = self._source.index_of(tenant_id)
+        profile = None
+        if index is not None and index < self.population_minted:
+            profile = self._source.profile_for(index)
+        return TenantRegistry.derive_budget(
+            profile, query, backend_price, backend_response_time_s,
+            default_model,
         )
 
     def charge(self, tenant_id: str, amount: float, now: float = 0.0,
@@ -219,278 +215,27 @@ class ShardScopedRegistry(TenantRegistry):
                       divide: bool = False) -> None:
         """Record regret for owned tenants only (others own their mirror)."""
         self._note_touch(tenant_id)
-        if not self.owns(tenant_id):
-            return
-        super().record_regret(tenant_id, structures, amount, divide=divide)
-
-    # -- merge support ---------------------------------------------------------
-
-    def owned_wallets(self) -> Tuple[Tuple[int, str, float], ...]:
-        """``(global registration index, tenant_id, credit)`` per owned tenant.
-
-        The index is the tenant's position in the full population, which is
-        the order the unsharded registry would report wallets in; carrying
-        it out of the worker lets the merge rebuild that exact order (id
-        strings alone would mis-sort once the population outgrows the
-        zero-padded id width). Ad-hoc tenants sort after the population in
-        global first-touch order — which every shard observes identically,
-        so the indices never collide across shards.
-        """
-        entries = []
-        base = len(self._all_profiles)
-        for state in self.states():
-            index = self._profile_index.get(state.tenant_id)
-            if index is None:
-                index = base + self._adhoc_index[state.tenant_id]
-            entries.append((index, state.tenant_id, state.account.credit))
-        return tuple(entries)
-
-    def owned_initial_credit(self) -> float:
-        """Seed credit of every owned wallet (the conserved input)."""
-        return sum(state.profile.initial_credit for state in self.states())
-
-    def owned_seed_credit(self) -> float:
-        """Owned seed credit *minted so far* — the per-barrier conserved input.
-
-        With eager registration the whole population is seeded at
-        construction, so this is constant over the run (and equal to
-        :meth:`owned_initial_credit`); the generative subclass reports the
-        growing mint-so-far total instead, and settlement checkpoints
-        record whichever value was current at the barrier.
-        """
-        return self.owned_initial_credit()
-
-    # -- generative composition ------------------------------------------------
-
-    @classmethod
-    def generative(cls, source: GenerativeProfileSource,
-                   partitioner: TenantPartitioner,
-                   shard_index: int) -> "GenerativeShardRegistry":
-        """A shard registry that composes a :class:`GenerativeTenantRegistry`.
-
-        No profile is materialised up front — not even the foreign ones the
-        eager constructor replicates — so per-worker memory is bounded by
-        the shard's concurrently live (and charged) tenants, never by the
-        population (see :class:`GenerativeShardRegistry`).
-        """
-        return GenerativeShardRegistry(source, partitioner, shard_index)
-
-
-class GenerativeShardRegistry(ShardScopedRegistry):
-    """A shard-scoped registry over a *generative* population.
-
-    The eager :class:`ShardScopedRegistry` receives the complete profile
-    list and materialises its owned subset at construction — O(population)
-    memory in every worker twice over (the ``_all_profiles`` replica plus
-    the owned states). This subclass instead composes a
-    :class:`~repro.economy.tenancy.GenerativeTenantRegistry` whose
-    ownership predicate is the shared partitioner:
-
-    * **owned tenants** mint bookkeeping at arrival, materialise at first
-      query, and drop back to (at most) two floats at churn;
-    * **foreign tenants** advance the shared mint high-water mark (so
-      their profiles stay derivable for budget replication) but account
-      nothing;
-    * the **foreign-budget replication path** derives the static profile
-      directly from ``(population seed, tenant index)`` — it no longer
-      requires any pre-materialised profile table, which is the invariant
-      that lets the whole worker run in bounded memory. Ids at or beyond
-      the mint high-water mark derive a ``None`` profile (neutral budget),
-      exactly as the eager path treats ids outside its profile table.
-
-    Population-pattern ids (``t<NNNNN>``) are reserved for the generative
-    scheme; ad-hoc ids keep the eager first-touch ordering machinery.
-    """
-
-    def __init__(self, source: GenerativeProfileSource,
-                 partitioner: TenantPartitioner, shard_index: int) -> None:
-        super().__init__((), partitioner, shard_index)
-        self._inner = GenerativeTenantRegistry(
-            source, owns=lambda index, tenant_id:
-            partitioner.owns(shard_index, tenant_id),
-        )
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def inner(self) -> GenerativeTenantRegistry:
-        """The composed generative registry holding the owned state."""
-        return self._inner
-
-    @property
-    def source(self) -> GenerativeProfileSource:
-        """The pure profile derivation shared by all shards."""
-        return self._inner.source
-
-    @property
-    def population_size(self) -> int:
-        """Population indices minted so far (owned + foreign)."""
-        return self._inner.population_minted
-
-    def owns(self, tenant_id: str) -> bool:
-        """Whether this shard owns ``tenant_id`` (pure partitioner call)."""
-        return self._partitioner.owns(self._shard_index, tenant_id)
-
-    def _note_touch(self, tenant_id: str) -> None:
-        # Population-pattern ids are reserved for the generative scheme and
-        # ordered by their index; only genuinely ad-hoc ids need the
-        # replicated first-touch counter.
-        if (self._inner.source.index_of(tenant_id) is not None
-                or tenant_id in self._adhoc_index):
-            return
-        self._adhoc_index[tenant_id] = len(self._adhoc_index)
-
-    # -- scoping guards --------------------------------------------------------
-
-    def register(self, profile: TenantProfile) -> TenantState:
-        self._note_touch(profile.tenant_id)
-        if not self.owns(profile.tenant_id):
-            raise ShardingError(
-                f"tenant {profile.tenant_id!r} belongs to shard "
-                f"{self._partitioner.shard_of(profile.tenant_id)}, not "
-                f"{self._shard_index}; foreign state must never materialise"
-            )
-        return self._inner.register(profile)
-
-    def ensure(self, tenant_id: str) -> TenantState:
-        self._note_touch(tenant_id)
-        if not self.owns(tenant_id):
-            raise ShardingError(
-                f"tenant {tenant_id!r} belongs to shard "
-                f"{self._partitioner.shard_of(tenant_id)}, not "
-                f"{self._shard_index}; foreign state must never materialise"
-            )
-        return self._inner.ensure(tenant_id)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def activate(self, tenant_id: str, now: float = 0.0
-                 ) -> Optional[TenantState]:
-        self._note_touch(tenant_id)
-        # The inner registry observes every arrival (advancing the shared
-        # mint high-water mark) but accounts only owned tenants.
-        return self._inner.activate(tenant_id, now=now)
-
-    def deactivate(self, tenant_id: str, now: float = 0.0
-                   ) -> Optional[TenantState]:
-        return self._inner.deactivate(tenant_id, now=now)
-
-    # -- economy hooks ---------------------------------------------------------
-
-    def budget_for(self, query: Query, backend_price: float,
-                   backend_response_time_s: float,
-                   default_model: UserModel) -> BudgetFunction:
-        """The issuing tenant's budget, identical on every shard.
-
-        The foreign path is the load-bearing half: the budget is derived
-        from the *generative* profile — a pure function of the population
-        seed and the tenant's index — so replication needs no profile
-        table. This is asserted by construction: the only inputs consulted
-        are the source and the mint high-water mark, both replicated
-        bitwise across shards by the shared event stream.
-        """
-        self._note_touch(query.tenant_id)
-        if self.owns(query.tenant_id):
-            return self._inner.budget_for(query, backend_price,
-                                          backend_response_time_s,
-                                          default_model)
-        source = self._inner.source
-        index = source.index_of(query.tenant_id)
-        profile = None
-        if index is not None and index < self._inner.population_minted:
-            profile = source.profile_for(index)
-        return TenantRegistry.derive_budget(
-            profile, query, backend_price, backend_response_time_s,
-            default_model,
-        )
-
-    def charge(self, tenant_id: str, amount: float, now: float = 0.0,
-               note: str = "") -> None:
-        if amount < 0:
-            raise EconomyError(f"charge must be non-negative, got {amount}")
-        if amount == 0:
-            return
-        self._note_touch(tenant_id)
         if self.owns(tenant_id):
-            self._inner.charge(tenant_id, amount, now=now, note=note)
-            return
-        self._foreign_charged += amount
-        self._foreign_charge_count += 1
-
-    def record_regret(self, tenant_id: str, structures, amount: float,
-                      divide: bool = False) -> None:
-        self._note_touch(tenant_id)
-        if not self.owns(tenant_id):
-            return
-        self._inner.record_regret(tenant_id, structures, amount,
+            super().record_regret(tenant_id, structures, amount,
                                   divide=divide)
-
-    def reset_regret(self, key: str) -> None:
-        self._inner.reset_regret(key)
-
-    # -- lookups (delegated to the composed registry) --------------------------
-
-    def state(self, tenant_id: str) -> TenantState:
-        """The *materialised* state; raises if the tenant holds none.
-
-        A generative registry intentionally cannot distinguish "never
-        existed" from "exists but was never charged" here — use
-        :meth:`credit_by_tenant` for population-wide balances.
-        """
-        return self._inner.state(tenant_id)
-
-    def states(self) -> Tuple[TenantState, ...]:
-        return self._inner.states()
-
-    def tenant_ids(self) -> List[str]:
-        return self._inner.tenant_ids()
-
-    def active_ids(self) -> List[str]:
-        return self._inner.active_ids()
-
-    def __contains__(self, tenant_id: str) -> bool:
-        return tenant_id in self._inner
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    # -- aggregates ------------------------------------------------------------
-
-    def total_credit(self) -> float:
-        return self._inner.total_credit()
-
-    def total_charged(self) -> float:
-        return self._inner.total_charged()
-
-    def credit_by_tenant(self) -> Dict[str, float]:
-        return self._inner.credit_by_tenant()
-
-    def live_tenant_count(self) -> int:
-        return self._inner.live_tenant_count()
-
-    def materialized_tenant_count(self) -> int:
-        """Owned tenants currently holding a full state object."""
-        return self._inner.materialized_tenant_count()
-
-    @property
-    def peak_materialized(self) -> int:
-        """High-water mark of concurrently materialised owned states."""
-        return self._inner.peak_materialized
 
     # -- merge support ---------------------------------------------------------
 
     def owned_wallets(self) -> Tuple[Tuple[int, str, float], ...]:
         """``(global index, tenant_id, credit)`` per owned tenant.
 
-        Population members carry their mint index — identical to the eager
-        registry's registration index, so merged wallet order is unchanged;
-        ad-hoc tenants sort after the population by the replicated
-        first-touch counter.
+        Population members carry their mint index, which is the order the
+        unsharded registry reports wallets in; carrying it out of the
+        worker lets the merge rebuild that exact order (id strings alone
+        would mis-sort once the population outgrows the zero-padded id
+        width). Ad-hoc tenants sort after the population in global
+        first-touch order — which every shard observes identically, so the
+        indices never collide across shards.
         """
-        base = self._inner.population_minted
+        base = self.population_minted
         entries = []
-        for tenant_id, credit in self._inner.credit_by_tenant().items():
-            index = self._inner.source.index_of(tenant_id)
+        for tenant_id, credit in self.credit_by_tenant().items():
+            index = self._source.index_of(tenant_id)
             if index is None:
                 index = base + self._adhoc_index[tenant_id]
             entries.append((index, tenant_id, credit))
@@ -498,8 +243,9 @@ class GenerativeShardRegistry(ShardScopedRegistry):
 
     def owned_initial_credit(self) -> float:
         """Seed credit of every owned tenant minted over the whole run."""
-        return self._inner.seed_credit()
+        return self.seed_credit()
 
     def owned_seed_credit(self) -> float:
-        """Owned seed credit minted *so far* (grows with arrivals)."""
-        return self._inner.seed_credit()
+        """Owned seed credit minted *so far* — the per-barrier conserved
+        input, which grows with arrivals."""
+        return self.seed_credit()

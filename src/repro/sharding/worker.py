@@ -66,9 +66,7 @@ class SettlementCheckpoint:
     that only add up across shards (the conservation audit).
 
     ``owned_seed_credit`` is the seed credit of the owned tenants *minted
-    by this barrier*: with eager registration the whole population is
-    seeded up front, so it is constant over the run; with a generative
-    registry it grows with arrivals. Either way the per-barrier identity
+    by this barrier*, so it grows with arrivals. The per-barrier identity
     ``owned_seed_credit == owned_wallet_credit + owned_charged`` holds —
     wallets only ever change by seeding and by charges.
     """
@@ -217,12 +215,9 @@ class ShardWorker:
         )
 
     def _registry(self, profiles, source) -> ShardScopedRegistry:
-        """The shard's registry: the eager population (every profile, own
-        subset materialised) or, when streamed, the generative one."""
-        if profiles is None:
-            return ShardScopedRegistry.generative(
-                source, self._partitioner, self._task.shard_index)
-        return ShardScopedRegistry(profiles, self._partitioner,
+        """The shard's registry, in either arrival mode: owned tenants
+        derive from the generative source, so ``profiles`` is not read."""
+        return ShardScopedRegistry(source, self._partitioner,
                                    self._task.shard_index)
 
 

@@ -34,6 +34,7 @@ contract; the chaos property suites pin it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple, Union
@@ -57,6 +58,17 @@ from repro.workload.templates import paper_templates, template_by_name
 
 class GrammarDegeneracyWarning(UserWarning):
     """A grammar compiled, but only after dropping degenerate productions."""
+
+
+def _require_finite(value: float, what: str, positive: bool = True) -> None:
+    """Reject ``value`` unless finite and positive (or non-negative).
+
+    A bare ``<= 0`` check lets NaN through, so finiteness is tested first.
+    """
+    if math.isfinite(value) and (value > 0 or (not positive and value == 0)):
+        return
+    sign = "positive" if positive else "non-negative"
+    raise WorkloadError(f"{what} must be finite and {sign}, got {value}")
 
 
 # -- productions ---------------------------------------------------------------
@@ -83,11 +95,8 @@ class QueryClass:
             raise WorkloadError(
                 f"query class {self.name!r} must name at least one template"
             )
-        if self.weight < 0:
-            raise WorkloadError(
-                f"query class {self.name!r} weight must be non-negative, "
-                f"got {self.weight}"
-            )
+        _require_finite(self.weight, f"query class {self.name!r} weight",
+                        positive=False)
 
 
 @dataclass(frozen=True)
@@ -108,15 +117,8 @@ class FlashCrowd:
             raise WorkloadError(
                 f"crowd at_fraction must be in [0, 1), got {self.at_fraction}"
             )
-        if self.duration_fraction <= 0:
-            raise WorkloadError(
-                f"crowd duration_fraction must be positive, "
-                f"got {self.duration_fraction}"
-            )
-        if self.intensity <= 0:
-            raise WorkloadError(
-                f"crowd intensity must be positive, got {self.intensity}"
-            )
+        _require_finite(self.duration_fraction, "crowd duration_fraction")
+        _require_finite(self.intensity, "crowd intensity")
 
 
 @dataclass(frozen=True)
@@ -131,21 +133,13 @@ class TenantTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkloadError("tenant tier name must not be empty")
-        if self.weight < 0:
-            raise WorkloadError(
-                f"tier {self.name!r} weight must be non-negative, "
-                f"got {self.weight}"
-            )
-        if self.budget_multiplier <= 0:
-            raise WorkloadError(
-                f"tier {self.name!r} budget_multiplier must be positive, "
-                f"got {self.budget_multiplier}"
-            )
-        if self.credit_multiplier < 0:
-            raise WorkloadError(
-                f"tier {self.name!r} credit_multiplier must be non-negative, "
-                f"got {self.credit_multiplier}"
-            )
+        _require_finite(self.weight, f"tier {self.name!r} weight",
+                        positive=False)
+        _require_finite(self.budget_multiplier,
+                        f"tier {self.name!r} budget_multiplier")
+        _require_finite(self.credit_multiplier,
+                        f"tier {self.name!r} credit_multiplier",
+                        positive=False)
 
 
 # -- shock specs ---------------------------------------------------------------
@@ -182,15 +176,8 @@ class PriceShock:
             raise WorkloadError(
                 f"shock at_fraction must be in [0, 1], got {self.at_fraction}"
             )
-        if self.duration_fraction <= 0:
-            raise WorkloadError(
-                f"shock duration_fraction must be positive, "
-                f"got {self.duration_fraction}"
-            )
-        if self.factor <= 0:
-            raise WorkloadError(
-                f"price shock factor must be positive, got {self.factor}"
-            )
+        _require_finite(self.duration_fraction, "shock duration_fraction")
+        _require_finite(self.factor, "price shock factor")
 
 
 @dataclass(frozen=True)
@@ -206,15 +193,8 @@ class BudgetSqueeze:
             raise WorkloadError(
                 f"shock at_fraction must be in [0, 1], got {self.at_fraction}"
             )
-        if self.duration_fraction <= 0:
-            raise WorkloadError(
-                f"shock duration_fraction must be positive, "
-                f"got {self.duration_fraction}"
-            )
-        if self.factor <= 0:
-            raise WorkloadError(
-                f"budget squeeze factor must be positive, got {self.factor}"
-            )
+        _require_finite(self.duration_fraction, "shock duration_fraction")
+        _require_finite(self.factor, "budget squeeze factor")
 
 
 ShockSpec = Union[InvalidationShock, PriceShock, BudgetSqueeze]

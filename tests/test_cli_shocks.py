@@ -1,8 +1,14 @@
 """Tests for the CLI's shock surface (shocks command, --shock/--class)."""
 
-import pytest
+import argparse
+import dataclasses
+import math
 
-from repro.cli import build_parser, main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _query_class_spec, _shock_spec, build_parser, main
 
 
 ARGS = ["shocks", "--schemes", "econ-cheap", "--n-tenants", "6",
@@ -37,6 +43,29 @@ class TestParser:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert f"argument {flag}:" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("shocks", "--shock", "price@0.5:0.1:nan"),
+        ("shocks", "--shock", "price@0.5:nan:2"),
+        ("shocks", "--shock", "price@0.5:0.1:inf"),
+        ("shocks", "--shock", "squeeze@0.5:inf:0.5"),
+        ("shocks", "--shock", "squeeze@nan:0.1:0.5"),
+        ("shocks", "--class", "x:nan:q1_pricing_summary"),
+        ("shocks", "--class", "x:inf:q1_pricing_summary"),
+        ("tenants", "--shock", "price@0.5:0.1:nan"),
+    ])
+    def test_non_finite_numbers_exit_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n-tenants", "4", "--queries", "10",
+                  flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}:" in errors[0]
         assert "Traceback" not in captured.err
 
     def test_scenario_and_tenants_accept_shocks_too(self):
@@ -184,3 +213,52 @@ class TestTenantsShocks:
         assert "Tenants - econ-cheap x 8 tenants" in plain
         assert main(args + ["--shards", "2"]) == 0
         assert capsys.readouterr().out == plain
+
+
+#: Number-ish fragments the DSL parsers meet: plain, signed, exponent,
+#: non-finite, and junk.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400",
+                     "-1e400", "0", "-0.0", "0.5", "1", "", "x", "1_0"]),
+)
+_KINDS = st.sampled_from(["price", "squeeze", "invalidate", "boom", ""])
+_TEMPLATES = st.sampled_from(["q1_pricing_summary", "q999_nonsense",
+                              "q1_pricing_summary+q1_pricing_summary", ""])
+
+
+def _numbers_of(spec):
+    return [value for value in dataclasses.astuple(spec)
+            if isinstance(value, float)]
+
+
+class TestDslNumbersAreFinite:
+    """Any ``--shock``/``--class`` text either parses to a spec whose
+    numbers are all finite or is rejected as an argparse type error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=30),
+        st.builds(lambda kind, parts: kind + "@" + ":".join(parts),
+                  _KINDS, st.lists(_NUMBERS, min_size=1, max_size=4)),
+    ))
+    def test_shock_spec(self, text):
+        try:
+            spec = _shock_spec(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert all(math.isfinite(value) for value in _numbers_of(spec))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text(max_size=30),
+        st.builds(lambda name, weight, templates:
+                  f"{name}:{weight}:{templates}",
+                  st.sampled_from(["x", "", "a:b"]), _NUMBERS, _TEMPLATES),
+    ))
+    def test_query_class_spec(self, text):
+        try:
+            spec = _query_class_spec(text)
+        except argparse.ArgumentTypeError:
+            return
+        assert math.isfinite(spec.weight)

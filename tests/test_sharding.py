@@ -7,12 +7,14 @@ sharded and unsharded runs for the same seed.
 """
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
-from repro.errors import ShardingError
+from repro.cli import main
+from repro.errors import ShardingError, WorkloadError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     build_population,
@@ -21,6 +23,8 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
+from repro.obs.manifest import config_hash
+from repro.sharding import coordinator as coordinator_module
 from repro.sharding import (
     ShardCoordinator,
     ShardImbalanceWarning,
@@ -32,6 +36,8 @@ from repro.sharding import (
     run_shard,
     stable_tenant_hash,
 )
+from repro.workload.population import (GenerativeProfileSource,
+                                       PopulationSpec, tenant_id_for)
 from repro.workload.query import Query
 
 QUICK = dict(tenant_count=12, query_count=60, interarrival_s=1.0, seed=0)
@@ -92,50 +98,67 @@ class TestPartitioner:
 
 
 class TestShardScopedRegistry:
-    def _registry(self, shard_index, count=8, shards=2):
-        profiles = tuple(TenantProfile(f"t{i:05d}", initial_credit=10.0)
-                         for i in range(count))
+    SPEC = PopulationSpec(tenant_count=8, initial_credit=10.0,
+                          budget_sigma=0.5, seed=5)
+
+    def _registry(self, shard_index, shards=2, spec=SPEC):
+        source = GenerativeProfileSource(spec=spec)
         partitioner = TenantPartitioner(shards)
-        return (ShardScopedRegistry(profiles, partitioner, shard_index),
-                partitioner, profiles)
+        return (ShardScopedRegistry(source, partitioner, shard_index),
+                partitioner, source)
+
+    @staticmethod
+    def _arrive(registry, count):
+        # The replicated arrival stream: every shard observes every id.
+        for index in range(count):
+            registry.activate(tenant_id_for(index), now=0.0)
 
     def test_materialises_only_owned_states(self):
-        registry, partitioner, profiles = self._registry(0)
-        owned = [p.tenant_id for p in profiles
-                 if partitioner.owns(0, p.tenant_id)]
+        registry, partitioner, _ = self._registry(0)
+        self._arrive(registry, 8)
+        ids = [tenant_id_for(index) for index in range(8)]
+        owned = [tid for tid in ids if partitioner.owns(0, tid)]
+        assert 0 < len(owned) < len(ids)
         assert registry.tenant_ids() == owned
-        assert registry.population_size == len(profiles)
+        assert registry.population_size == 8
+        for tenant_id in ids:
+            registry.charge(tenant_id, 1.0, now=1.0)
+        assert [state.tenant_id for state in registry.states()] == owned
 
     def test_foreign_charge_is_tallied_not_booked(self):
-        registry, partitioner, profiles = self._registry(0)
-        foreign = next(p.tenant_id for p in profiles
-                       if not partitioner.owns(0, p.tenant_id))
+        registry, partitioner, _ = self._registry(0)
+        self._arrive(registry, 8)
+        foreign = next(tenant_id_for(i) for i in range(8)
+                       if not partitioner.owns(0, tenant_id_for(i)))
         registry.charge(foreign, 3.0, now=1.0)
         assert registry.foreign_charged == 3.0
         assert registry.foreign_charge_count == 1
         assert registry.total_charged() == 0.0  # no wallet was touched
+        assert registry.materialized_tenant_count() == 0
 
     def test_foreign_state_never_materialises(self):
-        registry, partitioner, profiles = self._registry(0)
-        foreign = next(p.tenant_id for p in profiles
-                       if not partitioner.owns(0, p.tenant_id))
+        registry, partitioner, _ = self._registry(0)
+        foreign = next(tenant_id_for(i) for i in range(8)
+                       if not partitioner.owns(0, tenant_id_for(i)))
         with pytest.raises(ShardingError):
             registry.ensure(foreign)
         assert registry.activate(foreign) is None
         assert registry.deactivate(foreign) is None
         registry.record_regret(foreign, [], 1.0)
         assert foreign not in registry
+        assert registry.materialized_tenant_count() == 0
 
     def test_foreign_budget_matches_unsharded_bitwise(self):
-        profiles = tuple(TenantProfile(f"t{i:05d}", initial_credit=10.0,
-                                       budget_multiplier=1.0 + i / 7.0)
-                         for i in range(8))
+        source = GenerativeProfileSource(spec=self.SPEC)
+        profiles = [source.profile_for(i) for i in range(8)]
+        assert len({p.budget_multiplier for p in profiles}) > 1
         base = TenantRegistry()
         base.register_all(profiles)
         model = UserModel()
         partitioner = TenantPartitioner(2)
         for shard in (0, 1):
-            scoped = ShardScopedRegistry(profiles, partitioner, shard)
+            scoped = ShardScopedRegistry(source, partitioner, shard)
+            self._arrive(scoped, 8)
             for profile in profiles:
                 query = _query(profile.tenant_id)
                 expected = base.budget_for(query, 10.0, 4.0, model)
@@ -144,17 +167,17 @@ class TestShardScopedRegistry:
                 assert repr(observed) == repr(expected)
 
     def test_owned_wallets_carry_global_registration_index(self):
-        registry, partitioner, profiles = self._registry(1)
+        registry, _, source = self._registry(1)
+        self._arrive(registry, 8)
+        registry.charge(registry.tenant_ids()[0], 2.5, now=1.0)
         wallets = registry.owned_wallets()
         assert wallets  # shard 1 owns someone in this population
+        assert [index for index, _, _ in wallets] == sorted(
+            index for index, _, _ in wallets)
         for index, tenant_id, credit in wallets:
-            assert profiles[index].tenant_id == tenant_id
-            assert credit == 10.0
-
-    def test_duplicate_population_ids_rejected(self):
-        profiles = (TenantProfile("dup"), TenantProfile("dup"))
-        with pytest.raises(ShardingError):
-            ShardScopedRegistry(profiles, TenantPartitioner(2), 0)
+            assert source.profile_for(index).tenant_id == tenant_id
+        assert [credit for _, _, credit in wallets] == \
+            [7.5] + [10.0] * (len(wallets) - 1)
 
     def test_register_rejects_foreign_profile(self):
         registry, partitioner, _ = self._registry(0)
@@ -168,14 +191,16 @@ class TestShardScopedRegistry:
         # "zeta" (shard 1) is touched before "alpha" (shard 0): the merged
         # wallet order must be first-touch (zeta, alpha) like the unsharded
         # registry's registration order, not lexicographic.
-        profiles = tuple(TenantProfile(f"t{i:05d}", initial_credit=5.0)
-                         for i in range(4))
+        spec = PopulationSpec(tenant_count=4, initial_credit=5.0)
+        source = GenerativeProfileSource(spec=spec)
         partitioner = TenantPartitioner(2)
         base = TenantRegistry()
-        base.register_all(profiles)
-        scoped = [ShardScopedRegistry(profiles, partitioner, shard)
+        base.register_all(source.profile_for(i) for i in range(4))
+        scoped = [ShardScopedRegistry(source, partitioner, shard)
                   for shard in (0, 1)]
         assert partitioner.shard_of("zeta") != partitioner.shard_of("alpha")
+        for registry in scoped:
+            self._arrive(registry, 4)
         for tenant_id in ("zeta", "alpha"):  # the replicated call stream
             base.charge(tenant_id, 0.5, now=1.0)
             for registry in scoped:
@@ -185,18 +210,21 @@ class TestShardScopedRegistry:
              for entry in registry.owned_wallets()),
             key=lambda entry: (entry[0], entry[1]),
         )
-        assert [tenant_id for _, tenant_id, _ in merged] == \
-            list(base.credit_by_tenant())
+        assert [(tenant_id, credit) for _, tenant_id, credit in merged] == \
+            list(base.credit_by_tenant().items())
 
     def test_zero_charge_reserves_no_adhoc_slot(self):
         # Base charge() returns before ensure() on amount == 0; the scoped
         # registry must mirror that or ad-hoc ordering diverges.
-        profiles = (TenantProfile("t00000", initial_credit=5.0),)
+        spec = PopulationSpec(tenant_count=1, initial_credit=5.0)
+        source = GenerativeProfileSource(spec=spec)
         partitioner = TenantPartitioner(2)
         base = TenantRegistry()
-        base.register_all(profiles)
-        scoped = [ShardScopedRegistry(profiles, partitioner, shard)
+        base.register_all([source.profile_for(0)])
+        scoped = [ShardScopedRegistry(source, partitioner, shard)
                   for shard in (0, 1)]
+        for registry in scoped:
+            self._arrive(registry, 1)
         for registry in (base, *scoped):
             registry.charge("zeta", 0.0, now=1.0)   # must not register zeta
             registry.charge("alpha", 1.0, now=1.0)
@@ -312,6 +340,75 @@ class TestCoordinator:
             report.cell.population_size
         assert report.barriers_verified > 1  # periodic + final
         assert report.max_conservation_residual < 1e-6
+
+
+_PARENT_PID = os.getpid()
+
+
+def _die_running_shard_one(task):
+    """The worker running shard 1 dies; this process never does."""
+    if task.shard_index == 1 and os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return run_shard(task)
+
+
+def _raise_in_shard_one(task):
+    if task.shard_index == 1:
+        raise KeyError("lost shard state")
+    return run_shard(task)
+
+
+def _workload_error_in_shard_one(task):
+    if task.shard_index == 1:
+        raise WorkloadError("bad arrivals")
+    return run_shard(task)
+
+
+class TestTypedFailures:
+    CONFIG = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
+
+    def test_dead_worker_names_shard_and_cell(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "run_shard",
+                            _die_running_shard_one)
+        with pytest.raises(ShardingError, match="died") as caught:
+            ShardCoordinator(2, max_workers=2).run_cell(self.CONFIG)
+        message = str(caught.value)
+        assert message.startswith("tenant shard ")
+        assert "of 2, cell config " + config_hash(self.CONFIG) in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exception_escaping_a_shard_is_typed(self, monkeypatch,
+                                                 workers):
+        monkeypatch.setattr(coordinator_module, "run_shard",
+                            _raise_in_shard_one)
+        with pytest.raises(ShardingError, match="KeyError") as caught:
+            ShardCoordinator(2, max_workers=workers).run_cell(self.CONFIG)
+        assert str(caught.value).startswith(
+            f"tenant shard 1 of 2, cell config {config_hash(self.CONFIG)}: ")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_library_errors_keep_their_type(self, monkeypatch, workers):
+        monkeypatch.setattr(coordinator_module, "run_shard",
+                            _workload_error_in_shard_one)
+        with pytest.raises(WorkloadError) as caught:
+            ShardCoordinator(2, max_workers=workers).run_cell(self.CONFIG)
+        assert str(caught.value) == (
+            f"tenant shard 1 of 2, cell config {config_hash(self.CONFIG)}: "
+            "bad arrivals")
+
+    def test_cli_exits_2_with_one_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(coordinator_module, "run_shard",
+                            _die_running_shard_one)
+        assert main(["tenants", "--n-tenants", "12", "--queries", "60",
+                     "--schemes", "econ-cheap", "--shards", "2",
+                     "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: tenant shard ")
+        assert "died" in lines[0]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestByteIdentity:

@@ -16,6 +16,7 @@ from repro.economy.account import CloudAccount
 from repro.economy.regret import RegretTracker
 from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
+from repro.errors import ShardingError
 from repro.experiments.tenants import TenantExperimentConfig
 from repro.policies.base import SchemeStep
 from repro.sharding import (
@@ -27,6 +28,8 @@ from repro.sharding import (
 )
 from repro.simulator.metrics import MetricsCollector
 from repro.structures.cached_column import CachedColumn
+from repro.workload.population import (GenerativeProfileSource,
+                                       PopulationSpec, tenant_id_for)
 
 
 def roundtrip(value):
@@ -66,15 +69,27 @@ class TestEconomyStatePickles:
         assert clone.state("bob").profile.budget_multiplier == 2.0
 
     def test_shard_scoped_registry(self):
-        profiles = tuple(TenantProfile(f"t{i:05d}", initial_credit=3.0)
-                         for i in range(6))
-        registry = ShardScopedRegistry(profiles, TenantPartitioner(2), 0)
-        for profile in profiles:
-            registry.charge(profile.tenant_id, 1.0, now=0.5)
+        source = GenerativeProfileSource(
+            spec=PopulationSpec(tenant_count=6, initial_credit=3.0))
+        registry = ShardScopedRegistry(source, TenantPartitioner(2), 0)
+        for index in range(6):
+            registry.activate(tenant_id_for(index), now=0.0)
+            registry.charge(tenant_id_for(index), 1.0, now=0.5)
+        registry.charge("alice", 1.0, now=0.5)
+        registry.deactivate(registry.tenant_ids()[0], now=1.0)
+        assert registry.owned_wallets()
+        assert registry.foreign_charged > 0
         clone = roundtrip(registry)
         assert clone.owned_wallets() == registry.owned_wallets()
         assert clone.foreign_charged == registry.foreign_charged
         assert clone.shard_index == 0
+        assert clone.total_credit() == registry.total_credit()
+        # The clone keeps scoping: ownership is the partitioner's, not a
+        # closure left behind in the original.
+        foreign = next(tenant_id_for(i) for i in range(6)
+                       if not registry.owns(tenant_id_for(i)))
+        with pytest.raises(ShardingError):
+            clone.ensure(foreign)
 
 
 class TestMetricsStatePickles:

@@ -9,8 +9,10 @@ Two families:
   barrier and for arbitrary populations.
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.tenants import (
@@ -20,6 +22,7 @@ from repro.experiments.tenants import (
     top_tenant_table,
 )
 from repro.sharding import ShardCoordinator, ShardTask, run_shard
+from repro.workload.grammar import default_shock_grammar
 
 #: One small, churning, non-uniform-budget population shared by the
 #: shard-count property; the unsharded baseline runs once per session.
@@ -29,16 +32,39 @@ BASE_CONFIG = TenantExperimentConfig(
 )
 
 
+_GRAMMAR = default_shock_grammar()
+
+#: The same population under the stock shock grammar: tier-scaled budgets
+#: and seed credit, weighted query classes, a flash crowd, market shocks,
+#: and strict maintenance.
+TIERED_CONFIG = dataclasses.replace(
+    BASE_CONFIG, grammar=_GRAMMAR, shocks=_GRAMMAR.shocks,
+    tenant_tiers=_GRAMMAR.tiers, strict_maintenance=True,
+)
+
+
 @pytest.fixture(scope="module")
-def baseline():
-    return run_tenant_cell(BASE_CONFIG)
+def baselines():
+    """The unsharded run of each config, computed once per session."""
+    cells = {}
+
+    def baseline(config):
+        if config not in cells:
+            cells[config] = run_tenant_cell(config)
+        return cells[config]
+
+    return baseline
 
 
 class TestMergeEqualsSingleProcess:
     @settings(max_examples=8, deadline=None)
-    @given(shards=st.integers(min_value=1, max_value=8))
-    def test_any_shard_count_matches_baseline(self, baseline, shards):
-        report = ShardCoordinator(shards).run_cell(BASE_CONFIG)
+    @given(shards=st.integers(min_value=1, max_value=8),
+           config=st.just(BASE_CONFIG))
+    @example(shards=3, config=TIERED_CONFIG)
+    def test_any_shard_count_matches_baseline(self, baselines, shards,
+                                              config):
+        baseline = baselines(config)
+        report = ShardCoordinator(shards).run_cell(config)
         cell = report.cell
         assert cell.summary == baseline.summary
         assert cell.tenants == baseline.tenants

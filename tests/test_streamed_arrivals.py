@@ -330,7 +330,7 @@ class TestGenerativeShardForeignBudget:
     def test_foreign_budget_derives_without_preregistered_profiles(self):
         source = GenerativeProfileSource(spec=self.SPEC)
         partitioner = TenantPartitioner(2)
-        shards = [ShardScopedRegistry.generative(source, partitioner, i)
+        shards = [ShardScopedRegistry(source, partitioner, i)
                   for i in range(2)]
         model = UserModel()
         # Mint well past the initial population — churn replacements —
@@ -352,11 +352,11 @@ class TestGenerativeShardForeignBudget:
         # path's unknown ids: a None profile, i.e. the default curve.
         source = GenerativeProfileSource(spec=self.SPEC)
         partitioner = TenantPartitioner(2)
-        registry = ShardScopedRegistry.generative(source, partitioner, 0)
+        registry = ShardScopedRegistry(source, partitioner, 0)
         model = UserModel()
         tenant_id = tenant_id_for(50)
         if partitioner.owns(0, tenant_id):  # pick a foreign id
-            registry = ShardScopedRegistry.generative(source, partitioner, 1)
+            registry = ShardScopedRegistry(source, partitioner, 1)
         query = _probe_query(tenant_id)
         observed = registry.budget_for(query, 10.0, 4.0, model)
         neutral = TenantRegistry.derive_budget(None, query, 10.0, 4.0, model)
@@ -365,7 +365,7 @@ class TestGenerativeShardForeignBudget:
     def test_foreign_state_never_materialises(self):
         source = GenerativeProfileSource(spec=self.SPEC)
         partitioner = TenantPartitioner(2)
-        registry = ShardScopedRegistry.generative(source, partitioner, 0)
+        registry = ShardScopedRegistry(source, partitioner, 0)
         foreign = next(tenant_id_for(i) for i in range(20)
                        if not partitioner.owns(0, tenant_id_for(i)))
         from repro.errors import ShardingError
@@ -677,6 +677,68 @@ class TestStreamedModeCoverage:
         assert audit is not None and audit.exact
         assert audit.query_payments == eager_audit.query_payments
         assert _rendered(cell) == _rendered(eager_cell)
+
+    @staticmethod
+    def _stock_shock_config(arrival_mode):
+        from repro.workload.grammar import default_shock_grammar
+
+        grammar = default_shock_grammar()
+        return TenantExperimentConfig(
+            scheme="econ-cheap", tenant_count=40, query_count=300,
+            churn_period=40, seed=0, settlement_period_s=50.0,
+            shocks=grammar.shocks, tenant_tiers=grammar.tiers,
+            grammar=grammar, arrival_mode=arrival_mode)
+
+    def test_streamed_audit_folds_the_wallets_churn_dropped(
+            self, monkeypatch):
+        from repro.economy import tenancy
+        from repro.experiments import shocks
+        from repro.experiments.shocks import audited_shock_cell
+
+        eager_cell, eager_audit = audited_shock_cell(
+            self._stock_shock_config(ARRIVAL_EAGER))
+        folds = []
+        for module in (tenancy, shocks):
+            fold = module.ledger_fold
+            monkeypatch.setattr(
+                module, "ledger_fold",
+                lambda account, fold=fold: folds.append(account) or
+                fold(account))
+        cell, audit = audited_shock_cell(
+            self._stock_shock_config(ARRIVAL_STREAMED))
+        assert _rendered(cell) == _rendered(eager_cell)
+        assert audit.exact and eager_audit.exact
+        # The audit claims exactly the wallet ledgers it folded.
+        assert audit.wallets_audited == len(folds)
+        # A tenant's first query materialises its wallet, which is then
+        # folded each time churn drops it, or at the end if still held:
+        # so every tenant with traffic was audited at least once.
+        assert audit.wallets_audited >= len(cell.tenants) > 0
+
+    def test_streamed_audit_catches_a_churned_ledger_mismatch(
+            self, monkeypatch):
+        # A wallet nudged off its ledger just before churn drops it must
+        # fail the audit, although it is no longer held at the end.
+        from repro.experiments.shocks import audited_shock_cell
+
+        deactivate = GenerativeTenantRegistry.deactivate
+        nudged = []
+
+        def nudge_then_churn(self, tenant_id, now=0.0):
+            state = self._states.get(tenant_id)
+            if (not nudged and state is not None
+                    and state.account.total_withdrawn() > 0):
+                state.account._credit += 1e-9
+                nudged.append(tenant_id)
+            return deactivate(self, tenant_id, now=now)
+
+        monkeypatch.setattr(GenerativeTenantRegistry, "deactivate",
+                            nudge_then_churn)
+        _, audit = audited_shock_cell(
+            self._stock_shock_config(ARRIVAL_STREAMED))
+        assert nudged
+        assert not audit.exact
+        assert audit.wallet_ledger_mismatches == 1
 
     def test_partitioned_runner_rejects_streamed_configs(self):
         # Regression: the runner used to build the eager population and
