@@ -16,7 +16,7 @@ network transfer time for back-end plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from repro.catalog.statistics import SelectivityEstimator
 from repro.costmodel.config import CostModelConfig
@@ -101,31 +101,42 @@ class ExecutionCostModel:
                 columns sequentially, or ``None`` for a pure column scan.
             node_count: total CPU nodes executing the query (>= 1).
         """
-        if node_count < 1:
-            raise PlanningError(f"node_count must be >= 1, got {node_count}")
+        return self.cache_executions(query, index, (node_count,))[0]
+
+    def cache_executions(self, query: Query, index: Optional[CachedIndex],
+                         node_counts: Sequence[int]) -> List[ExecutionEstimate]:
+        """:meth:`cache_execution` for each of ``node_counts``, in order.
+
+        The bytes the plan processes do not depend on the node count, so
+        they are computed once; each estimate is the same Eq. 8 expression
+        tree a single :meth:`cache_execution` call evaluates.
+        """
+        for node_count in node_counts:
+            if node_count < 1:
+                raise PlanningError(f"node_count must be >= 1, got {node_count}")
         config = self._config
         processed_bytes = self._processed_bytes(query, index)
         cost_units = query.base_cost_factor * processed_bytes / config.bytes_per_cost_unit
-
-        overhead = cpu_overhead_factor(node_count)
-        speedup = speedup_factor(node_count, query.parallel_fraction)
         single_node_cpu_s = config.cpu_load_factor * config.cpu_cost_factor * cost_units
-        cpu_seconds = single_node_cpu_s * overhead
-        response_time = single_node_cpu_s / speedup
-
         io_operations = config.io_cost_factor * processed_bytes / config.io_page_bytes
-        cpu_dollars = cpu_seconds * config.pricing.cpu_second
         io_dollars = io_operations * config.pricing.io_operation
-        return ExecutionEstimate(
-            cost_units=cost_units,
-            io_operations=io_operations,
-            cpu_seconds=cpu_seconds,
-            network_bytes=0.0,
-            response_time_s=response_time,
-            cpu_dollars=cpu_dollars,
-            io_dollars=io_dollars,
-            network_dollars=0.0,
-        )
+
+        estimates: List[ExecutionEstimate] = []
+        for node_count in node_counts:
+            overhead = cpu_overhead_factor(node_count)
+            speedup = speedup_factor(node_count, query.parallel_fraction)
+            cpu_seconds = single_node_cpu_s * overhead
+            estimates.append(ExecutionEstimate(
+                cost_units=cost_units,
+                io_operations=io_operations,
+                cpu_seconds=cpu_seconds,
+                network_bytes=0.0,
+                response_time_s=single_node_cpu_s / speedup,
+                cpu_dollars=cpu_seconds * config.pricing.cpu_second,
+                io_dollars=io_dollars,
+                network_dollars=0.0,
+            ))
+        return estimates
 
     # -- Eq. 9: execution in the back-end, result shipped over the network ----
 

@@ -238,7 +238,6 @@ class EconomyEngine:
         # the scalar path.
         self._batch: Optional[BatchScheduler] = None
         self._plan_tables: Optional[PlanTableCache] = None
-        self._build_cost_memo: Dict[Tuple[str, Optional[FrozenSet[str]]], float] = {}
         # Cached-column key set, memoized against the cache version so the
         # hot loop does not rescan the cache on every query.
         self._column_keys_memo: FrozenSet[str] = frozenset()
@@ -695,7 +694,7 @@ class EconomyEngine:
                 charges.append(0.0)      # overwritten on every query
                 maintenance.append(0.0)  # overwritten on every query
             else:
-                build_cost = self._memoized_build_cost(
+                build_cost = self._pricer.build_cost(
                     structure, cached_column_keys
                 )
                 charges.append(amortization.charge(build_cost, 0))
@@ -837,37 +836,6 @@ class EconomyEngine:
             amortized_by_structure=amortized_by_structure,
         )
 
-    def _memoized_build_cost(self, structure: CacheStructure,
-                             available_columns: Set[str]) -> float:
-        """Build-cost estimate, memoized while batched planning is active.
-
-        A build cost depends only on the structure and — for an index —
-        on which of its key columns must still be transferred, so the memo
-        key is ``(structure key, frozenset of missing column keys)``. The
-        scalar path keeps calling the cost model directly.
-        """
-        if self._batch is None:
-            return self._structure_costs.build_cost(
-                structure, cached_columns=available_columns
-            )
-        if isinstance(structure, CachedIndex):
-            missing = frozenset(
-                column.key for column in structure.required_columns()
-                if column.key not in available_columns
-            )
-            memo_key: Tuple[str, Optional[FrozenSet[str]]] = (
-                structure.key, missing
-            )
-        else:
-            memo_key = (structure.key, None)
-        cost = self._build_cost_memo.get(memo_key)
-        if cost is None:
-            cost = self._structure_costs.build_cost(
-                structure, cached_columns=available_columns
-            )
-            self._build_cost_memo[memo_key] = cost
-        return cost
-
     def _settle_chosen_plan(self, query: Query, result: NegotiationResult,
                             now: float) -> float:
         """Move the money and update structure bookkeeping for the chosen plan."""
@@ -970,9 +938,9 @@ class EconomyEngine:
         # The investment rule sees the *spot* (shock-scaled) price: a
         # 3x provider shock must make marginal builds unattractive. The
         # memoized catalog cost stays unscaled — it is shared with the
-        # batched pricing of unbuilt plans, which (like the scalar
-        # pricer) always quotes users catalog prices.
-        return self._memoized_build_cost(
+        # pricing of unbuilt plans, which always quotes users catalog
+        # prices.
+        return self._pricer.build_cost(
             structure, self._available_column_keys()
         ) * self._price_factor
 
@@ -989,23 +957,16 @@ class EconomyEngine:
         # every component of the build, and the admitted entry records the
         # cost actually paid so amortization recovers the real spend.
         spot = self._price_factor
+        build_cost = self._pricer.build_cost
         if isinstance(structure, CachedIndex):
             for column in structure.required_columns():
                 if column.key not in cached_columns:
-                    plan.append(
-                        (column, self._structure_costs.build_cost(column) * spot)
-                    )
+                    plan.append((column, build_cost(column, cached_columns) * spot))
                     cached_columns.add(column.key)
-            sort_only_cost = self._structure_costs.build_cost(
-                structure, cached_columns=cached_columns | {
-                    column.key for column, _ in plan
-                },
-            ) * spot
-            plan.append((structure, sort_only_cost))
+            # Every key column is available now: the sort alone remains.
+            plan.append((structure, build_cost(structure, cached_columns) * spot))
         else:
-            plan.append((structure, self._structure_costs.build_cost(
-                structure, cached_columns=cached_columns
-            ) * spot))
+            plan.append((structure, build_cost(structure, cached_columns) * spot))
 
         total_cost = sum(cost for _, cost in plan)
         if self._config.require_affordable_build and not self._account.can_afford(total_cost):

@@ -11,13 +11,14 @@ a future query would see once the cloud invests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cache.manager import CacheManager
 from repro.costmodel.amortization import AmortizationPolicy
 from repro.costmodel.build import StructureCostModel
 from repro.planner.plan import QueryPlan
 from repro.structures.base import CacheStructure
+from repro.structures.cached_index import CachedIndex
 
 
 @dataclass(frozen=True)
@@ -83,67 +84,120 @@ class PricedPlan:
 
 
 class PlanPricer:
-    """Prices plans against the current cache state."""
+    """Prices plans against the current cache state.
+
+    The pricer owns the build-cost memo every pricing path reads: scalar
+    pricing of not-yet-built structures, the batched pricing tables, the
+    investment rule's estimates and the builds themselves. A build cost depends only on the
+    structure and, for an index, on which of its key columns must still
+    be transferred (Eq. 14), so the memo key is ``(structure key,
+    frozenset of missing column keys)``; columns and CPU nodes key on
+    ``(structure key, None)``.
+    """
 
     def __init__(self, structure_costs: StructureCostModel,
                  amortization: AmortizationPolicy) -> None:
         self._structure_costs = structure_costs
         self._amortization = amortization
+        self._build_costs: Dict[Tuple[str, Optional[FrozenSet[str]]], float] = {}
 
     @property
     def amortization(self) -> AmortizationPolicy:
         """The amortisation policy in force."""
         return self._amortization
 
-    def price_plan(self, plan: QueryPlan, cache: CacheManager,
-                   now: float) -> PricedPlan:
-        """Price a single plan against the cache state at time ``now``.
+    def build_cost(self, structure: CacheStructure,
+                   available_columns: AbstractSet[str]) -> float:
+        """Memoized ``StructureCostModel.build_cost`` at catalog prices.
 
         Args:
-            plan: the plan to price.
+            structure: the structure to price.
+            available_columns: column keys a build may read instead of
+                transferring them from the back-end.
+        """
+        if isinstance(structure, CachedIndex):
+            missing: Optional[FrozenSet[str]] = frozenset(
+                column.key for column in structure.required_columns()
+                if column.key not in available_columns
+            )
+        else:
+            missing = None
+        memo_key = (structure.key, missing)
+        cost = self._build_costs.get(memo_key)
+        if cost is None:
+            cost = self._structure_costs.build_cost(
+                structure, cached_columns=available_columns
+            )
+            self._build_costs[memo_key] = cost
+        return cost
+
+    def price_plan(self, plan: QueryPlan, cache: CacheManager,
+                   now: float) -> PricedPlan:
+        """Price a single plan against the cache state at time ``now``."""
+        return self.price_plans([plan], cache, now)[0]
+
+    def price_plans(self, plans: Sequence[QueryPlan], cache: CacheManager,
+                    now: float) -> List[PricedPlan]:
+        """Price every plan in ``plans`` against the cache state at ``now``.
+
+        Each distinct structure is priced once per call: its amortised
+        charge and, if it is built, the maintenance it has accrued. Each
+        plan then sums its structures' charges in plan-structure order.
+
+        Args:
+            plans: the plans to price.
             cache: the cache whose built structures decide what is
                 existing versus possible.
             now: pricing instant (drives accrued-maintenance dues).
 
         Returns:
-            The plan's :class:`PricedPlan` breakdown.
+            One :class:`PricedPlan` breakdown per plan, in input order.
         """
-        built_keys = cache.built_keys
-        cached_column_keys = {
-            key for key in built_keys if key.startswith("column:")
-        }
-        amortized_total = 0.0
-        maintenance_total = 0.0
-        amortized_by_structure: Dict[str, float] = {}
-        new_structures: List[CacheStructure] = []
-
-        for structure in plan.structures:
-            if cache.contains(structure.key):
-                entry = cache.entry(structure.key)
-                charge = self._amortization.charge(
-                    entry.build_cost, entry.queries_served
-                )
-                charge = min(charge, entry.unrecovered_build_cost())
-                maintenance_total += entry.accrued_maintenance(now)
-            else:
-                new_structures.append(structure)
-                build_cost = self._structure_costs.build_cost(
-                    structure, cached_columns=cached_column_keys
-                )
-                charge = self._amortization.charge(build_cost, 0)
-            amortized_by_structure[structure.key] = charge
-            amortized_total += charge
-
-        return PricedPlan(
-            plan=plan,
-            execution_dollars=plan.execution_dollars,
-            amortized_dollars=amortized_total,
-            maintenance_dollars=maintenance_total,
-            new_structures=tuple(new_structures),
-            amortized_by_structure=amortized_by_structure,
+        cached_column_keys = frozenset(
+            key for key in cache.built_keys if key.startswith("column:")
         )
+        # key -> (charge, accrued maintenance, or None if not built)
+        structure_prices: Dict[str, Tuple[float, Optional[float]]] = {}
+        priced: List[PricedPlan] = []
+        for plan in plans:
+            amortized_total = 0.0
+            maintenance_total = 0.0
+            amortized_by_structure: Dict[str, float] = {}
+            new_structures: List[CacheStructure] = []
+            for structure in plan.structures:
+                key = structure.key
+                structure_price = structure_prices.get(key)
+                if structure_price is None:
+                    structure_price = self._price_structure(
+                        structure, cache, now, cached_column_keys
+                    )
+                    structure_prices[key] = structure_price
+                charge, maintenance = structure_price
+                if maintenance is None:
+                    new_structures.append(structure)
+                else:
+                    maintenance_total += maintenance
+                amortized_by_structure[key] = charge
+                amortized_total += charge
+            priced.append(PricedPlan(
+                plan=plan,
+                execution_dollars=plan.execution_dollars,
+                amortized_dollars=amortized_total,
+                maintenance_dollars=maintenance_total,
+                new_structures=tuple(new_structures),
+                amortized_by_structure=amortized_by_structure,
+            ))
+        return priced
 
-    def price_plans(self, plans: Sequence[QueryPlan], cache: CacheManager,
-                    now: float) -> List[PricedPlan]:
-        """Price every plan in ``plans`` (convenience wrapper)."""
-        return [self.price_plan(plan, cache, now) for plan in plans]
+    def _price_structure(self, structure: CacheStructure, cache: CacheManager,
+                         now: float, cached_column_keys: FrozenSet[str]
+                         ) -> Tuple[float, Optional[float]]:
+        """A structure's amortised charge and, if built, its accrued maintenance."""
+        if cache.contains(structure.key):
+            entry = cache.entry(structure.key)
+            charge = self._amortization.charge(entry.build_cost,
+                                               entry.queries_served)
+            return (min(charge, entry.unrecovered_build_cost()),
+                    entry.accrued_maintenance(now))
+        build_cost = self.build_cost(structure, cached_column_keys)
+        return self._amortization.charge(build_cost, 0), None

@@ -13,7 +13,7 @@ depend on the template alone, never on the cache or the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.costmodel.execution import ExecutionCostModel
 from repro.errors import PlanningError
@@ -112,61 +112,47 @@ class PlanEnumerator:
     # -- enumeration -----------------------------------------------------------
 
     def enumerate(self, query: Query) -> List[QueryPlan]:
-        """All candidate plans for ``query``, in no particular order."""
+        """All candidate plans for ``query``.
+
+        The order is fixed, because skyline and ``min()`` tie-breaks
+        depend on it: the back-end plan first, then for each node count
+        the column scan followed by the index plans in relevance order.
+        """
         plans: List[QueryPlan] = []
         if self._config.allow_backend_plan:
-            plans.append(self._backend_plan(query))
+            execution = self._execution.backend_execution(query)
+            plans.append(QueryPlan(query=query, kind=PlanKind.BACKEND,
+                                   execution=execution))
         required_columns = self._required_columns(query)
         relevant_indexes = (self._memoized_relevant_indexes(query)
                             if self._config.allow_index_plans else ())
-        for node_count in self._node_counts():
-            plans.append(self._column_scan_plan(query, required_columns, node_count))
-            for index in relevant_indexes:
-                plans.append(
-                    self._index_plan(query, required_columns, index, node_count)
-                )
+        node_counts = self._node_counts()
+        scans = self._execution.cache_executions(query, None, node_counts)
+        probes = [self._execution.cache_executions(query, index, node_counts)
+                  for index in relevant_indexes]
+        for position, node_count in enumerate(node_counts):
+            nodes = self._node_structures(node_count)
+            plans.append(QueryPlan(
+                query=query,
+                kind=PlanKind.CACHE_COLUMN_SCAN,
+                execution=scans[position],
+                structures=required_columns + nodes,
+                node_count=node_count,
+            ))
+            for index, estimates in zip(relevant_indexes, probes):
+                plans.append(QueryPlan(
+                    query=query,
+                    kind=PlanKind.CACHE_INDEX,
+                    execution=estimates[position],
+                    structures=required_columns + (index,) + nodes,
+                    index=index,
+                    node_count=node_count,
+                ))
         return plans
-
-    # -- plan constructors --------------------------------------------------------
-
-    def _backend_plan(self, query: Query) -> QueryPlan:
-        execution = self._execution.backend_execution(query)
-        return QueryPlan(query=query, kind=PlanKind.BACKEND, execution=execution)
-
-    def _column_scan_plan(self, query: Query,
-                          required_columns: Tuple[CacheStructure, ...],
-                          node_count: int) -> QueryPlan:
-        execution = self._execution.cache_execution(
-            query, index=None, node_count=node_count
-        )
-        structures = required_columns + self._node_structures(node_count)
-        return QueryPlan(
-            query=query,
-            kind=PlanKind.CACHE_COLUMN_SCAN,
-            execution=execution,
-            structures=structures,
-            node_count=node_count,
-        )
-
-    def _index_plan(self, query: Query,
-                    required_columns: Tuple[CacheStructure, ...],
-                    index: CachedIndex, node_count: int) -> QueryPlan:
-        execution = self._execution.cache_execution(
-            query, index=index, node_count=node_count
-        )
-        structures = required_columns + (index,) + self._node_structures(node_count)
-        return QueryPlan(
-            query=query,
-            kind=PlanKind.CACHE_INDEX,
-            execution=execution,
-            structures=structures,
-            index=index,
-            node_count=node_count,
-        )
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _node_counts(self) -> Iterable[int]:
+    def _node_counts(self) -> range:
         return range(1, self._config.max_extra_nodes + 2)
 
     def _required_columns(self, query: Query) -> Tuple[CacheStructure, ...]:

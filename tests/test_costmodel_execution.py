@@ -180,3 +180,42 @@ class TestCombinedEstimates:
         assert combined.network_bytes == 44
         assert combined.response_time_s == 55
         assert combined.dollars == pytest.approx(a.dollars + b.dollars)
+
+
+class TestCacheExecutions:
+    """``cache_executions`` is ``cache_execution`` for several node counts."""
+
+    NODE_COUNTS = (1, 2, 3, 5)
+
+    @pytest.mark.parametrize("template_name", [
+        "q6_forecast_revenue", "q10_returned_items", "q14_promotion_effect",
+    ])
+    @pytest.mark.parametrize("index", [
+        None,
+        CachedIndex("lineitem", ("l_shipdate",)),
+        CachedIndex("lineitem", ("l_quantity", "l_shipmode")),
+        CachedIndex("lineitem", ("l_orderkey",)),
+    ])
+    def test_each_estimate_equals_cache_execution(self, execution_model,
+                                                  sample_query, template_name,
+                                                  index):
+        query = sample_query(template_name)
+        estimates = execution_model.cache_executions(query, index,
+                                                     self.NODE_COUNTS)
+        assert len(estimates) == len(self.NODE_COUNTS)
+        for estimate, node_count in zip(estimates, self.NODE_COUNTS):
+            single = execution_model.cache_execution(query, index=index,
+                                                     node_count=node_count)
+            for name in ExecutionEstimate.__dataclass_fields__:
+                assert getattr(estimate, name) == getattr(single, name), name
+
+    def test_no_node_counts_gives_no_estimates(self, execution_model, q6):
+        assert execution_model.cache_executions(q6, None, ()) == []
+
+    @pytest.mark.parametrize("node_counts", [(0,), (1, 0), (2, -1, 3)])
+    def test_node_count_below_one_raises(self, execution_model, q6,
+                                         node_counts):
+        with pytest.raises(PlanningError):
+            execution_model.cache_executions(q6, None, node_counts)
+        with pytest.raises(PlanningError):
+            execution_model.cache_execution(q6, node_count=min(node_counts))

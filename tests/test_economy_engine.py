@@ -1,8 +1,11 @@
 """Tests for the economy engine (the paper's core loop, end to end)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cache.manager import CacheConfig, CacheManager
+from repro.costmodel.build import StructureCostModel
 from repro.economy.engine import EconomyConfig, EconomyEngine
 from repro.economy.negotiation import NegotiationCase, PlanSelection
 from repro.economy.user_model import UserModel
@@ -10,6 +13,7 @@ from repro.errors import ConfigurationError
 from repro.planner.enumerator import EnumeratorConfig, PlanEnumerator
 from repro.planner.plan import PlanKind
 from repro.structures.base import StructureKind
+from repro.structures.cached_index import CachedIndex
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -192,3 +196,45 @@ class TestSafeWithdrawShortfall:
                              initial_credit=200.0)
         outcomes = engine.process_workload(workload[:30])
         assert all(outcome.uncovered_costs == () for outcome in outcomes)
+
+
+class CountingStructureCosts(StructureCostModel):
+    """Counts ``build_cost`` evaluations per (structure, missing columns)."""
+
+    def __init__(self, execution_model):
+        super().__init__(execution_model)
+        self.calls = Counter()
+
+    def build_cost(self, structure, cached_columns=None):
+        missing = None
+        if isinstance(structure, CachedIndex):
+            available = cached_columns or set()
+            missing = frozenset(column.key
+                                for column in structure.required_columns()
+                                if column.key not in available)
+        self.calls[(structure.key, missing)] += 1
+        return super().build_cost(structure, cached_columns=cached_columns)
+
+
+class TestBuildCostMemo:
+    def test_each_build_cost_is_evaluated_once(self, execution_model,
+                                               structure_costs, system,
+                                               workload):
+        """Scalar pricing, batched pricing, the investment rule and the
+        builds themselves all read one memo."""
+        counting = CountingStructureCosts(execution_model)
+        engine = make_engine(execution_model, counting, system,
+                             planning="batched")
+        reference = make_engine(execution_model, structure_costs, system)
+        half = len(workload) // 2
+        # Unprimed queries take the scalar path; primed ones the batched.
+        outcomes = engine.process_workload(workload[:half])
+        scalar_calls = sum(counting.calls.values())
+        engine.prime_queries(workload[half:], settlement_period_s=60.0)
+        outcomes += engine.process_workload(workload[half:])
+
+        assert engine.plan_tables is not None and len(engine.plan_tables) > 0
+        assert any(outcome.builds for outcome in outcomes)
+        assert scalar_calls > 0
+        assert counting.calls and set(counting.calls.values()) == {1}
+        assert outcomes == reference.process_workload(workload)

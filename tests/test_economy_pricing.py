@@ -1,12 +1,17 @@
 """Unit tests for plan pricing (Eq. 4 against the cache state)."""
 
+import struct
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache.manager import CacheManager
-from repro.costmodel.amortization import UniformAmortization
-from repro.economy.pricing import PlanPricer
+from repro.costmodel.amortization import DecliningAmortization, UniformAmortization
+from repro.economy.pricing import PlanPricer, PricedPlan
 from repro.planner.enumerator import EnumeratorConfig, PlanEnumerator
 from repro.planner.plan import PlanKind
+from repro.workload.templates import paper_templates
 
 
 @pytest.fixture
@@ -106,3 +111,117 @@ class TestPricing:
         assert possible, "expected not-yet-buildable plans on an empty cache"
         assert all(p.response_time_s <= backend.response_time_s for p in possible
                    if p.plan.node_count >= 1)
+
+
+# -- parity with the per-plan algorithm ----------------------------------------
+
+
+def per_plan_reference(structure_costs, amortization, plan, cache, now):
+    """The per-plan pricing algorithm: every plan rebuilds the cached-column
+    key set and calls the cost model for each of its unbuilt structures."""
+    cached_column_keys = {
+        key for key in cache.built_keys if key.startswith("column:")
+    }
+    amortized_total = 0.0
+    maintenance_total = 0.0
+    amortized_by_structure = {}
+    new_structures = []
+    for structure in plan.structures:
+        if cache.contains(structure.key):
+            entry = cache.entry(structure.key)
+            charge = amortization.charge(entry.build_cost, entry.queries_served)
+            charge = min(charge, entry.unrecovered_build_cost())
+            maintenance_total += entry.accrued_maintenance(now)
+        else:
+            new_structures.append(structure)
+            build_cost = structure_costs.build_cost(
+                structure, cached_columns=cached_column_keys
+            )
+            charge = amortization.charge(build_cost, 0)
+        amortized_by_structure[structure.key] = charge
+        amortized_total += charge
+    return PricedPlan(
+        plan=plan,
+        execution_dollars=plan.execution_dollars,
+        amortized_dollars=amortized_total,
+        maintenance_dollars=maintenance_total,
+        new_structures=tuple(new_structures),
+        amortized_by_structure=amortized_by_structure,
+    )
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.plan is expected.plan
+    for name in ("execution_dollars", "amortized_dollars",
+                 "maintenance_dollars"):
+        assert _bits(getattr(actual, name)) == _bits(getattr(expected, name)), name
+    assert actual.new_structures == expected.new_structures
+    assert list(actual.amortized_by_structure) == list(
+        expected.amortized_by_structure
+    )
+    for key, charge in expected.amortized_by_structure.items():
+        assert _bits(actual.amortized_by_structure[key]) == _bits(charge), key
+
+
+amortizations = st.one_of(
+    st.integers(min_value=1, max_value=500).map(UniformAmortization),
+    st.floats(min_value=0.01, max_value=0.99).map(DecliningAmortization),
+)
+
+entry_states = st.tuples(
+    st.floats(min_value=0.0, max_value=50.0),     # build_cost
+    st.floats(min_value=0.0, max_value=0.01),     # maintenance_rate
+    st.integers(min_value=0, max_value=300),      # queries_served
+    st.floats(min_value=0.0, max_value=60.0),     # amortized_recovered
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), amortization=amortizations,
+       template_index=st.integers(min_value=0, max_value=6),
+       max_extra_nodes=st.integers(min_value=0, max_value=2),
+       query_id=st.integers(min_value=0, max_value=10_000))
+def test_price_plans_bitwise_equal_to_per_plan_reference(
+        data, amortization, template_index, max_extra_nodes, query_id,
+        execution_model, structure_costs, system, schema):
+    template = paper_templates()[template_index]
+    query = template.instantiate(query_id=query_id, arrival_time=0.0)
+    enumerator = PlanEnumerator(execution_model,
+                                candidate_indexes=system.candidate_indexes,
+                                config=EnumeratorConfig(
+                                    max_extra_nodes=max_extra_nodes))
+    plans = enumerator.enumerate(query)
+    structures = {}
+    for plan in plans:
+        for structure in plan.structures:
+            structures[structure.key] = structure
+    keys = sorted(structures)
+
+    # One pricer across two successive cache states: its build-cost memo
+    # must stay valid as the built subset changes.
+    pricer = PlanPricer(structure_costs, amortization)
+    for _ in range(2):
+        cache = CacheManager()
+        built = data.draw(st.lists(st.sampled_from(keys), unique=True))
+        for key in built:
+            build_cost, rate, served, recovered = data.draw(entry_states)
+            structure = structures[key]
+            cache.admit(structure, size_bytes=structure.size_bytes(schema),
+                        build_cost=build_cost, maintenance_rate=rate, now=0.0)
+            entry = cache.entry(key)
+            entry.queries_served = served
+            entry.amortized_recovered = recovered
+        now = data.draw(st.floats(min_value=0.0, max_value=5_000.0))
+
+        priced = pricer.price_plans(plans, cache, now)
+        assert len(priced) == len(plans)
+        for actual, plan in zip(priced, plans):
+            expected = per_plan_reference(structure_costs, amortization,
+                                          plan, cache, now)
+            assert_bitwise_equal(actual, expected)
+            assert_bitwise_equal(pricer.price_plan(plan, cache, now), expected)

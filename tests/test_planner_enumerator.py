@@ -68,6 +68,40 @@ class TestEnumeration:
         assert column_plans[3].response_time_s < column_plans[1].response_time_s
 
 
+    def test_plan_order_is_pinned(self, enumerator, sample_query):
+        """Back-end first, then per node count: the scan, then the indexes.
+
+        Skyline and ``min()`` tie-breaks depend on this order.
+        """
+        query = sample_query("q6_forecast_revenue")
+        plans = enumerator.enumerate(query)
+        shipdate = "index:lineitem(l_shipdate)"
+        quantity = "index:lineitem(l_quantity,l_shipmode)"
+        expected = [(PlanKind.BACKEND, 1, None)]
+        for node_count in (1, 2, 3):
+            expected += [
+                (PlanKind.CACHE_COLUMN_SCAN, node_count, None),
+                (PlanKind.CACHE_INDEX, node_count, shipdate),
+                (PlanKind.CACHE_INDEX, node_count, quantity),
+            ]
+        assert [(plan.kind, plan.node_count,
+                 plan.index.key if plan.index is not None else None)
+                for plan in plans] == expected
+
+    def test_plans_carry_the_cost_model_estimates(self, enumerator,
+                                                  execution_model,
+                                                  sample_query):
+        query = sample_query("q6_forecast_revenue")
+        for plan in enumerator.enumerate(query):
+            if plan.kind is PlanKind.BACKEND:
+                expected = execution_model.backend_execution(query)
+            else:
+                expected = execution_model.cache_execution(
+                    query, index=plan.index, node_count=plan.node_count
+                )
+            assert plan.execution == expected
+
+
 class TestConfiguration:
     def test_disallowing_indexes_removes_index_plans(self, execution_model,
                                                      candidate_indexes, sample_query):
