@@ -44,6 +44,7 @@ if _SRC not in sys.path:
 
 from repro.distcache import run_partitioned_cell  # noqa: E402
 from repro.experiments.tenants import (  # noqa: E402
+    TenantCell,
     TenantExperimentConfig,
     run_tenant_cell,
 )
@@ -58,22 +59,9 @@ DEFAULT_OUTPUT = os.path.join(
 def _peak_global_cache_bytes(config: TenantExperimentConfig) -> int:
     """Peak cache footprint of the shared-cache run (what every replicated
     worker materialises)."""
-    import repro.experiments.tenants as tenants_module
-    from repro.policies.economic import EconomicSchemeConfig
-    from repro.economy.tenancy import TenantRegistry
-    from repro.simulator.simulation import CloudSimulation, SimulationConfig
-    from repro.system import CloudSystem
-
-    populated = tenants_module.build_population(config)
-    system = CloudSystem()
-    registry = TenantRegistry()
-    registry.register_all(populated.profiles)
-    scheme = system.scheme(
-        config.scheme, economic_config=EconomicSchemeConfig(tenants=registry))
-    CloudSimulation(scheme, SimulationConfig(
-        settlement_period_s=config.settlement_period_s,
-    )).run(populated.queries, tenant_lifecycle=populated.lifecycle)
-    return scheme.cache.peak_disk_used_bytes
+    cell = TenantCell(config)
+    cell.run()
+    return cell.scheme.cache.peak_disk_used_bytes
 
 
 def run_benchmark(tenant_count: int = 100, query_count: int = 300,

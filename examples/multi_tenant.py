@@ -20,7 +20,11 @@ from repro.economy.tenancy import TenantRegistry
 from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.metrics import breakdown_by_tenant
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
-from repro.workload.population import PopulationSpec, TenantPopulation
+from repro.workload.population import (
+    GenerativeProfileSource,
+    PopulationSpec,
+    TenantPopulation,
+)
 
 
 def main() -> None:
@@ -28,21 +32,22 @@ def main() -> None:
         WorkloadSpec(query_count=600, interarrival_s=10.0, seed=11)
     ).generate()
 
-    population = TenantPopulation(PopulationSpec(
+    spec = PopulationSpec(
         tenant_count=100,
         zipf_exponent=1.1,
         initial_credit=25.0,
         churn_period=200,       # one wave every 200 queries
         churn_fraction=0.05,
         seed=11,
-    ))
-    populated = population.populate(workload)
+    )
+    populated = TenantPopulation(spec).populate(workload)
     print(f"{len(populated.queries)} queries from "
           f"{populated.tenant_count} tenants "
           f"({populated.churn_waves} churned mid-run)")
 
-    registry = TenantRegistry()
-    registry.register_all(populated.profiles)
+    # Each tenant's profile derives from the population spec on demand:
+    # a wallet exists from the tenant's first query until it churns.
+    registry = TenantRegistry(GenerativeProfileSource(spec))
     system = CloudSystem()
     scheme = system.scheme(
         "econ-cheap", economic_config=EconomicSchemeConfig(tenants=registry)

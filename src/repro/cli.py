@@ -352,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "squeeze@FRAC:DUR:FACTOR (repeatable)")
     tenants.add_argument("--arrival-mode", choices=ARRIVAL_MODES,
                          default=ARRIVAL_EAGER,
-                         help="'eager' materialises the whole populated "
-                              "workload up front; 'streamed' derives tenant "
-                              "profiles generatively at first arrival and "
-                              "generates queries as the run reads them, so "
-                              "memory scales with live tenants instead of "
-                              "--n-tenants — tables are byte-identical "
-                              "between the two, under either --planning and "
-                              "--shards (not --cache-partitions; "
-                              "default: eager)")
+                         help="'eager' materialises the population "
+                              "stream up front; 'streamed' generates "
+                              "queries and lifecycle events as the run "
+                              "reads them, so memory follows the live "
+                              "tenants instead of the workload. Both run "
+                              "the same registry over the same stream: "
+                              "tables are byte-identical under any "
+                              "--planning, --shards and --cache-partitions "
+                              "(default: eager)")
     tenants.add_argument("--strict-maintenance", action="store_true",
                          help="enable the strict-maintenance shutdown "
                               "policy at settlement boundaries")

@@ -28,7 +28,7 @@ result (the fidelity gate ``--cache-partitions 1`` relies on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.distcache.engine import PartitionedEconomyEngine
 from repro.economy.account import CloudAccount, ledger_fold
@@ -134,7 +134,12 @@ def verify_payment_conservation(
 
 def verify_wallet_integrity(
         registries: Sequence[TenantRegistry]) -> None:
-    """Every tenant wallet's balance must fold bitwise from its ledger."""
+    """Every tenant wallet's balance must fold bitwise from its ledger.
+
+    The wallets a registry still holds are folded here; the ones churn
+    dropped were folded as they were dropped, and any of those that did
+    not fold to its balance is counted on the registry.
+    """
     for partition, registry in enumerate(registries):
         for state in registry.states():
             folded = ledger_fold(state.account)
@@ -145,6 +150,13 @@ def verify_wallet_integrity(
                     f"folds to {folded!r} but balance is "
                     f"{state.account.credit!r}"
                 )
+        if registry.churned_ledger_mismatches:
+            raise DistCacheError(
+                f"wallet integrity violated on partition {partition}: "
+                f"{registry.churned_ledger_mismatches} of the "
+                f"{registry.churned_ledgers_folded} wallets churn dropped "
+                f"did not fold to their balance"
+            )
 
 
 def merged_wallets(registries: Sequence[TenantRegistry],
@@ -153,20 +165,22 @@ def merged_wallets(registries: Sequence[TenantRegistry],
     """Merge per-partition wallet views into one balance per tenant.
 
     Every partition seeds every wallet with the tenant's full credit and
-    withdraws only the charges of the queries it served, so the merged
-    balance is ``seed - sum of withdrawals across partitions`` (summed in
-    partition order). Ordering follows the unpartitioned registry:
-    population registration order first, then ad-hoc ids by first
+    charges only the queries it served, so the merged balance is ``seed -
+    sum of charged totals across partitions`` (summed in partition order).
+    A charged total is the wallet's running left fold of its charges,
+    carried through churn, so the sum is bitwise what wallets that were
+    never dropped would give. Ordering follows the unpartitioned
+    registry: population mint order first, then ad-hoc ids by first
     appearance in the merged query stream.
     """
     if not registries:
         return ()
     if len(registries) == 1:
         return tuple(registries[0].credit_by_tenant().items())
-    ordered: List[str] = list(registries[0].tenant_ids())
+    books = [registry.wallet_books() for registry in registries]
+    ordered: List[str] = list(books[0])
     known = set(ordered)
-    extra = {tid for registry in registries for tid in registry.tenant_ids()
-             if tid not in known}
+    extra = {tid for book in books for tid in book if tid not in known}
     for step in steps:
         if step.tenant_id in extra:
             ordered.append(step.tenant_id)
@@ -176,14 +190,14 @@ def merged_wallets(registries: Sequence[TenantRegistry],
     merged: List[Tuple[str, float]] = []
     for tenant_id in ordered:
         seed = 0.0
-        withdrawn = 0.0
-        for registry in registries:
-            if tenant_id not in registry:
+        charged = 0.0
+        for book in books:
+            wallet = book.get(tenant_id)
+            if wallet is None:
                 continue
-            state = registry.state(tenant_id)
-            seed = state.profile.initial_credit
-            withdrawn += state.account.total_withdrawn()
-        merged.append((tenant_id, seed - withdrawn))
+            seed = wallet.seed
+            charged += wallet.charged
+        merged.append((tenant_id, seed - charged))
     return tuple(merged)
 
 

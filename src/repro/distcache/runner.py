@@ -41,11 +41,14 @@ divergence report against the global-cache baseline and documented in
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.cache.storage import CacheEntry
 from repro.distcache.directory import (
@@ -72,10 +75,9 @@ from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError, call_naming_failures
 from repro.experiments.tenants import (
-    ARRIVAL_STREAMED,
     TenantCellResult,
     TenantExperimentConfig,
-    build_population,
+    cell_arrivals,
     run_tenant_cell,
 )
 from repro.policies.base import CachingScheme, SchemeStep
@@ -88,8 +90,12 @@ from repro.simulator.events import (
 from repro.simulator.metrics import MetricsSummary
 from repro.structures.base import CacheStructure
 from repro.system import CloudSystem
-from repro.workload.generator import ArrivalEnvelope
-from repro.workload.grammar import compile_shock_events
+from repro.workload.grammar import compile_shock_events_for_span
+from repro.workload.population import (
+    GenerativeProfileSource,
+    TenantLifecycleMarker,
+)
+from repro.workload.query import Query
 
 #: Event-order ranks mirroring :mod:`repro.simulator.events`: at one
 #: instant, lifecycle markers apply before the barrier settles, the
@@ -102,6 +108,24 @@ _PRIORITY_INVALIDATION = 12
 _PRIORITY_PRICE_SHOCK = 14
 _PRIORITY_SQUEEZE = 16
 _PRIORITY_QUERY = 30
+
+#: The rank of each market-shock event type.
+_SHOCK_RANKS = {
+    StructureInvalidationEvent: _PRIORITY_INVALIDATION,
+    ProviderPriceShockEvent: _PRIORITY_PRICE_SHOCK,
+    TenantBudgetSqueezeEvent: _PRIORITY_SQUEEZE,
+}
+
+#: A dispatch-ordered item: ``(time, rank, payload)``.
+RankedItem = Tuple[float, int, object]
+
+
+def _ranked(item: Union[Query, TenantLifecycleMarker]) -> RankedItem:
+    if isinstance(item, TenantLifecycleMarker):
+        rank = (_PRIORITY_ARRIVAL if item.kind == "arrival"
+                else _PRIORITY_CHURN)
+        return item.time_s, rank, item
+    return item.arrival_time, _PRIORITY_QUERY, item
 
 #: A resident partition's store key: ``(run id, partition index)``.
 ResidentKey = Tuple[int, int]
@@ -616,8 +640,14 @@ class DistCacheRunner:
     # -- assembly --------------------------------------------------------------
 
     def _build_schemes(self, config: TenantExperimentConfig,
-                       profiles) -> List[CachingScheme]:
-        """One scheme (cache + sub-account + full registry) per partition."""
+                       source: GenerativeProfileSource
+                       ) -> List[CachingScheme]:
+        """One scheme (cache + sub-account + registry) per partition.
+
+        Every partition's registry books the whole population over the
+        shared profile source; a partition only materialises the tenants
+        whose queries it serves.
+        """
         if config.scheme == "bypass":
             raise DistCacheError(
                 "partitioned mode requires an economy; the bypass baseline "
@@ -627,8 +657,7 @@ class DistCacheRunner:
         partition_count = self.partition_count
         schemes: List[CachingScheme] = []
         for index in range(partition_count):
-            registry = TenantRegistry()
-            registry.register_all(profiles)
+            registry = TenantRegistry(source)
 
             def factory(enumerator, structure_costs, cache_config,
                         economy_config, tenants, _index=index):
@@ -663,53 +692,23 @@ class DistCacheRunner:
             ))
         return schemes
 
-    def _epoch_items(self, queries, lifecycle, shocks=()
-                     ) -> List[List[Tuple[float, int, int, object]]]:
-        """Per-partition item lists in kernel dispatch order.
+    @staticmethod
+    def _dispatch_order(arrivals: Iterable, shocks: Sequence
+                        ) -> Iterator[RankedItem]:
+        """Every arrival and market shock, in the kernel's dispatch order.
 
-        Every partition receives its routed queries plus *all* lifecycle
-        markers and market-shock events (each partition holds the full
-        registry, and a shock hits the whole market — an invalidation
-        must destroy matches on every partition, a repricing reprices
-        every sub-economy); items are ``(time, rank, insertion,
-        payload)`` sorted exactly like the kernel's ``(time_s, priority,
-        FIFO)`` queue — queries are scheduled first, markers after,
-        shocks last, matching the kernel's queue.
+        The arrival stream is already in that order: time never
+        decreases, queries arrive at distinct instants, and a churn
+        wave's markers come before the query that follows them (only
+        same-instant markers of different tenants interleave, and those
+        commute). Shocks merge in by ``(time, rank)``; a shock's rank
+        sits between the markers' and the queries', so one at a busy
+        instant lands after the markers and before the query.
         """
-        shock_ranks = {
-            StructureInvalidationEvent: _PRIORITY_INVALIDATION,
-            ProviderPriceShockEvent: _PRIORITY_PRICE_SHOCK,
-            TenantBudgetSqueezeEvent: _PRIORITY_SQUEEZE,
-        }
-        sequenced: List[Tuple[float, int, int, object]] = []
-        counter = 0
-        for query in queries:
-            sequenced.append(
-                (query.arrival_time, _PRIORITY_QUERY, counter, query))
-            counter += 1
-        for marker in lifecycle:
-            rank = (_PRIORITY_ARRIVAL if marker.kind == "arrival"
-                    else _PRIORITY_CHURN)
-            sequenced.append((marker.time_s, rank, counter, marker))
-            counter += 1
-        for event in shocks:
-            sequenced.append(
-                (event.time_s, shock_ranks[type(event)], counter, event))
-            counter += 1
-        sequenced.sort(key=lambda item: item[:3])
-
-        per_partition: List[List[Tuple[float, int, int, object]]] = [
-            [] for _ in range(self.partition_count)
-        ]
-        for time_s, rank, insertion, payload in sequenced:
-            if rank == _PRIORITY_QUERY:
-                targets = [self._router.partition_of(payload)]
-            else:
-                targets = range(self.partition_count)
-            for partition in targets:
-                per_partition[partition].append(
-                    (time_s, rank, insertion, payload))
-        return per_partition
+        events = sorted(((event.time_s, _SHOCK_RANKS[type(event)], event)
+                         for event in shocks), key=itemgetter(0, 1))
+        return heapq.merge(map(_ranked, arrivals), events,
+                           key=itemgetter(0, 1))
 
     # -- execution -------------------------------------------------------------
 
@@ -718,11 +717,6 @@ class DistCacheRunner:
         if config.warmup_queries:
             raise DistCacheError(
                 "partitioned mode does not support warmup_queries")
-        if config.arrival_mode == ARRIVAL_STREAMED:
-            raise DistCacheError(
-                "partitioned mode does not support streamed arrivals: the "
-                "distributed cache materialises per-partition workloads "
-                "eagerly (use --shards for streamed scale-out)")
         from repro.obs.manifest import config_hash
 
         # Ownership overrides are per-cell state: every cell starts from
@@ -733,9 +727,8 @@ class DistCacheRunner:
             policy = PlacementPolicy(
                 self.partition_count,
                 handoff_threshold=self._handoff_threshold)
-        populated = build_population(config)
-        queries = list(populated.queries)
-        schemes = self._build_schemes(config, populated.profiles)
+        arrivals = cell_arrivals(config)
+        schemes = self._build_schemes(config, arrivals.source)
         if self._trace is not None or self._metrics is not None:
             # Per-partition recorders stay resident with their schemes;
             # absorbed once the schemes come back after the last barrier.
@@ -750,25 +743,11 @@ class DistCacheRunner:
                     MetricsTimeseries(source=source)
                     if self._metrics is not None else None,
                 ))
-        items = self._epoch_items(
-            queries, populated.lifecycle,
-            compile_shock_events(config.shocks, populated.queries))
-
-        routed_counts = [
-            sum(1 for _, rank, _, _ in partition_items
-                if rank == _PRIORITY_QUERY)
-            for partition_items in items
-        ]
-        if min(routed_counts) == 0:
-            warnings.warn(
-                f"cache partition count {self.partition_count} exceeds the "
-                f"workload's busy template count; some cache partitions "
-                f"serve no queries",
-                PartitionImbalanceWarning,
-                stacklevel=2,
-            )
-
-        envelope = ArrivalEnvelope.of(queries)
+        envelope = arrivals.envelope
+        ordered = self._dispatch_order(
+            arrivals.items, compile_shock_events_for_span(
+                config.shocks, envelope.start_s, envelope.last_s))
+        pending = next(ordered, None)
         start_s = envelope.start_s
         end_s = envelope.last_s + envelope.trailing_interval_s
         barriers: List[float] = []
@@ -783,7 +762,6 @@ class DistCacheRunner:
         partitions = range(self.partition_count)
         run_id = next(_RUN_IDS)
         resident_keys = [(run_id, partition) for partition in partitions]
-        cursor = [0] * self.partition_count
         last_settled = [start_s] * self.partition_count
         inbound = [BarrierOutputs()] * self.partition_count
         steps: List[List[SchemeStep]] = [[] for _ in partitions]
@@ -801,34 +779,34 @@ class DistCacheRunner:
             for epoch, barrier in enumerate(barriers):
                 number = epoch + 1
                 is_final = epoch == len(barriers) - 1
-                tasks: List[PartitionEpochTask] = []
-                for partition in partitions:
-                    partition_items = items[partition]
-                    begin = cursor[partition]
-                    index = begin
-                    while index < len(partition_items):
-                        time_s, rank, _, _ = partition_items[index]
-                        # Interior barriers cut like the kernel's event
-                        # order: a settlement outranks same-instant
-                        # queries. The final barrier closes the run, so it
-                        # drains everything (a zero-trailing run can place
-                        # its last arrival exactly at the end instant).
-                        if (not is_final
-                                and (time_s, rank) >= (barrier,
-                                                       _PRIORITY_BARRIER)):
-                            break
-                        index += 1
-                    cursor[partition] = index
-                    tasks.append(PartitionEpochTask(
-                        resident_key=resident_keys[partition],
-                        epoch=number,
-                        items=tuple((rank, payload) for _, rank, _, payload
-                                    in partition_items[begin:index]),
-                        settle_to_s=barrier,
-                        last_settled_s=last_settled[partition],
-                        inbound=inbound[partition],
-                        scheme=schemes[partition] if epoch == 0 else None,
-                    ))
+                # Every partition receives its routed queries plus every
+                # lifecycle marker (each registry books the whole
+                # population) and every shock (a shock hits the whole
+                # market). Interior barriers cut like the kernel's event
+                # order: a settlement outranks same-instant queries. The
+                # final barrier closes the run, so it drains everything (a
+                # zero-trailing run can place its last arrival exactly at
+                # the end instant).
+                epoch_items: List[List[Tuple[int, object]]] = [
+                    [] for _ in partitions]
+                cut = (barrier, _PRIORITY_BARRIER)
+                while pending is not None and (is_final
+                                               or pending[:2] < cut):
+                    _, rank, payload = pending
+                    targets = ((self._router.partition_of(payload),)
+                               if rank == _PRIORITY_QUERY else partitions)
+                    for partition in targets:
+                        epoch_items[partition].append((rank, payload))
+                    pending = next(ordered, None)
+                tasks = [PartitionEpochTask(
+                    resident_key=resident_keys[partition],
+                    epoch=number,
+                    items=tuple(epoch_items[partition]),
+                    settle_to_s=barrier,
+                    last_settled_s=last_settled[partition],
+                    inbound=inbound[partition],
+                    scheme=schemes[partition] if epoch == 0 else None,
+                ) for partition in partitions]
                 # The processes holding the partitions own the schemes
                 # from here on; they come back after the last barrier.
                 schemes = []
@@ -902,6 +880,14 @@ class DistCacheRunner:
         finally:
             hosts.close()
 
+        if min(len(served) for served in steps) == 0:
+            warnings.warn(
+                f"cache partition count {self.partition_count} exceeds the "
+                f"workload's busy template count; some cache partitions "
+                f"serve no queries",
+                PartitionImbalanceWarning,
+                stacklevel=2,
+            )
         registries = [scheme.tenant_registry for scheme in schemes]
         verify_wallet_integrity(registries)
         cell = merge_partition_results(
@@ -910,8 +896,8 @@ class DistCacheRunner:
             maintenance_by_partition=maintenance,
             registries=registries,
             duration_s=end_s - start_s,
-            population_size=populated.tenant_count,
-            churn_waves=populated.churn_waves,
+            population_size=arrivals.population.tenant_count,
+            churn_waves=arrivals.population.churn_waves,
             kernel_losses_by_partition=kernel_losses,
         )
         if self._trace is not None or self._metrics is not None:

@@ -10,9 +10,12 @@ accumulated specifically on that tenant's queries.
 
 The registry is deliberately *incremental*: every query updates only the
 state of the tenant that issued it, so a population of thousands of tenants
-costs no more per query than the single-tenant path. The single-tenant path
-itself is untouched — an engine constructed without a registry behaves
-byte-for-byte as before, and queries default to :data:`DEFAULT_TENANT_ID`.
+costs no more per query than the single-tenant path. Given the population's
+generative profile source it is also *bounded*: a population tenant's state
+exists only between its first query and its churn, so memory follows the
+live tenants, not the population. The single-tenant path itself is
+untouched — an engine constructed without a registry behaves byte-for-byte
+as before, and queries default to :data:`DEFAULT_TENANT_ID`.
 
 Money is conserved by construction: a tenant wallet only changes through its
 seed deposit and through :meth:`TenantRegistry.charge`, which moves exactly
@@ -30,7 +33,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
@@ -108,6 +111,8 @@ class TenantState:
             rather than silently dropping charges, so the registry's books
             always balance against the provider's.
         regret: regret the cloud accumulated on this tenant's queries only.
+        charged: the running left fold of every charge the tenant paid,
+            carried across churn (see :meth:`TenantRegistry.deactivate`).
 
     Example:
         >>> state = TenantState(TenantProfile("bob", initial_credit=5.0))
@@ -125,11 +130,26 @@ class TenantState:
         self.activated_at_s = profile.joined_at_s
         self.churned_at_s: Optional[float] = None
         self.queries_processed = 0
+        self.charged = 0.0
 
     @property
     def tenant_id(self) -> str:
         """The tenant's identifier (shorthand for ``profile.tenant_id``)."""
         return self.profile.tenant_id
+
+
+class WalletBook(NamedTuple):
+    """One tenant's wallet as the registry books it."""
+
+    seed: float
+    credit: float
+    charged: float
+
+    @classmethod
+    def of(cls, state: TenantState) -> "WalletBook":
+        """The book of a held state."""
+        return cls(state.profile.initial_credit, state.account.credit,
+                   state.charged)
 
 
 class TenantRegistry:
@@ -139,6 +159,45 @@ class TenantRegistry:
     built per tenant (:meth:`budget_for`), query charges are settled against
     the issuing tenant's wallet (:meth:`charge`), and regret is recorded
     both globally (by the engine) and per tenant (:meth:`record_regret`).
+
+    Tenants come in two kinds:
+
+    * **ad-hoc** tenants (every id when ``source`` is ``None``, and ids
+      outside the population's id scheme otherwise) are registered
+      explicitly (:meth:`register`) or auto-registered with a neutral
+      profile at first touch, and keep their state for the whole run —
+      churn only marks them inactive;
+    * **population** tenants (ids the ``source`` maps back to a tenant
+      index) exist only while the simulation needs them. Their profiles
+      derive on demand from a
+      :class:`~repro.workload.population.GenerativeProfileSource`, a pure
+      function of ``(population seed, tenant index)``. An arrival
+      (:meth:`activate`) only advances the mint high-water mark and the
+      seed-credit aggregate; the full :class:`TenantState` materialises
+      at the tenant's first query (:meth:`ensure`, reached through
+      ``budget_for``/``charge``); churn (:meth:`deactivate`) drops it
+      again, archiving a charged wallet as its :class:`WalletBook` (seed,
+      balance, charged total). A returning tenant resumes from the
+      archive.
+
+    Resident states are therefore bounded by the tenants that are both
+    live and charged, never by the population. Aggregates
+    (:meth:`total_credit`, :meth:`total_charged`) are O(1) running sums.
+    Each wallet's charged total is a running left fold of its charges,
+    carried through drop and rematerialisation, so it is bitwise the sum
+    a wallet that was never dropped would report. A wallet's ledger is
+    folded when churn drops it (:attr:`churned_ledgers_folded`,
+    :attr:`churned_ledger_mismatches`), so a conservation audit still
+    covers the wallets no longer held.
+
+    The registry accounts for every tenant; a subclass may narrow that
+    through the :meth:`_owned_index` hook (the sharded execution layer
+    scopes it to one shard). Population tenants it does not own are
+    tracked only through the mint high-water mark.
+
+    Args:
+        source: the pure profile derivation of the population, or
+            ``None`` for a registry of ad-hoc tenants only.
 
     Example:
         >>> registry = TenantRegistry()
@@ -152,21 +211,119 @@ class TenantRegistry:
         >>> _ = registry.deactivate("bob", now=5.0)
         >>> registry.active_ids()
         ['alice']
+
+        With a source, population tenants materialise and drop on demand:
+
+        >>> from repro.workload.population import (GenerativeProfileSource,
+        ...                                        PopulationSpec)
+        >>> source = GenerativeProfileSource(PopulationSpec(
+        ...     tenant_count=4, initial_credit=10.0))
+        >>> registry = TenantRegistry(source)
+        >>> _ = registry.activate("t00000", now=0.0)
+        >>> _ = registry.activate("t00001", now=0.0)
+        >>> registry.materialized_tenant_count()   # arrivals mint no state
+        0
+        >>> registry.charge("t00001", 2.5, now=1.0)
+        >>> registry.materialized_tenant_count(), round(registry.total_credit(), 6)
+        (1, 17.5)
+        >>> _ = registry.deactivate("t00001", now=2.0)    # state dropped...
+        >>> registry.materialized_tenant_count()
+        0
+        >>> round(registry.credit_by_tenant()["t00001"], 6)  # ...balance kept
+        7.5
     """
 
-    #: Wallet ledgers folded when churn dropped their wallet, and how many
-    #: of those did not fold to the wallet's balance. Registries that keep
-    #: every wallet (this one) never drop a ledger.
-    churned_ledgers_folded = 0
-    churned_ledger_mismatches = 0
-
-    def __init__(self) -> None:
+    def __init__(self,
+                 source: Optional["GenerativeProfileSource"] = None) -> None:
+        self._source = source
         self._states: Dict[str, TenantState] = {}
+        self._adhoc_ids: List[str] = []
+        self._minted = 0
+        self._owned_minted = 0
+        self._seed_total = 0.0
+        self._charged_total = 0.0
+        self._live_indices: Set[int] = set()
+        self._archived: Dict[int, WalletBook] = {}
+        self.peak_materialized = 0
+        self.churned_ledgers_folded = 0
+        self.churned_ledger_mismatches = 0
+
+    @property
+    def source(self) -> Optional["GenerativeProfileSource"]:
+        """The population's profile derivation (``None``: ad-hoc only)."""
+        return self._source
+
+    @property
+    def population_minted(self) -> int:
+        """Population indices observed so far (owned and foreign alike)."""
+        return self._minted
+
+    # -- population internals --------------------------------------------------
+
+    def _index_of(self, tenant_id: str) -> Optional[int]:
+        """The population index behind ``tenant_id``; ``None`` if ad-hoc."""
+        if self._source is None:
+            return None
+        return self._source.index_of(tenant_id)
+
+    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
+        """Ownership hook: whether this registry accounts for the tenant
+        (``index`` is ``None`` for ad-hoc ids). Every tenant, here; a
+        subclass that narrows it rejects foreign ``ensure``/``register``
+        calls itself."""
+        return True
+
+    def _advance_minted(self, new_minted: int) -> None:
+        """Observe population indices up to ``new_minted`` (exclusive).
+
+        For each newly observed *owned* index the seed credit joins the
+        conserved total, as an up-front deposit would have.
+        """
+        for index in range(self._minted, new_minted):
+            if self._owned_index(index, tenant_id_for(index)):
+                self._owned_minted += 1
+                self._seed_total += self._source.initial_credit_for(index)
+        if new_minted > self._minted:
+            self._minted = new_minted
+
+    def _hold(self, state: TenantState) -> TenantState:
+        self._states[state.tenant_id] = state
+        if len(self._states) > self.peak_materialized:
+            self.peak_materialized = len(self._states)
+        return state
+
+    def _materialize(self, index: int) -> TenantState:
+        """Build the full state of an owned population tenant on demand."""
+        state = TenantState(self._source.profile_for(index))
+        archived = self._archived.pop(index, None)
+        if archived is not None:
+            spent = state.account.credit - archived.credit
+            if spent > 0:
+                # Restore the archived balance through the ledger; the
+                # running aggregates already counted these charges, and
+                # the charged total resumes from the archive.
+                state.account.withdraw(spent, 0.0, CATEGORY_TENANT_CHARGE,
+                                       note="rematerialized")
+            state.charged = archived.charged
+            state.active = index in self._live_indices
+        return self._hold(state)
+
+    def _drop(self, index: int, state: TenantState) -> None:
+        """Fold a churned wallet's ledger and archive it if it was charged."""
+        self.churned_ledgers_folded += 1
+        if ledger_fold(state.account) != state.account.credit:
+            self.churned_ledger_mismatches += 1
+        if state.charged > 0:
+            self._archived[index] = WalletBook.of(state)
 
     # -- registration ----------------------------------------------------------
 
     def register(self, profile: TenantProfile) -> TenantState:
-        """Add one tenant; re-registering an id is an error.
+        """Add one ad-hoc tenant; re-registering an id is an error.
+
+        A population member's profile is generative, so registering one
+        explicitly (which would shadow the derivation and break the
+        drop-at-churn contract) is an error too.
 
         Args:
             profile: the tenant's static description.
@@ -174,23 +331,25 @@ class TenantRegistry:
         Returns:
             The freshly created :class:`TenantState`.
         """
+        if self._index_of(profile.tenant_id) is not None:
+            raise EconomyError(
+                f"tenant {profile.tenant_id!r} is a population member; its "
+                "profile is generative and must not be registered explicitly"
+            )
         if profile.tenant_id in self._states:
             raise EconomyError(f"tenant {profile.tenant_id!r} already registered")
-        state = TenantState(profile)
-        self._states[profile.tenant_id] = state
-        return state
-
-    def register_all(self, profiles: Iterable[TenantProfile]) -> None:
-        """Register many tenants (convenience wrapper)."""
-        for profile in profiles:
-            self.register(profile)
+        self._adhoc_ids.append(profile.tenant_id)
+        self._seed_total += profile.initial_credit
+        return self._hold(TenantState(profile))
 
     def ensure(self, tenant_id: str) -> TenantState:
-        """The tenant's state, auto-registering a neutral profile if needed.
+        """The tenant's state, materialised or auto-registered if needed.
 
-        Auto-registration keeps the default tenant (and ad-hoc ids in tests)
-        working without an explicit population set-up; the neutral profile
-        has an empty wallet and the engine's baseline budget policy.
+        A population tenant materialises from its generative profile (and
+        its archived wallet, if churn dropped one). Any other id is
+        auto-registered with a neutral profile — an empty wallet and the
+        engine's baseline budget policy — which keeps the default tenant
+        (and ad-hoc ids in tests) working without a population.
 
         Args:
             tenant_id: the tenant to look up.
@@ -199,68 +358,118 @@ class TenantRegistry:
             The (possibly new) :class:`TenantState`.
         """
         state = self._states.get(tenant_id)
-        if state is None:
-            state = self.register(TenantProfile(tenant_id))
-        return state
+        if state is not None:
+            return state
+        index = self._index_of(tenant_id)
+        if index is None:
+            return self.register(TenantProfile(tenant_id))
+        if index >= self._minted:
+            self._advance_minted(index + 1)
+        return self._materialize(index)
 
     # -- lookups ---------------------------------------------------------------
 
     def state(self, tenant_id: str) -> TenantState:
-        """The tenant's state; raises if the tenant was never registered."""
+        """The tenant's held state; raises if it is not held."""
         try:
             return self._states[tenant_id]
         except KeyError:
             raise EconomyError(f"unknown tenant {tenant_id!r}") from None
 
     def __contains__(self, tenant_id: str) -> bool:
+        index = self._index_of(tenant_id)
+        if index is not None:
+            return index < self._minted and self._owned_index(index, tenant_id)
         return tenant_id in self._states
 
     def __len__(self) -> int:
-        return len(self._states)
+        return self._owned_minted + len(self._adhoc_ids)
 
     def tenant_ids(self) -> List[str]:
-        """All registered tenant ids, in registration order."""
-        return list(self._states)
+        """Owned population ids in mint order, then ad-hoc ids in
+        registration order (O(minted))."""
+        ids = [tenant_id_for(index) for index in range(self._minted)
+               if self._owned_index(index, tenant_id_for(index))]
+        ids.extend(self._adhoc_ids)
+        return ids
 
     def active_ids(self) -> List[str]:
-        """Ids of tenants currently active, in registration order."""
-        return [tid for tid, state in self._states.items() if state.active]
+        """Ids of currently live tenants, in :meth:`tenant_ids` order."""
+        ids = [tenant_id_for(index) for index in sorted(self._live_indices)]
+        ids.extend(tid for tid in self._adhoc_ids if self._states[tid].active)
+        return ids
 
     def states(self) -> Tuple[TenantState, ...]:
-        """Every tenant state, in registration order."""
+        """Every *held* tenant state, in materialisation order.
+
+        Population tenants that never queried, or that churn dropped, are
+        not held; :meth:`wallet_books` covers every tenant.
+        """
         return tuple(self._states.values())
 
     # -- lifecycle -------------------------------------------------------------
 
-    def activate(self, tenant_id: str, now: float = 0.0) -> TenantState:
-        """Mark a tenant active (arrival); auto-registers unknown ids.
+    def activate(self, tenant_id: str, now: float = 0.0
+                 ) -> Optional[TenantState]:
+        """Observe an arrival.
+
+        An ad-hoc id is auto-registered and marked active. A population
+        arrival mints bookkeeping, not state: it returns the tenant's
+        state only if it is materialised already, else ``None`` — the
+        state appears at the tenant's first query.
 
         Args:
             tenant_id: the arriving tenant.
             now: simulated arrival instant.
-
-        Returns:
-            The tenant's state.
         """
-        state = self.ensure(tenant_id)
+        index = self._index_of(tenant_id)
+        if index is None:
+            if not self._owned_index(None, tenant_id):
+                return None
+            state = self.ensure(tenant_id)
+        else:
+            if index >= self._minted:
+                self._advance_minted(index + 1)
+            if not self._owned_index(index, tenant_id):
+                return None
+            self._live_indices.add(index)
+            state = self._states.get(tenant_id)
+            if state is None:
+                return None
         state.active = True
         state.activated_at_s = now
         state.churned_at_s = None
         return state
 
-    def deactivate(self, tenant_id: str, now: float = 0.0) -> TenantState:
-        """Mark a tenant churned; their wallet and history are retained.
+    def deactivate(self, tenant_id: str, now: float = 0.0
+                   ) -> Optional[TenantState]:
+        """Observe a churn.
+
+        An ad-hoc tenant is marked churned and keeps its wallet (an
+        unknown ad-hoc id raises). A population tenant's state is
+        dropped, keeping its balance and charged total; a tenant that was
+        announced but never materialised returns ``None``.
 
         Args:
             tenant_id: the churning tenant.
             now: simulated churn instant.
-
-        Returns:
-            The tenant's state.
         """
-        state = self.state(tenant_id)
+        index = self._index_of(tenant_id)
+        if index is None:
+            if not self._owned_index(None, tenant_id):
+                return None
+            state = self.state(tenant_id)
+        else:
+            if not self._owned_index(index, tenant_id):
+                return None
+            self._live_indices.discard(index)
+            state = self._states.pop(tenant_id, None)
+            if state is None:
+                return None
         state.active = False
         state.churned_at_s = now
+        if index is not None:
+            self._drop(index, state)
         return state
 
     # -- economy hooks ---------------------------------------------------------
@@ -340,6 +549,8 @@ class TenantRegistry:
             return
         state = self.ensure(tenant_id)
         state.account.withdraw(amount, now, CATEGORY_TENANT_CHARGE, note=note)
+        state.charged += amount
+        self._charged_total += amount
 
     def record_regret(self, tenant_id: str, structures, amount: float,
                       divide: bool = False) -> None:
@@ -359,319 +570,56 @@ class TenantRegistry:
         state.regret.distribute(structures, amount, divide=divide)
 
     def reset_regret(self, key: str) -> None:
-        """Zero a structure's regret on every tenant tracker (it got built)."""
+        """Zero a structure's regret on every held tenant tracker (it got
+        built)."""
         for state in self._states.values():
             state.regret.reset(key)
 
     # -- aggregates ------------------------------------------------------------
 
     def total_credit(self) -> float:
-        """Sum of all tenant wallet balances (the conserved quantity)."""
-        return sum(state.account.credit for state in self._states.values())
-
-    def total_charged(self) -> float:
-        """Sum of every query payment ever charged across the registry."""
-        return sum(state.account.total_withdrawn()
-                   for state in self._states.values())
-
-    def credit_by_tenant(self) -> Dict[str, float]:
-        """Wallet balance per tenant id, in registration order."""
-        return {tid: state.account.credit for tid, state in self._states.items()}
-
-    def live_tenant_count(self) -> int:
-        """Number of tenants the registry currently considers active.
-
-        With eager registration every profile starts active at
-        construction, so the gauge counts "registered minus churned"; the
-        generative subclass refines it to "arrived minus churned".
-        """
-        return sum(1 for state in self._states.values() if state.active)
-
-
-class GenerativeTenantRegistry(TenantRegistry):
-    """A registry whose tenants exist only while the simulation needs them.
-
-    The eager :class:`TenantRegistry` holds one :class:`TenantState` per
-    population member for the whole run — fine at 10^3 tenants, fatal at
-    10^6. This subclass instead derives profiles on demand from a
-    :class:`~repro.workload.population.GenerativeProfileSource` (a pure
-    function of ``(population seed, tenant index)``):
-
-    * **arrival** (:meth:`activate`) only advances the mint high-water
-      mark and the seed-credit aggregate — O(1) amortised, no state
-      object;
-    * the full :class:`TenantState` materialises lazily at the tenant's
-      first query (:meth:`ensure`, reached via ``budget_for``/``charge``);
-    * **churn** (:meth:`deactivate`) *drops* the state again, compressing
-      a charged wallet to two floats in an archive (a tenant that never
-      paid anything needs no archive at all — rematerialisation rebuilds
-      it exactly). A returning tenant resumes with its archived balance,
-      honouring the base class's retention contract.
-
-    Resident full states are therefore bounded by the tenants that are
-    both *live and charged* plus the churned-but-charged archive (two
-    floats each) — never by the total population. Aggregates
-    (:meth:`total_credit`, :meth:`total_charged`) are maintained as O(1)
-    running sums; per-tenant wallet values are bitwise identical to the
-    eager registry's, because each materialised wallet replays exactly
-    the charges the eager wallet received. A wallet's ledger is folded
-    when churn drops it (:attr:`churned_ledgers_folded`,
-    :attr:`churned_ledger_mismatches`), so a conservation audit still
-    covers the wallets no longer held.
-
-    The registry accounts for every tenant; a subclass may narrow that
-    through the :meth:`_owned_index` hook (the sharded execution layer
-    scopes it to one shard). Tenants it does not own are tracked only
-    through the mint high-water mark, so their profiles stay derivable.
-
-    Args:
-        source: the pure profile derivation.
-
-    Example:
-        >>> from repro.workload.population import (GenerativeProfileSource,
-        ...                                        PopulationSpec)
-        >>> source = GenerativeProfileSource(PopulationSpec(
-        ...     tenant_count=4, initial_credit=10.0))
-        >>> registry = GenerativeTenantRegistry(source)
-        >>> _ = registry.activate("t00000", now=0.0)
-        >>> _ = registry.activate("t00001", now=0.0)
-        >>> registry.materialized_tenant_count()   # arrivals mint no state
-        0
-        >>> registry.charge("t00001", 2.5, now=1.0)
-        >>> registry.materialized_tenant_count(), round(registry.total_credit(), 6)
-        (1, 17.5)
-        >>> _ = registry.deactivate("t00001", now=2.0)    # state dropped...
-        >>> registry.materialized_tenant_count()
-        0
-        >>> round(registry.credit_by_tenant()["t00001"], 6)  # ...balance kept
-        7.5
-    """
-
-    def __init__(self, source: "GenerativeProfileSource") -> None:
-        super().__init__()
-        self._source = source
-        self._minted = 0
-        self._owned_minted = 0
-        self._seed_total = 0.0
-        self._withdrawn_total = 0.0
-        self._live_indices: Set[int] = set()
-        self._archived: Dict[int, Tuple[float, float]] = {}
-        self._adhoc_ids: List[str] = []
-        self.peak_materialized = 0
-
-    # -- generative internals --------------------------------------------------
-
-    @property
-    def source(self) -> "GenerativeProfileSource":
-        """The pure profile derivation backing this registry."""
-        return self._source
-
-    @property
-    def population_minted(self) -> int:
-        """Population indices observed so far (owned and foreign alike)."""
-        return self._minted
-
-    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
-        """Ownership hook: whether this registry accounts for the tenant
-        (``index`` is ``None`` for ad-hoc ids). Every tenant, here; a
-        subclass that narrows it rejects foreign ``ensure``/``register``
-        calls itself."""
-        return True
-
-    def _advance_minted(self, new_minted: int) -> None:
-        """Observe population indices up to ``new_minted`` (exclusive).
-
-        Minting is pure bookkeeping: for each newly observed *owned*
-        index the seed credit joins the conserved total, exactly as the
-        eager path's up-front registration would have deposited it.
-        """
-        for index in range(self._minted, new_minted):
-            if self._owned_index(index, tenant_id_for(index)):
-                self._owned_minted += 1
-                self._seed_total += self._source.initial_credit_for(index)
-        if new_minted > self._minted:
-            self._minted = new_minted
-
-    def _materialize(self, index: int) -> TenantState:
-        """Build the full state of an owned population tenant on demand."""
-        state = TenantState(self._source.profile_for(index))
-        archived = self._archived.pop(index, None)
-        if archived is not None:
-            credit, withdrawn = archived
-            spent = state.account.credit - credit
-            if spent > 0:
-                # Restore the archived balance through the ledger so the
-                # wallet's credit is bitwise the archived value; the
-                # running aggregates already counted these charges, so
-                # they are NOT re-added to ``_withdrawn_total``.
-                state.account.withdraw(spent, 0.0, CATEGORY_TENANT_CHARGE,
-                                       note="rematerialized")
-            state.active = index in self._live_indices
-        self._states[state.tenant_id] = state
-        if len(self._states) > self.peak_materialized:
-            self.peak_materialized = len(self._states)
-        return state
-
-    # -- overridden registry surface -------------------------------------------
-
-    def register(self, profile: TenantProfile) -> TenantState:
-        """Register an ad-hoc tenant; population profiles are generative.
-
-        Explicitly registering a population member would shadow the pure
-        derivation (and break the drop-at-churn contract), so only ids
-        outside the population's id scheme are accepted.
-        """
-        if self._source.index_of(profile.tenant_id) is not None:
-            raise EconomyError(
-                f"tenant {profile.tenant_id!r} is a population member; its "
-                "profile is generative and must not be registered explicitly"
-            )
-        state = super().register(profile)
-        self._adhoc_ids.append(profile.tenant_id)
-        if len(self._states) > self.peak_materialized:
-            self.peak_materialized = len(self._states)
-        return state
-
-    def ensure(self, tenant_id: str) -> TenantState:
-        state = self._states.get(tenant_id)
-        if state is not None:
-            return state
-        index = self._source.index_of(tenant_id)
-        if index is not None:
-            if index >= self._minted:
-                self._advance_minted(index + 1)
-            return self._materialize(index)
-        # Auto-registration dispatches back through :meth:`register`, which
-        # records the ad-hoc id and the materialisation peak.
-        return super().ensure(tenant_id)
-
-    def activate(self, tenant_id: str, now: float = 0.0
-                 ) -> Optional[TenantState]:
-        """Observe an arrival; mints bookkeeping, not state.
-
-        Returns the tenant's state only if it happens to be materialised
-        already (re-arrival after traffic); a fresh arrival returns
-        ``None`` — the state appears at the tenant's first query.
-        """
-        index = self._source.index_of(tenant_id)
-        if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
-            return super().activate(tenant_id, now)
-        if index >= self._minted:
-            self._advance_minted(index + 1)
-        if not self._owned_index(index, tenant_id):
-            return None
-        self._live_indices.add(index)
-        state = self._states.get(tenant_id)
-        if state is not None:
-            state.active = True
-            state.activated_at_s = now
-            state.churned_at_s = None
-        return state
-
-    def deactivate(self, tenant_id: str, now: float = 0.0
-                   ) -> Optional[TenantState]:
-        """Observe a churn; drops the tenant's state, keeping its balance.
-
-        Unlike the eager base class this never raises for a tenant that
-        was announced but never materialised — that is the common case at
-        scale, and exactly the memory the generative registry saves.
-        """
-        index = self._source.index_of(tenant_id)
-        if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
-            return super().deactivate(tenant_id, now)
-        if not self._owned_index(index, tenant_id):
-            return None
-        self._live_indices.discard(index)
-        state = self._states.pop(tenant_id, None)
-        if state is not None:
-            state.active = False
-            state.churned_at_s = now
-            self.churned_ledgers_folded += 1
-            if ledger_fold(state.account) != state.account.credit:
-                self.churned_ledger_mismatches += 1
-            if state.account.total_withdrawn() > 0:
-                self._archived[index] = (state.account.credit,
-                                         state.account.total_withdrawn())
-        return state
-
-    def charge(self, tenant_id: str, amount: float, now: float = 0.0,
-               note: str = "") -> None:
-        super().charge(tenant_id, amount, now=now, note=note)
-        if amount > 0:
-            self._withdrawn_total += amount
-
-    def __contains__(self, tenant_id: str) -> bool:
-        index = self._source.index_of(tenant_id)
-        if index is not None:
-            return index < self._minted and self._owned_index(index, tenant_id)
-        return super().__contains__(tenant_id)
-
-    def __len__(self) -> int:
-        return self._owned_minted + len(self._adhoc_ids)
-
-    def tenant_ids(self) -> List[str]:
-        """All owned tenant ids ever minted, in mint order (O(minted))."""
-        ids = [tenant_id_for(index) for index in range(self._minted)
-               if self._owned_index(index, tenant_id_for(index))]
-        ids.extend(self._adhoc_ids)
-        return ids
-
-    def active_ids(self) -> List[str]:
-        """Ids of currently live owned tenants, in mint order."""
-        ids = [tenant_id_for(index) for index in sorted(self._live_indices)]
-        ids.extend(tid for tid in self._adhoc_ids
-                   if self._states[tid].active)
-        return ids
-
-    # ``states()`` intentionally keeps the base behaviour: it exposes the
-    # *materialised* states only. Enumerating every minted tenant would
-    # defeat the registry's purpose; callers that need population-wide
-    # values use ``credit_by_tenant`` / the aggregates below.
-
-    # -- aggregates ------------------------------------------------------------
-
-    def total_credit(self) -> float:
         """Seed credit minted so far minus everything charged (O(1))."""
-        return self._seed_total - self._withdrawn_total
+        return self._seed_total - self._charged_total
 
     def total_charged(self) -> float:
         """Every query payment charged to owned tenants so far (O(1))."""
-        return self._withdrawn_total
+        return self._charged_total
 
     def seed_credit(self) -> float:
-        """Seed credit of every owned tenant minted so far (O(1))."""
+        """Seed credit of every owned tenant minted or registered so far."""
         return self._seed_total
 
-    def credit_by_tenant(self) -> Dict[str, float]:
-        """Wallet balance per owned tenant id, in mint order (O(minted)).
+    def wallet_books(self) -> Dict[str, WalletBook]:
+        """Every owned tenant's wallet, in :meth:`tenant_ids` order.
 
-        Bitwise identical to the eager registry's values: materialised
-        wallets replayed the same charges, archived wallets froze at
-        churn, and an untouched tenant's balance *is* its derivable seed
-        credit.
+        Held states report their live wallet, churned wallets their
+        archive, and a population tenant that was never charged its
+        derivable seed credit (O(minted)).
         """
-        balances: Dict[str, float] = {}
+        books: Dict[str, WalletBook] = {}
         for index in range(self._minted):
             tenant_id = tenant_id_for(index)
             if not self._owned_index(index, tenant_id):
                 continue
             state = self._states.get(tenant_id)
             if state is not None:
-                balances[tenant_id] = state.account.credit
+                books[tenant_id] = WalletBook.of(state)
             elif index in self._archived:
-                balances[tenant_id] = self._archived[index][0]
+                books[tenant_id] = self._archived[index]
             else:
-                balances[tenant_id] = self._source.initial_credit_for(index)
+                seed = self._source.initial_credit_for(index)
+                books[tenant_id] = WalletBook(seed, seed, 0.0)
         for tenant_id in self._adhoc_ids:
-            balances[tenant_id] = self._states[tenant_id].account.credit
-        return balances
+            books[tenant_id] = WalletBook.of(self._states[tenant_id])
+        return books
+
+    def credit_by_tenant(self) -> Dict[str, float]:
+        """Wallet balance per owned tenant, in :meth:`tenant_ids` order."""
+        return {tenant_id: book.credit
+                for tenant_id, book in self.wallet_books().items()}
 
     def live_tenant_count(self) -> int:
-        """Owned tenants that have arrived and not churned (O(live))."""
+        """Owned tenants that have arrived (or registered) and not churned."""
         live = len(self._live_indices)
         live += sum(1 for tid in self._adhoc_ids if self._states[tid].active)
         return live

@@ -8,7 +8,8 @@ such as ``TypeError`` raised by misuse of the Python API itself.
 from __future__ import annotations
 
 import concurrent.futures.process
-from typing import Callable, Type
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, List, Sequence, Type
 
 
 class ReproError(Exception):
@@ -130,3 +131,24 @@ def call_naming_failures(where: Callable[[], str],
     except Exception as error:
         raise error_type(
             f"{where()}: {type(error).__name__}: {error}") from error
+
+
+def map_naming_failures(fn: Callable, items: Sequence, workers: int,
+                        where: Callable[[object], str],
+                        error_type: Type[ReproError]) -> List:
+    """``[fn(item) for item in items]`` over a pool of ``workers`` processes.
+
+    Results come back in ``items`` order. Each call is guarded by
+    :func:`call_naming_failures` with ``where(item)`` as its prefix, so an
+    exception escaping a worker names the item it was running. A worker
+    that dies breaks the pool, failing every unfinished item with it; the
+    error names the first of those in ``items`` order.
+    """
+    with ProcessPoolExecutor(
+            max_workers=min(workers, len(items))) as executor:
+        futures = [call_naming_failures(lambda: where(item), error_type,
+                                        executor.submit, fn, item)
+                   for item in items]
+        return [call_naming_failures(lambda: where(item), error_type,
+                                     future.result)
+                for item, future in zip(items, futures)]

@@ -11,13 +11,12 @@ insertion order).
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.costmodel.config import CostModelConfig
 from repro.economy.engine import EconomyConfig
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.config import ExperimentProfile
 from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.metrics import MetricsSummary
@@ -165,6 +164,16 @@ def _run_cell_task(task: Tuple[ExperimentProfile, str, float, bool]
                     interarrival_s, trace=trace)
 
 
+def _grid_cell_label(task: Tuple[ExperimentProfile, str, float, bool]
+                     ) -> str:
+    """How a failure names a grid cell: scheme, interval, config hash."""
+    from repro.obs.manifest import config_hash
+
+    profile, scheme_name, interarrival_s, _ = task
+    return (f"grid cell {scheme_name} @ {interarrival_s:g}s, cell config "
+            f"{config_hash((profile, scheme_name, interarrival_s))}")
+
+
 def run_grid(profile: ExperimentProfile, use_cache: bool = True,
              jobs: Optional[int] = None, trace=None) -> ExperimentGrid:
     """Run the full (scheme x interval) grid for a profile.
@@ -204,11 +213,10 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
             for _, scheme_name, interarrival, _ in tasks
         ]
     else:
-        with ProcessPoolExecutor(
-                max_workers=min(worker_count, len(tasks))) as executor:
-            # executor.map preserves task order, so the grid's insertion
-            # order — and therefore every table — matches the sequential run.
-            cells = list(executor.map(_run_cell_task, tasks))
+        # Results come back in task order, so the grid's insertion order —
+        # and therefore every table — matches the sequential run.
+        cells = map_naming_failures(_run_cell_task, tasks, worker_count,
+                                    _grid_cell_label, ExperimentError)
     if traced:
         for cell in cells:
             if cell.trace is not None:

@@ -25,19 +25,19 @@ deterministic, so the parallel tables are byte-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 # ledger_fold stays a module global here: benchmarks/e2e times it.
 from repro.economy.account import CloudAccount, ledger_fold
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.reporting import format_table
 # sorted_breakdowns stays importable here: benchmarks/e2e times it.
 from repro.experiments.tenants import (  # noqa: F401
     TenantCell,
     TenantCellResult,
     TenantExperimentConfig,
+    cell_label,
     run_tenant_cell,
     sorted_breakdowns,
 )
@@ -197,9 +197,8 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
                 for config in cells]
     if worker_count == 1 or len(cells) == 1:
         return [_resilience_pair(config) for config in cells]
-    with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(cells))) as executor:
-        return list(executor.map(_resilience_pair, cells))
+    return map_naming_failures(_resilience_pair, cells, worker_count,
+                               cell_label, ExperimentError)
 
 
 # -- tables --------------------------------------------------------------------

@@ -20,17 +20,13 @@ whose engine runs the multi-tenant economy).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.economy.engine import EconomyConfig, PLANNING_MODES, PLANNING_SCALAR
-from repro.economy.tenancy import (
-    GenerativeTenantRegistry,
-    TenantProfile,
-    TenantRegistry,
-)
-from repro.errors import ExperimentError
+from repro.economy.tenancy import TenantRegistry
+from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.reporting import distribution_cells, format_table
 from repro.policies.economic import EconomicSchemeConfig
 from repro.policies.factory import SCHEME_NAMES
@@ -38,7 +34,6 @@ from repro.simulator.metrics import MetricsSummary, TenantBreakdown
 from repro.simulator.results import SimulationResult
 # The kernel assembly itself: only a tenant cell hands it a lazy stream.
 from repro.simulator.simulation import SimulationConfig, _run_tenants
-from repro.simulator.streaming import arrival_stream
 from repro.system import CloudSystem
 from repro.workload.generator import (
     ArrivalEnvelope,
@@ -49,23 +44,24 @@ from repro.workload.grammar import (
     ScenarioGrammar,
     ShockSpec,
     TenantTier,
-    apply_tenant_tiers,
     compile_shock_events_for_span,
 )
+# apply_tenant_tiers stays importable here: benchmarks/e2e times it.
+from repro.workload.grammar import apply_tenant_tiers  # noqa: F401
 from repro.workload.population import (
     GenerativeProfileSource,
-    PopulatedWorkload,
     PopulationSpec,
+    PopulationStream,
+    TenantLifecycleMarker,
     TenantPopulation,
 )
 from repro.workload.query import Query
 
-#: Arrival modes: ``eager`` materialises the populated workload up front
-#: and registers every profile; ``streamed`` reads a lazy population
-#: stream with a generative tenant registry, bounding memory by the
-#: concurrently live tenants instead of the population. Either way the
-#: kernel reads the arrivals as a stream, and the outputs are
-#: byte-identical (the streamed fidelity gate).
+#: Arrival modes: ``eager`` materialises the population stream up front;
+#: ``streamed`` reads it as the run goes, bounding memory by the
+#: concurrently live tenants instead of the workload. Both run the same
+#: registry over the same stream, so the outputs are byte-identical; the
+#: mode is a materialisation choice only.
 ARRIVAL_EAGER = "eager"
 ARRIVAL_STREAMED = "streamed"
 ARRIVAL_MODES = (ARRIVAL_EAGER, ARRIVAL_STREAMED)
@@ -155,93 +151,82 @@ class TenantCellResult:
         return dict(self.wallet_credit)
 
 
-def _compiled_queries(config: TenantExperimentConfig) -> Tuple[Query, ...]:
-    """The grammar-composed query list of a cell that carries a grammar."""
-    return config.grammar.compile(
-        query_count=config.query_count,
-        interarrival_s=config.interarrival_s,
-        seed=config.seed,
-    ).queries
+class CellArrivals(NamedTuple):
+    """A cell's arrivals, assembled once for every execution mode.
 
-
-def build_population(config: TenantExperimentConfig) -> PopulatedWorkload:
-    """Generate the populated workload a cell replays (deterministic).
-
-    Shared by the plain, sharded, and partitioned execution paths, so
-    every mode sees the identical population — including the SLA-tier
-    rewrite when the config carries ``tenant_tiers``, and the
-    grammar-composed query stream (weighted classes, flash crowds) when
-    it carries a ``grammar``.
+    Attributes:
+        source: the population's generative profile source.
+        envelope: the arrival span, known before any query exists.
+        population: the population stream (its shape counters fill in as
+            it is read).
+        items: what the run reads — the stream itself when streamed, its
+            materialised list when eager.
     """
+
+    source: GenerativeProfileSource
+    envelope: ArrivalEnvelope
+    population: PopulationStream
+    items: Iterable[Union[Query, TenantLifecycleMarker]]
+
+
+def cell_arrivals(config: TenantExperimentConfig) -> CellArrivals:
+    """The one arrival assembly of the plain, sharded and partitioned cells.
+
+    The population stream runs over the generator's queries (or the
+    grammar's compiled query list, with its weighted classes and flash
+    crowds) and mints tiered profiles through the generative source, so
+    every mode sees the identical population. ``config.arrival_mode`` only
+    decides whether the stream is materialised up front (``eager``) or
+    read as the run goes (``streamed``).
+    """
+    source = GenerativeProfileSource(spec=config.population_spec(),
+                                     tiers=config.tenant_tiers)
     if config.grammar is not None:
-        workload = list(_compiled_queries(config))
+        queries = config.grammar.compile(
+            query_count=config.query_count,
+            interarrival_s=config.interarrival_s,
+            seed=config.seed,
+        ).queries
+        envelope = ArrivalEnvelope.of(queries)
     else:
-        workload = WorkloadGenerator(config.workload_spec()).generate()
-    populated = TenantPopulation(config.population_spec()).populate(workload)
-    return apply_tenant_tiers(populated, config.tenant_tiers,
-                              seed=config.seed)
-
-
-def default_registry(profiles: Optional[Sequence[TenantProfile]],
-                     source: GenerativeProfileSource) -> TenantRegistry:
-    """The unsharded cell's registry: every profile up front when eager,
-    derived on demand (``profiles`` is ``None``) when streamed."""
-    if profiles is None:
-        return GenerativeTenantRegistry(source)
-    registry = TenantRegistry()
-    registry.register_all(profiles)
-    return registry
+        generator = WorkloadGenerator(config.workload_spec())
+        queries = generator.iter_queries()
+        envelope = generator.arrival_envelope()
+    population = TenantPopulation(source.spec).stream(queries, source=source)
+    items = (population if config.arrival_mode == ARRIVAL_STREAMED
+             else list(population))
+    return CellArrivals(source, envelope, population, items)
 
 
 class TenantCell:
     """One population cell assembled for a single run.
 
     :func:`run_tenant_cell`, the audited shock cell and the shard worker
-    all assemble their run here. Only the arrivals depend on
-    ``config.arrival_mode``: ``eager`` materialises the populated workload
-    (:func:`build_population`) and hands the registry factory every
-    profile; ``streamed`` reads a lazy population stream over the
-    generator (or the grammar's compiled query list) and hands it
-    ``profiles=None``, so memory is bounded by the live tenants. The
-    tables are byte-identical either way. The bypass baseline has no
+    all assemble their run here, over :func:`cell_arrivals`. The tables
+    are byte-identical in either arrival mode. The bypass baseline has no
     economy, so it gets no registry.
 
     Args:
         config: the frozen cell configuration.
-        registry_factory: ``factory(profiles, source)`` returning the
-            econ-* schemes' tenant registry.
+        registry_factory: ``factory(source)`` returning the econ-* schemes'
+            tenant registry over the population's profile source.
     """
 
     def __init__(self, config: TenantExperimentConfig,
-                 registry_factory: Callable[..., TenantRegistry]
-                 = default_registry) -> None:
+                 registry_factory: Callable[[GenerativeProfileSource],
+                                            TenantRegistry]
+                 = TenantRegistry) -> None:
         self.config = config
-        source = GenerativeProfileSource(spec=config.population_spec(),
-                                         tiers=config.tenant_tiers)
-        profiles = None
-        if config.arrival_mode == ARRIVAL_STREAMED:
-            if config.grammar is not None:
-                queries = _compiled_queries(config)
-                self.envelope = ArrivalEnvelope.of(queries)
-            else:
-                generator = WorkloadGenerator(config.workload_spec())
-                queries = generator.iter_queries()
-                self.envelope = generator.arrival_envelope()
-            self.population = TenantPopulation(source.spec).stream(
-                queries, source=source)
-            self._arrivals = self.population
-        else:
-            self.population = build_population(config)
-            profiles = self.population.profiles
-            self.envelope = ArrivalEnvelope.of(self.population.queries)
-            self._arrivals = arrival_stream(self.population.queries,
-                                            self.population.lifecycle)
+        arrivals = cell_arrivals(config)
+        self.envelope = arrivals.envelope
+        self.population = arrivals.population
+        self._arrivals = arrivals.items
         system = CloudSystem()
         self.registry: Optional[TenantRegistry] = None
         if config.scheme == "bypass":
             self.scheme = system.scheme(config.scheme)
         else:
-            self.registry = registry_factory(profiles, source)
+            self.registry = registry_factory(arrivals.source)
             self.scheme = system.scheme(
                 config.scheme, economic_config=EconomicSchemeConfig(
                     economy=EconomyConfig(
@@ -385,9 +370,15 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
                 for config in cells]
     if worker_count == 1 or len(cells) == 1:
         return [run_tenant_cell(config) for config in cells]
-    with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(cells))) as executor:
-        return list(executor.map(run_tenant_cell, cells))
+    return map_naming_failures(run_tenant_cell, cells, worker_count,
+                               cell_label, ExperimentError)
+
+
+def cell_label(config: TenantExperimentConfig) -> str:
+    """How a failure names a cell: its scheme and config hash."""
+    from repro.obs.manifest import config_hash
+
+    return f"tenant cell {config.scheme}, cell config {config_hash(config)}"
 
 
 # -- tables --------------------------------------------------------------------

@@ -287,13 +287,9 @@ class MetricsSampler:
             if registry is not None:
                 gauges["wallet_credit"] = registry.total_credit()
                 gauges["wallet_charged"] = registry.total_charged()
-                live = getattr(registry, "live_tenant_count", None)
-                if live is not None:
-                    gauges["live_tenants"] = live()
-                materialized = getattr(
-                    registry, "materialized_tenant_count", None)
-                if materialized is not None:
-                    gauges["materialized_tenants"] = materialized()
+                gauges["live_tenants"] = registry.live_tenant_count()
+                gauges["materialized_tenants"] = (
+                    registry.materialized_tenant_count())
         if self._rss:
             rss = peak_rss_bytes()
             if rss is not None:

@@ -22,11 +22,11 @@ that escaped, which keeps its type.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
-from repro.errors import ShardingError, call_naming_failures
+from repro.errors import (ShardingError, call_naming_failures,
+                          map_naming_failures)
 from repro.experiments.tenants import TenantExperimentConfig
 from repro.obs.manifest import config_hash
 from repro.sharding.merge import ShardMergeReport, merge_shard_results
@@ -127,18 +127,15 @@ class ShardCoordinator:
     def _execute(self, tasks: List[ShardTask]) -> List[ShardResult]:
         workers = min(self._plan.max_workers, len(tasks))
         if workers == 1:
-            return [_checked(task, run_shard, task) for task in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [_checked(task, executor.submit, run_shard, task)
-                       for task in tasks]
-            return [_checked(task, future.result)
-                    for task, future in zip(tasks, futures)]
+            return [call_naming_failures(lambda: _shard_label(task),
+                                         ShardingError, run_shard, task)
+                    for task in tasks]
+        return map_naming_failures(run_shard, tasks, workers, _shard_label,
+                                   ShardingError)
 
 
-def _checked(task: ShardTask, fn: Callable, *args):
-    """``fn(*args)``; a failure names the shard and its cell's config hash
+def _shard_label(task: ShardTask) -> str:
+    """How a failure names a shard: its index and its cell's config hash
     (see :func:`~repro.errors.call_naming_failures`)."""
-    return call_naming_failures(
-        lambda: (f"tenant shard {task.shard_index} of {task.shard_count}, "
-                 f"cell config {config_hash(task.config)}"),
-        ShardingError, fn, *args)
+    return (f"tenant shard {task.shard_index} of {task.shard_count}, "
+            f"cell config {config_hash(task.config)}")

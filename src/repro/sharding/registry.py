@@ -11,11 +11,11 @@ state. A wallet balance is pure accounting output; it cannot change which
 plan wins a negotiation.
 
 :class:`ShardScopedRegistry` is a
-:class:`~repro.economy.tenancy.GenerativeTenantRegistry` whose ownership
-hook is the shared partitioner, so it answers the engine's hooks in two
-modes:
+:class:`~repro.economy.tenancy.TenantRegistry` over the population's
+generative profile source whose ownership hook is the shared partitioner,
+so it answers the engine's hooks in two modes:
 
-* **owned tenant** — exactly the generative registry's behaviour: state
+* **owned tenant** — exactly the registry's population behaviour: state
   mints at arrival, materialises at first query, and drops back to (at
   most) two floats at churn.
 * **foreign tenant** — the *decision-relevant* part is replicated bitwise
@@ -37,8 +37,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.economy.budget import BudgetFunction
-from repro.economy.tenancy import (GenerativeTenantRegistry, TenantProfile,
-                                   TenantRegistry, TenantState)
+from repro.economy.tenancy import TenantProfile, TenantRegistry, TenantState
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError, ShardingError
 from repro.sharding.partition import TenantPartitioner
@@ -46,8 +45,8 @@ from repro.workload.population import GenerativeProfileSource
 from repro.workload.query import Query
 
 
-class ShardScopedRegistry(GenerativeTenantRegistry):
-    """A :class:`GenerativeTenantRegistry` scoped to one shard.
+class ShardScopedRegistry(TenantRegistry):
+    """A generative :class:`TenantRegistry` scoped to one shard.
 
     Args:
         source: the pure profile derivation shared by all shards.
@@ -174,7 +173,7 @@ class ShardScopedRegistry(GenerativeTenantRegistry):
                    default_model: UserModel) -> BudgetFunction:
         """The issuing tenant's budget, identical on every shard.
 
-        For owned tenants this is the generative registry's budget. For
+        For owned tenants this is the registry's own budget. For
         foreign tenants the same curve is derived from the *generative*
         profile — a pure function of the population seed and the tenant's
         index — without touching any mutable state. Ids at or beyond the
@@ -240,12 +239,3 @@ class ShardScopedRegistry(GenerativeTenantRegistry):
                 index = base + self._adhoc_index[tenant_id]
             entries.append((index, tenant_id, credit))
         return tuple(entries)
-
-    def owned_initial_credit(self) -> float:
-        """Seed credit of every owned tenant minted over the whole run."""
-        return self.seed_credit()
-
-    def owned_seed_credit(self) -> float:
-        """Owned seed credit minted *so far* — the per-barrier conserved
-        input, which grows with arrivals."""
-        return self.seed_credit()

@@ -127,7 +127,7 @@ class SettlementCheckpointRecorder:
             provider_query_payments=payments,
             owned_wallet_credit=self._registry.total_credit(),
             owned_charged=self._registry.total_charged(),
-            owned_seed_credit=self._registry.owned_seed_credit(),
+            owned_seed_credit=self._registry.seed_credit(),
         )
 
 
@@ -194,7 +194,7 @@ class ShardWorker:
         if registry is not None:
             wallets = registry.owned_wallets()
             owned_count = len(registry)
-            owned_seed = registry.owned_initial_credit()
+            owned_seed = registry.seed_credit()
             foreign_charged = registry.foreign_charged
 
         return ShardResult(
@@ -214,9 +214,8 @@ class ShardWorker:
             metrics=metrics,
         )
 
-    def _registry(self, profiles, source) -> ShardScopedRegistry:
-        """The shard's registry, in either arrival mode: owned tenants
-        derive from the generative source, so ``profiles`` is not read."""
+    def _registry(self, source) -> ShardScopedRegistry:
+        """The shard's registry: owned tenants derive from the source."""
         return ShardScopedRegistry(source, self._partitioner,
                                    self._task.shard_index)
 

@@ -30,7 +30,7 @@ derives any tenant's static profile purely from ``(population seed,
 tenant index)`` — no RNG stream is shared with the query-assignment
 draws — which is what lets a registry materialise a profile at first
 arrival instead of holding the whole population (see
-:class:`~repro.economy.tenancy.GenerativeTenantRegistry`).
+:class:`~repro.economy.tenancy.TenantRegistry`).
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ class PopulationStream:
             Only consulted through ``on_profile`` — query assignment
             itself needs ids, not profiles.
         on_profile: optional callback invoked with each freshly minted
-            tenant's profile (the eager path collects them; the streamed
-            registry path passes ``None`` and derives on demand).
+            tenant's profile (:meth:`TenantPopulation.populate` collects
+            them; a cell passes ``None``, its registry derives on demand).
         chunk_size: upper bound on queries per vectorized draw.
     """
 

@@ -28,6 +28,7 @@ from repro.distcache import (
 )
 from repro.errors import DistCacheError
 from repro.experiments.tenants import TenantExperimentConfig
+from repro.workload.population import GenerativeProfileSource
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.distcache.PartitionImbalanceWarning")
@@ -296,7 +297,8 @@ class TestHashModeRegression:
         from repro.distcache import DistCacheRunner
 
         runner = DistCacheRunner(2, compare_baseline=False)
-        schemes = runner._build_schemes(CONFIG, profiles=())
+        source = GenerativeProfileSource(spec=CONFIG.population_spec())
+        schemes = runner._build_schemes(CONFIG, source)
         for scheme in schemes:
             engine = scheme.engine
             assert engine._record_bids is False

@@ -163,6 +163,52 @@ class TestCreditConservation:
         )
 
 
+class TestWalletMergeAcrossChurn:
+    """A wallet churn drops and rematerialises keeps its charged total as
+    the left fold a never-dropped wallet gives, so the partition merge
+    (``seed - sum of charged totals``) does not drift."""
+
+    SEED = 50.0
+    #: Per partition: charged, dropped at churn, rematerialised, charged.
+    CHARGES = ((0.1, 0.2, 0.3), (0.7, 1.1, 2.3))
+
+    def test_charged_total_and_merged_balance_are_bitwise_eager(self):
+        from repro.distcache.merge import merged_wallets
+        from repro.workload.population import (GenerativeProfileSource,
+                                               PopulationSpec)
+
+        source = GenerativeProfileSource(PopulationSpec(
+            tenant_count=1, initial_credit=self.SEED))
+        registries = []
+        eager_charged = []
+        for before, after, again in self.CHARGES:
+            registry = TenantRegistry(source)
+            registry.activate("t00000", now=0.0)
+            registry.charge("t00000", before, now=1.0)
+            registry.charge("t00000", after, now=2.0)
+            assert registry.deactivate("t00000", now=3.0) is not None
+            assert registry.materialized_tenant_count() == 0
+            registry.activate("t00000", now=4.0)
+            registry.charge("t00000", again, now=5.0)
+            registries.append(registry)
+            # The eager reference: one wallet that is never dropped.
+            wallet = CloudAccount(initial_credit=self.SEED,
+                                  allow_negative=True)
+            for amount in (before, after, again):
+                wallet.withdraw(amount, 0.0, "tenant_charge")
+            eager_charged.append(wallet.total_withdrawn())
+            assert registry.wallet_books()["t00000"].charged \
+                == wallet.total_withdrawn()
+        # The rematerialised ledger replays the history as one withdrawal,
+        # so its own sum is not the eager one: only the carried fold is.
+        replayed = registries[0].state("t00000").account.total_withdrawn()
+        assert replayed != eager_charged[0]
+
+        merged = dict(merged_wallets(registries, steps=()))
+        assert merged["t00000"] == \
+            self.SEED - (0.0 + eager_charged[0] + eager_charged[1])
+
+
 class TestEngineTenantIsolation:
     @pytest.fixture
     def registry(self):

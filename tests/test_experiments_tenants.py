@@ -7,7 +7,7 @@ from repro.errors import ExperimentError
 from repro.experiments.reporting import distribution_cells
 from repro.experiments.tenants import (
     TenantExperimentConfig,
-    build_population,
+    cell_arrivals,
     run_tenant_cell,
     run_tenant_experiment,
     tenant_aggregate_table,
@@ -52,7 +52,8 @@ class TestRunCell:
 
     def test_population_is_deterministic(self):
         config = TenantExperimentConfig(**QUICK)
-        assert build_population(config) == build_population(config)
+        assert list(cell_arrivals(config).items) \
+            == list(cell_arrivals(config).items)
 
 
 class TestParallelism:

@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.errors import ShardingError, WorkloadError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
-    build_population,
+    cell_arrivals,
     run_tenant_cell,
     run_tenant_experiment,
     tenant_aggregate_table,
@@ -153,7 +153,8 @@ class TestShardScopedRegistry:
         profiles = [source.profile_for(i) for i in range(8)]
         assert len({p.budget_multiplier for p in profiles}) > 1
         base = TenantRegistry()
-        base.register_all(profiles)
+        for profile in profiles:
+            base.register(profile)
         model = UserModel()
         partitioner = TenantPartitioner(2)
         for shard in (0, 1):
@@ -195,7 +196,8 @@ class TestShardScopedRegistry:
         source = GenerativeProfileSource(spec=spec)
         partitioner = TenantPartitioner(2)
         base = TenantRegistry()
-        base.register_all(source.profile_for(i) for i in range(4))
+        for index in range(4):
+            base.register(source.profile_for(index))
         scoped = [ShardScopedRegistry(source, partitioner, shard)
                   for shard in (0, 1)]
         assert partitioner.shard_of("zeta") != partitioner.shard_of("alpha")
@@ -220,7 +222,7 @@ class TestShardScopedRegistry:
         source = GenerativeProfileSource(spec=spec)
         partitioner = TenantPartitioner(2)
         base = TenantRegistry()
-        base.register_all([source.profile_for(0)])
+        base.register(source.profile_for(0))
         scoped = [ShardScopedRegistry(source, partitioner, shard)
                   for shard in (0, 1)]
         for registry in scoped:
@@ -245,7 +247,8 @@ class TestWorkerAndMerge:
         owned_ids = [tenant_id for result in results
                      for _, tenant_id, _ in result.wallets]
         assert len(owned_ids) == len(set(owned_ids))
-        assert len(owned_ids) == build_population(config).tenant_count
+        population = cell_arrivals(config).population
+        assert len(owned_ids) == population.tenant_count
         # The replicated summary agrees bitwise on every shard.
         assert results[0].summary == results[1].summary == results[2].summary
 

@@ -55,11 +55,11 @@ class TestEconomyStatePickles:
 
     def test_tenant_registry_with_charges_and_regret(self):
         registry = TenantRegistry()
-        registry.register_all([
-            TenantProfile("alice", initial_credit=10.0,
-                          user_model=UserModel(budget_factor=1.5)),
-            TenantProfile("bob", initial_credit=5.0, budget_multiplier=2.0),
-        ])
+        registry.register(TenantProfile(
+            "alice", initial_credit=10.0,
+            user_model=UserModel(budget_factor=1.5)))
+        registry.register(TenantProfile(
+            "bob", initial_credit=5.0, budget_multiplier=2.0))
         registry.charge("alice", 4.0, now=1.0, note="q7")
         registry.record_regret("bob", [CachedColumn("orders", "o_custkey")],
                                3.0)

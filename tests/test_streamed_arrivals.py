@@ -14,11 +14,7 @@ Pins the two contracts the bounded-memory path rests on:
 
 import pytest
 
-from repro.economy.tenancy import (
-    GenerativeTenantRegistry,
-    TenantProfile,
-    TenantRegistry,
-)
+from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError, ExperimentError, SimulationError, \
     WorkloadError
@@ -215,12 +211,13 @@ class TestPopulationStream:
 
 
 class TestGenerativeTenantRegistry:
+    """A :class:`TenantRegistry` over a generative profile source."""
+
     SPEC = PopulationSpec(tenant_count=6, initial_credit=10.0,
                           budget_sigma=0.4, seed=11)
 
     def _registry(self):
-        return GenerativeTenantRegistry(
-            GenerativeProfileSource(spec=self.SPEC))
+        return TenantRegistry(GenerativeProfileSource(spec=self.SPEC))
 
     def test_arrivals_mint_no_state(self):
         registry = self._registry()
@@ -533,7 +530,7 @@ class TestBoundedMaterialization:
         cell = TenantCell(config)
         cell.run()
         registry, stream = cell.registry, cell.population
-        assert isinstance(registry, GenerativeTenantRegistry)
+        assert registry.source is not None
 
         assert stream.tenants_minted > spec.tenant_count  # churn happened
         # Live tenants never exceed the concurrent population, and the
@@ -658,22 +655,33 @@ class TestStreamedModeCoverage:
 
     def test_audited_shock_cell_streams(self, monkeypatch):
         # Regression: the audited cell used to build the eager population
-        # unconditionally, so a streamed config silently ran eager.
+        # unconditionally, so a streamed config silently ran eager. The
+        # kernel must receive the population stream itself, unread.
         from repro.experiments import tenants
         from repro.experiments.shocks import audited_shock_cell
         from repro.workload.grammar import parse_shock
+        from repro.workload.population import PopulationStream
 
         base = dict(QUICK, scheme="econ-cheap",
                     shocks=(parse_shock("price@0.4:0.3:1.6"),))
         eager_cell, eager_audit = audited_shock_cell(
             TenantExperimentConfig(arrival_mode=ARRIVAL_EAGER, **base))
 
-        def no_population(config):
-            raise AssertionError("a streamed cell materialised its population")
+        handed = []
+        run = tenants._run_tenants
 
-        monkeypatch.setattr(tenants, "build_population", no_population)
+        def spy(schemes, arrivals, *args, **kwargs):
+            handed.append((arrivals, getattr(arrivals, "queries_emitted",
+                                             None)))
+            return run(schemes, arrivals, *args, **kwargs)
+
+        monkeypatch.setattr(tenants, "_run_tenants", spy)
         cell, audit = audited_shock_cell(
             TenantExperimentConfig(arrival_mode=ARRIVAL_STREAMED, **base))
+        [(arrivals, emitted_at_start)] = handed
+        assert isinstance(arrivals, PopulationStream)
+        assert emitted_at_start == 0
+        assert arrivals.queries_emitted == QUICK["query_count"]
         assert audit is not None and audit.exact
         assert audit.query_payments == eager_audit.query_payments
         assert _rendered(cell) == _rendered(eager_cell)
@@ -721,7 +729,7 @@ class TestStreamedModeCoverage:
         # fail the audit, although it is no longer held at the end.
         from repro.experiments.shocks import audited_shock_cell
 
-        deactivate = GenerativeTenantRegistry.deactivate
+        deactivate = TenantRegistry.deactivate
         nudged = []
 
         def nudge_then_churn(self, tenant_id, now=0.0):
@@ -732,7 +740,7 @@ class TestStreamedModeCoverage:
                 nudged.append(tenant_id)
             return deactivate(self, tenant_id, now=now)
 
-        monkeypatch.setattr(GenerativeTenantRegistry, "deactivate",
+        monkeypatch.setattr(TenantRegistry, "deactivate",
                             nudge_then_churn)
         _, audit = audited_shock_cell(
             self._stock_shock_config(ARRIVAL_STREAMED))
@@ -740,22 +748,57 @@ class TestStreamedModeCoverage:
         assert not audit.exact
         assert audit.wallet_ledger_mismatches == 1
 
-    def test_partitioned_runner_rejects_streamed_configs(self):
-        # Regression: the runner used to build the eager population and
-        # run a streamed config eagerly without a word.
-        from repro.distcache import DistCacheRunner
-        from repro.errors import DistCacheError
-
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        arrival_mode=ARRIVAL_STREAMED,
-                                        **QUICK)
-        with pytest.raises(DistCacheError, match="streamed"):
-            DistCacheRunner(2, compare_baseline=False).run_cell(config)
-
-    def test_cli_streamed_partitions_exit_2(self, capsys):
+    def test_cli_streamed_partitions_match_eager(self, capsys):
         from repro.cli import main
 
-        assert main(["tenants", "--n-tenants", "5", "--queries", "20",
-                     "--schemes", "econ-cheap", "--arrival-mode", "streamed",
-                     "--cache-partitions", "2"]) == 2
-        assert "streamed" in capsys.readouterr().err
+        args = ["tenants", "--n-tenants", "12", "--queries", "60",
+                "--schemes", "econ-cheap", "--settlement-period", "60",
+                "--churn-period", "15", "--cache-partitions", "2"]
+        assert main(args) == 0
+        eager = capsys.readouterr().out
+        assert main(args + ["--arrival-mode", "streamed"]) == 0
+        assert capsys.readouterr().out == eager
+
+
+@pytest.mark.filterwarnings(
+    "ignore::repro.distcache.PartitionImbalanceWarning")
+class TestPartitionedStreamedParity:
+    """``--cache-partitions 2`` tables are byte-identical between eager
+    and streamed arrivals: both read one population stream into the same
+    per-partition registries.
+
+    Adaptive placement under batched planning is left out: it diverges
+    from scalar planning in either arrival mode (a known divergence,
+    pinned by the end-to-end benchmark's strict xfail).
+    """
+
+    @staticmethod
+    def _partitioned(arrival_mode, placement, planning):
+        from repro.distcache import run_partitioned_cell
+        from repro.workload.grammar import default_shock_grammar
+
+        grammar = default_shock_grammar()
+        config = TenantExperimentConfig(
+            scheme="econ-cheap", tenant_count=16, query_count=120,
+            interarrival_s=5.0, seed=4, churn_period=30,
+            churn_fraction=0.25, budget_sigma=0.4,
+            settlement_period_s=90.0, planning=planning,
+            shocks=grammar.shocks, tenant_tiers=grammar.tiers,
+            grammar=grammar, arrival_mode=arrival_mode)
+        report = run_partitioned_cell(config, partitions=2,
+                                      compare_baseline=False,
+                                      placement=placement)
+        return report, _rendered(report.cell)
+
+    @pytest.mark.parametrize("placement,planning", [
+        ("hash", "scalar"), ("hash", "batched"), ("adaptive", "scalar")])
+    def test_tables_match_eager(self, placement, planning):
+        eager, eager_tables = self._partitioned(ARRIVAL_EAGER, placement,
+                                                planning)
+        streamed, streamed_tables = self._partitioned(ARRIVAL_STREAMED,
+                                                      placement, planning)
+        assert streamed.cell.population_size > 16  # churn happened
+        assert streamed_tables == eager_tables
+        assert streamed.cell.summary == eager.cell.summary
+        assert streamed.checkpoints == eager.checkpoints
+        assert streamed.handoffs == eager.handoffs

@@ -110,7 +110,8 @@ class TestSimulationIntegration:
             tenant_count=10, churn_period=50, churn_fraction=0.2,
             initial_credit=20.0, seed=4)).populate(base_workload)
         registry = TenantRegistry()
-        registry.register_all(populated.profiles)
+        for profile in populated.profiles:
+            registry.register(profile)
         scheme = system.scheme(
             "econ-cheap", economic_config=EconomicSchemeConfig(tenants=registry)
         )
