@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import sys
 import time
@@ -155,6 +156,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """Argparse type for the float flags: a finite float (NaN fails every
+    range check, so ``nan`` would otherwise run with the flag ignored)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     """Argparse type for ``--handoff-threshold``: a float >= 0.
 
@@ -238,15 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="caching scheme (default: econ-cheap)")
     scenario.add_argument("--queries", type=int, default=400,
                           help="queries to simulate (default: 400)")
-    scenario.add_argument("--interarrival", type=float, default=10.0,
+    scenario.add_argument("--interarrival", type=_finite_float, default=10.0,
                           help="mean inter-arrival time in seconds (default: 10)")
     scenario.add_argument("--seed", type=int, default=0,
                           help="workload seed (default: 0)")
-    scenario.add_argument("--settlement-period", type=float, default=None,
+    scenario.add_argument("--settlement-period", type=_finite_float, default=None,
                           metavar="S",
                           help="fire a periodic maintenance settlement every "
                                "S simulated seconds")
-    scenario.add_argument("--failure-check-period", type=float, default=None,
+    scenario.add_argument("--failure-check-period", type=_finite_float, default=None,
                           metavar="S",
                           help="fire a scheduled structure-failure check every "
                                "S simulated seconds")
@@ -278,31 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: econ-cheap)")
     tenants.add_argument("--queries", type=int, default=400,
                          help="queries to simulate (default: 400)")
-    tenants.add_argument("--interarrival", type=float, default=10.0,
+    tenants.add_argument("--interarrival", type=_finite_float, default=10.0,
                          help="mean inter-arrival time in seconds (default: 10)")
     tenants.add_argument("--seed", type=int, default=0,
                          help="workload/population seed (default: 0)")
-    tenants.add_argument("--zipf", type=float, default=1.1, metavar="S",
+    tenants.add_argument("--zipf", type=_finite_float, default=1.1, metavar="S",
                          help="Zipf exponent of tenant activity (default: 1.1; "
                               "0 = uniform)")
-    tenants.add_argument("--initial-credit", type=float, default=50.0,
+    tenants.add_argument("--initial-credit", type=_finite_float, default=50.0,
                          metavar="D",
                          help="seed credit of every tenant wallet (default: 50)")
-    tenants.add_argument("--budget-sigma", type=float, default=0.0,
+    tenants.add_argument("--budget-sigma", type=_finite_float, default=0.0,
                          metavar="SIGMA",
                          help="lognormal sigma of per-tenant budget "
                               "multipliers (default: 0, uniform budgets)")
     tenants.add_argument("--churn-period", type=int, default=0, metavar="Q",
                          help="replace part of the population every Q queries "
                               "(default: 0, no churn)")
-    tenants.add_argument("--churn-fraction", type=float, default=0.1,
+    tenants.add_argument("--churn-fraction", type=_finite_float, default=0.1,
                          metavar="F",
                          help="fraction of tenants replaced per churn wave "
                               "(default: 0.1)")
     tenants.add_argument("--top", type=int, default=10, metavar="K",
                          help="busiest tenants to list individually "
                               "(default: 10)")
-    tenants.add_argument("--settlement-period", type=float, default=None,
+    tenants.add_argument("--settlement-period", type=_finite_float, default=None,
                          metavar="S",
                          help="fire a periodic maintenance settlement every "
                               "S simulated seconds (each one is a sharding "
@@ -377,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tenants active at any one time (default: 50)")
     shocks.add_argument("--queries", type=int, default=400,
                         help="queries to simulate (default: 400)")
-    shocks.add_argument("--interarrival", type=float, default=10.0,
+    shocks.add_argument("--interarrival", type=_finite_float, default=10.0,
                         help="mean inter-arrival time in seconds "
                              "(default: 10)")
     shocks.add_argument("--seed", type=int, default=0,
                         help="grammar/workload/population seed (default: 0)")
-    shocks.add_argument("--settlement-period", type=float, default=None,
+    shocks.add_argument("--settlement-period", type=_finite_float, default=None,
                         metavar="S",
                         help="fire a periodic maintenance settlement every "
                              "S simulated seconds (strict maintenance "
@@ -606,13 +619,11 @@ def _scenario_command(args: argparse.Namespace,
     if engine is not None:
         # The same bitwise identity the shocks command audits: provider
         # query-payment deposits fold to exactly the charged total.
-        from repro.economy.account import CloudAccount
+        from repro.economy.account import (outcome_charge_fold,
+                                           query_payment_fold)
 
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = 0.0
-        for outcome in engine.outcomes:
-            charged += outcome.charge
+        banked = query_payment_fold(engine.account)
+        charged = outcome_charge_fold(engine.outcomes)
         rows.append(["conservation",
                      "exact" if banked == charged
                      else f"VIOLATED ({banked!r} != {charged!r})"])

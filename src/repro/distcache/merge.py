@@ -31,7 +31,11 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.distcache.engine import PartitionedEconomyEngine
-from repro.economy.account import CloudAccount, ledger_fold
+from repro.economy.account import (
+    ledger_fold,
+    outcome_charge_fold,
+    query_payment_fold,
+)
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
@@ -74,19 +78,6 @@ class PartitionCheckpoint:
         return total
 
 
-def outcome_charge_fold(engine: PartitionedEconomyEngine) -> float:
-    """Fold of the partition's per-query charges, in processing order.
-
-    Mirrors the provider sub-account's ``query_payment`` deposits one to
-    one: the engine deposits exactly ``outcome.charge`` per query, in the
-    same order, so the two folds add the same floats in the same order.
-    """
-    total = 0.0
-    for outcome in engine.outcomes:
-        total += outcome.charge
-    return total
-
-
 def verify_subaccount_integrity(
         engines: Sequence[PartitionedEconomyEngine]) -> None:
     """Every sub-account's credit must fold bitwise from its own ledger."""
@@ -118,9 +109,8 @@ def verify_payment_conservation(
     payments: List[float] = []
     charges: List[float] = []
     for engine in engines:
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = outcome_charge_fold(engine)
+        banked = query_payment_fold(engine.account)
+        charged = outcome_charge_fold(engine.outcomes)
         if banked != charged:
             raise DistCacheError(
                 f"payment conservation violated on partition "

@@ -5,9 +5,10 @@ One partitioned cell run executes like this::
     route queries by template  ->  partition 0 .. N-1 substreams
     for each epoch (settlement barrier to settlement barrier):
         every partition, in the process that holds it, folds in the
-        previous barrier's outputs, replays its substream slice against
-        its OWN PartitionedCacheManager + provider sub-account, audits
-        its sub-account, and reports its barrier state
+        previous barrier's outputs, runs its substream slice and the
+        epoch's shocks on a SimulationKernel against its OWN
+        PartitionedCacheManager + provider sub-account, settles at the
+        barrier, audits its sub-account, and reports its barrier state
         at the barrier, in this process:
             [adaptive placement] record the drained benefit bids, decide
             the ownership handoffs, and move each handed-off entry with
@@ -41,12 +42,11 @@ divergence report against the global-cache baseline and documented in
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -70,7 +70,7 @@ from repro.distcache.placement import (
     HandoffRecord,
     PlacementPolicy,
 )
-from repro.economy.account import CloudAccount
+from repro.economy.account import query_payment_fold
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError, call_naming_failures
@@ -82,50 +82,20 @@ from repro.experiments.tenants import (
 )
 from repro.policies.base import CachingScheme, SchemeStep
 from repro.policies.economic import EconomicSchemeConfig
-from repro.simulator.events import (
-    ProviderPriceShockEvent,
-    StructureInvalidationEvent,
-    TenantBudgetSqueezeEvent,
-)
+from repro.simulator.events import Event, MaintenanceSettlementEvent
+from repro.simulator.handlers import SchemeTenant
+from repro.simulator.kernel import SimulationKernel
 from repro.simulator.metrics import MetricsSummary
+from repro.simulator.streaming import (
+    Arrival,
+    StreamingArrivalSource,
+    dispatch_key,
+)
 from repro.structures.base import CacheStructure
 from repro.system import CloudSystem
 from repro.workload.grammar import compile_shock_events_for_span
-from repro.workload.population import (
-    GenerativeProfileSource,
-    TenantLifecycleMarker,
-)
+from repro.workload.population import GenerativeProfileSource
 from repro.workload.query import Query
-
-#: Event-order ranks mirroring :mod:`repro.simulator.events`: at one
-#: instant, lifecycle markers apply before the barrier settles, the
-#: barrier settles before simultaneous market shocks land, and shocks
-#: land before simultaneous queries run.
-_PRIORITY_ARRIVAL = 4
-_PRIORITY_CHURN = 6
-_PRIORITY_BARRIER = 10
-_PRIORITY_INVALIDATION = 12
-_PRIORITY_PRICE_SHOCK = 14
-_PRIORITY_SQUEEZE = 16
-_PRIORITY_QUERY = 30
-
-#: The rank of each market-shock event type.
-_SHOCK_RANKS = {
-    StructureInvalidationEvent: _PRIORITY_INVALIDATION,
-    ProviderPriceShockEvent: _PRIORITY_PRICE_SHOCK,
-    TenantBudgetSqueezeEvent: _PRIORITY_SQUEEZE,
-}
-
-#: A dispatch-ordered item: ``(time, rank, payload)``.
-RankedItem = Tuple[float, int, object]
-
-
-def _ranked(item: Union[Query, TenantLifecycleMarker]) -> RankedItem:
-    if isinstance(item, TenantLifecycleMarker):
-        rank = (_PRIORITY_ARRIVAL if item.kind == "arrival"
-                else _PRIORITY_CHURN)
-        return item.time_s, rank, item
-    return item.arrival_time, _PRIORITY_QUERY, item
 
 #: A resident partition's store key: ``(run id, partition index)``.
 ResidentKey = Tuple[int, int]
@@ -169,15 +139,20 @@ class BarrierOutputs:
 class PartitionEpochTask:
     """Everything one resident partition needs to replay one epoch.
 
-    ``scheme`` is set on a partition's first task only; it becomes the
-    resident state stored under ``resident_key``.
+    The epoch runs from ``start_s`` (the previous barrier, or the cell's
+    first arrival) to the barrier at ``settle_to_s``. ``arrivals`` are the
+    partition's queries plus every lifecycle marker, in stream order;
+    ``shocks`` are the epoch's market-shock events. ``scheme`` is set on
+    a partition's first task only; it becomes the resident state stored
+    under ``resident_key``.
     """
 
     resident_key: ResidentKey
     epoch: int
-    items: Tuple[Tuple[int, object], ...]
+    start_s: float
     settle_to_s: float
-    last_settled_s: float
+    arrivals: Tuple[Arrival, ...]
+    shocks: Tuple[Event, ...]
     inbound: BarrierOutputs = BarrierOutputs()
     scheme: Optional[CachingScheme] = None
 
@@ -212,7 +187,6 @@ class PartitionEpochResult:
 
     steps: Tuple[SchemeStep, ...]
     maintenance: Tuple[Tuple[float, float], ...]
-    last_settled_s: float
     report: BarrierReport
     eviction_losses: Tuple[float, ...] = ()
 
@@ -374,8 +348,7 @@ def _sample_partition(scheme: CachingScheme,
     collector.sample(
         time_s=time_s, epoch=epoch, final=final,
         provider_credit=engine.account.credit,
-        query_payments=engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0),
+        query_payments=query_payment_fold(engine.account),
         wallet_credit=scheme.tenant_registry.total_credit(),
         remote_hits=engine.remote_hits,
         remote_surcharge_dollars=engine.remote_dollars,
@@ -398,12 +371,36 @@ def _barrier_report(engine: PartitionedEconomyEngine) -> BarrierReport:
     )
 
 
+class _EpochLog:
+    """What a partition epoch's :class:`SchemeTenant` records, through the
+    three calls it makes on a ``MetricsCollector``. Records stay raw: the
+    merge folds maintenance record by record across partitions, so
+    per-partition subtotals would change its bits."""
+
+    def __init__(self) -> None:
+        self.steps: List[SchemeStep] = []
+        self.maintenance: List[Tuple[float, float]] = []
+        self.eviction_losses: List[float] = []
+
+    def record_step(self, step: SchemeStep) -> None:
+        self.steps.append(step)
+
+    def record_maintenance(self, dollars: float, elapsed_s: float) -> None:
+        self.maintenance.append((dollars, elapsed_s))
+
+    def record_kernel_evictions(self, records, loss_of) -> None:
+        self.eviction_losses.extend(loss_of(record) for record in records)
+
+
 def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     """Replay one partition's slice of one epoch where the partition lives.
 
-    Items carry the same instant-ordering ranks the simulation kernel
-    uses, so maintenance settles at exactly the instants — and in exactly
-    the order — the unpartitioned event loop would settle at.
+    The slice runs on a :class:`SimulationKernel` through the same
+    :class:`SchemeTenant` handlers as the unpartitioned run, and closes
+    with a :class:`MaintenanceSettlementEvent` at the barrier, so
+    maintenance settles, and strict maintenance shuts structures down, at
+    exactly the instants and in exactly the order the unpartitioned run
+    would.
     """
     if not isinstance(task, PartitionEpochTask):
         raise DistCacheError(
@@ -412,65 +409,24 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
         _RESIDENT[task.resident_key] = task.scheme
     scheme = _resident(task.resident_key)
     _apply_barrier_outputs(scheme, task.inbound)
-    registry = scheme.tenant_registry
-    steps: List[SchemeStep] = []
-    maintenance: List[Tuple[float, float]] = []
-    eviction_losses: List[float] = []
-    last_settled_s = task.last_settled_s
     # Batched planners score the whole epoch slice in one vectorized pass;
     # scalar schemes ignore the priming (see CachingScheme.prime_workload).
     scheme.prime_workload(tuple(
-        payload for rank, payload in task.items if rank == _PRIORITY_QUERY
-    ))
-
-    def settle(now: float) -> None:
-        nonlocal last_settled_s
-        elapsed = now - last_settled_s
-        last_settled_s = max(last_settled_s, now)
-        if elapsed <= 0:
-            return
-        maintenance.append((scheme.maintenance_rate() * elapsed, elapsed))
-
-    for rank, payload in task.items:
-        if rank == _PRIORITY_QUERY:
-            settle(payload.arrival_time)
-            steps.append(scheme.process(payload))
-        elif rank == _PRIORITY_ARRIVAL:
-            if registry is not None:
-                registry.activate(payload.tenant_id, now=payload.time_s)
-        elif rank == _PRIORITY_CHURN:
-            if registry is not None:
-                registry.deactivate(payload.tenant_id, now=payload.time_s)
-        elif rank == _PRIORITY_INVALIDATION:
-            # Maintenance settles at pre-fault rates first, mirroring the
-            # kernel's settle-at-every-event contract. The partition only
-            # holds (and therefore only destroys) its own structures; the
-            # loss propagates to the directory at the next barrier.
-            settle(payload.time_s)
-            records = scheme.apply_invalidation(payload.predicate,
-                                                payload.time_s)
-            eviction_losses.extend(
-                scheme.eviction_loss(record) for record in records)
-        elif rank == _PRIORITY_PRICE_SHOCK:
-            settle(payload.time_s)
-            scheme.apply_price_shock(payload.factor, payload.time_s)
-        elif rank == _PRIORITY_SQUEEZE:
-            settle(payload.time_s)
-            scheme.apply_budget_squeeze(payload.factor, payload.time_s)
-        else:
-            raise DistCacheError(f"unknown epoch item rank {rank}")
-    settle(task.settle_to_s)
-    # The barrier doubles as the settlement event: strict-maintenance
-    # shutdown priorities run here, exactly like SchemeTenant.on_settlement.
-    records = scheme.enforce_maintenance(task.settle_to_s)
-    eviction_losses.extend(
-        scheme.eviction_loss(record) for record in records)
+        item for item in task.arrivals if isinstance(item, Query)))
+    kernel = SimulationKernel(start_time_s=task.start_s)
+    log = _EpochLog()
+    SchemeTenant(scheme, log, start_time_s=task.start_s).register(kernel)
+    source = StreamingArrivalSource(task.arrivals)
+    source.register(kernel)
+    kernel.schedule_all(task.shocks)
+    kernel.schedule(MaintenanceSettlementEvent(time_s=task.settle_to_s))
+    source.prime(kernel)
+    kernel.run()
     return PartitionEpochResult(
-        steps=tuple(steps),
-        maintenance=tuple(maintenance),
-        last_settled_s=last_settled_s,
+        steps=tuple(log.steps),
+        maintenance=tuple(log.maintenance),
         report=_barrier_report(_engine_of(scheme)),
-        eviction_losses=tuple(eviction_losses),
+        eviction_losses=tuple(log.eviction_losses),
     )
 
 
@@ -507,6 +463,44 @@ def _release(resident_key: ResidentKey,
     _apply_barrier_outputs(scheme, outputs)
     del _RESIDENT[resident_key]
     return scheme
+
+
+def _shock_key(event: Event) -> Tuple[float, int]:
+    return event.time_s, event.priority
+
+
+def _slices(items: Iterable, key: Callable, cuts: Sequence
+            ) -> Iterator[list]:
+    """Consecutive runs of ``items``, one per cut: the items keyed below
+    it that no earlier run took. ``items`` is read one run at a time."""
+    iterator = iter(items)
+    item = next(iterator, None)
+    for cut in cuts:
+        run = []
+        while item is not None and key(item) < cut:
+            run.append(item)
+            item = next(iterator, None)
+        yield run
+
+
+def epoch_items(arrivals: Iterable[Arrival], shocks: Iterable[Event],
+                barriers: Sequence[float]
+                ) -> Iterator[Tuple[List[Arrival], List[Event]]]:
+    """Cut the arrivals and market shocks into one epoch per barrier.
+
+    An epoch closes where its barrier's settlement dispatches in the
+    kernel, at ``(barrier, MaintenanceSettlementEvent.priority)``:
+    lifecycle markers at the barrier instant close the epoch, and shocks
+    and queries at that instant open the next one. The last barrier
+    closes the run, so its epoch takes everything left. ``arrivals`` must
+    already be in dispatch order (a population stream is) and is read one
+    epoch at a time; ``shocks`` are sorted stably by ``(time, priority)``.
+    """
+    cuts = [(barrier, MaintenanceSettlementEvent.priority)
+            for barrier in barriers[:-1]]
+    cuts.append((math.inf, 0))
+    return zip(_slices(arrivals, dispatch_key, cuts),
+               _slices(sorted(shocks, key=_shock_key), _shock_key, cuts))
 
 
 class _PartitionHosts:
@@ -620,8 +614,8 @@ class DistCacheRunner:
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
         # Per-partition recorders live on the engines, stay resident with
         # them, and are absorbed into these collectors when the schemes
-        # come back at the end of the cell. The partitioned run has no
-        # kernel, so the barriers double as the metrics sampler: each
+        # come back at the end of the cell. The partition kernels get no
+        # observers, so the barriers double as the metrics sampler: each
         # partition samples its engine once a barrier is fully applied,
         # exactly where a kernel run's settlement observer would fire.
         self._trace = trace
@@ -692,24 +686,6 @@ class DistCacheRunner:
             ))
         return schemes
 
-    @staticmethod
-    def _dispatch_order(arrivals: Iterable, shocks: Sequence
-                        ) -> Iterator[RankedItem]:
-        """Every arrival and market shock, in the kernel's dispatch order.
-
-        The arrival stream is already in that order: time never
-        decreases, queries arrive at distinct instants, and a churn
-        wave's markers come before the query that follows them (only
-        same-instant markers of different tenants interleave, and those
-        commute). Shocks merge in by ``(time, rank)``; a shock's rank
-        sits between the markers' and the queries', so one at a busy
-        instant lands after the markers and before the query.
-        """
-        events = sorted(((event.time_s, _SHOCK_RANKS[type(event)], event)
-                         for event in shocks), key=itemgetter(0, 1))
-        return heapq.merge(map(_ranked, arrivals), events,
-                           key=itemgetter(0, 1))
-
     # -- execution -------------------------------------------------------------
 
     def run_cell(self, config: TenantExperimentConfig) -> DistCacheCellReport:
@@ -744,10 +720,6 @@ class DistCacheRunner:
                     if self._metrics is not None else None,
                 ))
         envelope = arrivals.envelope
-        ordered = self._dispatch_order(
-            arrivals.items, compile_shock_events_for_span(
-                config.shocks, envelope.start_s, envelope.last_s))
-        pending = next(ordered, None)
         start_s = envelope.start_s
         end_s = envelope.last_s + envelope.trailing_interval_s
         barriers: List[float] = []
@@ -758,11 +730,15 @@ class DistCacheRunner:
                 cut += config.settlement_period_s
         if not barriers or barriers[-1] != end_s:
             barriers.append(end_s)
+        epochs = epoch_items(
+            arrivals.items,
+            compile_shock_events_for_span(
+                config.shocks, envelope.start_s, envelope.last_s),
+            barriers)
 
         partitions = range(self.partition_count)
         run_id = next(_RUN_IDS)
         resident_keys = [(run_id, partition) for partition in partitions]
-        last_settled = [start_s] * self.partition_count
         inbound = [BarrierOutputs()] * self.partition_count
         steps: List[List[SchemeStep]] = [[] for _ in partitions]
         maintenance: List[List[Tuple[float, float]]] = [[] for _ in partitions]
@@ -776,34 +752,29 @@ class DistCacheRunner:
             resident_keys, min(self._max_workers, self.partition_count),
             config_hash(config))
         try:
-            for epoch, barrier in enumerate(barriers):
+            for epoch, (barrier, (epoch_arrivals, shocks)) in enumerate(
+                    zip(barriers, epochs)):
                 number = epoch + 1
                 is_final = epoch == len(barriers) - 1
+                epoch_start = barriers[epoch - 1] if epoch else start_s
                 # Every partition receives its routed queries plus every
                 # lifecycle marker (each registry books the whole
                 # population) and every shock (a shock hits the whole
-                # market). Interior barriers cut like the kernel's event
-                # order: a settlement outranks same-instant queries. The
-                # final barrier closes the run, so it drains everything (a
-                # zero-trailing run can place its last arrival exactly at
-                # the end instant).
-                epoch_items: List[List[Tuple[int, object]]] = [
-                    [] for _ in partitions]
-                cut = (barrier, _PRIORITY_BARRIER)
-                while pending is not None and (is_final
-                                               or pending[:2] < cut):
-                    _, rank, payload = pending
-                    targets = ((self._router.partition_of(payload),)
-                               if rank == _PRIORITY_QUERY else partitions)
-                    for partition in targets:
-                        epoch_items[partition].append((rank, payload))
-                    pending = next(ordered, None)
+                # market).
+                routed: List[List[Arrival]] = [[] for _ in partitions]
+                for item in epoch_arrivals:
+                    if isinstance(item, Query):
+                        routed[self._router.partition_of(item)].append(item)
+                    else:
+                        for queue in routed:
+                            queue.append(item)
                 tasks = [PartitionEpochTask(
                     resident_key=resident_keys[partition],
                     epoch=number,
-                    items=tuple(epoch_items[partition]),
+                    start_s=epoch_start,
                     settle_to_s=barrier,
-                    last_settled_s=last_settled[partition],
+                    arrivals=tuple(routed[partition]),
+                    shocks=tuple(shocks),
                     inbound=inbound[partition],
                     scheme=schemes[partition] if epoch == 0 else None,
                 ) for partition in partitions]
@@ -818,7 +789,6 @@ class DistCacheRunner:
                     steps[partition].extend(result.steps)
                     maintenance[partition].extend(result.maintenance)
                     kernel_losses[partition].extend(result.eviction_losses)
-                    last_settled[partition] = result.last_settled_s
                 reports = [result.report for result in results]
                 snapshots = dict(enumerate(
                     report.snapshot for report in reports))
@@ -854,7 +824,6 @@ class DistCacheRunner:
                             if self._metrics is not None else None),
                 ) for partition in partitions]
                 if self._trace is not None:
-                    epoch_start = barriers[epoch - 1] if epoch else start_s
                     self._trace.span(
                         "settlement_barrier", start_s=epoch_start,
                         end_s=barrier, epoch=number,
@@ -1092,8 +1061,7 @@ class DistCacheRunner:
                 local_structures=len(cache.built_keys),
                 peak_cache_bytes=cache.peak_disk_used_bytes,
                 subaccount_credit=engine.account.credit,
-                query_payments=engine.account.totals_by_category().get(
-                    CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0),
+                query_payments=query_payment_fold(engine.account),
                 remote_hits=engine.remote_hits,
                 remote_structure_accesses=engine.remote_structure_accesses,
                 remote_bytes=engine.remote_bytes,

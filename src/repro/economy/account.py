@@ -18,7 +18,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import EconomyError, InsufficientCreditError
 
@@ -186,3 +186,23 @@ def ledger_fold(account: CloudAccount) -> float:
     for transaction in account.transactions:
         credit += transaction.amount
     return credit
+
+
+def query_payment_fold(account: CloudAccount) -> float:
+    """Provider side of payment conservation: the ``query_payment``
+    deposits folded in ledger order (bitwise their category total)."""
+    total = 0.0
+    for transaction in account.transactions:
+        if transaction.category == CloudAccount.CATEGORY_QUERY_PAYMENT:
+            total += transaction.amount
+    return total
+
+
+def outcome_charge_fold(outcomes: Iterable) -> float:
+    """Tenant side of payment conservation: the per-query charges folded
+    in processing order. An engine deposits each charge, in this order,
+    so this equals :func:`query_payment_fold` of its account bitwise."""
+    total = 0.0
+    for outcome in outcomes:
+        total += outcome.charge
+    return total

@@ -30,7 +30,7 @@ from repro.cache.storage import EvictionRecord
 from repro.costmodel.amortization import AmortizationPolicy, UniformAmortization
 from repro.costmodel.build import StructureCostModel
 from repro.costmodel.execution import ExecutionCostModel
-from repro.economy.account import CloudAccount
+from repro.economy.account import CloudAccount, query_payment_fold
 from repro.economy.batch import BatchPricingContext, BatchScheduler
 from repro.economy.budget import BudgetFunction
 from repro.economy.investment import InvestmentPolicy
@@ -507,9 +507,7 @@ class EconomyEngine:
                 and now <= self._strict_enforced_at):
             return ()
         self._strict_enforced_at = now
-        income_total = self._account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0
-        )
+        income_total = query_payment_fold(self._account)
         income = income_total - self._strict_income_mark
         self._strict_income_mark = income_total
         accrued_by_key = self._cache.accrued_maintenance(now)

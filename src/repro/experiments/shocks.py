@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 # ledger_fold stays a module global here: benchmarks/e2e times it.
-from repro.economy.account import CloudAccount, ledger_fold
+from repro.economy.account import (ledger_fold, outcome_charge_fold,
+                                   query_payment_fold)
 from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.reporting import format_table
 # sorted_breakdowns stays importable here: benchmarks/e2e times it.
@@ -121,11 +122,8 @@ def audited_shock_cell(
     registry = cell.registry
     if registry is not None:
         engine = cell.scheme.engine
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = 0.0
-        for outcome in engine.outcomes:
-            charged += outcome.charge
+        banked = query_payment_fold(engine.account)
+        charged = outcome_charge_fold(engine.outcomes)
         # The wallets still held are folded here; a streamed registry
         # folded the ones churn dropped as it dropped them.
         states = registry.states()

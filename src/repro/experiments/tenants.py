@@ -101,7 +101,7 @@ class TenantExperimentConfig:
             )
         if self.query_count <= 0:
             raise ExperimentError("query_count must be positive")
-        if self.settlement_period_s is not None and self.settlement_period_s <= 0:
+        if self.settlement_period_s is not None and not self.settlement_period_s > 0:
             raise ExperimentError("settlement_period_s must be positive")
         if self.planning not in PLANNING_MODES:
             raise ExperimentError(

@@ -278,11 +278,10 @@ class MetricsSampler:
         }
         engine = self._engine
         if engine is not None:
-            from repro.economy.account import CloudAccount
+            from repro.economy.account import query_payment_fold
 
             gauges["provider_credit"] = engine.account.credit
-            gauges["query_payments"] = engine.account.totals_by_category().get(
-                CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
+            gauges["query_payments"] = query_payment_fold(engine.account)
             registry = engine.tenants
             if registry is not None:
                 gauges["wallet_credit"] = registry.total_credit()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.economy.account import CloudAccount
+from repro.economy.account import CloudAccount, query_payment_fold
 from repro.errors import ShardingError
 from repro.obs.metrics import MetricsTimeseries
 from repro.obs.trace import TraceRecorder
@@ -118,8 +118,7 @@ class SettlementCheckpointRecorder:
     def snapshot(self, time_s: float,
                  queries_dispatched: int) -> SettlementCheckpoint:
         """Snapshot the accounts now (also used for the final barrier)."""
-        payments = self._account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
+        payments = query_payment_fold(self._account)
         return SettlementCheckpoint(
             time_s=time_s,
             queries_dispatched=queries_dispatched,

@@ -54,7 +54,7 @@ class SchemeTenant:
         self._collector = collector
         self._warmup = warmup_queries
         self._processed = 0
-        self._last_settled_s = start_time_s
+        self._settled_to_s = start_time_s
         self._phase_changes = 0
         self._tenant_arrivals = 0
         self._tenant_churns = 0
@@ -208,8 +208,8 @@ class SchemeTenant:
     # -- internals -------------------------------------------------------------
 
     def _settle(self, now: float) -> None:
-        elapsed = now - self._last_settled_s
-        self._last_settled_s = max(self._last_settled_s, now)
+        elapsed = now - self._settled_to_s
+        self._settled_to_s = max(self._settled_to_s, now)
         if elapsed <= 0 or self._processed < self._warmup:
             return
         rate = self._scheme.maintenance_rate()

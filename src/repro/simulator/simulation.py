@@ -76,10 +76,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.warmup_queries < 0:
             raise SimulationError("warmup_queries must be non-negative")
-        if self.settlement_period_s is not None and self.settlement_period_s <= 0:
+        if self.settlement_period_s is not None and not self.settlement_period_s > 0:
             raise SimulationError("settlement_period_s must be positive")
         if (self.failure_check_period_s is not None
-                and self.failure_check_period_s <= 0):
+                and not self.failure_check_period_s > 0):
             raise SimulationError("failure_check_period_s must be positive")
 
 

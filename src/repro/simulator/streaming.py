@@ -53,7 +53,8 @@ Arrival = Union[Query, TenantLifecycleMarker]
 _MARKER_EVENTS = {"arrival": TenantArrivalEvent, "churn": TenantChurnEvent}
 
 
-def _dispatch_key(item: Arrival) -> Tuple[float, int]:
+def dispatch_key(item: Arrival) -> Tuple[float, int]:
+    """``(time, event priority)`` of the kernel event an item becomes."""
     if isinstance(item, TenantLifecycleMarker):
         return item.time_s, _MARKER_EVENTS[item.kind].priority
     return item.arrival_time, QueryArrivalEvent.priority
@@ -69,7 +70,7 @@ def arrival_stream(queries: Sequence[Query],
     front, so the lookahead window never splits a same-instant tie across
     kinds and same-kind ties keep their list order.
     """
-    return sorted([*queries, *tenant_lifecycle], key=_dispatch_key)
+    return sorted([*queries, *tenant_lifecycle], key=dispatch_key)
 
 
 class StreamingArrivalSource:

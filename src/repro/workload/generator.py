@@ -66,7 +66,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.query_count <= 0:
             raise WorkloadError("query_count must be positive")
-        if self.interarrival_s <= 0:
+        if not self.interarrival_s > 0:
             raise WorkloadError("interarrival_s must be positive")
         if self.hot_template_count <= 0:
             raise WorkloadError("hot_template_count must be positive")
@@ -80,7 +80,7 @@ class WorkloadSpec:
             raise WorkloadError("selectivity_jitter must be in [0, 1)")
         if self.budget_scale_mean <= 0:
             raise WorkloadError("budget_scale_mean must be positive")
-        if self.budget_scale_sigma < 0:
+        if not self.budget_scale_sigma >= 0:
             raise WorkloadError("budget_scale_sigma must be non-negative")
 
     def with_interarrival(self, interarrival_s: float) -> "WorkloadSpec":

@@ -113,11 +113,11 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.tenant_count <= 0:
             raise WorkloadError("tenant_count must be positive")
-        if self.zipf_exponent < 0:
+        if not self.zipf_exponent >= 0:
             raise WorkloadError("zipf_exponent must be non-negative")
-        if self.initial_credit < 0:
+        if not self.initial_credit >= 0:
             raise WorkloadError("initial_credit must be non-negative")
-        if self.budget_sigma < 0:
+        if not self.budget_sigma >= 0:
             raise WorkloadError("budget_sigma must be non-negative")
         if self.churn_period < 0:
             raise WorkloadError("churn_period must be non-negative")

@@ -54,11 +54,24 @@ class TestParser:
         ("shocks", "--class", "x:nan:q1_pricing_summary"),
         ("shocks", "--class", "x:inf:q1_pricing_summary"),
         ("tenants", "--shock", "price@0.5:0.1:nan"),
+        ("tenants", "--interarrival", "nan"),
+        ("tenants", "--settlement-period", "nan"),
+        ("tenants", "--settlement-period", "inf"),
+        ("tenants", "--initial-credit", "nan"),
+        ("tenants", "--initial-credit", "inf"),
+        ("tenants", "--budget-sigma", "nan"),
+        ("tenants", "--zipf", "nan"),
+        ("shocks", "--interarrival", "inf"),
+        ("shocks", "--settlement-period", "nan"),
+        ("scenario", "--interarrival", "nan"),
+        ("scenario", "--settlement-period", "inf"),
+        ("scenario", "--failure-check-period", "nan"),
     ])
     def test_non_finite_numbers_exit_2(self, capsys, command, flag, value):
+        # scenario runs one tenant, so it has no --n-tenants.
+        options = [] if command == "scenario" else ["--n-tenants", "4"]
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--n-tenants", "4", "--queries", "10",
-                  flag, value])
+            main([command, *options, "--queries", "10", flag, value])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

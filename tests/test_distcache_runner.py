@@ -9,6 +9,7 @@ from repro.distcache import (
     distcache_partition_table,
     run_partitioned_cell,
 )
+from repro.distcache.runner import epoch_items
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
@@ -16,6 +17,13 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
+from repro.simulator.events import (
+    ProviderPriceShockEvent,
+    StructureInvalidationEvent,
+    TenantBudgetSqueezeEvent,
+)
+from repro.workload.population import TenantLifecycleMarker
+from repro.workload.query import Query
 
 CONFIG = TenantExperimentConfig(
     scheme="econ-cheap", tenant_count=16, query_count=60,
@@ -177,3 +185,40 @@ class TestMultiCell:
         reports = DistCacheRunner(2, compare_baseline=False).run_cells(configs)
         assert [r.cell.summary.scheme_name for r in reports] == [
             "econ-cheap", "econ-fast"]
+
+
+def _query(query_id, time_s):
+    return Query(query_id=query_id, template_name="t", table_name="x",
+                 predicates=(), projection_columns=(), arrival_time=time_s)
+
+
+class TestEpochCut:
+    """Epochs close where the barrier's settlement dispatches in the
+    kernel: after same-instant lifecycle markers, before same-instant
+    shocks and queries."""
+
+    def test_items_at_a_barrier_instant(self):
+        before = _query(0, 5.0)
+        arrival = TenantLifecycleMarker(10.0, "t1", "arrival")
+        churn = TenantLifecycleMarker(10.0, "t0", "churn")
+        at_barrier = _query(1, 10.0)
+        invalidation = StructureInvalidationEvent(time_s=10.0)
+        price = ProviderPriceShockEvent(time_s=10.0, factor=2.0)
+        squeeze = TenantBudgetSqueezeEvent(time_s=10.0, factor=0.5)
+        early = ProviderPriceShockEvent(time_s=9.0, factor=3.0)
+        epochs = list(epoch_items(
+            [before, arrival, churn, at_barrier],
+            [squeeze, price, invalidation, early], [10.0, 20.0]))
+        assert epochs == [
+            ([before, arrival, churn], [early]),
+            ([at_barrier], [invalidation, price, squeeze]),
+        ]
+
+    def test_the_last_barrier_takes_everything_left(self):
+        # With no trailing interval the last query lands exactly on the
+        # final barrier; it still belongs to the final epoch.
+        first = _query(0, 0.0)
+        last = _query(1, 20.0)
+        shock = TenantBudgetSqueezeEvent(time_s=20.0, factor=0.5)
+        epochs = list(epoch_items([first, last], [shock], [5.0, 10.0, 20.0]))
+        assert epochs == [([first], []), ([], []), ([last], [shock])]

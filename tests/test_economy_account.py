@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.economy.account import CloudAccount
+from types import SimpleNamespace
+
+from repro.economy.account import (
+    CloudAccount,
+    outcome_charge_fold,
+    query_payment_fold,
+)
 from repro.errors import EconomyError, InsufficientCreditError
 
 
@@ -58,6 +64,23 @@ class TestCloudAccount:
         totals = account.totals_by_category()
         assert totals[CloudAccount.CATEGORY_QUERY_PAYMENT] == pytest.approx(15.0)
         assert totals[CloudAccount.CATEGORY_BUILD] == pytest.approx(-3.0)
+
+    def test_conservation_folds_are_bitwise_left_folds(self):
+        # Charges whose sum depends on the order they are added in.
+        charges = [1e16, 1.0, 1.0]
+        account = CloudAccount(initial_credit=7.0)
+        assert query_payment_fold(account) == 0.0
+        for index, charge in enumerate(charges):
+            account.deposit(charge, index,
+                            CloudAccount.CATEGORY_QUERY_PAYMENT)
+            account.withdraw(0.5, index, CloudAccount.CATEGORY_BUILD)
+        folded = query_payment_fold(account)
+        assert folded == account.totals_by_category()[
+            CloudAccount.CATEGORY_QUERY_PAYMENT]
+        outcomes = [SimpleNamespace(charge=charge) for charge in charges]
+        assert outcome_charge_fold(outcomes) == folded
+        assert outcome_charge_fold(reversed(outcomes)) != folded
+        assert outcome_charge_fold([]) == 0.0
 
     def test_ledger_preserves_order_and_notes(self):
         account = CloudAccount()

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             TenantExperimentConfig(scheme="galactic")
 
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_rejects_bad_settlement_period(self, value):
+        with pytest.raises(ExperimentError):
+            TenantExperimentConfig(settlement_period_s=value)
+
     def test_round_trips_population_and_workload_specs(self):
         config = TenantExperimentConfig(churn_period=25, **QUICK)
         assert config.population_spec().tenant_count == 12

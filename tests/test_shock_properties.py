@@ -148,14 +148,15 @@ class TestExecutionModesUnderChaos:
             assert checkpoint.query_payments == checkpoint.outcome_charges
 
     @given(shocks=shock_sequences,
-           seed=st.integers(min_value=0, max_value=2**12))
+           seed=st.integers(min_value=0, max_value=2**12),
+           strict=st.booleans())
     @settings(max_examples=3, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_single_partition_bitwise_equals_plain_under_chaos(self, shocks,
-                                                               seed):
+                                                               seed, strict):
         from repro.distcache import run_partitioned_cell
 
-        config = chaos_config("econ-cheap", shocks, seed, strict=False)
+        config = chaos_config("econ-cheap", shocks, seed, strict)
         plain = run_tenant_cell(config)
         report = run_partitioned_cell(config, partitions=1,
                                       compare_baseline=False)

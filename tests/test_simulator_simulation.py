@@ -18,6 +18,13 @@ class TestSimulationConfig:
         with pytest.raises(SimulationError):
             SimulationConfig(warmup_queries=-1)
 
+    @pytest.mark.parametrize("field", ["settlement_period_s",
+                                       "failure_check_period_s"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0])
+    def test_periods_must_be_positive(self, field, value):
+        with pytest.raises(SimulationError):
+            SimulationConfig(**{field: value})
+
 
 class TestCloudSimulation:
     def test_processes_every_query(self, system, workload):

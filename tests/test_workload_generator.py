@@ -23,6 +23,8 @@ class TestWorkloadSpec:
         ("selectivity_jitter", 1.0),
         ("budget_scale_mean", 0.0),
         ("budget_scale_sigma", -0.1),
+        ("interarrival_s", float("nan")),
+        ("budget_scale_sigma", float("nan")),
     ])
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(WorkloadError):

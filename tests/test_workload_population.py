@@ -30,6 +30,9 @@ class TestPopulationSpec:
             PopulationSpec(zipf_exponent=-1.0)
         with pytest.raises(WorkloadError):
             PopulationSpec(churn_fraction=1.5)
+        for field in ("zipf_exponent", "initial_credit", "budget_sigma"):
+            with pytest.raises(WorkloadError):
+                PopulationSpec(**{field: float("nan")})
 
     def test_marker_kind_validated(self):
         with pytest.raises(WorkloadError):
