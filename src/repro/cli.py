@@ -71,6 +71,7 @@ from repro.distcache import (
     distcache_placement_table,
     run_partitioned_experiment,
 )
+from repro.economy.account import audit_conservation, render_conservation
 from repro.economy.engine import PLANNING_MODES, PLANNING_SCALAR, EconomyConfig
 from repro.errors import ReproError
 from repro.policies.economic import EconomicSchemeConfig
@@ -347,11 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "barriers and adds a placement report section "
                               "(default: hash)")
     tenants.add_argument("--handoff-threshold", type=_nonnegative_float,
-                         default=0.0, metavar="D",
+                         default=None, metavar="D",
                          help="hysteresis margin in dollars per epoch a "
                               "challenger partition must out-bid the owner "
-                              "by before an adaptive handoff is applied "
-                              "(default: 0, any strictly positive margin)")
+                              "by before an adaptive handoff is applied; "
+                              "needs --placement adaptive (default: 0, any "
+                              "strictly positive margin)")
     tenants.add_argument("--planning", choices=PLANNING_MODES,
                          default=PLANNING_SCALAR,
                          help="query planning path (scalar or batched; "
@@ -432,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="structure placement for the partitioned rerun "
                              "(default: hash)")
     shocks.add_argument("--handoff-threshold", type=_nonnegative_float,
-                        default=0.0, metavar="D",
+                        default=None, metavar="D",
                         help="adaptive-placement hysteresis margin for the "
-                             "partitioned rerun (default: 0)")
+                             "partitioned rerun; needs --placement adaptive "
+                             "(default: 0)")
     shocks.add_argument("--planning", choices=PLANNING_MODES,
                         default=PLANNING_SCALAR,
                         help="query planning path (scalar or batched; "
@@ -548,6 +551,11 @@ def _validate_trace(parser: argparse.ArgumentParser,
     if isinstance(profiling, bool) and profiling and not paths:
         parser.error("argument --profile: requires --trace or --metrics "
                      "(the hotspots are folded into their run manifest)")
+    # `report --force` overwrites report artifacts; everywhere else the
+    # flag only guards --trace/--metrics files.
+    if hasattr(args, "trace") and args.force and not paths:
+        parser.error("argument --force: requires --trace or --metrics "
+                     "(it only overwrites their artifacts)")
 
 
 def _figure_command(command: str, profile: ExperimentProfile, jobs: int,
@@ -617,16 +625,9 @@ def _scenario_command(args: argparse.Namespace,
     ]
     engine = getattr(scheme, "engine", None)
     if engine is not None:
-        # The same bitwise identity the shocks command audits: provider
-        # query-payment deposits fold to exactly the charged total.
-        from repro.economy.account import (outcome_charge_fold,
-                                           query_payment_fold)
-
-        banked = query_payment_fold(engine.account)
-        charged = outcome_charge_fold(engine.outcomes)
-        rows.append(["conservation",
-                     "exact" if banked == charged
-                     else f"VIOLATED ({banked!r} != {charged!r})"])
+        # The bitwise audit every mode runs (see audit_conservation).
+        rows.append(["conservation", render_conservation(
+            audit_conservation(engine.account, engine.outcomes))])
     title = f"Scenario - {scenario.name} x {summary.scheme_name}"
     return format_table(headers, rows, title=title)
 
@@ -654,14 +655,9 @@ def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
                                    entry.filename, entry.lineno)
 
 
-def _tenants_command(args: argparse.Namespace,
-                     trace: Optional[TraceRecorder] = None,
-                     metrics=None) -> str:
-    names = (list(SCHEME_NAMES) if args.schemes == "all"
-             else [name.strip() for name in args.schemes.split(",")
-                   if name.strip()])
-    if not names:
-        raise ReproError("--schemes selects no scheme")
+def _resolve_scaling(args: argparse.Namespace) -> None:
+    """Reject scaling flags that would be ignored, then resolve the
+    unset ``--handoff-threshold`` to its 0.0 default."""
     if args.cache_partitions > 1 and args.shards > 1:
         raise ReproError(
             "--cache-partitions and --shards are alternative scaling modes "
@@ -674,6 +670,24 @@ def _tenants_command(args: argparse.Namespace,
             "partition every structure is local and there is no placement "
             "to adapt"
         )
+    if args.handoff_threshold is None:
+        args.handoff_threshold = 0.0
+    elif args.placement != "adaptive":
+        raise ReproError(
+            "--handoff-threshold needs --placement adaptive: hash placement "
+            "never hands a structure off"
+        )
+
+
+def _tenants_command(args: argparse.Namespace,
+                     trace: Optional[TraceRecorder] = None,
+                     metrics=None) -> str:
+    names = (list(SCHEME_NAMES) if args.schemes == "all"
+             else [name.strip() for name in args.schemes.split(",")
+                   if name.strip()])
+    if not names:
+        raise ReproError("--schemes selects no scheme")
+    _resolve_scaling(args)
     configs = [
         TenantExperimentConfig(
             scheme=name,
@@ -736,16 +750,7 @@ def _shocks_command(args: argparse.Namespace,
                    if name.strip()])
     if not names:
         raise ReproError("--schemes selects no scheme")
-    if args.cache_partitions > 1 and args.shards > 1:
-        raise ReproError(
-            "--cache-partitions and --shards are alternative scaling modes "
-            "and cannot both exceed 1"
-        )
-    if args.placement != "hash" and args.cache_partitions == 1:
-        raise ReproError(
-            "--placement adaptive needs --cache-partitions > 1: with one "
-            "partition there is no placement to adapt"
-        )
+    _resolve_scaling(args)
     grammar = default_shock_grammar()
     if args.query_class or args.shock:
         grammar = grammar | ScenarioGrammar(
@@ -777,18 +782,9 @@ def _shocks_command(args: argparse.Namespace,
                                        trace=trace, metrics=metrics)
         sections.append(shock_resilience_table(results))
         for item in results:
-            if item.audit is None:
-                conservation_lines.append(
-                    f"{item.scheme}: conservation: n/a (no economy)")
-            elif item.audit.exact:
-                conservation_lines.append(
-                    f"{item.scheme}: conservation: exact "
-                    f"({item.audit.wallets_audited} wallets audited)")
-            else:
-                conservation_lines.append(
-                    f"{item.scheme}: conservation: VIOLATED "
-                    f"({item.audit.query_payments!r} != "
-                    f"{item.audit.outcome_charges!r})")
+            conservation_lines.append(
+                f"{item.scheme}: conservation: "
+                f"{render_conservation(item.audit, detail=True)}")
 
         if args.shards > 1:
             # The sharded rerun must reproduce the plain shocked cells
@@ -822,18 +818,12 @@ def _shocks_command(args: argparse.Namespace,
                 handoff_threshold=args.handoff_threshold,
                 compare_baseline=False)
             for report in reports:
-                exact = all(cp.query_payments == cp.outcome_charges
-                            for cp in report.checkpoints)
-                scheme = report.cell.config.scheme
-                if exact:
-                    conservation_lines.append(
-                        f"{scheme}: conservation: exact across "
-                        f"{report.partition_count} partitions "
-                        f"({report.barriers_verified} barriers)")
-                else:
-                    conservation_lines.append(
-                        f"{scheme}: conservation: VIOLATED in "
-                        f"partitioned rerun")
+                # The runner audited every partition at every barrier and
+                # raised on the first violation, so a report is exact.
+                conservation_lines.append(
+                    f"{report.cell.config.scheme}: conservation: exact "
+                    f"across {report.partition_count} partitions "
+                    f"({report.barriers_verified} barriers)")
                 sections.append(distcache_partition_table(report))
                 placement = distcache_placement_table(report)
                 if placement is not None:

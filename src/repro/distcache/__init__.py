@@ -54,12 +54,7 @@ from repro.distcache.engine import (
 from repro.distcache.manager import PartitionedCacheManager
 from repro.distcache.merge import (
     PartitionCheckpoint,
-    ledger_fold,
     merge_partition_results,
-    outcome_charge_fold,
-    verify_payment_conservation,
-    verify_subaccount_integrity,
-    verify_wallet_integrity,
 )
 from repro.distcache.partition import QueryRouter, StructurePartitioner
 from repro.distcache.placement import (
@@ -88,6 +83,7 @@ from repro.distcache.runner import (
     run_partitioned_cell,
     run_partitioned_experiment,
 )
+from repro.economy.account import ledger_fold, outcome_charge_fold
 
 __all__ = [
     "DEFAULT_ANCHOR_PERIOD",
@@ -123,7 +119,4 @@ __all__ = [
     "run_partitioned_cell",
     "run_partitioned_experiment",
     "verify_delta_fold",
-    "verify_payment_conservation",
-    "verify_subaccount_integrity",
-    "verify_wallet_integrity",
 ]

@@ -3,20 +3,13 @@
 Partitioned mode changes the simulation's semantics (see
 ``docs/distcache.md``), so unlike :mod:`repro.sharding.merge` there is no
 byte-identity barrier against a replicated twin. What *is* pinned exactly
-— bitwise, no tolerances — is the money:
-
-* **Ledger integrity.** Every provider sub-account's credit, and every
-  tenant wallet's balance, equals the left fold of its own transaction
-  ledger. Credits are maintained incrementally by exactly those
-  additions, so replaying the ledger must reproduce the live value
-  bit-for-bit; any difference means an account was mutated outside its
-  ledger.
-* **Payment conservation.** Per partition, the ``query_payment`` total of
-  the provider sub-account equals the fold of the partition's per-query
-  charges in processing order — the same floats in the same order on both
-  sides, hence bitwise equality — and therefore the partition-ordered
-  sums across the run conserve bitwise too: every dollar a tenant was
-  charged was banked by exactly one sub-account.
+— bitwise, no tolerances — is the money, by
+:func:`~repro.economy.account.audit_conservation` on every partition at
+every barrier (and on its wallets at the end of the run): each provider
+sub-account banked exactly what the partition's queries charged, its
+credit folds from its own ledger, and so does every tenant wallet. The
+partition-ordered sums across the run therefore conserve bitwise too:
+every dollar a tenant was charged was banked by exactly one sub-account.
 
 The fold back into a :class:`~repro.experiments.tenants.TenantCellResult`
 reuses the unsharded reporting pipeline: steps re-sort under the arrival
@@ -30,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.distcache.engine import PartitionedEconomyEngine
-from repro.economy.account import (
-    ledger_fold,
-    outcome_charge_fold,
-    query_payment_fold,
-)
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
@@ -52,8 +38,9 @@ class PartitionCheckpoint:
     """One settlement barrier's audited snapshot of the partitioned economy.
 
     All tuples are indexed by partition. ``query_payments`` (the provider
-    side) and ``outcome_charges`` (the tenant side) are verified bitwise
-    equal per partition before the checkpoint is recorded.
+    side) and ``outcome_charges`` (the tenant side) are read off each
+    partition's conservation audit, which required them bitwise equal
+    before the checkpoint is recorded.
     ``handoffs_applied`` counts the adaptive-placement ownership handoffs
     this barrier applied (always 0 under ``--placement hash``); the
     conservation audit runs *after* them, so every checkpoint certifies
@@ -76,77 +63,6 @@ class PartitionCheckpoint:
         for charge in self.outcome_charges:
             total += charge
         return total
-
-
-def verify_subaccount_integrity(
-        engines: Sequence[PartitionedEconomyEngine]) -> None:
-    """Every sub-account's credit must fold bitwise from its own ledger."""
-    for engine in engines:
-        folded = ledger_fold(engine.account)
-        if folded != engine.account.credit:
-            raise DistCacheError(
-                f"sub-account integrity violated on partition "
-                f"{engine.partition_index}: ledger folds to {folded!r} but "
-                f"credit is {engine.account.credit!r}"
-            )
-
-
-def verify_payment_conservation(
-        engines: Sequence[PartitionedEconomyEngine]
-        ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Provider deposits must equal tenant charges, bitwise, per partition.
-
-    Returns:
-        ``(payments, charges)`` — the provider-side and tenant-side folds
-        per partition, computed independently (checkpoints record both,
-        so a post-hoc audit can re-compare them rather than trusting this
-        function ran).
-
-    Raises:
-        DistCacheError: on the first partition whose sub-account banked a
-            different total than its queries charged.
-    """
-    payments: List[float] = []
-    charges: List[float] = []
-    for engine in engines:
-        banked = query_payment_fold(engine.account)
-        charged = outcome_charge_fold(engine.outcomes)
-        if banked != charged:
-            raise DistCacheError(
-                f"payment conservation violated on partition "
-                f"{engine.partition_index}: sub-account banked {banked!r} "
-                f"but queries charged {charged!r}"
-            )
-        payments.append(banked)
-        charges.append(charged)
-    return tuple(payments), tuple(charges)
-
-
-def verify_wallet_integrity(
-        registries: Sequence[TenantRegistry]) -> None:
-    """Every tenant wallet's balance must fold bitwise from its ledger.
-
-    The wallets a registry still holds are folded here; the ones churn
-    dropped were folded as they were dropped, and any of those that did
-    not fold to its balance is counted on the registry.
-    """
-    for partition, registry in enumerate(registries):
-        for state in registry.states():
-            folded = ledger_fold(state.account)
-            if folded != state.account.credit:
-                raise DistCacheError(
-                    f"wallet integrity violated for tenant "
-                    f"{state.tenant_id!r} on partition {partition}: ledger "
-                    f"folds to {folded!r} but balance is "
-                    f"{state.account.credit!r}"
-                )
-        if registry.churned_ledger_mismatches:
-            raise DistCacheError(
-                f"wallet integrity violated on partition {partition}: "
-                f"{registry.churned_ledger_mismatches} of the "
-                f"{registry.churned_ledgers_folded} wallets churn dropped "
-                f"did not fold to their balance"
-            )
 
 
 def merged_wallets(registries: Sequence[TenantRegistry],

@@ -58,19 +58,14 @@ from repro.distcache.directory import (
 )
 from repro.distcache.engine import PartitionedEconomyEngine, RemoteAccessModel
 from repro.distcache.manager import PartitionedCacheManager
-from repro.distcache.merge import (
-    PartitionCheckpoint,
-    merge_partition_results,
-    verify_payment_conservation,
-    verify_subaccount_integrity,
-    verify_wallet_integrity,
-)
+from repro.distcache.merge import PartitionCheckpoint, merge_partition_results
 from repro.distcache.partition import QueryRouter, StructurePartitioner
 from repro.distcache.placement import (
     HandoffRecord,
     PlacementPolicy,
 )
-from repro.economy.account import query_payment_fold
+from repro.economy.account import (ConservationAudit, audit_conservation,
+                                   query_payment_fold)
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError, call_naming_failures
@@ -162,8 +157,8 @@ class BarrierReport:
     """One partition's state at a barrier, read where the state lives.
 
     ``query_payments`` (the provider side) and ``outcome_charges`` (the
-    tenant side) are folded independently and were verified bitwise
-    equal before the report was built.
+    tenant side) come from the partition's conservation audit, which
+    required them bitwise equal before the report was built.
     """
 
     snapshot: Snapshot
@@ -357,17 +352,25 @@ def _sample_partition(scheme: CachingScheme,
     )
 
 
+def _audit(engine: PartitionedEconomyEngine,
+           registry: Optional[TenantRegistry] = None) -> ConservationAudit:
+    """Audit one partition's books, raising a :class:`DistCacheError`
+    that names the partition if any identity fails."""
+    audit = audit_conservation(engine.account, engine.outcomes, registry)
+    audit.require(f"partition {engine.partition_index}", DistCacheError)
+    return audit
+
+
 def _barrier_report(engine: PartitionedEconomyEngine) -> BarrierReport:
     """Audit the sub-account, then read what the barrier needs."""
-    verify_subaccount_integrity((engine,))
-    (payments,), (charges,) = verify_payment_conservation((engine,))
+    audit = _audit(engine)
     return BarrierReport(
         snapshot=engine.partitioned_cache.snapshot(),
         foreign_regret=engine.drain_foreign_regret(),
         placement_bids=engine.drain_placement_bids(),
         subaccount_credit=engine.account.credit,
-        query_payments=payments,
-        outcome_charges=charges,
+        query_payments=audit.query_payments,
+        outcome_charges=audit.outcome_charges,
     )
 
 
@@ -858,7 +861,8 @@ class DistCacheRunner:
                 stacklevel=2,
             )
         registries = [scheme.tenant_registry for scheme in schemes]
-        verify_wallet_integrity(registries)
+        audits = [_audit(_engine_of(scheme), registry)
+                  for scheme, registry in zip(schemes, registries)]
         cell = merge_partition_results(
             config=config,
             steps_by_partition=steps,
@@ -896,7 +900,8 @@ class DistCacheRunner:
         return DistCacheCellReport(
             cell=cell,
             partition_count=self.partition_count,
-            partitions=tuple(self._partition_stats(schemes, steps)),
+            partitions=tuple(self._partition_stats(schemes, steps,
+                                                   audits)),
             checkpoints=tuple(checkpoints),
             directory_size=len(directory),
             remote=self._remote,
@@ -1049,10 +1054,11 @@ class DistCacheRunner:
         return directory, delta, publication
 
     def _partition_stats(self, schemes: Sequence[CachingScheme],
-                         steps: Sequence[Sequence[SchemeStep]]
+                         steps: Sequence[Sequence[SchemeStep]],
+                         audits: Sequence[ConservationAudit]
                          ) -> List[PartitionRunStats]:
         stats: List[PartitionRunStats] = []
-        for partition, scheme in enumerate(schemes):
+        for partition, (scheme, audit) in enumerate(zip(schemes, audits)):
             engine = _engine_of(scheme)
             cache = engine.partitioned_cache
             stats.append(PartitionRunStats(
@@ -1061,7 +1067,7 @@ class DistCacheRunner:
                 local_structures=len(cache.built_keys),
                 peak_cache_bytes=cache.peak_disk_used_bytes,
                 subaccount_credit=engine.account.credit,
-                query_payments=query_payment_fold(engine.account),
+                query_payments=audit.query_payments,
                 remote_hits=engine.remote_hits,
                 remote_structure_accesses=engine.remote_structure_accesses,
                 remote_bytes=engine.remote_bytes,

@@ -3,7 +3,8 @@
 User payments for query services are deposited here; investments in new
 cache structures and maintenance losses are paid from here. The account
 keeps a full transaction ledger so experiments can report where the money
-went.
+went, and :func:`audit_conservation` checks, bitwise, that the ledgers and
+the charged queries tell the same story.
 
 Example:
     >>> account = CloudAccount(initial_credit=10.0)
@@ -18,9 +19,12 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import EconomyError, InsufficientCreditError
+
+if TYPE_CHECKING:  # tenancy imports this module
+    from repro.economy.tenancy import TenantRegistry
 
 
 @dataclass(frozen=True)
@@ -206,3 +210,108 @@ def outcome_charge_fold(outcomes: Iterable) -> float:
     for outcome in outcomes:
         total += outcome.charge
     return total
+
+
+@dataclass(frozen=True)
+class ConservationAudit:
+    """Bitwise conservation evidence: every identity is an exact claim.
+
+    ``query_payments`` and ``outcome_charges`` are the provider side and
+    the tenant side of the same money stream, folded independently;
+    ``provider_ledger`` is the provider ledger's fold and
+    ``provider_credit`` the live credit it must reproduce.
+    ``wallets_audited`` counts the wallet ledgers folded (a registry
+    folds each wallet churn drops, so a tenant that churns twice is
+    folded twice) and ``wallet_ledger_mismatches`` those whose balance
+    did not fold bitwise from their own ledger.
+    """
+
+    query_payments: float
+    outcome_charges: float
+    provider_ledger: float
+    provider_credit: float
+    wallets_audited: int = 0
+    wallet_ledger_mismatches: int = 0
+
+    @property
+    def violation(self) -> Optional[str]:
+        """The first identity that failed, as ``lhs != rhs``; ``None``
+        when every identity held bitwise."""
+        if self.query_payments != self.outcome_charges:
+            return (f"query payments {self.query_payments!r} != "
+                    f"outcome charges {self.outcome_charges!r}")
+        if self.provider_ledger != self.provider_credit:
+            return (f"provider ledger {self.provider_ledger!r} != "
+                    f"provider credit {self.provider_credit!r}")
+        if self.wallet_ledger_mismatches:
+            return (f"{self.wallet_ledger_mismatches} of "
+                    f"{self.wallets_audited} wallet ledgers do not fold "
+                    f"to their balance")
+        return None
+
+    @property
+    def exact(self) -> bool:
+        """Whether every conservation identity held bitwise."""
+        return self.violation is None
+
+    def require(self, where: str, error_type: Type[Exception]) -> None:
+        """Raise ``error_type`` naming ``where`` unless the audit is exact."""
+        violation = self.violation
+        if violation is not None:
+            raise error_type(f"conservation violated on {where}: {violation}")
+
+
+def audit_conservation(account: CloudAccount, outcomes: Iterable,
+                       registry: Optional["TenantRegistry"] = None
+                       ) -> ConservationAudit:
+    """Audit one engine's books: the provider side against the tenant side,
+    the provider ledger against its credit, and, given the engine's
+    :class:`~repro.economy.tenancy.TenantRegistry`, every wallet ledger
+    against its balance (the held wallets here; the ones churn dropped
+    were folded as they were dropped).
+
+    Example:
+        >>> from types import SimpleNamespace as Outcome
+        >>> account = CloudAccount()
+        >>> account.deposit(0.1, time_s=1.0, category="query_payment")
+        >>> account.deposit(0.2, time_s=2.0, category="query_payment")
+        >>> audit = audit_conservation(
+        ...     account, [Outcome(charge=0.1), Outcome(charge=0.2)])
+        >>> audit.exact, render_conservation(audit)
+        (True, 'exact')
+        >>> short = audit_conservation(account, [Outcome(charge=0.3)])
+        >>> short.exact                       # 0.1 + 0.2 != 0.3, bitwise
+        False
+        >>> short.require("partition 0", EconomyError)
+        Traceback (most recent call last):
+            ...
+        repro.errors.EconomyError: conservation violated on partition 0: query payments 0.30000000000000004 != outcome charges 0.3
+    """
+    wallets_audited = mismatches = 0
+    if registry is not None:
+        states = registry.states()
+        wallets_audited = len(states) + registry.churned_ledgers_folded
+        mismatches = registry.churned_ledger_mismatches + sum(
+            1 for state in states
+            if ledger_fold(state.account) != state.account.credit)
+    return ConservationAudit(
+        query_payments=query_payment_fold(account),
+        outcome_charges=outcome_charge_fold(outcomes),
+        provider_ledger=ledger_fold(account),
+        provider_credit=account.credit,
+        wallets_audited=wallets_audited,
+        wallet_ledger_mismatches=mismatches,
+    )
+
+
+def render_conservation(audit: Optional[ConservationAudit],
+                        detail: bool = False) -> str:
+    """The printed verdict: ``exact``, ``n/a`` (no economy to audit) or
+    ``VIOLATED (lhs != rhs)``; ``detail`` adds the wallet count to
+    ``exact`` and the reason to ``n/a``."""
+    if audit is None:
+        return "n/a (no economy)" if detail else "n/a"
+    if audit.exact:
+        return (f"exact ({audit.wallets_audited} wallets audited)"
+                if detail else "exact")
+    return f"VIOLATED ({audit.violation})"

@@ -3,16 +3,11 @@
 For every scheme the runner replays the identical populated workload
 twice — once clean, once with the configured shock sequence injected —
 and reports how much each headline metric degraded. The shocked run is
-additionally audited for **bitwise** conservation, reusing the fold
-identities the distributed layers pin:
-
-* provider side — the provider account's ``query_payment`` deposits fold
-  to exactly the total the query outcomes charged (the engine deposits
-  ``outcome.charge`` per query, in processing order, so the two folds
-  add the same floats in the same order);
-* wallet side — every tenant wallet's balance folds bitwise from its own
-  ledger (no money appears or vanishes outside the recorded
-  transactions).
+additionally audited for **bitwise** conservation by
+:func:`~repro.economy.account.audit_conservation`, the auditor every
+mode shares: the provider account's ``query_payment`` deposits against
+the charges the query outcomes carry, the provider ledger against its
+credit, and every tenant wallet's ledger against its balance.
 
 Shocks move *state* (structures destroyed, prices scaled, budgets
 squeezed), never money: a run whose audit is not exact is a bug, not a
@@ -28,9 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-# ledger_fold stays a module global here: benchmarks/e2e times it.
-from repro.economy.account import (ledger_fold, outcome_charge_fold,
-                                   query_payment_fold)
+# ledger_fold stays a module global here: benchmarks/e2e patches it by
+# name.
+from repro.economy.account import (  # noqa: F401
+    ConservationAudit,
+    audit_conservation,
+    ledger_fold,
+    render_conservation,
+)
 from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.reporting import format_table
 # sorted_breakdowns stays importable here: benchmarks/e2e times it.
@@ -42,31 +42,6 @@ from repro.experiments.tenants import (  # noqa: F401
     run_tenant_cell,
     sorted_breakdowns,
 )
-
-
-@dataclass(frozen=True)
-class ConservationAudit:
-    """Bitwise conservation evidence from one shocked cell.
-
-    ``query_payments`` and ``outcome_charges`` are the provider-side and
-    tenant-side folds of the same money stream, computed independently;
-    ``wallets_audited`` counts the wallet ledgers actually folded (a
-    streamed registry folds each wallet churn drops, so a tenant that
-    churns twice is folded twice), and ``wallet_ledger_mismatches``
-    counts those whose balance did not fold bitwise from their own
-    ledger (always 0 on a passing run).
-    """
-
-    query_payments: float
-    outcome_charges: float
-    wallets_audited: int
-    wallet_ledger_mismatches: int
-
-    @property
-    def exact(self) -> bool:
-        """Whether every conservation identity held bitwise."""
-        return (self.query_payments == self.outcome_charges
-                and self.wallet_ledger_mismatches == 0)
 
 
 @dataclass(frozen=True)
@@ -117,27 +92,11 @@ def audited_shock_cell(
     """
     cell = TenantCell(config)
     result = cell.run(trace=trace, metrics=metrics)
-
     audit: Optional[ConservationAudit] = None
-    registry = cell.registry
-    if registry is not None:
+    if cell.registry is not None:
         engine = cell.scheme.engine
-        banked = query_payment_fold(engine.account)
-        charged = outcome_charge_fold(engine.outcomes)
-        # The wallets still held are folded here; a streamed registry
-        # folded the ones churn dropped as it dropped them.
-        states = registry.states()
-        mismatches = sum(
-            1 for state in states
-            if ledger_fold(state.account) != state.account.credit
-        )
-        audit = ConservationAudit(
-            query_payments=banked,
-            outcome_charges=charged,
-            wallets_audited=len(states) + registry.churned_ledgers_folded,
-            wallet_ledger_mismatches=(
-                mismatches + registry.churned_ledger_mismatches),
-        )
+        audit = audit_conservation(engine.account, engine.outcomes,
+                                   cell.registry)
     return cell.outcome(result), audit
 
 
@@ -202,14 +161,6 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
 # -- tables --------------------------------------------------------------------
 
 
-def _conservation_cell(audit: Optional[ConservationAudit]) -> str:
-    if audit is None:
-        return "n/a"
-    if audit.exact:
-        return "exact"
-    return f"VIOLATED ({audit.query_payments!r} != {audit.outcome_charges!r})"
-
-
 def shock_resilience_table(results: Sequence[SchemeResilience]) -> str:
     """The scheme-resilience table: clean versus shocked, one row per scheme.
 
@@ -231,7 +182,7 @@ def shock_resilience_table(results: Sequence[SchemeResilience]) -> str:
             shocked.cache_hit_rate,
             shocked.p95_response_time_s,
             shocked.evictions,
-            _conservation_cell(item.audit),
+            render_conservation(item.audit),
         ])
     return format_table(headers, rows,
                         title="Scheme resilience under market shocks")

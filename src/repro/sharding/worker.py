@@ -15,7 +15,10 @@ bitwise identical across shards; only the *ownership* of the per-tenant
 outputs differs. At every maintenance settlement the worker snapshots a
 :class:`SettlementCheckpoint`; the coordinator later aligns these across
 shards, turning each settlement boundary into a determinism barrier and a
-credit-conservation audit point.
+credit-conservation audit point. Each shard replays the whole stream, so
+its own books conserve bitwise: every checkpoint first runs
+:func:`~repro.economy.account.audit_conservation` on the shard's engine
+(and, at the final barrier, on its wallets too).
 
 ``run_shard`` is a module-level function so tasks pickle cleanly into a
 ``ProcessPoolExecutor``.
@@ -26,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.economy.account import CloudAccount, query_payment_fold
+from repro.economy.account import audit_conservation
+from repro.economy.engine import EconomyEngine
 from repro.errors import ShardingError
 from repro.obs.metrics import MetricsTimeseries
 from repro.obs.trace import TraceRecorder
@@ -101,12 +105,13 @@ class ShardResult:
 
 
 class SettlementCheckpointRecorder:
-    """Read-only settlement observer: snapshots the two conservation sides."""
+    """Read-only settlement observer: audits the shard's books bitwise,
+    then snapshots the two conservation sides."""
 
     def __init__(self, registry: ShardScopedRegistry,
-                 account: CloudAccount) -> None:
+                 engine: EconomyEngine) -> None:
         self._registry = registry
-        self._account = account
+        self._engine = engine
         self.checkpoints: List[SettlementCheckpoint] = []
 
     def __call__(self, event, kernel) -> None:
@@ -115,15 +120,23 @@ class SettlementCheckpointRecorder:
             queries_dispatched=kernel.dispatch_count(QueryArrivalEvent),
         ))
 
-    def snapshot(self, time_s: float,
-                 queries_dispatched: int) -> SettlementCheckpoint:
-        """Snapshot the accounts now (also used for the final barrier)."""
-        payments = query_payment_fold(self._account)
+    def snapshot(self, time_s: float, queries_dispatched: int,
+                 final: bool = False) -> SettlementCheckpoint:
+        """Audit and snapshot the accounts now; the ``final`` barrier's
+        audit also folds every wallet ledger.
+
+        Raises:
+            ShardingError: if any conservation identity fails bitwise.
+        """
+        account = self._engine.account
+        audit = audit_conservation(account, self._engine.outcomes,
+                                   self._registry if final else None)
+        audit.require(f"settlement barrier t={time_s!r}", ShardingError)
         return SettlementCheckpoint(
             time_s=time_s,
             queries_dispatched=queries_dispatched,
-            provider_credit=self._account.credit,
-            provider_query_payments=payments,
+            provider_credit=account.credit,
+            provider_query_payments=audit.query_payments,
             owned_wallet_credit=self._registry.total_credit(),
             owned_charged=self._registry.total_charged(),
             owned_seed_credit=self._registry.seed_credit(),
@@ -158,7 +171,7 @@ class ShardWorker:
             # tenant-owned to scope, so the worker only filters the step
             # accounting.
             recorder = SettlementCheckpointRecorder(
-                registry, cell.scheme.engine.account)
+                registry, cell.scheme.engine)
             observers.append((MaintenanceSettlementEvent, recorder))
 
         # Per-shard recorders, merged by the coordinator at the same
@@ -179,6 +192,7 @@ class ShardWorker:
             final = recorder.snapshot(
                 time_s=result.summary.duration_s + cell.envelope.start_s,
                 queries_dispatched=cell.envelope.query_count,
+                final=True,
             )
             checkpoints = tuple(recorder.checkpoints) + (final,)
 

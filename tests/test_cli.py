@@ -214,14 +214,31 @@ class TestPlacementCli:
             "--settlement-period", "10.0", "--cache-partitions", "2"]
 
     def test_hash_placement_is_byte_identical_to_default(self, capsys):
-        """``--placement hash`` (the PR 4 path) must not change a byte,
-        whatever the threshold knob says."""
+        """``--placement hash`` (the PR 4 path) must not change a byte."""
         assert main(self.ARGS) == 0
         default = capsys.readouterr().out
-        assert main(self.ARGS + ["--placement", "hash",
-                                 "--handoff-threshold", "2.5"]) == 0
+        assert main(self.ARGS + ["--placement", "hash"]) == 0
         assert capsys.readouterr().out == default
         assert "Placement - adaptive" not in default
+
+    @pytest.mark.parametrize("command", ["tenants", "shocks"])
+    @pytest.mark.parametrize("layout", [
+        ["--cache-partitions", "2", "--placement", "hash"],
+        ["--cache-partitions", "2"],
+        [],
+    ], ids=["hash", "default-placement", "no-partitions"])
+    def test_handoff_threshold_without_adaptive_exits_2(self, capsys,
+                                                        command, layout):
+        """The threshold only steers adaptive handoffs; anywhere else it
+        would be silently ignored, so it is refused."""
+        argv = [command, "--n-tenants", "4", "--queries", "12",
+                "--schemes", "econ-cheap", "--handoff-threshold", "2.5"]
+        assert main(argv + layout) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert "--placement adaptive" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_adaptive_placement_adds_the_report_section(self, capsys):
         assert main(self.ARGS + ["--placement", "adaptive"]) == 0

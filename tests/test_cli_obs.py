@@ -108,6 +108,21 @@ class TestMetricsValidation:
         assert excinfo.value.code == 2
         assert "--trace or --metrics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        TENANTS_ARGS,
+        ["shocks", "--n-tenants", "4", "--queries", "20",
+         "--schemes", "econ-cheap"],
+        ["scenario", "--queries", "20"],
+        ["headline"],
+    ], ids=["tenants", "shocks", "scenario", "headline"])
+    def test_force_without_a_sink_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--force"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "argument --force: requires --trace or --metrics" in err
+
     def test_trace_and_metrics_may_not_share_a_path(self, tmp_path, capsys):
         target = str(tmp_path / "same.jsonl")
         with pytest.raises(SystemExit) as excinfo:

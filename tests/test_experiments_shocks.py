@@ -62,15 +62,18 @@ class TestAuditedCell:
 
     def test_audit_exact_is_a_bitwise_claim(self):
         good = ConservationAudit(query_payments=1.25, outcome_charges=1.25,
+                                 provider_ledger=2.0, provider_credit=2.0,
                                  wallets_audited=3,
                                  wallet_ledger_mismatches=0)
         assert good.exact
         off_by_ulp = ConservationAudit(
             query_payments=1.25, outcome_charges=1.25 + 2**-50,
+            provider_ledger=2.0, provider_credit=2.0,
             wallets_audited=3, wallet_ledger_mismatches=0)
         assert not off_by_ulp.exact
         bad_wallet = ConservationAudit(
             query_payments=1.25, outcome_charges=1.25,
+            provider_ledger=2.0, provider_credit=2.0,
             wallets_audited=3, wallet_ledger_mismatches=1)
         assert not bad_wallet.exact
 

@@ -699,14 +699,13 @@ class TestStreamedModeCoverage:
 
     def test_streamed_audit_folds_the_wallets_churn_dropped(
             self, monkeypatch):
-        from repro.economy import tenancy
-        from repro.experiments import shocks
+        from repro.economy import account, tenancy
         from repro.experiments.shocks import audited_shock_cell
 
         eager_cell, eager_audit = audited_shock_cell(
             self._stock_shock_config(ARRIVAL_EAGER))
         folds = []
-        for module in (tenancy, shocks):
+        for module in (tenancy, account):
             fold = module.ledger_fold
             monkeypatch.setattr(
                 module, "ledger_fold",
@@ -716,8 +715,9 @@ class TestStreamedModeCoverage:
             self._stock_shock_config(ARRIVAL_STREAMED))
         assert _rendered(cell) == _rendered(eager_cell)
         assert audit.exact and eager_audit.exact
-        # The audit claims exactly the wallet ledgers it folded.
-        assert audit.wallets_audited == len(folds)
+        # The audit claims exactly the wallet ledgers it folded (the
+        # remaining fold is the provider ledger's).
+        assert audit.wallets_audited == len(folds) - 1
         # A tenant's first query materialises its wallet, which is then
         # folded each time churn drops it, or at the end if still held:
         # so every tenant with traffic was audited at least once.
