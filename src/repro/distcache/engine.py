@@ -35,7 +35,7 @@ a documented divergence from the global-cache economy
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.costmodel.amortization import AmortizationPolicy
 from repro.costmodel.build import StructureCostModel
@@ -428,16 +428,15 @@ class PartitionedEconomyEngine(EconomyEngine):
 
     # -- owned-only investment -------------------------------------------------
 
-    def _available_column_keys(self) -> Set[str]:
+    def _available_column_keys(self) -> FrozenSet[str]:
         """Local cached columns plus columns advertised by the directory.
 
         A build may read a remote column over the interconnect instead of
         re-extracting it from the back-end, so remote columns count as
         available for build-cost estimation and index construction.
         """
-        available = super()._available_column_keys()
-        available.update(self.partitioned_cache.remote_column_keys)
-        return available
+        return (super()._available_column_keys()
+                | self.partitioned_cache.remote_column_keys)
 
     def _build_structure(self, structure: CacheStructure, query_id: int,
                          now: float) -> List[StructureBuild]:

@@ -64,8 +64,8 @@ from repro.distcache.placement import (
     HandoffRecord,
     PlacementPolicy,
 )
-from repro.economy.account import (ConservationAudit, audit_conservation,
-                                   query_payment_fold)
+from repro.economy.account import (CloudAccount, ConservationAudit,
+                                   audit_conservation)
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError, call_naming_failures
@@ -343,7 +343,8 @@ def _sample_partition(scheme: CachingScheme,
     collector.sample(
         time_s=time_s, epoch=epoch, final=final,
         provider_credit=engine.account.credit,
-        query_payments=query_payment_fold(engine.account),
+        query_payments=engine.account.category_total(
+            CloudAccount.CATEGORY_QUERY_PAYMENT),
         wallet_credit=scheme.tenant_registry.total_credit(),
         remote_hits=engine.remote_hits,
         remote_surcharge_dollars=engine.remote_dollars,

@@ -72,11 +72,12 @@ class CloudAccount:
         self._credit = float(initial_credit)
         self._allow_negative = allow_negative
         self._transactions: List[Transaction] = []
+        # Running signed total per category, folded in ledger order, so
+        # bitwise what totals_by_category() folds from the ledger.
+        self._category_totals: Dict[str, float] = {}
         if initial_credit:
-            self._transactions.append(Transaction(
-                time_s=0.0, category=self.CATEGORY_SEED,
-                amount=initial_credit, note="initial working capital",
-            ))
+            self._record(0.0, self.CATEGORY_SEED, initial_credit,
+                         "initial working capital")
 
     @property
     def credit(self) -> float:
@@ -107,9 +108,7 @@ class CloudAccount:
         if amount < 0:
             raise EconomyError(f"deposit amount must be non-negative, got {amount}")
         self._credit += amount
-        self._transactions.append(Transaction(
-            time_s=time_s, category=category, amount=amount, note=note,
-        ))
+        self._record(time_s, category, amount, note)
 
     def withdraw(self, amount: float, time_s: float, category: str,
                  note: str = "") -> None:
@@ -139,9 +138,16 @@ class CloudAccount:
                 f"cannot withdraw {amount:.4f}: credit is {self._credit:.4f}"
             )
         self._credit -= amount
+        self._record(time_s, category, -amount, note)
+
+    def _record(self, time_s: float, category: str, amount: float,
+                note: str) -> None:
+        """Append one ledger entry and fold it into its category total."""
         self._transactions.append(Transaction(
-            time_s=time_s, category=category, amount=-amount, note=note,
+            time_s=time_s, category=category, amount=amount, note=note,
         ))
+        totals = self._category_totals
+        totals[category] = totals.get(category, 0.0) + amount
 
     def can_afford(self, amount: float) -> bool:
         """Whether a withdrawal of ``amount`` would be allowed."""
@@ -169,6 +175,25 @@ class CloudAccount:
                 totals.get(transaction.category, 0.0) + transaction.amount
             )
         return totals
+
+    def category_total(self, category: str) -> float:
+        """Signed total of one ledger category, without a ledger fold.
+
+        Kept as a running fold in ledger order, so it is bitwise
+        ``totals_by_category().get(category, 0.0)``.
+
+        Example:
+            >>> account = CloudAccount(initial_credit=1.0)
+            >>> account.deposit(0.1, 0.0, "query_payment")
+            >>> account.deposit(0.2, 1.0, "query_payment")
+            >>> account.category_total("query_payment")   # folded, not 0.3
+            0.30000000000000004
+            >>> account.category_total("query_payment") == query_payment_fold(account)
+            True
+            >>> account.category_total("structure_build")
+            0.0
+        """
+        return self._category_totals.get(category, 0.0)
 
     def total_deposited(self) -> float:
         """Sum of all positive ledger entries."""

@@ -21,8 +21,8 @@ different decision procedure entirely — see :mod:`repro.policies`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro import constants
 from repro.cache.manager import CacheConfig, CacheManager
@@ -30,7 +30,7 @@ from repro.cache.storage import EvictionRecord
 from repro.costmodel.amortization import AmortizationPolicy, UniformAmortization
 from repro.costmodel.build import StructureCostModel
 from repro.costmodel.execution import ExecutionCostModel
-from repro.economy.account import CloudAccount, query_payment_fold
+from repro.economy.account import CloudAccount
 from repro.economy.batch import BatchPricingContext, BatchScheduler
 from repro.economy.budget import BudgetFunction
 from repro.economy.investment import InvestmentPolicy
@@ -243,6 +243,9 @@ class EconomyEngine:
         self._column_keys_memo: FrozenSet[str] = frozenset()
         self._column_keys_version: int = -1
         self._pricing_states: Dict[str, _TablePricingState] = {}
+        # The investment rule's spot build costs (_spot_cost_estimator).
+        self._spot_costs: Dict[str, float] = {}
+        self._spot_costs_key: Optional[Tuple[FrozenSet[str], float]] = None
         # Market-shock state. Price shocks scale what the *provider* pays
         # (spot build spend and the investment rule's estimates); budget
         # squeezes scale every tenant's willingness-to-pay at offer time.
@@ -507,7 +510,8 @@ class EconomyEngine:
                 and now <= self._strict_enforced_at):
             return ()
         self._strict_enforced_at = now
-        income_total = query_payment_fold(self._account)
+        income_total = self._account.category_total(
+            CloudAccount.CATEGORY_QUERY_PAYMENT)
         income = income_total - self._strict_income_mark
         self._strict_income_mark = income_total
         accrued_by_key = self._cache.accrued_maintenance(now)
@@ -890,7 +894,7 @@ class EconomyEngine:
 
         decisions = self._investment.candidates(
             self._regret, self._account,
-            build_cost_of=self._estimate_build_cost,
+            build_cost_of=self._spot_cost_estimator(),
             built_keys=self._cache.built_keys,
         )
         for decision in decisions:
@@ -921,26 +925,43 @@ class EconomyEngine:
             self._column_keys_version = version
         return self._column_keys_memo
 
-    def _available_column_keys(self) -> Set[str]:
+    def _available_column_keys(self) -> FrozenSet[str]:
         """Column keys a build may read instead of re-extracting.
 
         The base engine only has its own cache; partitioned engines
         (:mod:`repro.distcache`) override this to add columns that exist
         on a remote partition, which a build can read over the network.
-        Returns a fresh mutable set: callers extend it while planning
-        multi-column index builds.
         """
-        return set(self._cached_column_keys())
+        return self._cached_column_keys()
 
-    def _estimate_build_cost(self, structure: CacheStructure) -> float:
-        # The investment rule sees the *spot* (shock-scaled) price: a
-        # 3x provider shock must make marginal builds unattractive. The
-        # memoized catalog cost stays unscaled — it is shared with the
-        # pricing of unbuilt plans, which always quotes users catalog
-        # prices.
-        return self._pricer.build_cost(
-            structure, self._available_column_keys()
-        ) * self._price_factor
+    def _spot_cost_estimator(self) -> Callable[[CacheStructure], float]:
+        """The investment rule's build-cost estimate for this query.
+
+        The rule sees the *spot* (shock-scaled) price: a 3x provider
+        shock must make marginal builds unattractive. The pricer's
+        catalog cost stays unscaled — it is shared with the pricing of
+        unbuilt plans, which always quotes users catalog prices. Spot
+        costs are memoized across queries, keyed on what a cost depends
+        on: the columns a build may read and the price factor. A column
+        admit or eviction, a remote publication or a price shock changes
+        the key and empties the memo.
+        """
+        available = self._available_column_keys()
+        factor = self._price_factor
+        memo_key = (available, factor)
+        if self._spot_costs_key != memo_key:
+            self._spot_costs = {}
+            self._spot_costs_key = memo_key
+        costs = self._spot_costs
+        build_cost = self._pricer.build_cost
+
+        def spot_cost(structure: CacheStructure) -> float:
+            cost = costs.get(structure.key)
+            if cost is None:
+                cost = build_cost(structure, available) * factor
+                costs[structure.key] = cost
+            return cost
+        return spot_cost
 
     def _build_structure(self, structure: CacheStructure, query_id: int,
                          now: float) -> List[StructureBuild]:
@@ -950,7 +971,7 @@ class EconomyEngine:
         (credit may have dropped since the decision was evaluated).
         """
         plan: List[Tuple[CacheStructure, float]] = []
-        cached_columns = self._available_column_keys()
+        cached_columns = set(self._available_column_keys())
         # Builds are paid at spot: the active price-shock factor scales
         # every component of the build, and the admitted entry records the
         # cost actually paid so amortization recovers the real spend.

@@ -145,9 +145,11 @@ class InvestmentPolicy:
         # Filter on the invest-score threshold before sorting: most
         # structures miss it on most queries, and a stable sort of the
         # qualifying few yields the same descending-regret order ranked()
-        # would have produced.
+        # would have produced. The expression is invest_score's, with
+        # ``a * CR`` computed once.
+        scale = self._regret_fraction * credit
         qualifying = [(key, regret) for key, regret in tracker.items()
-                      if self.invest_score(regret, credit) >= 1]
+                      if int(round(regret / scale)) >= 1]
         qualifying.sort(key=lambda item: -item[1])
         built = set(built_keys)
         decisions: List[InvestmentDecision] = []
@@ -157,9 +159,11 @@ class InvestmentPolicy:
             structure = tracker.structure(key)
             if structure is None:
                 continue
-            decision = self.evaluate(
-                structure, regret, build_cost_of(structure), account
-            )
-            if decision.should_build:
-                decisions.append(decision)
+            build_cost = build_cost_of(structure)
+            # Most qualifying structures fail affordability: drop them
+            # before building a decision that would only be discarded.
+            if self._require_affordable and not account.can_afford(build_cost):
+                continue
+            decisions.append(
+                self.evaluate(structure, regret, build_cost, account))
         return decisions

@@ -55,13 +55,7 @@ class RegretTracker:
             structure: the missing structure the regret belongs to.
             amount: the (non-negative) regret to add.
         """
-        if amount < 0:
-            raise EconomyError(f"regret must be non-negative, got {amount}")
-        key = structure.key
-        self._structures[key] = structure
-        self._values[key] = self._values.get(key, 0.0) + amount
-        for evicted_key in self._lru.touch(key):
-            self._forget(evicted_key)
+        self.distribute((structure,), amount, divide=False)
 
     def distribute(self, structures: Iterable[CacheStructure], amount: float,
                    divide: bool = True) -> None:
@@ -90,8 +84,15 @@ class RegretTracker:
         if not structure_list:
             return
         share = amount / len(structure_list) if divide else amount
+        values = self._values
+        structures_by_key = self._structures
+        touch = self._lru.touch
         for structure in structure_list:
-            self.add(structure, share)
+            key = structure.key
+            structures_by_key[key] = structure
+            values[key] = values.get(key, 0.0) + share
+            for evicted_key in touch(key):
+                self._forget(evicted_key)
 
     # -- queries ----------------------------------------------------------------
 

@@ -278,10 +278,10 @@ class MetricsSampler:
         }
         engine = self._engine
         if engine is not None:
-            from repro.economy.account import query_payment_fold
-
-            gauges["provider_credit"] = engine.account.credit
-            gauges["query_payments"] = query_payment_fold(engine.account)
+            account = engine.account
+            gauges["provider_credit"] = account.credit
+            gauges["query_payments"] = account.category_total(
+                account.CATEGORY_QUERY_PAYMENT)
             registry = engine.tenants
             if registry is not None:
                 gauges["wallet_credit"] = registry.total_credit()

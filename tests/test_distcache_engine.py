@@ -138,6 +138,26 @@ class TestRemoteAwarePricing:
             c.key for c in required_columns_for(query)}
 
 
+class TestSpotCostMemo:
+    def test_remote_publication_reprices_the_next_estimate(
+            self, execution_model, structure_costs, partitioner):
+        """A column another partition publishes can be read instead of
+        transferred, so an index over it gets cheaper at once."""
+        engine = make_engine(execution_model, structure_costs, partitioner)
+        column = next(
+            CachedColumn("lineitem", name)
+            for name in ("l_shipdate", "l_quantity", "l_discount", "l_tax")
+            if not partitioner.owns(0, f"column:lineitem.{name}"))
+        index = CachedIndex("lineitem", (column.column_name,))
+        cold = engine._spot_cost_estimator()(index)
+        directory = CrossShardDirectory.publish(
+            {partitioner.partition_of(column.key): [
+                (column.key, column.size_bytes(structure_costs.schema))]},
+            partitioner, version=1)
+        engine.partitioned_cache.set_directory(directory)
+        assert engine._spot_cost_estimator()(index) < cold
+
+
 class TestOwnedOnlyInvestment:
     def test_foreign_structure_never_built(
             self, execution_model, structure_costs, partitioner,

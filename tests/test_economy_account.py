@@ -4,6 +4,8 @@ import pytest
 
 from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
+
 from repro.economy.account import (
     CloudAccount,
     outcome_charge_fold,
@@ -96,3 +98,39 @@ class TestCloudAccount:
         deposits = account.total_deposited()
         withdrawals = account.total_withdrawn()
         assert account.credit == pytest.approx(deposits - withdrawals)
+
+
+# -- running category totals ----------------------------------------------------
+
+CATEGORIES = [CloudAccount.CATEGORY_QUERY_PAYMENT, CloudAccount.CATEGORY_BUILD,
+              CloudAccount.CATEGORY_SEED, "other"]
+amounts = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.2, 1e16, 1.0]),
+                    st.floats(min_value=0.0, max_value=1e6))
+
+
+class TestCategoryTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.sampled_from([0.0, 7.0, 0.1]),
+           allow_negative=st.booleans(),
+           operations=st.lists(st.tuples(
+               st.booleans(), st.sampled_from(CATEGORIES), amounts),
+               max_size=40))
+    def test_running_total_is_the_ledger_fold(self, initial, allow_negative,
+                                              operations):
+        account = CloudAccount(initial_credit=initial,
+                               allow_negative=allow_negative)
+        for is_deposit, category, amount in operations:
+            if is_deposit:
+                account.deposit(amount, 0.0, category)
+            else:
+                try:
+                    account.withdraw(amount, 0.0, category)
+                except InsufficientCreditError:
+                    pass  # refused withdrawals leave no ledger entry
+        totals = account.totals_by_category()
+        for category in CATEGORIES:
+            # hex() tells 0.0 from -0.0: the claim is bitwise.
+            assert (account.category_total(category).hex()
+                    == totals.get(category, 0.0).hex())
+        assert (account.category_total(CloudAccount.CATEGORY_QUERY_PAYMENT)
+                .hex() == query_payment_fold(account).hex())

@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError
 from repro.planner.enumerator import EnumeratorConfig, PlanEnumerator
 from repro.planner.plan import PlanKind
 from repro.structures.base import StructureKind
+from repro.structures.cached_column import CachedColumn
 from repro.structures.cached_index import CachedIndex
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -238,3 +239,55 @@ class TestBuildCostMemo:
         assert scalar_calls > 0
         assert counting.calls and set(counting.calls.values()) == {1}
         assert outcomes == reference.process_workload(workload)
+
+
+class TestSpotCostMemo:
+    """The investment rule's spot costs are memoized across queries; each
+    change a build cost depends on must reach the next query's estimate."""
+
+    def test_price_shock_reprices_the_next_estimate(self, engine):
+        column = CachedColumn("lineitem", "l_shipdate")
+        before = engine._spot_cost_estimator()(column)
+        engine.apply_price_shock(3.0)
+        assert engine._spot_cost_estimator()(column) == before * 3.0
+
+    def test_admitted_and_evicted_columns_reprice_an_index(
+            self, engine, structure_costs):
+        index = CachedIndex("lineitem", ("l_shipdate",))
+        (key_column,) = index.required_columns()
+        cold = engine._spot_cost_estimator()(index)
+        engine.cache.admit(
+            key_column, size_bytes=key_column.size_bytes(structure_costs.schema),
+            build_cost=1.0, maintenance_rate=0.0, now=0.0)
+        warm = engine._spot_cost_estimator()(index)
+        assert warm < cold  # the key column no longer has to be transferred
+        engine.cache.evict(key_column.key, now=1.0)
+        assert engine._spot_cost_estimator()(index) == cold
+
+    def test_memoized_estimates_match_fresh_pricing_through_shocks(
+            self, engine, workload):
+        """Every estimate the rule reads over a run with a price-shock
+        window and an invalidation equals the unmemoized spot price."""
+        checked = []
+        consider = engine._investment.candidates
+
+        def checking_candidates(tracker, account, build_cost_of,
+                                built_keys=()):
+            def fresh(structure):
+                cost = build_cost_of(structure)
+                assert cost == engine._pricer.build_cost(
+                    structure, engine._available_column_keys()
+                ) * engine.price_factor
+                checked.append(structure.key)
+                return cost
+            return consider(tracker, account, fresh, built_keys)
+
+        engine._investment.candidates = checking_candidates
+        third = len(workload) // 3
+        engine.process_workload(workload[:third])
+        engine.apply_price_shock(2.5)
+        engine.process_workload(workload[third:2 * third])
+        engine.apply_price_shock(1.0)
+        engine.invalidate_structures("", now=workload[2 * third].arrival_time)
+        outcomes = engine.process_workload(workload[2 * third:])
+        assert checked and any(outcome.builds for outcome in outcomes)
