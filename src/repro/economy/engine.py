@@ -180,22 +180,27 @@ class QueryOutcome:
 
 
 class _TablePricingState:
-    """Cache-version-invariant parts of batched pricing for one plan table.
+    """Batched pricing state of one plan table for one cache version.
 
     Between two cache-content changes, the charge of every *not-yet-built*
     structure is fixed (its build cost is memoized and it has served zero
-    queries), and therefore so are the existing-plan flags and the full
-    amortized total of any row whose structures are all unbuilt. Only the
+    queries), and therefore so are the existing-plan flags. Only the
     currently built structures need re-pricing per query (their
     amortization advances with ``queries_served`` and their maintenance
     accrues with time), so the hot loop touches exactly those slots.
+
+    Each row's amortized total is kept and re-summed only while ``stale``:
+    when the state is new or a built charge moved. Under Eq. 7's uniform
+    amortization a built structure's charge stays ``build_cost / n`` until
+    its horizon, so that is rare.
     """
 
     __slots__ = ("table", "version", "charges", "cached_flags", "maintenance",
-                 "cached_slots", "cached_entries", "existing", "row_totals")
+                 "cached_slots", "cached_entries", "existing", "row_totals",
+                 "stale")
 
     def __init__(self, table, version, charges, cached_flags, maintenance,
-                 cached_slots, cached_entries, existing, row_totals):
+                 cached_slots, cached_entries, existing):
         self.table = table
         self.version = version
         self.charges = charges
@@ -204,7 +209,49 @@ class _TablePricingState:
         self.cached_slots = cached_slots
         self.cached_entries = cached_entries
         self.existing = existing
-        self.row_totals = row_totals
+        self.row_totals = [0.0] * table.row_count
+        self.stale = True
+
+    def reprice_built(self, amortization: AmortizationPolicy,
+                      now: float) -> None:
+        """Re-price the built slots at ``now`` and refresh stale row totals.
+
+        Charges are never negative or NaN, so ``!=`` detects every move.
+        """
+        charges = self.charges
+        maintenance = self.maintenance
+        stale = self.stale
+        for slot, entry in zip(self.cached_slots, self.cached_entries):
+            charge = min(amortization.charge(entry.build_cost,
+                                             entry.queries_served),
+                         entry.unrecovered_build_cost())
+            if charge != charges[slot]:
+                stale = True
+            charges[slot] = charge
+            maintenance[slot] = entry.accrued_maintenance(now)
+        if stale:
+            # Accumulate in plan-structure order — the scalar pricer's
+            # addition order — so the float sums match bitwise.
+            row_totals = self.row_totals
+            for row_index, row in enumerate(self.table.rows):
+                total = 0.0
+                for slot in row.structure_indices:
+                    total += charges[slot]
+                row_totals[row_index] = total
+            self.stale = False
+
+
+class _RowCandidate:
+    """One skyline row as negotiation reads it (a ``NegotiablePlan``)."""
+
+    __slots__ = ("price", "response_time_s", "is_existing", "row")
+
+    def __init__(self, price: float, response_time_s: float,
+                 is_existing: bool, row: int) -> None:
+        self.price = price
+        self.response_time_s = response_time_s
+        self.is_existing = is_existing
+        self.row = row
 
 
 class EconomyEngine:
@@ -379,7 +426,7 @@ class EconomyEngine:
         batch_view = (self._batch.view_for(query)
                       if self._batch is not None else None)
         if batch_view is not None:
-            skyline, budget = self._plan_batched(query, time_s, batch_view)
+            result = self._plan_batched(query, time_s, batch_view)
         else:
             priced = self._price_plans(query, time_s)
             skyline = skyline_filter(
@@ -389,7 +436,7 @@ class EconomyEngine:
             )
             skyline = self._ensure_existing_plan(priced, skyline)
             budget = self._budget_for(query, priced)
-        result = negotiate(budget, skyline, self._config.plan_selection)
+            result = negotiate(budget, skyline, self._config.plan_selection)
 
         maintenance_recovered = self._settle_chosen_plan(query, result, time_s)
         self._distribute_regret(query, result)
@@ -599,73 +646,70 @@ class EconomyEngine:
     # the identical scalar expression tree, so negotiation and settlement
     # downstream see bit-for-bit identical inputs. Pricing against the
     # mutable cache stays per-query; what moves out of the hot loop is the
-    # per-instance execution estimation (vectorized per epoch) and the
+    # per-instance execution estimation (vectorized per epoch), the
     # per-plan re-pricing of shared structures (each distinct structure is
-    # priced once per query instead of once per plan).
+    # priced once per query instead of once per plan), the re-summing of
+    # row totals no built charge moved, and the materialisation of skyline
+    # rows negotiation does not keep.
 
     def _plan_batched(self, query: Query, now: float,
-                      view: Tuple) -> Tuple[List[PricedPlan], BudgetFunction]:
-        """Price, skyline-filter, and budget one query from its batch view."""
+                      view: Tuple) -> NegotiationResult[PricedPlan]:
+        """Price, skyline-filter, budget and negotiate one query from its
+        batch view.
+
+        Negotiation runs over one :class:`_RowCandidate` per skyline row;
+        only the chosen row and the regret rows become PricedPlans.
+        """
         table, estimates, column = view
-        times = estimates.times_for(column)
-        execution_dollars = estimates.execution_dollars_for(column)
         state = self._pricing_state_for(table)
-        amortization = self._pricer.amortization
-
-        # Re-price only the built structures: their amortization advances
-        # with queries_served and their maintenance accrues with time. The
-        # unbuilt slots keep the charges precomputed for this cache version.
-        charges = state.charges
-        maintenance = state.maintenance
-        for position, slot in enumerate(state.cached_slots):
-            entry = state.cached_entries[position]
-            charge = amortization.charge(entry.build_cost,
-                                         entry.queries_served)
-            charges[slot] = min(charge, entry.unrecovered_build_cost())
-            maintenance[slot] = entry.accrued_maintenance(now)
-
-        amortized: List[float] = []
-        prices: List[float] = []
-        rows = table.rows
-        row_totals = state.row_totals
-        for row_index in range(table.row_count):
-            total = row_totals[row_index]
-            if total is None:
-                # Accumulate in plan-structure order — the scalar pricer's
-                # addition order — so the float sums match bitwise.
-                total = 0.0
-                for slot in rows[row_index].structure_indices:
-                    total += charges[slot]
-            amortized.append(total)
-            prices.append(execution_dollars[row_index] + total)
+        state.reprice_built(self._pricer.amortization, now)
+        execution_dollars = estimates.execution_dollars_for(column)
+        # A copy: the partitioned engine's hook rewrites the context lists.
+        amortized = list(state.row_totals)
+        prices = [dollars + total
+                  for dollars, total in zip(execution_dollars, amortized)]
 
         context = BatchPricingContext(
-            table=table, estimates=estimates, column=column, times=times,
-            execution_dollars=execution_dollars, charges=charges,
-            cached_flags=state.cached_flags, maintenance=maintenance,
+            table=table, estimates=estimates, column=column,
+            times=estimates.times_for(column),
+            execution_dollars=execution_dollars, charges=state.charges,
+            cached_flags=state.cached_flags, maintenance=state.maintenance,
             amortized=amortized, prices=prices, existing=list(state.existing),
             remote_surcharges=None,
         )
         self._adjust_batched_pricing(context, now)
+        times, prices, existing = context.times, context.prices, context.existing
 
-        selected = skyline_indices(context.times, context.prices)
-        if not any(context.existing[row_index] for row_index in selected):
+        selected = skyline_indices(times, prices)
+        if not any(existing[row_index] for row_index in selected):
             # _ensure_existing_plan: re-add the cheapest existing plan
             # (first strict minimum, matching min()'s tie-breaking).
             cheapest: Optional[int] = None
             cheapest_price = float("inf")
             for row_index in range(table.row_count):
-                if (context.existing[row_index]
-                        and context.prices[row_index] < cheapest_price):
+                if existing[row_index] and prices[row_index] < cheapest_price:
                     cheapest = row_index
-                    cheapest_price = context.prices[row_index]
+                    cheapest_price = prices[row_index]
             if cheapest is not None:
                 selected = selected + [cheapest]
 
-        skyline = [self._materialize_row(query, context, row_index, now)
-                   for row_index in selected]
+        candidates = [
+            _RowCandidate(prices[row_index], times[row_index],
+                          existing[row_index], row_index)
+            for row_index in selected
+        ]
         budget = self._batched_budget(query, context)
-        return skyline, budget
+        result = negotiate(budget, candidates, self._config.plan_selection)
+        return NegotiationResult(
+            case=result.case,
+            chosen=self._materialize_row(query, context, result.chosen.row),
+            charge=result.charge,
+            profit=result.profit,
+            regrets=tuple(
+                (self._materialize_row(query, context, candidate.row), regret)
+                for candidate, regret in result.regrets
+            ),
+        )
 
     def _pricing_state_for(self, table: PlanTable) -> _TablePricingState:
         """The cache-version-invariant pricing state of one plan table.
@@ -703,34 +747,13 @@ class EconomyEngine:
                 cached_flags.append(False)
                 maintenance.append(0.0)
 
-        existing: List[bool] = []
-        row_totals: List[Optional[float]] = []
-        for row in table.rows:
-            row_existing = True
-            has_cached = False
-            for slot in row.structure_indices:
-                if cached_flags[slot]:
-                    has_cached = True
-                else:
-                    row_existing = False
-            existing.append(row_existing)
-            if has_cached:
-                # The row mixes built structures in; its total changes per
-                # query and is accumulated in the hot loop.
-                row_totals.append(None)
-            else:
-                # All-unbuilt row: its amortized total is fixed until the
-                # cache changes. Same accumulation order as the hot loop.
-                total = 0.0
-                for slot in row.structure_indices:
-                    total += charges[slot]
-                row_totals.append(total)
-
+        existing = [all(cached_flags[slot] for slot in row.structure_indices)
+                    for row in table.rows]
         state = _TablePricingState(
             table=table, version=version, charges=charges,
             cached_flags=cached_flags, maintenance=maintenance,
             cached_slots=cached_slots, cached_entries=cached_entries,
-            existing=existing, row_totals=row_totals,
+            existing=existing,
         )
         self._pricing_states[table.template_name] = state
         return state
@@ -773,10 +796,9 @@ class EconomyEngine:
         return self._squeeze(budget)
 
     def _materialize_row(self, query: Query, context: BatchPricingContext,
-                         row_index: int, now: float) -> PricedPlan:
+                         row_index: int) -> PricedPlan:
         """Instantiate one plan-table row as the scalar pipeline's PricedPlan."""
-        table = context.table
-        row = table.rows[row_index]
+        row = context.table.rows[row_index]
         charges = context.charges
         cached_flags = context.cached_flags
         maintenance = context.maintenance
@@ -821,7 +843,7 @@ class EconomyEngine:
                 response_time_s=execution.response_time_s + remote_seconds,
             )
         # Direct construction instead of dataclasses.replace(): this runs
-        # for every skyline row of every query.
+        # for the chosen and the regret rows of every query.
         proto = row.plan
         plan = QueryPlan(
             query=query, kind=proto.kind, execution=execution,
@@ -843,14 +865,15 @@ class EconomyEngine:
         """Move the money and update structure bookkeeping for the chosen plan."""
         chosen = result.chosen
         account = self._account
+        note = f"query {query.query_id} ({chosen.label})"
         account.deposit(result.charge, now, CloudAccount.CATEGORY_QUERY_PAYMENT,
-                        note=f"query {query.query_id} ({chosen.label})")
+                        note=note)
         if self._tenants is not None:
             # Mirror transaction: the payment the provider just banked is
             # withdrawn from the issuing tenant's wallet (and only theirs),
             # so the registry's books balance against the provider's.
             self._tenants.charge(query.tenant_id, result.charge, now,
-                                 note=f"query {query.query_id} ({chosen.label})")
+                                 note=note)
         execution_cost = chosen.execution_dollars
         self._safe_withdraw(execution_cost, now,
                             CloudAccount.CATEGORY_EXECUTION_COST,

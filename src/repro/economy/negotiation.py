@@ -18,16 +18,21 @@ budget function ``B_PQ`` (the priced plans):
 The selection criterion is configurable because the experimental section
 evaluates variants: econ-cheap picks the cheapest affordable plan and
 econ-fast the fastest affordable plan.
+
+Negotiation reads three things of a plan: its price, its response time
+and whether it is existing (:class:`NegotiablePlan`). The scalar path
+negotiates over :class:`~repro.economy.pricing.PricedPlan` objects; the
+batched path negotiates over light per-row candidates and builds full
+priced plans only for the chosen and the regret rows afterwards.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Generic, List, Protocol, Sequence, Tuple, TypeVar
 
 from repro.economy.budget import BudgetFunction
-from repro.economy.pricing import PricedPlan
 from repro.errors import PlanningError
 
 
@@ -51,15 +56,34 @@ class PlanSelection(enum.Enum):
     FASTEST = "fastest"
 
 
+class NegotiablePlan(Protocol):
+    """What negotiation reads of a plan."""
+
+    @property
+    def price(self) -> float:
+        """``B_PQ(t_PQ)``, the least the user could be charged."""
+
+    @property
+    def response_time_s(self) -> float:
+        """The plan's execution time ``t_PQ``."""
+
+    @property
+    def is_existing(self) -> bool:
+        """Whether every structure the plan uses is built."""
+
+
+PlanT = TypeVar("PlanT", bound=NegotiablePlan)
+
+
 @dataclass(frozen=True)
-class NegotiationResult:
+class NegotiationResult(Generic[PlanT]):
     """Outcome of negotiating one query."""
 
     case: NegotiationCase
-    chosen: PricedPlan
+    chosen: PlanT
     charge: float
     profit: float
-    regrets: Tuple[Tuple[PricedPlan, float], ...]
+    regrets: Tuple[Tuple[PlanT, float], ...]
 
     @property
     def response_time_s(self) -> float:
@@ -67,9 +91,9 @@ class NegotiationResult:
         return self.chosen.response_time_s
 
 
-def negotiate(budget: BudgetFunction, priced_plans: Sequence[PricedPlan],
+def negotiate(budget: BudgetFunction, priced_plans: Sequence[PlanT],
               selection: PlanSelection = PlanSelection.MIN_PROFIT
-              ) -> NegotiationResult:
+              ) -> NegotiationResult[PlanT]:
     """Choose a plan for one query and compute the regrets of the others.
 
     Args:
@@ -135,12 +159,12 @@ def negotiate(budget: BudgetFunction, priced_plans: Sequence[PricedPlan],
     return _case_b_or_c(budget, case, affordable_existing, possible, selection)
 
 
-def _case_a(budget: BudgetFunction, existing: List[PricedPlan],
-            possible: List[PricedPlan]) -> NegotiationResult:
+def _case_a(budget: BudgetFunction, existing: List[PlanT],
+            possible: List[PlanT]) -> NegotiationResult[PlanT]:
     """No plan fits the budget: the user reluctantly pays for the cheapest
     existing plan; regret follows Eq. 1."""
     chosen = min(existing, key=lambda plan: (plan.price, plan.response_time_s))
-    regrets: List[Tuple[PricedPlan, float]] = []
+    regrets: List[Tuple[PlanT, float]] = []
     for plan in possible:
         if plan is chosen:
             continue
@@ -159,9 +183,9 @@ def _case_a(budget: BudgetFunction, existing: List[PricedPlan],
 
 
 def _case_b_or_c(budget: BudgetFunction, case: NegotiationCase,
-                 affordable_existing: List[PricedPlan],
-                 possible: List[PricedPlan],
-                 selection: PlanSelection) -> NegotiationResult:
+                 affordable_existing: List[PlanT],
+                 possible: List[PlanT],
+                 selection: PlanSelection) -> NegotiationResult[PlanT]:
     """Some or all plans fit the budget: pick per the selection criterion,
     charge the user's budget at the chosen response time, credit the profit,
     and record Eq. 2 regrets for the plans that are not built yet."""
@@ -169,7 +193,7 @@ def _case_b_or_c(budget: BudgetFunction, case: NegotiationCase,
     charge = budget.value(chosen.response_time_s)
     profit = max(0.0, charge - chosen.price)
 
-    regrets: List[Tuple[PricedPlan, float]] = []
+    regrets: List[Tuple[PlanT, float]] = []
     for plan in possible:
         budget_at_plan = budget.value(plan.response_time_s)
         if budget_at_plan <= 0:
@@ -194,8 +218,8 @@ def _case_b_or_c(budget: BudgetFunction, case: NegotiationCase,
     )
 
 
-def _select(budget: BudgetFunction, plans: List[PricedPlan],
-            selection: PlanSelection) -> PricedPlan:
+def _select(budget: BudgetFunction, plans: List[PlanT],
+            selection: PlanSelection) -> PlanT:
     if selection is PlanSelection.MIN_PROFIT:
         return min(
             plans,

@@ -1,11 +1,14 @@
 """Property-based parity sweep: batched planning is bitwise scalar-equal.
 
 Hypothesis draws workload shapes (template mix via seed, batch sizes,
-inter-arrival times), enumerator configurations, and settlement grids;
-for each draw the batched engine's outcome stream, account ledger, and
-regret totals must equal the scalar engine's exactly — ``==`` on floats,
-no tolerances. Separate properties cover the tenant-sharded and
-cache-partitioned execution modes end to end.
+inter-arrival times), enumerator configurations, settlement grids, plan
+selections, amortization policies whose built charges move (a short
+uniform horizon, declining balance), warm caches and cache capacities
+that force LRU evictions; for each draw the batched engine's outcome
+stream, account ledger, regret totals and evictions must equal the
+scalar engine's exactly — ``==`` on floats, no tolerances. Separate
+properties cover the tenant-sharded and cache-partitioned execution
+modes end to end.
 """
 
 import pytest
@@ -16,9 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import CacheConfig, CacheManager
+from repro.costmodel.amortization import (DecliningAmortization,
+                                          UniformAmortization)
 from repro.economy.engine import EconomyConfig, EconomyEngine
+from repro.economy.negotiation import PlanSelection
 from repro.errors import PlanningError
 from repro.planner.enumerator import EnumeratorConfig, PlanEnumerator
+from repro.structures.base import StructureKind
 from repro.structures.cached_index import CachedIndex
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -37,19 +44,68 @@ enumerator_configs = st.builds(
     max_candidate_indexes_per_query=st.integers(min_value=1, max_value=4),
 )
 
+#: ``None`` is the engine default (uniform over the configured horizon).
+#: A 2-5 query horizon drops built charges to 0 mid-run; declining
+#: balance moves them on every use.
+amortizations = st.one_of(
+    st.none(),
+    st.integers(min_value=2, max_value=5).map(UniformAmortization),
+    st.sampled_from([0.05, 0.3]).map(DecliningAmortization),
+)
+
+#: The largest single structure the candidates and columns reach is
+#: ~380 GB, so both bounds admit everything yet force LRU evictions.
+SMALL_CAPACITY = 400 * 10**9
+capacities = st.sampled_from([None, SMALL_CAPACITY, 800 * 10**9])
+
+#: ``None`` starts from an empty cache; a cost pre-builds every column
+#: and index the stream's plans use (CPU nodes stay unbuilt) at that
+#: recorded build cost. A cheap warm cache serves from the first query,
+#: so its charges run out (short uniform horizon) or decline mid-run.
+warm_costs = st.sampled_from([None, 0.0, 1e-3, 0.02])
+
+
+def warm_cache(capacity_bytes, structure_costs, build_cost, plans):
+    """A cache pre-built with the columns and indexes of ``plans``."""
+    cache = CacheManager(CacheConfig(capacity_bytes=capacity_bytes))
+    if build_cost is None:
+        return cache
+    schema = structure_costs.schema
+    for plan in plans:
+        for piece in plan.structures:
+            if (piece.kind is StructureKind.CPU_NODE
+                    or cache.contains(piece.key)):
+                continue
+            cache.admit(piece, size_bytes=piece.size_bytes(schema),
+                        build_cost=build_cost,
+                        maintenance_rate=structure_costs.maintenance_rate(
+                            piece),
+                        now=0.0)
+    return cache
+
 
 def run_pair(execution_model, structure_costs, enum_config, queries,
-             settlement_period_s):
+             settlement_period_s, plan_selection=PlanSelection.MIN_PROFIT,
+             amortization=None, capacity_bytes=None, warm_cost=None):
     """Run the same stream through a scalar and a batched engine."""
+
+    def enumerator():
+        return PlanEnumerator(execution_model, candidate_indexes=CANDIDATES,
+                              config=enum_config)
+
+    planner = enumerator()
+    plans = ([] if warm_cost is None else
+             [plan for query in queries for plan in planner.enumerate(query)])
 
     def make(planning):
         return EconomyEngine(
-            enumerator=PlanEnumerator(execution_model,
-                                      candidate_indexes=CANDIDATES,
-                                      config=enum_config),
+            enumerator=enumerator(),
             structure_costs=structure_costs,
-            cache=CacheManager(CacheConfig()),
-            config=EconomyConfig(planning=planning),
+            cache=warm_cache(capacity_bytes, structure_costs, warm_cost,
+                             plans),
+            config=EconomyConfig(planning=planning,
+                                 plan_selection=plan_selection),
+            amortization=amortization,
         )
 
     scalar = make("scalar")
@@ -76,9 +132,11 @@ def run_pair(execution_model, structure_costs, enum_config, queries,
     assert scalar.account.transactions == batched.account.transactions
     assert scalar.regret_tracker.ranked() == batched.regret_tracker.ranked()
     assert scalar.cache.built_keys == batched.cache.built_keys
+    assert scalar.cache.evictions == batched.cache.evictions
+    return scalar
 
 
-@settings(max_examples=20, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -86,15 +144,33 @@ def run_pair(execution_model, structure_costs, enum_config, queries,
     interarrival_s=st.sampled_from([0.5, 1.0, 5.0, 30.0]),
     enum_config=enumerator_configs,
     settlement_period_s=st.sampled_from([None, 10.0, 60.0]),
+    plan_selection=st.sampled_from(list(PlanSelection)),
+    amortization=amortizations,
+    capacity_bytes=capacities,
+    warm_cost=warm_costs,
 )
 def test_engine_stream_ledger_and_regret_bitwise_equal(
         execution_model, structure_costs, seed, query_count, interarrival_s,
-        enum_config, settlement_period_s):
+        enum_config, settlement_period_s, plan_selection, amortization,
+        capacity_bytes, warm_cost):
     queries = WorkloadGenerator(WorkloadSpec(
         query_count=query_count, interarrival_s=interarrival_s, seed=seed,
     )).generate()
     run_pair(execution_model, structure_costs, enum_config, queries,
-             settlement_period_s)
+             settlement_period_s, plan_selection, amortization,
+             capacity_bytes, warm_cost)
+
+
+def test_small_capacity_forces_lru_evictions(execution_model,
+                                             structure_costs):
+    """The capacity draws above really exercise LRU eviction."""
+    queries = WorkloadGenerator(WorkloadSpec(
+        query_count=60, interarrival_s=1.0, seed=1,
+    )).generate()
+    scalar = run_pair(execution_model, structure_costs, EnumeratorConfig(),
+                      queries, 10.0, capacity_bytes=SMALL_CAPACITY)
+    assert any(record.reason == "capacity_lru"
+               for record in scalar.cache.evictions)
 
 
 @settings(max_examples=10, deadline=None,

@@ -16,6 +16,7 @@ from repro.economy.engine import (
     EconomyConfig,
     EconomyEngine,
 )
+from repro.economy.pricing import PricedPlan
 from repro.errors import ConfigurationError
 from repro.planner.enumerator import PlanEnumerator
 from repro.structures.cached_index import CachedIndex
@@ -81,6 +82,40 @@ class TestOutcomeParity:
         batched.prime_queries(queries[:20], settlement_period_s=None)
         for query in queries:
             assert scalar.process_query(query) == batched.process_query(query)
+
+    def test_batched_results_hold_priced_plans_only(self, execution_model,
+                                                   structure_costs,
+                                                   monkeypatch):
+        """Negotiation runs over row candidates, but settlement and regret
+        see PricedPlans, built only for the chosen and the regret rows."""
+        queries = workload()
+        engine = make_engine(execution_model, structure_costs, "batched")
+        engine.prime_queries(queries, settlement_period_s=50.0)
+        results = []
+        materialized = []
+        settle = engine._settle_chosen_plan
+        materialize = engine._materialize_row
+
+        def recording_settle(query, result, now):
+            results.append(result)
+            return settle(query, result, now)
+
+        def counting_materialize(*args):
+            materialized.append(args)
+            return materialize(*args)
+
+        monkeypatch.setattr(engine, "_settle_chosen_plan", recording_settle)
+        monkeypatch.setattr(engine, "_materialize_row", counting_materialize)
+        for query in queries:
+            engine.process_query(query)
+
+        assert len(results) == len(queries)
+        regret_count = sum(len(result.regrets) for result in results)
+        assert regret_count > 0
+        for result in results:
+            assert type(result.chosen) is PricedPlan
+            assert all(type(plan) is PricedPlan for plan, _ in result.regrets)
+        assert len(materialized) == len(results) + regret_count
 
     def test_prime_is_a_noop_for_scalar_engines(self, execution_model,
                                                 structure_costs):

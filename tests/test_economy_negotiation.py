@@ -1,9 +1,12 @@
 """Unit tests for the case A/B/C plan negotiation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.costmodel.execution import ExecutionEstimate
-from repro.economy.budget import StepBudget
+from repro.economy.budget import ConcaveBudget, ConvexBudget, StepBudget
+from repro.economy.engine import _RowCandidate
 from repro.economy.negotiation import (
     NegotiationCase,
     PlanSelection,
@@ -143,3 +146,46 @@ class TestEdgeCases:
         budget = StepBudget(amount=5.0, max_time_s=100.0)
         result = negotiate(budget, [existing], PlanSelection.MIN_PROFIT)
         assert result.profit >= 0.0
+
+
+class TestRowCandidates:
+    """The batched planner negotiates over light row candidates; they must
+    give exactly what the materialised PricedPlans give."""
+
+    # Few distinct values, so exact price ties and time ties are common.
+    rows = st.lists(
+        st.tuples(st.sampled_from([1.0, 2.5, 4.0, 6.0, 9.0]),
+                  st.sampled_from([1.0, 2.0, 30.0, 80.0, 150.0]),
+                  st.booleans()),
+        min_size=1, max_size=8,
+    ).filter(lambda drawn: any(existing for _, _, existing in drawn))
+    budgets = st.builds(
+        lambda kind, amount, max_time_s: kind(amount=amount,
+                                              max_time_s=max_time_s),
+        st.sampled_from([StepBudget, ConvexBudget, ConcaveBudget]),
+        st.sampled_from([0.5, 3.0, 5.0, 12.0]),
+        st.sampled_from([60.0, 100.0]),
+    )
+
+    @given(drawn=rows, budget=budgets,
+           selection=st.sampled_from(list(PlanSelection)))
+    def test_same_result_as_priced_plans(self, drawn, budget, selection):
+        query = template_by_name("q6_forecast_revenue").instantiate(0, 0.0)
+        priced = [make_priced(query, "l_shipdate", price, response, existing)
+                  for price, response, existing in drawn]
+        candidates = [_RowCandidate(price, response, existing, row)
+                      for row, (price, response, existing) in enumerate(drawn)]
+
+        by_plan = negotiate(budget, priced, selection)
+        by_row = negotiate(budget, candidates, selection)
+        # Tied plans compare equal, so positions go by identity.
+        row_of = {id(plan): row for row, plan in enumerate(priced)}
+
+        assert by_row.case is by_plan.case
+        assert by_row.charge == by_plan.charge
+        assert by_row.profit == by_plan.profit
+        assert row_of[id(by_plan.chosen)] == by_row.chosen.row
+        assert ([(row_of[id(plan)], regret)
+                 for plan, regret in by_plan.regrets]
+                == [(candidate.row, regret)
+                    for candidate, regret in by_row.regrets])

@@ -115,6 +115,40 @@ class TestKernelDispatch:
         assert kernel.dispatch_count(MaintenanceSettlementEvent) == 1
         assert kernel.dispatch_count(QueryArrivalEvent) == 0
 
+    def test_dispatch_follows_registrations(self):
+        """Subclass events match their base's handlers, in registration
+        order, and a registration between two runs (or after an unhandled
+        event) takes effect on the next dispatch."""
+
+        class AuditSettlement(MaintenanceSettlementEvent):
+            pass
+
+        kernel = SimulationKernel()
+        seen = []
+        kernel.register(MaintenanceSettlementEvent,
+                        lambda event, k: seen.append(("base", event.time_s)))
+        kernel.schedule(AuditSettlement(time_s=1.0))
+        kernel.schedule(MaintenanceSettlementEvent(time_s=2.0))
+        kernel.run()
+        assert seen == [("base", 1.0), ("base", 2.0)]
+
+        kernel.register(AuditSettlement,
+                        lambda event, k: seen.append(("audit", event.time_s)))
+        kernel.schedule(AuditSettlement(time_s=3.0))
+        kernel.schedule(MaintenanceSettlementEvent(time_s=4.0))
+        kernel.run()
+        assert seen[2:] == [("base", 3.0), ("audit", 3.0), ("base", 4.0)]
+
+        kernel.schedule(WorkloadPhaseChangeEvent(time_s=5.0))
+        with pytest.raises(SimulationError, match="WorkloadPhaseChangeEvent"):
+            kernel.run()
+        kernel.register(Event, lambda event, k: seen.append(("any", event.time_s)))
+        kernel.schedule(WorkloadPhaseChangeEvent(time_s=6.0))
+        kernel.schedule(AuditSettlement(time_s=7.0))
+        kernel.run()
+        assert seen[5:] == [("any", 6.0), ("base", 7.0), ("audit", 7.0),
+                            ("any", 7.0)]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.integers(0, 3)),
