@@ -33,14 +33,16 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
+from itertools import compress
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
 from repro.economy.regret import RegretTracker
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError
-from repro.workload.population import tenant_id_for
+from repro.workload.population import Cohort, tenant_id_for
 from repro.workload.query import Query
 
 if TYPE_CHECKING:
@@ -171,14 +173,15 @@ class TenantRegistry:
       index) exist only while the simulation needs them. Their profiles
       derive on demand from a
       :class:`~repro.workload.population.GenerativeProfileSource`, a pure
-      function of ``(population seed, tenant index)``. An arrival
-      (:meth:`activate`) only advances the mint high-water mark and the
-      seed-credit aggregate; the full :class:`TenantState` materialises
-      at the tenant's first query (:meth:`ensure`, reached through
-      ``budget_for``/``charge``); churn (:meth:`deactivate`) drops it
-      again, archiving a charged wallet as its :class:`WalletBook` (seed,
-      balance, charged total). A returning tenant resumes from the
-      archive.
+      function of ``(population seed, tenant index)``. Arrivals and churn
+      come in cohorts of population indices (one event per cohort). An
+      arrival (:meth:`activate`) only advances the mint high-water mark,
+      the live mask and the seed-credit aggregate; the full
+      :class:`TenantState` materialises at the tenant's first query
+      (:meth:`ensure`, reached through ``budget_for``/``charge``); churn
+      (:meth:`deactivate`) drops it again, archiving a charged wallet as
+      its :class:`WalletBook` (seed, balance, charged total). A returning
+      tenant resumes from the archive.
 
     Resident states are therefore bounded by the tenants that are both
     live and charged, never by the population. Aggregates
@@ -192,7 +195,8 @@ class TenantRegistry:
 
     The registry accounts for every tenant; a subclass may narrow that
     through the :meth:`_owned_index` hook (the sharded execution layer
-    scopes it to one shard). Population tenants it does not own are
+    scopes it to one shard), which is evaluated once per population index
+    into an ownership mask. Population tenants it does not own are
     tracked only through the mint high-water mark.
 
     Args:
@@ -219,8 +223,7 @@ class TenantRegistry:
         >>> source = GenerativeProfileSource(PopulationSpec(
         ...     tenant_count=4, initial_credit=10.0))
         >>> registry = TenantRegistry(source)
-        >>> _ = registry.activate("t00000", now=0.0)
-        >>> _ = registry.activate("t00001", now=0.0)
+        >>> registry.activate(range(2), now=0.0)   # a cohort: t00000, t00001
         >>> registry.materialized_tenant_count()   # arrivals mint no state
         0
         >>> registry.charge("t00001", 2.5, now=1.0)
@@ -242,7 +245,11 @@ class TenantRegistry:
         self._owned_minted = 0
         self._seed_total = 0.0
         self._charged_total = 0.0
-        self._live_indices: Set[int] = set()
+        # One byte per minted population index: whether this registry owns
+        # it, and whether it is live (live implies owned).
+        self._owned = bytearray()
+        self._live = bytearray()
+        self._live_count = 0
         self._archived: Dict[int, WalletBook] = {}
         self.peak_materialized = 0
         self.churned_ledgers_folded = 0
@@ -266,25 +273,34 @@ class TenantRegistry:
             return None
         return self._source.index_of(tenant_id)
 
-    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
-        """Ownership hook: whether this registry accounts for the tenant
-        (``index`` is ``None`` for ad-hoc ids). Every tenant, here; a
-        subclass that narrows it rejects foreign ``ensure``/``register``
-        calls itself."""
+    def _owned_index(self, index: int) -> bool:
+        """Ownership hook: whether this registry accounts for population
+        tenant ``index``. Every tenant, here; a subclass that narrows it
+        handles foreign ad-hoc ids itself. Only :meth:`_advance_minted`
+        calls it, once per index."""
         return True
 
     def _advance_minted(self, new_minted: int) -> None:
         """Observe population indices up to ``new_minted`` (exclusive).
 
-        For each newly observed *owned* index the seed credit joins the
-        conserved total, as an up-front deposit would have.
+        Each newly observed index's ownership is evaluated once, into the
+        ownership mask; an *owned* index's seed credit joins the conserved
+        total in mint order, as an up-front deposit would have.
         """
+        if new_minted <= self._minted:
+            return
+        owned = self._owned
+        seed_total = self._seed_total
         for index in range(self._minted, new_minted):
-            if self._owned_index(index, tenant_id_for(index)):
-                self._owned_minted += 1
-                self._seed_total += self._source.initial_credit_for(index)
-        if new_minted > self._minted:
-            self._minted = new_minted
+            if self._owned_index(index):
+                owned.append(1)
+                seed_total += self._source.initial_credit_for(index)
+            else:
+                owned.append(0)
+        self._seed_total = seed_total
+        self._owned_minted += owned.count(1, self._minted)
+        self._live.extend(bytes(new_minted - self._minted))
+        self._minted = new_minted
 
     def _hold(self, state: TenantState) -> TenantState:
         self._states[state.tenant_id] = state
@@ -305,7 +321,7 @@ class TenantRegistry:
                 state.account.withdraw(spent, 0.0, CATEGORY_TENANT_CHARGE,
                                        note="rematerialized")
             state.charged = archived.charged
-            state.active = index in self._live_indices
+            state.active = bool(self._live[index])
         return self._hold(state)
 
     def _drop(self, index: int, state: TenantState) -> None:
@@ -379,7 +395,7 @@ class TenantRegistry:
     def __contains__(self, tenant_id: str) -> bool:
         index = self._index_of(tenant_id)
         if index is not None:
-            return index < self._minted and self._owned_index(index, tenant_id)
+            return index < self._minted and bool(self._owned[index])
         return tenant_id in self._states
 
     def __len__(self) -> int:
@@ -388,14 +404,15 @@ class TenantRegistry:
     def tenant_ids(self) -> List[str]:
         """Owned population ids in mint order, then ad-hoc ids in
         registration order (O(minted))."""
-        ids = [tenant_id_for(index) for index in range(self._minted)
-               if self._owned_index(index, tenant_id_for(index))]
+        ids = [tenant_id_for(index)
+               for index in compress(range(self._minted), self._owned)]
         ids.extend(self._adhoc_ids)
         return ids
 
     def active_ids(self) -> List[str]:
         """Ids of currently live tenants, in :meth:`tenant_ids` order."""
-        ids = [tenant_id_for(index) for index in sorted(self._live_indices)]
+        ids = [tenant_id_for(index)
+               for index in compress(range(self._minted), self._live)]
         ids.extend(tid for tid in self._adhoc_ids if self._states[tid].active)
         return ids
 
@@ -409,67 +426,118 @@ class TenantRegistry:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def activate(self, tenant_id: str, now: float = 0.0
+    def activate(self, tenants: Union[str, range], now: float = 0.0
                  ) -> Optional[TenantState]:
-        """Observe an arrival.
+        """Observe an arrival: one tenant id, or a cohort of population
+        indices as a step-1 ``range`` (one kernel event's worth).
 
         An ad-hoc id is auto-registered and marked active. A population
-        arrival mints bookkeeping, not state: it returns the tenant's
-        state only if it is materialised already, else ``None`` — the
-        state appears at the tenant's first query.
+        arrival mints bookkeeping, not state: it marks the owned indices
+        live by slice (one population id is a one-index range) and
+        returns the state of a single
+        tenant id only if that state is materialised already, else
+        ``None`` — the state appears at the tenant's first query. A
+        registry without a source holds ad-hoc tenants only, so it
+        activates a cohort's tenants by id.
 
         Args:
-            tenant_id: the arriving tenant.
+            tenants: the arriving tenant id or range of indices.
+
+        Raises:
+            EconomyError: ``tenants`` is neither a string nor a step-1
+                ``range``.
             now: simulated arrival instant.
         """
-        index = self._index_of(tenant_id)
-        if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
-            state = self.ensure(tenant_id)
+        if isinstance(tenants, str):
+            index = self._index_of(tenants)
+            if index is None:
+                return self._mark_active(self.ensure(tenants), now)
+            self._arrive(range(index, index + 1), now)
+            return self._states.get(tenants)
+        if not isinstance(tenants, range) or tenants.step != 1:
+            raise EconomyError(
+                f"an arrival cohort is a step-1 range, got {tenants!r}")
+        if self._source is None:
+            for index in tenants:
+                self._mark_active(self.ensure(tenant_id_for(index)), now)
         else:
-            if index >= self._minted:
-                self._advance_minted(index + 1)
-            if not self._owned_index(index, tenant_id):
-                return None
-            self._live_indices.add(index)
-            state = self._states.get(tenant_id)
-            if state is None:
-                return None
+            self._arrive(tenants, now)
+        return None
+
+    def deactivate(self, tenants: Union[str, Cohort], now: float = 0.0
+                   ) -> Optional[TenantState]:
+        """Observe a churn: one tenant id, or a cohort of population
+        indices (one kernel event's worth).
+
+        An ad-hoc tenant is marked churned and keeps its wallet (an
+        unknown ad-hoc id raises). A population tenant's state is
+        dropped, keeping its balance and charged total. For a single
+        tenant id the dropped state is returned; a tenant that was
+        announced but never materialised returns ``None``, as does a
+        cohort.
+
+        Args:
+            tenants: the churning tenant id or cohort of indices.
+            now: simulated churn instant.
+        """
+        if isinstance(tenants, str):
+            index = self._index_of(tenants)
+            if index is None:
+                return self._mark_churned(self.state(tenants), now)
+            return self._leave((index,), now)
+        if self._source is None:
+            for index in tenants:
+                self._mark_churned(self.state(tenant_id_for(index)), now)
+        else:
+            self._leave(tenants, now)
+        return None
+
+    def _arrive(self, tenants: range, now: float) -> None:
+        """Mark a step-1 range of owned population indices live."""
+        minted = self._minted
+        live = self._live
+        start, stop = tenants.start, tenants.stop
+        self._advance_minted(stop)
+        # Live implies owned, so the cohort's live slice becomes its
+        # ownership slice.
+        was_live = live[start:stop].count(1)
+        live[start:stop] = self._owned[start:stop]
+        self._live_count += live[start:stop].count(1) - was_live
+        # Only an index minted before this arrival can hold a state.
+        if self._states:
+            for index in range(start, min(stop, minted)):
+                state = self._states.get(tenant_id_for(index))
+                if state is not None:
+                    self._mark_active(state, now)
+
+    def _leave(self, tenants: Cohort, now: float) -> Optional[TenantState]:
+        """Drop a cohort's owned population tenants; returns the last
+        state dropped."""
+        minted, owned, live = self._minted, self._owned, self._live
+        dropped = None
+        for index in tenants:
+            if index >= minted or not owned[index]:
+                continue
+            if live[index]:
+                live[index] = 0
+                self._live_count -= 1
+            state = self._states.pop(tenant_id_for(index), None)
+            if state is not None:
+                self._drop(index, self._mark_churned(state, now))
+                dropped = state
+        return dropped
+
+    @staticmethod
+    def _mark_active(state: TenantState, now: float) -> TenantState:
         state.active = True
         state.activated_at_s = now
         state.churned_at_s = None
         return state
 
-    def deactivate(self, tenant_id: str, now: float = 0.0
-                   ) -> Optional[TenantState]:
-        """Observe a churn.
-
-        An ad-hoc tenant is marked churned and keeps its wallet (an
-        unknown ad-hoc id raises). A population tenant's state is
-        dropped, keeping its balance and charged total; a tenant that was
-        announced but never materialised returns ``None``.
-
-        Args:
-            tenant_id: the churning tenant.
-            now: simulated churn instant.
-        """
-        index = self._index_of(tenant_id)
-        if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
-            state = self.state(tenant_id)
-        else:
-            if not self._owned_index(index, tenant_id):
-                return None
-            self._live_indices.discard(index)
-            state = self._states.pop(tenant_id, None)
-            if state is None:
-                return None
+    @staticmethod
+    def _mark_churned(state: TenantState, now: float) -> TenantState:
         state.active = False
         state.churned_at_s = now
-        if index is not None:
-            self._drop(index, state)
         return state
 
     # -- economy hooks ---------------------------------------------------------
@@ -589,38 +657,51 @@ class TenantRegistry:
         """Seed credit of every owned tenant minted or registered so far."""
         return self._seed_total
 
-    def wallet_books(self) -> Dict[str, WalletBook]:
-        """Every owned tenant's wallet, in :meth:`tenant_ids` order.
+    def _population_books(self) -> Iterator[Tuple[int, str, WalletBook]]:
+        """``(index, tenant id, book)`` per owned population tenant, in
+        mint order (O(minted)).
 
-        Held states report their live wallet, churned wallets their
-        archive, and a population tenant that was never charged its
-        derivable seed credit (O(minted)).
+        Held states report their live wallet and churned wallets their
+        archive. A tenant that was never charged holds its seed credit:
+        its book is shared by every such tenant with the same seed, so no
+        per-tenant object is built for it.
         """
-        books: Dict[str, WalletBook] = {}
-        for index in range(self._minted):
+        states, archived, source = self._states, self._archived, self._source
+        uncharged: Dict[float, WalletBook] = {}
+        for index in compress(range(self._minted), self._owned):
             tenant_id = tenant_id_for(index)
-            if not self._owned_index(index, tenant_id):
-                continue
-            state = self._states.get(tenant_id)
+            state = states.get(tenant_id)
             if state is not None:
-                books[tenant_id] = WalletBook.of(state)
-            elif index in self._archived:
-                books[tenant_id] = self._archived[index]
+                book = WalletBook.of(state)
             else:
-                seed = self._source.initial_credit_for(index)
-                books[tenant_id] = WalletBook(seed, seed, 0.0)
+                book = archived.get(index)
+                if book is None:
+                    seed = source.initial_credit_for(index)
+                    book = uncharged.get(seed)
+                    if book is None:
+                        book = uncharged[seed] = WalletBook(seed, seed, 0.0)
+            yield index, tenant_id, book
+
+    def wallet_books(self) -> Dict[str, WalletBook]:
+        """Every owned tenant's wallet, in :meth:`tenant_ids` order: the
+        population's :meth:`_population_books`, then each ad-hoc wallet."""
+        books = {tenant_id: book
+                 for _, tenant_id, book in self._population_books()}
         for tenant_id in self._adhoc_ids:
             books[tenant_id] = WalletBook.of(self._states[tenant_id])
         return books
 
     def credit_by_tenant(self) -> Dict[str, float]:
         """Wallet balance per owned tenant, in :meth:`tenant_ids` order."""
-        return {tenant_id: book.credit
-                for tenant_id, book in self.wallet_books().items()}
+        credits = {tenant_id: book.credit
+                   for _, tenant_id, book in self._population_books()}
+        for tenant_id in self._adhoc_ids:
+            credits[tenant_id] = self._states[tenant_id].account.credit
+        return credits
 
     def live_tenant_count(self) -> int:
         """Owned tenants that have arrived (or registered) and not churned."""
-        live = len(self._live_indices)
+        live = self._live_count
         live += sum(1 for tid in self._adhoc_ids if self._states[tid].active)
         return live
 

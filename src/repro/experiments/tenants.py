@@ -137,7 +137,12 @@ class TenantExperimentConfig:
 
 @dataclass(frozen=True)
 class TenantCellResult:
-    """Everything one population cell produced."""
+    """Everything one population cell produced.
+
+    ``population_size`` counts every tenant ever minted; ``churn_waves``
+    counts churned tenants, not waves (the table's "churn waves" row
+    prints it under that label).
+    """
 
     config: TenantExperimentConfig
     summary: MetricsSummary

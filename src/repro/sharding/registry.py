@@ -12,8 +12,10 @@ plan wins a negotiation.
 
 :class:`ShardScopedRegistry` is a
 :class:`~repro.economy.tenancy.TenantRegistry` over the population's
-generative profile source whose ownership hook is the shared partitioner,
-so it answers the engine's hooks in two modes:
+generative profile source whose ownership hook is the shared partitioner.
+The hook hashes each population index once, when the index is first
+minted; every later ownership question reads the registry's mask. The
+registry answers the engine's hooks in two modes:
 
 * **owned tenant** — exactly the registry's population behaviour: state
   mints at arrival, materialises at first query, and drops back to (at
@@ -34,14 +36,15 @@ registering.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.economy.budget import BudgetFunction
 from repro.economy.tenancy import TenantProfile, TenantRegistry, TenantState
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError, ShardingError
 from repro.sharding.partition import TenantPartitioner
-from repro.workload.population import GenerativeProfileSource
+from repro.workload.population import (Cohort, GenerativeProfileSource,
+                                       tenant_id_for)
 from repro.workload.query import Query
 
 
@@ -114,11 +117,22 @@ class ShardScopedRegistry(TenantRegistry):
         return self._foreign_charge_count
 
     def owns(self, tenant_id: str) -> bool:
-        """Whether this shard owns ``tenant_id``."""
+        """Whether this shard owns ``tenant_id`` (a minted population id
+        reads the ownership mask; any other id is hashed)."""
+        index = self._index_of(tenant_id)
+        if index is not None and index < self._minted:
+            return bool(self._owned[index])
         return self._partitioner.owns(self._shard_index, tenant_id)
 
-    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
-        return self.owns(tenant_id)
+    def _owned_index(self, index: int) -> bool:
+        return (self._partitioner.shard_of(tenant_id_for(index))
+                == self._shard_index)
+
+    def _foreign_adhoc(self, tenants: Union[str, Cohort]) -> bool:
+        """Whether ``tenants`` is one ad-hoc id another shard owns."""
+        return (isinstance(tenants, str)
+                and self._index_of(tenants) is None
+                and not self.owns(tenants))
 
     def _note_touch(self, tenant_id: str) -> None:
         """Record first contact with an id outside the population scheme.
@@ -160,11 +174,21 @@ class ShardScopedRegistry(TenantRegistry):
         self._require_owned(tenant_id)
         return super().ensure(tenant_id)
 
-    def activate(self, tenant_id: str, now: float = 0.0
+    def activate(self, tenants: Union[str, range], now: float = 0.0
                  ) -> Optional[TenantState]:
         """Observe an arrival: every shard mints, only the owner accounts."""
-        self._note_touch(tenant_id)
-        return super().activate(tenant_id, now=now)
+        if isinstance(tenants, str):
+            self._note_touch(tenants)
+        if self._foreign_adhoc(tenants):
+            return None
+        return super().activate(tenants, now=now)
+
+    def deactivate(self, tenants: Union[str, Cohort], now: float = 0.0
+                   ) -> Optional[TenantState]:
+        """Observe a churn; a foreign ad-hoc id is not this shard's."""
+        if self._foreign_adhoc(tenants):
+            return None
+        return super().deactivate(tenants, now=now)
 
     # -- economy hooks ---------------------------------------------------------
 
@@ -231,11 +255,11 @@ class ShardScopedRegistry(TenantRegistry):
         first-touch order — which every shard observes identically, so the
         indices never collide across shards.
         """
+        entries = [(index, tenant_id, book.credit) for index, tenant_id, book
+                   in self._population_books()]
         base = self.population_minted
-        entries = []
-        for tenant_id, credit in self.credit_by_tenant().items():
-            index = self._source.index_of(tenant_id)
-            if index is None:
-                index = base + self._adhoc_index[tenant_id]
-            entries.append((index, tenant_id, credit))
+        entries.extend(
+            (base + self._adhoc_index[tenant_id], tenant_id,
+             self._states[tenant_id].account.credit)
+            for tenant_id in self._adhoc_ids)
         return tuple(entries)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.workload.population import Cohort
 from repro.workload.query import Query
 
 
@@ -83,39 +84,51 @@ class WorkloadPhaseChangeEvent(Event):
 
 @dataclass(frozen=True)
 class TenantArrivalEvent(Event):
-    """A tenant (user account) joins the population.
+    """A cohort of tenants (user accounts) joins the population.
 
-    Emitted by the population layer (:mod:`repro.workload.population`);
-    schemes with a :class:`~repro.economy.tenancy.TenantRegistry` activate
-    the tenant, single-tenant schemes just count the event.
+    Emitted by the population layer (:mod:`repro.workload.population`):
+    one event for the initial population and one per churn wave.
+    ``tenants`` holds the cohort's population indices; they are minted in
+    index order, so it is a non-empty step-1 ``range``. Schemes with a
+    :class:`~repro.economy.tenancy.TenantRegistry` activate the cohort,
+    single-tenant schemes just count its tenants.
     """
 
     priority: ClassVar[int] = 4
 
-    tenant_id: str = ""
+    tenants: range = range(0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.tenant_id:
-            raise SimulationError("TenantArrivalEvent requires a tenant_id")
+        if (not isinstance(self.tenants, range) or self.tenants.step != 1
+                or not self.tenants):
+            raise SimulationError(
+                "TenantArrivalEvent requires a non-empty step-1 range of "
+                f"tenant indices, got {self.tenants!r}"
+            )
 
 
 @dataclass(frozen=True)
 class TenantChurnEvent(Event):
-    """A tenant leaves the population; their wallet and history persist.
+    """A cohort of tenants leaves the population; wallets and history persist.
 
-    Dispatches after any same-instant :class:`TenantArrivalEvent` so that a
-    replacement tenant is active before its predecessor is deactivated.
+    ``tenants`` is a non-empty :data:`~repro.workload.population.Cohort`
+    of population indices. Dispatches after any same-instant
+    :class:`TenantArrivalEvent` so that replacement tenants are active
+    before their predecessors are deactivated.
     """
 
     priority: ClassVar[int] = 6
 
-    tenant_id: str = ""
+    tenants: Cohort = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.tenant_id:
-            raise SimulationError("TenantChurnEvent requires a tenant_id")
+        if not isinstance(self.tenants, (range, tuple)) or not self.tenants:
+            raise SimulationError(
+                "TenantChurnEvent requires a non-empty cohort of tenant "
+                "indices"
+            )
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,12 @@ class SchemeTenant:
 
     @property
     def tenant_arrivals_seen(self) -> int:
-        """Tenant arrival events observed so far."""
+        """Tenants that arrived so far (summed over arrival cohorts)."""
         return self._tenant_arrivals
 
     @property
     def tenant_churns_seen(self) -> int:
-        """Tenant churn events observed so far."""
+        """Tenants that churned so far (summed over churn cohorts)."""
         return self._tenant_churns
 
     @property
@@ -185,25 +185,25 @@ class SchemeTenant:
         self._phase_changes += 1
 
     def on_tenant_arrival(self, event: Event, kernel: SimulationKernel) -> None:
-        """Activate the arriving tenant in the scheme's registry (if any)."""
+        """Activate the arriving cohort in the scheme's registry (if any)."""
         assert isinstance(event, TenantArrivalEvent)
-        self._tenant_arrivals += 1
+        self._tenant_arrivals += len(event.tenants)
         registry = self._scheme.tenant_registry
         if registry is not None:
-            registry.activate(event.tenant_id, now=event.time_s)
+            registry.activate(event.tenants, now=event.time_s)
 
     def on_tenant_churn(self, event: Event, kernel: SimulationKernel) -> None:
-        """Deactivate the churning tenant in the scheme's registry (if any).
+        """Deactivate the churning cohort in the scheme's registry (if any).
 
-        The tenant's wallet and regret history are retained: a returning
-        tenant resumes with its old balance, and end-of-run reports still
-        cover churned tenants.
+        The tenants' wallets and regret histories are retained: a
+        returning tenant resumes with its old balance, and end-of-run
+        reports still cover churned tenants.
         """
         assert isinstance(event, TenantChurnEvent)
-        self._tenant_churns += 1
+        self._tenant_churns += len(event.tenants)
         registry = self._scheme.tenant_registry
         if registry is not None:
-            registry.deactivate(event.tenant_id, now=event.time_s)
+            registry.deactivate(event.tenants, now=event.time_s)
 
     # -- internals -------------------------------------------------------------
 

@@ -122,6 +122,11 @@ def _run_tenants(schemes: Sequence[CachingScheme],
                 (item for item in feed if isinstance(item, Query)),
                 settlement_period_s=config.settlement_period_s,
             )
+        del feeds, feed
+    source = StreamingArrivalSource(arrivals)
+    # No local name keeps a branch of the stream: the source and each
+    # planner drop theirs once drained, and with them the tee's buffer.
+    del arrivals
     tenants: List[SchemeTenant] = []
     for scheme in schemes:
         tenant = SchemeTenant(
@@ -137,7 +142,6 @@ def _run_tenants(schemes: Sequence[CachingScheme],
     kernel.register(MaintenanceSettlementEvent, rescheduler)
     kernel.register(StructureFailureCheckEvent, rescheduler)
 
-    source = StreamingArrivalSource(arrivals)
     source.register(kernel)
 
     # Observers register last: registration order is dispatch order, so an

@@ -124,7 +124,10 @@ class StreamingArrivalSource:
         while self._in_flight < self._lookahead:
             item = next(self._iterator, None)
             if item is None:
+                # Drop the spent iterator: a tee branch would otherwise
+                # keep its last buffered items alive for the whole run.
                 self._exhausted = True
+                self._iterator = iter(())
                 return
             kernel.schedule(self._event_for(item))
             self._in_flight += 1
@@ -134,5 +137,5 @@ class StreamingArrivalSource:
     def _event_for(item: Arrival) -> Event:
         if isinstance(item, TenantLifecycleMarker):
             return _MARKER_EVENTS[item.kind](time_s=item.time_s,
-                                             tenant_id=item.tenant_id)
+                                             tenants=item.tenants)
         return QueryArrivalEvent(time_s=item.arrival_time, query=item)

@@ -10,10 +10,12 @@ an N-tenant population:
   active tenants leaves and is replaced by fresh ones, each replacement
   inheriting its predecessor's activity rank (the skew is stationary even
   while identities rotate);
-* every join/leave is announced as a :class:`TenantLifecycleMarker`, which
-  the simulation layer schedules as first-class
-  :class:`~repro.simulator.events.TenantArrivalEvent` /
-  :class:`~repro.simulator.events.TenantChurnEvent` kernel events.
+* joins and leaves are announced in bulk as :class:`TenantLifecycleMarker`
+  cohorts of population indices — one for the initial population, and one
+  per direction per churn wave — which the simulation layer schedules as
+  first-class :class:`~repro.simulator.events.TenantArrivalEvent` /
+  :class:`~repro.simulator.events.TenantChurnEvent` kernel events. Ids
+  become strings only where a query carries one.
 
 Two ways to consume a population:
 
@@ -125,18 +127,32 @@ class PopulationSpec:
             raise WorkloadError("churn_fraction must be in [0, 1]")
 
 
+#: A lifecycle cohort: population indices, as a ``range`` (a freshly
+#: minted block) or a tuple (a churn wave's leavers, in slot order).
+Cohort = Union[range, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class TenantLifecycleMarker:
-    """One tenant joining (``"arrival"``) or leaving (``"churn"``)."""
+    """A cohort of tenants joining (``"arrival"``) or leaving (``"churn"``)
+    at one instant; ``tenants`` holds their population indices. Arrivals
+    are minted in index order, so an arrival cohort is a step-1 ``range``;
+    a churn cohort lists its leavers in slot order."""
 
     time_s: float
-    tenant_id: str
+    tenants: Cohort
     kind: str
 
     def __post_init__(self) -> None:
         if self.kind not in ("arrival", "churn"):
             raise WorkloadError(
                 f"kind must be 'arrival' or 'churn', got {self.kind!r}"
+            )
+        if self.kind == "arrival" and (not isinstance(self.tenants, range)
+                                       or self.tenants.step != 1):
+            raise WorkloadError(
+                "an arrival cohort is a step-1 range, got "
+                f"{self.tenants!r}"
             )
 
 
@@ -155,8 +171,10 @@ class PopulatedWorkload:
 
     @property
     def churn_waves(self) -> int:
-        """Number of churn markers emitted."""
-        return sum(1 for marker in self.lifecycle if marker.kind == "churn")
+        """Number of tenants churned (summed over every churn marker's
+        cohort); the tables print it as "churn waves"."""
+        return sum(len(marker.tenants) for marker in self.lifecycle
+                   if marker.kind == "churn")
 
 
 def tier_boundaries(tiers: Sequence) -> np.ndarray:
@@ -260,11 +278,13 @@ class PopulationStream:
 
     Iterating yields :class:`TenantLifecycleMarker` and populated
     :class:`~repro.workload.query.Query` objects interleaved in
-    non-decreasing time order (a churn wave's markers precede the first
-    query of the segment that follows it). Memory is bounded by the
-    *concurrently active* population — the slot list, the Zipf weight
-    vector, and one draw chunk — never by the total number of queries or
-    tenants ever minted.
+    non-decreasing time order: one arrival marker over ``range(0, N)`` for
+    the initial population, then per churn wave one arrival marker over
+    the freshly minted range and one churn marker listing the leavers in
+    slot order, ahead of the first query of the segment that follows.
+    Memory is bounded by the *concurrently active* population — the slot
+    index array, the Zipf weight vector, and one draw chunk — never by the
+    total number of queries or tenants ever minted.
 
     The stream is single-use; after exhaustion the population shape is
     available as :attr:`tenants_minted` / :attr:`churn_events` /
@@ -296,6 +316,7 @@ class PopulationStream:
         self._chunk = chunk_size
         self._started = False
         self.tenants_minted = 0
+        #: Tenants churned so far (not churn markers: a wave churns many).
         self.churn_events = 0
         self.queries_emitted = 0
         self.start_s: Optional[float] = None
@@ -317,7 +338,8 @@ class PopulationStream:
 
     @property
     def churn_waves(self) -> int:
-        """:attr:`churn_events`, named as on :class:`PopulatedWorkload`."""
+        """Tenants churned so far (:attr:`churn_events`), named as on
+        :class:`PopulatedWorkload`."""
         return self.churn_events
 
     def __iter__(self) -> Iterator[Union[TenantLifecycleMarker, Query]]:
@@ -331,14 +353,14 @@ class PopulationStream:
             raise WorkloadError("cannot populate an empty workload")
         rng = np.random.default_rng(spec.seed)
         self.start_s = pending.arrival_time
-        # Slot r holds the tenant of activity rank r; churn replaces the
-        # slot's occupant but the slot keeps its Zipf weight, so the skew
-        # stays stationary while identities rotate.
-        slots = [self._mint() for _ in range(spec.tenant_count)]
+        # Slot r holds the index of the tenant of activity rank r; churn
+        # replaces the slot's occupant but the slot keeps its Zipf weight,
+        # so the skew stays stationary while identities rotate.
+        cohort = self._mint(spec.tenant_count)
+        slots = np.arange(cohort.start, cohort.stop, dtype=np.int64)
         weights = self._slot_weights()
-        for tenant_id in slots:
-            yield TenantLifecycleMarker(time_s=self.start_s,
-                                        tenant_id=tenant_id, kind="arrival")
+        yield TenantLifecycleMarker(time_s=self.start_s, tenants=cohort,
+                                    kind="arrival")
         # Tenants are drawn one inter-churn segment at a time: the weights
         # are constant between waves, so vectorized choice() draws replace
         # a per-query O(tenant_count) CDF rebuild — the difference between
@@ -361,8 +383,8 @@ class PopulationStream:
                         break
                     buffer.append(item)
                 draws = rng.choice(len(slots), size=len(buffer), p=weights)
-                for query, slot in zip(buffer, draws):
-                    yield replace(query, tenant_id=slots[int(slot)])
+                for query, index in zip(buffer, slots[draws].tolist()):
+                    yield replace(query, tenant_id=tenant_id_for(index))
                 self.queries_emitted += len(buffer)
                 if remaining is not None:
                     remaining -= len(buffer)
@@ -379,32 +401,38 @@ class PopulationStream:
         raw = ranks ** (-self._spec.zipf_exponent)
         return raw / raw.sum()
 
-    def _mint(self) -> str:
-        """Mint the next tenant (profiles derive purely from the index)."""
-        index = self.tenants_minted
-        self.tenants_minted += 1
+    def _mint(self, count: int) -> range:
+        """Mint the next ``count`` tenants (profiles derive purely from the
+        index); returns their indices."""
+        cohort = range(self.tenants_minted, self.tenants_minted + count)
+        self.tenants_minted = cohort.stop
         if self._on_profile is not None:
-            self._on_profile(self._source.profile_for(index))
-        return tenant_id_for(index)
+            for index in cohort:
+                self._on_profile(self._source.profile_for(index))
+        return cohort
 
-    def _churn_wave(self, slots: List[str], rng: np.random.Generator,
+    def _churn_wave(self, slots: np.ndarray, rng: np.random.Generator,
                     now_s: float) -> Iterator[TenantLifecycleMarker]:
-        """Replace a fraction of the active tenants; yields the markers."""
+        """Replace a fraction of the active tenants; yields the wave's two
+        markers.
+
+        The replacements are minted in slot order, so the arrival range
+        and the leavers pair up slot by slot. The arrival marker precedes
+        the churn marker; at equal times the kernel also dispatches
+        arrivals first (priority 4 < 6).
+        """
         spec = self._spec
         count = max(1, int(round(spec.churn_fraction * len(slots))))
-        chosen = rng.choice(len(slots), size=min(count, len(slots)),
-                            replace=False)
-        for slot in sorted(int(value) for value in chosen):
-            leaving = slots[slot]
-            arriving = self._mint()
-            slots[slot] = arriving
-            self.churn_events += 1
-            # The arrival marker precedes the churn marker; at equal times
-            # the kernel also dispatches arrivals first (priority 4 < 6).
-            yield TenantLifecycleMarker(time_s=now_s, tenant_id=arriving,
-                                        kind="arrival")
-            yield TenantLifecycleMarker(time_s=now_s, tenant_id=leaving,
-                                        kind="churn")
+        chosen = np.sort(rng.choice(len(slots), size=min(count, len(slots)),
+                                    replace=False))
+        leaving = tuple(slots[chosen].tolist())
+        arriving = self._mint(len(chosen))
+        slots[chosen] = arriving
+        self.churn_events += len(chosen)
+        yield TenantLifecycleMarker(time_s=now_s, tenants=arriving,
+                                    kind="arrival")
+        yield TenantLifecycleMarker(time_s=now_s, tenants=leaving,
+                                    kind="churn")
 
 
 class TenantPopulation:

@@ -199,8 +199,8 @@ class TestEpochCut:
 
     def test_items_at_a_barrier_instant(self):
         before = _query(0, 5.0)
-        arrival = TenantLifecycleMarker(10.0, "t1", "arrival")
-        churn = TenantLifecycleMarker(10.0, "t0", "churn")
+        arrival = TenantLifecycleMarker(10.0, range(1, 2), "arrival")
+        churn = TenantLifecycleMarker(10.0, (0,), "churn")
         at_barrier = _query(1, 10.0)
         invalidation = StructureInvalidationEvent(time_s=10.0)
         price = ProviderPriceShockEvent(time_s=10.0, factor=2.0)

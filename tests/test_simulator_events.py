@@ -65,6 +65,17 @@ class TestTenantEvents:
             TenantArrivalEvent(time_s=0.0)
         with pytest.raises(SimulationError):
             TenantChurnEvent(time_s=0.0)
+        # A cohort is a non-empty range or tuple of population indices.
+        for empty in (range(0), ()):
+            with pytest.raises(SimulationError):
+                TenantArrivalEvent(time_s=0.0, tenants=empty)
+        with pytest.raises(SimulationError):
+            TenantChurnEvent(time_s=0.0, tenants=[0])
+        # Arrivals are minted in index order: only a step-1 range.
+        for scattered in ((0, 2), range(0, 4, 2)):
+            with pytest.raises(SimulationError):
+                TenantArrivalEvent(time_s=0.0, tenants=scattered)
+        TenantChurnEvent(time_s=0.0, tenants=(0, 2))
 
     def test_same_instant_order_population_before_money_before_queries(self):
         from repro.simulator.events import (
@@ -76,8 +87,8 @@ class TestTenantEvents:
         queue = EventQueue()
         queue.push(make_arrival(1.0))
         queue.push(MaintenanceSettlementEvent(time_s=1.0))
-        queue.push(TenantChurnEvent(time_s=1.0, tenant_id="old"))
-        queue.push(TenantArrivalEvent(time_s=1.0, tenant_id="new"))
+        queue.push(TenantChurnEvent(time_s=1.0, tenants=(0,)))
+        queue.push(TenantArrivalEvent(time_s=1.0, tenants=range(1, 2)))
         kinds = [type(queue.pop()).__name__ for _ in range(4)]
         assert kinds == [
             "TenantArrivalEvent",       # replacement joins first

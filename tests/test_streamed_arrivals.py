@@ -415,8 +415,8 @@ class TestStreamingArrivalSource:
         source.register(kernel)
         source.prime(kernel)
         kernel.run()
-        # 4 initial arrivals + 30 queries, all through a 4-item window.
-        assert source.events_emitted == 34
+        # One initial-cohort arrival + 30 queries, through a 4-item window.
+        assert source.events_emitted == 31
         assert stream.queries_emitted == 30
 
 
@@ -732,13 +732,14 @@ class TestStreamedModeCoverage:
         deactivate = TenantRegistry.deactivate
         nudged = []
 
-        def nudge_then_churn(self, tenant_id, now=0.0):
-            state = self._states.get(tenant_id)
-            if (not nudged and state is not None
-                    and state.account.total_withdrawn() > 0):
-                state.account._credit += 1e-9
-                nudged.append(tenant_id)
-            return deactivate(self, tenant_id, now=now)
+        def nudge_then_churn(self, tenants, now=0.0):
+            for index in tenants:
+                state = self._states.get(tenant_id_for(index))
+                if (not nudged and state is not None
+                        and state.account.total_withdrawn() > 0):
+                    state.account._credit += 1e-9
+                    nudged.append(index)
+            return deactivate(self, tenants, now=now)
 
         monkeypatch.setattr(TenantRegistry, "deactivate",
                             nudge_then_churn)

@@ -12,6 +12,7 @@ from repro.workload.population import (
     PopulationSpec,
     TenantLifecycleMarker,
     TenantPopulation,
+    tenant_id_for,
 )
 
 
@@ -36,7 +37,7 @@ class TestPopulationSpec:
 
     def test_marker_kind_validated(self):
         with pytest.raises(WorkloadError):
-            TenantLifecycleMarker(time_s=0.0, tenant_id="a", kind="resign")
+            TenantLifecycleMarker(time_s=0.0, tenants=(0,), kind="resign")
 
 
 class TestPopulate:
@@ -80,24 +81,28 @@ class TestPopulate:
             tenant_count=7, seed=0)).populate(base_workload)
         arrivals = [marker for marker in populated.lifecycle
                     if marker.kind == "arrival"]
-        assert len(arrivals) == 7
-        assert all(marker.time_s == base_workload[0].arrival_time
-                   for marker in arrivals)
+        # The initial population arrives as one cohort.
+        assert len(arrivals) == 1
+        assert arrivals[0].tenants == range(7)
+        assert arrivals[0].time_s == base_workload[0].arrival_time
 
     def test_churn_replaces_tenants(self, base_workload):
         populated = TenantPopulation(PopulationSpec(
             tenant_count=10, churn_period=50, churn_fraction=0.2,
             seed=4)).populate(base_workload)
-        # 200 queries / 50 per wave -> 3 waves of 2 tenants each.
+        # 200 queries / 50 per wave -> 3 waves of 2 tenants each;
+        # churn_waves counts the churned tenants.
         assert populated.churn_waves == 6
         assert populated.tenant_count == 16
-        churned = {marker.tenant_id for marker in populated.lifecycle
-                   if marker.kind == "churn"}
+        churn_markers = [marker for marker in populated.lifecycle
+                         if marker.kind == "churn"]
+        assert [len(marker.tenants) for marker in churn_markers] == [2] * 3
         # A churned tenant issues no queries after its churn instant
         # (arrival times are distinct under the fixed interarrival process).
-        churn_time = {marker.tenant_id: marker.time_s
-                      for marker in populated.lifecycle
-                      if marker.kind == "churn"}
+        churn_time = {tenant_id_for(index): marker.time_s
+                      for marker in churn_markers
+                      for index in marker.tenants}
+        churned = set(churn_time)
         for query in populated.queries:
             if query.tenant_id in churned:
                 assert query.arrival_time < churn_time[query.tenant_id]
@@ -122,8 +127,8 @@ class TestSimulationIntegration:
             populated.queries, tenant_lifecycle=populated.lifecycle
         )
         assert result.summary.query_count == len(populated.queries)
-        churned = {marker.tenant_id for marker in populated.lifecycle
-                   if marker.kind == "churn"}
+        churned = {tenant_id_for(index) for marker in populated.lifecycle
+                   if marker.kind == "churn" for index in marker.tenants}
         assert churned
         for tenant_id in churned:
             assert not registry.state(tenant_id).active
