@@ -140,9 +140,8 @@ _ABLATIONS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for ``--jobs``/``--shards``/``--cache-partitions``:
-    an integer >= 1.
+def _int_at_least(minimum: int, text: str) -> int:
+    """Parse an integer flag that must be >= ``minimum``.
 
     Raising :class:`argparse.ArgumentTypeError` makes argparse print a
     friendly ``error: argument --jobs: ...`` line and exit with code 2,
@@ -152,9 +151,19 @@ def _positive_int(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for ``--jobs``/``--shards``/``--cache-partitions``."""
+    return _int_at_least(1, text)
+
+
+def _nonnegative_int(text: str) -> int:
+    """Argparse type for ``--top`` (``0`` lists no tenant)."""
+    return _int_at_least(0, text)
 
 
 def _finite_float(text: str) -> float:
@@ -313,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="F",
                          help="fraction of tenants replaced per churn wave "
                               "(default: 0.1)")
-    tenants.add_argument("--top", type=int, default=10, metavar="K",
+    tenants.add_argument("--top", type=_nonnegative_int, default=10,
+                         metavar="K",
                          help="busiest tenants to list individually "
                               "(default: 10)")
     tenants.add_argument("--settlement-period", type=_finite_float, default=None,
@@ -467,25 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
                              "comparable record (same config hash) and the "
                              "summary table gains delta + perf-gate columns")
     report.add_argument("--warn-slowdown", type=_nonnegative_float,
-                        default=0.10, metavar="FRAC",
+                        default=None, metavar="FRAC",
                         help="relative regression at which a baseline delta "
-                             "warns (default: 0.10)")
+                             "warns (needs --baseline; default: 0.10)")
     report.add_argument("--fail-slowdown", type=_nonnegative_float,
-                        default=0.25, metavar="FRAC",
+                        default=None, metavar="FRAC",
                         help="relative regression at which a baseline delta "
-                             "fails (default: 0.25)")
+                             "fails (needs --baseline; default: 0.25)")
     report.add_argument("--grids", action="store_true",
                         help="additionally run the headline/figure4/figure5 "
                              "grid tables and fold them into the report's "
                              "grids section")
     report.add_argument("--grids-profile", choices=sorted(_PROFILES),
-                        default="quick",
+                        default=None,
                         help="experiment profile for --grids "
-                             "(default: quick)")
-    report.add_argument("--grids-jobs", type=_positive_int, default=1,
+                             "(needs --grids; default: quick)")
+    report.add_argument("--grids-jobs", type=_positive_int, default=None,
                         metavar="N",
                         help="worker processes for the --grids cells "
-                             "(default: 1, sequential)")
+                             "(needs --grids; default: 1, sequential)")
 
     subparsers.add_parser("describe", help="print the simulated schema and defaults")
     return parser
@@ -833,7 +843,28 @@ def _shocks_command(args: argparse.Namespace,
     return "\n\n".join(sections)
 
 
+def _resolve_report_flags(args: argparse.Namespace) -> None:
+    """Reject report flags that would be ignored, then resolve the unset
+    ones to their defaults."""
+    for flags, needs, reason in (
+            (("warn_slowdown", "fail_slowdown"), args.baseline is not None,
+             "--baseline: without a history there is no delta to gate"),
+            (("grids_profile", "grids_jobs"), args.grids,
+             "--grids: without it no grid runs")):
+        given = [name for name in flags if getattr(args, name) is not None]
+        if given and not needs:
+            named = "/".join("--" + name.replace("_", "-") for name in given)
+            verb = "needs" if len(given) == 1 else "need"
+            raise ReproError(f"{named} {verb} {reason}")
+    defaults = {"warn_slowdown": 0.10, "fail_slowdown": 0.25,
+                "grids_profile": "quick", "grids_jobs": 1}
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _report_command(args: argparse.Namespace) -> str:
+    _resolve_report_flags(args)
     artifacts = list(args.artifacts)
     if not artifacts:
         artifacts = sorted(glob.glob("BENCH_*.json"))

@@ -1,4 +1,4 @@
-"""Partitioned cache & provider economy: scale per-query compute.
+"""Partitioned cache & provider economy: split the cache by ownership.
 
 Where :mod:`repro.sharding` replicates the full replay on every worker
 (scaling per-worker *tenant state* while the shared cache couples all
@@ -10,8 +10,9 @@ template affinity (:class:`QueryRouter`), each partition runs its own
 :class:`CrossShardDirectory` published at every settlement barrier lets
 partitions use each other's structures for a modeled remote-access
 surcharge (:class:`RemoteAccessModel`). Each query is planned, priced,
-and negotiated by exactly one partition — per-query compute stays flat as
-partitions are added, instead of multiplying.
+and negotiated by exactly one partition — total engine work stays flat as
+partitions are added, instead of multiplying; barrier exchange and audits
+come on top (``docs/distcache.md`` measures the cost).
 
 Placement is hash-static by default, but ``placement="adaptive"`` lets a
 :class:`PlacementPolicy` hand structures to the partition deriving the

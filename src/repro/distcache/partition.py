@@ -21,10 +21,9 @@ sharding, so the two layers cannot drift):
   by template affinity (stable hash of the template name): queries
   instantiated from one template touch the same columns and indexes, so
   sending a template always to the same partition maximises the chance
-  that the structures it wants are owned locally. This is the axis that
-  scales per-query compute — each query is planned, priced, and
-  negotiated by exactly one partition, where the replicated-replay
-  sharding mode re-runs every query on every worker.
+  that the structures it wants are owned locally. Each query is
+  planned, priced, and negotiated by exactly one partition, where the
+  replicated-replay sharding mode re-runs every query on every worker.
 
 Example:
     >>> partitioner = StructurePartitioner(partition_count=4)

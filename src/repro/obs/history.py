@@ -15,25 +15,26 @@ the loop:
   (:class:`RegressionGates`).
 
 The config hash covers the bench document minus its *result* fields
-(``runs``, measured speedups, the interpreter version, ...): two records
-are comparable exactly when the benchmark was configured identically,
-whatever it measured.
+(``runs`` and the interpreter version): two records are comparable
+exactly when the benchmark was configured identically, whatever it
+measured.
 
 Example:
-    >>> doc = {"benchmark": "planner", "scheme": "econ-cheap",
-    ...        "query_count": 100, "seed": 0, "repetitions": 1,
-    ...        "python": "3.11.0", "outcomes_identical": True,
-    ...        "speedup": {"batched_cold_vs_scalar": 6.0},
-    ...        "runs": [{"planning": "scalar", "benchmark_mode": "scalar",
-    ...                  "queries_per_s": 1000.0}]}
-    >>> record = record_from_bench(doc, git_sha="abc",
-    ...                            recorded_at="2026-01-01T00:00:00Z")
-    >>> record.metrics["scalar_queries_per_s"]
-    1000.0
+    >>> doc = {"benchmark": "placement", "scheme": "econ-cheap",
+    ...        "tenant_count": 24, "query_count": 160, "partitions": 2,
+    ...        "seed": 0, "handoff_threshold": 0.0, "python": "3.11.0",
+    ...        "runs": [{"placement": "adaptive", "handoffs": 3,
+    ...                  "remote_hit_rate": 0.25,
+    ...                  "remote_surcharge_dollars": 2.0}]}
     >>> baseline = record_from_bench(doc, git_sha="abc",
     ...                              recorded_at="2026-01-01T00:00:00Z")
-    >>> [d.status for d in compute_deltas(record.metrics, baseline)]
-    ['ok', 'ok']
+    >>> baseline.metrics["remote_surcharge_dollars"]
+    2.0
+    >>> [d.status for d in compute_deltas(baseline.metrics, baseline)]
+    ['info', 'ok', 'ok']
+    >>> doc["runs"][0]["remote_surcharge_dollars"] = 2.3  # 15 % dearer
+    >>> [d.status for d in compute_deltas(history_metrics(doc), baseline)]
+    ['info', 'ok', 'warn']
 """
 
 from __future__ import annotations
@@ -51,32 +52,19 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Bench-document fields that describe *results*, not configuration.
 #: Everything else participates in the comparability hash.
-RESULT_FIELDS = frozenset({
-    "runs", "python", "unsharded", "speedup",
-    "outcomes_identical", "conservation_exact",
-})
+RESULT_FIELDS = frozenset({"runs", "python"})
 
 #: Regression direction per metric name. ``"higher"`` — bigger is
 #: better (throughput, speedups): a drop is a regression. ``"lower"`` —
-#: smaller is better (surcharge dollars, cost ratios): a rise is a
+#: smaller is better (surcharge dollars, remote-hit rates): a rise is a
 #: regression. ``None`` — informational only (counts with no better
 #: direction); rendered but never gated. The enumeration is complete on
 #: purpose: a metric added to :func:`history_metrics` without a
 #: direction here fails loudly in :func:`compute_deltas` instead of
 #: silently passing every gate.
 METRIC_DIRECTIONS: Dict[str, Optional[str]] = {
-    "unsharded_queries_per_s": "higher",
-    "best_queries_per_s": "higher",
-    "best_speedup_vs_unsharded": "higher",
-    "baseline_queries_per_s": "higher",
-    "scalar_queries_per_s": "higher",
-    "batched_cold_queries_per_s": "higher",
-    "batched_warm_queries_per_s": "higher",
-    "batched_cold_speedup": "higher",
-    "clean_queries_per_s": "higher",
     "remote_surcharge_dollars": "lower",
     "remote_hit_rate": "lower",
-    "max_cost_ratio": "lower",
     "handoffs": None,
 }
 
@@ -96,9 +84,10 @@ def bench_config_hash(document: Mapping[str, object]) -> str:
 def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
     """The gateable metric extract of one bench document.
 
-    Per kind, the handful of numbers the regression gates watch —
-    throughput, speedup ratios, surcharge dollars. Every name returned
-    here must appear in :data:`METRIC_DIRECTIONS`.
+    Per kind, the handful of numbers the regression gates watch — for
+    placement, the adaptive runs' surcharge dollars, remote-hit rate and
+    handoff count. Every name returned here must appear in
+    :data:`METRIC_DIRECTIONS`.
     """
     kind = document.get("benchmark")
     runs = [run for run in document.get("runs", ())
@@ -109,24 +98,7 @@ def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[name] = float(value)
 
-    if kind == "sharding":
-        unsharded = document.get("unsharded")
-        if isinstance(unsharded, Mapping):
-            put("unsharded_queries_per_s", unsharded.get("queries_per_s"))
-        put("best_queries_per_s",
-            max((run.get("queries_per_s", 0.0) for run in runs),
-                default=None))
-        put("best_speedup_vs_unsharded",
-            max((run.get("speedup_vs_unsharded", 0.0) for run in runs),
-                default=None))
-    elif kind == "distcache":
-        unsharded = document.get("unsharded")
-        if isinstance(unsharded, Mapping):
-            put("baseline_queries_per_s", unsharded.get("queries_per_s"))
-        put("best_queries_per_s",
-            max((run.get("queries_per_s", 0.0) for run in runs),
-                default=None))
-    elif kind == "placement":
+    if kind == "placement":
         adaptive = [run for run in runs
                     if run.get("placement") == "adaptive"]
         if adaptive:
@@ -137,25 +109,6 @@ def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
                 max(run.get("remote_hit_rate", 0.0) for run in adaptive))
             put("handoffs",
                 sum(run.get("handoffs", 0) for run in adaptive))
-    elif kind == "planner":
-        for run in runs:
-            mode = run.get("benchmark_mode")
-            if isinstance(mode, str):
-                put(f"{mode.replace('-', '_')}_queries_per_s",
-                    run.get("queries_per_s"))
-        speedup = document.get("speedup")
-        if isinstance(speedup, Mapping):
-            put("batched_cold_speedup",
-                speedup.get("batched_cold_vs_scalar"))
-    elif kind == "shocks":
-        ratios = [run.get("cost_ratio") for run in runs
-                  if isinstance(run.get("cost_ratio"), (int, float))]
-        if ratios:
-            put("max_cost_ratio", max(ratios))
-        clean = [run.get("clean_queries_per_s") for run in runs
-                 if isinstance(run.get("clean_queries_per_s"), (int, float))]
-        if clean:
-            put("clean_queries_per_s", min(clean))
     return metrics
 
 

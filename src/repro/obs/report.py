@@ -1,6 +1,6 @@
 """The ``repro report`` pipeline: versioned JSON + markdown artifacts.
 
-Ingests the repo's perf history — the five checked-in ``BENCH_*.json``
+Ingests the repo's perf history — the checked-in ``BENCH_*.json``
 files (or freshly produced ones from CI's bench-smoke job) plus any
 ``*.jsonl`` trace artifacts — validates every document against the
 declarative schemas in :mod:`repro.obs.schema`, extracts a per-benchmark
@@ -46,21 +46,14 @@ REPORT_SCHEMA_VERSION = 2
 #: shows (the full per-metric delta list lives in the ``baseline``
 #: section). Names match :data:`repro.obs.history.METRIC_DIRECTIONS`.
 PRIMARY_METRIC: Dict[str, str] = {
-    "sharding": "best_queries_per_s",
-    "distcache": "best_queries_per_s",
     "placement": "remote_surcharge_dollars",
-    "planner": "batched_cold_queries_per_s",
-    "shocks": "clean_queries_per_s",
 }
 
-#: The five benchmark kinds the perf history is expected to cover,
-#: mapped to their canonical checked-in file names.
+#: The benchmark kinds the perf history is expected to cover, mapped to
+#: their canonical checked-in file names. Per-mode throughput is timed
+#: by the end-to-end benchmark (``BENCHMARK.json``), not here.
 BENCH_NAMES: Tuple[Tuple[str, str], ...] = (
-    ("sharding", "BENCH_sharding.json"),
-    ("distcache", "BENCH_distcache.json"),
     ("placement", "BENCH_placement.json"),
-    ("planner", "BENCH_planner.json"),
-    ("shocks", "BENCH_shocks.json"),
 )
 
 
@@ -97,7 +90,7 @@ def ingest_bench_files(paths: Sequence[str]) -> List[BenchIngest]:
 
     Every expected benchmark kind yields exactly one :class:`BenchIngest`
     (marked missing when no supplied path covers it), so the summary table
-    always renders all five rows. Unreadable or legacy files are reported
+    always renders one row per kind. Unreadable or legacy files are reported
     as problems, never raised.
     """
     by_kind: Dict[str, BenchIngest] = {
@@ -147,29 +140,11 @@ def _headline(ingest: BenchIngest) -> Dict[str, object]:
         gate_name, predicate = gate
         headline["gate"] = gate_name
         headline["gate_ok"] = bool(predicate(data))
-    if ingest.kind == "sharding":
-        best = max((run.get("speedup_vs_unsharded", 0.0) for run in runs),
-                   default=0.0)
-        headline["best_speedup_vs_unsharded"] = best
-    elif ingest.kind == "distcache":
-        best = max((run.get("queries_per_s", 0.0) for run in runs),
-                   default=0.0)
-        headline["best_queries_per_s"] = best
-    elif ingest.kind == "placement":
+    if ingest.kind == "placement":
         adaptive = [run for run in runs if run.get("placement") == "adaptive"]
         headline["handoffs"] = sum(run.get("handoffs", 0) for run in adaptive)
         headline["remote_hits"] = sum(
             run.get("remote_hits", 0) for run in adaptive)
-    elif ingest.kind == "planner":
-        speedup = data.get("speedup")
-        if isinstance(speedup, Mapping):
-            headline["speedup"] = dict(speedup)
-    elif ingest.kind == "shocks":
-        ratios = [run.get("cost_ratio") for run in runs
-                  if isinstance(run.get("cost_ratio"), (int, float))]
-        if ratios:
-            headline["max_cost_ratio"] = max(ratios)
-        headline["grammar"] = data.get("grammar")
     return headline
 
 

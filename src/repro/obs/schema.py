@@ -55,18 +55,6 @@ GENERIC_BENCH_FIELDS: Tuple[SchemaField, ...] = (
 
 #: Per-benchmark extra fields (keyed by the ``benchmark`` value).
 BENCH_EXTRA_FIELDS: Dict[str, Tuple[SchemaField, ...]] = {
-    "sharding": (
-        SchemaField("scheme", (str,)),
-        SchemaField("tenant_count", (int,)),
-        SchemaField("query_count", (int,)),
-        SchemaField("unsharded", (dict,)),
-    ),
-    "distcache": (
-        SchemaField("scheme", (str,)),
-        SchemaField("tenant_count", (int,)),
-        SchemaField("query_count", (int,)),
-        SchemaField("unsharded", (dict,)),
-    ),
     "placement": (
         SchemaField("scheme", (str,)),
         SchemaField("tenant_count", (int,)),
@@ -74,39 +62,16 @@ BENCH_EXTRA_FIELDS: Dict[str, Tuple[SchemaField, ...]] = {
         SchemaField("partitions", (int,)),
         SchemaField("handoff_threshold", (int, float)),
     ),
-    "planner": (
-        SchemaField("scheme", (str,)),
-        SchemaField("query_count", (int,)),
-        SchemaField("repetitions", (int,)),
-        SchemaField("outcomes_identical", (bool,)),
-        SchemaField("speedup", (dict,)),
-    ),
-    "shocks": (
-        SchemaField("tenants", (int,)),
-        SchemaField("query_count", (int,)),
-        SchemaField("grammar", (str,)),
-        SchemaField("conservation_exact", (bool,)),
-    ),
 }
 
 #: Per-benchmark gate: a predicate over the document that must hold for
 #: the perf history to count as healthy (rendered in the summary table).
 BENCH_GATES: Dict[str, Tuple[str, Callable[[Mapping[str, object]], bool]]] = {
-    "sharding": ("byte_identical",
-                 lambda doc: all(run.get("byte_identical", True)
-                                 for run in doc.get("runs", ())
-                                 if isinstance(run, Mapping))),
-    "distcache": ("runs_recorded",
-                  lambda doc: bool(doc.get("runs"))),
     "placement": ("handoffs_applied",
                   lambda doc: any(run.get("handoffs", 0) > 0
                                   for run in doc.get("runs", ())
                                   if isinstance(run, Mapping)
                                   and run.get("placement") == "adaptive")),
-    "planner": ("outcomes_identical",
-                lambda doc: doc.get("outcomes_identical") is True),
-    "shocks": ("conservation_exact",
-               lambda doc: doc.get("conservation_exact") is True),
 }
 
 

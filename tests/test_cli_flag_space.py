@@ -3,9 +3,11 @@ observability flags either runs on a tiny cell or exits 2 with exactly one
 ``error:`` line — never a traceback, never a silently ignored flag."""
 
 import io
+import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -111,3 +113,41 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
         for path in paths.values():
             with open(path) as handle:
                 assert handle.read() != "stale", (argv, path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["report", "--warn-slowdown", "0.2"],
+     "--warn-slowdown needs --baseline"),
+    (["report", "--fail-slowdown", "0.3"],
+     "--fail-slowdown needs --baseline"),
+    # Inverted gates are not even checked: without --baseline, no gate.
+    (["report", "--warn-slowdown", "0.5", "--fail-slowdown", "0.1"],
+     "--warn-slowdown/--fail-slowdown need --baseline"),
+    (["report", "--grids-profile", "quick"], "--grids-profile needs --grids"),
+    (["report", "--grids-jobs", "2"], "--grids-jobs needs --grids"),
+    (BASE["tenants"] + ["--top", "-1"], "argument --top: must be >= 0"),
+], ids=["warn", "fail", "inverted", "grids-profile", "grids-jobs", "top"])
+def test_ignored_flag_exits_2(tmp_path, argv, message):
+    """A flag that would be silently ignored exits 2 with one error line
+    and writes nothing."""
+    if argv[0] == "report":
+        argv = argv + ["--out", str(tmp_path / "artifacts")]
+    code, out, err = _run(argv)
+    assert code == 2, (argv, err)
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1 and message in error_lines[0], err
+    assert out == ""
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_report_gate_flags_resolve_with_baseline(tmp_path):
+    """Given --baseline, an unset gate flag takes its default."""
+    (tmp_path / "history").mkdir()
+    code, _, err = _run(["report", "--baseline", str(tmp_path / "history"),
+                         "--warn-slowdown", "0.2", "--out", str(tmp_path)])
+    assert code == 0, err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["baseline"]["gates"] == {"warn_slowdown": 0.2,
+                                           "fail_slowdown": 0.25}
+

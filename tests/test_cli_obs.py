@@ -220,16 +220,11 @@ class TestReportCommand:
     def test_report_over_checked_in_bench_files(self, tmp_path, capsys):
         repo_root = os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))
-        bench = [os.path.join(repo_root, name) for name in (
-            "BENCH_sharding.json", "BENCH_distcache.json",
-            "BENCH_placement.json", "BENCH_planner.json",
-            "BENCH_shocks.json")]
-        if not all(os.path.exists(path) for path in bench):
-            pytest.skip("checked-in bench files not present")
+        bench = [os.path.join(repo_root, "BENCH_placement.json")]
         out_dir = tmp_path / "artifacts"
         code, out, _ = _run(capsys, ["report", "--out", str(out_dir)] + bench)
         assert code == 0
-        assert "| planner |" in out
+        assert "| placement | BENCH_placement.json | ok |" in out
         report = json.loads((out_dir / "report.json").read_text())
         assert report["warnings"] == []
         assert (out_dir / "report.md").exists()
@@ -239,16 +234,16 @@ class TestReportCommand:
         from repro.obs.history import append_bench_history
 
         doc = {
-            "benchmark": "sharding", "python": "3.11.0", "seed": 0,
+            "benchmark": "placement", "python": "3.11.0", "seed": 0,
             "scheme": "econ-cheap", "tenant_count": 10, "query_count": 50,
-            "unsharded": {"queries_per_s": 1000.0},
-            "runs": [{"shards": 2, "queries_per_s": 1600.0,
-                      "speedup_vs_unsharded": 1.6,
-                      "byte_identical": True}],
+            "partitions": 2, "handoff_threshold": 0.0,
+            "runs": [{"placement": "adaptive", "handoffs": 4,
+                      "remote_hit_rate": 0.2,
+                      "remote_surcharge_dollars": 1.0}],
         }
         history = tmp_path / "history"
         append_bench_history(doc, str(history), git_sha="abc")
-        bench = tmp_path / "BENCH_sharding.json"
+        bench = tmp_path / "BENCH_placement.json"
         bench.write_text(json.dumps(doc))
         out_dir = tmp_path / "artifacts"
         code, out, _ = _run(capsys, ["report", str(bench),
@@ -257,6 +252,21 @@ class TestReportCommand:
         assert code == 0
         assert "| delta | perf |" in out
         assert "## Baseline deltas" in out
+
+    def test_report_warns_on_a_retired_bench_kind(self, tmp_path, capsys):
+        """A leftover per-mode bench file (its throughput is timed by the
+        end-to-end benchmark now) renders a warning, not a failure."""
+        bench = tmp_path / "BENCH_sharding.json"
+        bench.write_text(json.dumps({
+            "benchmark": "sharding", "python": "3.11.0", "seed": 0,
+            "runs": [{"shards": 2, "queries_per_s": 1600.0}]}))
+        code, out, err = _run(capsys, ["report", str(bench),
+                                       "--out", str(tmp_path)])
+        assert (code, err) == (0, "")
+        assert "| sharding | BENCH_sharding.json | invalid |" in out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert f"{bench}: unknown benchmark kind 'sharding'" in \
+            report["warnings"]
 
     def test_report_missing_baseline_dir_exits_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["report",

@@ -12,6 +12,7 @@ from repro.distcache import (
 from repro.distcache.runner import epoch_items
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
+    TenantCell,
     TenantExperimentConfig,
     run_tenant_cell,
     tenant_aggregate_table,
@@ -109,6 +110,17 @@ class TestAudits:
                      for stats in two_partitions.partitions)
         assert served == CONFIG.query_count
         assert two_partitions.cell.summary.query_count == CONFIG.query_count
+
+    def test_each_partition_does_a_slice_of_the_work(self, two_partitions):
+        """Unlike a replicated replay, where every worker runs every query
+        over the full cache, each partition serves only its routed queries
+        and holds only its owned slice of the cache."""
+        shared = TenantCell(CONFIG)
+        shared.run()
+        full_cache_peak = shared.scheme.cache.peak_disk_used_bytes
+        for stats in two_partitions.partitions:
+            assert 0 < stats.queries_served < CONFIG.query_count
+            assert stats.peak_cache_bytes < full_cache_peak
 
     def test_directory_entries_match_live_structures(self, two_partitions):
         total_structures = sum(stats.local_structures

@@ -133,6 +133,27 @@ class TestOutcomeParity:
         assert engine.plan_tables is not None
         assert len(engine.plan_tables) > 0
 
+    def test_warm_plan_tables_are_reused(self, execution_model,
+                                         structure_costs, monkeypatch):
+        """An engine primed with another engine's plan tables builds none,
+        and its outcomes stay those of the scalar path."""
+        from repro.planner import plan_table
+
+        queries = workload(count=40)
+        cold = make_engine(execution_model, structure_costs, "batched")
+        cold.prime_queries(queries, settlement_period_s=50.0)
+        for query in queries:
+            cold.process_query(query)
+        tables, templates = cold.plan_tables, len(cold.plan_tables)
+        monkeypatch.setattr(plan_table, "build_plan_table", None)  # no build
+        warm = make_engine(execution_model, structure_costs, "batched")
+        warm.prime_queries(queries, settlement_period_s=50.0,
+                           plan_tables=tables)
+        scalar = make_engine(execution_model, structure_costs, "scalar")
+        for query in queries:
+            assert warm.process_query(query) == scalar.process_query(query)
+        assert warm.plan_tables is tables and len(tables) == templates > 0
+
 
 class TestBatchScheduler:
     def make(self, execution_model):

@@ -17,52 +17,48 @@ from repro.obs.history import (
     load_history,
     record_from_bench,
 )
+from repro.obs.report import BENCH_NAMES
 from repro.obs.schema import validate_history_record
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _planner_doc(qps=1000.0, seed=0):
+def _placement_doc(surcharge=2.0, seed=0):
     return {
-        "benchmark": "planner", "scheme": "econ-cheap", "seed": seed,
-        "python": "3.11.0", "query_count": 100, "repetitions": 1,
-        "outcomes_identical": True,
-        "speedup": {"batched_cold_vs_scalar": 6.0,
-                    "batched_warm_vs_scalar": 5.0},
+        "benchmark": "placement", "scheme": "econ-cheap", "seed": seed,
+        "python": "3.11.0", "tenant_count": 24, "query_count": 160,
+        "partitions": 2, "handoff_threshold": 0.0,
         "runs": [
-            {"benchmark_mode": "scalar", "queries_per_s": qps},
-            {"benchmark_mode": "batched-cold", "queries_per_s": qps * 6},
-            {"benchmark_mode": "batched-warm", "queries_per_s": qps * 5},
+            {"placement": "hash", "handoffs": 0, "remote_hit_rate": 0.5,
+             "remote_surcharge_dollars": surcharge * 2},
+            {"placement": "adaptive", "handoffs": 7, "remote_hit_rate": 0.25,
+             "remote_surcharge_dollars": surcharge},
         ],
     }
 
 
 class TestConfigHash:
     def test_result_fields_do_not_affect_comparability(self):
-        fast, slow = _planner_doc(qps=2000.0), _planner_doc(qps=500.0)
-        assert bench_config_hash(fast) == bench_config_hash(slow)
+        cheap, dear = _placement_doc(surcharge=1.0), _placement_doc(3.0)
+        assert bench_config_hash(cheap) == bench_config_hash(dear)
 
     def test_config_fields_do_affect_comparability(self):
-        assert bench_config_hash(_planner_doc(seed=0)) \
-            != bench_config_hash(_planner_doc(seed=1))
+        assert bench_config_hash(_placement_doc(seed=0)) \
+            != bench_config_hash(_placement_doc(seed=1))
 
 
 class TestHistoryMetrics:
     def test_planner_metrics_cover_every_mode(self):
-        metrics = history_metrics(_planner_doc(qps=1000.0))
-        assert metrics["scalar_queries_per_s"] == 1000.0
-        assert metrics["batched_cold_queries_per_s"] == 6000.0
-        assert metrics["batched_warm_queries_per_s"] == 5000.0
-        assert metrics["batched_cold_speedup"] == 6.0
+        """Planner throughput is timed by the end-to-end benchmark now: a
+        leftover planner document yields nothing to gate."""
+        runs = [{"benchmark_mode": mode, "queries_per_s": 1000.0}
+                for mode in ("scalar", "batched-cold", "batched-warm")]
+        assert history_metrics({"benchmark": "planner", "runs": runs}) == {}
 
     def test_every_extracted_metric_has_a_declared_direction(self):
         """The failure mode METRIC_DIRECTIONS exists to prevent: a metric
         extracted for gating with no declared better-direction."""
-        paths = [os.path.join(REPO_ROOT, f"BENCH_{kind}.json")
-                 for kind in ("sharding", "distcache", "placement",
-                              "planner", "shocks")]
-        if not all(os.path.exists(path) for path in paths):
-            pytest.skip("checked-in bench files not present")
+        paths = [os.path.join(REPO_ROOT, name) for _, name in BENCH_NAMES]
         for path in paths:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
@@ -72,27 +68,27 @@ class TestHistoryMetrics:
 
 class TestRecordAndStore:
     def test_record_is_schema_valid(self):
-        record = record_from_bench(_planner_doc(), git_sha="abc",
+        record = record_from_bench(_placement_doc(), git_sha="abc",
                                    recorded_at="2026-01-01T00:00:00Z")
         assert validate_history_record(record.to_dict()) == []
         assert record.schema_version == HISTORY_SCHEMA_VERSION
 
     def test_append_load_roundtrip(self, tmp_path):
-        path = append_bench_history(_planner_doc(), str(tmp_path),
+        path = append_bench_history(_placement_doc(), str(tmp_path),
                                     git_sha="abc")
-        assert path.endswith("planner.jsonl")
-        append_bench_history(_planner_doc(qps=2000.0), str(tmp_path),
+        assert path.endswith("placement.jsonl")
+        append_bench_history(_placement_doc(surcharge=3.0), str(tmp_path),
                              git_sha="def")
         records, problems = load_history(str(tmp_path))
         assert problems == []
-        assert [r.git_sha for r in records["planner"]] == ["abc", "def"]
+        assert [r.git_sha for r in records["placement"]] == ["abc", "def"]
 
     def test_git_sha_fallback_outside_a_git_repo(self, tmp_path,
                                                  monkeypatch):
         """Records written outside a repository are valid, just
         unattributable — the RunManifest satellite contract."""
         monkeypatch.chdir(tmp_path)
-        record = record_from_bench(_planner_doc())
+        record = record_from_bench(_placement_doc())
         assert record.git_sha is None
         assert validate_history_record(record.to_dict()) == []
 
@@ -107,14 +103,14 @@ class TestRecordAndStore:
         assert "git_sha" in manifest.to_dict()
 
     def test_load_history_is_fail_soft_over_corrupt_lines(self, tmp_path):
-        good = record_from_bench(_planner_doc(), git_sha="abc").to_json()
-        (tmp_path / "planner.jsonl").write_text(
+        good = record_from_bench(_placement_doc(), git_sha="abc").to_json()
+        (tmp_path / "placement.jsonl").write_text(
             good + "\n"
             + "{not json\n"                       # corrupt line
-            + json.dumps({"benchmark": "planner"}) + "\n"  # schema-invalid
+            + json.dumps({"benchmark": "placement"}) + "\n"  # invalid
             + good + "\n")
         records, problems = load_history(str(tmp_path))
-        assert len(records["planner"]) == 2
+        assert len(records["placement"]) == 2
         assert any("not valid JSON" in problem for problem in problems)
         assert any("missing required field" in problem
                    for problem in problems)
@@ -128,12 +124,12 @@ class TestRecordAndStore:
 class TestLatestComparable:
     def test_last_matching_record_wins(self, tmp_path):
         for sha in ("a", "b", "c"):
-            append_bench_history(_planner_doc(), str(tmp_path), git_sha=sha)
-        append_bench_history(_planner_doc(seed=9), str(tmp_path),
+            append_bench_history(_placement_doc(), str(tmp_path), git_sha=sha)
+        append_bench_history(_placement_doc(seed=9), str(tmp_path),
                              git_sha="other-config")
         records, _ = load_history(str(tmp_path))
-        baseline = latest_comparable(records["planner"],
-                                     bench_config_hash(_planner_doc()))
+        baseline = latest_comparable(records["placement"],
+                                     bench_config_hash(_placement_doc()))
         assert baseline.git_sha == "c"
 
     def test_no_comparable_record_returns_none(self):
@@ -157,27 +153,24 @@ class TestGates:
 
 
 class TestComputeDeltas:
-    def test_higher_is_better_flags_drops(self):
-        baseline = record_from_bench(_planner_doc(qps=1000.0),
-                                     git_sha="abc")
-        current = history_metrics(_planner_doc(qps=800.0))
-        deltas = {d.name: d for d in compute_deltas(current, baseline)}
-        scalar = deltas["scalar_queries_per_s"]
-        assert scalar.change == pytest.approx(-0.2)
-        assert scalar.regression == pytest.approx(0.2)
-        assert scalar.status == "warn"
+    def test_higher_is_better_flags_drops(self, monkeypatch):
+        """Throughput gates the other way round: a drop regresses."""
+        monkeypatch.setitem(METRIC_DIRECTIONS, "queries_per_s", "higher")
+        baseline = record_from_bench(_placement_doc(), git_sha="abc")
+        object.__setattr__(baseline, "metrics", {"queries_per_s": 1000.0})
+        (delta,) = compute_deltas({"queries_per_s": 800.0}, baseline)
+        assert delta.change == pytest.approx(-0.2)
+        assert delta.regression == pytest.approx(0.2)
+        assert delta.status == "warn"
 
     def test_lower_is_better_flags_rises(self):
-        baseline = record_from_bench(
-            {"benchmark": "shocks", "python": "x", "seed": 0,
-             "tenants": 5, "query_count": 10, "grammar": "g",
-             "conservation_exact": True,
-             "runs": [{"cost_ratio": 1.0, "clean_queries_per_s": 100.0}]},
-            git_sha="abc")
-        deltas = compute_deltas({"max_cost_ratio": 1.5}, baseline)
-        (delta,) = deltas
-        assert delta.regression == pytest.approx(0.5)
-        assert delta.status == "fail"
+        baseline = record_from_bench(_placement_doc(surcharge=1.0),
+                                     git_sha="abc")
+        current = history_metrics(_placement_doc(surcharge=1.5))
+        deltas = {d.name: d for d in compute_deltas(current, baseline)}
+        surcharge = deltas["remote_surcharge_dollars"]
+        assert surcharge.regression == pytest.approx(0.5)
+        assert surcharge.status == "fail"
 
     def test_info_metrics_never_gate(self):
         baseline = record_from_bench(
@@ -194,21 +187,21 @@ class TestComputeDeltas:
         assert deltas["handoffs"].status == "info"
 
     def test_metrics_missing_on_either_side_are_skipped(self):
-        baseline = record_from_bench(_planner_doc(), git_sha="abc")
-        deltas = compute_deltas({"scalar_queries_per_s": 1000.0,
-                                 "clean_queries_per_s": 5.0}, baseline)
-        assert [d.name for d in deltas] == ["scalar_queries_per_s"]
+        baseline = record_from_bench(_placement_doc(), git_sha="abc")
+        deltas = compute_deltas({"remote_hit_rate": 0.25,
+                                 "scalar_queries_per_s": 5.0}, baseline)
+        assert [d.name for d in deltas] == ["remote_hit_rate"]
 
     def test_undeclared_direction_fails_loudly(self):
-        baseline = record_from_bench(_planner_doc(), git_sha="abc")
+        baseline = record_from_bench(_placement_doc(), git_sha="abc")
         object.__setattr__(baseline, "metrics",
                            dict(baseline.metrics, mystery_metric=1.0))
         with pytest.raises(KeyError):
             compute_deltas({"mystery_metric": 2.0}, baseline)
 
     def test_zero_baseline_is_inf_change_not_a_crash(self):
-        baseline = record_from_bench(_planner_doc(qps=0.0), git_sha="abc")
-        # qps=0 zeroes scalar; batched modes scale from it so also 0.
+        baseline = record_from_bench(_placement_doc(surcharge=0.0),
+                                     git_sha="abc")
         deltas = {d.name: d for d in compute_deltas(
-            {"scalar_queries_per_s": 10.0}, baseline)}
-        assert deltas["scalar_queries_per_s"].change == float("inf")
+            {"remote_surcharge_dollars": 10.0}, baseline)}
+        assert deltas["remote_surcharge_dollars"].change == float("inf")

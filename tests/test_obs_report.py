@@ -16,26 +16,29 @@ from repro.obs.schema import validate_bench, validate_report
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The five checked-in perf-history files (the backfill satellite).
+#: The checked-in perf-history files, one per benchmark kind.
 CHECKED_IN = [os.path.join(REPO_ROOT, name) for _, name in BENCH_NAMES]
 
 
-def _require_checked_in():
-    missing = [path for path in CHECKED_IN if not os.path.exists(path)]
-    if missing:
-        pytest.skip(f"checked-in bench files not present: {missing}")
+def _placement_doc(**changes):
+    """A small, schema-valid placement bench document."""
+    document = {"benchmark": "placement", "python": "x", "seed": 0,
+                "runs": [{}], "scheme": "s", "tenant_count": 1,
+                "query_count": 1, "partitions": 2, "handoff_threshold": 0.0}
+    document.update(changes)
+    return document
 
 
 class TestValidateBench:
     def test_all_checked_in_bench_files_are_schema_valid(self):
-        _require_checked_in()
         for path in CHECKED_IN:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
             assert validate_bench(document) == [], path
 
     def test_missing_required_field(self):
-        problems = validate_bench({"benchmark": "planner", "python": "3.11"})
+        problems = validate_bench({"benchmark": "placement",
+                                   "python": "3.11"})
         assert any("seed" in problem for problem in problems)
 
     def test_unknown_kind(self):
@@ -45,19 +48,13 @@ class TestValidateBench:
                    for problem in validate_bench(document))
 
     def test_kind_mismatch_against_file_name(self):
-        document = {"benchmark": "planner", "python": "x", "seed": 0,
-                    "runs": [{}], "scheme": "s", "query_count": 1,
-                    "repetitions": 1, "outcomes_identical": True,
-                    "speedup": {}}
-        assert validate_bench(document, expected_kind="planner") == []
-        assert validate_bench(document, expected_kind="shocks")
+        document = _placement_doc()
+        assert validate_bench(document, expected_kind="placement") == []
+        assert validate_bench(document, expected_kind="sharding")
 
     def test_bool_int_confusion_is_caught(self):
-        document = {"benchmark": "planner", "python": "x", "seed": 0,
-                    "runs": [{}], "scheme": "s", "query_count": 1,
-                    "repetitions": 1, "outcomes_identical": 1,
-                    "speedup": {}}
-        assert any("outcomes_identical" in problem
+        document = _placement_doc(partitions=True)
+        assert any("partitions" in problem
                    for problem in validate_bench(document))
 
     def test_non_object_document(self):
@@ -66,28 +63,29 @@ class TestValidateBench:
 
 class TestIngest:
     def test_always_covers_all_five_kinds(self, tmp_path):
+        """Every declared kind gets a row, even with no file supplied."""
         ingests = ingest_bench_files([])
         assert [ingest.kind for ingest in ingests] == [
             kind for kind, _ in BENCH_NAMES]
         assert all(ingest.status == "missing" for ingest in ingests)
 
     def test_legacy_file_degrades_to_warning(self, tmp_path):
-        legacy = tmp_path / "BENCH_planner.json"
-        legacy.write_text(json.dumps({"benchmark": "planner"}))
+        legacy = tmp_path / "BENCH_placement.json"
+        legacy.write_text(json.dumps({"benchmark": "placement"}))
         ingests = ingest_bench_files([str(legacy)])
-        planner = next(i for i in ingests if i.kind == "planner")
-        assert planner.found and not planner.valid
-        assert planner.status == "invalid"
+        placement = next(i for i in ingests if i.kind == "placement")
+        assert placement.found and not placement.valid
+        assert placement.status == "invalid"
 
     def test_unreadable_file_degrades_to_missing(self, tmp_path):
-        ingests = ingest_bench_files([str(tmp_path / "BENCH_shocks.json")])
-        shocks = next(i for i in ingests if i.kind == "shocks")
-        assert shocks.status == "missing"
+        ingests = ingest_bench_files(
+            [str(tmp_path / "BENCH_placement.json")])
+        placement = next(i for i in ingests if i.kind == "placement")
+        assert placement.status == "missing"
 
 
 class TestRenderReport:
     def test_report_is_schema_valid_over_checked_in_files(self):
-        _require_checked_in()
         report, markdown = render_report(CHECKED_IN)
         assert validate_report(report) == []
         assert report["schema_version"] == REPORT_SCHEMA_VERSION
@@ -121,7 +119,6 @@ class TestRenderReport:
 
 class TestWriteArtifacts:
     def test_writes_three_artifacts(self, tmp_path):
-        _require_checked_in()
         out = tmp_path / "artifacts"
         targets = write_report_artifacts(CHECKED_IN, str(out))
         assert sorted(targets) == ["json", "manifest", "markdown"]

@@ -344,6 +344,15 @@ class TestCoordinator:
         assert report.barriers_verified > 1  # periodic + final
         assert report.max_conservation_residual < 1e-6
 
+    def test_owned_states_shrink_with_shards(self):
+        """The resource sharding saves: each worker materialises only its
+        own tenants' states, fewer as the shard count grows."""
+        config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
+        largest = [max(ShardCoordinator(shards).run_cell(config)
+                       .owned_tenants_per_shard)
+                   for shards in (1, 2, 4)]
+        assert QUICK["tenant_count"] == largest[0] > largest[1] > largest[2]
+
 
 _PARENT_PID = os.getpid()
 
