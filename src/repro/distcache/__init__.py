@@ -36,7 +36,7 @@ Typical use, directly or through ``repro.cli tenants --cache-partitions N``::
 
     report = run_partitioned_cell(
         TenantExperimentConfig(tenant_count=200, settlement_period_s=60.0),
-        partitions=4, max_workers=4)
+        partitions=4)
     report.cell                 # merged TenantCellResult
     report.barriers_verified    # audited settlement barriers
     report.baseline             # global-cache summary for the same seed
@@ -71,7 +71,6 @@ from repro.distcache.report import (
 from repro.distcache.runner import (
     DEFAULT_ANCHOR_PERIOD,
     PLACEMENT_MODES,
-    BarrierOutputs,
     BarrierReport,
     DirectoryPublication,
     DistCacheCellReport,
@@ -89,7 +88,6 @@ from repro.economy.account import ledger_fold, outcome_charge_fold
 __all__ = [
     "DEFAULT_ANCHOR_PERIOD",
     "PLACEMENT_MODES",
-    "BarrierOutputs",
     "BarrierReport",
     "CrossShardDirectory",
     "DirectoryDelta",

@@ -150,11 +150,6 @@ class PartitionedEconomyEngine(EconomyEngine):
         return cache
 
     @property
-    def remote_model(self) -> RemoteAccessModel:
-        """The remote-access cost model in force."""
-        return self._remote
-
-    @property
     def remote_hits(self) -> int:
         """Chosen plans that used at least one remote structure."""
         return self._remote_hits

@@ -153,12 +153,6 @@ class PlacementPolicy:
         self._bids.setdefault(key, {}).setdefault(partition, []).append(
             benefit)
 
-    def record_all(self, partition: int,
-                   bids: Mapping[str, float]) -> None:
-        """Record one partition's drained per-structure epoch tallies."""
-        for key, benefit in bids.items():
-            self.record(key, partition, benefit)
-
     # -- decisions -------------------------------------------------------------
 
     def propose(self, owners: Mapping[str, int]) -> List[HandoffDecision]:

@@ -4,32 +4,29 @@ One partitioned cell run executes like this::
 
     route queries by template  ->  partition 0 .. N-1 substreams
     for each epoch (settlement barrier to settlement barrier):
-        every partition, in the process that holds it, folds in the
-        previous barrier's outputs, runs its substream slice and the
-        epoch's shocks on a SimulationKernel against its OWN
+        every partition, in partition order, runs its substream slice
+        and the epoch's shocks on a SimulationKernel against its OWN
         PartitionedCacheManager + provider sub-account, settles at the
         barrier, audits its sub-account, and reports its barrier state
-        at the barrier, in this process:
+        at the barrier:
             [adaptive placement] record the drained benefit bids, decide
             the ownership handoffs, and move each handed-off entry with
             its in-flight regret from the old owner to the new one
             route foreign regret to the (possibly new) owners
             publish the directory: a delta against the previous epoch,
             fold-verified (prev + delta == full) with a periodic
-            full-snapshot anchor
+            full-snapshot anchor, folded onto every partition's snapshot
             record the audited checkpoint
-    end of the cell: the schemes come back once; wallet integrity audit,
-    fold into a TenantCellResult
+    end of the cell: wallet integrity audit, fold into a TenantCellResult
 
-Partitions are **resident**: a partition's scheme (cache, sub-account,
-regret, registry) ships once, inside its first epoch task, and then stays
-in one process for the whole cell — this process with one worker, else
-the single-process pool ``p % workers`` for partition ``p``. Later tasks
-carry only the epoch's arrivals and the previous barrier's outputs, and
-results only the replay record and the barrier report. Every
-cross-partition decision is taken here, from the reports, in partition
-order, so the run is deterministic regardless of pool scheduling —
-``max_workers`` changes wall-clock, never results.
+Every partition of a cell runs in the process that runs the cell. An
+epoch task carries the partition's live scheme (cache, sub-account,
+regret, registry) and its result hands the scheme back; the runner goes
+on with the returned scheme, so a task and result that were copied (the
+pickle round trip of the end-to-end benchmark's traced mode) still give
+the plain run's bytes. ``max_workers`` is the process budget that whole
+cells share (:meth:`DistCacheRunner.run_cells`); a cell never splits
+across processes, so it changes wall-clock, never results.
 
 Unlike the replicated-replay sharding mode, each query here is planned,
 priced, and negotiated by exactly **one** partition: total per-query
@@ -42,15 +39,12 @@ divergence report against the global-cache baseline and documented in
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
-from repro.cache.storage import CacheEntry
 from repro.distcache.directory import (
     CrossShardDirectory,
     DirectoryDelta,
@@ -68,11 +62,13 @@ from repro.economy.account import (CloudAccount, ConservationAudit,
                                    audit_conservation)
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import DistCacheError, call_naming_failures
+from repro.errors import (DistCacheError, call_naming_failures,
+                          map_naming_failures)
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
     cell_arrivals,
+    cell_label,
     run_tenant_cell,
 )
 from repro.policies.base import CachingScheme, SchemeStep
@@ -92,14 +88,10 @@ from repro.workload.grammar import compile_shock_events_for_span
 from repro.workload.population import GenerativeProfileSource
 from repro.workload.query import Query
 
-#: A resident partition's store key: ``(run id, partition index)``.
-ResidentKey = Tuple[int, int]
 #: A cache snapshot: ``(key, size_bytes)`` of every live structure.
 Snapshot = Tuple[Tuple[str, int], ...]
 #: Regret owed to a structure's owner, as ``(structure, dollars)`` pairs.
 RegretItems = Tuple[Tuple[CacheStructure, float], ...]
-#: Handed-off entries, each with the regret that travels with it.
-MovedEntries = Tuple[Tuple[CacheEntry, float], ...]
 
 
 class PartitionImbalanceWarning(UserWarning):
@@ -107,54 +99,27 @@ class PartitionImbalanceWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class BarrierOutputs:
-    """What one barrier sends a partition, applied before it runs again.
-
-    Attributes:
-        directory: the publication — the :class:`DirectoryDelta` against
-            the snapshot the partition holds, or the full
-            :class:`CrossShardDirectory` at anchors; ``None`` before the
-            first barrier.
-        forwarded_regret: regret other partitions earned on structures
-            this partition owns.
-        partitioner: the partitioner carrying the current override table
-            (adaptive placement only).
-        sample: ``(time_s, epoch, final)`` of the barrier whose metrics
-            sample is due (``--metrics`` only). It is taken once the
-            outputs above are applied, so it sees the barrier's handoffs.
-    """
-
-    directory: Union[None, CrossShardDirectory, DirectoryDelta] = None
-    forwarded_regret: RegretItems = ()
-    partitioner: Optional[StructurePartitioner] = None
-    sample: Optional[Tuple[float, int, bool]] = None
-
-
-@dataclass(frozen=True)
 class PartitionEpochTask:
-    """Everything one resident partition needs to replay one epoch.
+    """Everything one partition needs to replay one epoch.
 
     The epoch runs from ``start_s`` (the previous barrier, or the cell's
     first arrival) to the barrier at ``settle_to_s``. ``arrivals`` are the
     partition's queries plus every lifecycle marker, in stream order;
-    ``shocks`` are the epoch's market-shock events. ``scheme`` is set on
-    a partition's first task only; it becomes the resident state stored
-    under ``resident_key``.
+    ``shocks`` are the epoch's market-shock events. ``scheme`` is the
+    partition's live state, with the previous barrier's outputs applied.
     """
 
-    resident_key: ResidentKey
     epoch: int
     start_s: float
     settle_to_s: float
     arrivals: Tuple[Arrival, ...]
     shocks: Tuple[Event, ...]
-    inbound: BarrierOutputs = BarrierOutputs()
-    scheme: Optional[CachingScheme] = None
+    scheme: CachingScheme
 
 
 @dataclass(frozen=True)
 class BarrierReport:
-    """One partition's state at a barrier, read where the state lives.
+    """One partition's state at a barrier, read as its epoch closes.
 
     ``query_payments`` (the provider side) and ``outcome_charges`` (the
     tenant side) come from the partition's conservation audit, which
@@ -171,15 +136,18 @@ class BarrierReport:
 
 @dataclass(frozen=True)
 class PartitionEpochResult:
-    """One partition's epoch output: the replay record and its barrier report.
+    """One partition's epoch output: its scheme, the replay record and its
+    barrier report.
 
-    ``eviction_losses`` carries the dollar loss of each kernel-driven
+    ``scheme`` is the task's scheme after the epoch; the runner continues
+    with it. ``eviction_losses`` carries the dollar loss of each kernel-driven
     eviction (invalidation shocks, strict-maintenance shutdowns) in
     event order, so the merge can book them exactly like
     ``MetricsCollector.record_kernel_evictions`` does in the
     unpartitioned run.
     """
 
+    scheme: CachingScheme
     steps: Tuple[SchemeStep, ...]
     maintenance: Tuple[Tuple[float, float], ...]
     report: BarrierReport
@@ -279,15 +247,7 @@ class DistCacheCellReport:
         return sum(pub.full_bytes for pub in self.publications)
 
 
-# -- resident partitions: runs in whichever process holds the partition --------
-
-#: The schemes resident in this process: a pool worker holds the
-#: partitions mapped to it, an in-process run holds all of them.
-_RESIDENT: Dict[ResidentKey, CachingScheme] = {}
-
-#: Run ids handed out by this process. A counter rather than ``id()``, so
-#: the store keys of a repeated run pickle to the same bytes.
-_RUN_IDS = itertools.count()
+# -- partition epochs ---------------------------------------------------------
 
 
 def _engine_of(scheme: CachingScheme) -> PartitionedEconomyEngine:
@@ -298,43 +258,13 @@ def _engine_of(scheme: CachingScheme) -> PartitionedEconomyEngine:
     return engine
 
 
-def _resident(resident_key: ResidentKey) -> CachingScheme:
-    try:
-        return _RESIDENT[resident_key]
-    except KeyError:
-        raise DistCacheError(
-            f"cache partition {resident_key[1]} of run {resident_key[0]} "
-            f"is not resident in this process") from None
-
-
-def _apply_barrier_outputs(scheme: CachingScheme,
-                           outputs: BarrierOutputs) -> None:
-    """Fold the previous barrier's outputs into a resident partition.
-
-    A delta folds onto the snapshot this partition holds, so the version
-    check of :meth:`CrossShardDirectory.apply_delta` runs against the
-    state the partition actually priced with.
-    """
-    engine = _engine_of(scheme)
-    cache = engine.partitioned_cache
-    if outputs.partitioner is not None:
-        cache.set_partitioner(outputs.partitioner)
-    if outputs.forwarded_regret:
-        engine.absorb_forwarded_regret(outputs.forwarded_regret)
-    directory = outputs.directory
-    if isinstance(directory, DirectoryDelta):
-        directory = cache.directory.apply_delta(directory)
-    if directory is not None:
-        cache.set_directory(directory)
-    if outputs.sample is not None:
-        _sample_partition(scheme, engine, *outputs.sample)
-
-
 def _sample_partition(scheme: CachingScheme,
                       engine: PartitionedEconomyEngine, time_s: float,
                       epoch: int, final: bool) -> None:
     """Take one barrier's metrics sample off the partition's collector
-    (read-only), so the per-epoch counter deltas pair with the gauges."""
+    (read-only), once the barrier's outputs are applied, so the per-epoch
+    counter deltas pair with the gauges and it sees the barrier's
+    handoffs."""
     from repro.obs.metrics import metrics_part
 
     collector = metrics_part(engine.trace)
@@ -397,7 +327,7 @@ class _EpochLog:
 
 
 def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
-    """Replay one partition's slice of one epoch where the partition lives.
+    """Replay one partition's slice of one epoch.
 
     The slice runs on a :class:`SimulationKernel` through the same
     :class:`SchemeTenant` handlers as the unpartitioned run, and closes
@@ -409,10 +339,7 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     if not isinstance(task, PartitionEpochTask):
         raise DistCacheError(
             f"expected a PartitionEpochTask, got {type(task).__name__}")
-    if task.scheme is not None:
-        _RESIDENT[task.resident_key] = task.scheme
-    scheme = _resident(task.resident_key)
-    _apply_barrier_outputs(scheme, task.inbound)
+    scheme = task.scheme
     # Batched planners score the whole epoch slice in one vectorized pass;
     # scalar schemes ignore the priming (see CachingScheme.prime_workload).
     scheme.prime_workload(tuple(
@@ -427,46 +354,12 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     source.prime(kernel)
     kernel.run()
     return PartitionEpochResult(
+        scheme=scheme,
         steps=tuple(log.steps),
         maintenance=tuple(log.maintenance),
         report=_barrier_report(_engine_of(scheme)),
         eviction_losses=tuple(log.eviction_losses),
     )
-
-
-def _hand_off(resident_key: ResidentKey, keys: Tuple[str, ...]
-              ) -> Tuple[MovedEntries, Snapshot]:
-    """Release handed-off entries, each with its in-flight regret.
-
-    Returns the entries in ``keys`` order and the snapshot left behind.
-    """
-    engine = _engine_of(_resident(resident_key))
-    cache = engine.partitioned_cache
-    moved = tuple((cache.extract_entry(key), engine.surrender_regret(key))
-                  for key in keys)
-    return moved, cache.snapshot()
-
-
-def _take_over(resident_key: ResidentKey, partitioner: StructurePartitioner,
-               moved: MovedEntries, now: float) -> Snapshot:
-    """Install handed-off entries under the new override table; returns
-    the snapshot after the installs."""
-    engine = _engine_of(_resident(resident_key))
-    cache = engine.partitioned_cache
-    cache.set_partitioner(partitioner)
-    for entry, regret in moved:
-        cache.install_entry(entry, now=now)
-        engine.adopt_regret(entry.structure, regret)
-    return cache.snapshot()
-
-
-def _release(resident_key: ResidentKey,
-             outputs: BarrierOutputs) -> CachingScheme:
-    """Apply the final barrier's outputs and hand the scheme back."""
-    scheme = _resident(resident_key)
-    _apply_barrier_outputs(scheme, outputs)
-    del _RESIDENT[resident_key]
-    return scheme
 
 
 def _shock_key(event: Event) -> Tuple[float, int]:
@@ -507,70 +400,14 @@ def epoch_items(arrivals: Iterable[Arrival], shocks: Iterable[Event],
                _slices(sorted(shocks, key=_shock_key), _shock_key, cuts))
 
 
-class _PartitionHosts:
-    """The processes holding one run's partitions.
-
-    With one worker every partition lives in this process; with more,
-    partition ``p`` lives in the single-process pool ``p % workers`` for
-    the whole run, so a call always reaches the process that holds the
-    partition's state. Pools fork from this process (the platform
-    default) when first called.
-
-    A failed call — an exception escaping it, or a worker process that
-    died — raises an error naming the partition, the epoch, and the
-    cell's config hash. Library errors keep their type, so callers that
-    catch one still do; anything else becomes a :class:`DistCacheError`.
-    """
-
-    def __init__(self, resident_keys: Sequence[ResidentKey], workers: int,
-                 cell_hash: str) -> None:
-        self._keys = tuple(resident_keys)
-        self._cell_hash = cell_hash
-        self._pools: List[ProcessPoolExecutor] = []
-        if workers > 1:
-            self._pools = [ProcessPoolExecutor(max_workers=1)
-                           for _ in range(workers)]
-
-    def call(self, epoch: int,
-             calls: Sequence[Tuple[int, Callable, tuple]]) -> List:
-        """Run each ``(partition, fn, args)`` where the partition lives.
-
-        Calls on different workers run side by side; results come back
-        in call order.
-        """
-        if not self._pools:
-            return [self._checked(partition, epoch, fn, *args)
-                    for partition, fn, args in calls]
-        futures = [
-            (partition, self._checked(
-                partition, epoch,
-                self._pools[partition % len(self._pools)].submit, fn, *args))
-            for partition, fn, args in calls]
-        return [self._checked(partition, epoch, future.result)
-                for partition, future in futures]
-
-    def _checked(self, partition: int, epoch: int, fn: Callable, *args):
-        return call_naming_failures(
-            lambda: (f"cache partition {partition}, epoch {epoch}, cell "
-                     f"config {self._cell_hash}"),
-            DistCacheError, fn, *args)
-
-    def close(self) -> None:
-        """Shut the pools down and drop what this process still holds."""
-        for pool in self._pools:
-            pool.shutdown(cancel_futures=True)
-        for key in self._keys:
-            _RESIDENT.pop(key, None)
-
-
 class DistCacheRunner:
     """Runs tenant cells in partitioned-cache mode.
 
     Args:
         partition_count: cache partitions per cell.
-        max_workers: processes holding the partitions; partition ``p``
-            stays in worker ``p % max_workers`` for the whole cell (1 =
-            every partition in this process).
+        max_workers: worker processes that :meth:`run_cells` fans whole
+            cells over (1 = sequential); every partition of a cell runs
+            in the process that runs the cell.
         remote: the remote-access surcharge model in force.
         compare_baseline: also run the global-cache twin for the
             divergence report (skipped with one partition).
@@ -616,9 +453,8 @@ class DistCacheRunner:
         self._handoff_threshold = handoff_threshold
         self._anchor_period = anchor_period
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
-        # Per-partition recorders live on the engines, stay resident with
-        # them, and are absorbed into these collectors when the schemes
-        # come back at the end of the cell. The partition kernels get no
+        # Per-partition recorders live on the engines and are absorbed into
+        # these collectors at the end of the cell. The partition kernels get no
         # observers, so the barriers double as the metrics sampler: each
         # partition samples its engine once a barrier is fully applied,
         # exactly where a kernel run's settlement observer would fire.
@@ -694,6 +530,36 @@ class DistCacheRunner:
 
     def run_cell(self, config: TenantExperimentConfig) -> DistCacheCellReport:
         """Run one cell partitioned; audit every barrier; merge exactly."""
+        report = self._run_cell(config)
+        _warn_if_imbalanced(report)
+        return report
+
+    def run_cells(self, configs: Sequence[TenantExperimentConfig]
+                  ) -> List[DistCacheCellReport]:
+        """Run many cells, fanned over ``max_workers`` processes.
+
+        Reports come back in ``configs`` order. One cell, one worker, or a
+        trace or metrics sink runs the cells sequentially in this process,
+        as :func:`~repro.experiments.tenants.run_tenant_experiment` does;
+        each cell is deterministic, so the pooled path is byte-identical.
+        A failure in a pooled cell names the cell.
+        """
+        cells = list(configs)
+        if not cells:
+            raise DistCacheError("at least one tenant cell is required")
+        if (self._max_workers == 1 or len(cells) == 1
+                or self._trace is not None or self._metrics is not None):
+            reports = [self._run_cell(config) for config in cells]
+        else:
+            reports = map_naming_failures(self._run_cell, cells,
+                                          self._max_workers, cell_label,
+                                          DistCacheError)
+        for report in reports:
+            _warn_if_imbalanced(report)
+        return reports
+
+    def _run_cell(self, config: TenantExperimentConfig
+                  ) -> DistCacheCellReport:
         if config.warmup_queries:
             raise DistCacheError(
                 "partitioned mode does not support warmup_queries")
@@ -710,8 +576,8 @@ class DistCacheRunner:
         arrivals = cell_arrivals(config)
         schemes = self._build_schemes(config, arrivals.source)
         if self._trace is not None or self._metrics is not None:
-            # Per-partition recorders stay resident with their schemes;
-            # absorbed once the schemes come back after the last barrier.
+            # Per-partition recorders ride with their schemes; absorbed
+            # after the last barrier.
             from repro.obs.metrics import MetricsTimeseries, combined_recorder
             from repro.obs.trace import TraceRecorder
 
@@ -741,9 +607,6 @@ class DistCacheRunner:
             barriers)
 
         partitions = range(self.partition_count)
-        run_id = next(_RUN_IDS)
-        resident_keys = [(run_id, partition) for partition in partitions]
-        inbound = [BarrierOutputs()] * self.partition_count
         steps: List[List[SchemeStep]] = [[] for _ in partitions]
         maintenance: List[List[Tuple[float, float]]] = [[] for _ in partitions]
         kernel_losses: List[List[float]] = [[] for _ in partitions]
@@ -752,115 +615,102 @@ class DistCacheRunner:
         publications: List[DirectoryPublication] = []
         directory = CrossShardDirectory.empty()
 
-        hosts = _PartitionHosts(
-            resident_keys, min(self._max_workers, self.partition_count),
-            config_hash(config))
-        try:
-            for epoch, (barrier, (epoch_arrivals, shocks)) in enumerate(
-                    zip(barriers, epochs)):
-                number = epoch + 1
-                is_final = epoch == len(barriers) - 1
-                epoch_start = barriers[epoch - 1] if epoch else start_s
-                # Every partition receives its routed queries plus every
-                # lifecycle marker (each registry books the whole
-                # population) and every shock (a shock hits the whole
-                # market).
-                routed: List[List[Arrival]] = [[] for _ in partitions]
-                for item in epoch_arrivals:
-                    if isinstance(item, Query):
-                        routed[self._router.partition_of(item)].append(item)
-                    else:
-                        for queue in routed:
-                            queue.append(item)
-                tasks = [PartitionEpochTask(
-                    resident_key=resident_keys[partition],
+        for epoch, (barrier, (epoch_arrivals, shocks)) in enumerate(
+                zip(barriers, epochs)):
+            number = epoch + 1
+            is_final = epoch == len(barriers) - 1
+            epoch_start = barriers[epoch - 1] if epoch else start_s
+            # Every partition receives its routed queries plus every
+            # lifecycle marker (each registry books the whole population)
+            # and every shock (a shock hits the whole market).
+            routed: List[List[Arrival]] = [[] for _ in partitions]
+            for item in epoch_arrivals:
+                if isinstance(item, Query):
+                    routed[self._router.partition_of(item)].append(item)
+                else:
+                    for queue in routed:
+                        queue.append(item)
+            results: List[PartitionEpochResult] = []
+            for partition in partitions:
+                task = PartitionEpochTask(
                     epoch=number,
                     start_s=epoch_start,
                     settle_to_s=barrier,
                     arrivals=tuple(routed[partition]),
                     shocks=tuple(shocks),
-                    inbound=inbound[partition],
-                    scheme=schemes[partition] if epoch == 0 else None,
-                ) for partition in partitions]
-                # The processes holding the partitions own the schemes
-                # from here on; they come back after the last barrier.
-                schemes = []
-                results: List[PartitionEpochResult] = hosts.call(
-                    number, [(partition, run_partition_epoch, (task,))
-                             for partition, task in zip(partitions, tasks)])
+                    scheme=schemes[partition],
+                )
+                # Called through the module global, so a wrapper
+                # installed on it (the benchmark's layer clock) sees
+                # every epoch.
+                results.append(call_naming_failures(
+                    lambda: (f"cache partition {partition}, epoch {number}, "
+                             f"cell config {config_hash(config)}"),
+                    DistCacheError, run_partition_epoch, task))
+            schemes = [result.scheme for result in results]
+            engines = [_engine_of(scheme) for scheme in schemes]
 
-                for partition, result in enumerate(results):
-                    steps[partition].extend(result.steps)
-                    maintenance[partition].extend(result.maintenance)
-                    kernel_losses[partition].extend(result.eviction_losses)
-                reports = [result.report for result in results]
-                snapshots = dict(enumerate(
-                    report.snapshot for report in reports))
+            for partition, result in enumerate(results):
+                steps[partition].extend(result.steps)
+                maintenance[partition].extend(result.maintenance)
+                kernel_losses[partition].extend(result.eviction_losses)
+            reports = [result.report for result in results]
+            snapshots = dict(enumerate(report.snapshot for report in reports))
 
-                applied: List[HandoffRecord] = []
-                if policy is not None:
-                    applied = self._apply_handoffs(
-                        hosts, resident_keys, reports, snapshots, policy,
-                        epoch=number, now=barrier)
-                    handoffs.extend(applied)
-                forwarded = self._route_regret(reports)
-                directory, delta, publication = self._publish_directory(
-                    snapshots, number, previous=directory)
-                publications.append(publication)
-                checkpoints.append(PartitionCheckpoint(
-                    time_s=barrier,
-                    epoch=number,
-                    directory_size=len(directory),
-                    subaccount_credit=tuple(
-                        report.subaccount_credit for report in reports),
-                    query_payments=tuple(
-                        report.query_payments for report in reports),
-                    outcome_charges=tuple(
-                        report.outcome_charges for report in reports),
-                    handoffs_applied=len(applied),
-                ))
-                inbound = [BarrierOutputs(
-                    directory=directory if publication.anchored else delta,
-                    forwarded_regret=forwarded[partition],
-                    partitioner=(self._partitioner if policy is not None
-                                 else None),
-                    sample=((barrier, number, is_final)
-                            if self._metrics is not None else None),
-                ) for partition in partitions]
-                if self._trace is not None:
-                    self._trace.span(
-                        "settlement_barrier", start_s=epoch_start,
-                        end_s=barrier, epoch=number,
-                        directory_entries=len(directory),
-                        directory_delta_bytes=publication.delta_bytes,
-                        handoffs_applied=len(applied), final=is_final)
-                    for record in applied:
-                        self._trace.event(
-                            "handoff", time_s=barrier, key=record.key,
-                            from_partition=record.from_partition,
-                            to_partition=record.to_partition)
+            applied: List[HandoffRecord] = []
+            if policy is not None:
+                applied = self._apply_handoffs(
+                    engines, reports, snapshots, policy, epoch=number,
+                    now=barrier)
+                handoffs.extend(applied)
+            forwarded = self._route_regret(reports)
+            directory, delta, publication = self._publish_directory(
+                snapshots, number, previous=directory)
+            publications.append(publication)
+            for scheme, engine, regret in zip(schemes, engines, forwarded):
+                cache = engine.partitioned_cache
+                if regret:
+                    engine.absorb_forwarded_regret(regret)
+                # A delta folds onto the snapshot the partition holds, so
+                # the version check of CrossShardDirectory.apply_delta runs
+                # against the state the partition actually priced with.
+                cache.set_directory(directory if publication.anchored
+                                    else cache.directory.apply_delta(delta))
                 if self._metrics is not None:
-                    self._metrics.sample(
-                        time_s=barrier, epoch=number, final=is_final,
-                        directory_entries=len(directory),
-                        directory_delta_bytes=publication.delta_bytes,
-                        handoffs_applied=len(applied),
-                    )
-            schemes = hosts.call(len(barriers), [
-                (partition, _release,
-                 (resident_keys[partition], inbound[partition]))
-                for partition in partitions])
-        finally:
-            hosts.close()
+                    _sample_partition(scheme, engine, barrier, number,
+                                      is_final)
+            checkpoints.append(PartitionCheckpoint(
+                time_s=barrier,
+                epoch=number,
+                directory_size=len(directory),
+                subaccount_credit=tuple(
+                    report.subaccount_credit for report in reports),
+                query_payments=tuple(
+                    report.query_payments for report in reports),
+                outcome_charges=tuple(
+                    report.outcome_charges for report in reports),
+                handoffs_applied=len(applied),
+            ))
+            if self._trace is not None:
+                self._trace.span(
+                    "settlement_barrier", start_s=epoch_start,
+                    end_s=barrier, epoch=number,
+                    directory_entries=len(directory),
+                    directory_delta_bytes=publication.delta_bytes,
+                    handoffs_applied=len(applied), final=is_final)
+                for record in applied:
+                    self._trace.event(
+                        "handoff", time_s=barrier, key=record.key,
+                        from_partition=record.from_partition,
+                        to_partition=record.to_partition)
+            if self._metrics is not None:
+                self._metrics.sample(
+                    time_s=barrier, epoch=number, final=is_final,
+                    directory_entries=len(directory),
+                    directory_delta_bytes=publication.delta_bytes,
+                    handoffs_applied=len(applied),
+                )
 
-        if min(len(served) for served in steps) == 0:
-            warnings.warn(
-                f"cache partition count {self.partition_count} exceeds the "
-                f"workload's busy template count; some cache partitions "
-                f"serve no queries",
-                PartitionImbalanceWarning,
-                stacklevel=2,
-            )
         registries = [scheme.tenant_registry for scheme in schemes]
         audits = [_audit(_engine_of(scheme), registry)
                   for scheme, registry in zip(schemes, registries)]
@@ -913,18 +763,9 @@ class DistCacheRunner:
             publications=tuple(publications),
         )
 
-    def run_cells(self, configs: Sequence[TenantExperimentConfig]
-                  ) -> List[DistCacheCellReport]:
-        """Run many cells (sequentially; partitions parallelise within)."""
-        cells = list(configs)
-        if not cells:
-            raise DistCacheError("at least one tenant cell is required")
-        return [self.run_cell(config) for config in cells]
-
     # -- barrier work ----------------------------------------------------------
 
-    def _apply_handoffs(self, hosts: _PartitionHosts,
-                        resident_keys: Sequence[ResidentKey],
+    def _apply_handoffs(self, engines: Sequence[PartitionedEconomyEngine],
                         reports: Sequence[BarrierReport],
                         snapshots: Dict[int, Snapshot],
                         policy: PlacementPolicy, epoch: int,
@@ -937,16 +778,16 @@ class DistCacheRunner:
         has residency state to move). The handoffs then apply in one
         exchange, before the directory is published:
 
-        1. the ownership-override table is extended (one shared
-           :class:`StructurePartitioner`, so directory checks, admission
-           guards, and regret routing all flip together; partitions
-           outside the exchange receive it before their next epoch);
-        2. every old owner releases its handed-off
+        1. every old owner releases its handed-off
            :class:`~repro.cache.storage.CacheEntry` objects — billing
            watermark, usage recency, amortisation state — without an
            eviction record, each with its in-flight regret;
-        3. every new owner installs them under the new table and adopts
-           the regret.
+        2. the ownership-override table is extended and installed on
+           every partition (one :class:`StructurePartitioner` value, so
+           directory checks, admission guards, and regret routing all
+           flip together);
+        3. every new owner installs the entries under the new table and
+           adopts the regret.
 
         ``snapshots`` is updated in place with the caches after the
         exchange. No account is touched, so the bitwise sub-account
@@ -969,30 +810,21 @@ class DistCacheRunner:
         if not decisions:
             return []
 
+        moved = [(engines[decision.from_partition].partitioned_cache
+                  .extract_entry(decision.key),
+                  engines[decision.from_partition].surrender_regret(
+                      decision.key))
+                 for decision in decisions]
         self._partitioner = self._partitioner.with_overrides(
             {decision.key: decision.to_partition for decision in decisions})
-        outgoing: Dict[int, List[str]] = {}
-        for decision in decisions:
-            outgoing.setdefault(decision.from_partition, []).append(
-                decision.key)
-        released = hosts.call(epoch, [
-            (partition, _hand_off, (resident_keys[partition], tuple(keys)))
-            for partition, keys in outgoing.items()])
-        moved: Dict[str, Tuple[CacheEntry, float]] = {}
-        for (partition, keys), (entries, snapshot) in zip(outgoing.items(),
-                                                          released):
-            moved.update(zip(keys, entries))
-            snapshots[partition] = snapshot
-        incoming: Dict[int, List[Tuple[CacheEntry, float]]] = {}
-        for decision in decisions:
-            incoming.setdefault(decision.to_partition, []).append(
-                moved[decision.key])
-        installed = hosts.call(epoch, [
-            (partition, _take_over,
-             (resident_keys[partition], self._partitioner, tuple(entries),
-              now))
-            for partition, entries in incoming.items()])
-        snapshots.update(zip(incoming, installed))
+        for engine in engines:
+            engine.partitioned_cache.set_partitioner(self._partitioner)
+        for decision, (entry, regret) in zip(decisions, moved):
+            engine = engines[decision.to_partition]
+            engine.partitioned_cache.install_entry(entry, now=now)
+            engine.adopt_regret(entry.structure, regret)
+        for partition, engine in enumerate(engines):
+            snapshots[partition] = engine.partitioned_cache.snapshot()
         return [HandoffRecord(
             epoch=epoch,
             key=decision.key,
@@ -1077,6 +909,18 @@ class DistCacheRunner:
         return stats
 
 
+def _warn_if_imbalanced(report: DistCacheCellReport) -> None:
+    """Warn, in the calling process, when some partition served nothing."""
+    if min(stats.queries_served for stats in report.partitions) == 0:
+        warnings.warn(
+            f"cache partition count {report.partition_count} exceeds the "
+            f"workload's busy template count; some cache partitions serve "
+            f"no queries",
+            PartitionImbalanceWarning,
+            stacklevel=3,
+        )
+
+
 def run_partitioned_cell(config: TenantExperimentConfig,
                          partitions: int,
                          max_workers: int = 1,
@@ -1106,7 +950,8 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                                anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                                trace=None,
                                metrics=None) -> List[DistCacheCellReport]:
-    """Run many cells partitioned; ``jobs`` sizes each cell's worker set."""
+    """Run many cells partitioned; ``jobs`` worker processes share the
+    cells (see :meth:`DistCacheRunner.run_cells`)."""
     runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
                              compare_baseline=compare_baseline,
                              placement=placement,

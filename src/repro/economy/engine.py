@@ -377,8 +377,7 @@ class EconomyEngine:
     # -- main entry point --------------------------------------------------------------
 
     def prime_queries(self, queries: Iterable[Query],
-                      settlement_period_s: Optional[float] = None,
-                      plan_tables: Optional[PlanTableCache] = None) -> None:
+                      settlement_period_s: Optional[float] = None) -> None:
         """Announce upcoming arrivals to the batched planner.
 
         A no-op unless the engine is configured with
@@ -391,15 +390,9 @@ class EconomyEngine:
                 iterable; the scheduler pulls it one window at a time.
             settlement_period_s: the simulation's settlement period, used
                 as the batching epoch grid.
-            plan_tables: optional externally owned plan-table cache (e.g.
-                shared across benchmark repetitions to measure warm-table
-                throughput).
         """
         if self._config.planning != PLANNING_BATCHED:
             return
-        if plan_tables is not None:
-            self._plan_tables = plan_tables
-            self._batch = None
         if self._plan_tables is None:
             self._plan_tables = PlanTableCache()
         if self._batch is None:

@@ -55,10 +55,8 @@ class SchemeTenant:
         self._warmup = warmup_queries
         self._processed = 0
         self._settled_to_s = start_time_s
-        self._phase_changes = 0
         self._tenant_arrivals = 0
         self._tenant_churns = 0
-        self._shock_events = 0
 
     # -- introspection ---------------------------------------------------------
 
@@ -73,16 +71,6 @@ class SchemeTenant:
         return self._collector
 
     @property
-    def processed_queries(self) -> int:
-        """Queries processed so far (warm-up included)."""
-        return self._processed
-
-    @property
-    def phase_changes_seen(self) -> int:
-        """Workload phase-change events observed so far."""
-        return self._phase_changes
-
-    @property
     def tenant_arrivals_seen(self) -> int:
         """Tenants that arrived so far (summed over arrival cohorts)."""
         return self._tenant_arrivals
@@ -91,11 +79,6 @@ class SchemeTenant:
     def tenant_churns_seen(self) -> int:
         """Tenants that churned so far (summed over churn cohorts)."""
         return self._tenant_churns
-
-    @property
-    def shock_events_seen(self) -> int:
-        """Market-shock events (invalidation/price/budget) observed so far."""
-        return self._shock_events
 
     # -- wiring ----------------------------------------------------------------
 
@@ -144,7 +127,6 @@ class SchemeTenant:
         """
         assert isinstance(event, StructureInvalidationEvent)
         self._settle(event.time_s)
-        self._shock_events += 1
         records = self._scheme.apply_invalidation(event.predicate,
                                                   event.time_s)
         if records and self._processed >= self._warmup:
@@ -156,14 +138,12 @@ class SchemeTenant:
         first — the event boundary keeps the integral piecewise-exact)."""
         assert isinstance(event, ProviderPriceShockEvent)
         self._settle(event.time_s)
-        self._shock_events += 1
         self._scheme.apply_price_shock(event.factor, event.time_s)
 
     def on_budget_squeeze(self, event: Event, kernel: SimulationKernel) -> None:
         """Scale tenant willingness-to-pay from this instant on."""
         assert isinstance(event, TenantBudgetSqueezeEvent)
         self._settle(event.time_s)
-        self._shock_events += 1
         self._scheme.apply_budget_squeeze(event.factor, event.time_s)
 
     def on_failure_check(self, event: Event, kernel: SimulationKernel) -> None:
@@ -180,9 +160,8 @@ class SchemeTenant:
                 records, loss_of=self._scheme.eviction_loss)
 
     def on_phase_change(self, event: Event, kernel: SimulationKernel) -> None:
-        """Observe a workload phase boundary (schemes are self-tuned; the
-        boundary is informational, but counting it keeps runs auditable)."""
-        self._phase_changes += 1
+        """Observe a workload phase boundary (schemes are self-tuned, so
+        the boundary is informational only)."""
 
     def on_tenant_arrival(self, event: Event, kernel: SimulationKernel) -> None:
         """Activate the arriving cohort in the scheme's registry (if any)."""

@@ -189,11 +189,6 @@ class MetricsCollector:
         """Response times of all recorded queries."""
         return np.array([step.response_time_s for step in self._steps], dtype=float)
 
-    def tenant_breakdowns(self) -> Dict[str, TenantBreakdown]:
-        """Per-tenant aggregates of the recorded steps (see
-        :func:`breakdown_by_tenant`)."""
-        return breakdown_by_tenant(self._steps)
-
     def cumulative_cost_series(self) -> List[float]:
         """Cumulative execution+build spend after each query (no maintenance)."""
         running = 0.0

@@ -192,13 +192,19 @@ class TestPartitionedTenantsCli:
         assert "Traceback" not in captured.err
 
     def test_imbalance_warning_on_stderr(self, capsys):
-        assert main(["tenants", "--n-tenants", "6", "--queries", "16",
-                     "--schemes", "econ-cheap",
-                     "--cache-partitions", "16"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("warning:") == 1
-        assert "serve no queries" in captured.err
-        assert "Cache partitions - econ-cheap x 16 partitions" in captured.out
+        """One ``warning:`` line however many cells trigger it, whether
+        the cells run here or in the ``--jobs`` pool."""
+        for schemes in ("econ-cheap", "econ-cheap,econ-fast"):
+            for jobs in ("1", "2"):
+                assert main(["tenants", "--n-tenants", "6", "--queries", "16",
+                             "--schemes", schemes, "--jobs", jobs,
+                             "--cache-partitions", "16"]) == 0
+                captured = capsys.readouterr()
+                assert captured.err.count("warning:") == 1
+                assert "serve no queries" in captured.err
+                for scheme in schemes.split(","):
+                    assert (f"Cache partitions - {scheme} x 16 partitions"
+                            in captured.out)
 
     def test_bypass_scheme_reports_cleanly(self, capsys):
         assert main(["tenants", "--schemes", "bypass", "--queries", "12",

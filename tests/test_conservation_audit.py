@@ -129,30 +129,35 @@ class TestDistCacheAudit:
                              ids=["credit", "payment"])
     def test_tampered_subaccount_raises_naming_the_partition(
             self, monkeypatch, tamper):
-        apply_outputs = distcache_runner._apply_barrier_outputs
+        epoch = distcache_runner.run_partition_epoch
 
-        def tampering(scheme, outputs):
-            apply_outputs(scheme, outputs)
-            engine = distcache_runner._engine_of(scheme)
-            if outputs.directory is not None and engine.partition_index == 1:
+        def tampering(task):
+            engine = distcache_runner._engine_of(task.scheme)
+            if task.epoch > 1 and engine.partition_index == 1:
                 tamper(engine.account)
+            return epoch(task)
 
-        monkeypatch.setattr(distcache_runner, "_apply_barrier_outputs",
+        monkeypatch.setattr(distcache_runner, "run_partition_epoch",
                             tampering)
         with pytest.raises(DistCacheError,
                            match=r"conservation violated on partition 1"):
             run_partitioned_cell(CELL, partitions=2, compare_baseline=False)
 
     def test_tampered_wallet_fails_the_end_of_run_audit(self, monkeypatch):
-        release = distcache_runner._release
+        final = run_partitioned_cell(CELL, partitions=2,
+                                     compare_baseline=False).barriers_verified
+        epoch = distcache_runner.run_partition_epoch
 
-        def tampering(resident_key, outputs):
-            scheme = release(resident_key, outputs)
-            if resident_key[1] == 0:
+        def tampering(task):
+            result = epoch(task)
+            scheme = result.scheme
+            engine = distcache_runner._engine_of(scheme)
+            if task.epoch == final and engine.partition_index == 0:
                 scheme.tenant_registry.states()[0].account._credit += 1e-9
-            return scheme
+            return result
 
-        monkeypatch.setattr(distcache_runner, "_release", tampering)
+        monkeypatch.setattr(distcache_runner, "run_partition_epoch",
+                            tampering)
         with pytest.raises(DistCacheError,
                            match=r"partition 0: .*wallet ledgers"):
             run_partitioned_cell(CELL, partitions=2, compare_baseline=False)

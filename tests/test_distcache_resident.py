@@ -1,39 +1,36 @@
-"""Resident partition workers: a pooled run is the in-process run.
+"""Where a partitioned cell runs never changes what it computes.
 
-Each partition's scheme ships once, inside its first epoch task, and stays
-in one process for the whole cell. These tests pin:
+Every partition of a cell stays in the process that runs the cell, and the
+``--jobs`` pool fans out whole cells. These tests pin:
 
-* **worker-count independence** — two workers reproduce the in-process
-  run's checkpoints, publications, handoffs, partition stats and rendered
-  tables, for hash and adaptive placement, scalar and batched planning, a
-  strict-maintenance shock cell, and three partitions sharing two workers;
-* **what crosses the process boundary** — tasks and results survive the
-  pickle round trip a pool makes, and no task after a partition's first
-  (and no result) carries partition state;
-* **typed failures** — an exception escaping an epoch, or a dead worker,
-  stops the run with an error naming the partition, the epoch and the
-  cell's config hash, and the CLI exits 2 with one ``error:`` line.
+* **worker-count independence** — a cell run in a pool worker reproduces
+  the in-process run's checkpoints, publications, handoffs, partition
+  stats and rendered tables, for hash and adaptive placement, scalar and
+  batched planning, a strict-maintenance shock cell, and three partitions;
+* **copied state** — epoch tasks and results that make the pickle round
+  trip a pool would make (as the benchmark's traced mode does) reproduce
+  the plain run, so nothing relies on sharing objects with the runner;
+* **typed failures** — an exception escaping an epoch names the
+  partition, the epoch and the cell's config hash; one escaping a pooled
+  cell names the cell, and the CLI exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
-import io
-import os
 import pickle
 from dataclasses import replace
 
 import pytest
 
-from repro.cache.manager import CacheManager
 from repro.cli import main
 from repro.distcache import (
+    DistCacheRunner,
     distcache_partition_table,
     distcache_placement_table,
     run_partitioned_cell,
+    run_partitioned_experiment,
 )
 from repro.distcache import runner as runner_module
-from repro.economy.engine import EconomyEngine
-from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
@@ -41,7 +38,6 @@ from repro.experiments.tenants import (
     top_tenant_table,
 )
 from repro.obs.manifest import config_hash
-from repro.policies.base import CachingScheme
 from repro.workload.grammar import default_shock_grammar
 
 pytestmark = pytest.mark.filterwarnings(
@@ -68,15 +64,11 @@ CASES = {
     "three-partitions-two-workers": (CONFIG, 3, "hash"),
 }
 
-#: The objects a partition's state is made of.
-STATE_TYPES = (CachingScheme, EconomyEngine, CacheManager, TenantRegistry)
 
-
-def _run(case: str, workers: int):
+def _run(case: str):
     config, partitions, placement = CASES[case]
     return run_partitioned_cell(config, partitions=partitions,
-                                max_workers=workers, placement=placement,
-                                compare_baseline=False)
+                                placement=placement, compare_baseline=False)
 
 
 def _rendered(report) -> str:
@@ -101,88 +93,51 @@ def _pickled(value):
     return pickle.loads(pickle.dumps(value))
 
 
-def _state_objects(value) -> int:
-    """Distinct partition-state objects that pickling ``value`` ships."""
-    found = set()
-
-    class Scan(pickle.Pickler):
-        def persistent_id(self, obj):
-            if isinstance(obj, STATE_TYPES):
-                found.add(id(obj))
-            return None
-
-    Scan(io.BytesIO()).dump(value)
-    return len(found)
-
-
 @pytest.mark.parametrize("case", list(CASES))
 def test_two_workers_reproduce_the_in_process_run(case):
-    in_process = _run(case, 1)
-    if CASES[case][2] == "adaptive":
+    """The case's cell, twice over two workers, runs in pool processes;
+    each copy must match the run made in this process."""
+    config, partitions, placement = CASES[case]
+    in_process = _run(case)
+    if placement == "adaptive":
         assert in_process.handoffs, "the case must exercise the exchange"
-    _assert_same_run(_run(case, 2), in_process)
+    runner = DistCacheRunner(partitions, max_workers=2, placement=placement,
+                             compare_baseline=False)
+    pooled = runner.run_cells([config, config])
+    assert len(pooled) == 2
+    for report in pooled:
+        _assert_same_run(report, in_process)
 
 
 def test_pickled_tasks_and_results_reproduce_the_plain_run(monkeypatch):
-    """In-process, each task and result makes the round trip a pool makes
-    (as the benchmark's traced mode does): the resident scheme is then a
-    copy, so nothing may rely on sharing objects with the runner."""
-    plain = _run("adaptive-scalar", 1)
+    """Each task and result makes the round trip a pool makes (as the
+    benchmark's traced mode does): the runner then continues with a copied
+    scheme every epoch, so nothing may rely on sharing objects with it."""
+    plain = {case: _run(case) for case in CASES}
     epoch = runner_module.run_partition_epoch
     monkeypatch.setattr(runner_module, "run_partition_epoch",
                         lambda task: _pickled(epoch(_pickled(task))))
-    _assert_same_run(_run("adaptive-scalar", 1), plain)
+    for case, expected in plain.items():
+        _assert_same_run(_run(case), expected)
 
 
-def test_only_a_partitions_first_task_carries_its_state(monkeypatch):
-    shipped = []
-    epoch = runner_module.run_partition_epoch
-
-    def recording(task):
-        result = epoch(task)
-        shipped.append((task, result))
-        return result
-
-    monkeypatch.setattr(runner_module, "run_partition_epoch", recording)
-    report = _run("adaptive-scalar", 1)
-    assert len(shipped) == 2 * report.barriers_verified
-    for task, result in shipped:
-        assert _state_objects(result) == 0
-        if task.epoch == 1:
-            assert isinstance(task.scheme, CachingScheme)
-        else:
-            assert task.scheme is None
-            assert _state_objects(task) == 0
-
-
-_PARENT_PID = os.getpid()
 _EPOCH = runner_module.run_partition_epoch
 
 
-def _die_holding_partition_one(task):
-    """The worker holding partition 1 dies; this process never does."""
-    if task.resident_key[1] == 1 and os.getpid() != _PARENT_PID:
-        os._exit(1)
-    return _EPOCH(task)
-
-
 def _raise_in_epoch_two(task):
-    if task.resident_key[1] == 0 and task.epoch == 2:
+    engine = runner_module._engine_of(task.scheme)
+    if engine.partition_index == 0 and task.epoch == 2:
         raise KeyError("lost partition state")
     return _EPOCH(task)
 
 
-class TestTypedFailures:
-    def test_dead_worker_names_partition_epoch_and_cell(self, monkeypatch):
-        monkeypatch.setattr(runner_module, "run_partition_epoch",
-                            _die_holding_partition_one)
-        with pytest.raises(DistCacheError, match="died") as caught:
-            run_partitioned_cell(CONFIG, partitions=2, max_workers=2,
-                                 compare_baseline=False)
-        message = str(caught.value)
-        assert "cache partition 1, epoch 1," in message
-        assert config_hash(CONFIG) in message
+def _raise_in_econ_fast(task):
+    if task.scheme.name == "econ-fast":
+        return _raise_in_epoch_two(task)
+    return _EPOCH(task)
 
+
+class TestTypedFailures:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exception_escaping_an_epoch_is_typed(self, monkeypatch,
                                                   workers):
@@ -194,16 +149,29 @@ class TestTypedFailures:
         message = str(caught.value)
         assert "cache partition 0, epoch 2," in message
         assert config_hash(CONFIG) in message
-        assert runner_module._RESIDENT == {}
+
+    def test_failure_in_a_pooled_cell_names_the_cell(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "run_partition_epoch",
+                            _raise_in_econ_fast)
+        failing = replace(CONFIG, scheme="econ-fast")
+        with pytest.raises(DistCacheError, match="KeyError") as caught:
+            run_partitioned_experiment([CONFIG, failing], partitions=2,
+                                       jobs=2, compare_baseline=False)
+        message = str(caught.value)
+        assert message.startswith(
+            f"tenant cell econ-fast, cell config {config_hash(failing)}: "
+            f"cache partition 0, epoch 2,")
 
     def test_cli_exits_2_with_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(runner_module, "run_partition_epoch",
-                            _die_holding_partition_one)
+                            _raise_in_econ_fast)
         assert main(["tenants", "--n-tenants", "10", "--queries", "40",
-                     "--schemes", "econ-cheap", "--settlement-period", "10.0",
+                     "--schemes", "econ-cheap,econ-fast",
+                     "--settlement-period", "10.0",
                      "--cache-partitions", "2", "--jobs", "2"]) == 2
         err = capsys.readouterr().err
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: cache partition 1, epoch 1,")
+        assert lines[0].startswith("error: tenant cell econ-fast, cell config")
+        assert "cache partition 0, epoch 2," in lines[0]
         assert "Traceback" not in err

@@ -1,4 +1,19 @@
-"""Tests for the partitioned-cell runner: fidelity, determinism, audits."""
+"""Tests for the partitioned-cell runner: fidelity, determinism, audits.
+
+Every partition of a cell runs in the process that runs the cell; the
+``--jobs`` pool fans out whole cells. Beyond fidelity and the audits,
+these tests pin:
+
+* **the cell pool** — two schemes on two workers reproduce the
+  sequential run byte for byte, and a trace sink keeps cells in this
+  process;
+* **barrier order** — each epoch starts from its barrier's directory.
+
+Worker-count independence per case, copied state and typed failures are
+in ``tests/test_distcache_resident.py``.
+"""
+
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +22,11 @@ from repro.distcache import (
     PartitionImbalanceWarning,
     distcache_divergence_table,
     distcache_partition_table,
+    distcache_placement_table,
     run_partitioned_cell,
+    run_partitioned_experiment,
 )
+from repro.distcache import runner as runner_module
 from repro.distcache.runner import epoch_items
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
@@ -18,6 +36,7 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
+from repro.obs.trace import TraceRecorder
 from repro.simulator.events import (
     ProviderPriceShockEvent,
     StructureInvalidationEvent,
@@ -185,6 +204,15 @@ class TestGuards:
             run_partitioned_cell(config, partitions=16,
                                  compare_baseline=False)
 
+    def test_pooled_cells_warn_in_the_calling_process(self):
+        configs = [TenantExperimentConfig(
+            scheme=scheme, tenant_count=8, query_count=20,
+            interarrival_s=1.0) for scheme in ("econ-cheap", "econ-fast")]
+        with pytest.warns(PartitionImbalanceWarning) as caught:
+            run_partitioned_experiment(configs, partitions=16, jobs=2,
+                                       compare_baseline=False)
+        assert len(caught) == 2
+
 
 class TestMultiCell:
     def test_run_cells_orders_like_configs(self):
@@ -234,3 +262,85 @@ class TestEpochCut:
         shock = TenantBudgetSqueezeEvent(time_s=20.0, factor=0.5)
         epochs = list(epoch_items([first, last], [shock], [5.0, 10.0, 20.0]))
         assert epochs == [([first], []), ([], []), ([last], [shock])]
+
+
+def _rendered(report) -> str:
+    return "\n".join([
+        tenant_aggregate_table(report.cell),
+        top_tenant_table(report.cell),
+        distcache_partition_table(report),
+        distcache_placement_table(report) or "",
+    ])
+
+
+def _assert_same_run(observed, expected) -> None:
+    assert observed.cell == expected.cell
+    assert observed.partitions == expected.partitions
+    assert observed.checkpoints == expected.checkpoints
+    assert observed.publications == expected.publications
+    assert observed.handoffs == expected.handoffs
+    assert _rendered(observed) == _rendered(expected)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::repro.distcache.PartitionImbalanceWarning")
+class TestOneProcess:
+    def test_two_workers_over_two_schemes_match_one(self):
+        configs = [replace(CONFIG, scheme=scheme)
+                   for scheme in ("econ-cheap", "econ-fast")]
+
+        def run(jobs):
+            return run_partitioned_experiment(configs, partitions=2,
+                                              jobs=jobs, placement="adaptive",
+                                              compare_baseline=False)
+
+        sequential = run(1)
+        assert any(report.handoffs for report in sequential)
+        pooled = run(2)
+        assert len(pooled) == len(sequential) == 2
+        for observed, expected in zip(pooled, sequential):
+            _assert_same_run(observed, expected)
+
+    def test_observed_cells_run_here_whatever_the_jobs(self):
+        """A trace sink keeps the cells in this process, so every cell's
+        partitions record into it."""
+        configs = [replace(CONFIG, scheme=scheme)
+                   for scheme in ("econ-cheap", "econ-fast")]
+        trace = TraceRecorder()
+        observed = run_partitioned_experiment(
+            configs, partitions=2, jobs=2, compare_baseline=False,
+            trace=trace)
+        summaries = [fields["partition"] for _, _, _, kind, fields
+                     in trace.records if kind == "partition_summary"]
+        assert summaries == [0, 1, 0, 1]
+        plain = run_partitioned_experiment(configs, partitions=2,
+                                           compare_baseline=False)
+        for report, expected in zip(observed, plain):
+            _assert_same_run(report, expected)
+
+    def test_each_epoch_starts_from_its_barriers_directory(self,
+                                                          monkeypatch):
+        """The barrier folds its publication onto every partition before
+        the next epoch runs."""
+        seen = []
+
+        def recording(task):
+            cache = runner_module._engine_of(task.scheme).partitioned_cache
+            seen.append((task.epoch, cache.directory.version,
+                         len(cache.directory)))
+            return _EPOCH(task)
+
+        monkeypatch.setattr(runner_module, "run_partition_epoch", recording)
+        report = run_partitioned_cell(CONFIG, partitions=2,
+                                      placement="adaptive",
+                                      compare_baseline=False)
+        assert len(seen) == 2 * report.barriers_verified
+        sizes = [0] + [point.directory_size for point in report.checkpoints]
+        assert any(sizes)
+        for epoch, version, entries in seen:
+            assert version == epoch - 1
+            assert entries == sizes[epoch - 1]
+
+
+_EPOCH = runner_module.run_partition_epoch
+
