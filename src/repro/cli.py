@@ -107,6 +107,7 @@ from repro.experiments.tenants import (
 )
 from repro.obs import (
     TraceRecorder,
+    attach_observability,
     build_manifest,
     write_report_artifacts,
 )
@@ -571,8 +572,8 @@ def _validate_trace(parser: argparse.ArgumentParser,
 
 
 def _figure_command(command: str, profile: ExperimentProfile, jobs: int,
-                    trace: Optional[TraceRecorder] = None) -> str:
-    grid = run_grid(profile, jobs=jobs, trace=trace)
+                    recorder: Optional[TraceRecorder] = None) -> str:
+    grid = run_grid(profile, jobs=jobs, recorder=recorder)
     if command == "figure4":
         return figure4_table(grid=grid)
     if command == "figure5":
@@ -589,8 +590,7 @@ def _ablation_command(which: str, queries: int) -> str:
 
 
 def _scenario_command(args: argparse.Namespace,
-                      trace: Optional[TraceRecorder] = None,
-                      metrics=None) -> str:
+                      recorder: Optional[TraceRecorder] = None) -> str:
     scenario = build_scenario(
         args.arrival,
         query_count=args.queries,
@@ -604,11 +604,8 @@ def _scenario_command(args: argparse.Namespace,
                               strict_maintenance=args.strict_maintenance),
     ))
     observers = []
-    if trace is not None or metrics is not None:
-        from repro.obs.metrics import attach_observability
-
-        observers = attach_observability(scheme, trace=trace,
-                                         metrics=metrics)
+    if recorder is not None:
+        observers = attach_observability(scheme, recorder)
     simulation = CloudSimulation(scheme, SimulationConfig(
         settlement_period_s=args.settlement_period,
         failure_check_period_s=args.failure_check_period,
@@ -691,14 +688,19 @@ def _resolve_scaling(args: argparse.Namespace) -> None:
         )
 
 
-def _tenants_command(args: argparse.Namespace,
-                     trace: Optional[TraceRecorder] = None,
-                     metrics=None) -> str:
+def _selected_schemes(args: argparse.Namespace) -> List[str]:
+    """The schemes ``--schemes`` names (``all`` or a comma list)."""
     names = (list(SCHEME_NAMES) if args.schemes == "all"
              else [name.strip() for name in args.schemes.split(",")
                    if name.strip()])
     if not names:
         raise ReproError("--schemes selects no scheme")
+    return names
+
+
+def _tenants_command(args: argparse.Namespace,
+                     recorder: Optional[TraceRecorder] = None) -> str:
+    names = _selected_schemes(args)
     _resolve_scaling(args)
     configs = [
         TenantExperimentConfig(
@@ -729,7 +731,7 @@ def _tenants_command(args: argparse.Namespace,
                 configs, partitions=args.cache_partitions, jobs=args.jobs,
                 placement=args.placement,
                 handoff_threshold=args.handoff_threshold,
-                trace=trace, metrics=metrics)
+                recorder=recorder)
             for report in reports:
                 sections.append(tenant_aggregate_table(report.cell))
                 if args.top > 0:
@@ -744,8 +746,8 @@ def _tenants_command(args: argparse.Namespace,
                     sections.append(placement)
         else:
             results = run_tenant_experiment(configs, jobs=args.jobs,
-                                            shards=args.shards, trace=trace,
-                                            metrics=metrics)
+                                            shards=args.shards,
+                                            recorder=recorder)
             for result in results:
                 sections.append(tenant_aggregate_table(result))
                 if args.top > 0:
@@ -755,13 +757,8 @@ def _tenants_command(args: argparse.Namespace,
 
 
 def _shocks_command(args: argparse.Namespace,
-                    trace: Optional[TraceRecorder] = None,
-                    metrics=None) -> str:
-    names = (list(SCHEME_NAMES) if args.schemes == "all"
-             else [name.strip() for name in args.schemes.split(",")
-                   if name.strip()])
-    if not names:
-        raise ReproError("--schemes selects no scheme")
+                    recorder: Optional[TraceRecorder] = None) -> str:
+    names = _selected_schemes(args)
     _resolve_scaling(args)
     grammar = default_shock_grammar()
     if args.query_class or args.shock:
@@ -788,10 +785,10 @@ def _shocks_command(args: argparse.Namespace,
     with warnings.catch_warnings(record=True) as caught:
         for category in _RENDERED_WARNINGS:
             warnings.simplefilter("default", category)
-        # The recorders observe the primary shocked cells; the scaling-mode
+        # The recorder observes the primary shocked cells; the scaling-mode
         # reruns below are byte-identity audits and stay unobserved.
         results = run_shock_resilience(configs, jobs=args.jobs,
-                                       trace=trace, metrics=metrics)
+                                       recorder=recorder)
         sections.append(shock_resilience_table(results))
         for item in results:
             conservation_lines.append(
@@ -924,17 +921,14 @@ def _describe_command() -> str:
 def _observed_schemes(args: argparse.Namespace) -> List[str]:
     """The scheme list an observed run covered, for its manifest."""
     if args.command in ("tenants", "shocks"):
-        return (list(SCHEME_NAMES) if args.schemes == "all"
-                else [name.strip() for name in args.schemes.split(",")
-                      if name.strip()])
+        return _selected_schemes(args)
     if args.command in ("figure4", "figure5", "headline"):
         return list(_PROFILES[args.profile].schemes)
     return [args.scheme]
 
 
 def _write_observability_artifacts(args: argparse.Namespace,
-                                   trace: Optional[TraceRecorder],
-                                   metrics,
+                                   recorder: TraceRecorder,
                                    run_s: float,
                                    profile_top=None) -> None:
     """Emit trace/metrics JSONL artifacts, each with a run manifest
@@ -948,14 +942,15 @@ def _write_observability_artifacts(args: argparse.Namespace,
     config = {key: value for key, value in sorted(vars(args).items())
               if key not in ("trace", "metrics", "force")}
     artifacts = []
-    if trace is not None:
-        artifacts.append(("trace", args.trace, trace, len(trace)))
-    if metrics is not None:
-        artifacts.append(("metrics", getattr(args, "metrics", None),
-                          metrics, len(metrics.samples)))
-    for kind, path, recorder, size in artifacts:
+    if recorder.keeps_events:
+        artifacts.append(("trace", args.trace, recorder.write_trace,
+                          len(recorder.records)))
+    if recorder.takes_samples:
+        artifacts.append(("metrics", args.metrics, recorder.write_metrics,
+                          len(recorder.samples)))
+    for kind, path, write, size in artifacts:
         emit_started = time.perf_counter()
-        recorder.write(path)
+        write(path)
         emit_s = time.perf_counter() - emit_started
         extra = {f"{kind}_path": path,
                  ("trace_events" if kind == "trace"
@@ -978,23 +973,22 @@ def _write_observability_artifacts(args: argparse.Namespace,
 
 
 def _dispatch(args: argparse.Namespace,
-              trace: Optional[TraceRecorder],
-              metrics) -> str:
+              recorder: Optional[TraceRecorder]) -> str:
     """Route one parsed command to its driver."""
     if args.command in ("figure4", "figure5", "headline"):
         profile = _PROFILES[args.profile].with_overrides(
             planning=args.planning
         )
         return _figure_command(args.command, profile, args.jobs,
-                               trace=trace)
+                               recorder=recorder)
     if args.command == "ablation":
         return _ablation_command(args.which, args.queries)
     if args.command == "scenario":
-        return _scenario_command(args, trace=trace, metrics=metrics)
+        return _scenario_command(args, recorder=recorder)
     if args.command == "tenants":
-        return _tenants_command(args, trace=trace, metrics=metrics)
+        return _tenants_command(args, recorder=recorder)
     if args.command == "shocks":
-        return _shocks_command(args, trace=trace, metrics=metrics)
+        return _shocks_command(args, recorder=recorder)
     if args.command == "report":
         return _report_command(args)
     return _describe_command()
@@ -1005,14 +999,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_trace(parser, args)
-    trace: Optional[TraceRecorder] = None
-    if getattr(args, "trace", None) is not None:
-        trace = TraceRecorder()
-    metrics = None
-    if getattr(args, "metrics", None) is not None:
-        from repro.obs.metrics import MetricsTimeseries
-
-        metrics = MetricsTimeseries()
+    # The one recorder keeps the event log for --trace and takes barrier
+    # samples for --metrics.
+    recorder: Optional[TraceRecorder] = None
+    traced = getattr(args, "trace", None) is not None
+    sampled = getattr(args, "metrics", None) is not None
+    if traced or sampled:
+        recorder = TraceRecorder(events=traced, samples=sampled)
     profiling = getattr(args, "profile", None) is True
     profiler = None
     run_started = time.perf_counter()
@@ -1021,9 +1014,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             import cProfile
 
             profiler = cProfile.Profile()
-            output = profiler.runcall(_dispatch, args, trace, metrics)
+            output = profiler.runcall(_dispatch, args, recorder)
         else:
-            output = _dispatch(args, trace, metrics)
+            output = _dispatch(args, recorder)
     except ReproError as error:
         # Invalid values (e.g. --jobs 0) surface as library errors; report
         # them like argparse does instead of dumping a traceback.
@@ -1033,14 +1026,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The report pipeline's overwrite guard (mirrors --trace's).
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if trace is not None or metrics is not None:
+    if recorder is not None:
         profile_top = None
         if profiler is not None:
             from repro.obs.manifest import profile_hotspots
 
             profile_top = profile_hotspots(profiler)
         _write_observability_artifacts(
-            args, trace, metrics, time.perf_counter() - run_started,
+            args, recorder, time.perf_counter() - run_started,
             profile_top=profile_top)
     print(output)
     return 0

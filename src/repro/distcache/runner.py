@@ -261,16 +261,11 @@ def _engine_of(scheme: CachingScheme) -> PartitionedEconomyEngine:
 def _sample_partition(scheme: CachingScheme,
                       engine: PartitionedEconomyEngine, time_s: float,
                       epoch: int, final: bool) -> None:
-    """Take one barrier's metrics sample off the partition's collector
+    """Take one barrier's metrics sample into the partition's recorder
     (read-only), once the barrier's outputs are applied, so the per-epoch
     counter deltas pair with the gauges and it sees the barrier's
     handoffs."""
-    from repro.obs.metrics import metrics_part
-
-    collector = metrics_part(engine.trace)
-    if collector is None:
-        return
-    collector.sample(
+    engine.trace.sample(
         time_s=time_s, epoch=epoch, final=final,
         provider_credit=engine.account.credit,
         query_payments=engine.account.category_total(
@@ -418,6 +413,8 @@ class DistCacheRunner:
             challenger must exceed the incumbent by (adaptive mode).
         anchor_period: publish a full-snapshot anchor every this many
             barriers; the others publish fold-verified deltas.
+        recorder: optional :class:`~repro.obs.trace.TraceRecorder` the
+            cells record into; observed cells run in this process.
     """
 
     def __init__(self, partition_count: int, max_workers: int = 1,
@@ -426,7 +423,7 @@ class DistCacheRunner:
                  placement: str = "hash",
                  handoff_threshold: float = 0.0,
                  anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                 trace=None, metrics=None) -> None:
+                 recorder=None) -> None:
         if partition_count < 1:
             raise DistCacheError(
                 f"partition_count must be >= 1, got {partition_count}")
@@ -452,14 +449,13 @@ class DistCacheRunner:
         self._placement = placement
         self._handoff_threshold = handoff_threshold
         self._anchor_period = anchor_period
-        # Observability sinks (duck-typed TraceRecorder); None = disabled.
-        # Per-partition recorders live on the engines and are absorbed into
-        # these collectors at the end of the cell. The partition kernels get no
-        # observers, so the barriers double as the metrics sampler: each
-        # partition samples its engine once a barrier is fully applied,
-        # exactly where a kernel run's settlement observer would fire.
-        self._trace = trace
-        self._metrics = metrics
+        # The run's TraceRecorder; None = unobserved. Per-partition
+        # recorders live on the engines and are absorbed into it at the end
+        # of the cell. The partition kernels get no observers, so the
+        # barriers double as the metrics sampler: each partition samples
+        # its engine once a barrier is fully applied, exactly where a
+        # kernel run's settlement observer would fire.
+        self._recorder = recorder
 
     @property
     def partition_count(self) -> int:
@@ -530,7 +526,7 @@ class DistCacheRunner:
 
     def run_cell(self, config: TenantExperimentConfig) -> DistCacheCellReport:
         """Run one cell partitioned; audit every barrier; merge exactly."""
-        report = self._run_cell(config)
+        (report,) = self._reports([config])
         _warn_if_imbalanced(report)
         return report
 
@@ -539,32 +535,29 @@ class DistCacheRunner:
         """Run many cells, fanned over ``max_workers`` processes.
 
         Reports come back in ``configs`` order. One cell, one worker, or a
-        trace or metrics sink runs the cells sequentially in this process,
-        as :func:`~repro.experiments.tenants.run_tenant_experiment` does;
+        recorder runs the cells in this process, as
+        :func:`~repro.experiments.tenants.run_tenant_experiment` does;
         each cell is deterministic, so the pooled path is byte-identical.
-        A failure in a pooled cell names the cell.
+        A failure names the cell.
         """
-        cells = list(configs)
-        if not cells:
-            raise DistCacheError("at least one tenant cell is required")
-        if (self._max_workers == 1 or len(cells) == 1
-                or self._trace is not None or self._metrics is not None):
-            reports = [self._run_cell(config) for config in cells]
-        else:
-            reports = map_naming_failures(self._run_cell, cells,
-                                          self._max_workers, cell_label,
-                                          DistCacheError)
+        reports = self._reports(list(configs))
         for report in reports:
             _warn_if_imbalanced(report)
         return reports
+
+    def _reports(self, cells: List[TenantExperimentConfig]
+                 ) -> List[DistCacheCellReport]:
+        if not cells:
+            raise DistCacheError("at least one tenant cell is required")
+        workers = 1 if self._recorder is not None else self._max_workers
+        return map_naming_failures(self._run_cell, cells, workers,
+                                   cell_label, DistCacheError)
 
     def _run_cell(self, config: TenantExperimentConfig
                   ) -> DistCacheCellReport:
         if config.warmup_queries:
             raise DistCacheError(
                 "partitioned mode does not support warmup_queries")
-        from repro.obs.manifest import config_hash
-
         # Ownership overrides are per-cell state: every cell starts from
         # pure hash placement, whatever the previous cell handed off.
         self._partitioner = self._base_partitioner
@@ -575,20 +568,13 @@ class DistCacheRunner:
                 handoff_threshold=self._handoff_threshold)
         arrivals = cell_arrivals(config)
         schemes = self._build_schemes(config, arrivals.source)
-        if self._trace is not None or self._metrics is not None:
+        recorder = self._recorder
+        if recorder is not None:
             # Per-partition recorders ride with their schemes; absorbed
             # after the last barrier.
-            from repro.obs.metrics import MetricsTimeseries, combined_recorder
-            from repro.obs.trace import TraceRecorder
-
             for index, scheme in enumerate(schemes):
-                source = f"partition{index}"
-                _engine_of(scheme).attach_trace(combined_recorder(
-                    TraceRecorder(source=source)
-                    if self._trace is not None else None,
-                    MetricsTimeseries(source=source)
-                    if self._metrics is not None else None,
-                ))
+                _engine_of(scheme).attach_trace(
+                    recorder.fresh(f"partition{index}"))
         envelope = arrivals.envelope
         start_s = envelope.start_s
         end_s = envelope.last_s + envelope.trailing_interval_s
@@ -644,8 +630,7 @@ class DistCacheRunner:
                 # installed on it (the benchmark's layer clock) sees
                 # every epoch.
                 results.append(call_naming_failures(
-                    lambda: (f"cache partition {partition}, epoch {number}, "
-                             f"cell config {config_hash(config)}"),
+                    lambda: f"cache partition {partition}, epoch {number}",
                     DistCacheError, run_partition_epoch, task))
             schemes = [result.scheme for result in results]
             engines = [_engine_of(scheme) for scheme in schemes]
@@ -676,7 +661,7 @@ class DistCacheRunner:
                 # against the state the partition actually priced with.
                 cache.set_directory(directory if publication.anchored
                                     else cache.directory.apply_delta(delta))
-                if self._metrics is not None:
+                if recorder is not None and recorder.takes_samples:
                     _sample_partition(scheme, engine, barrier, number,
                                       is_final)
             checkpoints.append(PartitionCheckpoint(
@@ -691,25 +676,25 @@ class DistCacheRunner:
                     report.outcome_charges for report in reports),
                 handoffs_applied=len(applied),
             ))
-            if self._trace is not None:
-                self._trace.span(
+            if recorder is not None:
+                recorder.span(
                     "settlement_barrier", start_s=epoch_start,
                     end_s=barrier, epoch=number,
                     directory_entries=len(directory),
                     directory_delta_bytes=publication.delta_bytes,
                     handoffs_applied=len(applied), final=is_final)
                 for record in applied:
-                    self._trace.event(
+                    recorder.event(
                         "handoff", time_s=barrier, key=record.key,
                         from_partition=record.from_partition,
                         to_partition=record.to_partition)
-            if self._metrics is not None:
-                self._metrics.sample(
-                    time_s=barrier, epoch=number, final=is_final,
-                    directory_entries=len(directory),
-                    directory_delta_bytes=publication.delta_bytes,
-                    handoffs_applied=len(applied),
-                )
+                if recorder.takes_samples:
+                    recorder.sample(
+                        time_s=barrier, epoch=number, final=is_final,
+                        directory_entries=len(directory),
+                        directory_delta_bytes=publication.delta_bytes,
+                        handoffs_applied=len(applied),
+                    )
 
         registries = [scheme.tenant_registry for scheme in schemes]
         audits = [_audit(_engine_of(scheme), registry)
@@ -724,27 +709,18 @@ class DistCacheRunner:
             churn_waves=arrivals.population.churn_waves,
             kernel_losses_by_partition=kernel_losses,
         )
-        if self._trace is not None or self._metrics is not None:
-            from repro.obs.metrics import metrics_part, trace_part
-
+        if recorder is not None:
             for partition, scheme in enumerate(schemes):
                 engine = _engine_of(scheme)
-                if self._trace is not None:
-                    self._trace.event(
-                        "partition_summary", time_s=end_s,
-                        partition=partition,
-                        queries_served=len(steps[partition]),
-                        remote_hits=engine.remote_hits,
-                        remote_surcharge_dollars=engine.remote_dollars,
-                        peak_cache_bytes=(
-                            engine.partitioned_cache.peak_disk_used_bytes))
-                    part = trace_part(engine.trace)
-                    if part is not None:
-                        self._trace.absorb(part)
-                if self._metrics is not None:
-                    part = metrics_part(engine.trace)
-                    if part is not None:
-                        self._metrics.absorb(part)
+                recorder.event(
+                    "partition_summary", time_s=end_s,
+                    partition=partition,
+                    queries_served=len(steps[partition]),
+                    remote_hits=engine.remote_hits,
+                    remote_surcharge_dollars=engine.remote_dollars,
+                    peak_cache_bytes=(
+                        engine.partitioned_cache.peak_disk_used_bytes))
+                recorder.absorb(engine.trace)
         baseline: Optional[MetricsSummary] = None
         if self._compare_baseline and self.partition_count > 1:
             baseline = run_tenant_cell(config).summary
@@ -929,14 +905,14 @@ def run_partitioned_cell(config: TenantExperimentConfig,
                          placement: str = "hash",
                          handoff_threshold: float = 0.0,
                          anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                         trace=None, metrics=None) -> DistCacheCellReport:
+                         recorder=None) -> DistCacheCellReport:
     """Run one tenant cell in partitioned-cache mode (convenience wrapper)."""
     runner = DistCacheRunner(partitions, max_workers=max_workers,
                              remote=remote, compare_baseline=compare_baseline,
                              placement=placement,
                              handoff_threshold=handoff_threshold,
                              anchor_period=anchor_period,
-                             trace=trace, metrics=metrics)
+                             recorder=recorder)
     return runner.run_cell(config)
 
 
@@ -948,8 +924,7 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                                placement: str = "hash",
                                handoff_threshold: float = 0.0,
                                anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                               trace=None,
-                               metrics=None) -> List[DistCacheCellReport]:
+                               recorder=None) -> List[DistCacheCellReport]:
     """Run many cells partitioned; ``jobs`` worker processes share the
     cells (see :meth:`DistCacheRunner.run_cells`)."""
     runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
@@ -957,5 +932,5 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                              placement=placement,
                              handoff_threshold=handoff_threshold,
                              anchor_period=anchor_period,
-                             trace=trace, metrics=metrics)
+                             recorder=recorder)
     return runner.run_cells(configs)

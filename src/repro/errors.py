@@ -140,10 +140,15 @@ def map_naming_failures(fn: Callable, items: Sequence, workers: int,
 
     Results come back in ``items`` order. Each call is guarded by
     :func:`call_naming_failures` with ``where(item)`` as its prefix, so an
-    exception escaping a worker names the item it was running. A worker
-    that dies breaks the pool, failing every unfinished item with it; the
-    error names the first of those in ``items`` order.
+    exception escaping a worker names the item it was running. With one
+    worker or one item the calls run in this process, labelled the same
+    way. A worker that dies breaks the pool, failing every unfinished
+    item with it; the error names the first of those in ``items`` order.
     """
+    if min(workers, len(items)) <= 1:
+        return [call_naming_failures(lambda: where(item), error_type,
+                                     fn, item)
+                for item in items]
     with ProcessPoolExecutor(
             max_workers=min(workers, len(items))) as executor:
         futures = [call_naming_failures(lambda: where(item), error_type,

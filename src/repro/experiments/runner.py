@@ -18,6 +18,7 @@ from repro.costmodel.config import CostModelConfig
 from repro.economy.engine import EconomyConfig
 from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.config import ExperimentProfile
+from repro.obs.trace import TraceRecorder
 from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.metrics import MetricsSummary
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
@@ -29,16 +30,17 @@ from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 class CellResult:
     """Result of one (scheme, inter-arrival time) cell.
 
-    ``trace`` carries the cell's recorder when the grid ran traced
+    ``recorder`` carries the cell's recorder when the grid ran observed
     (source-tagged ``scheme@interval``; absorbed by :func:`run_grid`
-    into the caller's recorder) and is excluded from equality so traced
-    grids compare cell-for-cell identical to untraced ones.
+    into the caller's recorder) and is excluded from equality so observed
+    grids compare cell-for-cell identical to unobserved ones.
     """
 
     scheme: str
     interarrival_s: float
     summary: MetricsSummary
-    trace: Optional[object] = dataclasses_field(default=None, compare=False)
+    recorder: Optional[TraceRecorder] = dataclasses_field(default=None,
+                                                          compare=False)
 
 
 class ExperimentGrid:
@@ -96,13 +98,12 @@ def build_system(profile: ExperimentProfile) -> CloudSystem:
 def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
              interarrival_s: float,
              workload_spec: Optional[WorkloadSpec] = None,
-             trace: bool = False) -> CellResult:
+             recorder: Optional[TraceRecorder] = None) -> CellResult:
     """Run one (scheme, interval) cell against a prepared system.
 
-    With ``trace=True`` the cell records into its own
-    :class:`~repro.obs.trace.TraceRecorder` (source ``scheme@interval``)
-    attached under the zero-perturbation contract; the recorder rides
-    the returned :class:`CellResult` for the grid to absorb.
+    A ``recorder`` is attached under the zero-perturbation contract and
+    rides the returned :class:`CellResult` (:func:`run_grid` hands each
+    cell its own, source ``scheme@interval``, and absorbs it).
     """
     spec = workload_spec or WorkloadSpec(
         query_count=profile.query_count,
@@ -114,14 +115,10 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
         economy=EconomyConfig(planning=profile.planning),
     ))
     observers = []
-    recorder = None
-    if trace:
+    if recorder is not None:
         from repro.obs.metrics import attach_observability
-        from repro.obs.trace import TraceRecorder
 
-        recorder = TraceRecorder(
-            source=f"{scheme_name}@{interarrival_s:g}")
-        observers = attach_observability(scheme, trace=recorder)
+        observers = attach_observability(scheme, recorder)
     simulation = CloudSimulation(
         scheme, SimulationConfig(warmup_queries=profile.warmup_queries)
     )
@@ -130,7 +127,7 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
         scheme=scheme_name,
         interarrival_s=interarrival_s,
         summary=result.summary,
-        trace=recorder,
+        recorder=recorder,
     )
 
 
@@ -150,22 +147,24 @@ def _cache_grid(profile: ExperimentProfile, grid: ExperimentGrid) -> None:
         _GRID_CACHE.popitem(last=False)
 
 
-def _run_cell_task(task: Tuple[ExperimentProfile, str, float, bool]
-                   ) -> CellResult:
+#: One grid cell to run: profile, scheme, interval and the cell's recorder.
+GridTask = Tuple[ExperimentProfile, str, float, Optional[TraceRecorder]]
+
+
+def _run_cell_task(task: GridTask) -> CellResult:
     """Worker entry point: run one cell in a fresh process.
 
     Each worker assembles its own :class:`CloudSystem`; the system is a
     deterministic function of the profile, so per-worker assembly cannot
-    change any result. Traced cells carry their recorder back through
+    change any result. Observed cells carry their recorder back through
     the result pickle (recorders are plain picklable data).
     """
-    profile, scheme_name, interarrival_s, trace = task
+    profile, scheme_name, interarrival_s, recorder = task
     return run_cell(build_system(profile), profile, scheme_name,
-                    interarrival_s, trace=trace)
+                    interarrival_s, recorder=recorder)
 
 
-def _grid_cell_label(task: Tuple[ExperimentProfile, str, float, bool]
-                     ) -> str:
+def _grid_cell_label(task: GridTask) -> str:
     """How a failure names a grid cell: scheme, interval, config hash."""
     from repro.obs.manifest import config_hash
 
@@ -175,7 +174,8 @@ def _grid_cell_label(task: Tuple[ExperimentProfile, str, float, bool]
 
 
 def run_grid(profile: ExperimentProfile, use_cache: bool = True,
-             jobs: Optional[int] = None, trace=None) -> ExperimentGrid:
+             jobs: Optional[int] = None,
+             recorder: Optional[TraceRecorder] = None) -> ExperimentGrid:
     """Run the full (scheme x interval) grid for a profile.
 
     Args:
@@ -185,23 +185,25 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
             runs sequentially in-process. The parallel path produces
             cell-for-cell identical results (the cells are independent
             and individually deterministic).
-        trace: optional :class:`~repro.obs.trace.TraceRecorder` the grid
-            records into — every cell runs its own source-tagged
+        recorder: optional :class:`~repro.obs.trace.TraceRecorder` the
+            grid records into — every cell runs its own source-tagged
             recorder (``scheme@interval``), absorbed here in cell order,
-            so the sequential and parallel traced grids emit the same
-            lines. Traced grids bypass the cache (cached grids carry no
+            so the sequential and parallel observed grids emit the same
+            lines. Observed grids bypass the cache (cached grids carry no
             recorders) and are not cached; the tables stay
             byte-identical either way.
     """
     worker_count = 1 if jobs is None else int(jobs)
     if worker_count < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    traced = trace is not None
-    if use_cache and not traced and profile in _GRID_CACHE:
+    observed = recorder is not None
+    if use_cache and not observed and profile in _GRID_CACHE:
         _GRID_CACHE.move_to_end(profile)
         return _GRID_CACHE[profile]
-    tasks = [
-        (profile, scheme_name, interarrival, traced)
+    tasks: List[GridTask] = [
+        (profile, scheme_name, interarrival,
+         recorder.fresh(f"{scheme_name}@{interarrival:g}")
+         if observed else None)
         for interarrival in profile.interarrival_times_s
         for scheme_name in profile.schemes
     ]
@@ -209,20 +211,19 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
         system = build_system(profile)
         cells = [
             run_cell(system, profile, scheme_name, interarrival,
-                     trace=traced)
-            for _, scheme_name, interarrival, _ in tasks
+                     recorder=cell_recorder)
+            for _, scheme_name, interarrival, cell_recorder in tasks
         ]
     else:
         # Results come back in task order, so the grid's insertion order —
         # and therefore every table — matches the sequential run.
         cells = map_naming_failures(_run_cell_task, tasks, worker_count,
                                     _grid_cell_label, ExperimentError)
-    if traced:
+    if observed:
         for cell in cells:
-            if cell.trace is not None:
-                trace.absorb(cell.trace)
+            recorder.absorb(cell.recorder)
     grid = ExperimentGrid(profile, cells)
-    if use_cache and not traced:
+    if use_cache and not observed:
         _cache_grid(profile, grid)
     return grid
 

@@ -20,6 +20,7 @@ deterministic, so the parallel tables are byte-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -77,8 +78,7 @@ def baseline_config(config: TenantExperimentConfig) -> TenantExperimentConfig:
 
 
 def audited_shock_cell(
-        config: TenantExperimentConfig,
-        trace=None, metrics=None,
+        config: TenantExperimentConfig, recorder=None,
 ) -> Tuple[TenantCellResult, Optional[ConservationAudit]]:
     """Run one shocked cell and audit conservation on the live engine.
 
@@ -88,10 +88,10 @@ def audited_shock_cell(
     arrival mode) but keeps the scheme in hand so the provider account,
     outcomes, and wallet ledgers can be folded before they are thrown
     away. The bypass baseline has no economy, so its audit is ``None``.
-    ``trace``/``metrics`` attach under the zero-perturbation contract.
+    ``recorder`` attaches under the zero-perturbation contract.
     """
     cell = TenantCell(config)
-    result = cell.run(trace=trace, metrics=metrics)
+    result = cell.run(recorder=recorder)
     audit: Optional[ConservationAudit] = None
     if cell.registry is not None:
         engine = cell.scheme.engine
@@ -101,23 +101,21 @@ def audited_shock_cell(
 
 
 def _resilience_pair(config: TenantExperimentConfig,
-                     trace=None, metrics=None) -> SchemeResilience:
+                     recorder=None) -> SchemeResilience:
     """Worker entry point: one scheme's clean + shocked + audit.
 
-    The clean twin runs unobserved — the recorders describe the *faulted*
+    The clean twin runs unobserved — the recorder describes the *faulted*
     replay, which is the one the resilience table and the conservation
     audit interrogate.
     """
     clean = run_tenant_cell(baseline_config(config))
-    shocked, audit = audited_shock_cell(config, trace=trace,
-                                        metrics=metrics)
+    shocked, audit = audited_shock_cell(config, recorder=recorder)
     return SchemeResilience(baseline=clean, shocked=shocked, audit=audit)
 
 
 def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
                          jobs: Optional[int] = None,
-                         trace=None,
-                         metrics=None) -> List[SchemeResilience]:
+                         recorder=None) -> List[SchemeResilience]:
     """Run paired clean/shocked cells for every config (typically one per
     scheme), optionally fanned over worker processes.
 
@@ -128,13 +126,11 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
         jobs: worker processes; ``None`` or 1 runs sequentially. Each
             pair is deterministic, so the parallel results are
             byte-identical and come back in ``configs`` order.
-        trace: optional :class:`~repro.obs.trace.TraceRecorder` recording
-            the shocked cells (the clean twins stay unobserved); observed
-            runs execute sequentially so records land in one recorder —
-            the results are byte-identical either way.
-        metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
-            sampled at the shocked cells' settlement barriers, same
-            contract.
+        recorder: optional :class:`~repro.obs.trace.TraceRecorder`
+            recording the shocked cells (the clean twins stay
+            unobserved); observed runs execute in this process so they
+            record into the one recorder — the results are byte-identical
+            either way.
     """
     cells = list(configs)
     if not cells:
@@ -149,13 +145,13 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
     worker_count = 1 if jobs is None else int(jobs)
     if worker_count < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if trace is not None or metrics is not None:
-        return [_resilience_pair(config, trace=trace, metrics=metrics)
-                for config in cells]
-    if worker_count == 1 or len(cells) == 1:
-        return [_resilience_pair(config) for config in cells]
-    return map_naming_failures(_resilience_pair, cells, worker_count,
-                               cell_label, ExperimentError)
+    run = _resilience_pair
+    if recorder is not None:
+        # Observed cells run here, all recording into the one recorder.
+        run = functools.partial(_resilience_pair, recorder=recorder)
+        worker_count = 1
+    return map_naming_failures(run, cells, worker_count, cell_label,
+                               ExperimentError)
 
 
 # -- tables --------------------------------------------------------------------

@@ -20,6 +20,7 @@ whose engine runs the multi-tenant economy).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -242,19 +243,18 @@ class TenantCell:
                 )
             )
 
-    def run(self, observers: Sequence = (), trace=None,
-            metrics=None) -> SimulationResult:
+    def run(self, observers: Sequence = (),
+            recorder=None) -> SimulationResult:
         """Run the cell once (a streamed cell's arrivals are single-use).
 
         ``observers`` are extra read-only ``(event type, handler)`` pairs;
-        ``trace`` (a :class:`~repro.obs.trace.TraceRecorder`) and
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsTimeseries`)
-        attach under the zero-perturbation contract: the result stays
+        ``recorder`` (a :class:`~repro.obs.trace.TraceRecorder`) attaches
+        under the zero-perturbation contract: the result stays
         byte-identical to the unobserved run.
         """
         config = self.config
         observers = list(observers)
-        if trace is not None or metrics is not None:
+        if recorder is not None:
             from repro.obs.metrics import attach_observability
 
             # Streamed runs also gauge the process peak RSS: the memory
@@ -262,7 +262,7 @@ class TenantCell:
             # metrics files are not byte-reproducible run to run — the
             # rendered tables still are).
             observers.extend(attach_observability(
-                self.scheme, trace=trace, metrics=metrics,
+                self.scheme, recorder,
                 rss=config.arrival_mode == ARRIVAL_STREAMED))
         envelope = self.envelope
         results = _run_tenants(
@@ -291,14 +291,14 @@ class TenantCell:
 
 
 def run_tenant_cell(config: TenantExperimentConfig,
-                    trace=None, metrics=None) -> TenantCellResult:
+                    recorder=None) -> TenantCellResult:
     """Run one scheme over one populated workload (see :class:`TenantCell`).
 
-    ``trace``/``metrics`` attach under the zero-perturbation contract
+    ``recorder`` attaches under the zero-perturbation contract
     (:meth:`TenantCell.run`).
     """
     cell = TenantCell(config)
-    return cell.outcome(cell.run(trace=trace, metrics=metrics))
+    return cell.outcome(cell.run(recorder=recorder))
 
 
 def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:
@@ -320,8 +320,7 @@ def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:
 def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
                           jobs: Optional[int] = None,
                           shards: Optional[int] = None,
-                          trace=None,
-                          metrics=None) -> List[TenantCellResult]:
+                          recorder=None) -> List[TenantCellResult]:
     """Run many population cells, optionally fanned over worker processes.
 
     Args:
@@ -334,15 +333,12 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
             exactly; the merged cells are byte-identical to the unsharded
             ones. ``jobs`` then sizes the process pool the ``cells x
             shards`` tasks share.
-        trace: optional :class:`~repro.obs.trace.TraceRecorder` the whole
-            experiment records into. Sharded cells run per-shard recorders
-            (merged at the barriers) which are absorbed here; the unsharded
-            traced path runs cells sequentially so records land in one
-            recorder — the cell *results* are identical either way.
-        metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
-            handled symmetrically to ``trace`` (per-shard collectors
-            absorbed from the merge reports; observed unsharded cells run
-            sequentially).
+        recorder: optional :class:`~repro.obs.trace.TraceRecorder` the
+            whole experiment records into. Sharded cells run per-shard
+            recorders, merged at the barriers and absorbed into it; the
+            unsharded observed path runs its cells in this process so
+            they record into the one recorder — the cell *results* are
+            identical either way.
     """
     cells = list(configs)
     if not cells:
@@ -358,25 +354,15 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
         from repro.sharding import ShardCoordinator
 
         coordinator = ShardCoordinator(shard_count, max_workers=worker_count,
-                                       trace=trace is not None,
-                                       metrics=metrics is not None)
-        reports = coordinator.run_cells(cells)
-        if trace is not None:
-            for report in reports:
-                if report.trace is not None:
-                    trace.absorb(report.trace)
-        if metrics is not None:
-            for report in reports:
-                if report.metrics is not None:
-                    metrics.absorb(report.metrics)
-        return [report.cell for report in reports]
-    if trace is not None or metrics is not None:
-        return [run_tenant_cell(config, trace=trace, metrics=metrics)
-                for config in cells]
-    if worker_count == 1 or len(cells) == 1:
-        return [run_tenant_cell(config) for config in cells]
-    return map_naming_failures(run_tenant_cell, cells, worker_count,
-                               cell_label, ExperimentError)
+                                       recorder=recorder)
+        return [report.cell for report in coordinator.run_cells(cells)]
+    run = run_tenant_cell
+    if recorder is not None:
+        # Observed cells run here, all recording into the one recorder.
+        run = functools.partial(run_tenant_cell, recorder=recorder)
+        worker_count = 1
+    return map_naming_failures(run, cells, worker_count, cell_label,
+                               ExperimentError)
 
 
 def cell_label(config: TenantExperimentConfig) -> str:

@@ -2,17 +2,20 @@
 
 The subsystem has five layers (see ``docs/observability.md``):
 
-* :mod:`repro.obs.trace` — the :class:`TraceRecorder` and the kernel
+* :mod:`repro.obs.trace` — the one :class:`TraceRecorder` and the kernel
   observer, attached through the existing ``run(observers=...)`` hook plus
   the trace attach points of the engine, cache, batch scheduler, shard
-  workers, and the partitioned runner. The hard invariant: enabling a
-  recorder leaves every table, ledger, and merged report **byte-identical**
-  — recorders are read-only and never touch RNG state or account
+  workers, and the partitioned runner. One recorder holds the per-source
+  counters, the event log (kept for ``--trace PATH`` only) and the
+  per-epoch barrier samples (taken for ``--metrics PATH`` only), and
+  writes both JSONL artifacts. The hard invariant: enabling a recorder
+  leaves every table, ledger, and merged report **byte-identical** —
+  recorders are read-only and never touch RNG state or account
   arithmetic; a disabled component pays one attribute check.
-* :mod:`repro.obs.metrics` — the :class:`MetricsTimeseries` collector,
-  sampling engine/cache/economy/batch counters at every settlement
-  barrier under the same zero-perturbation contract, emitting sorted
-  per-epoch JSONL (``--metrics PATH``).
+* :mod:`repro.obs.metrics` — the settlement-barrier sampler that reads
+  engine/cache/economy gauges into the recorder's samples under the same
+  zero-perturbation contract, and :func:`attach_observability`, the one
+  helper every execution path attaches a recorder with.
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` serialized next to
   every trace/metrics/report artifact (version, seed, frozen-config hash,
   scheme set, interpreter versions, git sha, mode flags, per-phase
@@ -45,12 +48,7 @@ from repro.obs.manifest import (
     config_hash,
     profile_hotspots,
 )
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    MetricsTimeseries,
-    RecorderTee,
-    attach_observability,
-)
+from repro.obs.metrics import attach_observability
 from repro.obs.report import (
     BENCH_NAMES,
     REPORT_SCHEMA_VERSION,
@@ -65,6 +63,7 @@ from repro.obs.schema import (
     validate_report,
 )
 from repro.obs.trace import (
+    METRICS_SCHEMA_VERSION,
     TRACE_SCHEMA_VERSION,
     KernelTraceObserver,
     TraceRecorder,
@@ -75,8 +74,6 @@ __all__ = [
     "TraceRecorder",
     "KernelTraceObserver",
     "METRICS_SCHEMA_VERSION",
-    "MetricsTimeseries",
-    "RecorderTee",
     "attach_observability",
     "RunManifest",
     "build_manifest",

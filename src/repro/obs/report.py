@@ -32,9 +32,8 @@ from repro.obs.history import (
     load_history,
 )
 from repro.obs.manifest import build_manifest
-from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.schema import BENCH_GATES, validate_bench, validate_report
-from repro.obs.trace import TRACE_SCHEMA_VERSION
+from repro.obs.trace import METRICS_SCHEMA_VERSION, TRACE_SCHEMA_VERSION
 
 #: Bumped whenever report.json's shape changes incompatibly.
 #: v2 added the optional ``baseline`` (bench-to-bench regression deltas)

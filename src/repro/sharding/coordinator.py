@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from repro.errors import (ShardingError, call_naming_failures,
-                          map_naming_failures)
+from repro.errors import ShardingError, map_naming_failures
 from repro.experiments.tenants import TenantExperimentConfig
 from repro.obs.manifest import config_hash
+from repro.obs.trace import TraceRecorder
 from repro.sharding.merge import ShardMergeReport, merge_shard_results
 from repro.sharding.worker import ShardResult, ShardTask, run_shard
 
@@ -63,14 +63,18 @@ class ShardPlan:
 
 
 class ShardCoordinator:
-    """Executes tenant cells as sharded runs and merges them exactly."""
+    """Executes tenant cells as sharded runs and merges them exactly.
+
+    With a ``recorder`` every shard records into its own empty copy of it
+    (:meth:`~repro.obs.trace.TraceRecorder.fresh`, source ``shard<i>``),
+    and :meth:`run_cells` absorbs each cell's merged recorder into it.
+    """
 
     def __init__(self, shard_count: int, max_workers: int = 1,
-                 trace: bool = False, metrics: bool = False) -> None:
+                 recorder: Optional[TraceRecorder] = None) -> None:
         self._plan = ShardPlan(shard_count=shard_count,
                                max_workers=max_workers)
-        self._trace = trace
-        self._metrics = metrics
+        self._recorder = recorder
 
     @property
     def plan(self) -> ShardPlan:
@@ -91,10 +95,12 @@ class ShardCoordinator:
                 ShardImbalanceWarning,
                 stacklevel=2,
             )
+        recorder = self._recorder
         return [
             ShardTask(config=config, shard_index=index,
-                      shard_count=self.shard_count, trace=self._trace,
-                      metrics=self._metrics)
+                      shard_count=self.shard_count,
+                      recorder=(None if recorder is None
+                                else recorder.fresh(f"shard{index}")))
             for index in range(self.shard_count)
         ]
 
@@ -108,7 +114,8 @@ class ShardCoordinator:
 
         Results come back in ``configs`` order; every cell is merged and
         verified independently (a determinism divergence in one cell does
-        not silently poison the others — it raises).
+        not silently poison the others — it raises). Each merged recorder
+        is absorbed into the coordinator's, in cell order.
         """
         cells = list(configs)
         if not cells:
@@ -122,16 +129,17 @@ class ShardCoordinator:
             group = results[index * self.shard_count:
                             (index + 1) * self.shard_count]
             reports.append(merge_shard_results(group, config))
+        if self._recorder is not None:
+            for report in reports:
+                self._recorder.absorb(report.recorder)
         return reports
 
     def _execute(self, tasks: List[ShardTask]) -> List[ShardResult]:
-        workers = min(self._plan.max_workers, len(tasks))
-        if workers == 1:
-            return [call_naming_failures(lambda: _shard_label(task),
-                                         ShardingError, run_shard, task)
-                    for task in tasks]
-        return map_naming_failures(run_shard, tasks, workers, _shard_label,
-                                   ShardingError)
+        # run_shard is read from the module global at call time, so a
+        # wrapper installed on it (the benchmark's layer clock) sees every
+        # in-process shard.
+        return map_naming_failures(run_shard, tasks, self._plan.max_workers,
+                                   _shard_label, ShardingError)
 
 
 def _shard_label(task: ShardTask) -> str:

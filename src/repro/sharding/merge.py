@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ShardingError
 from repro.experiments.tenants import TenantCellResult, TenantExperimentConfig
-from repro.obs.metrics import MetricsTimeseries
 from repro.obs.trace import TraceRecorder
 from repro.sharding.worker import ShardResult
 from repro.simulator.metrics import TenantBreakdown
@@ -47,8 +46,7 @@ class ShardMergeReport:
     owned_tenants_per_shard: Tuple[int, ...]
     barriers_verified: int
     max_conservation_residual: float
-    trace: Optional[TraceRecorder] = None
-    metrics: Optional[MetricsTimeseries] = None
+    recorder: Optional[TraceRecorder] = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -206,22 +204,16 @@ def merge_shard_results(shards: Sequence[ShardResult],
         population_size=results[0].population_size,
         churn_waves=results[0].churn_waves,
     )
-    # Fold per-shard trace recorders and metrics collectors (when the
-    # cell ran observed) the same way the checkpoints fold: records and
-    # samples keep their shard source tags, so the merged series report
-    # the replicated replay per shard.
-    trace: Optional[TraceRecorder] = None
-    if any(shard.trace is not None for shard in results):
-        trace = TraceRecorder(source="merge")
-        for shard in results:
-            if shard.trace is not None:
-                trace.absorb(shard.trace)
-    metrics: Optional[MetricsTimeseries] = None
-    if any(shard.metrics is not None for shard in results):
-        metrics = MetricsTimeseries(source="merge")
-        for shard in results:
-            if shard.metrics is not None:
-                metrics.absorb(shard.metrics)
+    # Fold the per-shard recorders (when the cell ran observed) the same
+    # way the checkpoints fold: records and samples keep their shard
+    # source tags, so the merged series report the replicated replay per
+    # shard.
+    recorder: Optional[TraceRecorder] = None
+    for shard in results:
+        if shard.recorder is not None:
+            if recorder is None:
+                recorder = shard.recorder.fresh("merge")
+            recorder.absorb(shard.recorder)
     return ShardMergeReport(
         cell=cell,
         shard_count=shard_count,
@@ -229,6 +221,5 @@ def merge_shard_results(shards: Sequence[ShardResult],
             shard.owned_tenant_count for shard in results),
         barriers_verified=barriers,
         max_conservation_residual=max_residual,
-        trace=trace,
-        metrics=metrics,
+        recorder=recorder,
     )

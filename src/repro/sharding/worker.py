@@ -32,7 +32,6 @@ from typing import List, Optional, Tuple
 from repro.economy.account import audit_conservation
 from repro.economy.engine import EconomyEngine
 from repro.errors import ShardingError
-from repro.obs.metrics import MetricsTimeseries
 from repro.obs.trace import TraceRecorder
 from repro.experiments.tenants import (
     TenantCell,
@@ -47,13 +46,16 @@ from repro.simulator.metrics import MetricsSummary, TenantBreakdown
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker process needs: the cell config plus its slot."""
+    """Everything a worker process needs: the cell config plus its slot.
+
+    ``recorder`` is the shard's own empty recorder (source ``shard<i>``)
+    when the cell runs observed; it comes back filled in the result.
+    """
 
     config: TenantExperimentConfig
     shard_index: int
     shard_count: int
-    trace: bool = False
-    metrics: bool = False
+    recorder: Optional[TraceRecorder] = None
 
     def __post_init__(self) -> None:
         TenantPartitioner(self.shard_count).validate_index(self.shard_index)
@@ -100,8 +102,7 @@ class ShardResult:
     checkpoints: Tuple[SettlementCheckpoint, ...]
     population_size: int
     churn_waves: int
-    trace: Optional[TraceRecorder] = None
-    metrics: Optional[MetricsTimeseries] = None
+    recorder: Optional[TraceRecorder] = None
 
 
 class SettlementCheckpointRecorder:
@@ -174,15 +175,11 @@ class ShardWorker:
                 registry, cell.scheme.engine)
             observers.append((MaintenanceSettlementEvent, recorder))
 
-        # Per-shard recorders, merged by the coordinator at the same
+        # The per-shard recorder is merged by the coordinator at the same
         # barriers that align the settlement checkpoints. Counters and
         # samples stay tagged with this shard's source so the replicated
         # replay is reported per shard, never double-counted.
-        trace = (TraceRecorder(source=f"shard{task.shard_index}")
-                 if task.trace else None)
-        metrics = (MetricsTimeseries(source=f"shard{task.shard_index}")
-                   if task.metrics else None)
-        result = cell.run(observers, trace=trace, metrics=metrics)
+        result = cell.run(observers, recorder=task.recorder)
 
         checkpoints: Tuple[SettlementCheckpoint, ...] = ()
         if recorder is not None:
@@ -223,8 +220,7 @@ class ShardWorker:
             checkpoints=checkpoints,
             population_size=cell.population.tenant_count,
             churn_waves=cell.population.churn_waves,
-            trace=trace,
-            metrics=metrics,
+            recorder=task.recorder,
         )
 
     def _registry(self, source) -> ShardScopedRegistry:

@@ -27,7 +27,7 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
-from repro.obs.metrics import MetricsTimeseries
+from repro.obs.trace import TraceRecorder
 from repro.policies.economic import EconomicSchemeConfig
 from repro.sharding import (ShardCoordinator, ShardScopedRegistry,
                             TenantPartitioner)
@@ -285,8 +285,8 @@ class TestParityAtPopulationScale:
         return tenant_aggregate_table(cell) + top_tenant_table(cell)
 
     def test_every_mode_prints_the_same_tables(self):
-        metrics = MetricsTimeseries()
-        eager = run_tenant_cell(self.CONFIG, metrics=metrics)
+        metrics = TraceRecorder(events=False, samples=True)
+        eager = run_tenant_cell(self.CONFIG, recorder=metrics)
         assert (eager.population_size, eager.churn_waves) == (21000, 15000)
         expected = self._tables(eager)
         streamed = replace(self.CONFIG, arrival_mode=ARRIVAL_STREAMED)

@@ -216,6 +216,46 @@ class TestMetricsRunsAreByteIdentical:
         assert manifest["schemes"]  # the profile's scheme set
 
 
+#: Every observed command shape, each run with --trace and --metrics.
+TOGETHER_SHAPES = {
+    "tenants": TENANTS_ARGS,
+    "tenants-sharded": TENANTS_ARGS + ["--shards", "2", "--jobs", "2"],
+    "tenants-partitioned": ["tenants", "--n-tenants", "4", "--queries", "30",
+                            "--schemes", "econ-cheap",
+                            "--settlement-period", "20",
+                            "--cache-partitions", "2"],
+    "shocks": ["shocks", "--schemes", "econ-cheap", "--n-tenants", "4",
+               "--queries", "30", "--settlement-period", "60"],
+    "scenario": ["scenario", "--queries", "30", "--settlement-period", "20"],
+}
+
+
+class TestTraceAndMetricsTogether:
+    @pytest.mark.parametrize("argv", list(TOGETHER_SHAPES.values()),
+                             ids=list(TOGETHER_SHAPES))
+    def test_both_artifacts_match_the_single_flag_runs(self, tmp_path,
+                                                       capsys, argv):
+        """One recorder writes both artifacts: the tables stay those of
+        the unobserved run, and each artifact is byte-identical to the
+        one its flag writes alone."""
+        code, plain, _ = _run(capsys, argv)
+        assert code == 0
+        alone = {}
+        for flag in ("--trace", "--metrics"):
+            path = tmp_path / f"alone{flag}.jsonl"
+            code, observed, _ = _run(capsys, argv + [flag, str(path)])
+            assert code == 0
+            assert observed == plain
+            alone[flag] = path.read_bytes()
+        trace_path, metrics_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        code, observed, _ = _run(capsys, argv + [
+            "--trace", str(trace_path), "--metrics", str(metrics_path)])
+        assert code == 0
+        assert observed == plain
+        assert trace_path.read_bytes() == alone["--trace"]
+        assert metrics_path.read_bytes() == alone["--metrics"]
+
+
 class TestReportCommand:
     def test_report_over_checked_in_bench_files(self, tmp_path, capsys):
         repo_root = os.path.dirname(

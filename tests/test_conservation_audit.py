@@ -175,7 +175,7 @@ def _tampering_cell(tamper):
     books after the shard's own recorder has audited them."""
 
     class TamperedCell(TenantCell):
-        def run(self, observers=(), trace=None, metrics=None):
+        def run(self, observers=(), recorder=None):
             fired = []
 
             def observe(event, kernel):
@@ -185,7 +185,7 @@ def _tampering_cell(tamper):
 
             return super().run(
                 list(observers) + [(MaintenanceSettlementEvent, observe)],
-                trace=trace, metrics=metrics)
+                recorder=recorder)
 
     return TamperedCell
 

@@ -147,20 +147,28 @@ class TestTypedFailures:
             run_partitioned_cell(CONFIG, partitions=2, max_workers=workers,
                                  compare_baseline=False)
         message = str(caught.value)
-        assert "cache partition 0, epoch 2," in message
-        assert config_hash(CONFIG) in message
+        assert "cache partition 0, epoch 2:" in message
+        assert message.count(config_hash(CONFIG)) == 1
 
     def test_failure_in_a_pooled_cell_names_the_cell(self, monkeypatch):
+        self._assert_failing_cell_named_once(monkeypatch, jobs=2)
+
+    def test_failure_in_a_sequential_cell_names_the_cell(self, monkeypatch):
+        self._assert_failing_cell_named_once(monkeypatch, jobs=1)
+
+    @staticmethod
+    def _assert_failing_cell_named_once(monkeypatch, jobs):
         monkeypatch.setattr(runner_module, "run_partition_epoch",
                             _raise_in_econ_fast)
         failing = replace(CONFIG, scheme="econ-fast")
         with pytest.raises(DistCacheError, match="KeyError") as caught:
             run_partitioned_experiment([CONFIG, failing], partitions=2,
-                                       jobs=2, compare_baseline=False)
+                                       jobs=jobs, compare_baseline=False)
         message = str(caught.value)
         assert message.startswith(
             f"tenant cell econ-fast, cell config {config_hash(failing)}: "
-            f"cache partition 0, epoch 2,")
+            f"cache partition 0, epoch 2:")
+        assert message.count(config_hash(failing)) == 1
 
     def test_cli_exits_2_with_one_error_line(self, monkeypatch, capsys):
         monkeypatch.setattr(runner_module, "run_partition_epoch",
@@ -173,5 +181,5 @@ class TestTypedFailures:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: tenant cell econ-fast, cell config")
-        assert "cache partition 0, epoch 2," in lines[0]
+        assert "cache partition 0, epoch 2:" in lines[0]
         assert "Traceback" not in err

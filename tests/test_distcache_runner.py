@@ -302,14 +302,14 @@ class TestOneProcess:
             _assert_same_run(observed, expected)
 
     def test_observed_cells_run_here_whatever_the_jobs(self):
-        """A trace sink keeps the cells in this process, so every cell's
+        """A recorder keeps the cells in this process, so every cell's
         partitions record into it."""
         configs = [replace(CONFIG, scheme=scheme)
                    for scheme in ("econ-cheap", "econ-fast")]
         trace = TraceRecorder()
         observed = run_partitioned_experiment(
             configs, partitions=2, jobs=2, compare_baseline=False,
-            trace=trace)
+            recorder=trace)
         summaries = [fields["partition"] for _, _, _, kind, fields
                      in trace.records if kind == "partition_summary"]
         assert summaries == [0, 1, 0, 1]

@@ -1,7 +1,7 @@
 """The metrics-purity gate: sampling never perturbs a run.
 
 The metrics twin of ``test_obs_purity_property.py``: attaching a
-:class:`MetricsTimeseries` (alone or teed with a trace recorder) to any
+recorder that takes samples (alone or also keeping a trace) to any
 execution path leaves every rendered table, wallet ledger, and merged
 report **byte-identical** to the unobserved run. Hypothesis sweeps drawn
 cell shapes; pinned integration cases cover the scaling modes the issue
@@ -24,7 +24,6 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
-from repro.obs.metrics import MetricsTimeseries
 from repro.obs.trace import TraceRecorder
 from repro.workload.grammar import parse_shock
 
@@ -34,6 +33,11 @@ SHOCKS = (
     (parse_shock("invalidate@0.4"),),
     (parse_shock("price@0.3:0.3:1.5"), parse_shock("squeeze@0.5:0.2:0.6")),
 )
+
+
+def metrics_recorder():
+    """A recorder as ``--metrics`` alone builds it."""
+    return TraceRecorder(events=False, samples=True)
 
 
 def _rendered(cell):
@@ -66,37 +70,41 @@ class TestMetricsCellPurity:
     @given(config=cell_configs)
     def test_metrics_cell_is_byte_identical(self, config):
         plain = run_tenant_cell(config)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_cell(config, metrics=metrics)
+        metrics = metrics_recorder()
+        observed = run_tenant_cell(config, recorder=metrics)
         assert _rendered(observed) == _rendered(plain)
-        # The collector actually observed the run.
+        # The recorder actually observed the run.
         assert metrics.counter("event:QueryArrivalEvent") \
             >= config.query_count
         if config.settlement_period_s is not None:
-            assert len(metrics) > 0
+            assert len(metrics.samples) > 0
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(config=cell_configs)
     def test_metrics_emission_is_deterministic(self, config):
-        first = MetricsTimeseries()
-        run_tenant_cell(config, metrics=first)
-        second = MetricsTimeseries()
-        run_tenant_cell(config, metrics=second)
-        assert first.jsonl_lines() == second.jsonl_lines()
+        first = metrics_recorder()
+        run_tenant_cell(config, recorder=first)
+        second = metrics_recorder()
+        run_tenant_cell(config, recorder=second)
+        assert first.metrics_lines() == second.metrics_lines()
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(config=cell_configs)
     def test_teed_trace_plus_metrics_is_byte_identical(self, config):
         plain = run_tenant_cell(config)
-        trace = TraceRecorder()
-        metrics = MetricsTimeseries()
-        observed = run_tenant_cell(config, trace=trace, metrics=metrics)
+        both = TraceRecorder(events=True, samples=True)
+        observed = run_tenant_cell(config, recorder=both)
         assert _rendered(observed) == _rendered(plain)
-        # Both sinks saw the same stream through the tee.
-        assert trace.counter("event:QueryArrivalEvent") \
-            == metrics.counter("event:QueryArrivalEvent")
+        # One recorder writes both artifacts, each byte-identical to the
+        # one a trace-only or a metrics-only run writes.
+        trace = TraceRecorder()
+        run_tenant_cell(config, recorder=trace)
+        metrics = metrics_recorder()
+        run_tenant_cell(config, recorder=metrics)
+        assert both.trace_lines() == trace.trace_lines()
+        assert both.metrics_lines() == metrics.metrics_lines()
 
 
 class TestMetricsModesPurity:
@@ -105,11 +113,21 @@ class TestMetricsModesPurity:
     CONFIG = dict(tenant_count=6, query_count=60, seed=3,
                   settlement_period_s=60.0)
 
+    def test_metrics_only_recorder_stores_no_event_records(self):
+        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
+        metrics = metrics_recorder()
+        run_tenant_cell(config, recorder=metrics)
+        assert metrics.records == ()
+        assert metrics.counter("event:QueryArrivalEvent") == 60
+        assert metrics.counter("event:settlement_barrier") > 0
+        assert len(metrics.samples) > 0
+
     def test_sharded_metrics_run_is_byte_identical(self):
         config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         plain = run_tenant_experiment([config], shards=2)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_experiment([config], shards=2, metrics=metrics)
+        metrics = metrics_recorder()
+        observed = run_tenant_experiment([config], shards=2,
+                                         recorder=metrics)
         assert _rendered(observed[0]) == _rendered(plain[0])
         assert set(metrics.counters) == {"shard0", "shard1"}
         # Replicated replay: every shard sampled every barrier.
@@ -121,8 +139,9 @@ class TestMetricsModesPurity:
     def test_sharded_metrics_run_matches_unsharded(self):
         config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         unsharded = run_tenant_cell(config)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_experiment([config], shards=2, metrics=metrics)
+        metrics = metrics_recorder()
+        observed = run_tenant_experiment([config], shards=2,
+                                         recorder=metrics)
         assert _rendered(observed[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_metrics_run_is_byte_identical(self):
@@ -133,10 +152,10 @@ class TestMetricsModesPurity:
         plain = run_partitioned_experiment(
             [config], partitions=2, placement="adaptive",
             compare_baseline=False)
-        metrics = MetricsTimeseries()
+        metrics = metrics_recorder()
         observed = run_partitioned_experiment(
             [config], partitions=2, placement="adaptive",
-            compare_baseline=False, metrics=metrics)
+            compare_baseline=False, recorder=metrics)
         assert _rendered(observed[0].cell) == _rendered(plain[0].cell)
         assert observed[0].checkpoints == plain[0].checkpoints
         assert observed[0].handoffs == plain[0].handoffs
@@ -154,8 +173,8 @@ class TestMetricsModesPurity:
         config = TenantExperimentConfig(scheme="econ-cheap",
                                         planning="batched", **self.CONFIG)
         plain = run_tenant_cell(config)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_cell(config, metrics=metrics)
+        metrics = metrics_recorder()
+        observed = run_tenant_cell(config, recorder=metrics)
         assert _rendered(observed) == _rendered(plain)
         assert metrics.counter("batch:windows") > 0
         occupied = [s for s in metrics.samples if "batch_occupancy" in s]
@@ -169,6 +188,6 @@ class TestMetricsModesPurity:
             scheme="econ-cheap", shocks=grammar.shocks,
             tenant_tiers=grammar.tiers, grammar=grammar, **self.CONFIG)
         plain = run_tenant_cell(config)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_cell(config, metrics=metrics)
+        metrics = metrics_recorder()
+        observed = run_tenant_cell(config, recorder=metrics)
         assert _rendered(observed) == _rendered(plain)

@@ -65,7 +65,7 @@ class TestTracedCellPurity:
     def test_traced_cell_is_byte_identical(self, config):
         untraced = run_tenant_cell(config)
         recorder = TraceRecorder()
-        traced = run_tenant_cell(config, trace=recorder)
+        traced = run_tenant_cell(config, recorder=recorder)
         assert _rendered(traced) == _rendered(untraced)
         # The recorder actually observed the run (queries dispatched).
         assert recorder.counter("event:QueryArrivalEvent") >= config.query_count
@@ -75,10 +75,10 @@ class TestTracedCellPurity:
     @given(config=cell_configs)
     def test_trace_emission_is_deterministic(self, config):
         first = TraceRecorder()
-        run_tenant_cell(config, trace=first)
+        run_tenant_cell(config, recorder=first)
         second = TraceRecorder()
-        run_tenant_cell(config, trace=second)
-        assert first.jsonl_lines() == second.jsonl_lines()
+        run_tenant_cell(config, recorder=second)
+        assert first.trace_lines() == second.trace_lines()
 
 
 class TestTracedModesPurity:
@@ -91,7 +91,7 @@ class TestTracedModesPurity:
         config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         untraced = run_tenant_experiment([config], shards=2)
         recorder = TraceRecorder()
-        traced = run_tenant_experiment([config], shards=2, trace=recorder)
+        traced = run_tenant_experiment([config], shards=2, recorder=recorder)
         assert _rendered(traced[0]) == _rendered(untraced[0])
         assert set(recorder.counters) == {"shard0", "shard1"}
         # Replicated replay: both shards dispatched the full stream.
@@ -102,7 +102,7 @@ class TestTracedModesPurity:
         config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         unsharded = run_tenant_cell(config)
         recorder = TraceRecorder()
-        traced = run_tenant_experiment([config], shards=2, trace=recorder)
+        traced = run_tenant_experiment([config], shards=2, recorder=recorder)
         assert _rendered(traced[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_traced_run_is_byte_identical(self):
@@ -115,7 +115,7 @@ class TestTracedModesPurity:
         recorder = TraceRecorder()
         traced = run_partitioned_experiment(
             [config], partitions=2, placement="adaptive",
-            compare_baseline=False, trace=recorder)
+            compare_baseline=False, recorder=recorder)
         assert _rendered(traced[0].cell) == _rendered(untraced[0].cell)
         assert traced[0].checkpoints == untraced[0].checkpoints
         assert traced[0].handoffs == untraced[0].handoffs
@@ -128,7 +128,7 @@ class TestTracedModesPurity:
                                         planning="batched", **self.CONFIG)
         untraced = run_tenant_cell(config)
         recorder = TraceRecorder()
-        traced = run_tenant_cell(config, trace=recorder)
+        traced = run_tenant_cell(config, recorder=recorder)
         assert _rendered(traced) == _rendered(untraced)
         batch_windows = [record for record in recorder.records
                          if record[3] == "batch_window"]
@@ -143,5 +143,5 @@ class TestTracedModesPurity:
             tenant_tiers=grammar.tiers, grammar=grammar, **self.CONFIG)
         untraced = run_tenant_cell(config)
         recorder = TraceRecorder()
-        traced = run_tenant_cell(config, trace=recorder)
+        traced = run_tenant_cell(config, recorder=recorder)
         assert _rendered(traced) == _rendered(untraced)

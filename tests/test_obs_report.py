@@ -109,11 +109,12 @@ class TestRenderReport:
         recorder.event("e", time_s=1.0)
         recorder.count("cache:admit")
         trace_path = tmp_path / "t.jsonl"
-        recorder.write(str(trace_path))
+        recorder.write_trace(str(trace_path))
         report, markdown = render_report([], [str(trace_path)])
         (trace,) = report["traces"]
         assert trace["events"] == 1
-        assert trace["counters"] == 1
+        # cache:admit, plus the event's own event:e fold counter.
+        assert trace["counters"] == 2
         assert "## Traces" in markdown
 
 

@@ -25,7 +25,7 @@ class TestRecording:
         recorder = TraceRecorder(source="run")
         recorder.event("handoff", time_s=30.0, key="a")
         recorder.event("handoff", time_s=10.0, key="b")
-        assert len(recorder) == 2
+        assert len(recorder.records) == 2
         times = [record[0] for record in recorder.records]
         assert times == [30.0, 10.0]
 
@@ -46,7 +46,7 @@ class TestAbsorb:
             recorder.count("engine:queries", 5)
             recorder.event("settlement_barrier", time_s=60.0)
             merged.absorb(recorder)
-        assert len(merged) == 2
+        assert len(merged.records) == 2
         assert merged.counter("engine:queries", source="shard0") == 5
         assert merged.counter("engine:queries", source="shard1") == 5
         # Replicated per-shard counters are never summed across sources.
@@ -70,21 +70,25 @@ class TestEmission:
         other.event("tied", time_s=10.0)
         other.count("cache:admit")
         recorder.absorb(other)
-        lines = [json.loads(line) for line in recorder.jsonl_lines()]
+        lines = [json.loads(line) for line in recorder.trace_lines()]
         assert lines[0]["kind"] == "trace_header"
         assert lines[0]["schema_version"] == TRACE_SCHEMA_VERSION
         assert lines[0]["sources"] == ["a", "b"]
         # Sorted by (time_s, source, seq): the a-record ties on time and
-        # wins on source; counters come last.
-        assert [line["kind"] for line in lines[1:]] == [
-            "tied", "earlier", "later", "counter"]
+        # wins on source; counters come last, sorted by source and name,
+        # each event folded into an event:<kind> counter too.
+        assert [line["kind"] for line in lines[1:4]] == [
+            "tied", "earlier", "later"]
+        assert [(line["source"], line["name"]) for line in lines[4:]] == [
+            ("a", "cache:admit"), ("a", "event:tied"),
+            ("b", "event:earlier"), ("b", "event:later")]
 
     def test_emission_is_deterministic_bytes(self):
         def build():
             recorder = TraceRecorder()
             recorder.count("x", 2)
             recorder.event("e", time_s=1.5, value=3)
-            return "\n".join(recorder.jsonl_lines())
+            return "\n".join(recorder.trace_lines())
 
         assert build() == build()
 
@@ -92,9 +96,9 @@ class TestEmission:
         recorder = TraceRecorder()
         recorder.event("e", time_s=0.0)
         path = tmp_path / "trace.jsonl"
-        recorder.write(str(path))
+        recorder.write_trace(str(path))
         lines = path.read_text().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3  # header, the event, its event:e counter
         assert json.loads(lines[0])["events"] == 1
 
     def test_recorder_pickles(self):
@@ -102,7 +106,7 @@ class TestEmission:
         recorder.count("cache:admit")
         recorder.event("e", time_s=5.0)
         clone = pickle.loads(pickle.dumps(recorder))
-        assert clone.jsonl_lines() == recorder.jsonl_lines()
+        assert clone.trace_lines() == recorder.trace_lines()
 
 
 class TestKernelObserver:

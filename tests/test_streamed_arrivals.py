@@ -544,13 +544,13 @@ class TestBoundedMaterialization:
 
 class TestStreamedGauges:
     def test_streamed_metrics_carry_memory_gauges(self):
-        from repro.obs.metrics import MetricsTimeseries
+        from repro.obs.trace import TraceRecorder
 
         config = TenantExperimentConfig(scheme="econ-cheap",
                                         arrival_mode=ARRIVAL_STREAMED,
                                         **QUICK)
-        metrics = MetricsTimeseries()
-        run_tenant_cell(config, metrics=metrics)
+        metrics = TraceRecorder(events=False, samples=True)
+        run_tenant_cell(config, recorder=metrics)
         samples = metrics.samples
         assert samples
         assert all("live_tenants" in sample for sample in samples)
@@ -562,15 +562,15 @@ class TestStreamedGauges:
         # The eager path samples live tenants (a pure simulation quantity)
         # but never the OS high-water mark, keeping its emission bitwise
         # reproducible run to run.
-        from repro.obs.metrics import MetricsTimeseries
+        from repro.obs.trace import TraceRecorder
 
         config = TenantExperimentConfig(scheme="econ-cheap",
                                         arrival_mode=ARRIVAL_EAGER, **QUICK)
-        first = MetricsTimeseries()
-        run_tenant_cell(config, metrics=first)
-        second = MetricsTimeseries()
-        run_tenant_cell(config, metrics=second)
-        assert first.jsonl_lines() == second.jsonl_lines()
+        first = TraceRecorder(events=False, samples=True)
+        run_tenant_cell(config, recorder=first)
+        second = TraceRecorder(events=False, samples=True)
+        run_tenant_cell(config, recorder=second)
+        assert first.metrics_lines() == second.metrics_lines()
         assert all("live_tenants" in sample for sample in first.samples)
         assert all("peak_rss_bytes" not in sample
                    for sample in first.samples)
