@@ -55,7 +55,6 @@ modes, whose own barrier audits then pin conservation under faults.
 from __future__ import annotations
 
 import argparse
-import glob
 import math
 import os
 import sys
@@ -156,6 +155,15 @@ def _int_at_least(minimum: int, text: str) -> int:
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _jsonl_path(text: str) -> str:
+    """Argparse type for ``report``'s artifacts: a ``*.jsonl`` path, the
+    suffix ``--trace``/``--metrics`` artifacts carry."""
+    if not text.endswith(".jsonl"):
+        raise argparse.ArgumentTypeError(
+            f"not a .jsonl trace or metrics artifact: {text!r}")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -459,46 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="render bench JSONs (and trace JSONLs) into versioned "
+        help="summarize --trace/--metrics JSONL artifacts into versioned "
              "report artifacts")
-    report.add_argument("artifacts", nargs="*", metavar="PATH",
-                        help="BENCH_*.json files and/or *.jsonl trace "
-                             "artifacts to ingest (default: the checked-in "
-                             "BENCH_*.json files in the current directory); "
-                             "missing or legacy bench files degrade to "
-                             "warnings, never a crash")
+    report.add_argument("artifacts", nargs="+", type=_jsonl_path,
+                        metavar="PATH",
+                        help="*.jsonl trace or metrics artifacts to "
+                             "summarize; an unreadable one degrades to a "
+                             "warning, never a crash")
     report.add_argument("--out", default="report-artifacts", metavar="DIR",
                         help="directory receiving report.json, report.md "
                              "and report.manifest.json (default: "
                              "report-artifacts)")
     report.add_argument("--force", action="store_true",
                         help="overwrite existing report artifacts")
-    report.add_argument("--baseline", default=None, metavar="DIR",
-                        help="bench-history directory (benchmarks/history) "
-                             "to compare against: each bench's headline "
-                             "metrics are diffed against its newest "
-                             "comparable record (same config hash) and the "
-                             "summary table gains delta + perf-gate columns")
-    report.add_argument("--warn-slowdown", type=_nonnegative_float,
-                        default=None, metavar="FRAC",
-                        help="relative regression at which a baseline delta "
-                             "warns (needs --baseline; default: 0.10)")
-    report.add_argument("--fail-slowdown", type=_nonnegative_float,
-                        default=None, metavar="FRAC",
-                        help="relative regression at which a baseline delta "
-                             "fails (needs --baseline; default: 0.25)")
-    report.add_argument("--grids", action="store_true",
-                        help="additionally run the headline/figure4/figure5 "
-                             "grid tables and fold them into the report's "
-                             "grids section")
-    report.add_argument("--grids-profile", choices=sorted(_PROFILES),
-                        default=None,
-                        help="experiment profile for --grids "
-                             "(needs --grids; default: quick)")
-    report.add_argument("--grids-jobs", type=_positive_int, default=None,
-                        metavar="N",
-                        help="worker processes for the --grids cells "
-                             "(needs --grids; default: 1, sequential)")
 
     subparsers.add_parser("describe", help="print the simulated schema and defaults")
     return parser
@@ -842,64 +823,9 @@ def _shocks_command(args: argparse.Namespace,
     return "\n\n".join(sections)
 
 
-def _resolve_report_flags(args: argparse.Namespace) -> None:
-    """Reject report flags that would be ignored, then resolve the unset
-    ones to their defaults."""
-    for flags, needs, reason in (
-            (("warn_slowdown", "fail_slowdown"), args.baseline is not None,
-             "--baseline: without a history there is no delta to gate"),
-            (("grids_profile", "grids_jobs"), args.grids,
-             "--grids: without it no grid runs")):
-        given = [name for name in flags if getattr(args, name) is not None]
-        if given and not needs:
-            named = "/".join("--" + name.replace("_", "-") for name in given)
-            verb = "needs" if len(given) == 1 else "need"
-            raise ReproError(f"{named} {verb} {reason}")
-    defaults = {"warn_slowdown": 0.10, "fail_slowdown": 0.25,
-                "grids_profile": "quick", "grids_jobs": 1}
-    for name, default in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-
-
 def _report_command(args: argparse.Namespace) -> str:
-    _resolve_report_flags(args)
-    artifacts = list(args.artifacts)
-    if not artifacts:
-        artifacts = sorted(glob.glob("BENCH_*.json"))
-    bench_paths = [path for path in artifacts
-                   if not path.endswith(".jsonl")]
-    trace_paths = [path for path in artifacts if path.endswith(".jsonl")]
-    gates = None
-    if args.baseline is not None:
-        if not os.path.isdir(args.baseline):
-            raise ReproError(
-                f"--baseline: directory {args.baseline!r} does not exist")
-        from repro.obs.history import RegressionGates
-
-        try:
-            gates = RegressionGates(warn_slowdown=args.warn_slowdown,
-                                    fail_slowdown=args.fail_slowdown)
-        except ValueError as error:
-            raise ReproError(f"--warn-slowdown/--fail-slowdown: {error}")
-    grid_tables = None
-    grid_profile = None
-    if args.grids:
-        grid_profile = args.grids_profile
-        profile = _PROFILES[grid_profile]
-        grid = run_grid(profile, jobs=args.grids_jobs)
-        grid_tables = {
-            "headline": headline_table(grid=grid),
-            "figure4": figure4_table(grid=grid),
-            "figure5": figure5_table(grid=grid),
-        }
-    targets = write_report_artifacts(bench_paths, args.out,
-                                     trace_paths=trace_paths,
-                                     force=args.force,
-                                     baseline_dir=args.baseline,
-                                     gates=gates,
-                                     grid_tables=grid_tables,
-                                     grid_profile=grid_profile)
+    targets = write_report_artifacts(args.artifacts, args.out,
+                                     force=args.force)
     with open(targets["markdown"], "r", encoding="utf-8") as handle:
         markdown = handle.read()
     footer = "\n".join(f"wrote {path}" for _, path in sorted(targets.items()))

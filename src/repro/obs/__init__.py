@@ -1,6 +1,6 @@
 """Zero-perturbation observability: traces, metrics, manifests, reports.
 
-The subsystem has five layers (see ``docs/observability.md``):
+The subsystem has four layers (see ``docs/observability.md``):
 
 * :mod:`repro.obs.trace` — the one :class:`TraceRecorder` and the kernel
   observer, attached through the existing ``run(observers=...)`` hook plus
@@ -20,28 +20,10 @@ The subsystem has five layers (see ``docs/observability.md``):
   every trace/metrics/report artifact (version, seed, frozen-config hash,
   scheme set, interpreter versions, git sha, mode flags, per-phase
   wall-clock, optional cProfile hotspots).
-* :mod:`repro.obs.history` — the append-only bench history store
-  (``benchmarks/history/*.jsonl``) and the regression-delta math behind
-  ``repro report --baseline``.
-* :mod:`repro.obs.report` — the ``repro report`` pipeline: schema-validated
-  ingest of the ``BENCH_*.json`` perf history plus trace/metrics artifacts,
-  optional bench-to-bench regression gates against the history store,
-  rendered into versioned JSON + markdown.
+* :mod:`repro.obs.report` — the ``repro report`` pipeline: summaries of
+  trace/metrics artifacts, rendered into versioned JSON + markdown.
 """
 
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    HistoryRecord,
-    MetricDelta,
-    RegressionGates,
-    append_bench_history,
-    bench_config_hash,
-    compute_deltas,
-    history_metrics,
-    latest_comparable,
-    load_history,
-    record_from_bench,
-)
 from repro.obs.manifest import (
     RunManifest,
     build_manifest,
@@ -50,17 +32,9 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import attach_observability
 from repro.obs.report import (
-    BENCH_NAMES,
     REPORT_SCHEMA_VERSION,
-    BenchIngest,
-    ingest_bench_files,
     render_report,
     write_report_artifacts,
-)
-from repro.obs.schema import (
-    validate_bench,
-    validate_history_record,
-    validate_report,
 )
 from repro.obs.trace import (
     METRICS_SCHEMA_VERSION,
@@ -79,24 +53,7 @@ __all__ = [
     "build_manifest",
     "config_hash",
     "profile_hotspots",
-    "HISTORY_SCHEMA_VERSION",
-    "HistoryRecord",
-    "MetricDelta",
-    "RegressionGates",
-    "append_bench_history",
-    "bench_config_hash",
-    "compute_deltas",
-    "history_metrics",
-    "latest_comparable",
-    "load_history",
-    "record_from_bench",
-    "BENCH_NAMES",
     "REPORT_SCHEMA_VERSION",
-    "BenchIngest",
-    "ingest_bench_files",
     "render_report",
     "write_report_artifacts",
-    "validate_bench",
-    "validate_history_record",
-    "validate_report",
 ]

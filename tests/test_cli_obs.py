@@ -1,7 +1,6 @@
 """CLI observability tests: --version, --trace validation, report command."""
 
 import json
-import os
 
 import pytest
 
@@ -257,81 +256,37 @@ class TestTraceAndMetricsTogether:
 
 
 class TestReportCommand:
-    def test_report_over_checked_in_bench_files(self, tmp_path, capsys):
-        repo_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))
-        bench = [os.path.join(repo_root, "BENCH_placement.json")]
-        out_dir = tmp_path / "artifacts"
-        code, out, _ = _run(capsys, ["report", "--out", str(out_dir)] + bench)
+    def test_report_over_trace_and_metrics_artifacts(self, tmp_path,
+                                                     capsys):
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.jsonl"
+        code, _, _ = _run(capsys, TENANTS_ARGS + [
+            "--arrival-mode", "streamed",
+            "--trace", str(trace), "--metrics", str(metrics)])
         assert code == 0
-        assert "| placement | BENCH_placement.json | ok |" in out
-        report = json.loads((out_dir / "report.json").read_text())
-        assert report["warnings"] == []
-        assert (out_dir / "report.md").exists()
-        assert (out_dir / "report.manifest.json").exists()
-
-    def test_report_baseline_renders_delta_column(self, tmp_path, capsys):
-        from repro.obs.history import append_bench_history
-
-        doc = {
-            "benchmark": "placement", "python": "3.11.0", "seed": 0,
-            "scheme": "econ-cheap", "tenant_count": 10, "query_count": 50,
-            "partitions": 2, "handoff_threshold": 0.0,
-            "runs": [{"placement": "adaptive", "handoffs": 4,
-                      "remote_hit_rate": 0.2,
-                      "remote_surcharge_dollars": 1.0}],
-        }
-        history = tmp_path / "history"
-        append_bench_history(doc, str(history), git_sha="abc")
-        bench = tmp_path / "BENCH_placement.json"
-        bench.write_text(json.dumps(doc))
         out_dir = tmp_path / "artifacts"
-        code, out, _ = _run(capsys, ["report", str(bench),
-                                     "--baseline", str(history),
+        code, out, _ = _run(capsys, ["report", str(trace), str(metrics),
                                      "--out", str(out_dir)])
         assert code == 0
-        assert "| delta | perf |" in out
-        assert "## Baseline deltas" in out
-
-    def test_report_warns_on_a_retired_bench_kind(self, tmp_path, capsys):
-        """A leftover per-mode bench file (its throughput is timed by the
-        end-to-end benchmark now) renders a warning, not a failure."""
-        bench = tmp_path / "BENCH_sharding.json"
-        bench.write_text(json.dumps({
-            "benchmark": "sharding", "python": "3.11.0", "seed": 0,
-            "runs": [{"shards": 2, "queries_per_s": 1600.0}]}))
-        code, out, err = _run(capsys, ["report", str(bench),
-                                       "--out", str(tmp_path)])
-        assert (code, err) == (0, "")
-        assert "| sharding | BENCH_sharding.json | invalid |" in out
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert f"{bench}: unknown benchmark kind 'sharding'" in \
-            report["warnings"]
-
-    def test_report_missing_baseline_dir_exits_2(self, tmp_path, capsys):
-        code, _, err = _run(capsys, ["report",
-                                     "--baseline", str(tmp_path / "nope"),
-                                     "--out", str(tmp_path / "a")])
-        assert code == 2
-        assert "does not exist" in err
-
-    def test_report_inverted_gates_exit_2(self, tmp_path, capsys):
-        history = tmp_path / "history"
-        history.mkdir()
-        code, _, err = _run(capsys, ["report", "--baseline", str(history),
-                                     "--warn-slowdown", "0.5",
-                                     "--fail-slowdown", "0.1",
-                                     "--out", str(tmp_path / "a")])
-        assert code == 2
-        assert "warn" in err
+        assert "peak live tenants" in out and "peak RSS" in out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["warnings"] == []
+        assert [entry["artifact"] for entry in report["traces"]] == [
+            "trace", "metrics"]
+        assert (out_dir / "report.md").read_text() in out
+        assert (out_dir / "report.manifest.json").exists()
 
     def test_report_refuses_overwrite_without_force(self, tmp_path, capsys):
-        out_dir = tmp_path / "artifacts"
-        code, _, _ = _run(capsys, ["report", "--out", str(out_dir)])
+        trace = tmp_path / "t.jsonl"
+        code, _, _ = _run(capsys, TENANTS_ARGS + ["--trace", str(trace)])
         assert code == 0
-        code, _, err = _run(capsys, ["report", "--out", str(out_dir)])
+        out_dir = tmp_path / "artifacts"
+        code, _, _ = _run(capsys, ["report", str(trace), "--out",
+                                   str(out_dir)])
+        assert code == 0
+        code, _, err = _run(capsys, ["report", str(trace), "--out",
+                                     str(out_dir)])
         assert code == 2
         assert "--force" in err
-        code, _, _ = _run(capsys,
-                          ["report", "--out", str(out_dir), "--force"])
+        code, _, _ = _run(capsys, ["report", str(trace), "--out",
+                                   str(out_dir), "--force"])
         assert code == 0

@@ -319,3 +319,63 @@ class TestHashModeRegression:
             == [17, 43]
         assert report.directory_size == sum(
             stats.local_structures for stats in report.partitions)
+
+
+#: The placement figures' cell: template-affinity routing concentrates
+#: each template's queries on one partition, so hash placement pays for
+#: the structures it does not own remotely again and again.
+PIN_CONFIG = TenantExperimentConfig(
+    scheme="econ-cheap", tenant_count=24, query_count=160,
+    interarrival_s=1.0, seed=0, settlement_period_s=20.0,
+)
+
+
+class TestPlacementPins:
+    """Exact pins of the placement figures (the run is seeded, so any
+    drift is a change of behaviour, not noise), plus the two claims of
+    ``docs/distcache.md`` they support."""
+
+    @staticmethod
+    def _run(placement):
+        return run_partitioned_cell(PIN_CONFIG, partitions=2,
+                                    compare_baseline=False,
+                                    placement=placement,
+                                    handoff_threshold=0.0)
+
+    @pytest.fixture(scope="class")
+    def hash_pin(self):
+        return self._run("hash")
+
+    @pytest.fixture(scope="class")
+    def adaptive_pin(self):
+        return self._run("adaptive")
+
+    def test_hash_figures(self, hash_pin):
+        assert hash_pin.remote_hit_count == 74
+        assert hash_pin.remote_dollars_paid == float.fromhex(
+            "0x1.e25fd13fcdecap+0")          # 1.8842745571873132
+        assert hash_pin.handoff_count == 0
+        assert hash_pin.barriers_verified == 8
+        assert hash_pin.directory_bytes_published == 1_418
+        assert hash_pin.directory_bytes_full == 3_731
+
+    def test_adaptive_figures(self, adaptive_pin):
+        assert adaptive_pin.remote_hit_count == 18
+        assert adaptive_pin.remote_dollars_paid == float.fromhex(
+            "0x1.c58697df6b509p-2")          # 0.44289624501364294
+        assert adaptive_pin.handoff_count == 7
+        assert adaptive_pin.barriers_verified == 8
+        assert adaptive_pin.directory_bytes_published == 1_695
+        assert adaptive_pin.directory_bytes_full == 3_731
+
+    def test_adaptive_cuts_surcharge_and_remote_hits(self, hash_pin,
+                                                     adaptive_pin):
+        assert (adaptive_pin.remote_dollars_paid
+                < hash_pin.remote_dollars_paid)
+        assert adaptive_pin.remote_hit_count < hash_pin.remote_hit_count
+
+    def test_deltas_ship_fewer_bytes_than_full_republication(
+            self, hash_pin, adaptive_pin):
+        for report in (hash_pin, adaptive_pin):
+            assert (report.directory_bytes_published
+                    < report.directory_bytes_full)

@@ -55,6 +55,14 @@ class TestBuildManifest:
         assert "git_sha" in payload
         assert "numpy_version" in payload
 
+    def test_git_sha_fallback_outside_a_git_repo(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifest = build_manifest("tenants")
+        assert manifest.git_sha is None
+        # The manifest still serializes the key (fail-soft, not absent).
+        assert "git_sha" in manifest.to_dict()
+
 
 class TestSerialization:
     def test_to_json_sorts_keys(self):
