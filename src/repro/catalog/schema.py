@@ -63,20 +63,25 @@ class Table:
             raise SchemaError(f"table {self.name!r} must have positive row count")
         if not self.columns:
             raise SchemaError(f"table {self.name!r} must have at least one column")
-        seen = set()
+        by_name: Dict[str, Column] = {}
         for column in self.columns:
             if column.table_name != self.name:
                 raise SchemaError(
                     f"column {column.qualified_name} does not belong to table {self.name!r}"
                 )
-            if column.name in seen:
+            if column.name in by_name:
                 raise SchemaError(f"duplicate column {column.qualified_name}")
-            seen.add(column.name)
+            by_name[column.name] = column
+        # The table is frozen, so the name index and the row width are
+        # computed once rather than on every lookup.
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_row_width_bytes",
+                           sum(column.width_bytes for column in self.columns))
 
     @property
     def row_width_bytes(self) -> int:
         """Average width of a full row."""
-        return sum(column.width_bytes for column in self.columns)
+        return self._row_width_bytes
 
     @property
     def size_bytes(self) -> int:
@@ -85,14 +90,14 @@ class Table:
 
     def column(self, name: str) -> Column:
         """Return the column called ``name`` or raise :class:`UnknownColumnError`."""
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise UnknownColumnError(self.name, name)
+        column = self._by_name.get(name)
+        if column is None:
+            raise UnknownColumnError(self.name, name)
+        return column
 
     def has_column(self, name: str) -> bool:
         """Return whether the table defines a column called ``name``."""
-        return any(column.name == name for column in self.columns)
+        return name in self._by_name
 
     def column_size_bytes(self, name: str) -> int:
         """On-disk size of one column across all rows."""

@@ -77,6 +77,10 @@ class ExecutionCostModel:
                  estimator: SelectivityEstimator) -> None:
         self._config = config
         self._estimator = estimator
+        # One-slot memo of the query's full-scan bytes: the enumerator
+        # prices every plan of one query in a row.
+        self._scan_query: Optional[Query] = None
+        self._scan_bytes = 0.0
 
     @property
     def config(self) -> CostModelConfig:
@@ -183,7 +187,10 @@ class ExecutionCostModel:
 
     def _processed_bytes(self, query: Query, index: Optional[CachedIndex]) -> float:
         """Bytes the plan reads and processes inside the cache."""
-        full_scan_bytes = float(query.scanned_bytes(self._estimator))
+        if query is not self._scan_query:
+            self._scan_query = query
+            self._scan_bytes = float(query.scanned_bytes(self._estimator))
+        full_scan_bytes = self._scan_bytes
         if index is None:
             return full_scan_bytes
 

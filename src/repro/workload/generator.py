@@ -16,7 +16,7 @@ structures, evict stale ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,6 +171,21 @@ class WorkloadGenerator:
         self._arrival_process = arrival_process or FixedInterarrival(
             spec.interarrival_s
         )
+        # Per-template constants of the draws: the predicated column of
+        # every template predicate, in the order the phase's hot centers
+        # are drawn, and each template's jittered predicates as
+        # (column, nominal selectivity).
+        self._center_columns: Tuple[str, ...] = tuple(
+            column for template in self._templates
+            for column in template.qualified_predicate_columns
+        )
+        self._jittered: Tuple[Tuple[Tuple[str, float], ...], ...] = tuple(
+            tuple((column, predicate.selectivity) for predicate, column
+                  in zip(template.predicates,
+                         template.qualified_predicate_columns)
+                  if predicate.selectivity is not None)
+            for template in self._templates
+        )
 
     @property
     def spec(self) -> WorkloadSpec:
@@ -208,33 +223,67 @@ class WorkloadGenerator:
                                start_s=float(arrivals[0]),
                                last_s=float(arrivals[total - 1]))
 
-    def iter_queries(self, count: Optional[int] = None) -> Iterator[Query]:
+    def iter_queries(self, count: Optional[int] = None,
+                     query_ids: Optional[Sequence[int]] = None,
+                     ) -> Iterator[Query]:
         """Yield queries in arrival order.
 
         Args:
             count: number of queries; defaults to ``spec.query_count``.
+            query_ids: the id of each query, in arrival order; defaults
+                to ``0, 1, ...``. A caller that places this stream inside
+                a larger one (a grammar class, a drift phase) stamps the
+                final ids here rather than copying every query.
         """
         spec = self._spec
         total = spec.query_count if count is None else count
         if total < 0:
             raise WorkloadError(f"count must be non-negative, got {total}")
+        ids = range(total) if query_ids is None else query_ids
+        if len(ids) != total:
+            raise WorkloadError(
+                f"{len(ids)} query ids given for {total} queries"
+            )
         rng = np.random.default_rng(spec.seed)
         arrivals = self._arrival_process.arrival_times(total)
+        templates = self._templates
+        hot_probability = spec.hot_template_probability
+        jitter = spec.selectivity_jitter
+        mean = spec.budget_scale_mean
+        sigma = spec.budget_scale_sigma
+        log_mean = np.log(mean)
 
         phase_index = -1
-        hot_indices: List[int] = []
-        hot_centers: Dict[str, float] = {}
+        hot: List[int] = []
+        scaled: List[Tuple[Tuple[str, float], ...]] = []
         for query_index in range(total):
             current_phase = query_index // spec.phase_length
             if current_phase != phase_index:
                 phase_index = current_phase
-                hot_indices = self._draw_hot_templates(rng)
-                hot_centers = self._draw_hot_centers(rng)
-            template = self._pick_template(rng, hot_indices)
-            selectivities = self._draw_selectivities(rng, template, hot_centers)
-            budget_scale = self._draw_budget_scale(rng)
-            yield template.instantiate(
-                query_id=query_index,
+                hot = self._draw_hot_templates(rng)
+                scaled = self._scale_to_hot_band(rng)
+            # Temporal locality: the hot set is favoured. An index into the
+            # list consumes exactly the draws rng.choice(hot) would.
+            if rng.random() < hot_probability:
+                index = hot[int(rng.integers(len(hot)))]
+            else:
+                index = int(rng.integers(len(templates)))
+            bases = scaled[index]
+            selectivities: Dict[str, float] = {}
+            if bases:
+                # One vector draw is the same stream as one scalar draw
+                # per predicate.
+                for (column, base), uniform in zip(
+                        bases, rng.random(len(bases)).tolist()):
+                    value = base * (1.0 + jitter * (2.0 * uniform - 1.0))
+                    selectivities[column] = min(1.0, max(1e-9, value))
+            if sigma == 0:
+                budget_scale = mean
+            else:
+                budget_scale = float(max(1e-6, rng.lognormal(
+                    mean=log_mean, sigma=sigma)))
+            yield templates[index].instantiate(
+                query_id=ids[query_index],
                 arrival_time=arrivals[query_index],
                 selectivities=selectivities,
                 budget_scale=budget_scale,
@@ -244,60 +293,28 @@ class WorkloadGenerator:
 
     def _draw_hot_templates(self, rng: np.random.Generator) -> List[int]:
         """Pick which templates are hot for the next phase."""
-        return list(
-            rng.choice(len(self._templates), size=self._spec.hot_template_count,
-                       replace=False)
-        )
+        return rng.choice(len(self._templates),
+                          size=self._spec.hot_template_count,
+                          replace=False).tolist()
 
-    def _draw_hot_centers(self, rng: np.random.Generator) -> Dict[str, float]:
-        """Pick the center of the hot data band for each range predicate."""
-        centers: Dict[str, float] = {}
-        for template in self._templates:
-            for predicate in template.predicates:
-                centers.setdefault(predicate.qualified_column, float(rng.random()))
-        return centers
+    def _scale_to_hot_band(self, rng: np.random.Generator,
+                           ) -> List[Tuple[Tuple[str, float], ...]]:
+        """Draw the phase's hot data band and scale each template's jittered
+        predicates to it.
 
-    def _pick_template(self, rng: np.random.Generator,
-                       hot_indices: List[int]) -> QueryTemplate:
-        """Pick a template, favouring the hot set (temporal locality)."""
-        if rng.random() < self._spec.hot_template_probability:
-            index = int(rng.choice(hot_indices))
-        else:
-            index = int(rng.integers(len(self._templates)))
-        return self._templates[index]
-
-    def _draw_selectivities(self, rng: np.random.Generator,
-                            template: QueryTemplate,
-                            hot_centers: Dict[str, float]) -> Dict[str, float]:
-        """Jitter template selectivities around the phase's hot band.
-
-        Data locality is modelled by keeping the effective selectivity of each
-        predicate close to the template's nominal value, scaled by where the
-        hot band sits: the same band is hit repeatedly within a phase, so the
-        same cached columns/indexes keep being useful.
+        Data locality: one center per predicated column per phase, so the
+        same band is hit repeatedly within a phase and the same cached
+        columns/indexes keep being useful. A band of width w centred at
+        ``center`` keeps the nominal selectivity scaled by
+        ``w + (1 - w) * center``; each query then jitters that by a factor
+        in ``[1 - jitter, 1 + jitter]``. A center is drawn for every
+        template predicate; a column predicated twice keeps its first.
         """
-        spec = self._spec
-        selectivities: Dict[str, float] = {}
-        for predicate in template.predicates:
-            if predicate.selectivity is None:
-                continue
-            center = hot_centers.get(predicate.qualified_column, 0.5)
-            # The hot band narrows the nominal selectivity: a band of width w
-            # centred at `center` keeps between (1-jitter) and (1+jitter) of
-            # the template's nominal fraction, scaled by the band width.
-            band_scale = spec.locality_width + (1.0 - spec.locality_width) * center
-            jitter = 1.0 + spec.selectivity_jitter * (2.0 * rng.random() - 1.0)
-            value = predicate.selectivity * band_scale * jitter
-            selectivities[predicate.qualified_column] = float(
-                min(1.0, max(1e-9, value))
-            )
-        return selectivities
-
-    def _draw_budget_scale(self, rng: np.random.Generator) -> float:
-        """Draw the per-query budget multiplier (lognormal around the mean)."""
-        spec = self._spec
-        if spec.budget_scale_sigma == 0:
-            return spec.budget_scale_mean
-        value = rng.lognormal(mean=np.log(spec.budget_scale_mean),
-                              sigma=spec.budget_scale_sigma)
-        return float(max(1e-6, value))
+        width = self._spec.locality_width
+        centers = rng.random(len(self._center_columns)).tolist()
+        band: Dict[str, float] = {}
+        for column, center in zip(self._center_columns, centers):
+            band.setdefault(column, width + (1.0 - width) * center)
+        return [tuple((column, nominal * band[column])
+                      for column, nominal in jittered)
+                for jittered in self._jittered]

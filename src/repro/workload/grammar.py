@@ -351,7 +351,7 @@ class ScenarioGrammar:
                                  interarrival_s=interarrival_s, seed=seed)
         slots: List[Query] = [None] * query_count  # type: ignore[list-item]
         for slot, (position, cls) in enumerate(kept):
-            indices = [i for i in range(query_count) if assignment[i] == slot]
+            indices = np.flatnonzero(assignment == slot).tolist()
             if not indices:
                 continue
             templates = tuple(template_by_name(name)
@@ -368,9 +368,8 @@ class ScenarioGrammar:
                 templates=templates,
                 arrival_process=TraceArrival([arrivals[i] for i in indices]),
             )
-            for local, query in enumerate(generator.iter_queries()):
-                slots[indices[local]] = replace(query,
-                                                query_id=indices[local])
+            for query in generator.iter_queries(query_ids=indices):
+                slots[query.query_id] = query
         queries = tuple(slots)
         class_names = ", ".join(f"{cls.name}:{cls.weight:g}"
                                 for _, cls in kept)

@@ -37,7 +37,8 @@ arrival instead of holding the whole population (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
@@ -256,10 +257,14 @@ class GenerativeProfileSource:
         return float(max(1e-6, rng.lognormal(mean=0.0,
                                              sigma=spec.budget_sigma)))
 
+    @cached_property
+    def _boundaries(self) -> np.ndarray:
+        """The tiers' cumulative boundaries, computed once per source."""
+        return tier_boundaries(self.tiers)
+
     def tier_of(self, index: int) -> int:
         """The tier index assigned to tenant ``index`` (requires tiers)."""
-        return tier_index_for(self.spec.seed, index,
-                              tier_boundaries(self.tiers))
+        return tier_index_for(self.spec.seed, index, self._boundaries)
 
     def initial_credit_for(self, index: int) -> float:
         """The seed credit of tenant ``index`` (cheaper than a profile)."""
@@ -384,7 +389,7 @@ class PopulationStream:
                     buffer.append(item)
                 draws = rng.choice(len(slots), size=len(buffer), p=weights)
                 for query, index in zip(buffer, slots[draws].tolist()):
-                    yield replace(query, tenant_id=tenant_id_for(index))
+                    yield query.with_tenant(tenant_id_for(index))
                 self.queries_emitted += len(buffer)
                 if remaining is not None:
                     remaining -= len(buffer)

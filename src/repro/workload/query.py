@@ -17,7 +17,8 @@ workload its data locality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.catalog.schema import Schema
@@ -67,12 +68,8 @@ class Predicate:
 
     def with_selectivity(self, selectivity: float) -> "Predicate":
         """Copy of the predicate with an explicit selectivity."""
-        return Predicate(
-            table_name=self.table_name,
-            column_name=self.column_name,
-            kind=self.kind,
-            selectivity=selectivity,
-        )
+        return Predicate(self.table_name, self.column_name, self.kind,
+                         selectivity)
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,12 @@ class QueryTemplate:
                 f"template {self.name!r} base_cost_factor must be positive"
             )
 
+    @cached_property
+    def qualified_predicate_columns(self) -> Tuple[str, ...]:
+        """``table.column`` of each predicate, in order (computed once)."""
+        return tuple(predicate.qualified_column
+                     for predicate in self.predicates)
+
     @property
     def predicate_columns(self) -> Tuple[str, ...]:
         """Column names (unqualified) referenced by predicates on the fact table."""
@@ -170,27 +173,20 @@ class QueryTemplate:
             tenant_id: the tenant (user account) issuing the query; defaults
                 to the single shared tenant of the original paper pipeline.
         """
-        overrides = selectivities or {}
-        predicates = tuple(
-            predicate.with_selectivity(overrides[predicate.qualified_column])
-            if predicate.qualified_column in overrides else predicate
-            for predicate in self.predicates
-        )
-        return Query(
-            query_id=query_id,
-            template_name=self.name,
-            table_name=self.table_name,
-            predicates=predicates,
-            projection_columns=self.projection_columns,
-            order_by_columns=self.order_by_columns,
-            aggregation_factor=self.aggregation_factor,
-            join_tables=self.join_tables,
-            parallel_fraction=self.parallel_fraction,
-            base_cost_factor=self.base_cost_factor,
-            arrival_time=arrival_time,
-            budget_scale=budget_scale,
-            tenant_id=tenant_id,
-        )
+        if selectivities:
+            predicates = tuple([
+                predicate.with_selectivity(selectivities[column])
+                if column in selectivities else predicate
+                for predicate, column in zip(self.predicates,
+                                             self.qualified_predicate_columns)
+            ])
+        else:
+            predicates = tuple(self.predicates)
+        return Query(query_id, self.name, self.table_name, predicates,
+                     self.projection_columns, self.order_by_columns,
+                     self.aggregation_factor, self.join_tables,
+                     self.parallel_fraction, self.base_cost_factor,
+                     arrival_time, budget_scale, tenant_id)
 
 
 @dataclass(frozen=True)
@@ -224,6 +220,19 @@ class Query:
             )
         if not self.tenant_id:
             raise WorkloadError("tenant_id must not be empty")
+
+    def with_tenant(self, tenant_id: str) -> "Query":
+        """Copy of the query issued by ``tenant_id``.
+
+        One constructor call, so the copy is validated like any query;
+        cheaper than ``dataclasses.replace``, which walks the fields.
+        """
+        return Query(self.query_id, self.template_name, self.table_name,
+                     self.predicates, self.projection_columns,
+                     self.order_by_columns, self.aggregation_factor,
+                     self.join_tables, self.parallel_fraction,
+                     self.base_cost_factor, self.arrival_time,
+                     self.budget_scale, tenant_id)
 
     @property
     def predicate_columns(self) -> Tuple[str, ...]:

@@ -281,8 +281,8 @@ def drifting_mix_workload(spec: WorkloadSpec,
             templates=templates,
             arrival_process=TraceArrival(phase_arrivals),
         )
-        for query in generator.iter_queries():
-            queries.append(replace(query, query_id=cursor + query.query_id))
+        queries.extend(generator.iter_queries(
+            query_ids=range(cursor, cursor + size)))
         cursor += size
     return queries, changes
 

@@ -11,11 +11,13 @@ properties cover the tenant-sharded and cache-partitioned execution
 modes end to end.
 """
 
+import warnings
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import CacheConfig, CacheManager
@@ -258,8 +260,9 @@ def test_sharded_cells_bitwise_equal(seed, shards):
     seed=st.integers(min_value=0, max_value=255),
     partitions=st.integers(min_value=2, max_value=3),
 )
+@example(seed=5, partitions=3)  # one partition idles, so the run warns
 def test_partitioned_cells_bitwise_equal(seed, partitions):
-    from repro.distcache import run_partitioned_cell
+    from repro.distcache import PartitionImbalanceWarning, run_partitioned_cell
     from repro.experiments.tenants import TenantExperimentConfig
 
     def cell(planning):
@@ -267,8 +270,16 @@ def test_partitioned_cells_bitwise_equal(seed, partitions):
             scheme="econ-cheap", tenant_count=12, query_count=40,
             interarrival_s=1.0, seed=seed, settlement_period_s=15.0,
             planning=planning)
-        return run_partitioned_cell(config, partitions=partitions,
-                                    compare_baseline=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_partitioned_cell(config, partitions=partitions,
+                                          compare_baseline=False)
+        # A partition count above the busy template count leaves some
+        # partition idle: exactly then, and only then, the run warns.
+        idle = min(stats.queries_served for stats in report.partitions) == 0
+        assert [w.category for w in caught] == (
+            [PartitionImbalanceWarning] if idle else [])
+        return report
 
     scalar, batched = cell("scalar"), cell("batched")
     assert scalar.cell.summary == batched.cell.summary
