@@ -26,11 +26,7 @@ from repro.simulator.simulation import CloudSimulation, SimulationConfig, run_sc
 from repro.simulator.results import SimulationResult
 from repro.policies.factory import SCHEME_NAMES, build_scheme
 from repro.sharding import ShardCoordinator, TenantPartitioner
-from repro.distcache import (
-    DistCacheRunner,
-    StructurePartitioner,
-    run_partitioned_cell,
-)
+from repro.distcache import DistCacheRunner, StructurePartitioner
 
 __version__ = "0.2.0"
 
@@ -54,6 +50,5 @@ __all__ = [
     "TenantPartitioner",
     "DistCacheRunner",
     "StructurePartitioner",
-    "run_partitioned_cell",
     "__version__",
 ]

@@ -17,39 +17,22 @@ Exposes the experiment drivers without writing any Python::
 
 Every subcommand prints a plain-text table to stdout. ``--jobs N`` fans
 independent cells out over N worker processes (grid cells for the figure
-commands, scheme cells for ``tenants``); the tables are byte-identical
-to the sequential run. ``scenario`` replays any scheme under one of the
-scenario-diverse arrival regimes through the event kernel; ``tenants``
-runs schemes over a Zipf-skewed, churning N-tenant population and
-reports per-tenant credit/hit-rate aggregates. ``tenants --shards N``
-additionally splits each scheme cell into N tenant shards executed
-through :mod:`repro.sharding` (``--jobs`` sizes the pool those shard
-tasks share); the merged tables are byte-identical to the unsharded run.
-``tenants --cache-partitions N`` instead partitions the *cache and
-provider economy* N ways through :mod:`repro.distcache` (``--jobs`` still
-fans out whole cells) —
-explicitly different semantics (remote hits, epoch-consistent directory);
-the report gains per-partition and divergence-vs-global sections, and
-``--cache-partitions 1`` is byte-identical to the normal path. The two
-modes are alternatives: ``--shards`` and ``--cache-partitions`` cannot
-both exceed 1. ``--placement adaptive`` additionally lets settlement
-barriers hand structure ownership to the partition deriving the most
-priced benefit (hysteresis set by ``--handoff-threshold``), adding a
-placement report section; the default ``--placement hash`` output stays
-byte-identical to earlier releases. ``--planning batched`` (figure,
-headline, scenario and tenants commands) switches the economic schemes to
-the vectorized per-template planner — a pure throughput optimisation whose
-tables are byte-identical to the default ``--planning scalar``.
-
-``shocks`` runs the adversarial scenario grammar: every scheme replays
-the same grammar-composed workload twice — clean and with market shocks
-injected (structure invalidations, provider price shocks, tenant budget
-squeezes, optionally the strict-maintenance shutdown policy) — and the
-resilience table compares the two, with a bitwise conservation audit on
-the shocked run. ``--shock``/``--class`` extend the stock grammar
-(also accepted by ``scenario``/``tenants``); ``--shards`` and
-``--cache-partitions`` rerun the shocked cells through the scaling
-modes, whose own barrier audits then pin conservation under faults.
+commands, scheme cells for ``tenants`` and ``shocks``, observed or not);
+the tables and ``--trace``/``--metrics`` artifacts are byte-identical to
+the sequential run. ``scenario`` replays one scheme under a
+scenario-diverse arrival regime. ``tenants`` runs schemes over a
+Zipf-skewed, churning N-tenant population and reports per-tenant
+credit/hit-rate aggregates; ``shocks`` replays the adversarial grammar
+clean and shocked per scheme, with a bitwise conservation audit of the
+shocked run. The two share one front end: ``--shards N`` splits each
+cell into N tenant shards merged exactly (:mod:`repro.sharding`,
+byte-identical tables), while ``--cache-partitions N`` partitions the
+*cache and provider economy* (:mod:`repro.distcache`) — explicitly
+different semantics, with per-partition, divergence and (under
+``--placement adaptive``) placement sections; ``shocks`` reruns its
+shocked cells in either mode. The modes are alternatives, and
+``--planning batched`` is a pure throughput switch whose tables are
+byte-identical to ``--planning scalar``.
 """
 
 from __future__ import annotations
@@ -65,11 +48,11 @@ from typing import List, Optional, Sequence
 from repro import __version__
 from repro.distcache import (
     PLACEMENT_MODES,
+    DistCacheRunner,
     PartitionImbalanceWarning,
     distcache_divergence_table,
     distcache_partition_table,
     distcache_placement_table,
-    run_partitioned_experiment,
 )
 from repro.economy.account import audit_conservation, render_conservation
 from repro.economy.engine import PLANNING_MODES, PLANNING_SCALAR, EconomyConfig
@@ -269,52 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="arrival scenario (default: diurnal)")
     scenario.add_argument("--scheme", choices=SCHEME_NAMES, default="econ-cheap",
                           help="caching scheme (default: econ-cheap)")
-    scenario.add_argument("--queries", type=int, default=400,
-                          help="queries to simulate (default: 400)")
-    scenario.add_argument("--interarrival", type=_finite_float, default=10.0,
-                          help="mean inter-arrival time in seconds (default: 10)")
-    scenario.add_argument("--seed", type=int, default=0,
-                          help="workload seed (default: 0)")
-    scenario.add_argument("--settlement-period", type=_finite_float, default=None,
-                          metavar="S",
-                          help="fire a periodic maintenance settlement every "
-                               "S simulated seconds")
-    scenario.add_argument("--failure-check-period", type=_finite_float, default=None,
-                          metavar="S",
+    _add_run_arguments(scenario)
+    scenario.add_argument("--failure-check-period", type=_finite_float,
+                          default=None, metavar="S",
                           help="fire a scheduled structure-failure check every "
                                "S simulated seconds")
-    scenario.add_argument("--planning", choices=PLANNING_MODES,
-                          default=PLANNING_SCALAR,
-                          help="query planning path (scalar or batched; "
-                               "byte-identical outputs, default: scalar)")
-    scenario.add_argument("--shock", type=_shock_spec, action="append",
-                          default=[], metavar="SPEC",
-                          help="inject a market shock: invalidate@FRAC"
-                               "[:PREDICATE], price@FRAC:DUR:FACTOR or "
-                               "squeeze@FRAC:DUR:FACTOR (fractions of the "
-                               "run span; repeatable; added to the shocks "
-                               "of --arrival shocks)")
-    scenario.add_argument("--strict-maintenance", action="store_true",
-                          help="enable the strict-maintenance shutdown "
-                               "policy: at every settlement, structures are "
-                               "shut down lowest-benefit-first while accrued "
-                               "maintenance exceeds query income")
     _add_trace_arguments(scenario)
 
     tenants = subparsers.add_parser(
         "tenants",
         help="run schemes over a Zipf-skewed N-tenant population")
-    tenants.add_argument("--n-tenants", type=int, default=100, metavar="N",
-                         help="tenants active at any one time (default: 100)")
-    tenants.add_argument("--schemes", default="econ-cheap", metavar="LIST",
-                         help="comma-separated scheme names, or 'all' "
-                              "(default: econ-cheap)")
-    tenants.add_argument("--queries", type=int, default=400,
-                         help="queries to simulate (default: 400)")
-    tenants.add_argument("--interarrival", type=_finite_float, default=10.0,
-                         help="mean inter-arrival time in seconds (default: 10)")
-    tenants.add_argument("--seed", type=int, default=0,
-                         help="workload/population seed (default: 0)")
+    _add_cell_arguments(tenants, n_tenants=100)
     tenants.add_argument("--zipf", type=_finite_float, default=1.1, metavar="S",
                          help="Zipf exponent of tenant activity (default: 1.1; "
                               "0 = uniform)")
@@ -336,56 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="K",
                          help="busiest tenants to list individually "
                               "(default: 10)")
-    tenants.add_argument("--settlement-period", type=_finite_float, default=None,
-                         metavar="S",
-                         help="fire a periodic maintenance settlement every "
-                              "S simulated seconds (each one is a sharding "
-                              "barrier when --shards > 1)")
-    tenants.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="worker processes shared by all cells "
-                              "(default: 1, sequential)")
-    tenants.add_argument("--shards", type=_positive_int, default=1,
-                         metavar="N",
-                         help="split each scheme cell into N tenant shards, "
-                              "replayed deterministically and merged exactly; "
-                              "the tables are byte-identical to --shards 1 "
-                              "(default: 1, unsharded)")
-    tenants.add_argument("--cache-partitions", type=_positive_int, default=1,
-                         metavar="N",
-                         help="partition the cache and provider economy "
-                              "into N partitions (repro.distcache), run "
-                              "in the process of their cell — "
-                              "explicitly different semantics for N > 1; "
-                              "adds per-partition and divergence report "
-                              "sections, mutually exclusive with --shards "
-                              "(default: 1, global cache)")
-    tenants.add_argument("--placement", choices=PLACEMENT_MODES,
-                         default="hash",
-                         help="structure placement across cache partitions: "
-                              "'hash' pins every structure to its hash owner "
-                              "(byte-identical to earlier releases), "
-                              "'adaptive' hands ownership to the "
-                              "highest-benefit partition at settlement "
-                              "barriers and adds a placement report section "
-                              "(default: hash)")
-    tenants.add_argument("--handoff-threshold", type=_nonnegative_float,
-                         default=None, metavar="D",
-                         help="hysteresis margin in dollars per epoch a "
-                              "challenger partition must out-bid the owner "
-                              "by before an adaptive handoff is applied; "
-                              "needs --placement adaptive (default: 0, any "
-                              "strictly positive margin)")
-    tenants.add_argument("--planning", choices=PLANNING_MODES,
-                         default=PLANNING_SCALAR,
-                         help="query planning path (scalar or batched; "
-                              "byte-identical tables under --shards and "
-                              "--cache-partitions too, default: scalar)")
-    tenants.add_argument("--shock", type=_shock_spec, action="append",
-                         default=[], metavar="SPEC",
-                         help="inject a market shock into every cell: "
-                              "invalidate@FRAC[:PREDICATE], "
-                              "price@FRAC:DUR:FACTOR or "
-                              "squeeze@FRAC:DUR:FACTOR (repeatable)")
     tenants.add_argument("--arrival-mode", choices=ARRIVAL_MODES,
                          default=ARRIVAL_EAGER,
                          help="'eager' materialises the population "
@@ -397,72 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "tables are byte-identical under any "
                               "--planning, --shards and --cache-partitions "
                               "(default: eager)")
-    tenants.add_argument("--strict-maintenance", action="store_true",
-                         help="enable the strict-maintenance shutdown "
-                              "policy at settlement boundaries")
     _add_trace_arguments(tenants)
 
     shocks = subparsers.add_parser(
         "shocks",
         help="adversarial grammar: clean vs shocked cells per scheme, "
              "with a bitwise conservation audit")
-    shocks.add_argument("--schemes", default="econ-cheap", metavar="LIST",
-                        help="comma-separated scheme names, or 'all' "
-                             "(default: econ-cheap)")
-    shocks.add_argument("--n-tenants", type=int, default=50, metavar="N",
-                        help="tenants active at any one time (default: 50)")
-    shocks.add_argument("--queries", type=int, default=400,
-                        help="queries to simulate (default: 400)")
-    shocks.add_argument("--interarrival", type=_finite_float, default=10.0,
-                        help="mean inter-arrival time in seconds "
-                             "(default: 10)")
-    shocks.add_argument("--seed", type=int, default=0,
-                        help="grammar/workload/population seed (default: 0)")
-    shocks.add_argument("--settlement-period", type=_finite_float, default=None,
-                        metavar="S",
-                        help="fire a periodic maintenance settlement every "
-                             "S simulated seconds (strict maintenance "
-                             "enforces at each one)")
-    shocks.add_argument("--shock", type=_shock_spec, action="append",
-                        default=[], metavar="SPEC",
-                        help="extra shock production composed onto the "
-                             "stock grammar (repeatable)")
+    _add_cell_arguments(shocks, n_tenants=50)
     shocks.add_argument("--class", type=_query_class_spec, action="append",
                         default=[], dest="query_class", metavar="SPEC",
                         help="extra query class NAME:WEIGHT:TPL1+TPL2 "
                              "composed onto the stock grammar (repeatable; "
                              "WEIGHT 0 is dropped with a warning)")
-    shocks.add_argument("--strict-maintenance", action="store_true",
-                        help="also inject the strict-maintenance shutdown "
-                             "policy into the shocked cells")
-    shocks.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker processes for the clean/shocked pairs "
-                             "(default: 1, sequential; byte-identical)")
-    shocks.add_argument("--shards", type=_positive_int, default=1,
-                        metavar="N",
-                        help="additionally rerun the shocked cells split "
-                             "into N tenant shards (repro.sharding); the "
-                             "sharded tables must be byte-identical to the "
-                             "plain shocked run (default: 1, skip)")
-    shocks.add_argument("--cache-partitions", type=_positive_int, default=1,
-                        metavar="N",
-                        help="additionally rerun the shocked cells with the "
-                             "cache and economy partitioned N ways "
-                             "(repro.distcache), auditing conservation at "
-                             "every settlement barrier (default: 1, skip)")
-    shocks.add_argument("--placement", choices=PLACEMENT_MODES,
-                        default="hash",
-                        help="structure placement for the partitioned rerun "
-                             "(default: hash)")
-    shocks.add_argument("--handoff-threshold", type=_nonnegative_float,
-                        default=None, metavar="D",
-                        help="adaptive-placement hysteresis margin for the "
-                             "partitioned rerun; needs --placement adaptive "
-                             "(default: 0)")
-    shocks.add_argument("--planning", choices=PLANNING_MODES,
-                        default=PLANNING_SCALAR,
-                        help="query planning path (scalar or batched; "
-                             "byte-identical tables, default: scalar)")
     _add_trace_arguments(shocks)
 
     report = subparsers.add_parser(
@@ -483,6 +327,80 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("describe", help="print the simulated schema and defaults")
     return parser
+
+
+def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
+    """The workload, settlement and planning flags of ``scenario``,
+    ``tenants`` and ``shocks``."""
+    sub.add_argument("--queries", type=int, default=400,
+                     help="queries to simulate (default: 400)")
+    sub.add_argument("--interarrival", type=_finite_float, default=10.0,
+                     help="mean inter-arrival time in seconds (default: 10)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed of every random draw (default: 0)")
+    sub.add_argument("--settlement-period", type=_finite_float, default=None,
+                     metavar="S",
+                     help="fire a periodic maintenance settlement every S "
+                          "simulated seconds")
+    sub.add_argument("--planning", choices=PLANNING_MODES,
+                     default=PLANNING_SCALAR,
+                     help="query planning path: 'scalar' plans each query "
+                          "on arrival, 'batched' scores per-template batches "
+                          "vectorized; the tables are byte-identical in "
+                          "every mode (default: scalar)")
+    sub.add_argument("--shock", type=_shock_spec, action="append",
+                     default=[], metavar="SPEC",
+                     help="inject a market shock: invalidate@FRAC"
+                          "[:PREDICATE], price@FRAC:DUR:FACTOR or "
+                          "squeeze@FRAC:DUR:FACTOR (fractions of the run "
+                          "span; repeatable; composed onto the command's "
+                          "own shocks)")
+    sub.add_argument("--strict-maintenance", action="store_true",
+                     help="enable the strict-maintenance shutdown policy: "
+                          "at every settlement, structures are shut down "
+                          "lowest-benefit-first while accrued maintenance "
+                          "exceeds query income")
+
+
+def _add_cell_arguments(sub: argparse.ArgumentParser,
+                        n_tenants: int) -> None:
+    """The flags ``tenants`` and ``shocks`` share: the population cell, the
+    fan-out and the scaling modes (``shocks`` reruns its shocked cells
+    under ``--shards`` and ``--cache-partitions``)."""
+    sub.add_argument("--schemes", default="econ-cheap", metavar="LIST",
+                     help="comma-separated scheme names, each at most "
+                          "once, or 'all' (default: econ-cheap)")
+    sub.add_argument("--n-tenants", type=int, default=n_tenants, metavar="N",
+                     help=f"tenants active at any one time "
+                          f"(default: {n_tenants})")
+    _add_run_arguments(sub)
+    sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                     help="worker processes shared by all cells, observed "
+                          "or not; the tables, and the --trace/--metrics "
+                          "artifacts of eager arrivals, are byte-identical "
+                          "to --jobs 1 (default: 1)")
+    sub.add_argument("--shards", type=_positive_int, default=1, metavar="N",
+                     help="split each scheme cell into N tenant shards "
+                          "(repro.sharding), merged exactly: the tables are "
+                          "byte-identical to --shards 1 (default: 1)")
+    sub.add_argument("--cache-partitions", type=_positive_int, default=1,
+                     metavar="N",
+                     help="partition the cache and provider economy N ways "
+                          "(repro.distcache) — different semantics for "
+                          "N > 1, audited at every barrier, with "
+                          "per-partition report sections; exclusive with "
+                          "--shards (default: 1, global cache)")
+    sub.add_argument("--placement", choices=PLACEMENT_MODES, default="hash",
+                     help="structure placement across cache partitions: "
+                          "'hash' pins every structure to its hash owner, "
+                          "'adaptive' hands ownership to the highest-benefit "
+                          "partition at barriers and adds a placement "
+                          "report section (default: hash)")
+    sub.add_argument("--handoff-threshold", type=_nonnegative_float,
+                     default=None, metavar="D",
+                     help="dollars per epoch a challenger partition must "
+                          "out-bid the owner by before an adaptive handoff; "
+                          "needs --placement adaptive (default: 0)")
 
 
 def _add_trace_arguments(sub: argparse.ArgumentParser,
@@ -627,24 +545,6 @@ _RENDERED_WARNINGS = (ShardImbalanceWarning, PartitionImbalanceWarning,
                       GrammarDegeneracyWarning)
 
 
-def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
-    """Re-render known run-layout warnings; re-emit everything else.
-
-    The imbalance warnings of the sharding and cache-partitioning layers
-    become plain ``warning:`` stderr lines; anything else recorded is
-    re-emitted afterwards with its original metadata, so unrelated
-    warnings keep their normal behaviour. Callers should record with the
-    "default" filter on the rendered categories, which dedupes repeats —
-    one imbalance prints once however many cells trigger it.
-    """
-    for entry in caught:
-        if issubclass(entry.category, _RENDERED_WARNINGS):
-            print(f"warning: {entry.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(entry.message, entry.category,
-                                   entry.filename, entry.lineno)
-
-
 def _resolve_scaling(args: argparse.Namespace) -> None:
     """Reject scaling flags that would be ignored, then resolve the
     unset ``--handoff-threshold`` to its 0.0 default."""
@@ -676,151 +576,162 @@ def _selected_schemes(args: argparse.Namespace) -> List[str]:
                    if name.strip()])
     if not names:
         raise ReproError("--schemes selects no scheme")
+    for name in names:
+        if names.count(name) > 1:
+            raise ReproError(f"--schemes names {name!r} twice")
     return names
 
 
-def _tenants_command(args: argparse.Namespace,
-                     recorder: Optional[TraceRecorder] = None) -> str:
+def _cell_configs(args: argparse.Namespace) -> List[TenantExperimentConfig]:
+    """One cell per selected scheme, for ``tenants`` and ``shocks``.
+
+    ``shocks`` runs the stock shock grammar with ``--shock``/``--class``
+    composed onto it; ``tenants`` injects ``--shock`` into a plain
+    population cell.
+    """
     names = _selected_schemes(args)
     _resolve_scaling(args)
-    configs = [
+    if args.command == "shocks":
+        grammar = default_shock_grammar()
+        if args.query_class or args.shock:
+            grammar = grammar | ScenarioGrammar(
+                classes=tuple(args.query_class), shocks=tuple(args.shock))
+        shape = dict(shocks=grammar.shocks, tenant_tiers=grammar.tiers,
+                     grammar=grammar)
+    else:
+        shape = dict(zipf_exponent=args.zipf,
+                     initial_credit=args.initial_credit,
+                     budget_sigma=args.budget_sigma,
+                     churn_period=args.churn_period,
+                     churn_fraction=args.churn_fraction,
+                     shocks=tuple(args.shock),
+                     arrival_mode=args.arrival_mode)
+    return [
         TenantExperimentConfig(
             scheme=name,
             tenant_count=args.n_tenants,
             query_count=args.queries,
             interarrival_s=args.interarrival,
             seed=args.seed,
-            zipf_exponent=args.zipf,
-            initial_credit=args.initial_credit,
-            budget_sigma=args.budget_sigma,
-            churn_period=args.churn_period,
-            churn_fraction=args.churn_fraction,
             settlement_period_s=args.settlement_period,
             planning=args.planning,
-            shocks=tuple(args.shock),
             strict_maintenance=args.strict_maintenance,
-            arrival_mode=args.arrival_mode,
+            **shape,
         )
         for name in names
     ]
-    sections: List[str] = []
+
+
+def _partition_runner(args: argparse.Namespace,
+                      compare_baseline: bool = True) -> DistCacheRunner:
+    """The ``--cache-partitions`` runner; ``--jobs`` fans its cells out."""
+    return DistCacheRunner(args.cache_partitions, max_workers=args.jobs,
+                           compare_baseline=compare_baseline,
+                           placement=args.placement,
+                           handoff_threshold=args.handoff_threshold)
+
+
+def _partition_sections(report) -> List[str]:
+    """A partitioned cell's report sections (the divergence section only
+    when the global-cache twin ran, the placement one only adaptive)."""
+    sections = [distcache_partition_table(report),
+                distcache_divergence_table(report),
+                distcache_placement_table(report)]
+    return [section for section in sections if section is not None]
+
+
+def _cells_command(args: argparse.Namespace,
+                   recorder: Optional[TraceRecorder] = None) -> str:
+    """``tenants`` and ``shocks``: one config builder, one warning frame."""
+    configs = _cell_configs(args)
+    render = (_shocks_sections if args.command == "shocks"
+              else _tenants_sections)
+    # The run-layout warnings become plain ``warning:`` stderr lines, one
+    # per distinct message however many cells raise it; anything else is
+    # re-emitted with its original metadata.
     with warnings.catch_warnings(record=True) as caught:
         for category in _RENDERED_WARNINGS:
             warnings.simplefilter("default", category)
-        if args.cache_partitions > 1:
-            reports = run_partitioned_experiment(
-                configs, partitions=args.cache_partitions, jobs=args.jobs,
-                placement=args.placement,
-                handoff_threshold=args.handoff_threshold,
-                recorder=recorder)
-            for report in reports:
-                sections.append(tenant_aggregate_table(report.cell))
-                if args.top > 0:
-                    sections.append(top_tenant_table(report.cell,
-                                                     limit=args.top))
-                sections.append(distcache_partition_table(report))
-                divergence = distcache_divergence_table(report)
-                if divergence is not None:
-                    sections.append(divergence)
-                placement = distcache_placement_table(report)
-                if placement is not None:
-                    sections.append(placement)
+        sections = render(args, configs, recorder)
+    for entry in caught:
+        if issubclass(entry.category, _RENDERED_WARNINGS):
+            print(f"warning: {entry.message}", file=sys.stderr)
         else:
-            results = run_tenant_experiment(configs, jobs=args.jobs,
-                                            shards=args.shards,
-                                            recorder=recorder)
-            for result in results:
-                sections.append(tenant_aggregate_table(result))
-                if args.top > 0:
-                    sections.append(top_tenant_table(result, limit=args.top))
-    _render_warnings(caught)
+            warnings.warn_explicit(entry.message, entry.category,
+                                   entry.filename, entry.lineno)
     return "\n\n".join(sections)
 
 
-def _shocks_command(args: argparse.Namespace,
-                    recorder: Optional[TraceRecorder] = None) -> str:
-    names = _selected_schemes(args)
-    _resolve_scaling(args)
-    grammar = default_shock_grammar()
-    if args.query_class or args.shock:
-        grammar = grammar | ScenarioGrammar(
-            classes=tuple(args.query_class), shocks=tuple(args.shock))
-    configs = [
-        TenantExperimentConfig(
-            scheme=name,
-            tenant_count=args.n_tenants,
-            query_count=args.queries,
-            interarrival_s=args.interarrival,
-            seed=args.seed,
-            settlement_period_s=args.settlement_period,
-            planning=args.planning,
-            shocks=grammar.shocks,
-            tenant_tiers=grammar.tiers,
-            strict_maintenance=args.strict_maintenance,
-            grammar=grammar,
-        )
-        for name in names
-    ]
+def _tenants_sections(args: argparse.Namespace,
+                      configs: List[TenantExperimentConfig],
+                      recorder: Optional[TraceRecorder]) -> List[str]:
+    if args.cache_partitions > 1:
+        reports = _partition_runner(args).run_cells(configs, recorder)
+        cells = [report.cell for report in reports]
+    else:
+        cells = run_tenant_experiment(configs, jobs=args.jobs,
+                                      shards=args.shards, recorder=recorder)
+        reports = [None] * len(cells)
     sections: List[str] = []
-    conservation_lines: List[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        for category in _RENDERED_WARNINGS:
-            warnings.simplefilter("default", category)
-        # The recorder observes the primary shocked cells; the scaling-mode
-        # reruns below are byte-identity audits and stay unobserved.
-        results = run_shock_resilience(configs, jobs=args.jobs,
-                                       recorder=recorder)
-        sections.append(shock_resilience_table(results))
-        for item in results:
-            conservation_lines.append(
-                f"{item.scheme}: conservation: "
-                f"{render_conservation(item.audit, detail=True)}")
+    for cell, report in zip(cells, reports):
+        sections.append(tenant_aggregate_table(cell))
+        if args.top > 0:
+            sections.append(top_tenant_table(cell, limit=args.top))
+        if report is not None:
+            sections.extend(_partition_sections(report))
+    return sections
 
-        if args.shards > 1:
-            # The sharded rerun must reproduce the plain shocked cells
-            # byte for byte — replicated replay is fault-transparent.
-            sharded = run_tenant_experiment(configs, jobs=args.jobs,
-                                            shards=args.shards)
-            for result, item in zip(sharded, results):
-                identical = (result.summary == item.shocked.summary
-                             and result.tenants == item.shocked.tenants
-                             and result.wallet_credit
-                             == item.shocked.wallet_credit)
-                if not identical:
-                    raise ReproError(
-                        f"sharded shocked run diverged from the plain one "
-                        f"for scheme {result.config.scheme!r}"
-                    )
-                conservation_lines.append(
-                    f"{result.config.scheme}: --shards {args.shards} "
-                    f"byte-identical under shocks")
-        if args.cache_partitions > 1:
-            # Partitioned mode needs an economy; the bypass baseline has
-            # none and is skipped from the rerun with a note.
-            part_configs = [config for config in configs
-                            if config.scheme != "bypass"]
-            if len(part_configs) < len(configs):
-                conservation_lines.append(
-                    "bypass: partitioned rerun skipped (no economy)")
-            reports = run_partitioned_experiment(
-                part_configs, partitions=args.cache_partitions,
-                jobs=args.jobs, placement=args.placement,
-                handoff_threshold=args.handoff_threshold,
-                compare_baseline=False)
-            for report in reports:
-                # The runner audited every partition at every barrier and
-                # raised on the first violation, so a report is exact.
-                conservation_lines.append(
-                    f"{report.cell.config.scheme}: conservation: exact "
-                    f"across {report.partition_count} partitions "
-                    f"({report.barriers_verified} barriers)")
-                sections.append(distcache_partition_table(report))
-                placement = distcache_placement_table(report)
-                if placement is not None:
-                    sections.append(placement)
-    _render_warnings(caught)
+
+def _shocks_sections(args: argparse.Namespace,
+                     configs: List[TenantExperimentConfig],
+                     recorder: Optional[TraceRecorder]) -> List[str]:
+    # The recorder observes the primary shocked cells; the scaling-mode
+    # reruns below are byte-identity audits and stay unobserved.
+    results = run_shock_resilience(configs, jobs=args.jobs,
+                                   recorder=recorder)
+    sections = [shock_resilience_table(results)]
+    conservation_lines = [
+        f"{item.scheme}: conservation: "
+        f"{render_conservation(item.audit, detail=True)}"
+        for item in results]
+    if args.shards > 1:
+        # The sharded rerun must reproduce the plain shocked cells byte
+        # for byte — replicated replay is fault-transparent.
+        sharded = run_tenant_experiment(configs, jobs=args.jobs,
+                                        shards=args.shards)
+        for result, item in zip(sharded, results):
+            identical = (result.summary == item.shocked.summary
+                         and result.tenants == item.shocked.tenants
+                         and result.wallet_credit
+                         == item.shocked.wallet_credit)
+            if not identical:
+                raise ReproError(
+                    f"sharded shocked run diverged from the plain one "
+                    f"for scheme {result.config.scheme!r}"
+                )
+            conservation_lines.append(
+                f"{result.config.scheme}: --shards {args.shards} "
+                f"byte-identical under shocks")
+    if args.cache_partitions > 1:
+        # Partitioned mode needs an economy; the bypass baseline has none
+        # and is skipped from the rerun with a note.
+        part_configs = [config for config in configs
+                        if config.scheme != "bypass"]
+        if len(part_configs) < len(configs):
+            conservation_lines.append(
+                "bypass: partitioned rerun skipped (no economy)")
+        reports = _partition_runner(args, compare_baseline=False).run_cells(
+            part_configs)
+        for report in reports:
+            # The runner audited every partition at every barrier and
+            # raised on the first violation, so a report is exact.
+            conservation_lines.append(
+                f"{report.cell.config.scheme}: conservation: exact "
+                f"across {report.partition_count} partitions "
+                f"({report.barriers_verified} barriers)")
+            sections.extend(_partition_sections(report))
     sections.append("\n".join(conservation_lines))
-    return "\n\n".join(sections)
+    return sections
 
 
 def _report_command(args: argparse.Namespace) -> str:
@@ -911,10 +822,8 @@ def _dispatch(args: argparse.Namespace,
         return _ablation_command(args.which, args.queries)
     if args.command == "scenario":
         return _scenario_command(args, recorder=recorder)
-    if args.command == "tenants":
-        return _tenants_command(args, recorder=recorder)
-    if args.command == "shocks":
-        return _shocks_command(args, recorder=recorder)
+    if args.command in ("tenants", "shocks"):
+        return _cells_command(args, recorder=recorder)
     if args.command == "report":
         return _report_command(args)
     return _describe_command()

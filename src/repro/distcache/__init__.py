@@ -31,12 +31,11 @@ report tables are byte-identical to the global-cache path.
 
 Typical use, directly or through ``repro.cli tenants --cache-partitions N``::
 
-    from repro.distcache import run_partitioned_cell
+    from repro.distcache import DistCacheRunner
     from repro.experiments.tenants import TenantExperimentConfig
 
-    report = run_partitioned_cell(
-        TenantExperimentConfig(tenant_count=200, settlement_period_s=60.0),
-        partitions=4)
+    report = DistCacheRunner(4).run_cell(
+        TenantExperimentConfig(tenant_count=200, settlement_period_s=60.0))
     report.cell                 # merged TenantCellResult
     report.barriers_verified    # audited settlement barriers
     report.baseline             # global-cache summary for the same seed
@@ -80,8 +79,6 @@ from repro.distcache.runner import (
     PartitionImbalanceWarning,
     PartitionRunStats,
     run_partition_epoch,
-    run_partitioned_cell,
-    run_partitioned_experiment,
 )
 from repro.economy.account import ledger_fold, outcome_charge_fold
 
@@ -115,7 +112,5 @@ __all__ = [
     "merge_partition_results",
     "outcome_charge_fold",
     "run_partition_epoch",
-    "run_partitioned_cell",
-    "run_partitioned_experiment",
     "verify_delta_fold",
 ]

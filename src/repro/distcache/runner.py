@@ -62,13 +62,12 @@ from repro.economy.account import (CloudAccount, ConservationAudit,
                                    audit_conservation)
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import (DistCacheError, call_naming_failures,
-                          map_naming_failures)
+from repro.errors import DistCacheError, call_naming_failures
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
     cell_arrivals,
-    cell_label,
+    run_cells,
     run_tenant_cell,
 )
 from repro.policies.base import CachingScheme, SchemeStep
@@ -413,8 +412,6 @@ class DistCacheRunner:
             challenger must exceed the incumbent by (adaptive mode).
         anchor_period: publish a full-snapshot anchor every this many
             barriers; the others publish fold-verified deltas.
-        recorder: optional :class:`~repro.obs.trace.TraceRecorder` the
-            cells record into; observed cells run in this process.
     """
 
     def __init__(self, partition_count: int, max_workers: int = 1,
@@ -422,8 +419,7 @@ class DistCacheRunner:
                  compare_baseline: bool = True,
                  placement: str = "hash",
                  handoff_threshold: float = 0.0,
-                 anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                 recorder=None) -> None:
+                 anchor_period: int = DEFAULT_ANCHOR_PERIOD) -> None:
         if partition_count < 1:
             raise DistCacheError(
                 f"partition_count must be >= 1, got {partition_count}")
@@ -449,13 +445,6 @@ class DistCacheRunner:
         self._placement = placement
         self._handoff_threshold = handoff_threshold
         self._anchor_period = anchor_period
-        # The run's TraceRecorder; None = unobserved. Per-partition
-        # recorders live on the engines and are absorbed into it at the end
-        # of the cell. The partition kernels get no observers, so the
-        # barriers double as the metrics sampler: each partition samples
-        # its engine once a barrier is fully applied, exactly where a
-        # kernel run's settlement observer would fire.
-        self._recorder = recorder
 
     @property
     def partition_count(self) -> int:
@@ -524,37 +513,37 @@ class DistCacheRunner:
 
     # -- execution -------------------------------------------------------------
 
-    def run_cell(self, config: TenantExperimentConfig) -> DistCacheCellReport:
-        """Run one cell partitioned; audit every barrier; merge exactly."""
-        (report,) = self._reports([config])
-        _warn_if_imbalanced(report)
+    def run_cell(self, config: TenantExperimentConfig,
+                 recorder=None) -> DistCacheCellReport:
+        """Run one cell partitioned; audit every barrier; merge exactly.
+
+        ``recorder`` is observed as in :meth:`run_cells`.
+        """
+        (report,) = self.run_cells([config], recorder)
         return report
 
-    def run_cells(self, configs: Sequence[TenantExperimentConfig]
-                  ) -> List[DistCacheCellReport]:
-        """Run many cells, fanned over ``max_workers`` processes.
+    def run_cells(self, configs: Sequence[TenantExperimentConfig],
+                  recorder=None) -> List[DistCacheCellReport]:
+        """Run many cells through
+        :func:`~repro.experiments.tenants.run_cells`, fanned over
+        ``max_workers`` processes.
 
-        Reports come back in ``configs`` order. One cell, one worker, or a
-        recorder runs the cells in this process, as
-        :func:`~repro.experiments.tenants.run_tenant_experiment` does;
-        each cell is deterministic, so the pooled path is byte-identical.
-        A failure names the cell.
+        Reports come back in ``configs`` order, byte-identical for any
+        worker count. With a ``recorder`` each cell records into source
+        ``<scheme>`` and its partitions into ``<scheme>/partition<i>``:
+        the partition kernels get no observers, so the barriers double as
+        the metrics sampler, and each partition samples its engine once a
+        barrier is fully applied, where a kernel run's settlement observer
+        would fire.
         """
-        reports = self._reports(list(configs))
+        reports = run_cells(self._run_cell, configs, self._max_workers,
+                            recorder, DistCacheError)
         for report in reports:
             _warn_if_imbalanced(report)
         return reports
 
-    def _reports(self, cells: List[TenantExperimentConfig]
-                 ) -> List[DistCacheCellReport]:
-        if not cells:
-            raise DistCacheError("at least one tenant cell is required")
-        workers = 1 if self._recorder is not None else self._max_workers
-        return map_naming_failures(self._run_cell, cells, workers,
-                                   cell_label, DistCacheError)
-
-    def _run_cell(self, config: TenantExperimentConfig
-                  ) -> DistCacheCellReport:
+    def _run_cell(self, config: TenantExperimentConfig,
+                  recorder) -> DistCacheCellReport:
         if config.warmup_queries:
             raise DistCacheError(
                 "partitioned mode does not support warmup_queries")
@@ -568,13 +557,12 @@ class DistCacheRunner:
                 handoff_threshold=self._handoff_threshold)
         arrivals = cell_arrivals(config)
         schemes = self._build_schemes(config, arrivals.source)
-        recorder = self._recorder
         if recorder is not None:
             # Per-partition recorders ride with their schemes; absorbed
             # after the last barrier.
             for index, scheme in enumerate(schemes):
                 _engine_of(scheme).attach_trace(
-                    recorder.fresh(f"partition{index}"))
+                    recorder.fresh(f"{config.scheme}/partition{index}"))
         envelope = arrivals.envelope
         start_s = envelope.start_s
         end_s = envelope.last_s + envelope.trailing_interval_s
@@ -895,42 +883,3 @@ def _warn_if_imbalanced(report: DistCacheCellReport) -> None:
             PartitionImbalanceWarning,
             stacklevel=3,
         )
-
-
-def run_partitioned_cell(config: TenantExperimentConfig,
-                         partitions: int,
-                         max_workers: int = 1,
-                         remote: RemoteAccessModel = RemoteAccessModel(),
-                         compare_baseline: bool = True,
-                         placement: str = "hash",
-                         handoff_threshold: float = 0.0,
-                         anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                         recorder=None) -> DistCacheCellReport:
-    """Run one tenant cell in partitioned-cache mode (convenience wrapper)."""
-    runner = DistCacheRunner(partitions, max_workers=max_workers,
-                             remote=remote, compare_baseline=compare_baseline,
-                             placement=placement,
-                             handoff_threshold=handoff_threshold,
-                             anchor_period=anchor_period,
-                             recorder=recorder)
-    return runner.run_cell(config)
-
-
-def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
-                               partitions: int,
-                               jobs: int = 1,
-                               remote: RemoteAccessModel = RemoteAccessModel(),
-                               compare_baseline: bool = True,
-                               placement: str = "hash",
-                               handoff_threshold: float = 0.0,
-                               anchor_period: int = DEFAULT_ANCHOR_PERIOD,
-                               recorder=None) -> List[DistCacheCellReport]:
-    """Run many cells partitioned; ``jobs`` worker processes share the
-    cells (see :meth:`DistCacheRunner.run_cells`)."""
-    runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
-                             compare_baseline=compare_baseline,
-                             placement=placement,
-                             handoff_threshold=handoff_threshold,
-                             anchor_period=anchor_period,
-                             recorder=recorder)
-    return runner.run_cells(configs)

@@ -13,14 +13,14 @@ Shocks move *state* (structures destroyed, prices scaled, budgets
 squeezed), never money: a run whose audit is not exact is a bug, not a
 tolerance problem.
 
-``run_shock_resilience`` fans cells over worker processes exactly like
-:func:`repro.experiments.tenants.run_tenant_experiment` — each cell is
-deterministic, so the parallel tables are byte-identical.
+``run_shock_resilience`` fans the pairs out through
+:func:`repro.experiments.tenants.run_cells`, the fan-out every tenant-level
+driver shares — each pair is deterministic, so the parallel tables are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,14 +32,14 @@ from repro.economy.account import (  # noqa: F401
     ledger_fold,
     render_conservation,
 )
-from repro.errors import ExperimentError, map_naming_failures
+from repro.errors import ExperimentError
 from repro.experiments.reporting import format_table
 # sorted_breakdowns stays importable here: benchmarks/e2e times it.
 from repro.experiments.tenants import (  # noqa: F401
     TenantCell,
     TenantCellResult,
     TenantExperimentConfig,
-    cell_label,
+    run_cells,
     run_tenant_cell,
     sorted_breakdowns,
 )
@@ -117,41 +117,22 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
                          jobs: Optional[int] = None,
                          recorder=None) -> List[SchemeResilience]:
     """Run paired clean/shocked cells for every config (typically one per
-    scheme), optionally fanned over worker processes.
+    scheme) through :func:`~repro.experiments.tenants.run_cells`.
 
-    Args:
-        configs: the *shocked* cells (their ``shocks`` field is the fault
-            sequence; the clean twin is derived with
-            :func:`baseline_config`).
-        jobs: worker processes; ``None`` or 1 runs sequentially. Each
-            pair is deterministic, so the parallel results are
-            byte-identical and come back in ``configs`` order.
-        recorder: optional :class:`~repro.obs.trace.TraceRecorder`
-            recording the shocked cells (the clean twins stay
-            unobserved); observed runs execute in this process so they
-            record into the one recorder — the results are byte-identical
-            either way.
+    ``configs`` are the *shocked* cells (their ``shocks`` field is the
+    fault sequence; the clean twin is derived with
+    :func:`baseline_config`). ``recorder`` records the shocked cells; the
+    clean twins stay unobserved.
     """
-    cells = list(configs)
-    if not cells:
-        raise ExperimentError("at least one shocked cell is required")
-    for config in cells:
+    for config in configs:
         if not config.shocks and not config.strict_maintenance:
             raise ExperimentError(
                 f"cell for scheme {config.scheme!r} injects no faults "
                 f"(no shocks, strict_maintenance off); a resilience pair "
                 f"needs at least one"
             )
-    worker_count = 1 if jobs is None else int(jobs)
-    if worker_count < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    run = _resilience_pair
-    if recorder is not None:
-        # Observed cells run here, all recording into the one recorder.
-        run = functools.partial(_resilience_pair, recorder=recorder)
-        worker_count = 1
-    return map_naming_failures(run, cells, worker_count, cell_label,
-                               ExperimentError)
+    return run_cells(_resilience_pair, configs, jobs, recorder,
+                     ExperimentError)
 
 
 # -- tables --------------------------------------------------------------------

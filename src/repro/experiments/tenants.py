@@ -2,15 +2,16 @@
 
 One cell = one scheme replayed over a Zipf-skewed, optionally churning
 tenant population. Cells are independent — each rebuilds its system,
-population, and registry deterministically from the frozen config — so a
-multi-scheme run fans out over a ``ProcessPoolExecutor`` exactly like the
-figure grids, and the parallel tables are byte-identical to sequential
-ones. With ``shards > 1`` each cell is additionally split into tenant
-shards executed through :mod:`repro.sharding` and merged exactly, which
-is byte-identical too. (The other scaling mode — partitioning the cache
+population, and registry deterministically from the frozen config — so
+:func:`run_cells`, the one fan-out of the tenant, shock and partitioned
+drivers, spreads them over a ``ProcessPoolExecutor`` like the figure
+grids, and the parallel tables are byte-identical to sequential ones.
+With ``shards > 1`` each cell is additionally split into tenant shards
+executed through :mod:`repro.sharding` and merged exactly, which is
+byte-identical too. (The other scaling mode — partitioning the cache
 and provider economy themselves, with explicitly different semantics —
 lives in :mod:`repro.distcache` and is reached through the CLI's
-``--cache-partitions`` or :func:`repro.distcache.run_partitioned_cell`.)
+``--cache-partitions`` or :class:`repro.distcache.DistCacheRunner`.)
 
 The per-tenant outputs join two sources: the step records (queries, cache
 hits, charges — available for every scheme) and the tenant registry
@@ -23,11 +24,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple, Type, Union)
 
 from repro.economy.engine import EconomyConfig, PLANNING_MODES, PLANNING_SCALAR
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import ExperimentError, map_naming_failures
+from repro.errors import ExperimentError, ReproError, map_naming_failures
 from repro.experiments.reporting import distribution_cells, format_table
 from repro.policies.economic import EconomicSchemeConfig
 from repro.policies.factory import SCHEME_NAMES
@@ -196,8 +197,10 @@ def cell_arrivals(config: TenantExperimentConfig) -> CellArrivals:
         envelope = ArrivalEnvelope.of(queries)
     else:
         generator = WorkloadGenerator(config.workload_spec())
-        queries = generator.iter_queries()
-        envelope = generator.arrival_envelope()
+        # One arrival array serves the envelope and the queries.
+        instants = generator.arrival_process.arrival_times(config.query_count)
+        queries = generator.iter_queries(arrivals=instants)
+        envelope = ArrivalEnvelope.of_times(instants)
     population = TenantPopulation(source.spec).stream(queries, source=source)
     items = (population if config.arrival_mode == ARRIVAL_STREAMED
              else list(population))
@@ -321,31 +324,14 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
                           jobs: Optional[int] = None,
                           shards: Optional[int] = None,
                           recorder=None) -> List[TenantCellResult]:
-    """Run many population cells, optionally fanned over worker processes.
+    """Run many population cells through :func:`run_cells`.
 
-    Args:
-        configs: the cells to run (typically one per scheme).
-        jobs: worker processes; ``None`` or 1 runs sequentially. Results
-            come back in ``configs`` order either way, and each cell is
-            deterministic, so the parallel path is byte-identical.
-        shards: when > 1, each cell is additionally split into this many
-            tenant shards executed through :mod:`repro.sharding` and merged
-            exactly; the merged cells are byte-identical to the unsharded
-            ones. ``jobs`` then sizes the process pool the ``cells x
-            shards`` tasks share.
-        recorder: optional :class:`~repro.obs.trace.TraceRecorder` the
-            whole experiment records into. Sharded cells run per-shard
-            recorders, merged at the barriers and absorbed into it; the
-            unsharded observed path runs its cells in this process so
-            they record into the one recorder — the cell *results* are
-            identical either way.
+    With ``shards > 1`` each cell is additionally split into this many
+    tenant shards executed through :mod:`repro.sharding` and merged
+    exactly (byte-identical to the unsharded cells); ``jobs`` then sizes
+    the process pool the ``cells x shards`` tasks share, and the shards
+    record into ``recorder`` as sources ``shard<i>``.
     """
-    cells = list(configs)
-    if not cells:
-        raise ExperimentError("at least one tenant cell is required")
-    worker_count = 1 if jobs is None else int(jobs)
-    if worker_count < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     shard_count = 1 if shards is None else int(shards)
     if shard_count < 1:
         raise ExperimentError(f"shards must be >= 1, got {shards}")
@@ -353,16 +339,61 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
         # Imported lazily: repro.sharding builds on this module.
         from repro.sharding import ShardCoordinator
 
-        coordinator = ShardCoordinator(shard_count, max_workers=worker_count,
-                                       recorder=recorder)
-        return [report.cell for report in coordinator.run_cells(cells)]
-    run = run_tenant_cell
+        coordinator = ShardCoordinator(
+            shard_count, max_workers=1 if jobs is None else int(jobs),
+            recorder=recorder)
+        return [report.cell for report in coordinator.run_cells(configs)]
+    return run_cells(run_tenant_cell, configs, jobs, recorder,
+                     ExperimentError)
+
+
+def run_cells(run: Callable, configs: Sequence[TenantExperimentConfig],
+              jobs: Optional[int], recorder,
+              error_type: Type[ReproError]) -> List:
+    """``[run(config, cell_recorder) for config in configs]`` over a pool.
+
+    The one fan-out of the tenant-level drivers. Results come back in
+    ``configs`` order; ``jobs`` worker processes share the cells (``None``
+    or 1 runs them here), and each cell is deterministic, so the pooled
+    results are byte-identical. A failure names its cell
+    (:func:`cell_label`) and raises ``error_type``.
+
+    With a ``recorder`` every cell records into its own
+    ``recorder.fresh(config.scheme)``, which travels with the cell's task
+    and comes back with its result; the cell recorders are absorbed in
+    ``configs`` order, so observed cells use the pool too and write the
+    same artifacts for any ``jobs``. Two cells of one scheme would share
+    a source, so they are refused.
+    """
+    cells = list(configs)
+    if not cells:
+        raise error_type("at least one tenant cell is required")
+    workers = 1 if jobs is None else int(jobs)
+    if workers < 1:
+        raise error_type(f"jobs must be >= 1, got {jobs}")
+    if recorder is None:
+        tasks = [(config, None) for config in cells]
+    else:
+        schemes = [config.scheme for config in cells]
+        for scheme in schemes:
+            if schemes.count(scheme) > 1:
+                raise error_type(
+                    f"two observed cells run scheme {scheme!r}; each cell "
+                    f"records into its scheme's source")
+        tasks = [(config, recorder.fresh(config.scheme)) for config in cells]
+    done = map_naming_failures(functools.partial(_run_cell_task, run), tasks,
+                               workers, lambda task: cell_label(task[0]),
+                               error_type)
     if recorder is not None:
-        # Observed cells run here, all recording into the one recorder.
-        run = functools.partial(run_tenant_cell, recorder=recorder)
-        worker_count = 1
-    return map_naming_failures(run, cells, worker_count, cell_label,
-                               ExperimentError)
+        for _, cell_recorder in done:
+            recorder.absorb(cell_recorder)
+    return [result for result, _ in done]
+
+
+def _run_cell_task(run: Callable, task) -> Tuple[object, object]:
+    """Worker entry point: run one cell; its recorder rides the result."""
+    config, recorder = task
+    return run(config, recorder), recorder
 
 
 def cell_label(config: TenantExperimentConfig) -> str:

@@ -77,8 +77,9 @@ class TraceRecorder:
 
     Args:
         source: label stamped on every record and sample this recorder
-            produces (``"run"`` for the main path, ``"shard3"`` /
-            ``"partition1"`` for per-worker recorders merged later).
+            produces (``"run"`` for a single run, ``"econ-cheap"`` /
+            ``"econ-cheap/partition1"`` / ``"shard3"`` for per-cell and
+            per-worker recorders merged later).
         events: keep every event and span as a record (the trace
             artifact). Off, they only fold into counters.
         samples: the attach points take a sample at every settlement

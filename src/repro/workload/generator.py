@@ -132,6 +132,14 @@ class ArrivalEnvelope:
                    start_s=queries[0].arrival_time,
                    last_s=queries[-1].arrival_time)
 
+    @classmethod
+    def of_times(cls, arrivals: Sequence[float]) -> "ArrivalEnvelope":
+        """The envelope of an arrival-instant array (non-decreasing)."""
+        if not len(arrivals):
+            raise WorkloadError("the workload contains no queries")
+        return cls(query_count=len(arrivals), start_s=float(arrivals[0]),
+                   last_s=float(arrivals[-1]))
+
     @property
     def span_s(self) -> float:
         """Seconds between the first and last arrival."""
@@ -218,13 +226,12 @@ class WorkloadGenerator:
         total = self._spec.query_count if count is None else count
         if total <= 0:
             raise WorkloadError(f"count must be positive, got {total}")
-        arrivals = self._arrival_process.arrival_times(total)
-        return ArrivalEnvelope(query_count=total,
-                               start_s=float(arrivals[0]),
-                               last_s=float(arrivals[total - 1]))
+        return ArrivalEnvelope.of_times(
+            self._arrival_process.arrival_times(total))
 
     def iter_queries(self, count: Optional[int] = None,
                      query_ids: Optional[Sequence[int]] = None,
+                     arrivals: Optional[Sequence[float]] = None,
                      ) -> Iterator[Query]:
         """Yield queries in arrival order.
 
@@ -234,6 +241,10 @@ class WorkloadGenerator:
                 to ``0, 1, ...``. A caller that places this stream inside
                 a larger one (a grammar class, a drift phase) stamps the
                 final ids here rather than copying every query.
+            arrivals: the arrival instants, in order; defaults to the
+                arrival process's ``arrival_times(count)``. A caller that
+                already holds them (to take the envelope) passes them
+                here rather than computing them twice.
         """
         spec = self._spec
         total = spec.query_count if count is None else count
@@ -244,8 +255,13 @@ class WorkloadGenerator:
             raise WorkloadError(
                 f"{len(ids)} query ids given for {total} queries"
             )
+        if arrivals is None:
+            arrivals = self._arrival_process.arrival_times(total)
+        elif len(arrivals) != total:
+            raise WorkloadError(
+                f"{len(arrivals)} arrival instants given for {total} queries"
+            )
         rng = np.random.default_rng(spec.seed)
-        arrivals = self._arrival_process.arrival_times(total)
         templates = self._templates
         hot_probability = spec.hot_template_probability
         jitter = spec.selectivity_jitter

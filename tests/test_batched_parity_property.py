@@ -262,7 +262,7 @@ def test_sharded_cells_bitwise_equal(seed, shards):
 )
 @example(seed=5, partitions=3)  # one partition idles, so the run warns
 def test_partitioned_cells_bitwise_equal(seed, partitions):
-    from repro.distcache import PartitionImbalanceWarning, run_partitioned_cell
+    from repro.distcache import DistCacheRunner, PartitionImbalanceWarning
     from repro.experiments.tenants import TenantExperimentConfig
 
     def cell(planning):
@@ -272,8 +272,8 @@ def test_partitioned_cells_bitwise_equal(seed, partitions):
             planning=planning)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = run_partitioned_cell(config, partitions=partitions,
-                                          compare_baseline=False)
+            report = DistCacheRunner(
+                partitions, compare_baseline=False).run_cell(config)
         # A partition count above the busy template count leaves some
         # partition idle: exactly then, and only then, the run warns.
         idle = min(stats.queries_served for stats in report.partitions) == 0

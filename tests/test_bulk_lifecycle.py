@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distcache import run_partitioned_cell
+from repro.distcache import DistCacheRunner
 from repro.economy.tenancy import TenantRegistry, WalletBook
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError, WorkloadError
@@ -294,7 +294,7 @@ class TestParityAtPopulationScale:
             run_tenant_cell(streamed),
             ShardCoordinator(2).run_cell(streamed).cell,
             ShardCoordinator(3).run_cell(streamed).cell,
-            run_partitioned_cell(self.CONFIG, partitions=1).cell,
+            DistCacheRunner(1).run_cell(self.CONFIG).cell,
         ]
         for cell in cells:
             assert self._tables(cell) == expected

@@ -121,7 +121,14 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
     # A non-JSONL path (say, a bench JSON) is not a trace or metrics
     # artifact; summarizing it could only degrade to a warning.
     (["report", "results.json"], "'results.json'"),
-], ids=["top", "report-no-artifact", "report-not-jsonl"])
+    # A scheme named twice would run its cell twice, and observed, both
+    # copies would record into the one scheme source.
+    (BASE["tenants"] + ["--schemes", "econ-cheap,econ-fast,econ-cheap"],
+     "--schemes names 'econ-cheap' twice"),
+    (BASE["shocks"] + ["--schemes", "econ-cheap, econ-cheap"],
+     "--schemes names 'econ-cheap' twice"),
+], ids=["top", "report-no-artifact", "report-not-jsonl",
+        "duplicate-schemes-tenants", "duplicate-schemes-shocks"])
 def test_ignored_flag_exits_2(tmp_path, argv, message):
     """A flag or argument that would be silently ignored exits 2 with one
     error line and writes nothing."""

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.distcache import DistCacheRunner
 from repro.distcache import runner as distcache_runner
-from repro.distcache import run_partitioned_cell
 from repro.economy.account import (
     CloudAccount,
     ConservationAudit,
@@ -141,11 +141,11 @@ class TestDistCacheAudit:
                             tampering)
         with pytest.raises(DistCacheError,
                            match=r"conservation violated on partition 1"):
-            run_partitioned_cell(CELL, partitions=2, compare_baseline=False)
+            DistCacheRunner(2, compare_baseline=False).run_cell(CELL)
 
     def test_tampered_wallet_fails_the_end_of_run_audit(self, monkeypatch):
-        final = run_partitioned_cell(CELL, partitions=2,
-                                     compare_baseline=False).barriers_verified
+        final = DistCacheRunner(2, compare_baseline=False).run_cell(
+            CELL).barriers_verified
         epoch = distcache_runner.run_partition_epoch
 
         def tampering(task):
@@ -160,11 +160,10 @@ class TestDistCacheAudit:
                             tampering)
         with pytest.raises(DistCacheError,
                            match=r"partition 0: .*wallet ledgers"):
-            run_partitioned_cell(CELL, partitions=2, compare_baseline=False)
+            DistCacheRunner(2, compare_baseline=False).run_cell(CELL)
 
     def test_untampered_run_is_audited_at_every_barrier(self):
-        report = run_partitioned_cell(CELL, partitions=2,
-                                      compare_baseline=False)
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(CELL)
         assert report.barriers_verified > 1
         for point in report.checkpoints:
             assert point.query_payments == point.outcome_charges

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distcache import (
+    DistCacheRunner,
     HandoffDecision,
     PlacementPolicy,
     StructurePartitioner,
-    run_partitioned_cell,
 )
 from repro.errors import DistCacheError
 from repro.experiments.tenants import TenantExperimentConfig
@@ -203,14 +203,12 @@ class TestOwnershipOverrides:
 class TestAdaptiveRuns:
     @pytest.fixture(scope="class")
     def hash_report(self):
-        return run_partitioned_cell(CONFIG, partitions=2,
-                                    compare_baseline=False)
+        return DistCacheRunner(2, compare_baseline=False).run_cell(CONFIG)
 
     @pytest.fixture(scope="class")
     def adaptive_report(self):
-        return run_partitioned_cell(CONFIG, partitions=2,
-                                    compare_baseline=False,
-                                    placement="adaptive")
+        return DistCacheRunner(
+            2, compare_baseline=False, placement="adaptive").run_cell(CONFIG)
 
     def test_handoffs_happen_and_are_recorded(self, adaptive_report):
         assert adaptive_report.placement == "adaptive"
@@ -238,19 +236,18 @@ class TestAdaptiveRuns:
             == CONFIG.query_count
 
     def test_worker_pool_never_changes_results(self, adaptive_report):
-        parallel = run_partitioned_cell(CONFIG, partitions=2, max_workers=2,
-                                        compare_baseline=False,
-                                        placement="adaptive")
+        parallel = DistCacheRunner(
+            2, max_workers=2, compare_baseline=False,
+            placement="adaptive").run_cell(CONFIG)
         assert parallel.cell.summary == adaptive_report.cell.summary
         assert parallel.handoffs == adaptive_report.handoffs
         assert parallel.checkpoints == adaptive_report.checkpoints
         assert parallel.publications == adaptive_report.publications
 
     def test_unreachable_threshold_degenerates_to_hash(self, hash_report):
-        frozen = run_partitioned_cell(CONFIG, partitions=2,
-                                      compare_baseline=False,
-                                      placement="adaptive",
-                                      handoff_threshold=1e18)
+        frozen = DistCacheRunner(
+            2, compare_baseline=False, placement="adaptive",
+            handoff_threshold=1e18).run_cell(CONFIG)
         assert frozen.handoff_count == 0
         assert frozen.cell.summary == hash_report.cell.summary
         assert frozen.cell.tenants == hash_report.cell.tenants
@@ -259,8 +256,6 @@ class TestAdaptiveRuns:
             == [point.subaccount_credit for point in hash_report.checkpoints]
 
     def test_cells_do_not_leak_overrides(self):
-        from repro.distcache import DistCacheRunner
-
         runner = DistCacheRunner(2, compare_baseline=False,
                                  placement="adaptive")
         first = runner.run_cell(CONFIG)
@@ -269,8 +264,6 @@ class TestAdaptiveRuns:
         assert first.handoffs == second.handoffs
 
     def test_invalid_modes_rejected(self):
-        from repro.distcache import DistCacheRunner
-
         with pytest.raises(DistCacheError, match="placement"):
             DistCacheRunner(2, placement="sticky")
         with pytest.raises(DistCacheError, match="handoff_threshold"):
@@ -285,8 +278,7 @@ class TestHashModeRegression:
     """``--placement hash`` must stay byte-identical to the PR 4 path."""
 
     def test_hash_report_has_no_placement_artifacts(self):
-        report = run_partitioned_cell(CONFIG, partitions=2,
-                                      compare_baseline=False)
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(CONFIG)
         assert report.placement == "hash"
         assert report.handoffs == ()
         assert all(point.handoffs_applied == 0
@@ -294,8 +286,6 @@ class TestHashModeRegression:
 
     def test_hash_engines_never_tally_bids(self):
         """Hash runs must not pay for (or pickle) the placement tally."""
-        from repro.distcache import DistCacheRunner
-
         runner = DistCacheRunner(2, compare_baseline=False)
         source = GenerativeProfileSource(spec=CONFIG.population_spec())
         schemes = runner._build_schemes(CONFIG, source)
@@ -312,8 +302,7 @@ class TestHashModeRegression:
         are frozen; any drift means the placement machinery leaked into
         the hash path.
         """
-        report = run_partitioned_cell(CONFIG, partitions=2,
-                                      compare_baseline=False)
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(CONFIG)
         assert report.remote_hit_count == 14
         assert [stats.queries_served for stats in report.partitions] \
             == [17, 43]
@@ -337,10 +326,9 @@ class TestPlacementPins:
 
     @staticmethod
     def _run(placement):
-        return run_partitioned_cell(PIN_CONFIG, partitions=2,
-                                    compare_baseline=False,
-                                    placement=placement,
-                                    handoff_threshold=0.0)
+        return DistCacheRunner(
+            2, compare_baseline=False, placement=placement,
+            handoff_threshold=0.0).run_cell(PIN_CONFIG)
 
     @pytest.fixture(scope="class")
     def hash_pin(self):

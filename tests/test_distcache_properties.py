@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distcache import StructurePartitioner, run_partitioned_cell
+from repro.distcache import DistCacheRunner, StructurePartitioner
 
 # High partition counts against the 7-template workload legitimately
 # leave partitions idle; the warning is the intended behaviour, not noise.
@@ -41,8 +41,8 @@ class TestOwnershipAndConservation:
     @settings(max_examples=6, deadline=None)
     @given(partitions=st.integers(min_value=2, max_value=8))
     def test_invariants_hold_for_any_partition_count(self, partitions):
-        report = run_partitioned_cell(BASE_CONFIG, partitions=partitions,
-                                      compare_baseline=False)
+        report = DistCacheRunner(
+            partitions, compare_baseline=False).run_cell(BASE_CONFIG)
         # Conservation: the runner audits bitwise at every barrier and
         # would have raised; re-check the recorded checkpoints anyway.
         assert report.barriers_verified == len(report.checkpoints) > 0
@@ -68,8 +68,8 @@ class TestOwnershipAndConservation:
             scheme="econ-cheap", tenant_count=tenant_count, query_count=30,
             interarrival_s=1.0, seed=seed, settlement_period_s=10.0,
         )
-        report = run_partitioned_cell(config, partitions=partitions,
-                                      compare_baseline=False)
+        report = DistCacheRunner(
+            partitions, compare_baseline=False).run_cell(config)
         final = report.checkpoints[-1]
         # Bitwise per partition (verified in-run); the cross-partition
         # sums therefore agree bitwise too.
@@ -87,8 +87,8 @@ class TestOwnershipAndConservation:
     @settings(max_examples=4, deadline=None)
     @given(partitions=st.integers(min_value=2, max_value=6))
     def test_structure_ownership_is_disjoint(self, partitions):
-        report = run_partitioned_cell(BASE_CONFIG, partitions=partitions,
-                                      compare_baseline=False)
+        report = DistCacheRunner(
+            partitions, compare_baseline=False).run_cell(BASE_CONFIG)
         partitioner = StructurePartitioner(partitions)
         # queries_served routed by the same stable hash on every rerun:
         # the per-partition structure counts are a function of ownership,
@@ -118,7 +118,7 @@ class TestSinglePartitionDegeneracy:
             interarrival_s=1.0, seed=seed, settlement_period_s=8.0,
         )
         baseline = run_tenant_cell(config)
-        report = run_partitioned_cell(config, partitions=1)
+        report = DistCacheRunner(1).run_cell(config)
         assert report.cell.summary == baseline.summary
         assert report.cell.tenants == baseline.tenants
         assert report.cell.wallet_credit == baseline.wallet_credit

@@ -27,8 +27,6 @@ from repro.distcache import (
     DistCacheRunner,
     distcache_partition_table,
     distcache_placement_table,
-    run_partitioned_cell,
-    run_partitioned_experiment,
 )
 from repro.distcache import runner as runner_module
 from repro.errors import DistCacheError
@@ -67,8 +65,9 @@ CASES = {
 
 def _run(case: str):
     config, partitions, placement = CASES[case]
-    return run_partitioned_cell(config, partitions=partitions,
-                                placement=placement, compare_baseline=False)
+    return DistCacheRunner(
+        partitions, compare_baseline=False,
+        placement=placement).run_cell(config)
 
 
 def _rendered(report) -> str:
@@ -144,8 +143,9 @@ class TestTypedFailures:
         monkeypatch.setattr(runner_module, "run_partition_epoch",
                             _raise_in_epoch_two)
         with pytest.raises(DistCacheError, match="KeyError") as caught:
-            run_partitioned_cell(CONFIG, partitions=2, max_workers=workers,
-                                 compare_baseline=False)
+            DistCacheRunner(
+                2, max_workers=workers,
+                compare_baseline=False).run_cell(CONFIG)
         message = str(caught.value)
         assert "cache partition 0, epoch 2:" in message
         assert message.count(config_hash(CONFIG)) == 1
@@ -162,8 +162,9 @@ class TestTypedFailures:
                             _raise_in_econ_fast)
         failing = replace(CONFIG, scheme="econ-fast")
         with pytest.raises(DistCacheError, match="KeyError") as caught:
-            run_partitioned_experiment([CONFIG, failing], partitions=2,
-                                       jobs=jobs, compare_baseline=False)
+            DistCacheRunner(
+                2, max_workers=jobs,
+                compare_baseline=False).run_cells([CONFIG, failing])
         message = str(caught.value)
         assert message.startswith(
             f"tenant cell econ-fast, cell config {config_hash(failing)}: "

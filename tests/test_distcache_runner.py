@@ -23,8 +23,6 @@ from repro.distcache import (
     distcache_divergence_table,
     distcache_partition_table,
     distcache_placement_table,
-    run_partitioned_cell,
-    run_partitioned_experiment,
 )
 from repro.distcache import runner as runner_module
 from repro.distcache.runner import epoch_items
@@ -58,14 +56,14 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def two_partitions():
-    return run_partitioned_cell(CONFIG, partitions=2, compare_baseline=True)
+    return DistCacheRunner(2, compare_baseline=True).run_cell(CONFIG)
 
 
 class TestFidelityGate:
     """``--cache-partitions 1`` must be the global-cache run, bitwise."""
 
     def test_single_partition_is_byte_identical(self, baseline):
-        report = run_partitioned_cell(CONFIG, partitions=1)
+        report = DistCacheRunner(1).run_cell(CONFIG)
         cell = report.cell
         assert cell.summary == baseline.summary
         assert cell.tenants == baseline.tenants
@@ -78,7 +76,7 @@ class TestFidelityGate:
             scheme="econ-cheap", tenant_count=8, query_count=30,
             interarrival_s=1.0, seed=5)
         baseline = run_tenant_cell(config)
-        report = run_partitioned_cell(config, partitions=1)
+        report = DistCacheRunner(1).run_cell(config)
         assert report.cell.summary == baseline.summary
         assert report.cell.wallet_credit == baseline.wallet_credit
 
@@ -88,7 +86,7 @@ class TestFidelityGate:
             interarrival_s=1.0, seed=2, churn_period=12,
             settlement_period_s=10.0)
         baseline = run_tenant_cell(config)
-        report = run_partitioned_cell(config, partitions=1)
+        report = DistCacheRunner(1).run_cell(config)
         assert report.cell.summary == baseline.summary
         assert report.cell.tenants == baseline.tenants
         assert report.cell.wallet_credit == baseline.wallet_credit
@@ -97,16 +95,15 @@ class TestFidelityGate:
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, two_partitions):
-        again = run_partitioned_cell(CONFIG, partitions=2,
-                                     compare_baseline=False)
+        again = DistCacheRunner(2, compare_baseline=False).run_cell(CONFIG)
         assert again.cell.summary == two_partitions.cell.summary
         assert again.cell.tenants == two_partitions.cell.tenants
         assert again.cell.wallet_credit == two_partitions.cell.wallet_credit
         assert again.checkpoints == two_partitions.checkpoints
 
     def test_worker_count_never_changes_results(self, two_partitions):
-        parallel = run_partitioned_cell(CONFIG, partitions=2, max_workers=2,
-                                        compare_baseline=False)
+        parallel = DistCacheRunner(
+            2, max_workers=2, compare_baseline=False).run_cell(CONFIG)
         assert parallel.cell.summary == two_partitions.cell.summary
         assert parallel.cell.tenants == two_partitions.cell.tenants
         assert parallel.cell.wallet_credit == two_partitions.cell.wallet_credit
@@ -168,8 +165,7 @@ class TestReportTables:
         assert "remote_hits" in table
 
     def test_divergence_table_absent_without_baseline(self):
-        report = run_partitioned_cell(CONFIG, partitions=2,
-                                      compare_baseline=False)
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(CONFIG)
         assert report.baseline is None
         assert distcache_divergence_table(report) is None
 
@@ -179,14 +175,14 @@ class TestGuards:
         config = TenantExperimentConfig(
             scheme="bypass", tenant_count=8, query_count=20)
         with pytest.raises(DistCacheError, match="economy"):
-            run_partitioned_cell(config, partitions=2)
+            DistCacheRunner(2).run_cell(config)
 
     def test_warmup_rejected(self):
         config = TenantExperimentConfig(
             scheme="econ-cheap", tenant_count=8, query_count=20,
             warmup_queries=5)
         with pytest.raises(DistCacheError, match="warmup"):
-            run_partitioned_cell(config, partitions=2)
+            DistCacheRunner(2).run_cell(config)
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(DistCacheError):
@@ -201,16 +197,15 @@ class TestGuards:
             scheme="econ-cheap", tenant_count=8, query_count=20,
             interarrival_s=1.0)
         with pytest.warns(PartitionImbalanceWarning):
-            run_partitioned_cell(config, partitions=16,
-                                 compare_baseline=False)
+            DistCacheRunner(16, compare_baseline=False).run_cell(config)
 
     def test_pooled_cells_warn_in_the_calling_process(self):
         configs = [TenantExperimentConfig(
             scheme=scheme, tenant_count=8, query_count=20,
             interarrival_s=1.0) for scheme in ("econ-cheap", "econ-fast")]
         with pytest.warns(PartitionImbalanceWarning) as caught:
-            run_partitioned_experiment(configs, partitions=16, jobs=2,
-                                       compare_baseline=False)
+            DistCacheRunner(
+                16, max_workers=2, compare_baseline=False).run_cells(configs)
         assert len(caught) == 2
 
 
@@ -290,9 +285,9 @@ class TestOneProcess:
                    for scheme in ("econ-cheap", "econ-fast")]
 
         def run(jobs):
-            return run_partitioned_experiment(configs, partitions=2,
-                                              jobs=jobs, placement="adaptive",
-                                              compare_baseline=False)
+            return DistCacheRunner(
+                2, max_workers=jobs, compare_baseline=False,
+                placement="adaptive").run_cells(configs)
 
         sequential = run(1)
         assert any(report.handoffs for report in sequential)
@@ -301,20 +296,34 @@ class TestOneProcess:
         for observed, expected in zip(pooled, sequential):
             _assert_same_run(observed, expected)
 
-    def test_observed_cells_run_here_whatever_the_jobs(self):
-        """A recorder keeps the cells in this process, so every cell's
-        partitions record into it."""
+    def test_observed_pooled_cells_record_per_scheme(self):
+        """Observed cells use the pool too: each cell records into its
+        scheme's source (its partitions into ``<scheme>/partition<i>``),
+        and two workers write the lines one worker writes."""
         configs = [replace(CONFIG, scheme=scheme)
                    for scheme in ("econ-cheap", "econ-fast")]
-        trace = TraceRecorder()
-        observed = run_partitioned_experiment(
-            configs, partitions=2, jobs=2, compare_baseline=False,
-            recorder=trace)
-        summaries = [fields["partition"] for _, _, _, kind, fields
-                     in trace.records if kind == "partition_summary"]
-        assert summaries == [0, 1, 0, 1]
-        plain = run_partitioned_experiment(configs, partitions=2,
-                                           compare_baseline=False)
+
+        def observe(jobs):
+            trace = TraceRecorder(samples=True)
+            reports = DistCacheRunner(
+                2, max_workers=jobs,
+                compare_baseline=False).run_cells(configs, trace)
+            return reports, trace
+
+        observed, trace = observe(2)
+        sequential, sequential_trace = observe(1)
+        assert trace.trace_lines() == sequential_trace.trace_lines()
+        assert trace.metrics_lines() == sequential_trace.metrics_lines()
+        summaries = sorted((source, fields["partition"])
+                           for _, _, source, kind, fields in trace.records
+                           if kind == "partition_summary")
+        assert summaries == [(scheme, partition)
+                             for scheme in ("econ-cheap", "econ-fast")
+                             for partition in (0, 1)]
+        assert set(trace.counters) == {
+            f"{scheme}{suffix}" for scheme in ("econ-cheap", "econ-fast")
+            for suffix in ("", "/partition0", "/partition1")}
+        plain = DistCacheRunner(2, compare_baseline=False).run_cells(configs)
         for report, expected in zip(observed, plain):
             _assert_same_run(report, expected)
 
@@ -331,9 +340,8 @@ class TestOneProcess:
             return _EPOCH(task)
 
         monkeypatch.setattr(runner_module, "run_partition_epoch", recording)
-        report = run_partitioned_cell(CONFIG, partitions=2,
-                                      placement="adaptive",
-                                      compare_baseline=False)
+        report = DistCacheRunner(
+            2, compare_baseline=False, placement="adaptive").run_cell(CONFIG)
         assert len(seen) == 2 * report.barriers_verified
         sizes = [0] + [point.directory_size for point in report.checkpoints]
         assert any(sizes)

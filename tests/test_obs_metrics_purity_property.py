@@ -145,28 +145,30 @@ class TestMetricsModesPurity:
         assert _rendered(observed[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_metrics_run_is_byte_identical(self):
-        from repro.distcache.runner import run_partitioned_experiment
+        from repro.distcache.runner import DistCacheRunner
 
         config = TenantExperimentConfig(scheme="econ-cheap",
                                         planning="batched", **self.CONFIG)
-        plain = run_partitioned_experiment(
-            [config], partitions=2, placement="adaptive",
-            compare_baseline=False)
+        plain = DistCacheRunner(
+            2, compare_baseline=False,
+            placement="adaptive").run_cells([config])
         metrics = metrics_recorder()
-        observed = run_partitioned_experiment(
-            [config], partitions=2, placement="adaptive",
-            compare_baseline=False, recorder=metrics)
+        observed = DistCacheRunner(
+            2, compare_baseline=False,
+            placement="adaptive").run_cells([config], metrics)
         assert _rendered(observed[0].cell) == _rendered(plain[0].cell)
         assert observed[0].checkpoints == plain[0].checkpoints
         assert observed[0].handoffs == plain[0].handoffs
         # Per-partition samples plus the runner's directory samples.
         sources = {s["source"] for s in metrics.samples}
-        assert sources == {"partition0", "partition1", "run"}
+        assert sources == {"econ-cheap/partition0", "econ-cheap/partition1",
+                           "econ-cheap"}
         partition_samples = [s for s in metrics.samples
-                             if s["source"] == "partition0"]
+                             if s["source"] == "econ-cheap/partition0"]
         assert all("remote_surcharge_dollars" in s
                    for s in partition_samples)
-        runner_samples = [s for s in metrics.samples if s["source"] == "run"]
+        runner_samples = [s for s in metrics.samples
+                          if s["source"] == "econ-cheap"]
         assert all("directory_entries" in s for s in runner_samples)
 
     def test_batched_planning_metrics_run_is_byte_identical(self):

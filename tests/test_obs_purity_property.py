@@ -106,16 +106,16 @@ class TestTracedModesPurity:
         assert _rendered(traced[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_traced_run_is_byte_identical(self):
-        from repro.distcache.runner import run_partitioned_experiment
+        from repro.distcache.runner import DistCacheRunner
 
         config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        untraced = run_partitioned_experiment(
-            [config], partitions=2, placement="adaptive",
-            compare_baseline=False)
+        untraced = DistCacheRunner(
+            2, compare_baseline=False,
+            placement="adaptive").run_cells([config])
         recorder = TraceRecorder()
-        traced = run_partitioned_experiment(
-            [config], partitions=2, placement="adaptive",
-            compare_baseline=False, recorder=recorder)
+        traced = DistCacheRunner(
+            2, compare_baseline=False,
+            placement="adaptive").run_cells([config], recorder)
         assert _rendered(traced[0].cell) == _rendered(untraced[0].cell)
         assert traced[0].checkpoints == untraced[0].checkpoints
         assert traced[0].handoffs == untraced[0].handoffs

@@ -44,28 +44,28 @@ def _in_worker() -> bool:
     return os.getpid() != _PARENT_PID
 
 
-def _die_running_econ_cheap(config):
+def _die_running_econ_cheap(config, recorder=None):
     if config.scheme == "econ-cheap" and _in_worker():
         os._exit(1)
-    return _RUN_CELL(config)
+    return _RUN_CELL(config, recorder)
 
 
-def _raise_in_econ_fast(config):
+def _raise_in_econ_fast(config, recorder=None):
     if config.scheme == "econ-fast":
         raise KeyError("lost cell state")
-    return _RUN_CELL(config)
+    return _RUN_CELL(config, recorder)
 
 
-def _workload_error_in_econ_fast(config):
+def _workload_error_in_econ_fast(config, recorder=None):
     if config.scheme == "econ-fast":
         raise WorkloadError("bad arrivals")
-    return _RUN_CELL(config)
+    return _RUN_CELL(config, recorder)
 
 
-def _pair_dies_running_econ_cheap(config):
+def _pair_dies_running_econ_cheap(config, recorder=None):
     if config.scheme == "econ-cheap" and _in_worker():
         os._exit(1)
-    return _RESILIENCE_PAIR(config)
+    return _RESILIENCE_PAIR(config, recorder)
 
 
 def _grid_cell_dies_at_1s(task):

@@ -136,13 +136,12 @@ class TestExecutionModesUnderChaos:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_partitioned_adaptive_cells_conserve_under_chaos(self, shocks,
                                                              seed):
-        from repro.distcache import run_partitioned_cell
+        from repro.distcache import DistCacheRunner
 
         config = chaos_config("econ-cheap", shocks, seed, strict=False)
-        report = run_partitioned_cell(config, partitions=2,
-                                      compare_baseline=False,
-                                      placement="adaptive",
-                                      handoff_threshold=0.0)
+        report = DistCacheRunner(
+            2, compare_baseline=False, placement="adaptive",
+            handoff_threshold=0.0).run_cell(config)
         assert report.barriers_verified > 0
         for checkpoint in report.checkpoints:
             assert checkpoint.query_payments == checkpoint.outcome_charges
@@ -154,12 +153,11 @@ class TestExecutionModesUnderChaos:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_single_partition_bitwise_equals_plain_under_chaos(self, shocks,
                                                                seed, strict):
-        from repro.distcache import run_partitioned_cell
+        from repro.distcache import DistCacheRunner
 
         config = chaos_config("econ-cheap", shocks, seed, strict)
         plain = run_tenant_cell(config)
-        report = run_partitioned_cell(config, partitions=1,
-                                      compare_baseline=False)
+        report = DistCacheRunner(1, compare_baseline=False).run_cell(config)
         assert report.cell.summary == plain.summary
         assert report.cell.tenants == plain.tenants
         assert report.cell.wallet_credit == plain.wallet_credit

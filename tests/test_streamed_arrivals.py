@@ -775,7 +775,7 @@ class TestPartitionedStreamedParity:
 
     @staticmethod
     def _partitioned(arrival_mode, placement, planning):
-        from repro.distcache import run_partitioned_cell
+        from repro.distcache import DistCacheRunner
         from repro.workload.grammar import default_shock_grammar
 
         grammar = default_shock_grammar()
@@ -786,9 +786,8 @@ class TestPartitionedStreamedParity:
             settlement_period_s=90.0, planning=planning,
             shocks=grammar.shocks, tenant_tiers=grammar.tiers,
             grammar=grammar, arrival_mode=arrival_mode)
-        report = run_partitioned_cell(config, partitions=2,
-                                      compare_baseline=False,
-                                      placement=placement)
+        report = DistCacheRunner(
+            2, compare_baseline=False, placement=placement).run_cell(config)
         return report, _rendered(report.cell)
 
     @pytest.mark.parametrize("placement,planning", [

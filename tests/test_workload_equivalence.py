@@ -364,3 +364,37 @@ def test_drift_scenario_builds_each_query_once(constructions):
     scenario = build_scenario("mix-drift", query_count=200)
     assert len(constructions) == scenario.query_count == 200
     assert [query.query_id for query in scenario.queries] == list(range(200))
+
+
+# -- arrival instants per cell -------------------------------------------------
+
+
+def test_plain_cell_draws_its_arrival_instants_once(monkeypatch):
+    """A plain tenant cell takes its envelope and its queries from one
+    ``arrival_times`` array, and still streams the generator's queries."""
+    from repro.experiments.tenants import (TenantExperimentConfig,
+                                           cell_arrivals, run_tenant_cell)
+
+    config = TenantExperimentConfig(tenant_count=8, query_count=120,
+                                    churn_period=40, seed=2)
+    generator = WorkloadGenerator(config.workload_spec())
+    reference = generator.generate()
+    envelope = generator.arrival_envelope()
+    calls = []
+    original = FixedInterarrival.arrival_times
+
+    def counting(self, count):
+        calls.append(count)
+        return original(self, count)
+
+    monkeypatch.setattr(FixedInterarrival, "arrival_times", counting)
+    arrivals = cell_arrivals(config)
+    queries = [item for item in arrivals.items if isinstance(item, Query)]
+    assert calls == [120]
+    assert arrivals.envelope == envelope
+    assert queries == [expected.with_tenant(query.tenant_id)
+                       for expected, query in zip(reference, queries)]
+    assert len(queries) == len(reference)
+    calls.clear()
+    run_tenant_cell(config)
+    assert calls == [120]
