@@ -40,7 +40,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.costmodel.amortization import AmortizationPolicy
 from repro.costmodel.build import StructureCostModel
 from repro.economy.batch import BatchPricingContext
-from repro.economy.engine import EconomyConfig, EconomyEngine, StructureBuild
+from repro.economy.engine import (EconomyConfig, EconomyEngine,
+                                  RegretPair, StructureBuild)
 from repro.economy.negotiation import NegotiationResult
 from repro.economy.pricing import PricedPlan
 from repro.economy.tenancy import TenantRegistry
@@ -301,44 +302,34 @@ class PartitionedEconomyEngine(EconomyEngine):
     # -- owned-only regret with barrier forwarding -----------------------------
 
     def _distribute_regret(self, query: Query,
-                           result: NegotiationResult) -> None:
+                           regrets: Sequence[RegretPair]) -> None:
         """Record regret locally for owned structures, tally it for foreign.
 
         Remotely advertised structures earn no regret at all (they exist;
         nothing needs building). When every missing structure is locally
-        owned — always the case with one partition — this is exactly the
-        base engine's behaviour, call for call.
+        owned — always the case with one partition — this books exactly
+        what the base engine books.
         """
         cache = self.partitioned_cache
-        built_keys = cache.built_keys
-        for plan, regret in result.regrets:
-            missing = tuple(
-                structure for structure in plan.plan.new_structures(built_keys)
-                if cache.remote_entry(structure.key) is None
-            )
+        divide = self.config.divide_regret
+        for missing, regret in regrets:
+            missing = tuple(structure for structure in missing
+                            if cache.remote_entry(structure.key) is None)
             if not missing:
                 continue
-            owned = tuple(structure for structure in missing
-                          if cache.owns(structure.key))
-            if len(owned) == len(missing):
-                self._regret.distribute(missing, regret,
-                                        divide=self.config.divide_regret)
-                if self.tenants is not None:
-                    self.tenants.record_regret(
-                        query.tenant_id, missing, regret,
-                        divide=self.config.divide_regret)
-                continue
-            share = (regret / len(missing) if self.config.divide_regret
-                     else regret)
-            for structure in owned:
-                self._regret.distribute((structure,), share)
+            # distribute()'s own split, so an all-owned plan books exactly
+            # what one distribute(missing, regret, divide) call books.
+            share = regret / len(missing) if divide else regret
+            owned = [structure for structure in missing
+                     if cache.owns(structure.key)]
+            self._regret.distribute(owned, share, divide=False)
             if self.tenants is not None:
                 # The tenant's own mirror records the full regret where
                 # the query ran (every partition holds the registry),
                 # exactly like the base engine — only the provider-side
                 # share of foreign structures travels at the barrier.
                 self.tenants.record_regret(query.tenant_id, missing, regret,
-                                           divide=self.config.divide_regret)
+                                           divide=divide)
             for structure in missing:
                 if cache.owns(structure.key):
                     continue

@@ -59,6 +59,10 @@ PLANNING_SCALAR = "scalar"
 PLANNING_BATCHED = "batched"
 PLANNING_MODES = (PLANNING_SCALAR, PLANNING_BATCHED)
 
+#: A regretted plan as regret distribution reads it: the structures it
+#: needs that are not built yet, and its regret.
+RegretPair = Tuple[Tuple[CacheStructure, ...], float]
+
 
 @dataclass(frozen=True)
 class EconomyConfig:
@@ -193,24 +197,46 @@ class _TablePricingState:
     when the state is new or a built charge moved. Under Eq. 7's uniform
     amortization a built structure's charge stays ``build_cost / n`` until
     its horizon, so that is rare.
+
+    Each row's unbuilt structures are fixed too; they are memoized the
+    first time the row earns regret (:meth:`missing`).
     """
 
     __slots__ = ("table", "version", "charges", "cached_flags", "maintenance",
-                 "cached_slots", "cached_entries", "existing", "row_totals",
-                 "stale")
+                 "built", "existing", "row_totals", "stale", "row_missing")
 
-    def __init__(self, table, version, charges, cached_flags, maintenance,
-                 cached_slots, cached_entries, existing):
+    def __init__(self, table: PlanTable, version: int, cache: CacheManager,
+                 unbuilt_charge: Callable[[CacheStructure], float]) -> None:
+        structures = table.unique_structures
         self.table = table
         self.version = version
-        self.charges = charges
-        self.cached_flags = cached_flags
-        self.maintenance = maintenance
-        self.cached_slots = cached_slots
-        self.cached_entries = cached_entries
-        self.existing = existing
+        self.cached_flags = cached_flags = [cache.contains(structure.key)
+                                            for structure in structures]
+        # (slot, cache entry) per built slot, whose charge and maintenance
+        # reprice_built sets on every query.
+        self.built = [(slot, cache.entry(structures[slot].key))
+                      for slot, cached in enumerate(cached_flags) if cached]
+        self.charges = [0.0 if cached else unbuilt_charge(structure)
+                        for structure, cached in zip(structures, cached_flags)]
+        self.maintenance = [0.0] * len(structures)
+        self.existing = [all(cached_flags[slot]
+                             for slot in row.structure_indices)
+                         for row in table.rows]
         self.row_totals = [0.0] * table.row_count
         self.stale = True
+        self.row_missing = [None] * table.row_count
+
+    def missing(self, row_index: int) -> Tuple[CacheStructure, ...]:
+        """The row's unbuilt structures in plan order (memoized): the
+        tuple ``QueryPlan.new_structures`` returns for this cache version."""
+        missing = self.row_missing[row_index]
+        if missing is None:
+            row = self.table.rows[row_index]
+            missing = self.row_missing[row_index] = tuple(
+                structure for slot, structure
+                in zip(row.structure_indices, row.plan.structures)
+                if not self.cached_flags[slot])
+        return missing
 
     def reprice_built(self, amortization: AmortizationPolicy,
                       now: float) -> None:
@@ -221,7 +247,7 @@ class _TablePricingState:
         charges = self.charges
         maintenance = self.maintenance
         stale = self.stale
-        for slot, entry in zip(self.cached_slots, self.cached_entries):
+        for slot, entry in self.built:
             charge = min(amortization.charge(entry.build_cost,
                                              entry.queries_served),
                          entry.unrecovered_build_cost())
@@ -419,7 +445,7 @@ class EconomyEngine:
         batch_view = (self._batch.view_for(query)
                       if self._batch is not None else None)
         if batch_view is not None:
-            result = self._plan_batched(query, time_s, batch_view)
+            result, regrets = self._plan_batched(query, time_s, batch_view)
         else:
             priced = self._price_plans(query, time_s)
             skyline = skyline_filter(
@@ -430,9 +456,12 @@ class EconomyEngine:
             skyline = self._ensure_existing_plan(priced, skyline)
             budget = self._budget_for(query, priced)
             result = negotiate(budget, skyline, self._config.plan_selection)
+            built_keys = self._cache.built_keys
+            regrets = [(plan.plan.new_structures(built_keys), regret)
+                       for plan, regret in result.regrets]
 
         maintenance_recovered = self._settle_chosen_plan(query, result, time_s)
-        self._distribute_regret(query, result)
+        self._distribute_regret(query, regrets)
         builds, build_spend = self._consider_investments(query, time_s)
 
         outcome = self._build_outcome(
@@ -614,19 +643,20 @@ class EconomyEngine:
                 key=lambda plan: plan.price,
                 default=priced[0],
             )
+        return self._offer(query, reference.price, reference.response_time_s)
+
+    def _offer(self, query: Query, price: float,
+               response_time_s: float) -> BudgetFunction:
+        """The issuing user's budget against the reference plan's price
+        and time, scaled by the active budget-squeeze factor."""
         if self._tenants is not None:
             budget = self._tenants.budget_for(
-                query, reference.price, reference.response_time_s,
+                query, price, response_time_s,
                 default_model=self._config.user_model,
             )
         else:
-            budget = self._config.user_model.budget_for(
-                query, reference.price, reference.response_time_s
-            )
-        return self._squeeze(budget)
-
-    def _squeeze(self, budget: BudgetFunction) -> BudgetFunction:
-        """Apply the active budget-squeeze factor to an offered budget."""
+            budget = self._config.user_model.budget_for(query, price,
+                                                        response_time_s)
         if self._budget_factor == 1.0:
             return budget
         return budget.scaled(self._budget_factor)
@@ -642,16 +672,17 @@ class EconomyEngine:
     # per-instance execution estimation (vectorized per epoch), the
     # per-plan re-pricing of shared structures (each distinct structure is
     # priced once per query instead of once per plan), the re-summing of
-    # row totals no built charge moved, and the materialisation of skyline
-    # rows negotiation does not keep.
+    # row totals no built charge moved, and the materialisation of every
+    # row but the chosen one.
 
-    def _plan_batched(self, query: Query, now: float,
-                      view: Tuple) -> NegotiationResult[PricedPlan]:
+    def _plan_batched(self, query: Query, now: float, view: Tuple
+                      ) -> Tuple[NegotiationResult, List[RegretPair]]:
         """Price, skyline-filter, budget and negotiate one query from its
         batch view.
 
         Negotiation runs over one :class:`_RowCandidate` per skyline row;
-        only the chosen row and the regret rows become PricedPlans.
+        only the chosen row becomes a PricedPlan. Each regret row leaves as
+        its ``(missing structures, regret)`` pair from the pricing state.
         """
         table, estimates, column = view
         state = self._pricing_state_for(table)
@@ -693,16 +724,11 @@ class EconomyEngine:
         ]
         budget = self._batched_budget(query, context)
         result = negotiate(budget, candidates, self._config.plan_selection)
-        return NegotiationResult(
-            case=result.case,
-            chosen=self._materialize_row(query, context, result.chosen.row),
-            charge=result.charge,
-            profit=result.profit,
-            regrets=tuple(
-                (self._materialize_row(query, context, candidate.row), regret)
-                for candidate, regret in result.regrets
-            ),
-        )
+        chosen = self._materialize_row(query, context, result.chosen.row)
+        regrets = [(state.missing(candidate.row), regret)
+                   for candidate, regret in result.regrets]
+        return NegotiationResult(result.case, chosen, result.charge,
+                                 result.profit, result.regrets), regrets
 
     def _pricing_state_for(self, table: PlanTable) -> _TablePricingState:
         """The cache-version-invariant pricing state of one plan table.
@@ -717,37 +743,13 @@ class EconomyEngine:
                 and state.version == version):
             return state
 
-        cache = self._cache
-        amortization = self._pricer.amortization
         cached_column_keys = self._cached_column_keys()
-        charges: List[float] = []
-        cached_flags: List[bool] = []
-        maintenance: List[float] = []
-        cached_slots: List[int] = []
-        cached_entries: List[object] = []
-        for slot, structure in enumerate(table.unique_structures):
-            if cache.contains(structure.key):
-                cached_flags.append(True)
-                cached_slots.append(slot)
-                cached_entries.append(cache.entry(structure.key))
-                charges.append(0.0)      # overwritten on every query
-                maintenance.append(0.0)  # overwritten on every query
-            else:
-                build_cost = self._pricer.build_cost(
-                    structure, cached_column_keys
-                )
-                charges.append(amortization.charge(build_cost, 0))
-                cached_flags.append(False)
-                maintenance.append(0.0)
-
-        existing = [all(cached_flags[slot] for slot in row.structure_indices)
-                    for row in table.rows]
+        build_cost = self._pricer.build_cost
+        charge = self._pricer.amortization.charge
         state = _TablePricingState(
-            table=table, version=version, charges=charges,
-            cached_flags=cached_flags, maintenance=maintenance,
-            cached_slots=cached_slots, cached_entries=cached_entries,
-            existing=existing,
-        )
+            table, version, self._cache,
+            lambda structure: charge(build_cost(structure, cached_column_keys),
+                                     0))
         self._pricing_states[table.template_name] = state
         return state
 
@@ -776,21 +778,16 @@ class EconomyEngine:
                         and context.prices[row_index] < best_price):
                     reference = row_index
                     best_price = context.prices[row_index]
-        price = context.prices[reference]
-        response_time = context.times[reference]
-        if self._tenants is not None:
-            budget = self._tenants.budget_for(
-                query, price, response_time,
-                default_model=self._config.user_model,
-            )
-        else:
-            budget = self._config.user_model.budget_for(query, price,
-                                                        response_time)
-        return self._squeeze(budget)
+        return self._offer(query, context.prices[reference],
+                           context.times[reference])
 
     def _materialize_row(self, query: Query, context: BatchPricingContext,
                          row_index: int) -> PricedPlan:
-        """Instantiate one plan-table row as the scalar pipeline's PricedPlan."""
+        """Instantiate the chosen row as the scalar pipeline's PricedPlan.
+
+        The chosen row is existing: each slot is built or, on a
+        partitioned cache, a remote access, so it has no new structures.
+        """
         row = context.table.rows[row_index]
         charges = context.charges
         cached_flags = context.cached_flags
@@ -798,7 +795,6 @@ class EconomyEngine:
         surcharges = context.remote_surcharges
 
         amortized_by_structure: Dict[str, float] = {}
-        new_structures: List[CacheStructure] = []
         maintenance_total = 0.0
         remote_dollars = 0.0
         remote_seconds = 0.0
@@ -810,18 +806,13 @@ class EconomyEngine:
                 amortized_by_structure[structure.key] = charges[slot]
                 maintenance_total += maintenance[slot]
                 continue
-            surcharge = surcharges[slot] if surcharges is not None else None
-            if surcharge is not None:
-                # Remote access: no build, no amortisation entry — the
-                # surcharge folds into the execution estimate below.
-                dollars, seconds, shipped = surcharge
-                remote_dollars += dollars
-                remote_seconds += seconds
-                remote_shipped += shipped
-                has_remote = True
-                continue
-            new_structures.append(structure)
-            amortized_by_structure[structure.key] = charges[slot]
+            # Remote access: no build, no amortisation entry — the
+            # surcharge folds into the execution estimate below.
+            dollars, seconds, shipped = surcharges[slot]
+            remote_dollars += dollars
+            remote_seconds += seconds
+            remote_shipped += shipped
+            has_remote = True
 
         if row.constant:
             execution = row.plan.execution
@@ -836,7 +827,7 @@ class EconomyEngine:
                 response_time_s=execution.response_time_s + remote_seconds,
             )
         # Direct construction instead of dataclasses.replace(): this runs
-        # for the chosen and the regret rows of every query.
+        # for every query.
         proto = row.plan
         plan = QueryPlan(
             query=query, kind=proto.kind, execution=execution,
@@ -849,7 +840,7 @@ class EconomyEngine:
             execution_dollars=context.execution_dollars[row_index],
             amortized_dollars=context.amortized[row_index],
             maintenance_dollars=maintenance_total,
-            new_structures=tuple(new_structures),
+            new_structures=(),
             amortized_by_structure=amortized_by_structure,
         )
 
@@ -886,11 +877,10 @@ class EconomyEngine:
         return maintenance_recovered
 
     def _distribute_regret(self, query: Query,
-                           result: NegotiationResult) -> None:
-        """Spread each non-chosen plan's regret over its missing structures."""
-        built_keys = self._cache.built_keys
-        for plan, regret in result.regrets:
-            missing = plan.plan.new_structures(built_keys)
+                           regrets: Sequence[RegretPair]) -> None:
+        """Spread each non-chosen plan's regret over its missing structures
+        (one ``(missing structures, regret)`` pair per regretted plan)."""
+        for missing, regret in regrets:
             if not missing:
                 continue
             self._regret.distribute(missing, regret,

@@ -142,28 +142,25 @@ class InvestmentPolicy:
         if credit < self._minimum_credit:
             # invest_score is 0 for every structure: nothing can qualify.
             return []
-        # Filter on the invest-score threshold before sorting: most
-        # structures miss it on most queries, and a stable sort of the
-        # qualifying few yields the same descending-regret order ranked()
-        # would have produced. The expression is invest_score's, with
-        # ``a * CR`` computed once.
+        # Filter before sorting: most structures miss the invest-score
+        # threshold, and most that reach it are built, pooled out or
+        # unaffordable. No filter depends on order, so a stable sort of
+        # the survivors yields the same descending-regret order ranked()
+        # would have produced. The threshold is invest_score's
+        # expression, with ``a * CR`` computed once.
         scale = self._regret_fraction * credit
-        qualifying = [(key, regret) for key, regret in tracker.items()
-                      if int(round(regret / scale)) >= 1]
-        qualifying.sort(key=lambda item: -item[1])
         built = set(built_keys)
-        decisions: List[InvestmentDecision] = []
-        for key, regret in qualifying:
-            if key in built:
+        kept = []
+        for key, regret in tracker.items():
+            if int(round(regret / scale)) < 1 or key in built:
                 continue
             structure = tracker.structure(key)
             if structure is None:
                 continue
             build_cost = build_cost_of(structure)
-            # Most qualifying structures fail affordability: drop them
-            # before building a decision that would only be discarded.
             if self._require_affordable and not account.can_afford(build_cost):
                 continue
-            decisions.append(
-                self.evaluate(structure, regret, build_cost, account))
-        return decisions
+            kept.append((regret, structure, build_cost))
+        kept.sort(key=lambda item: -item[0])
+        return [self.evaluate(structure, regret, build_cost, account)
+                for regret, structure, build_cost in kept]

@@ -22,8 +22,8 @@ econ-fast the fastest affordable plan.
 Negotiation reads three things of a plan: its price, its response time
 and whether it is existing (:class:`NegotiablePlan`). The scalar path
 negotiates over :class:`~repro.economy.pricing.PricedPlan` objects; the
-batched path negotiates over light per-row candidates and builds full
-priced plans only for the chosen and the regret rows afterwards.
+batched path negotiates over light per-row candidates and builds a full
+priced plan only for the chosen row afterwards.
 """
 
 from __future__ import annotations

@@ -55,6 +55,9 @@ DEFAULT_TENANT_ID = "default"
 #: ``CATEGORY_QUERY_PAYMENT`` deposit).
 CATEGORY_TENANT_CHARGE = "tenant_charge"
 
+#: Tier-array entry of a population index the registry does not own.
+_UNOWNED_TIER = 255
+
 
 @dataclass(frozen=True)
 class TenantProfile:
@@ -246,9 +249,12 @@ class TenantRegistry:
         self._seed_total = 0.0
         self._charged_total = 0.0
         # One byte per minted population index: whether this registry owns
-        # it, and whether it is live (live implies owned).
+        # it, whether it is live (live implies owned) and, for a tiered
+        # source, the SLA tier drawn at mint (_UNOWNED_TIER if not owned).
         self._owned = bytearray()
         self._live = bytearray()
+        tiered = source is not None and 0 < len(source.tiers) < _UNOWNED_TIER
+        self._tiers = bytearray() if tiered else None
         self._live_count = 0
         self._archived: Dict[int, WalletBook] = {}
         self.peak_materialized = 0
@@ -289,18 +295,28 @@ class TenantRegistry:
         """
         if new_minted <= self._minted:
             return
-        owned = self._owned
+        owned, tiers, source = self._owned, self._tiers, self._source
         seed_total = self._seed_total
         for index in range(self._minted, new_minted):
             if self._owned_index(index):
                 owned.append(1)
-                seed_total += self._source.initial_credit_for(index)
+                tier = None
+                if tiers is not None:
+                    tier = source.tier_of(index)
+                    tiers.append(tier)
+                seed_total += source.initial_credit_for(index, tier)
             else:
                 owned.append(0)
+                if tiers is not None:
+                    tiers.append(_UNOWNED_TIER)
         self._seed_total = seed_total
         self._owned_minted += owned.count(1, self._minted)
         self._live.extend(bytes(new_minted - self._minted))
         self._minted = new_minted
+
+    def _tier(self, index: int) -> Optional[int]:
+        """Owned index ``index``'s tier drawn at mint (``None``: untiered)."""
+        return None if self._tiers is None else self._tiers[index]
 
     def _hold(self, state: TenantState) -> TenantState:
         self._states[state.tenant_id] = state
@@ -310,7 +326,7 @@ class TenantRegistry:
 
     def _materialize(self, index: int) -> TenantState:
         """Build the full state of an owned population tenant on demand."""
-        state = TenantState(self._source.profile_for(index))
+        state = TenantState(self._source.profile_for(index, self._tier(index)))
         archived = self._archived.pop(index, None)
         if archived is not None:
             spent = state.account.credit - archived.credit
@@ -676,7 +692,7 @@ class TenantRegistry:
             else:
                 book = archived.get(index)
                 if book is None:
-                    seed = source.initial_credit_for(index)
+                    seed = source.initial_credit_for(index, self._tier(index))
                     book = uncharged.get(seed)
                     if book is None:
                         book = uncharged[seed] = WalletBook(seed, seed, 0.0)

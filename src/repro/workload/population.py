@@ -229,22 +229,22 @@ class GenerativeProfileSource:
     spec: PopulationSpec
     tiers: Tuple = ()
 
-    def profile_for(self, index: int) -> "TenantProfile":
-        """The static profile of the ``index``-th tenant ever minted."""
+    def profile_for(self, index: int,
+                    tier: Optional[int] = None) -> "TenantProfile":
+        """The static profile of the ``index``-th tenant ever minted;
+        ``tier`` is its :meth:`tier_of` if the caller drew it already."""
         from repro.economy.tenancy import TenantProfile
 
         if index < 0:
             raise WorkloadError(f"tenant index must be >= 0, got {index}")
-        spec = self.spec
         multiplier = self.base_multiplier(index)
-        credit = spec.initial_credit
         if self.tiers:
-            tier = self.tiers[self.tier_of(index)]
-            multiplier = multiplier * tier.budget_multiplier
-            credit = credit * tier.credit_multiplier
+            if tier is None:
+                tier = self.tier_of(index)
+            multiplier = multiplier * self.tiers[tier].budget_multiplier
         return TenantProfile(
             tenant_id=tenant_id_for(index),
-            initial_credit=credit,
+            initial_credit=self.initial_credit_for(index, tier),
             budget_multiplier=multiplier,
         )
 
@@ -266,11 +266,15 @@ class GenerativeProfileSource:
         """The tier index assigned to tenant ``index`` (requires tiers)."""
         return tier_index_for(self.spec.seed, index, self._boundaries)
 
-    def initial_credit_for(self, index: int) -> float:
-        """The seed credit of tenant ``index`` (cheaper than a profile)."""
+    def initial_credit_for(self, index: int,
+                           tier: Optional[int] = None) -> float:
+        """The seed credit of tenant ``index`` (cheaper than a profile);
+        ``tier`` as for :meth:`profile_for`."""
         credit = self.spec.initial_credit
         if self.tiers:
-            credit = credit * self.tiers[self.tier_of(index)].credit_multiplier
+            if tier is None:
+                tier = self.tier_of(index)
+            credit = credit * self.tiers[tier].credit_multiplier
         return credit
 
     def index_of(self, tenant_id: str) -> Optional[int]:

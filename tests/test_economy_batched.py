@@ -83,18 +83,20 @@ class TestOutcomeParity:
         for query in queries:
             assert scalar.process_query(query) == batched.process_query(query)
 
-    def test_batched_results_hold_priced_plans_only(self, execution_model,
-                                                   structure_costs,
-                                                   monkeypatch):
-        """Negotiation runs over row candidates, but settlement and regret
-        see PricedPlans, built only for the chosen and the regret rows."""
+    def test_batched_queries_materialise_the_chosen_row_only(
+            self, execution_model, structure_costs, monkeypatch):
+        """Negotiation runs over row candidates; settlement sees a
+        PricedPlan built for the chosen row alone, and regret rows reach
+        regret distribution as (missing structures, regret) pairs."""
         queries = workload()
         engine = make_engine(execution_model, structure_costs, "batched")
         engine.prime_queries(queries, settlement_period_s=50.0)
         results = []
         materialized = []
+        regret_pairs = []
         settle = engine._settle_chosen_plan
         materialize = engine._materialize_row
+        distribute = engine._distribute_regret
 
         def recording_settle(query, result, now):
             results.append(result)
@@ -104,18 +106,24 @@ class TestOutcomeParity:
             materialized.append(args)
             return materialize(*args)
 
+        def recording_distribute(query, regrets):
+            regret_pairs.extend(regrets)
+            return distribute(query, regrets)
+
         monkeypatch.setattr(engine, "_settle_chosen_plan", recording_settle)
         monkeypatch.setattr(engine, "_materialize_row", counting_materialize)
+        monkeypatch.setattr(engine, "_distribute_regret",
+                            recording_distribute)
         for query in queries:
             engine.process_query(query)
 
         assert len(results) == len(queries)
-        regret_count = sum(len(result.regrets) for result in results)
-        assert regret_count > 0
-        for result in results:
-            assert type(result.chosen) is PricedPlan
-            assert all(type(plan) is PricedPlan for plan, _ in result.regrets)
-        assert len(materialized) == len(results) + regret_count
+        assert len(materialized) == len(queries)
+        assert all(type(result.chosen) is PricedPlan for result in results)
+        assert regret_pairs
+        for missing, regret in regret_pairs:
+            assert type(missing) is tuple and missing
+            assert type(regret) is float and regret > 0
 
     def test_prime_is_a_noop_for_scalar_engines(self, execution_model,
                                                 structure_costs):
@@ -132,6 +140,59 @@ class TestOutcomeParity:
             engine.process_query(query)
         assert engine.plan_tables is not None
         assert len(engine.plan_tables) > 0
+
+
+class TestRegretPairParity:
+    """Both planning paths hand regret distribution the same
+    ``(missing structures, regret)`` pairs, pair for pair: the batched
+    path reads them from its pricing state, the scalar path derives them
+    from each regretted plan."""
+
+    SHOCKS = ("squeeze@0.6:0.2:0.5", "invalidate@0.5", "invalidate@0.3:index")
+
+    def record_pairs(self, monkeypatch, partitions, seed, planning):
+        from repro.distcache import DistCacheRunner
+        from repro.distcache.engine import PartitionedEconomyEngine
+        from repro.experiments.tenants import (TenantExperimentConfig,
+                                               run_tenant_cell)
+        from repro.workload.grammar import parse_shock
+
+        pairs = []
+        for owner in (EconomyEngine, PartitionedEconomyEngine):
+            distribute = owner._distribute_regret
+
+            def recording(engine, query, regrets, distribute=distribute):
+                partition = getattr(engine, "partition_index", None)
+                pairs.append((partition, query.query_id, [
+                    (missing, regret.hex()) for missing, regret in regrets]))
+                return distribute(engine, query, regrets)
+            monkeypatch.setattr(owner, "_distribute_regret", recording)
+
+        config = TenantExperimentConfig(
+            scheme="econ-cheap", tenant_count=12, query_count=60,
+            interarrival_s=5.0, settlement_period_s=25.0, seed=seed,
+            planning=planning, strict_maintenance=True,
+            shocks=tuple(parse_shock(text) for text in self.SHOCKS))
+        if partitions is None:
+            run_tenant_cell(config)
+        else:
+            DistCacheRunner(partitions, placement="hash",
+                            compare_baseline=False).run_cell(config)
+        monkeypatch.undo()
+        return pairs
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_pairs_equal_scalar_pairs(self, monkeypatch, seed,
+                                              partitions):
+        scalar = self.record_pairs(monkeypatch, partitions, seed, "scalar")
+        batched = self.record_pairs(monkeypatch, partitions, seed, "batched")
+        assert len(scalar) == 60
+        assert any(regrets for _, _, regrets in scalar)
+        # Structure tuples compare element by element; regrets by hex.
+        assert batched == scalar
+        assert all(type(missing) is tuple for _, _, regrets in batched
+                   for missing, _ in regrets)
 
 
 class TestBatchScheduler:

@@ -317,6 +317,51 @@ def _probe_query(tenant_id: str) -> Query:
                  tenant_id=tenant_id)
 
 
+class TestTierDrawnAtMint:
+    """A tiered registry draws each owned tenant's SLA tier once, at mint;
+    the profile and the wallet books reuse it."""
+
+    SPEC = PopulationSpec(tenant_count=8, initial_credit=10.0,
+                          budget_sigma=0.4, seed=7)
+
+    def _counting(self, monkeypatch):
+        drawn = []
+        tier_of = GenerativeProfileSource.tier_of
+
+        def counting(source, index):
+            drawn.append(index)
+            return tier_of(source, index)
+        monkeypatch.setattr(GenerativeProfileSource, "tier_of", counting)
+        return drawn
+
+    def test_each_owned_tier_drawn_once(self, monkeypatch):
+        source = GenerativeProfileSource(spec=self.SPEC, tiers=TIERS)
+        drawn = self._counting(monkeypatch)
+        registry = TenantRegistry(source)
+        registry.activate(range(8), now=0.0)
+        for index in range(0, 8, 2):
+            registry.charge(tenant_id_for(index), 1.0, now=1.0)
+        books = registry.wallet_books()
+        assert drawn == list(range(8))
+        monkeypatch.undo()
+        for index in range(8):
+            tenant_id = tenant_id_for(index)
+            assert books[tenant_id].seed == source.initial_credit_for(index)
+        for index in range(0, 8, 2):
+            assert (registry.state(tenant_id_for(index)).profile
+                    == source.profile_for(index))
+
+    def test_shard_draws_only_owned_tiers(self, monkeypatch):
+        source = GenerativeProfileSource(spec=self.SPEC, tiers=TIERS)
+        partitioner = TenantPartitioner(2)
+        drawn = self._counting(monkeypatch)
+        registry = ShardScopedRegistry(source, partitioner, 0)
+        registry.activate(range(8), now=0.0)
+        registry.wallet_books()
+        assert drawn == [index for index in range(8)
+                         if partitioner.owns(0, tenant_id_for(index))]
+
+
 class TestGenerativeShardForeignBudget:
     """The satellite bugfix: foreign budgets need no profile table."""
 
