@@ -141,11 +141,6 @@ class CacheManager:
         except KeyError:
             raise CacheError(f"structure not in cache: {key!r}") from None
 
-    def entries_of_kind(self, kind: StructureKind) -> List[CacheEntry]:
-        """All entries whose structure is of the given kind."""
-        return [entry for entry in self._entries.values()
-                if entry.structure.kind is kind]
-
     def maintenance_rate_total(self) -> float:
         """Combined $ per second maintenance rate of everything built."""
         return sum(entry.maintenance_rate for entry in self._entries.values())

@@ -9,7 +9,7 @@ The schema is the ground truth the rest of the system consults for sizes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, UnknownColumnError, UnknownTableError
@@ -155,11 +155,6 @@ class Schema:
 
     # -- tables -------------------------------------------------------------
 
-    @property
-    def table_names(self) -> List[str]:
-        """Names of all tables, in insertion order."""
-        return list(self._tables)
-
     def tables(self) -> Iterator[Table]:
         """Iterate over all tables."""
         return iter(self._tables.values())
@@ -183,11 +178,6 @@ class Schema:
     def total_size_bytes(self) -> int:
         """Total on-disk size of the database."""
         return sum(table.size_bytes for table in self._tables.values())
-
-    @property
-    def total_row_count(self) -> int:
-        """Total number of rows across all tables."""
-        return sum(table.row_count for table in self._tables.values())
 
     # -- indexes ------------------------------------------------------------
 
@@ -216,11 +206,6 @@ class Schema:
             return self._indexes[name]
         except KeyError:
             raise SchemaError(f"unknown index: {name!r}") from None
-
-    def indexes_on(self, table_name: str) -> List[Index]:
-        """All candidate indexes defined over ``table_name``."""
-        return [index for index in self._indexes.values()
-                if index.table_name == table_name]
 
     # -- misc ----------------------------------------------------------------
 

@@ -110,15 +110,6 @@ class SelectivityEstimator:
         table = self._schema.table(table_name)
         return max(1, int(round(table.row_count * selectivity)))
 
-    def output_bytes(self, table_name: str, column_names: Iterable[str],
-                     selectivity: float) -> int:
-        """Bytes returned when projecting ``column_names`` at ``selectivity``."""
-        table = self._schema.table(table_name)
-        width = sum(table.column(name).width_bytes for name in column_names)
-        if width == 0:
-            width = table.row_width_bytes
-        return max(1, int(round(width * table.row_count * selectivity)))
-
     def scanned_bytes(self, table_name: str, column_names: Iterable[str]) -> int:
         """Bytes a column-store scan reads when touching ``column_names``."""
         table = self._schema.table(table_name)

@@ -16,7 +16,7 @@ tables are small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro import constants
 from repro.catalog.schema import Column, Schema, Table
@@ -241,6 +241,3 @@ def build_tpch_schema(target_bytes: int = constants.BACKEND_DATABASE_BYTES,
     return Schema(tables)
 
 
-def tpch_table_sizes(schema: Schema) -> Dict[str, int]:
-    """Convenience map of table name to on-disk size in bytes."""
-    return {table.name: table.size_bytes for table in schema.tables()}

@@ -30,7 +30,8 @@ byte-identical tables), while ``--cache-partitions N`` partitions the
 *cache and provider economy* (:mod:`repro.distcache`) — explicitly
 different semantics, with per-partition, divergence and (under
 ``--placement adaptive``) placement sections; ``shocks`` reruns its
-shocked cells in either mode. The modes are alternatives, and
+shocked cells in either mode. The modes are alternatives. The grid and
+``scenario`` commands plan in batches; on ``tenants`` and ``shocks``,
 ``--planning batched`` is a pure throughput switch whose tables are
 byte-identical to ``--planning scalar``.
 """
@@ -55,7 +56,12 @@ from repro.distcache import (
     distcache_placement_table,
 )
 from repro.economy.account import audit_conservation, render_conservation
-from repro.economy.engine import PLANNING_MODES, PLANNING_SCALAR, EconomyConfig
+from repro.economy.engine import (
+    PLANNING_BATCHED,
+    PLANNING_MODES,
+    PLANNING_SCALAR,
+    EconomyConfig,
+)
 from repro.errors import ReproError
 from repro.policies.economic import EconomicSchemeConfig
 from repro.sharding import ShardImbalanceWarning
@@ -230,12 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                          help="worker processes for the grid cells "
                               "(default: 1, sequential)")
-        sub.add_argument("--planning", choices=PLANNING_MODES,
-                         default=PLANNING_SCALAR,
-                         help="query planning path: 'scalar' plans each query "
-                              "on arrival, 'batched' scores whole per-template "
-                              "batches vectorized; the tables are "
-                              "byte-identical either way (default: scalar)")
         # Only --trace/--force here: the figure drivers' --profile is the
         # experiment profile, so the cProfile flag stays off these.
         _add_trace_arguments(sub, full=False)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
-    """The workload, settlement and planning flags of ``scenario``,
+    """The workload, settlement and shock flags of ``scenario``,
     ``tenants`` and ``shocks``."""
     sub.add_argument("--queries", type=int, default=400,
                      help="queries to simulate (default: 400)")
@@ -342,12 +342,6 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
                      metavar="S",
                      help="fire a periodic maintenance settlement every S "
                           "simulated seconds")
-    sub.add_argument("--planning", choices=PLANNING_MODES,
-                     default=PLANNING_SCALAR,
-                     help="query planning path: 'scalar' plans each query "
-                          "on arrival, 'batched' scores per-template batches "
-                          "vectorized; the tables are byte-identical in "
-                          "every mode (default: scalar)")
     sub.add_argument("--shock", type=_shock_spec, action="append",
                      default=[], metavar="SPEC",
                      help="inject a market shock: invalidate@FRAC"
@@ -365,8 +359,8 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
 def _add_cell_arguments(sub: argparse.ArgumentParser,
                         n_tenants: int) -> None:
     """The flags ``tenants`` and ``shocks`` share: the population cell, the
-    fan-out and the scaling modes (``shocks`` reruns its shocked cells
-    under ``--shards`` and ``--cache-partitions``)."""
+    planning path, the fan-out and the scaling modes (``shocks`` reruns
+    its shocked cells under ``--shards`` and ``--cache-partitions``)."""
     sub.add_argument("--schemes", default="econ-cheap", metavar="LIST",
                      help="comma-separated scheme names, each at most "
                           "once, or 'all' (default: econ-cheap)")
@@ -374,6 +368,12 @@ def _add_cell_arguments(sub: argparse.ArgumentParser,
                      help=f"tenants active at any one time "
                           f"(default: {n_tenants})")
     _add_run_arguments(sub)
+    sub.add_argument("--planning", choices=PLANNING_MODES,
+                     default=PLANNING_SCALAR,
+                     help="query planning path: 'scalar' plans each query "
+                          "on arrival, 'batched' scores per-template batches "
+                          "vectorized; the tables are byte-identical in "
+                          "every mode (default: scalar)")
     sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                      help="worker processes shared by all cells, observed "
                           "or not; the tables, and the --trace/--metrics "
@@ -499,7 +499,7 @@ def _scenario_command(args: argparse.Namespace,
     shocks = tuple(scenario.shocks) + tuple(args.shock)
     system = CloudSystem()
     scheme = system.scheme(args.scheme, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=args.planning,
+        economy=EconomyConfig(planning=PLANNING_BATCHED,
                               strict_maintenance=args.strict_maintenance),
     ))
     observers = []
@@ -802,7 +802,7 @@ def _write_observability_artifacts(args: argparse.Namespace,
             shards=getattr(args, "shards", 1),
             cache_partitions=getattr(args, "cache_partitions", 1),
             placement=getattr(args, "placement", "hash"),
-            planning=args.planning,
+            planning=getattr(args, "planning", PLANNING_BATCHED),
             phase_timings_s={"run": run_s, f"emit_{kind}": emit_s},
             extra=extra,
         )
@@ -813,11 +813,8 @@ def _dispatch(args: argparse.Namespace,
               recorder: Optional[TraceRecorder]) -> str:
     """Route one parsed command to its driver."""
     if args.command in ("figure4", "figure5", "headline"):
-        profile = _PROFILES[args.profile].with_overrides(
-            planning=args.planning
-        )
-        return _figure_command(args.command, profile, args.jobs,
-                               recorder=recorder)
+        return _figure_command(args.command, _PROFILES[args.profile],
+                               args.jobs, recorder=recorder)
     if args.command == "ablation":
         return _ablation_command(args.which, args.queries)
     if args.command == "scenario":

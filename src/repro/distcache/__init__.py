@@ -68,7 +68,7 @@ from repro.distcache.report import (
     distcache_placement_table,
 )
 from repro.distcache.runner import (
-    DEFAULT_ANCHOR_PERIOD,
+    ANCHOR_PERIOD,
     PLACEMENT_MODES,
     BarrierReport,
     DirectoryPublication,
@@ -83,7 +83,7 @@ from repro.distcache.runner import (
 from repro.economy.account import ledger_fold, outcome_charge_fold
 
 __all__ = [
-    "DEFAULT_ANCHOR_PERIOD",
+    "ANCHOR_PERIOD",
     "PLACEMENT_MODES",
     "BarrierReport",
     "CrossShardDirectory",

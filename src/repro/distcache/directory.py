@@ -277,11 +277,6 @@ class CrossShardDirectory:
             return None
         return entry
 
-    def entries_of(self, partition: int) -> Tuple[DirectoryEntry, ...]:
-        """Every entry advertised by one partition (insertion order)."""
-        return tuple(entry for entry in self._entries.values()
-                     if entry.partition == partition)
-
     def entries_by_key(self) -> Dict[str, DirectoryEntry]:
         """The advertised entries as a fresh ``key -> entry`` mapping."""
         return dict(self._entries)

@@ -117,7 +117,6 @@ class PartitionedEconomyEngine(EconomyEngine):
                  config: EconomyConfig = EconomyConfig(),
                  amortization: Optional[AmortizationPolicy] = None,
                  tenants: Optional[TenantRegistry] = None,
-                 remote: RemoteAccessModel = RemoteAccessModel(),
                  record_placement_bids: bool = False) -> None:
         if not isinstance(cache, PartitionedCacheManager):
             raise DistCacheError(
@@ -126,7 +125,7 @@ class PartitionedEconomyEngine(EconomyEngine):
         super().__init__(enumerator, structure_costs, cache=cache,
                          config=config, amortization=amortization,
                          tenants=tenants)
-        self._remote = remote
+        self._remote = RemoteAccessModel()
         self._record_bids = record_placement_bids
         self._remote_hits = 0
         self._remote_structure_accesses = 0

@@ -38,7 +38,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import DistCacheError
 from repro.partitioning import partition_index
@@ -118,10 +118,6 @@ class StructurePartitioner:
         if not key:
             raise DistCacheError("structure key must not be empty")
         return partition_index(key, self.partition_count)
-
-    def override_of(self, key: str) -> Optional[int]:
-        """The override entry for ``key``, if one is in force."""
-        return self._override_map.get(key)
 
     def with_overrides(self, handoffs: Mapping[str, int]
                        ) -> "StructurePartitioner":

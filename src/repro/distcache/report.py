@@ -4,8 +4,9 @@ Up to three sections accompany the standard tenant tables of a
 partitioned run:
 
 * the **partition table** — per-partition load, local cache footprint,
-  remote traffic, and sub-account balances, plus the audit trail line
-  (barriers verified, conservation exact);
+  remote traffic and its surcharge dollars, and sub-account balances,
+  plus the audit trail line (barriers verified, conservation exact) and
+  the directory bytes the barriers published against full republication;
 * the **divergence table** — the semantics price tag: headline metrics of
   the partitioned run against the global-cache run of the same seed, so
   nobody mistakes partitioned numbers for replicated ones;
@@ -27,7 +28,7 @@ from repro.experiments.reporting import format_table
 def distcache_partition_table(report: DistCacheCellReport) -> str:
     """Per-partition accounting of one partitioned cell."""
     headers = ["partition", "queries", "structures", "peak_cache_mb",
-               "remote_hits", "remote_mb", "subaccount_credit"]
+               "remote_hits", "remote_mb", "remote_usd", "subaccount_credit"]
     rows: List[List[object]] = []
     for stats in report.partitions:
         rows.append([
@@ -37,13 +38,17 @@ def distcache_partition_table(report: DistCacheCellReport) -> str:
             stats.peak_cache_bytes / (1024.0 ** 2),
             stats.remote_hits,
             stats.remote_bytes / (1024.0 ** 2),
+            stats.remote_dollars,
             stats.subaccount_credit,
         ])
     config = report.cell.config
     title = (f"Cache partitions - {config.scheme} x "
              f"{report.partition_count} partitions "
              f"(conservation: exact, {report.barriers_verified} barriers; "
-             f"directory: {report.directory_size} entries)")
+             f"directory: {report.directory_size} entries; "
+             f"directory bytes published: {report.directory_bytes_published} "
+             f"vs {report.directory_bytes_full} full; "
+             f"remote surcharge: ${report.remote_dollars_paid:.4f})")
     return format_table(headers, rows, title=title)
 
 
@@ -109,7 +114,5 @@ def distcache_placement_table(report: DistCacheCellReport) -> Optional[str]:
     title = (f"Placement - adaptive (handoffs: {report.handoff_count} "
              f"applied over {report.barriers_verified} barriers; "
              f"threshold ${report.handoff_threshold:g}/epoch; "
-             f"directory bytes published: {report.directory_bytes_published} "
-             f"vs {report.directory_bytes_full} full; "
              f"conservation: exact)")
     return format_table(headers, rows, title=title)

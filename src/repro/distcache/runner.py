@@ -50,7 +50,7 @@ from repro.distcache.directory import (
     DirectoryDelta,
     verify_delta_fold,
 )
-from repro.distcache.engine import PartitionedEconomyEngine, RemoteAccessModel
+from repro.distcache.engine import PartitionedEconomyEngine
 from repro.distcache.manager import PartitionedCacheManager
 from repro.distcache.merge import PartitionCheckpoint, merge_partition_results
 from repro.distcache.partition import QueryRouter, StructurePartitioner
@@ -158,9 +158,9 @@ class PartitionEpochResult:
 #: demand-driven ownership handoffs at settlement barriers.
 PLACEMENT_MODES = ("hash", "adaptive")
 
-#: Publish a full-snapshot anchor every this many barriers by default;
-#: all other barriers publish (and fold-verify) only the delta.
-DEFAULT_ANCHOR_PERIOD = 8
+#: Publish a full-snapshot anchor every this many barriers; all other
+#: barriers publish (and fold-verify) only the delta.
+ANCHOR_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,6 @@ class DistCacheCellReport:
     partitions: Tuple[PartitionRunStats, ...]
     checkpoints: Tuple[PartitionCheckpoint, ...]
     directory_size: int
-    remote: RemoteAccessModel
     baseline: Optional[MetricsSummary] = None
     placement: str = "hash"
     handoff_threshold: float = 0.0
@@ -402,7 +401,6 @@ class DistCacheRunner:
         max_workers: worker processes that :meth:`run_cells` fans whole
             cells over (1 = sequential); every partition of a cell runs
             in the process that runs the cell.
-        remote: the remote-access surcharge model in force.
         compare_baseline: also run the global-cache twin for the
             divergence report (skipped with one partition).
         placement: ``"hash"`` (static hash ownership, byte-identical to
@@ -410,16 +408,16 @@ class DistCacheRunner:
             ownership handoffs at settlement barriers).
         handoff_threshold: hysteresis margin in dollars per epoch a
             challenger must exceed the incumbent by (adaptive mode).
-        anchor_period: publish a full-snapshot anchor every this many
-            barriers; the others publish fold-verified deltas.
+
+    Every partition prices remote structures with the default
+    :class:`~repro.distcache.engine.RemoteAccessModel`, and every
+    :data:`ANCHOR_PERIOD`-th barrier publishes a full-snapshot anchor.
     """
 
     def __init__(self, partition_count: int, max_workers: int = 1,
-                 remote: RemoteAccessModel = RemoteAccessModel(),
                  compare_baseline: bool = True,
                  placement: str = "hash",
-                 handoff_threshold: float = 0.0,
-                 anchor_period: int = DEFAULT_ANCHOR_PERIOD) -> None:
+                 handoff_threshold: float = 0.0) -> None:
         if partition_count < 1:
             raise DistCacheError(
                 f"partition_count must be >= 1, got {partition_count}")
@@ -433,18 +431,13 @@ class DistCacheRunner:
         if not handoff_threshold >= 0:  # `not >=` also rejects NaN
             raise DistCacheError(
                 f"handoff_threshold must be >= 0, got {handoff_threshold}")
-        if anchor_period < 1:
-            raise DistCacheError(
-                f"anchor_period must be >= 1, got {anchor_period}")
         self._base_partitioner = StructurePartitioner(partition_count)
         self._partitioner = self._base_partitioner
         self._router = QueryRouter(partition_count)
         self._max_workers = max_workers
-        self._remote = remote
         self._compare_baseline = compare_baseline
         self._placement = placement
         self._handoff_threshold = handoff_threshold
-        self._anchor_period = anchor_period
 
     @property
     def partition_count(self) -> int:
@@ -496,7 +489,6 @@ class DistCacheRunner:
                     cache=cache,
                     config=economy,
                     tenants=tenants,
-                    remote=self._remote,
                     record_placement_bids=self._placement == "adaptive",
                 )
 
@@ -544,9 +536,6 @@ class DistCacheRunner:
 
     def _run_cell(self, config: TenantExperimentConfig,
                   recorder) -> DistCacheCellReport:
-        if config.warmup_queries:
-            raise DistCacheError(
-                "partitioned mode does not support warmup_queries")
         # Ownership overrides are per-cell state: every cell starts from
         # pure hash placement, whatever the previous cell handed off.
         self._partitioner = self._base_partitioner
@@ -719,7 +708,6 @@ class DistCacheRunner:
                                                    audits)),
             checkpoints=tuple(checkpoints),
             directory_size=len(directory),
-            remote=self._remote,
             baseline=baseline,
             placement=self._placement,
             handoff_threshold=self._handoff_threshold,
@@ -825,7 +813,7 @@ class DistCacheRunner:
         The full snapshot is still assembled (and its ownership
         invariants verified) every barrier — what changes is what the
         partitions receive: the delta against the previous epoch, except
-        every ``anchor_period``-th barrier, which ships the full snapshot
+        every :data:`ANCHOR_PERIOD`-th barrier, which ships the full snapshot
         as an audit anchor. ``prev + delta == full`` is re-verified here
         before anything ships, and every partition folds the delta onto
         its own snapshot, so a divergent delta can never propagate.
@@ -846,7 +834,7 @@ class DistCacheRunner:
             moves=len(delta.moves),
             delta_bytes=delta.wire_bytes,
             full_bytes=directory.wire_bytes,
-            anchored=version % self._anchor_period == 0,
+            anchored=version % ANCHOR_PERIOD == 0,
         )
         return directory, delta, publication
 

@@ -71,7 +71,6 @@ class TenantProfile:
         user_model: optional per-tenant budget policy; when ``None`` the
             engine's configured :class:`~repro.economy.user_model.UserModel`
             is used.
-        joined_at_s: simulated instant the tenant joined the population.
 
     Example:
         >>> profile = TenantProfile("t0001", initial_credit=25.0)
@@ -87,7 +86,6 @@ class TenantProfile:
     initial_credit: float = 0.0
     budget_multiplier: float = 1.0
     user_model: Optional[UserModel] = None
-    joined_at_s: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
@@ -99,10 +97,6 @@ class TenantProfile:
         if self.budget_multiplier <= 0:
             raise EconomyError(
                 f"budget_multiplier must be positive, got {self.budget_multiplier}"
-            )
-        if self.joined_at_s < 0:
-            raise EconomyError(
-                f"joined_at_s must be non-negative, got {self.joined_at_s}"
             )
 
 
@@ -132,7 +126,7 @@ class TenantState:
         )
         self.regret = RegretTracker(pool_capacity=64)
         self.active = True
-        self.activated_at_s = profile.joined_at_s
+        self.activated_at_s = 0.0
         self.churned_at_s: Optional[float] = None
         self.queries_processed = 0
         self.charged = 0.0

@@ -17,11 +17,10 @@ in a documented way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro import constants
-from repro.economy.engine import PLANNING_MODES, PLANNING_SCALAR
 from repro.errors import ExperimentError
 from repro.policies.factory import SCHEME_NAMES
 
@@ -40,9 +39,6 @@ class ExperimentProfile:
             module docstring).
         database_bytes: back-end database size.
         seed: workload seed (identical across schemes within a cell).
-        planning: ``"scalar"`` (per-query planning, the default) or
-            ``"batched"`` (vectorized per-template planning; outcomes are
-            bit-for-bit identical, only throughput changes).
     """
 
     name: str
@@ -53,7 +49,6 @@ class ExperimentProfile:
     disk_duration_scale: float = 10.0
     database_bytes: int = constants.BACKEND_DATABASE_BYTES
     seed: int = 0
-    planning: str = PLANNING_SCALAR
 
     def __post_init__(self) -> None:
         if self.query_count <= 0:
@@ -73,11 +68,6 @@ class ExperimentProfile:
             raise ExperimentError(f"unknown schemes: {unknown}")
         if self.disk_duration_scale <= 0:
             raise ExperimentError("disk_duration_scale must be positive")
-        if self.planning not in PLANNING_MODES:
-            raise ExperimentError(
-                f"planning must be one of {PLANNING_MODES}, "
-                f"got {self.planning!r}"
-            )
 
     def with_overrides(self, **overrides) -> "ExperimentProfile":
         """Copy of the profile with some fields replaced."""

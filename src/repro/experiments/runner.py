@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.costmodel.config import CostModelConfig
-from repro.economy.engine import EconomyConfig
+from repro.economy.engine import PLANNING_BATCHED, EconomyConfig
 from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.config import ExperimentProfile
 from repro.obs.trace import TraceRecorder
@@ -101,6 +101,10 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
              recorder: Optional[TraceRecorder] = None) -> CellResult:
     """Run one (scheme, interval) cell against a prepared system.
 
+    Every cell plans in batches: the batched planner scores each
+    template's queries from one plan table and gives the scalar
+    pipeline's results bit for bit, faster.
+
     A ``recorder`` is attached under the zero-perturbation contract and
     rides the returned :class:`CellResult` (:func:`run_grid` hands each
     cell its own, source ``scheme@interval``, and absorbs it).
@@ -112,7 +116,7 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
     )
     workload = WorkloadGenerator(spec.with_interarrival(interarrival_s)).generate()
     scheme = system.scheme(scheme_name, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=profile.planning),
+        economy=EconomyConfig(planning=PLANNING_BATCHED),
     ))
     observers = []
     if recorder is not None:

@@ -86,7 +86,6 @@ class TenantExperimentConfig:
     budget_sigma: float = 0.0
     churn_period: int = 0
     churn_fraction: float = 0.1
-    warmup_queries: int = 0
     settlement_period_s: Optional[float] = None
     planning: str = PLANNING_SCALAR
     shocks: Tuple[ShockSpec, ...] = ()
@@ -268,15 +267,13 @@ class TenantCell:
                 self.scheme, recorder,
                 rss=config.arrival_mode == ARRIVAL_STREAMED))
         envelope = self.envelope
-        results = _run_tenants(
-            [self.scheme], self._arrivals, envelope,
-            SimulationConfig(warmup_queries=config.warmup_queries,
-                             settlement_period_s=config.settlement_period_s),
+        return _run_tenants(
+            self.scheme, self._arrivals, envelope,
+            SimulationConfig(settlement_period_s=config.settlement_period_s),
             observers=observers,
             shock_events=compile_shock_events_for_span(
                 config.shocks, envelope.start_s, envelope.last_s),
         )
-        return results[self.scheme.name]
 
     def outcome(self, result: SimulationResult) -> TenantCellResult:
         """The cell result of a finished :meth:`run`."""

@@ -3,9 +3,8 @@
 The simulator is a general event kernel: query arrivals, periodic
 maintenance settlements, scheduled structure-failure checks and workload
 phase changes are events dispatched to registered handlers along one
-shared clock. The stock drivers replay a workload against one scheme
-(:class:`CloudSimulation`) or several schemes sharing a clock
-(:class:`MultiSchemeSimulation`), integrating the time-proportional
+shared clock. The stock driver replays a workload against one scheme
+(:class:`CloudSimulation`), integrating the time-proportional
 costs (disk storage and node uptime) between events and collecting the
 metrics Figures 4 and 5 report: total operating cost and average
 response time.
@@ -26,7 +25,6 @@ from repro.simulator.metrics import MetricsCollector, MetricsSummary
 from repro.simulator.results import SimulationResult
 from repro.simulator.simulation import (
     CloudSimulation,
-    MultiSchemeSimulation,
     SimulationConfig,
     run_scheme,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "MetricsSummary",
     "SimulationResult",
     "CloudSimulation",
-    "MultiSchemeSimulation",
     "SimulationConfig",
     "run_scheme",
 ]

@@ -34,11 +34,3 @@ class SimulationClock:
         self._now = max(self._now, time_s)
         return elapsed
 
-    def advance_by(self, duration_s: float) -> float:
-        """Move the clock forward by ``duration_s`` seconds and return the new time."""
-        if duration_s < 0:
-            raise SimulationError(
-                f"duration_s must be non-negative, got {duration_s}"
-            )
-        self._now += duration_s
-        return self._now

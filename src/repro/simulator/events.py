@@ -282,11 +282,6 @@ class EventQueue:
             (event.time_s, event.priority, next(self._counter), event),
         )
 
-    def push_all(self, events) -> None:
-        """Schedule many events."""
-        for event in events:
-            self.push(event)
-
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:

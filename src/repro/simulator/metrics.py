@@ -9,8 +9,8 @@ refers to (cache hit rate, builds, evictions, per-resource spend, profit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,30 +47,6 @@ class MetricsSummary:
         """Total execution resource spend."""
         return (self.execution_cpu_dollars + self.execution_io_dollars
                 + self.execution_network_dollars)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary form used by the experiment reports."""
-        return {
-            "scheme": self.scheme_name,
-            "queries": self.query_count,
-            "duration_s": self.duration_s,
-            "operating_cost": self.operating_cost,
-            "execution_cpu": self.execution_cpu_dollars,
-            "execution_io": self.execution_io_dollars,
-            "execution_network": self.execution_network_dollars,
-            "build": self.build_dollars,
-            "maintenance": self.maintenance_dollars,
-            "mean_response_s": self.mean_response_time_s,
-            "median_response_s": self.median_response_time_s,
-            "p95_response_s": self.p95_response_time_s,
-            "cache_hit_rate": self.cache_hit_rate,
-            "network_bytes": self.total_network_bytes,
-            "charge": self.total_charge,
-            "profit": self.total_profit,
-            "builds": self.builds,
-            "evictions": self.evictions,
-            "eviction_losses": self.eviction_losses,
-        }
 
 
 @dataclass(frozen=True)
@@ -188,15 +164,6 @@ class MetricsCollector:
     def response_times(self) -> np.ndarray:
         """Response times of all recorded queries."""
         return np.array([step.response_time_s for step in self._steps], dtype=float)
-
-    def cumulative_cost_series(self) -> List[float]:
-        """Cumulative execution+build spend after each query (no maintenance)."""
-        running = 0.0
-        series: List[float] = []
-        for step in self._steps:
-            running += step.resource_dollars
-            series.append(running)
-        return series
 
     def summary(self) -> MetricsSummary:
         """Aggregate everything recorded so far."""

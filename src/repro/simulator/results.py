@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.policies.base import SchemeStep
 from repro.simulator.metrics import MetricsSummary
@@ -31,21 +31,3 @@ class SimulationResult:
         """Figure 5's metric: average response time in seconds."""
         return self.summary.mean_response_time_s
 
-    def response_time_series(self) -> List[float]:
-        """Per-query response times, in arrival order."""
-        return [step.response_time_s for step in self.steps]
-
-    def hit_series(self) -> List[bool]:
-        """Per-query cache-hit flags, in arrival order."""
-        return [step.served_in_cache for step in self.steps]
-
-    def per_template_mean_response(self) -> Dict[str, float]:
-        """Average response time per query template."""
-        totals: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for step in self.steps:
-            totals[step.template_name] = (
-                totals.get(step.template_name, 0.0) + step.response_time_s
-            )
-            counts[step.template_name] = counts.get(step.template_name, 0) + 1
-        return {name: totals[name] / counts[name] for name in totals}

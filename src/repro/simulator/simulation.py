@@ -1,4 +1,4 @@
-"""The simulation drivers, assembled on the event kernel.
+"""The simulation driver, assembled on the event kernel.
 
 :class:`CloudSimulation` keeps its original one-scheme API but is now a
 thin assembly over :class:`~repro.simulator.kernel.SimulationKernel`:
@@ -10,10 +10,7 @@ maintenance cost of everything the scheme keeps built, which is how the
 inter-arrival time ends up mattering for the operating cost even though
 per-query work is unchanged — exactly the effect Figures 4 and 5 study.
 
-:class:`MultiSchemeSimulation` runs several schemes against the same
-workload on one shared clock in a single kernel run.
-
-Both are assembled by :func:`_run_tenants` over an arrival *stream* (a
+It is assembled by :func:`_run_tenants` over an arrival *stream* (a
 list is just a finite one), as are the lazily streamed tenant cells.
 """
 
@@ -21,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.policies.base import CachingScheme
@@ -52,11 +49,6 @@ class SimulationConfig:
             (they still update the scheme's state). The paper's measurements
             start from an operating cloud; a small warm-up avoids crediting
             or penalising schemes for the very first cold-cache queries.
-        trailing_settlement: whether maintenance is also charged for one
-            mean inter-arrival interval after the final query, keeping the
-            measured duration equal to ``count * interarrival`` exactly
-            (the trailing interval is the workload's empirical mean gap,
-            ``span / (count - 1)``).
         settlement_period_s: when set, a periodic maintenance settlement
             event fires every this many seconds; settlement at event
             boundaries is exact either way (the rate only changes at
@@ -69,7 +61,6 @@ class SimulationConfig:
     """
 
     warmup_queries: int = 0
-    trailing_settlement: bool = True
     settlement_period_s: Optional[float] = None
     failure_check_period_s: Optional[float] = None
 
@@ -83,13 +74,13 @@ class SimulationConfig:
             raise SimulationError("failure_check_period_s must be positive")
 
 
-def _run_tenants(schemes: Sequence[CachingScheme],
+def _run_tenants(scheme: CachingScheme,
                  arrivals: Iterable[Arrival], envelope: ArrivalEnvelope,
                  config: SimulationConfig,
                  phase_changes: Sequence = (),
                  observers: Sequence = (),
-                 shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
-    """The kernel assembly: run ``schemes`` over one arrival stream and clock.
+                 shock_events: Sequence = ()) -> SimulationResult:
+    """The kernel assembly: run ``scheme`` over one arrival stream.
 
     ``arrivals`` yields queries and tenant lifecycle markers in time order
     — a materialised workload through
@@ -98,6 +89,10 @@ def _run_tenants(schemes: Sequence[CachingScheme],
     kernel through a :class:`StreamingArrivalSource`. ``envelope`` supplies
     the run's extent before any arrival is read; all horizon arithmetic
     uses its floats, the same values the arrivals are stamped with.
+
+    Maintenance is also charged for one trailing interval after the final
+    query (the workload's empirical mean gap, ``span / (count - 1)``), so
+    the measured duration is ``count * interarrival`` exactly.
     """
     if config.warmup_queries >= envelope.query_count:
         raise SimulationError(
@@ -107,36 +102,30 @@ def _run_tenants(schemes: Sequence[CachingScheme],
 
     start_s = envelope.start_s
     trailing_s = envelope.trailing_interval_s
-    end_s = envelope.last_s + (trailing_s if config.trailing_settlement
-                               else 0.0)
+    end_s = envelope.last_s + trailing_s
 
     kernel = SimulationKernel(start_time_s=start_s)
-    # Batched planners pull their own feed of the stream, one window of
-    # settlement epochs at a time. Scalar schemes get none: a tee branch
+    # A batched planner pulls its own feed of the stream, one window of
+    # settlement epochs at a time. A scalar scheme gets none: a tee branch
     # nobody drains would buffer the whole stream.
-    batched = [scheme for scheme in schemes if scheme.plans_in_batches]
-    if batched:
-        arrivals, *feeds = itertools.tee(arrivals, len(batched) + 1)
-        for scheme, feed in zip(batched, feeds):
-            scheme.prime_workload(
-                (item for item in feed if isinstance(item, Query)),
-                settlement_period_s=config.settlement_period_s,
-            )
-        del feeds, feed
+    if scheme.plans_in_batches:
+        arrivals, feed = itertools.tee(arrivals)
+        scheme.prime_workload(
+            (item for item in feed if isinstance(item, Query)),
+            settlement_period_s=config.settlement_period_s,
+        )
+        del feed
     source = StreamingArrivalSource(arrivals)
-    # No local name keeps a branch of the stream: the source and each
+    # No local name keeps a branch of the stream: the source and the
     # planner drop theirs once drained, and with them the tee's buffer.
     del arrivals
-    tenants: List[SchemeTenant] = []
-    for scheme in schemes:
-        tenant = SchemeTenant(
-            scheme,
-            MetricsCollector(scheme.name),
-            warmup_queries=config.warmup_queries,
-            start_time_s=start_s,
-        )
-        tenant.register(kernel)
-        tenants.append(tenant)
+    collector = MetricsCollector(scheme.name)
+    SchemeTenant(
+        scheme,
+        collector,
+        warmup_queries=config.warmup_queries,
+        start_time_s=start_s,
+    ).register(kernel)
 
     rescheduler = PeriodicRescheduler(horizon_s=end_s)
     kernel.register(MaintenanceSettlementEvent, rescheduler)
@@ -178,19 +167,14 @@ def _run_tenants(schemes: Sequence[CachingScheme],
             time_s=start_s + config.failure_check_period_s,
             period_s=config.failure_check_period_s,
         ))
-    if config.trailing_settlement and trailing_s > 0:
+    if trailing_s > 0:
         kernel.schedule(MaintenanceSettlementEvent(time_s=end_s, final=True))
 
     source.prime(kernel)
     kernel.run()
 
-    return {
-        tenant.scheme.name: SimulationResult(
-            summary=tenant.collector.summary(),
-            steps=tenant.collector.steps,
-        )
-        for tenant in tenants
-    }
+    return SimulationResult(summary=collector.summary(),
+                            steps=collector.steps)
 
 
 class CloudSimulation:
@@ -231,46 +215,11 @@ class CloudSimulation:
                 invalidations, provider price shocks, tenant budget
                 squeezes.
         """
-        results = MultiSchemeSimulation([self._scheme], self._config).run(
-            queries, phase_changes, tenant_lifecycle, observers, shock_events)
-        return results[self._scheme.name]
-
-
-class MultiSchemeSimulation:
-    """Runs several schemes over one workload on a single shared clock.
-
-    Each scheme keeps its own cache and metrics; they only share the
-    kernel and its event stream, so an N-scheme run dispatches each
-    arrival once instead of re-running the simulation N times.
-    """
-
-    def __init__(self, schemes: Sequence[CachingScheme],
-                 config: SimulationConfig = SimulationConfig()) -> None:
-        scheme_list = list(schemes)
-        if not scheme_list:
-            raise SimulationError("at least one scheme is required")
-        names = [scheme.name for scheme in scheme_list]
-        if len(set(names)) != len(names):
-            raise SimulationError(f"scheme names must be unique, got {names}")
-        self._schemes = scheme_list
-        self._config = config
-
-    @property
-    def schemes(self) -> Tuple[CachingScheme, ...]:
-        """The schemes under simulation."""
-        return tuple(self._schemes)
-
-    def run(self, queries: Sequence[Query],
-            phase_changes: Sequence = (),
-            tenant_lifecycle: Sequence = (),
-            observers: Sequence = (),
-            shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
-        """Run every scheme over ``queries``; results keyed by scheme name."""
         query_list = list(queries)
         if not query_list:
             raise SimulationError("the workload contains no queries")
         return _run_tenants(
-            self._schemes, arrival_stream(query_list, tenant_lifecycle),
+            self._scheme, arrival_stream(query_list, tenant_lifecycle),
             ArrivalEnvelope.of(query_list), self._config,
             phase_changes=phase_changes, observers=observers,
             shock_events=shock_events)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.catalog.schema import Index, Schema
+from repro.catalog.schema import Schema
 from repro.errors import ConfigurationError
 from repro.structures.base import CacheStructure, StructureKind
 from repro.structures.cached_column import CachedColumn
@@ -36,15 +36,6 @@ class CachedIndex(CacheStructure):
         columns = ",".join(self._column_names)
         self._key = f"index:{table_name}({columns})"
         self._required_columns: Optional[Tuple[CachedColumn, ...]] = None
-
-    @classmethod
-    def from_definition(cls, definition: Index) -> "CachedIndex":
-        """Build the cache structure corresponding to a catalog index definition."""
-        return cls(
-            table_name=definition.table_name,
-            column_names=definition.column_names,
-            pointer_bytes=definition.pointer_bytes,
-        )
 
     @property
     def table_name(self) -> str:
@@ -94,8 +85,3 @@ class CachedIndex(CacheStructure):
         """
         return table_name == self._table_name and column_name == self.leading_column
 
-    def covers_columns(self, table_name: str, column_names) -> bool:
-        """Whether the index key contains all of ``column_names`` of ``table_name``."""
-        if table_name != self._table_name:
-            return False
-        return set(column_names).issubset(self._column_names)

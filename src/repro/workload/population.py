@@ -220,10 +220,10 @@ class GenerativeProfileSource:
     churn replacements and under tier rewrites), which the registry layer
     relies on to materialise profiles on demand.
 
-    Profiles are *static* by contract — ``joined_at_s`` is always 0; the
-    simulated arrival instants live in the lifecycle event stream, not in
-    the profile (a profile must be derivable before, during, or after the
-    tenant's tenure and always compare equal).
+    Profiles are *static* by contract: the simulated arrival instants
+    live in the lifecycle event stream, not in the profile (a profile
+    must be derivable before, during, or after the tenant's tenure and
+    always compare equal).
     """
 
     spec: PopulationSpec

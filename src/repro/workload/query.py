@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import SelectivityEstimator
@@ -253,11 +253,6 @@ class Query:
         for name in self.order_by_columns:
             ordered.setdefault(name, None)
         return tuple(ordered)
-
-    @property
-    def touched_column_set(self) -> FrozenSet[str]:
-        """Set form of :attr:`touched_columns`, for subset tests."""
-        return frozenset(self.touched_columns)
 
     # -- analytic properties consumed by the cost model -----------------------
 

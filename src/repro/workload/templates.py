@@ -14,7 +14,7 @@ how parallelisable it is, which is all the economy needs.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import WorkloadError
 from repro.workload.query import Predicate, PredicateKind, QueryTemplate
@@ -159,6 +159,3 @@ def template_by_name(name: str) -> QueryTemplate:
     raise WorkloadError(f"unknown template {name!r}; known templates: {known}")
 
 
-def templates_by_name() -> Dict[str, QueryTemplate]:
-    """Map of template name to template, for the workload generator."""
-    return {template.name: template for template in paper_templates()}

@@ -4,10 +4,8 @@ import pytest
 
 from repro.cache.manager import CacheConfig, CacheManager
 from repro.errors import CacheError, InsufficientSpaceError
-from repro.structures.base import StructureKind
 from repro.structures.cached_column import CachedColumn
 from repro.structures.cached_index import CachedIndex
-from repro.structures.cpu_node import CpuNode
 
 
 def admit(manager, structure, size=100, cost=10.0, rate=0.01, now=0.0):
@@ -35,14 +33,6 @@ class TestAdmission:
     def test_unknown_entry_raises(self):
         with pytest.raises(CacheError):
             CacheManager().entry("column:missing")
-
-    def test_entries_of_kind(self):
-        manager = CacheManager()
-        admit(manager, CachedColumn("lineitem", "l_shipdate"))
-        admit(manager, CpuNode(1), size=0)
-        assert len(manager.entries_of_kind(StructureKind.COLUMN)) == 1
-        assert len(manager.entries_of_kind(StructureKind.CPU_NODE)) == 1
-        assert manager.entries_of_kind(StructureKind.INDEX) == []
 
     def test_maintenance_rate_total(self):
         manager = CacheManager()

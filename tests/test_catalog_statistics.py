@@ -69,17 +69,6 @@ class TestCardinalities:
     def test_output_rows_minimum_one(self, estimator):
         assert estimator.output_rows("region", 1e-12) == 1
 
-    def test_output_bytes_use_projected_width(self, estimator, schema):
-        lineitem = schema.table("lineitem")
-        size = estimator.output_bytes("lineitem", ["l_orderkey", "l_discount"], 1.0)
-        expected = (4 + 8) * lineitem.row_count
-        assert size == pytest.approx(expected, rel=0.01)
-
-    def test_output_bytes_empty_projection_falls_back_to_row_width(self, estimator, schema):
-        lineitem = schema.table("lineitem")
-        size = estimator.output_bytes("lineitem", [], 1.0)
-        assert size == pytest.approx(lineitem.size_bytes, rel=0.01)
-
     def test_scanned_bytes_sums_touched_columns(self, estimator, schema):
         scanned = estimator.scanned_bytes("lineitem", ["l_orderkey", "l_shipdate"])
         expected = (schema.table("lineitem").column_size_bytes("l_orderkey")

@@ -27,9 +27,9 @@ BASE = {
 #: The flags of the space each command accepts.
 ACCEPTS = {
     "tenants": {"--shards", "--cache-partitions", "--placement",
-                "--handoff-threshold", "--arrival-mode"},
+                "--handoff-threshold", "--arrival-mode", "--planning"},
     "shocks": {"--shards", "--cache-partitions", "--placement",
-               "--handoff-threshold"},
+               "--handoff-threshold", "--planning"},
     "scenario": set(),
 }
 
@@ -44,12 +44,12 @@ def invocations(draw):
         "--handoff-threshold": draw(st.sampled_from([None, "0.5"])),
         "--arrival-mode": draw(st.sampled_from([None, "eager",
                                                 "streamed"])),
+        "--planning": draw(st.sampled_from([None, "scalar", "batched"])),
     }
     flags = []
     for flag, value in optional.items():
         if value is not None and flag in ACCEPTS[command]:
             flags += [flag, value]
-    flags += ["--planning", draw(st.sampled_from(["scalar", "batched"]))]
     if draw(st.booleans()):
         flags.append("--strict-maintenance")
     sinks = {
@@ -127,8 +127,16 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
      "--schemes names 'econ-cheap' twice"),
     (BASE["shocks"] + ["--schemes", "econ-cheap, econ-cheap"],
      "--schemes names 'econ-cheap' twice"),
+    # The grid and scenario commands always plan in batches.
+    (["figure4", "--planning", "scalar"], "unrecognized arguments"),
+    (["figure5", "--planning", "batched"], "unrecognized arguments"),
+    (["headline", "--planning", "scalar"], "unrecognized arguments"),
+    (BASE["scenario"] + ["--planning", "batched"],
+     "unrecognized arguments: --planning batched"),
 ], ids=["top", "report-no-artifact", "report-not-jsonl",
-        "duplicate-schemes-tenants", "duplicate-schemes-shocks"])
+        "duplicate-schemes-tenants", "duplicate-schemes-shocks",
+        "planning-figure4", "planning-figure5", "planning-headline",
+        "planning-scenario"])
 def test_ignored_flag_exits_2(tmp_path, argv, message):
     """A flag or argument that would be silently ignored exits 2 with one
     error line and writes nothing."""

@@ -80,8 +80,8 @@ class TestRemoteView:
         key1 = _owned_key(partitioner, 1)
         directory = CrossShardDirectory.publish(
             {0: [(key0, 10)], 1: [(key1, 20)]}, partitioner)
-        assert [entry.key for entry in directory.entries_of(0)] == [key0]
-        assert [entry.key for entry in directory.entries_of(1)] == [key1]
+        assert {key: entry.partition for key, entry
+                in directory.entries_by_key().items()} == {key0: 0, key1: 1}
 
 
 class TestBackedByAudit:

@@ -25,7 +25,7 @@ def partitioner():
 
 
 def make_engine(execution_model, structure_costs, partitioner, index=0,
-                remote=RemoteAccessModel(), candidate_indexes=()):
+                candidate_indexes=()):
     cache = PartitionedCacheManager(
         CacheConfig(), partitioner=partitioner, partition_index=index)
     return PartitionedEconomyEngine(
@@ -34,7 +34,6 @@ def make_engine(execution_model, structure_costs, partitioner, index=0,
         structure_costs=structure_costs,
         cache=cache,
         config=EconomyConfig(initial_credit=100.0),
-        remote=remote,
     )
 
 

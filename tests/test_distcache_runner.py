@@ -177,13 +177,6 @@ class TestGuards:
         with pytest.raises(DistCacheError, match="economy"):
             DistCacheRunner(2).run_cell(config)
 
-    def test_warmup_rejected(self):
-        config = TenantExperimentConfig(
-            scheme="econ-cheap", tenant_count=8, query_count=20,
-            warmup_queries=5)
-        with pytest.raises(DistCacheError, match="warmup"):
-            DistCacheRunner(2).run_cell(config)
-
     def test_invalid_counts_rejected(self):
         with pytest.raises(DistCacheError):
             DistCacheRunner(0)

@@ -19,17 +19,10 @@ class TestSimulationClock:
         clock = SimulationClock(5.0)
         assert clock.advance_to(5.0) == 0.0
 
-    def test_advance_by(self):
-        clock = SimulationClock()
-        assert clock.advance_by(7.5) == 7.5
-        assert clock.now == 7.5
-
     def test_cannot_move_backwards(self):
         clock = SimulationClock(100.0)
         with pytest.raises(SimulationError):
             clock.advance_to(50.0)
-        with pytest.raises(SimulationError):
-            clock.advance_by(-1.0)
 
     def test_cannot_start_in_the_past(self):
         with pytest.raises(SimulationError):

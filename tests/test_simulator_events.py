@@ -40,12 +40,6 @@ class TestEventQueue:
         assert queue.pop() is first
         assert queue.pop() is second
 
-    def test_push_all_and_len(self):
-        queue = EventQueue()
-        queue.push_all(make_arrival(float(i), i) for i in range(4))
-        assert len(queue) == 4
-        assert not queue.empty
-
     def test_peek_time(self):
         queue = EventQueue()
         assert queue.peek_time() is None

@@ -15,11 +15,7 @@ from repro.simulator.events import (
 from repro.simulator.handlers import PeriodicRescheduler, SchemeTenant
 from repro.simulator.kernel import SimulationKernel
 from repro.simulator.metrics import MetricsCollector
-from repro.simulator.simulation import (
-    CloudSimulation,
-    MultiSchemeSimulation,
-    SimulationConfig,
-)
+from repro.simulator.simulation import CloudSimulation, SimulationConfig
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 from repro.workload.templates import template_by_name
 
@@ -236,29 +232,3 @@ class TestSchemeTenant:
         result = CloudSimulation(system.scheme("bypass")).run(
             workload, phase_changes=changes)
         assert result.summary.query_count == len(workload)
-
-
-class TestMultiSchemeSimulation:
-    def test_shared_clock_matches_solo_runs(self, system):
-        """Tenants are independent: an N-scheme shared-clock run reproduces
-        each scheme's solo result exactly."""
-        workload = WorkloadGenerator(WorkloadSpec(query_count=40,
-                                                  interarrival_s=5.0,
-                                                  seed=11)).generate()
-        shared = MultiSchemeSimulation(
-            [system.scheme("bypass"), system.scheme("econ-cheap")]
-        ).run(workload)
-        solo_bypass = CloudSimulation(system.scheme("bypass")).run(workload)
-        solo_cheap = CloudSimulation(system.scheme("econ-cheap")).run(workload)
-        assert shared["bypass"].summary == solo_bypass.summary
-        assert shared["econ-cheap"].summary == solo_cheap.summary
-
-    def test_requires_unique_scheme_names(self, system):
-        with pytest.raises(SimulationError):
-            MultiSchemeSimulation(
-                [system.scheme("bypass"), system.scheme("bypass")]
-            )
-
-    def test_requires_at_least_one_scheme(self):
-        with pytest.raises(SimulationError):
-            MultiSchemeSimulation([])

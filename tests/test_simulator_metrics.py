@@ -55,14 +55,6 @@ class TestMetricsCollector:
         assert summary.median_response_time_s == pytest.approx(3.0)
         assert summary.p95_response_time_s > summary.median_response_time_s
 
-    def test_cumulative_cost_series_is_monotone(self):
-        collector = MetricsCollector("bypass")
-        for index in range(5):
-            collector.record_step(make_step(index, build=0.5))
-        series = collector.cumulative_cost_series()
-        assert len(series) == 5
-        assert all(b >= a for a, b in zip(series, series[1:]))
-
     def test_summary_requires_steps(self):
         with pytest.raises(SimulationError):
             MetricsCollector("bypass").summary()
@@ -75,10 +67,3 @@ class TestMetricsCollector:
         with pytest.raises(SimulationError):
             MetricsCollector("")
 
-    def test_as_dict_round_trip(self):
-        collector = MetricsCollector("econ-fast")
-        collector.record_step(make_step())
-        data = collector.summary().as_dict()
-        assert data["scheme"] == "econ-fast"
-        assert data["queries"] == 1
-        assert "operating_cost" in data and "mean_response_s" in data

@@ -71,11 +71,6 @@ class TestCloudSimulation:
 
     def test_result_helpers(self, system, workload):
         result = CloudSimulation(system.scheme("bypass")).run(workload)
-        assert len(result.response_time_series()) == len(workload)
-        assert len(result.hit_series()) == len(workload)
-        per_template = result.per_template_mean_response()
-        assert per_template
-        assert all(value > 0 for value in per_template.values())
         assert result.operating_cost == result.summary.operating_cost
         assert result.mean_response_time_s == result.summary.mean_response_time_s
 
@@ -110,14 +105,6 @@ class TestTrailingSettlement:
         result = CloudSimulation(system.scheme("bypass")).run(workload)
         assert result.summary.duration_s == 0.0
         assert result.summary.maintenance_dollars == 0.0
-
-    def test_trailing_settlement_can_be_disabled(self, system, workload):
-        result = CloudSimulation(
-            system.scheme("bypass"),
-            SimulationConfig(trailing_settlement=False),
-        ).run(workload)
-        span = workload[-1].arrival_time - workload[0].arrival_time
-        assert result.summary.duration_s == pytest.approx(span)
 
 
 class TestRunSchemeHelper:

@@ -119,8 +119,16 @@ class TestGenerativeProfileEquivalence:
         assert list(reversed(backwards)) == forwards
 
     def test_profiles_are_static(self):
-        source = GenerativeProfileSource(spec=PopulationSpec(tenant_count=4))
-        assert source.profile_for(3).joined_at_s == 0.0
+        # A profile is the same before, during and after the tenant's
+        # tenure: the arrival instants live in the lifecycle stream.
+        spec = PopulationSpec(tenant_count=4, churn_period=10,
+                              churn_fraction=0.5, seed=4)
+        source = GenerativeProfileSource(spec=spec, tiers=TIERS)
+        before = [source.profile_for(i) for i in range(6)]
+        stream = TenantPopulation(spec).stream(
+            _workload(query_count=40).iter_queries(), source=source)
+        assert list(stream)
+        assert [source.profile_for(i) for i in range(6)] == before
 
     def test_rejects_negative_index(self):
         source = GenerativeProfileSource(spec=PopulationSpec(tenant_count=4))
@@ -648,7 +656,7 @@ class TestBatchedStreamBounds:
         assert max(pending + ahead for pending, ahead in held) \
             <= DEFAULT_MAX_BATCH_SIZE
 
-    def test_scalar_scheme_sharing_the_run_retains_no_stream_items(self):
+    def test_batched_run_retains_no_stream_items(self):
         import gc
         import weakref
 
@@ -682,17 +690,13 @@ class TestBatchedStreamBounds:
             leaks.extend(position for position, ref in markers
                          if position < dispatched and ref() is not None)
 
-        system = CloudSystem()
-        scalar = system.scheme("econ-cheap")
-        batched = system.scheme("econ-fast", economic_config=(
+        batched = CloudSystem().scheme("econ-fast", economic_config=(
             EconomicSchemeConfig(economy=EconomyConfig(planning="batched"))))
-        _run_tenants([scalar, batched], tracked(),
-                     generator.arrival_envelope(),
+        _run_tenants(batched, tracked(), generator.arrival_envelope(),
                      SimulationConfig(settlement_period_s=50.0),
                      observers=[(MaintenanceSettlementEvent, check)])
         assert markers and not leaks
-        assert not scalar.plans_in_batches and batched.plans_in_batches
-        assert scalar.engine.plan_tables is None  # never primed
+        assert batched.plans_in_batches
 
 
 class TestStreamedModeCoverage:
@@ -715,10 +719,10 @@ class TestStreamedModeCoverage:
         handed = []
         run = tenants._run_tenants
 
-        def spy(schemes, arrivals, *args, **kwargs):
+        def spy(scheme, arrivals, *args, **kwargs):
             handed.append((arrivals, getattr(arrivals, "queries_emitted",
                                              None)))
-            return run(schemes, arrivals, *args, **kwargs)
+            return run(scheme, arrivals, *args, **kwargs)
 
         monkeypatch.setattr(tenants, "_run_tenants", spy)
         cell, audit = audited_shock_cell(

@@ -7,7 +7,6 @@ from repro.structures.base import StructureKind
 from repro.structures.cached_column import CachedColumn
 from repro.structures.cached_index import CachedIndex
 from repro.structures.cpu_node import CpuNode
-from repro.catalog.schema import Index
 
 
 class TestCpuNode:
@@ -64,18 +63,6 @@ class TestCachedIndex:
         assert index.serves_predicate_on("lineitem", "l_shipdate")
         assert not index.serves_predicate_on("lineitem", "l_discount")
         assert not index.serves_predicate_on("orders", "l_shipdate")
-
-    def test_covers_columns(self):
-        index = CachedIndex("lineitem", ("l_shipdate", "l_discount"))
-        assert index.covers_columns("lineitem", ["l_discount"])
-        assert not index.covers_columns("lineitem", ["l_partkey"])
-        assert not index.covers_columns("orders", ["l_discount"])
-
-    def test_from_definition(self, schema):
-        definition = Index("idx", "orders", ("o_orderdate",))
-        index = CachedIndex.from_definition(definition)
-        assert index.table_name == "orders"
-        assert index.column_names == ("o_orderdate",)
 
     def test_rejects_empty_or_duplicate_keys(self):
         with pytest.raises(ConfigurationError):

@@ -129,6 +129,3 @@ class TestQuery:
         full = query.scanned_bytes(estimator)
         assert subset < full
 
-    def test_touched_column_set_matches_tuple(self):
-        query = make_template().instantiate(0, 0.0)
-        assert query.touched_column_set == frozenset(query.touched_columns)

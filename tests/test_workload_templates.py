@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.query import PredicateKind
-from repro.workload.templates import paper_templates, template_by_name, templates_by_name
+from repro.workload.templates import paper_templates, template_by_name
 
 
 class TestPaperTemplates:
@@ -61,6 +61,3 @@ class TestLookups:
         with pytest.raises(WorkloadError):
             template_by_name("q99_unknown")
 
-    def test_templates_by_name_map(self):
-        mapping = templates_by_name()
-        assert set(mapping) == {t.name for t in paper_templates()}
