@@ -30,10 +30,12 @@ byte-identical tables), while ``--cache-partitions N`` partitions the
 *cache and provider economy* (:mod:`repro.distcache`) — explicitly
 different semantics, with per-partition, divergence and (under
 ``--placement adaptive``) placement sections; ``shocks`` reruns its
-shocked cells in either mode. The modes are alternatives. The grid and
-``scenario`` commands plan in batches; on ``tenants`` and ``shocks``,
-``--planning batched`` is a pure throughput switch whose tables are
-byte-identical to ``--planning scalar``.
+shocked cells in either mode. The modes are alternatives. The grid,
+``ablation`` and ``scenario`` commands plan in batches, the library
+default; ``tenants`` and ``shocks`` plan scalar unless given ``--planning
+batched``, which prints the same tables faster. The one exception is
+``--placement adaptive``: a handoff moves a structure without bumping the
+cache version the batched pricing memo keys on, so that pair is refused.
 """
 
 from __future__ import annotations
@@ -372,8 +374,9 @@ def _add_cell_arguments(sub: argparse.ArgumentParser,
                      default=PLANNING_SCALAR,
                      help="query planning path: 'scalar' plans each query "
                           "on arrival, 'batched' scores per-template batches "
-                          "vectorized; the tables are byte-identical in "
-                          "every mode (default: scalar)")
+                          "vectorized; the tables are byte-identical, and "
+                          "'batched' is refused with --placement adaptive "
+                          "(default: scalar)")
     sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                      help="worker processes shared by all cells, observed "
                           "or not; the tables, and the --trace/--metrics "
@@ -499,8 +502,7 @@ def _scenario_command(args: argparse.Namespace,
     shocks = tuple(scenario.shocks) + tuple(args.shock)
     system = CloudSystem()
     scheme = system.scheme(args.scheme, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=PLANNING_BATCHED,
-                              strict_maintenance=args.strict_maintenance),
+        economy=EconomyConfig(strict_maintenance=args.strict_maintenance),
     ))
     observers = []
     if recorder is not None:
@@ -546,8 +548,8 @@ _RENDERED_WARNINGS = (ShardImbalanceWarning, PartitionImbalanceWarning,
 
 
 def _resolve_scaling(args: argparse.Namespace) -> None:
-    """Reject scaling flags that would be ignored, then resolve the
-    unset ``--handoff-threshold`` to its 0.0 default."""
+    """Reject scaling flags that would be ignored or print wrong tables,
+    then resolve the unset ``--handoff-threshold`` to its 0.0 default."""
     if args.cache_partitions > 1 and args.shards > 1:
         raise ReproError(
             "--cache-partitions and --shards are alternative scaling modes "
@@ -559,6 +561,12 @@ def _resolve_scaling(args: argparse.Namespace) -> None:
             "--placement adaptive needs --cache-partitions > 1: with one "
             "partition every structure is local and there is no placement "
             "to adapt"
+        )
+    if args.placement == "adaptive" and args.planning == PLANNING_BATCHED:
+        raise ReproError(
+            "--planning batched cannot run with --placement adaptive: a "
+            "handoff leaves the cache version stale, and batched pricing "
+            "keys its memo on that version (use --planning scalar)"
         )
     if args.handoff_threshold is None:
         args.handoff_threshold = 0.0

@@ -86,10 +86,6 @@ class CostModelConfig:
                 "cpu_load_factor represents overload and must be >= 1.0"
             )
 
-    def with_pricing(self, pricing: ResourcePricing) -> "CostModelConfig":
-        """Copy of the config with a different price catalog."""
-        return replace(self, pricing=pricing)
-
     def with_overrides(self, **overrides) -> "CostModelConfig":
         """Copy of the config with arbitrary fields replaced."""
         return replace(self, **overrides)

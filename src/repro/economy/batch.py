@@ -1,13 +1,15 @@
 """Epoch-level batch scheduling for the vectorized planning fast path.
 
-The :class:`BatchScheduler` sits between the simulator and the engine's
+Batched planning is the engine's default
+(:attr:`~repro.economy.engine.EconomyConfig.planning`). The
+:class:`BatchScheduler` sits between the simulator and the engine's
 per-query pipeline: :meth:`BatchScheduler.prime` receives a feed of the
 upcoming arrivals (once per run, or once per partition epoch in the
 distributed runner), which it groups into **epochs** at settlement
 boundaries as it reads. When the engine asks for the first query of an
 unevaluated epoch, the scheduler pulls a *window* off the feed — as many
-consecutive epochs as fit in the memory bound — scores every template's
-batch in it in one vectorized pass
+consecutive epochs as fit in :data:`MAX_BATCH_SIZE` (1,024) queries —
+scores every template's batch in it in one vectorized pass
 (:func:`repro.costmodel.vectorized.evaluate_plan_table`), and hands the
 per-query results out as the queries arrive. The feed may be a lazy
 stream: nothing past the next window is ever read.
@@ -38,9 +40,11 @@ from repro.planner.enumerator import PlanEnumerator
 from repro.planner.plan_table import PlanTable, PlanTableCache
 from repro.workload.query import Query
 
-#: Upper bound on queries evaluated in one vectorized pass when no
-#: settlement period splits the workload (bounds peak array memory).
-DEFAULT_MAX_BATCH_SIZE = 4096
+#: Queries evaluated in one vectorized pass at most, which bounds the
+#: arrays a window holds. A 4,096-query window held a whole 3,000-query
+#: single-tenant run and raised its peak RSS by about 3 MiB; 512 saves
+#: little more memory than 1,024 but doubles the evaluation time.
+MAX_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -91,20 +95,17 @@ class BatchScheduler:
     """Pulls primed arrivals one window of epochs at a time and evaluates it.
 
     A window is read when the engine asks for its first query, so the
-    scheduler holds at most one window (``max_batch_size`` queries) ahead
-    of the kernel, plus the part of the next epoch read to see it not fit.
+    scheduler holds at most one window (:data:`MAX_BATCH_SIZE` queries)
+    ahead of the kernel, plus the part of the next epoch read to see it
+    not fit.
     """
 
     def __init__(self, enumerator: PlanEnumerator,
                  execution_model: ExecutionCostModel,
-                 tables: Optional[PlanTableCache] = None,
-                 max_batch_size: int = DEFAULT_MAX_BATCH_SIZE) -> None:
-        if max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
+                 tables: Optional[PlanTableCache] = None) -> None:
         self._enumerator = enumerator
         self._execution = execution_model
         self._tables = tables if tables is not None else PlanTableCache()
-        self._max_batch = max_batch_size
         self._feed: Optional[Iterator[Query]] = None
         self._period: Optional[float] = None
         self._start_s: Optional[float] = None
@@ -147,7 +148,7 @@ class BatchScheduler:
             settlement_period_s: when set, epoch boundaries follow the
                 simulation's settlement grid (arrivals between consecutive
                 settlement events form one epoch); otherwise the workload
-                is chunked by :data:`DEFAULT_MAX_BATCH_SIZE` alone.
+                is chunked by :data:`MAX_BATCH_SIZE` alone.
         """
         self.clear()
         self._feed = iter(queries)
@@ -191,7 +192,7 @@ class BatchScheduler:
 
     def _pull(self) -> bool:
         """Read one query off the feed, keyed by its epoch ``(settlement
-        slot, max_batch_size chunk)``; False at the end of the feed."""
+        slot, MAX_BATCH_SIZE chunk)``; False at the end of the feed."""
         query = None if self._feed is None else next(self._feed, None)
         if query is None:
             self._feed = None
@@ -203,7 +204,7 @@ class BatchScheduler:
         if slot != self._slot:
             self._slot = slot
             self._slot_count = 0
-        self._ahead.append(((slot, self._slot_count // self._max_batch),
+        self._ahead.append(((slot, self._slot_count // MAX_BATCH_SIZE),
                             query))
         self._slot_count += 1
         return True
@@ -226,7 +227,7 @@ class BatchScheduler:
         place, when ``query`` is not ahead in the feed.
         """
         while True:
-            held = self._head_epoch(self._max_batch + 1)
+            held = self._head_epoch(MAX_BATCH_SIZE + 1)
             if not held:
                 return False
             if any(item.query_id == query.query_id
@@ -248,7 +249,7 @@ class BatchScheduler:
         queries: List[Query] = []
         epochs = 0
         while True:
-            room = self._max_batch - len(queries)
+            room = MAX_BATCH_SIZE - len(queries)
             held = self._head_epoch(room + 1)
             if not held or (queries and held > room):
                 break

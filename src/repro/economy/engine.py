@@ -86,11 +86,11 @@ class EconomyConfig:
         regret_pool_capacity: LRU bound on the number of structures tracked
             by the regret array (Section IV-B).
         user_model: how budget functions are derived for incoming queries.
-        planning: ``"scalar"`` (the default) prices every query through the
-            per-plan pipeline; ``"batched"`` lets a primed engine score
-            whole arrival batches through the vectorized plan-table path
-            (:mod:`repro.economy.batch`), with outcomes bit-for-bit
-            identical to scalar processing.
+        planning: ``"batched"`` (the default) lets a primed engine score
+            whole arrival windows through the vectorized plan-table path
+            (:mod:`repro.economy.batch`); ``"scalar"`` prices every query
+            through the per-plan pipeline. Outcomes are bit-for-bit
+            identical either way.
         strict_maintenance: the shutdown-priority policy — at every
             settlement, when maintenance accrued since the last
             enforcement exceeds the query-payment income earned over the
@@ -116,7 +116,7 @@ class EconomyConfig:
     max_investments_per_query: int = 8
     regret_pool_capacity: int = 512
     user_model: UserModel = field(default_factory=UserModel)
-    planning: str = PLANNING_SCALAR
+    planning: str = PLANNING_BATCHED
     strict_maintenance: bool = False
 
     def __post_init__(self) -> None:

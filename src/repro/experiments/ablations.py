@@ -26,7 +26,7 @@ from repro.experiments.config import ExperimentProfile, QUICK_PROFILE
 from repro.experiments.runner import build_system
 from repro.policies.bypass_yield import BypassYieldConfig
 from repro.policies.economic import EconomicSchemeConfig
-from repro.simulator.simulation import CloudSimulation, SimulationConfig
+from repro.simulator.simulation import CloudSimulation
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -43,10 +43,7 @@ def _run_scheme(system, profile: ExperimentProfile, scheme_name: str,
     workload = WorkloadGenerator(spec.with_interarrival(interarrival_s)).generate()
     scheme = system.scheme(scheme_name, economic_config=economic_config,
                            bypass_config=bypass_config)
-    result = CloudSimulation(
-        scheme, SimulationConfig(warmup_queries=profile.warmup_queries)
-    ).run(workload)
-    summary = result.summary
+    summary = CloudSimulation(scheme).run(workload).summary
     return [summary.operating_cost, summary.mean_response_time_s,
             summary.cache_hit_rate, summary.builds]
 

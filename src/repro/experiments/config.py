@@ -32,7 +32,6 @@ class ExperimentProfile:
     Attributes:
         name: profile identifier used in report headers.
         query_count: queries simulated per (scheme, interval) cell.
-        warmup_queries: initial queries excluded from the metrics.
         interarrival_times_s: the Figure 4/5 sweep values.
         schemes: which schemes to run (paper order).
         disk_duration_scale: multiplier on time-proportional costs (see the
@@ -43,7 +42,6 @@ class ExperimentProfile:
 
     name: str
     query_count: int = 8_000
-    warmup_queries: int = 0
     interarrival_times_s: Tuple[float, ...] = constants.PAPER_INTERARRIVAL_TIMES_S
     schemes: Tuple[str, ...] = SCHEME_NAMES
     disk_duration_scale: float = 10.0
@@ -53,10 +51,6 @@ class ExperimentProfile:
     def __post_init__(self) -> None:
         if self.query_count <= 0:
             raise ExperimentError("query_count must be positive")
-        if self.warmup_queries < 0 or self.warmup_queries >= self.query_count:
-            raise ExperimentError(
-                "warmup_queries must be non-negative and smaller than query_count"
-            )
         if not self.interarrival_times_s:
             raise ExperimentError("at least one inter-arrival time is required")
         if any(value <= 0 for value in self.interarrival_times_s):

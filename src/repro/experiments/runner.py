@@ -15,13 +15,11 @@ from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.costmodel.config import CostModelConfig
-from repro.economy.engine import PLANNING_BATCHED, EconomyConfig
 from repro.errors import ExperimentError, map_naming_failures
 from repro.experiments.config import ExperimentProfile
 from repro.obs.trace import TraceRecorder
-from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.metrics import MetricsSummary
-from repro.simulator.simulation import CloudSimulation, SimulationConfig
+from repro.simulator.simulation import CloudSimulation
 from repro.system import CloudSystem, CloudSystemConfig
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -101,9 +99,9 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
              recorder: Optional[TraceRecorder] = None) -> CellResult:
     """Run one (scheme, interval) cell against a prepared system.
 
-    Every cell plans in batches: the batched planner scores each
-    template's queries from one plan table and gives the scalar
-    pipeline's results bit for bit, faster.
+    Cells plan in batches, the engine's default: the batched planner
+    scores each template's queries from one plan table and gives the
+    scalar pipeline's results bit for bit, faster.
 
     A ``recorder`` is attached under the zero-perturbation contract and
     rides the returned :class:`CellResult` (:func:`run_grid` hands each
@@ -115,18 +113,13 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
         seed=profile.seed,
     )
     workload = WorkloadGenerator(spec.with_interarrival(interarrival_s)).generate()
-    scheme = system.scheme(scheme_name, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=PLANNING_BATCHED),
-    ))
+    scheme = system.scheme(scheme_name)
     observers = []
     if recorder is not None:
         from repro.obs.metrics import attach_observability
 
         observers = attach_observability(scheme, recorder)
-    simulation = CloudSimulation(
-        scheme, SimulationConfig(warmup_queries=profile.warmup_queries)
-    )
-    result = simulation.run(workload, observers=observers)
+    result = CloudSimulation(scheme).run(workload, observers=observers)
     return CellResult(
         scheme=scheme_name,
         interarrival_s=interarrival_s,

@@ -41,19 +41,13 @@ class SchemeTenant:
 
     Maintenance accrues continuously at the scheme's current rate; the
     rate only changes when the scheme processes a query, so settling at
-    every event boundary integrates the cost exactly. Warm-up queries
-    update the scheme's state but are excluded from the metrics, matching
-    the original loop's semantics.
+    every event boundary integrates the cost exactly.
     """
 
     def __init__(self, scheme: CachingScheme, collector: MetricsCollector,
-                 warmup_queries: int = 0, start_time_s: float = 0.0) -> None:
-        if warmup_queries < 0:
-            raise SimulationError("warmup_queries must be non-negative")
+                 start_time_s: float = 0.0) -> None:
         self._scheme = scheme
         self._collector = collector
-        self._warmup = warmup_queries
-        self._processed = 0
         self._settled_to_s = start_time_s
         self._tenant_arrivals = 0
         self._tenant_churns = 0
@@ -100,10 +94,7 @@ class SchemeTenant:
         """Settle maintenance up to the arrival, then serve the query."""
         assert isinstance(event, QueryArrivalEvent)
         self._settle(event.time_s)
-        step = self._scheme.process(event.query)
-        self._processed += 1
-        if self._processed > self._warmup:
-            self._collector.record_step(step)
+        self._collector.record_step(self._scheme.process(event.query))
 
     def on_settlement(self, event: Event, kernel: SimulationKernel) -> None:
         """Charge maintenance accrued since the last settlement.
@@ -114,7 +105,7 @@ class SchemeTenant:
         """
         self._settle(event.time_s)
         records = self._scheme.enforce_maintenance(event.time_s)
-        if records and self._processed >= self._warmup:
+        if records:
             self._collector.record_kernel_evictions(
                 records, loss_of=self._scheme.eviction_loss)
 
@@ -129,7 +120,7 @@ class SchemeTenant:
         self._settle(event.time_s)
         records = self._scheme.apply_invalidation(event.predicate,
                                                   event.time_s)
-        if records and self._processed >= self._warmup:
+        if records:
             self._collector.record_kernel_evictions(
                 records, loss_of=self._scheme.eviction_loss)
 
@@ -147,15 +138,10 @@ class SchemeTenant:
         self._scheme.apply_budget_squeeze(event.factor, event.time_s)
 
     def on_failure_check(self, event: Event, kernel: SimulationKernel) -> None:
-        """Release idle-failed structures (after settling up to now).
-
-        The metrics gate mirrors the maintenance one: evictions during the
-        warm-up window update the cache but stay out of the summary, exactly
-        as an eviction inside a warm-up query step would.
-        """
+        """Release idle-failed structures (after settling up to now)."""
         self._settle(event.time_s)
         records = self._scheme.cache.evict_failed_structures(event.time_s)
-        if records and self._processed >= self._warmup:
+        if records:
             self._collector.record_kernel_evictions(
                 records, loss_of=self._scheme.eviction_loss)
 
@@ -189,7 +175,7 @@ class SchemeTenant:
     def _settle(self, now: float) -> None:
         elapsed = now - self._settled_to_s
         self._settled_to_s = max(self._settled_to_s, now)
-        if elapsed <= 0 or self._processed < self._warmup:
+        if elapsed <= 0:
             return
         rate = self._scheme.maintenance_rate()
         self._collector.record_maintenance(rate * elapsed, elapsed)

@@ -45,10 +45,6 @@ class SimulationConfig:
     """Run-level options.
 
     Attributes:
-        warmup_queries: number of initial queries excluded from the metrics
-            (they still update the scheme's state). The paper's measurements
-            start from an operating cloud; a small warm-up avoids crediting
-            or penalising schemes for the very first cold-cache queries.
         settlement_period_s: when set, a periodic maintenance settlement
             event fires every this many seconds; settlement at event
             boundaries is exact either way (the rate only changes at
@@ -60,13 +56,10 @@ class SimulationConfig:
             per-query-only checks.
     """
 
-    warmup_queries: int = 0
     settlement_period_s: Optional[float] = None
     failure_check_period_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.warmup_queries < 0:
-            raise SimulationError("warmup_queries must be non-negative")
         if self.settlement_period_s is not None and not self.settlement_period_s > 0:
             raise SimulationError("settlement_period_s must be positive")
         if (self.failure_check_period_s is not None
@@ -94,12 +87,6 @@ def _run_tenants(scheme: CachingScheme,
     query (the workload's empirical mean gap, ``span / (count - 1)``), so
     the measured duration is ``count * interarrival`` exactly.
     """
-    if config.warmup_queries >= envelope.query_count:
-        raise SimulationError(
-            f"warmup_queries={config.warmup_queries} leaves no "
-            f"measured queries out of {envelope.query_count}"
-        )
-
     start_s = envelope.start_s
     trailing_s = envelope.trailing_interval_s
     end_s = envelope.last_s + trailing_s
@@ -120,12 +107,7 @@ def _run_tenants(scheme: CachingScheme,
     # planner drop theirs once drained, and with them the tee's buffer.
     del arrivals
     collector = MetricsCollector(scheme.name)
-    SchemeTenant(
-        scheme,
-        collector,
-        warmup_queries=config.warmup_queries,
-        start_time_s=start_s,
-    ).register(kernel)
+    SchemeTenant(scheme, collector, start_time_s=start_s).register(kernel)
 
     rescheduler = PeriodicRescheduler(horizon_s=end_s)
     kernel.register(MaintenanceSettlementEvent, rescheduler)
@@ -225,10 +207,7 @@ class CloudSimulation:
             shock_events=shock_events)
 
 
-def run_scheme(scheme: CachingScheme, queries: Iterable[Query],
-               warmup_queries: int = 0) -> SimulationResult:
+def run_scheme(scheme: CachingScheme,
+               queries: Iterable[Query]) -> SimulationResult:
     """Convenience one-call simulation used by examples and benchmarks."""
-    simulation = CloudSimulation(
-        scheme, SimulationConfig(warmup_queries=warmup_queries)
-    )
-    return simulation.run(list(queries))
+    return CloudSimulation(scheme).run(list(queries))

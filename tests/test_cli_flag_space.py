@@ -133,13 +133,22 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
     (["headline", "--planning", "scalar"], "unrecognized arguments"),
     (BASE["scenario"] + ["--planning", "batched"],
      "unrecognized arguments: --planning batched"),
+    # An adaptive handoff leaves the cache version stale, and batched
+    # pricing keys its memo on it: the tables would differ from scalar's.
+    (BASE["tenants"] + ["--cache-partitions", "2", "--placement",
+                        "adaptive", "--planning", "batched"],
+     "--planning batched cannot run with --placement adaptive"),
+    (BASE["shocks"] + ["--cache-partitions", "2", "--placement",
+                       "adaptive", "--planning", "batched"],
+     "--planning batched cannot run with --placement adaptive"),
 ], ids=["top", "report-no-artifact", "report-not-jsonl",
         "duplicate-schemes-tenants", "duplicate-schemes-shocks",
         "planning-figure4", "planning-figure5", "planning-headline",
-        "planning-scenario"])
+        "planning-scenario", "adaptive-batched-tenants",
+        "adaptive-batched-shocks"])
 def test_ignored_flag_exits_2(tmp_path, argv, message):
-    """A flag or argument that would be silently ignored exits 2 with one
-    error line and writes nothing."""
+    """A flag or argument that would be silently ignored, or would print
+    wrong tables, exits 2 with one error line and writes nothing."""
     if argv[0] == "report":
         argv = argv + ["--out", str(tmp_path / "artifacts")]
     code, out, err = _run(argv)

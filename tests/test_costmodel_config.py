@@ -5,7 +5,7 @@ import pytest
 from repro import constants
 from repro.costmodel.config import CostModelConfig
 from repro.errors import ConfigurationError
-from repro.pricing.catalog import ec2_2009_pricing, network_only_pricing
+from repro.pricing.catalog import ec2_2009_pricing
 
 
 class TestDefaults:
@@ -53,11 +53,6 @@ class TestDerivedRates:
         assert scaled.node_uptime_rate_per_second == pytest.approx(
             4.0 * base.node_uptime_rate_per_second
         )
-
-    def test_with_pricing_swaps_catalog(self):
-        config = CostModelConfig().with_pricing(network_only_pricing())
-        assert config.pricing.io_per_million == 0.0
-        assert config.cpu_cost_factor == pytest.approx(0.014)
 
     def test_with_overrides(self):
         config = CostModelConfig().with_overrides(network_latency_s=0.5)

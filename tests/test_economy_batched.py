@@ -237,11 +237,6 @@ class TestBatchScheduler:
         assert scheduler._blocks == {}
         assert scheduler._columns == {}
 
-    def test_invalid_batch_size_rejected(self, execution_model):
-        enumerator = PlanEnumerator(execution_model)
-        with pytest.raises(ValueError):
-            BatchScheduler(enumerator, execution_model, max_batch_size=0)
-
     def test_clear_forgets_priming(self, execution_model):
         scheduler = self.make(execution_model)
         queries = workload(count=5)

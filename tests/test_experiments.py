@@ -37,7 +37,6 @@ class TestProfiles:
 
     @pytest.mark.parametrize("kwargs", [
         {"query_count": 0},
-        {"warmup_queries": 100, "query_count": 50},
         {"interarrival_times_s": ()},
         {"interarrival_times_s": (0.0,)},
         {"schemes": ()},

@@ -1,17 +1,20 @@
-"""The scalar pipeline as test oracle for the batched grid and scenario runs.
+"""The scalar pipeline as test oracle for the batched single-tenant runs.
 
-The figure grids and the ``scenario`` command always plan in batches. The
-scalar per-query pipeline stays as the library default, and here it is
-the reference: every grid cell and every scenario table must equal the
-same run built directly with ``EconomyConfig(planning="scalar")``.
+Batched planning is the library default, so ``run_scheme``, the figure
+grids, the ablation sweeps and the ``scenario`` command plan from plan
+tables. The scalar per-query pipeline is the reference: every run must
+equal the same run built directly with ``EconomyConfig(planning="scalar")``.
 """
 
+import functools
 import re
 
 import pytest
 
 from repro import cli
-from repro.economy.engine import PLANNING_SCALAR, EconomyConfig
+from repro.economy.batch import MAX_BATCH_SIZE, BatchScheduler
+from repro.economy.engine import PLANNING_BATCHED, PLANNING_SCALAR, EconomyConfig
+from repro.experiments import ablations
 from repro.experiments.config import QUICK_PROFILE
 from repro.experiments.figure4 import figure4_table
 from repro.experiments.figure5 import figure5_table
@@ -22,8 +25,16 @@ from repro.experiments.runner import (
     build_system,
     run_grid,
 )
+from repro.experiments.tenants import TenantExperimentConfig
+from repro.obs.metrics import attach_observability
+from repro.obs.trace import TraceRecorder
 from repro.policies.economic import EconomicSchemeConfig
-from repro.simulator.simulation import CloudSimulation
+from repro.simulator.simulation import (
+    CloudSimulation,
+    SimulationConfig,
+    run_scheme,
+)
+from repro.system import CloudSystem
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 from repro.workload.scenarios import SCENARIO_NAMES
 
@@ -33,6 +44,11 @@ SCENARIO_FLAGS = ["--queries", "150", "--settlement-period", "120",
                   "--failure-check-period", "30", "--strict-maintenance",
                   "--shock", "invalidate@0.5:index",
                   "--shock", "price@0.3:0.2:2"]
+
+
+#: ``EconomyConfig`` with scalar planning: patched over a driver's name
+#: for it, the driver builds the scalar twin of its run.
+SCALAR_ECONOMY = functools.partial(EconomyConfig, planning=PLANNING_SCALAR)
 
 
 def scalar_grid(profile):
@@ -89,7 +105,7 @@ class TestScenarioOracle:
         assert cli.main(argv) == 0
         batched = capsys.readouterr().out
         # The same command with the scheme built on scalar planning.
-        monkeypatch.setattr(cli, "PLANNING_BATCHED", PLANNING_SCALAR)
+        monkeypatch.setattr(cli, "EconomyConfig", SCALAR_ECONOMY)
         assert cli.main(argv) == 0
         scalar = capsys.readouterr().out
         [(first_batched, batched_summary),
@@ -98,3 +114,82 @@ class TestScenarioOracle:
         assert batched_summary == scalar_summary
         assert batched == scalar
         assert re.search(r"^conservation +exact *$", batched, re.M)
+
+
+def test_single_tenant_runs_plan_batched_by_default():
+    """Batched is the engine's default; tenant cells keep scalar, because
+    adaptive placement is wrong under batched planning."""
+    assert EconomyConfig().planning == PLANNING_BATCHED
+    assert TenantExperimentConfig().planning == PLANNING_SCALAR
+    assert CloudSystem().scheme("econ-cheap").plans_in_batches
+
+
+def record_views(monkeypatch):
+    """Record, per query the scheduler is asked about, whether it handed
+    out a batch view (True) or let the query fall back to scalar (False)."""
+    views = []
+    view_for = BatchScheduler.view_for
+
+    def spy(self, query):
+        view = view_for(self, query)
+        views.append(view is not None)
+        return view
+
+    monkeypatch.setattr(BatchScheduler, "view_for", spy)
+    return views
+
+
+class TestRunSchemeOracle:
+    #: Past one window, so an unsettled run spans two.
+    QUERIES = MAX_BATCH_SIZE + 76
+
+    @pytest.mark.parametrize("settlement", [None, 60.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["econ-col", "econ-cheap", "econ-fast"])
+    def test_default_run_equals_scalar(self, monkeypatch, name, seed,
+                                       settlement):
+        workload = WorkloadGenerator(WorkloadSpec(
+            query_count=self.QUERIES, interarrival_s=1.0,
+            seed=seed)).generate()
+        system = CloudSystem()
+        config = SimulationConfig(settlement_period_s=settlement)
+
+        def simulate(scheme):
+            if settlement is None:
+                return run_scheme(scheme, workload).summary
+            return CloudSimulation(scheme, config).run(workload).summary
+
+        views = record_views(monkeypatch)
+        batched = simulate(system.scheme(name))
+        assert views == [True] * self.QUERIES
+        scalar_scheme = system.scheme(name, EconomicSchemeConfig(
+            economy=SCALAR_ECONOMY()))
+        assert not scalar_scheme.plans_in_batches
+        assert simulate(scalar_scheme) == batched
+        assert len(views) == self.QUERIES   # scalar runs ask for no view
+
+
+class TestAblationOracle:
+    @pytest.mark.parametrize("sweep", [ablations.regret_fraction_ablation,
+                                       ablations.amortization_ablation])
+    def test_ablation_rows_equal_scalar(self, monkeypatch, sweep):
+        runs = spy_runs(monkeypatch)
+        batched = sweep()
+        monkeypatch.setattr(ablations, "EconomyConfig", SCALAR_ECONOMY)
+        scalar = sweep()
+        assert [flag for flag, _ in runs] == \
+            [True] * len(batched) + [False] * len(scalar)
+        assert batched == scalar
+
+
+def test_unsettled_run_windows_stay_within_the_bound():
+    workload = WorkloadGenerator(WorkloadSpec(
+        query_count=3_000, interarrival_s=1.0, seed=0)).generate()
+    scheme = CloudSystem().scheme("econ-cheap")
+    recorder = TraceRecorder()
+    observers = attach_observability(scheme, recorder)
+    CloudSimulation(scheme).run(workload, observers=observers)
+    sizes = [fields["size"] for _, _, _, kind, fields in recorder.records
+             if kind == "batch_window"]
+    assert sizes == [MAX_BATCH_SIZE, MAX_BATCH_SIZE,
+                     3_000 - 2 * MAX_BATCH_SIZE]

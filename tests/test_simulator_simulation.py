@@ -14,10 +14,6 @@ def workload():
 
 
 class TestSimulationConfig:
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationConfig(warmup_queries=-1)
-
     @pytest.mark.parametrize("field", ["settlement_period_s",
                                        "failure_check_period_s"])
     @pytest.mark.parametrize("value", [float("nan"), 0.0])
@@ -37,18 +33,6 @@ class TestCloudSimulation:
         result = CloudSimulation(system.scheme("bypass")).run(workload)
         ids = [step.query_id for step in result.steps]
         assert ids == sorted(ids)
-
-    def test_warmup_queries_are_excluded_from_metrics(self, system, workload):
-        warm = CloudSimulation(system.scheme("bypass"),
-                               SimulationConfig(warmup_queries=20)).run(workload)
-        assert warm.summary.query_count == len(workload) - 20
-        assert warm.steps[0].query_id == 20
-
-    def test_warmup_must_leave_measured_queries(self, system, workload):
-        simulation = CloudSimulation(system.scheme("bypass"),
-                                     SimulationConfig(warmup_queries=60))
-        with pytest.raises(SimulationError):
-            simulation.run(workload)
 
     def test_empty_workload_rejected(self, system):
         with pytest.raises(SimulationError):
@@ -109,5 +93,7 @@ class TestTrailingSettlement:
 
 class TestRunSchemeHelper:
     def test_run_scheme_wraps_the_simulation(self, system, workload):
-        result = run_scheme(system.scheme("econ-col"), workload, warmup_queries=10)
-        assert result.summary.query_count == len(workload) - 10
+        result = run_scheme(system.scheme("econ-col"), workload)
+        assert result.summary.query_count == len(workload)
+        assert result.summary == CloudSimulation(
+            system.scheme("econ-col")).run(workload).summary

@@ -633,7 +633,7 @@ class TestBatchedStreamBounds:
     """Batched planning reads the stream one window ahead, never more."""
 
     def test_scheduler_holds_at_most_one_window(self, monkeypatch):
-        from repro.economy.batch import BatchScheduler, DEFAULT_MAX_BATCH_SIZE
+        from repro.economy.batch import BatchScheduler, MAX_BATCH_SIZE
 
         held = []
         original = BatchScheduler.view_for
@@ -647,14 +647,14 @@ class TestBatchedStreamBounds:
         # One window more than the bound, so the cap actually binds.
         config = TenantExperimentConfig(
             scheme="econ-cheap", tenant_count=20,
-            query_count=DEFAULT_MAX_BATCH_SIZE + 300, interarrival_s=1.0,
+            query_count=MAX_BATCH_SIZE + 300, interarrival_s=1.0,
             seed=3, arrival_mode=ARRIVAL_STREAMED, planning="batched")
         run_tenant_cell(config)
         assert len(held) == config.query_count
         assert max(pending for pending, _ in held) \
-            == DEFAULT_MAX_BATCH_SIZE - 1
+            == MAX_BATCH_SIZE - 1
         assert max(pending + ahead for pending, ahead in held) \
-            <= DEFAULT_MAX_BATCH_SIZE
+            <= MAX_BATCH_SIZE
 
     def test_batched_run_retains_no_stream_items(self):
         import gc
