@@ -9,7 +9,6 @@ Exposes the experiment drivers without writing any Python::
     python -m repro.cli scenario --arrival diurnal --scheme econ-cheap
     python -m repro.cli scenario --arrival shocks --settlement-period 300
     python -m repro.cli tenants --n-tenants 100 --jobs 4
-    python -m repro.cli tenants --n-tenants 1000 --shards 4 --jobs 4
     python -m repro.cli tenants --cache-partitions 4 --settlement-period 60
     python -m repro.cli shocks --schemes all --strict-maintenance
     python -m repro.cli shocks --cache-partitions 2 --placement adaptive
@@ -24,18 +23,15 @@ scenario-diverse arrival regime. ``tenants`` runs schemes over a
 Zipf-skewed, churning N-tenant population and reports per-tenant
 credit/hit-rate aggregates; ``shocks`` replays the adversarial grammar
 clean and shocked per scheme, with a bitwise conservation audit of the
-shocked run. The two share one front end: ``--shards N`` splits each
-cell into N tenant shards merged exactly (:mod:`repro.sharding`,
-byte-identical tables), while ``--cache-partitions N`` partitions the
-*cache and provider economy* (:mod:`repro.distcache`) — explicitly
-different semantics, with per-partition, divergence and (under
-``--placement adaptive``) placement sections; ``shocks`` reruns its
-shocked cells in either mode. The modes are alternatives. The grid,
-``ablation`` and ``scenario`` commands plan in batches, the library
-default; ``tenants`` and ``shocks`` plan scalar unless given ``--planning
-batched``, which prints the same tables faster. The one exception is
-``--placement adaptive``: a handoff moves a structure without bumping the
-cache version the batched pricing memo keys on, so that pair is refused.
+shocked run. The two share one front end: each cell runs in one
+process, reading its population stream as the run goes, and
+``--cache-partitions N`` partitions the *cache and provider economy*
+(:mod:`repro.distcache`) — explicitly different semantics, with
+per-partition, divergence and (under ``--placement adaptive``) placement
+sections; ``shocks`` reruns its shocked cells partitioned. Every command
+plans in batches, the library default, except under ``--placement
+adaptive``: a handoff moves a structure without bumping the cache
+version the batched pricing memo keys on, so those cells plan scalar.
 """
 
 from __future__ import annotations
@@ -60,13 +56,11 @@ from repro.distcache import (
 from repro.economy.account import audit_conservation, render_conservation
 from repro.economy.engine import (
     PLANNING_BATCHED,
-    PLANNING_MODES,
     PLANNING_SCALAR,
     EconomyConfig,
 )
 from repro.errors import ReproError
 from repro.policies.economic import EconomicSchemeConfig
-from repro.sharding import ShardImbalanceWarning
 
 from repro.experiments.ablations import (
     ABLATION_HEADERS,
@@ -88,8 +82,7 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_grid
 from repro.experiments.shocks import run_shock_resilience, shock_resilience_table
 from repro.experiments.tenants import (
-    ARRIVAL_EAGER,
-    ARRIVAL_MODES,
+    ARRIVAL_STREAMED,
     TenantExperimentConfig,
     run_tenant_experiment,
     tenant_aggregate_table,
@@ -158,12 +151,12 @@ def _jsonl_path(text: str) -> str:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for ``--jobs``/``--shards``/``--cache-partitions``."""
+    """Argparse type for ``--jobs``/``--cache-partitions``."""
     return _int_at_least(1, text)
 
 
 def _nonnegative_int(text: str) -> int:
-    """Argparse type for ``--top`` (``0`` lists no tenant)."""
+    """Argparse type for ``--top`` (``0`` lists no tenant) and ``--seed``."""
     return _int_at_least(0, text)
 
 
@@ -183,7 +176,7 @@ def _nonnegative_float(text: str) -> float:
     """Argparse type for ``--handoff-threshold``: a float >= 0.
 
     Exit-2 validated like the other numeric flags (``--jobs``,
-    ``--shards``, ``--cache-partitions``): argparse prints a friendly
+    ``--cache-partitions``): argparse prints a friendly
     ``error: argument --handoff-threshold: ...`` line instead of a
     traceback from inside the experiment driver.
     """
@@ -286,17 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="K",
                          help="busiest tenants to list individually "
                               "(default: 10)")
-    tenants.add_argument("--arrival-mode", choices=ARRIVAL_MODES,
-                         default=ARRIVAL_EAGER,
-                         help="'eager' materialises the population "
-                              "stream up front; 'streamed' generates "
-                              "queries and lifecycle events as the run "
-                              "reads them, so memory follows the live "
-                              "tenants instead of the workload. Both run "
-                              "the same registry over the same stream: "
-                              "tables are byte-identical under any "
-                              "--planning, --shards and --cache-partitions "
-                              "(default: eager)")
     _add_trace_arguments(tenants)
 
     shocks = subparsers.add_parser(
@@ -338,7 +320,7 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
                      help="queries to simulate (default: 400)")
     sub.add_argument("--interarrival", type=_finite_float, default=10.0,
                      help="mean inter-arrival time in seconds (default: 10)")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_nonnegative_int, default=0,
                      help="seed of every random draw (default: 0)")
     sub.add_argument("--settlement-period", type=_finite_float, default=None,
                      metavar="S",
@@ -361,8 +343,8 @@ def _add_run_arguments(sub: argparse.ArgumentParser) -> None:
 def _add_cell_arguments(sub: argparse.ArgumentParser,
                         n_tenants: int) -> None:
     """The flags ``tenants`` and ``shocks`` share: the population cell, the
-    planning path, the fan-out and the scaling modes (``shocks`` reruns
-    its shocked cells under ``--shards`` and ``--cache-partitions``)."""
+    fan-out and the partitioned cache (``shocks`` reruns its shocked cells
+    under ``--cache-partitions``)."""
     sub.add_argument("--schemes", default="econ-cheap", metavar="LIST",
                      help="comma-separated scheme names, each at most "
                           "once, or 'all' (default: econ-cheap)")
@@ -370,29 +352,18 @@ def _add_cell_arguments(sub: argparse.ArgumentParser,
                      help=f"tenants active at any one time "
                           f"(default: {n_tenants})")
     _add_run_arguments(sub)
-    sub.add_argument("--planning", choices=PLANNING_MODES,
-                     default=PLANNING_SCALAR,
-                     help="query planning path: 'scalar' plans each query "
-                          "on arrival, 'batched' scores per-template batches "
-                          "vectorized; the tables are byte-identical, and "
-                          "'batched' is refused with --placement adaptive "
-                          "(default: scalar)")
     sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                      help="worker processes shared by all cells, observed "
-                          "or not; the tables, and the --trace/--metrics "
-                          "artifacts of eager arrivals, are byte-identical "
-                          "to --jobs 1 (default: 1)")
-    sub.add_argument("--shards", type=_positive_int, default=1, metavar="N",
-                     help="split each scheme cell into N tenant shards "
-                          "(repro.sharding), merged exactly: the tables are "
-                          "byte-identical to --shards 1 (default: 1)")
+                          "or not; the tables and the --trace/--metrics "
+                          "artifacts are byte-identical to --jobs 1 "
+                          "(default: 1)")
     sub.add_argument("--cache-partitions", type=_positive_int, default=1,
                      metavar="N",
                      help="partition the cache and provider economy N ways "
                           "(repro.distcache) — different semantics for "
                           "N > 1, audited at every barrier, with "
-                          "per-partition report sections; exclusive with "
-                          "--shards (default: 1, global cache)")
+                          "per-partition report sections (default: 1, "
+                          "global cache)")
     sub.add_argument("--placement", choices=PLACEMENT_MODES, default="hash",
                      help="structure placement across cache partitions: "
                           "'hash' pins every structure to its hash owner, "
@@ -543,30 +514,17 @@ def _scenario_command(args: argparse.Namespace,
 
 
 #: Library warnings the CLI re-renders as plain ``warning:`` stderr lines.
-_RENDERED_WARNINGS = (ShardImbalanceWarning, PartitionImbalanceWarning,
-                      GrammarDegeneracyWarning)
+_RENDERED_WARNINGS = (PartitionImbalanceWarning, GrammarDegeneracyWarning)
 
 
 def _resolve_scaling(args: argparse.Namespace) -> None:
-    """Reject scaling flags that would be ignored or print wrong tables,
-    then resolve the unset ``--handoff-threshold`` to its 0.0 default."""
-    if args.cache_partitions > 1 and args.shards > 1:
-        raise ReproError(
-            "--cache-partitions and --shards are alternative scaling modes "
-            "and cannot both exceed 1 (see docs/distcache.md for when to "
-            "prefer which)"
-        )
+    """Reject placement flags that would be ignored, then resolve the
+    unset ``--handoff-threshold`` to its 0.0 default."""
     if args.placement != "hash" and args.cache_partitions == 1:
         raise ReproError(
             "--placement adaptive needs --cache-partitions > 1: with one "
             "partition every structure is local and there is no placement "
             "to adapt"
-        )
-    if args.placement == "adaptive" and args.planning == PLANNING_BATCHED:
-        raise ReproError(
-            "--planning batched cannot run with --placement adaptive: a "
-            "handoff leaves the cache version stale, and batched pricing "
-            "keys its memo on that version (use --planning scalar)"
         )
     if args.handoff_threshold is None:
         args.handoff_threshold = 0.0
@@ -590,12 +548,22 @@ def _selected_schemes(args: argparse.Namespace) -> List[str]:
     return names
 
 
+def _planning(args: argparse.Namespace) -> str:
+    """The planning path a command runs: batched, except that adaptive
+    placement plans scalar — a handoff leaves the cache version stale,
+    and batched pricing keys its memo on that version."""
+    if getattr(args, "placement", "hash") == "adaptive":
+        return PLANNING_SCALAR
+    return PLANNING_BATCHED
+
+
 def _cell_configs(args: argparse.Namespace) -> List[TenantExperimentConfig]:
     """One cell per selected scheme, for ``tenants`` and ``shocks``.
 
     ``shocks`` runs the stock shock grammar with ``--shock``/``--class``
     composed onto it; ``tenants`` injects ``--shock`` into a plain
-    population cell.
+    population cell. Every cell reads its population stream as the run
+    goes and plans as :func:`_planning` says.
     """
     names = _selected_schemes(args)
     _resolve_scaling(args)
@@ -612,8 +580,7 @@ def _cell_configs(args: argparse.Namespace) -> List[TenantExperimentConfig]:
                      budget_sigma=args.budget_sigma,
                      churn_period=args.churn_period,
                      churn_fraction=args.churn_fraction,
-                     shocks=tuple(args.shock),
-                     arrival_mode=args.arrival_mode)
+                     shocks=tuple(args.shock))
     return [
         TenantExperimentConfig(
             scheme=name,
@@ -622,8 +589,9 @@ def _cell_configs(args: argparse.Namespace) -> List[TenantExperimentConfig]:
             interarrival_s=args.interarrival,
             seed=args.seed,
             settlement_period_s=args.settlement_period,
-            planning=args.planning,
+            planning=_planning(args),
             strict_maintenance=args.strict_maintenance,
+            arrival_mode=ARRIVAL_STREAMED,
             **shape,
         )
         for name in names
@@ -678,7 +646,7 @@ def _tenants_sections(args: argparse.Namespace,
         cells = [report.cell for report in reports]
     else:
         cells = run_tenant_experiment(configs, jobs=args.jobs,
-                                      shards=args.shards, recorder=recorder)
+                                      recorder=recorder)
         reports = [None] * len(cells)
     sections: List[str] = []
     for cell, report in zip(cells, reports):
@@ -693,8 +661,8 @@ def _tenants_sections(args: argparse.Namespace,
 def _shocks_sections(args: argparse.Namespace,
                      configs: List[TenantExperimentConfig],
                      recorder: Optional[TraceRecorder]) -> List[str]:
-    # The recorder observes the primary shocked cells; the scaling-mode
-    # reruns below are byte-identity audits and stay unobserved.
+    # The recorder observes the primary shocked cells; the partitioned
+    # reruns below are conservation audits and stay unobserved.
     results = run_shock_resilience(configs, jobs=args.jobs,
                                    recorder=recorder)
     sections = [shock_resilience_table(results)]
@@ -702,24 +670,6 @@ def _shocks_sections(args: argparse.Namespace,
         f"{item.scheme}: conservation: "
         f"{render_conservation(item.audit, detail=True)}"
         for item in results]
-    if args.shards > 1:
-        # The sharded rerun must reproduce the plain shocked cells byte
-        # for byte — replicated replay is fault-transparent.
-        sharded = run_tenant_experiment(configs, jobs=args.jobs,
-                                        shards=args.shards)
-        for result, item in zip(sharded, results):
-            identical = (result.summary == item.shocked.summary
-                         and result.tenants == item.shocked.tenants
-                         and result.wallet_credit
-                         == item.shocked.wallet_credit)
-            if not identical:
-                raise ReproError(
-                    f"sharded shocked run diverged from the plain one "
-                    f"for scheme {result.config.scheme!r}"
-                )
-            conservation_lines.append(
-                f"{result.config.scheme}: --shards {args.shards} "
-                f"byte-identical under shocks")
     if args.cache_partitions > 1:
         # Partitioned mode needs an economy; the bypass baseline has none
         # and is skipped from the rerun with a note.
@@ -807,10 +757,9 @@ def _write_observability_artifacts(args: argparse.Namespace,
             seed=seed,
             config=config,
             schemes=schemes,
-            shards=getattr(args, "shards", 1),
             cache_partitions=getattr(args, "cache_partitions", 1),
             placement=getattr(args, "placement", "hash"),
-            planning=getattr(args, "planning", PLANNING_BATCHED),
+            planning=_planning(args),
             phase_timings_s={"run": run_s, f"emit_{kind}": emit_s},
             extra=extra,
         )

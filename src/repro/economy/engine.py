@@ -53,8 +53,8 @@ from repro.structures.base import CacheStructure, StructureKind
 from repro.structures.cached_index import CachedIndex
 from repro.workload.query import Query
 
-#: Planning-mode names accepted by :attr:`EconomyConfig.planning` (and the
-#: CLI's ``--planning`` flag).
+#: Planning-mode names accepted by :attr:`EconomyConfig.planning` (and by
+#: ``TenantExperimentConfig.planning``).
 PLANNING_SCALAR = "scalar"
 PLANNING_BATCHED = "batched"
 PLANNING_MODES = (PLANNING_SCALAR, PLANNING_BATCHED)

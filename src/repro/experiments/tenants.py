@@ -6,10 +6,9 @@ population, and registry deterministically from the frozen config — so
 :func:`run_cells`, the one fan-out of the tenant, shock and partitioned
 drivers, spreads them over a ``ProcessPoolExecutor`` like the figure
 grids, and the parallel tables are byte-identical to sequential ones.
-With ``shards > 1`` each cell is additionally split into tenant shards
-executed through :mod:`repro.sharding` and merged exactly, which is
-byte-identical too. (The other scaling mode — partitioning the cache
-and provider economy themselves, with explicitly different semantics —
+(The library can also split a cell into tenant shards merged exactly,
+through :class:`repro.sharding.ShardCoordinator`; partitioning the cache
+and provider economy themselves, with explicitly different semantics,
 lives in :mod:`repro.distcache` and is reached through the CLI's
 ``--cache-partitions`` or :class:`repro.distcache.DistCacheRunner`.)
 
@@ -259,13 +258,7 @@ class TenantCell:
         if recorder is not None:
             from repro.obs.metrics import attach_observability
 
-            # Streamed runs also gauge the process peak RSS: the memory
-            # bound is the point of that mode (which is why streamed
-            # metrics files are not byte-reproducible run to run — the
-            # rendered tables still are).
-            observers.extend(attach_observability(
-                self.scheme, recorder,
-                rss=config.arrival_mode == ARRIVAL_STREAMED))
+            observers.extend(attach_observability(self.scheme, recorder))
         envelope = self.envelope
         return _run_tenants(
             self.scheme, self._arrivals, envelope,
@@ -319,27 +312,8 @@ def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:
 
 def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
                           jobs: Optional[int] = None,
-                          shards: Optional[int] = None,
                           recorder=None) -> List[TenantCellResult]:
-    """Run many population cells through :func:`run_cells`.
-
-    With ``shards > 1`` each cell is additionally split into this many
-    tenant shards executed through :mod:`repro.sharding` and merged
-    exactly (byte-identical to the unsharded cells); ``jobs`` then sizes
-    the process pool the ``cells x shards`` tasks share, and the shards
-    record into ``recorder`` as sources ``shard<i>``.
-    """
-    shard_count = 1 if shards is None else int(shards)
-    if shard_count < 1:
-        raise ExperimentError(f"shards must be >= 1, got {shards}")
-    if shard_count > 1:
-        # Imported lazily: repro.sharding builds on this module.
-        from repro.sharding import ShardCoordinator
-
-        coordinator = ShardCoordinator(
-            shard_count, max_workers=1 if jobs is None else int(jobs),
-            recorder=recorder)
-        return [report.cell for report in coordinator.run_cells(configs)]
+    """Run many population cells through :func:`run_cells`."""
     return run_cells(run_tenant_cell, configs, jobs, recorder,
                      ExperimentError)
 

@@ -4,8 +4,8 @@ The subsystem has four layers (see ``docs/observability.md``):
 
 * :mod:`repro.obs.trace` — the one :class:`TraceRecorder` and the kernel
   observer, attached through the existing ``run(observers=...)`` hook plus
-  the trace attach points of the engine, cache, batch scheduler, shard
-  workers, and the partitioned runner. One recorder holds the per-source
+  the trace attach points of the engine, cache, batch scheduler and the
+  partitioned runner. One recorder holds the per-source
   counters, the event log (kept for ``--trace PATH`` only) and the
   per-epoch barrier samples (taken for ``--metrics PATH`` only), and
   writes both JSONL artifacts. The hard invariant: enabling a recorder
@@ -19,7 +19,7 @@ The subsystem has four layers (see ``docs/observability.md``):
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` serialized next to
   every trace/metrics/report artifact (version, seed, frozen-config hash,
   scheme set, interpreter versions, git sha, mode flags, per-phase
-  wall-clock, optional cProfile hotspots).
+  wall-clock, peak RSS, optional cProfile hotspots).
 * :mod:`repro.obs.report` — the ``repro report`` pipeline: summaries of
   trace/metrics artifacts, rendered into versioned JSON + markdown.
 """

@@ -3,11 +3,11 @@
 A :class:`RunManifest` pins everything needed to reproduce (or audit) the
 run that produced an artifact: the package version, the seed, a hash of
 the frozen experiment configuration, the scheme set, interpreter and numpy
-versions, the git commit when available, the scaling-mode flags, and the
-wall-clock spent per phase. Manifests are written as
-``<artifact>.manifest.json`` (or ``report.manifest.json`` inside a report
-directory) with sorted keys, so identical runs produce identical bytes up
-to the environment and timing fields.
+versions, the git commit when available, the scaling-mode flags, the
+wall-clock spent per phase and the peak resident set size. Manifests are
+written as ``<artifact>.manifest.json`` (or ``report.manifest.json``
+inside a report directory) with sorted keys, so identical runs produce
+identical bytes up to the environment, timing and memory fields.
 """
 
 from __future__ import annotations
@@ -76,6 +76,28 @@ def profile_hotspots(profiler: "cProfile.Profile",
     return hotspots
 
 
+def peak_rss_bytes() -> Optional[int]:
+    """The peak resident set size of this process or any of its reaped
+    children, in bytes, or ``None``.
+
+    Reads ``getrusage`` for ``RUSAGE_SELF`` and ``RUSAGE_CHILDREN`` — the
+    high-water marks the kernel tracked for the process lifetime — so
+    cells that ran in a ``--jobs`` pool count too. Linux reports them in
+    KiB, macOS in bytes; platforms without ``resource`` report nothing.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    usage = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    if usage <= 0:  # pragma: no cover - defensive
+        return None
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        return int(usage)
+    return int(usage) * 1024
+
+
 def _numpy_version() -> Optional[str]:
     try:
         import numpy
@@ -97,11 +119,11 @@ class RunManifest:
     platform: str
     numpy_version: Optional[str]
     git_sha: Optional[str]
-    shards: int = 1
     cache_partitions: int = 1
     placement: str = "hash"
     planning: str = "scalar"
     phase_timings_s: Tuple[Tuple[str, float], ...] = ()
+    peak_rss_bytes: Optional[int] = None
     extra: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
     def to_dict(self) -> Dict[str, object]:
@@ -117,12 +139,12 @@ class RunManifest:
             "platform": self.platform,
             "numpy_version": self.numpy_version,
             "git_sha": self.git_sha,
-            "shards": self.shards,
             "cache_partitions": self.cache_partitions,
             "placement": self.placement,
             "planning": self.planning,
             "phase_timings_s": {name: seconds
                                for name, seconds in self.phase_timings_s},
+            "peak_rss_bytes": self.peak_rss_bytes,
         }
         for key, value in self.extra:
             payload[key] = value
@@ -142,7 +164,6 @@ def build_manifest(command: str, *,
                    seed: Optional[int] = None,
                    config: object = None,
                    schemes: Sequence[str] = (),
-                   shards: int = 1,
                    cache_partitions: int = 1,
                    placement: str = "hash",
                    planning: str = "scalar",
@@ -153,6 +174,8 @@ def build_manifest(command: str, *,
 
     The version stamped here is the same string ``repro --version``
     prints, so artifacts and the CLI can never disagree about provenance.
+    The peak RSS is read now (:func:`peak_rss_bytes`), so a manifest built
+    after the run records the run's high-water mark.
     """
     from repro import __version__
 
@@ -167,10 +190,10 @@ def build_manifest(command: str, *,
         platform=sys.platform,
         numpy_version=_numpy_version(),
         git_sha=_git_sha(),
-        shards=shards,
         cache_partitions=cache_partitions,
         placement=placement,
         planning=planning,
         phase_timings_s=tuple(sorted(timings.items())),
+        peak_rss_bytes=peak_rss_bytes(),
         extra=tuple(sorted((extra or {}).items())),
     )

@@ -30,31 +30,10 @@ Example:
 
 from __future__ import annotations
 
-import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.simulator.events import MaintenanceSettlementEvent, QueryArrivalEvent
 from repro.obs.trace import TraceRecorder, kernel_observer_pair
-
-
-def peak_rss_bytes() -> Optional[int]:
-    """This process's peak resident set size in bytes, or ``None``.
-
-    Reads ``getrusage(RUSAGE_SELF).ru_maxrss`` — the high-water mark the
-    kernel tracked for the whole process lifetime, which is exactly the
-    quantity the memory-budget CI lane asserts on. Linux reports it in
-    KiB, macOS in bytes; platforms without ``resource`` report nothing.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if usage <= 0:  # pragma: no cover - defensive
-        return None
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        return int(usage)
-    return int(usage) * 1024
 
 
 class MetricsSampler:
@@ -69,22 +48,20 @@ class MetricsSampler:
     and no RNG is touched, which is what keeps metrics-enabled runs
     byte-identical to disabled ones.
 
+    The process's peak RSS is not sampled: the OS high-water mark is not
+    deterministic across runs, so it goes into the run manifest instead
+    (:func:`~repro.obs.manifest.peak_rss_bytes`), keeping metrics
+    emission bitwise reproducible.
+
     Args:
         recorder: the recorder to sample into.
         scheme: the scheme whose components the gauges read.
-        rss: also sample :func:`peak_rss_bytes` at every barrier.
-            Off by default because the OS high-water mark is **not**
-            deterministic across runs — only the streamed drivers (whose
-            memory bound it audits) enable it, keeping eager metrics
-            emission bitwise reproducible.
     """
 
-    def __init__(self, recorder: TraceRecorder, scheme,
-                 rss: bool = False) -> None:
+    def __init__(self, recorder: TraceRecorder, scheme) -> None:
         self._recorder = recorder
         self._engine = getattr(scheme, "engine", None)
         self._cache = scheme.cache
-        self._rss = rss
 
     def __call__(self, event: MaintenanceSettlementEvent, kernel) -> None:
         gauges: Dict[str, object] = {
@@ -105,28 +82,16 @@ class MetricsSampler:
                 gauges["live_tenants"] = registry.live_tenant_count()
                 gauges["materialized_tenants"] = (
                     registry.materialized_tenant_count())
-        if self._rss:
-            rss = peak_rss_bytes()
-            if rss is not None:
-                gauges["peak_rss_bytes"] = rss
         self._recorder.sample(time_s=event.time_s, final=event.final,
                               **gauges)
 
 
-def metrics_observer_pair(recorder: TraceRecorder, scheme,
-                          rss: bool = False):
-    """The ``(event type, handler)`` pair ``run(observers=...)`` expects."""
-    return (MaintenanceSettlementEvent, MetricsSampler(recorder, scheme,
-                                                       rss=rss))
-
-
-def attach_observability(scheme, recorder: TraceRecorder,
-                         rss: bool = False) -> list:
+def attach_observability(scheme, recorder: TraceRecorder) -> list:
     """Attach a recorder to a scheme; return the kernel observers to run.
 
     The one helper every execution path (plain cells, scenario runs,
-    shard workers, shocked cells, grid cells) uses, so the recorder
-    attaches identically everywhere: it lands on the engine (which
+    shocked cells, grid cells) uses, so the recorder attaches
+    identically everywhere: it lands on the engine (which
     propagates to cache and batch scheduler) or, for the economy-less
     bypass baseline, directly on the cache; a kernel dispatch observer
     feeds it; and a recorder that takes samples also gets the settlement
@@ -140,5 +105,6 @@ def attach_observability(scheme, recorder: TraceRecorder,
         scheme.cache.attach_trace(recorder)
     observers = [kernel_observer_pair(recorder)]
     if recorder.takes_samples:
-        observers.append(metrics_observer_pair(recorder, scheme, rss=rss))
+        observers.append((MaintenanceSettlementEvent,
+                          MetricsSampler(recorder, scheme)))
     return observers

@@ -2,8 +2,9 @@
 JSON + markdown artifacts.
 
 Summarizes the ``*.jsonl`` artifacts that ``--trace`` and ``--metrics``
-write — event and counter counts, sources, and the memory gauges of the
-metrics samples — and renders two artifacts:
+write — event and counter counts, sources, the live-tenant gauge of the
+metrics samples, and the peak RSS of the run manifest written next to
+each artifact — and renders two artifacts:
 
 * ``report.json`` — a versioned machine-readable document;
 * ``report.md`` — a markdown view with one line per artifact and the
@@ -43,7 +44,6 @@ def _trace_summary(path: str) -> Dict[str, object]:
     counters = 0
     events = 0
     peak_live: Optional[int] = None
-    peak_rss: Optional[int] = None
     for index, line in enumerate(lines):
         try:
             record = json.loads(line)
@@ -58,19 +58,19 @@ def _trace_summary(path: str) -> Dict[str, object]:
         else:
             events += 1
             if kind == "sample":
-                # Memory-budget gauges sampled at settlement barriers
-                # (streamed runs): report the run-wide maxima so the CI
-                # memory lane can read them off one report field.
+                # The live-tenant gauge sampled at settlement barriers:
+                # report the run-wide maximum so the CI memory lane can
+                # read it off one report field.
                 live = record.get("live_tenants")
                 if isinstance(live, int):
                     peak_live = max(peak_live or 0, live)
-                rss = record.get("peak_rss_bytes")
-                if isinstance(rss, int):
-                    peak_rss = max(peak_rss or 0, rss)
     summary["schema_version"] = header.get("schema_version")
     summary["sources"] = header.get("sources", [])
     summary["events"] = events
     summary["counters"] = counters
+    peak_rss = _manifest_peak_rss(path)
+    if peak_rss is not None:
+        summary["peak_rss_bytes"] = peak_rss
     kind = header.get("kind")
     if kind == "metrics_header":
         # Metrics timeseries share the JSONL artifact surface; their
@@ -78,8 +78,6 @@ def _trace_summary(path: str) -> Dict[str, object]:
         summary["artifact"] = "metrics"
         if peak_live is not None:
             summary["peak_live_tenants"] = peak_live
-        if peak_rss is not None:
-            summary["peak_rss_bytes"] = peak_rss
         if header.get("schema_version") != METRICS_SCHEMA_VERSION:
             summary["problem"] = (
                 f"metrics schema version {header.get('schema_version')!r} "
@@ -91,6 +89,19 @@ def _trace_summary(path: str) -> Dict[str, object]:
                 f"trace schema version {header.get('schema_version')!r} != "
                 f"{TRACE_SCHEMA_VERSION}")
     return summary
+
+
+def _manifest_peak_rss(path: str) -> Optional[int]:
+    """The ``peak_rss_bytes`` of the run manifest next to an artifact
+    (``<artifact>.manifest.json``), or ``None`` when it has none or
+    cannot be read — the memory figure is optional, so fail-soft."""
+    try:
+        with open(path + ".manifest.json", "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    rss = manifest.get("peak_rss_bytes") if isinstance(manifest, dict) else None
+    return rss if isinstance(rss, int) else None
 
 
 def render_report(trace_paths: Sequence[str]

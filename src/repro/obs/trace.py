@@ -25,9 +25,8 @@ The hard invariant — enforced by the observer-purity test suite and the CI
 byte-diff — is that attaching a recorder changes **nothing** about a run:
 it never reads or advances RNG state, never touches account arithmetic,
 and only observes values the run computed anyway. Everything it stores is
-plain picklable data, so per-shard and per-grid-cell recorders travel
-through ``ProcessPoolExecutor`` round-trips and are merged at the
-coordinator (alongside the settlement checkpoints) with
+plain picklable data, so per-cell recorders travel through
+``ProcessPoolExecutor`` round-trips and are merged in cell order with
 :meth:`TraceRecorder.absorb`.
 
 Emission is deterministic: records sort by ``(time_s, source, sequence)``,
@@ -63,7 +62,8 @@ from repro.simulator.events import (
 TRACE_SCHEMA_VERSION = 1
 
 #: Bumped whenever the metrics JSONL record shape changes incompatibly.
-METRICS_SCHEMA_VERSION = 1
+#: v2: samples no longer carry ``peak_rss_bytes`` (the run manifest does).
+METRICS_SCHEMA_VERSION = 2
 
 #: One stored record: ``(time_s, sequence, source, kind, fields)``.
 TraceRecord = Tuple[float, int, str, str, Dict[str, object]]
@@ -78,8 +78,8 @@ class TraceRecorder:
     Args:
         source: label stamped on every record and sample this recorder
             produces (``"run"`` for a single run, ``"econ-cheap"`` /
-            ``"econ-cheap/partition1"`` / ``"shard3"`` for per-cell and
-            per-worker recorders merged later).
+            ``"econ-cheap/partition1"`` for per-cell and per-partition
+            recorders merged later).
         events: keep every event and span as a record (the trace
             artifact). Off, they only fold into counters.
         samples: the attach points take a sample at every settlement
@@ -103,7 +103,7 @@ class TraceRecorder:
 
     def fresh(self, source: str) -> "TraceRecorder":
         """An empty recorder for ``source`` that keeps what this one keeps
-        (a shard's, partition's or grid cell's, absorbed here later)."""
+        (a cell's, partition's or grid cell's, absorbed here later)."""
         return TraceRecorder(source, events=self.keeps_events,
                              samples=self.takes_samples)
 
@@ -210,8 +210,7 @@ class TraceRecorder:
         Records and samples keep their original source tags (and records
         their per-source sequence), so a merged recorder still sorts
         deterministically; counters merge per source (summing only within
-        the same source — per-shard replicated counters are reported per
-        shard, never double-counted).
+        the same source).
         """
         self._records.extend(other._records)
         self._samples.extend(other._samples)
@@ -299,8 +298,7 @@ class KernelTraceObserver:
     last). It counts dispatches per event class and records a
     ``settlement_barrier`` span from the previous barrier (or the first
     observed instant) to each maintenance settlement, tagged with the
-    kernel's query-dispatch progress — the same quantity the sharding
-    layer's :class:`~repro.sharding.worker.SettlementCheckpoint` snapshots.
+    kernel's query-dispatch progress.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:

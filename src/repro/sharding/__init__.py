@@ -8,9 +8,10 @@ aligns the shards at settlement barriers before folding their accounts
 back together with exact credit conservation. The merged report is
 byte-identical to the unsharded run for the same seed — see
 ``docs/sharding.md`` for why determinism forces this replicated-replay,
-partitioned-ownership design and what it scales.
+partitioned-ownership design and what it costs. It is a library mode
+with no CLI flag, and it runs unobserved.
 
-Typical use, directly or through ``repro.cli tenants --shards N``::
+Typical use::
 
     from repro.sharding import ShardCoordinator
     from repro.experiments.tenants import TenantExperimentConfig

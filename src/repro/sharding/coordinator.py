@@ -9,9 +9,8 @@ in-process when ``max_workers`` is 1 — the execution path is the same
 barriers are aligned and audited.
 
 The two parallelism axes compose: ``max_workers`` is the total process
-budget, shared by the ``cells x shards`` task matrix, so scheme-level
-parallelism (the old ``--jobs``) and tenant-level sharding (``--shards``)
-never fight over who gets to spawn.
+budget, shared by the ``cells x shards`` task matrix, so cell-level and
+tenant-level parallelism never fight over who gets to spawn.
 
 A shard that fails — an exception escaping ``run_shard``, or a worker
 process that died — raises an error naming the shard and its cell's
@@ -23,12 +22,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ShardingError, map_naming_failures
 from repro.experiments.tenants import TenantExperimentConfig
 from repro.obs.manifest import config_hash
-from repro.obs.trace import TraceRecorder
 from repro.sharding.merge import ShardMergeReport, merge_shard_results
 from repro.sharding.worker import ShardResult, ShardTask, run_shard
 
@@ -63,18 +61,11 @@ class ShardPlan:
 
 
 class ShardCoordinator:
-    """Executes tenant cells as sharded runs and merges them exactly.
+    """Executes tenant cells as sharded runs and merges them exactly."""
 
-    With a ``recorder`` every shard records into its own empty copy of it
-    (:meth:`~repro.obs.trace.TraceRecorder.fresh`, source ``shard<i>``),
-    and :meth:`run_cells` absorbs each cell's merged recorder into it.
-    """
-
-    def __init__(self, shard_count: int, max_workers: int = 1,
-                 recorder: Optional[TraceRecorder] = None) -> None:
+    def __init__(self, shard_count: int, max_workers: int = 1) -> None:
         self._plan = ShardPlan(shard_count=shard_count,
                                max_workers=max_workers)
-        self._recorder = recorder
 
     @property
     def plan(self) -> ShardPlan:
@@ -95,12 +86,9 @@ class ShardCoordinator:
                 ShardImbalanceWarning,
                 stacklevel=2,
             )
-        recorder = self._recorder
         return [
             ShardTask(config=config, shard_index=index,
-                      shard_count=self.shard_count,
-                      recorder=(None if recorder is None
-                                else recorder.fresh(f"shard{index}")))
+                      shard_count=self.shard_count)
             for index in range(self.shard_count)
         ]
 
@@ -114,8 +102,7 @@ class ShardCoordinator:
 
         Results come back in ``configs`` order; every cell is merged and
         verified independently (a determinism divergence in one cell does
-        not silently poison the others — it raises). Each merged recorder
-        is absorbed into the coordinator's, in cell order.
+        not silently poison the others — it raises).
         """
         cells = list(configs)
         if not cells:
@@ -129,9 +116,6 @@ class ShardCoordinator:
             group = results[index * self.shard_count:
                             (index + 1) * self.shard_count]
             reports.append(merge_shard_results(group, config))
-        if self._recorder is not None:
-            for report in reports:
-                self._recorder.absorb(report.recorder)
         return reports
 
     def _execute(self, tasks: List[ShardTask]) -> List[ShardResult]:

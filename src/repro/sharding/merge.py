@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ShardingError
 from repro.experiments.tenants import TenantCellResult, TenantExperimentConfig
-from repro.obs.trace import TraceRecorder
 from repro.sharding.worker import ShardResult
 from repro.simulator.metrics import TenantBreakdown
 
@@ -46,7 +45,6 @@ class ShardMergeReport:
     owned_tenants_per_shard: Tuple[int, ...]
     barriers_verified: int
     max_conservation_residual: float
-    recorder: Optional[TraceRecorder] = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -204,16 +202,6 @@ def merge_shard_results(shards: Sequence[ShardResult],
         population_size=results[0].population_size,
         churn_waves=results[0].churn_waves,
     )
-    # Fold the per-shard recorders (when the cell ran observed) the same
-    # way the checkpoints fold: records and samples keep their shard
-    # source tags, so the merged series report the replicated replay per
-    # shard.
-    recorder: Optional[TraceRecorder] = None
-    for shard in results:
-        if shard.recorder is not None:
-            if recorder is None:
-                recorder = shard.recorder.fresh("merge")
-            recorder.absorb(shard.recorder)
     return ShardMergeReport(
         cell=cell,
         shard_count=shard_count,
@@ -221,5 +209,4 @@ def merge_shard_results(shards: Sequence[ShardResult],
             shard.owned_tenant_count for shard in results),
         barriers_verified=barriers,
         max_conservation_residual=max_residual,
-        recorder=recorder,
     )

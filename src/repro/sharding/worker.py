@@ -32,7 +32,6 @@ from typing import List, Optional, Tuple
 from repro.economy.account import audit_conservation
 from repro.economy.engine import EconomyEngine
 from repro.errors import ShardingError
-from repro.obs.trace import TraceRecorder
 from repro.experiments.tenants import (
     TenantCell,
     TenantExperimentConfig,
@@ -46,16 +45,11 @@ from repro.simulator.metrics import MetricsSummary, TenantBreakdown
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker process needs: the cell config plus its slot.
-
-    ``recorder`` is the shard's own empty recorder (source ``shard<i>``)
-    when the cell runs observed; it comes back filled in the result.
-    """
+    """Everything a worker process needs: the cell config plus its slot."""
 
     config: TenantExperimentConfig
     shard_index: int
     shard_count: int
-    recorder: Optional[TraceRecorder] = None
 
     def __post_init__(self) -> None:
         TenantPartitioner(self.shard_count).validate_index(self.shard_index)
@@ -102,7 +96,6 @@ class ShardResult:
     checkpoints: Tuple[SettlementCheckpoint, ...]
     population_size: int
     churn_waves: int
-    recorder: Optional[TraceRecorder] = None
 
 
 class SettlementCheckpointRecorder:
@@ -175,11 +168,7 @@ class ShardWorker:
                 registry, cell.scheme.engine)
             observers.append((MaintenanceSettlementEvent, recorder))
 
-        # The per-shard recorder is merged by the coordinator at the same
-        # barriers that align the settlement checkpoints. Counters and
-        # samples stay tagged with this shard's source so the replicated
-        # replay is reported per shard, never double-counted.
-        result = cell.run(observers, recorder=task.recorder)
+        result = cell.run(observers)
 
         checkpoints: Tuple[SettlementCheckpoint, ...] = ()
         if recorder is not None:
@@ -220,7 +209,6 @@ class ShardWorker:
             checkpoints=checkpoints,
             population_size=cell.population.tenant_count,
             churn_waves=cell.population.churn_waves,
-            recorder=task.recorder,
         )
 
     def _registry(self, source) -> ShardScopedRegistry:

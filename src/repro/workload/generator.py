@@ -68,6 +68,8 @@ class WorkloadSpec:
             raise WorkloadError("query_count must be positive")
         if not self.interarrival_s > 0:
             raise WorkloadError("interarrival_s must be positive")
+        if self.seed < 0:
+            raise WorkloadError("seed must be non-negative")
         if self.hot_template_count <= 0:
             raise WorkloadError("hot_template_count must be positive")
         if not 0.0 <= self.hot_template_probability <= 1.0:

@@ -126,6 +126,8 @@ class PopulationSpec:
             raise WorkloadError("churn_period must be non-negative")
         if not 0.0 <= self.churn_fraction <= 1.0:
             raise WorkloadError("churn_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise WorkloadError("seed must be non-negative")
 
 
 #: A lifecycle cohort: population indices, as a ``range`` (a freshly

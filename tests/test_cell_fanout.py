@@ -80,8 +80,9 @@ def test_two_observed_schemes_keep_their_own_sources(tmp_path, capsys,
 @pytest.mark.parametrize("shape", list(SHAPES), ids=list(SHAPES))
 def test_pooled_observed_run_writes_the_sequential_artifacts(tmp_path,
                                                              capsys, shape):
-    """Observed cells use the pool: eager arrivals carry no RSS gauge, so
-    ``--jobs 2`` must write the ``--jobs 1`` bytes."""
+    """Observed cells use the pool, and no sample carries the process's
+    RSS (the manifest does), so ``--jobs 2`` must write the ``--jobs 1``
+    bytes."""
     argv = SHAPES[shape] + ["--schemes", ",".join(SCHEMES)]
     artifacts = {}
     for jobs in ("1", "2"):

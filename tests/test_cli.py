@@ -89,8 +89,8 @@ class TestCommands:
         assert parallel == sequential
 
     def test_invalid_values_report_cleanly(self, capsys):
-        # --jobs / --shards are validated by argparse itself now: exit
-        # code 2 with an "argument --jobs: ..." line, no traceback.
+        # --jobs is validated by argparse itself: exit code 2 with an
+        # "argument --jobs: ..." line, no traceback.
         with pytest.raises(SystemExit) as excinfo:
             main(["figure4", "--jobs", "0"])
         assert excinfo.value.code == 2
@@ -100,7 +100,7 @@ class TestCommands:
         assert main(["scenario", "--queries", "0"]) == 2
         assert "query_count must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
+    @pytest.mark.parametrize("flag", ["--jobs"])
     @pytest.mark.parametrize("value", ["0", "-2", "four"])
     def test_tenants_rejects_invalid_worker_counts(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
@@ -117,35 +117,6 @@ class TestCommands:
         assert "Scenario - bursty x bypass" in output
         assert "phase changes" in output
         assert "operating_cost" in output
-
-
-class TestShardedTenantsCli:
-    ARGS = ["tenants", "--n-tenants", "10", "--queries", "40",
-            "--schemes", "econ-cheap", "--top", "3"]
-
-    def test_sharded_output_is_byte_identical(self, capsys):
-        assert main(self.ARGS) == 0
-        unsharded = capsys.readouterr().out
-        assert main(self.ARGS + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == unsharded
-        assert main(self.ARGS + ["--shards", "4", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == unsharded
-
-    def test_imbalance_warning_on_stderr(self, capsys):
-        assert main(["tenants", "--n-tenants", "3", "--queries", "12",
-                     "--schemes", "econ-cheap", "--shards", "5"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("warning:") == 1
-        assert "exceeds the tenant count" in captured.err
-        assert "Tenants - econ-cheap x 3 tenants" in captured.out
-
-    def test_settlement_period_flows_through(self, capsys):
-        extra = ["--settlement-period", "5.0"]
-        assert main(self.ARGS + extra) == 0
-        unsharded = capsys.readouterr().out
-        assert main(self.ARGS + extra + ["--shards", "2"]) == 0
-        assert capsys.readouterr().out == unsharded
 
 
 class TestPartitionedTenantsCli:
@@ -182,13 +153,6 @@ class TestPartitionedTenantsCli:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert "argument --cache-partitions:" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_partitions_and_shards_are_exclusive(self, capsys):
-        assert main(self.ARGS + ["--cache-partitions", "2",
-                                 "--shards", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "alternative scaling modes" in captured.err
         assert "Traceback" not in captured.err
 
     def test_imbalance_warning_on_stderr(self, capsys):

@@ -1,6 +1,6 @@
-"""Property: every combination of the scaling, planning, arrival and
-observability flags either runs on a tiny cell or exits 2 with exactly one
-``error:`` line — never a traceback, never a silently ignored flag."""
+"""Property: every combination of the partitioning and observability
+flags either runs on a tiny cell or exits 2 with exactly one ``error:``
+line — never a traceback, never a silently ignored flag."""
 
 import io
 import tempfile
@@ -26,10 +26,8 @@ BASE = {
 
 #: The flags of the space each command accepts.
 ACCEPTS = {
-    "tenants": {"--shards", "--cache-partitions", "--placement",
-                "--handoff-threshold", "--arrival-mode", "--planning"},
-    "shocks": {"--shards", "--cache-partitions", "--placement",
-               "--handoff-threshold", "--planning"},
+    "tenants": {"--cache-partitions", "--placement", "--handoff-threshold"},
+    "shocks": {"--cache-partitions", "--placement", "--handoff-threshold"},
     "scenario": set(),
 }
 
@@ -38,13 +36,9 @@ ACCEPTS = {
 def invocations(draw):
     command = draw(st.sampled_from(["tenants", "shocks", "scenario"]))
     optional = {
-        "--shards": draw(st.sampled_from([None, "1", "2"])),
         "--cache-partitions": draw(st.sampled_from([None, "1", "2"])),
         "--placement": draw(st.sampled_from([None, "hash", "adaptive"])),
         "--handoff-threshold": draw(st.sampled_from([None, "0.5"])),
-        "--arrival-mode": draw(st.sampled_from([None, "eager",
-                                                "streamed"])),
-        "--planning": draw(st.sampled_from([None, "scalar", "batched"])),
     }
     flags = []
     for flag, value in optional.items():
@@ -114,6 +108,13 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
                 assert handle.read() != "stale", (argv, path)
 
 
+#: The CLI flags tenant cells no longer take, on each command that had one.
+REMOVED = [("tenants", "--shards", "2"), ("shocks", "--shards", "2"),
+           ("tenants", "--planning", "scalar"),
+           ("shocks", "--planning", "batched"),
+           ("tenants", "--arrival-mode", "eager")]
+
+
 @pytest.mark.parametrize("argv, message", [
     (BASE["tenants"] + ["--top", "-1"], "argument --top: must be >= 0"),
     # With no artifact there is nothing to summarize.
@@ -133,19 +134,20 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
     (["headline", "--planning", "scalar"], "unrecognized arguments"),
     (BASE["scenario"] + ["--planning", "batched"],
      "unrecognized arguments: --planning batched"),
-    # An adaptive handoff leaves the cache version stale, and batched
-    # pricing keys its memo on it: the tables would differ from scalar's.
-    (BASE["tenants"] + ["--cache-partitions", "2", "--placement",
-                        "adaptive", "--planning", "batched"],
-     "--planning batched cannot run with --placement adaptive"),
-    (BASE["shocks"] + ["--cache-partitions", "2", "--placement",
-                       "adaptive", "--planning", "batched"],
-     "--planning batched cannot run with --placement adaptive"),
+    # Tenant cells run unsharded and streamed, and plan batched (scalar
+    # under --placement adaptive): the switches that picked otherwise
+    # are gone.
+    *[(BASE[command] + [flag, value], f"unrecognized arguments: {flag}")
+      for command, flag, value in REMOVED],
+    # A negative seed is an argparse error, not a numpy traceback.
+    *[(BASE[command] + ["--seed", "-1"], "argument --seed: must be >= 0")
+      for command in ("scenario", "tenants", "shocks")],
 ], ids=["top", "report-no-artifact", "report-not-jsonl",
         "duplicate-schemes-tenants", "duplicate-schemes-shocks",
         "planning-figure4", "planning-figure5", "planning-headline",
-        "planning-scenario", "adaptive-batched-tenants",
-        "adaptive-batched-shocks"])
+        "planning-scenario"]
+    + [f"{flag[2:]}-{command}" for command, flag, _ in REMOVED]
+    + ["seed-scenario", "seed-tenants", "seed-shocks"])
 def test_ignored_flag_exits_2(tmp_path, argv, message):
     """A flag or argument that would be silently ignored, or would print
     wrong tables, exits 2 with one error line and writes nothing."""

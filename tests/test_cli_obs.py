@@ -55,25 +55,29 @@ class TestTraceValidation:
 
 
 class TestTracedRunsAreByteIdentical:
-    def test_tenants_sharded(self, tmp_path, capsys):
-        """The acceptance pin: tenants --shards 2 --trace vs untraced."""
-        argv = TENANTS_ARGS + ["--shards", "2"]
-        code, untraced, _ = _run(capsys, argv)
+    def test_tenants(self, tmp_path, capsys):
+        """The acceptance pin: tenants --trace vs untraced."""
+        code, untraced, _ = _run(capsys, TENANTS_ARGS)
         assert code == 0
         trace_path = tmp_path / "t.jsonl"
-        code, traced, _ = _run(capsys, argv + ["--trace", str(trace_path)])
+        code, traced, _ = _run(capsys,
+                               TENANTS_ARGS + ["--trace", str(trace_path)])
         assert code == 0
         assert traced == untraced
         lines = trace_path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "trace_header"
-        assert header["sources"] == ["shard0", "shard1"]
+        assert header["sources"] == ["econ-cheap"]
         manifest = json.loads(
             (tmp_path / "t.jsonl.manifest.json").read_text())
         assert manifest["version"] == repro.__version__
-        assert manifest["shards"] == 2
+        assert "shards" not in manifest
+        assert manifest["planning"] == "batched"
+        assert manifest["peak_rss_bytes"] > 0
         assert manifest["command"] == "tenants"
         assert set(manifest["phase_timings_s"]) == {"run", "emit_trace"}
+        # The cell planned from plan tables: its trace has batch windows.
+        assert any('"batch_window"' in line for line in lines)
 
     def test_tenants_partitioned_adaptive(self, tmp_path, capsys):
         argv = TENANTS_ARGS + ["--cache-partitions", "2",
@@ -85,6 +89,12 @@ class TestTracedRunsAreByteIdentical:
         assert code == 0
         assert traced == untraced
         assert trace_path.exists()
+        # Handoffs leave the cache version stale, so adaptive cells plan
+        # scalar: no batch windows.
+        manifest = json.loads(
+            (tmp_path / "t.jsonl.manifest.json").read_text())
+        assert manifest["planning"] == "scalar"
+        assert '"batch_window"' not in trace_path.read_text()
 
     def test_scenario(self, tmp_path, capsys):
         argv = ["scenario", "--queries", "30", "--settlement-period", "60"]
@@ -140,27 +150,28 @@ class TestMetricsValidation:
 
 
 class TestMetricsRunsAreByteIdentical:
-    def test_tenants_sharded_metrics(self, tmp_path, capsys):
-        """The acceptance pin: tenants --shards 2 --metrics vs plain."""
-        argv = TENANTS_ARGS + ["--shards", "2"]
-        code, plain, _ = _run(capsys, argv)
+    def test_tenants_metrics(self, tmp_path, capsys):
+        """The acceptance pin: tenants --metrics vs plain."""
+        code, plain, _ = _run(capsys, TENANTS_ARGS)
         assert code == 0
         metrics_path = tmp_path / "m.jsonl"
-        code, observed, _ = _run(capsys,
-                                 argv + ["--metrics", str(metrics_path)])
+        code, observed, _ = _run(
+            capsys, TENANTS_ARGS + ["--metrics", str(metrics_path)])
         assert code == 0
         assert observed == plain
         lines = metrics_path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "metrics_header"
-        assert header["sources"] == ["shard0", "shard1"]
+        assert header["sources"] == ["econ-cheap"]
         samples = [json.loads(line) for line in lines[1:]
                    if json.loads(line)["kind"] == "sample"]
         assert samples and all("counters" in s for s in samples)
+        assert not any("peak_rss_bytes" in s for s in samples)
         manifest = json.loads(
             (tmp_path / "m.jsonl.manifest.json").read_text())
         assert manifest["command"] == "tenants"
-        assert manifest["shards"] == 2
+        assert "shards" not in manifest
+        assert manifest["peak_rss_bytes"] > 0
         assert manifest["metrics_samples"] == len(samples)
         assert set(manifest["phase_timings_s"]) == {"run", "emit_metrics"}
 
@@ -218,7 +229,9 @@ class TestMetricsRunsAreByteIdentical:
 #: Every observed command shape, each run with --trace and --metrics.
 TOGETHER_SHAPES = {
     "tenants": TENANTS_ARGS,
-    "tenants-sharded": TENANTS_ARGS + ["--shards", "2", "--jobs", "2"],
+    "tenants-jobs2": ["tenants", "--n-tenants", "4", "--queries", "30",
+                      "--schemes", "econ-cheap,econ-fast",
+                      "--settlement-period", "20", "--jobs", "2"],
     "tenants-partitioned": ["tenants", "--n-tenants", "4", "--queries", "30",
                             "--schemes", "econ-cheap",
                             "--settlement-period", "20",
@@ -260,7 +273,6 @@ class TestReportCommand:
                                                      capsys):
         trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.jsonl"
         code, _, _ = _run(capsys, TENANTS_ARGS + [
-            "--arrival-mode", "streamed",
             "--trace", str(trace), "--metrics", str(metrics)])
         assert code == 0
         out_dir = tmp_path / "artifacts"
@@ -272,6 +284,11 @@ class TestReportCommand:
         assert report["warnings"] == []
         assert [entry["artifact"] for entry in report["traces"]] == [
             "trace", "metrics"]
+        # The peak RSS comes from each artifact's run manifest.
+        for entry, path in zip(report["traces"], (trace, metrics)):
+            manifest = json.loads(
+                (tmp_path / (path.name + ".manifest.json")).read_text())
+            assert entry["peak_rss_bytes"] == manifest["peak_rss_bytes"] > 0
         assert (out_dir / "report.md").read_text() in out
         assert (out_dir / "report.manifest.json").exists()
 

@@ -33,12 +33,13 @@ class TestBuildManifest:
 
     def test_collects_mode_flags_and_timings(self):
         manifest = build_manifest(
-            "tenants", shards=2, cache_partitions=1,
+            "tenants", cache_partitions=2,
             placement="hash", planning="batched",
             phase_timings_s={"run": 1.25, "emit_trace": 0.01},
         )
         payload = manifest.to_dict()
-        assert payload["shards"] == 2
+        assert "shards" not in payload
+        assert payload["cache_partitions"] == 2
         assert payload["planning"] == "batched"
         assert payload["phase_timings_s"] == {"run": 1.25, "emit_trace": 0.01}
         assert payload["manifest_version"] == 1
@@ -54,6 +55,8 @@ class TestBuildManifest:
         # Fail-soft fields: present as keys, possibly None.
         assert "git_sha" in payload
         assert "numpy_version" in payload
+        # The OS high-water mark, outside the reproducibility contract.
+        assert payload["peak_rss_bytes"] > 0
 
     def test_git_sha_fallback_outside_a_git_repo(self, tmp_path,
                                                  monkeypatch):

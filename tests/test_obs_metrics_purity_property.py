@@ -4,9 +4,8 @@ The metrics twin of ``test_obs_purity_property.py``: attaching a
 recorder that takes samples (alone or also keeping a trace) to any
 execution path leaves every rendered table, wallet ledger, and merged
 report **byte-identical** to the unobserved run. Hypothesis sweeps drawn
-cell shapes; pinned integration cases cover the scaling modes the issue
-calls out — ``--shards 2`` and ``--cache-partitions 2 --placement
-adaptive`` with batched planning — which are too slow to sweep
+cell shapes; pinned integration cases cover ``--cache-partitions 2
+--placement adaptive`` and batched planning, which are too slow to sweep
 per-example.
 """
 
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     run_tenant_cell,
-    run_tenant_experiment,
     tenant_aggregate_table,
     top_tenant_table,
 )
@@ -121,28 +119,6 @@ class TestMetricsModesPurity:
         assert metrics.counter("event:QueryArrivalEvent") == 60
         assert metrics.counter("event:settlement_barrier") > 0
         assert len(metrics.samples) > 0
-
-    def test_sharded_metrics_run_is_byte_identical(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        plain = run_tenant_experiment([config], shards=2)
-        metrics = metrics_recorder()
-        observed = run_tenant_experiment([config], shards=2,
-                                         recorder=metrics)
-        assert _rendered(observed[0]) == _rendered(plain[0])
-        assert set(metrics.counters) == {"shard0", "shard1"}
-        # Replicated replay: every shard sampled every barrier.
-        sources = {s["source"] for s in metrics.samples}
-        assert sources == {"shard0", "shard1"}
-        for source in sources:
-            assert metrics.counter("engine:queries", source=source) == 60
-
-    def test_sharded_metrics_run_matches_unsharded(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        unsharded = run_tenant_cell(config)
-        metrics = metrics_recorder()
-        observed = run_tenant_experiment([config], shards=2,
-                                         recorder=metrics)
-        assert _rendered(observed[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_metrics_run_is_byte_identical(self):
         from repro.distcache.runner import DistCacheRunner

@@ -5,8 +5,8 @@ to any execution path leaves every rendered table, wallet ledger, and
 merged report **byte-identical** to the untraced run. Hypothesis draws
 cell shapes (population size, query count, settlement grid, scheme,
 planning mode, shock grammar) and the property re-runs each drawn cell
-traced and untraced; parametrized integration cases pin the sharded and
-cache-partitioned modes, which are too slow to sweep per-example.
+traced and untraced; pinned integration cases cover the
+cache-partitioned mode, which is too slow to sweep per-example.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     run_tenant_cell,
-    run_tenant_experiment,
     tenant_aggregate_table,
     top_tenant_table,
 )
@@ -86,24 +85,6 @@ class TestTracedModesPurity:
 
     CONFIG = dict(tenant_count=6, query_count=60, seed=3,
                   settlement_period_s=60.0)
-
-    def test_sharded_traced_run_is_byte_identical(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        untraced = run_tenant_experiment([config], shards=2)
-        recorder = TraceRecorder()
-        traced = run_tenant_experiment([config], shards=2, recorder=recorder)
-        assert _rendered(traced[0]) == _rendered(untraced[0])
-        assert set(recorder.counters) == {"shard0", "shard1"}
-        # Replicated replay: both shards dispatched the full stream.
-        for source in ("shard0", "shard1"):
-            assert recorder.counter("engine:queries", source=source) == 60
-
-    def test_sharded_traced_run_matches_unsharded(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        unsharded = run_tenant_cell(config)
-        recorder = TraceRecorder()
-        traced = run_tenant_experiment([config], shards=2, recorder=recorder)
-        assert _rendered(traced[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_traced_run_is_byte_identical(self):
         from repro.distcache.runner import DistCacheRunner

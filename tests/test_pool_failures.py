@@ -6,6 +6,7 @@ escaping one must surface as an :class:`ExperimentError` naming the cell
 and its config hash, and the CLI must exit 2 with one ``error:`` line.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -109,7 +110,10 @@ class TestTenantPool:
                      "--jobs", "2"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"error: {_prefix(CONFIGS[0])}: ")
+        # The CLI's cells plan batched over the streamed population.
+        cli_cell = dataclasses.replace(CONFIGS[0], planning="batched",
+                                       arrival_mode="streamed")
+        assert lines[0].startswith(f"error: {_prefix(cli_cell)}: ")
 
 
 class TestShockPool:

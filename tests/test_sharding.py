@@ -13,7 +13,6 @@ import pytest
 
 from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
-from repro.cli import main
 from repro.errors import ShardingError, WorkloadError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
@@ -408,20 +407,6 @@ class TestTypedFailures:
             f"tenant shard 1 of 2, cell config {config_hash(self.CONFIG)}: "
             "bad arrivals")
 
-    def test_cli_exits_2_with_one_error_line(self, monkeypatch, capsys):
-        monkeypatch.setattr(coordinator_module, "run_shard",
-                            _die_running_shard_one)
-        assert main(["tenants", "--n-tenants", "12", "--queries", "60",
-                     "--schemes", "econ-cheap", "--shards", "2",
-                     "--jobs", "2"]) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: tenant shard ")
-        assert "died" in lines[0]
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
 
 class TestByteIdentity:
     """The acceptance invariant: sharded == unsharded, byte for byte."""
@@ -454,17 +439,11 @@ class TestByteIdentity:
         assert report.cell.wallet_credit == ()
         assert report.barriers_verified == 0
 
-    def test_experiment_entry_point_with_shards_and_jobs(self):
+    def test_coordinator_cells_share_the_pool(self):
         configs = [TenantExperimentConfig(scheme=name, **QUICK)
                    for name in ("econ-cheap", "econ-fast")]
         plain = run_tenant_experiment(configs)
-        sharded = run_tenant_experiment(configs, jobs=2, shards=2)
+        sharded = [report.cell for report in
+                   ShardCoordinator(2, max_workers=2).run_cells(configs)]
         assert [tenant_aggregate_table(cell) for cell in plain] == \
             [tenant_aggregate_table(cell) for cell in sharded]
-
-    def test_invalid_shards_rejected(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            run_tenant_experiment(
-                [TenantExperimentConfig(**QUICK)], shards=0)

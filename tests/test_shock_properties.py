@@ -24,8 +24,8 @@ from repro.experiments.shocks import audited_shock_cell, baseline_config
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     run_tenant_cell,
-    run_tenant_experiment,
 )
+from repro.sharding import ShardCoordinator
 from repro.workload.grammar import (
     BudgetSqueeze,
     InvalidationShock,
@@ -127,7 +127,7 @@ class TestExecutionModesUnderChaos:
                                                      strict):
         config = chaos_config("econ-cheap", shocks, seed, strict)
         plain = run_tenant_cell(config)
-        sharded, = run_tenant_experiment([config], shards=2)
+        sharded = ShardCoordinator(2).run_cell(config).cell
         assert sharded == plain
 
     @given(shocks=shock_sequences,

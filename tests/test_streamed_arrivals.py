@@ -23,11 +23,11 @@ from repro.experiments.tenants import (
     ARRIVAL_STREAMED,
     TenantExperimentConfig,
     run_tenant_cell,
-    run_tenant_experiment,
     tenant_aggregate_table,
     top_tenant_table,
 )
-from repro.sharding import ShardScopedRegistry, TenantPartitioner
+from repro.sharding import (ShardCoordinator, ShardScopedRegistry,
+                            TenantPartitioner)
 from repro.simulator.streaming import StreamingArrivalSource
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 from repro.workload.grammar import TenantTier, apply_tenant_tiers
@@ -507,8 +507,8 @@ class TestStreamedCellEquivalence:
         eager, streamed = self._pair(scheme="econ-cheap", budget_sigma=0.3)
         baseline = _rendered(run_tenant_cell(eager))
         for shards in (1, 2, 3, 4):
-            merged = run_tenant_experiment([streamed], shards=shards)
-            assert _rendered(merged[0]) == baseline
+            merged = ShardCoordinator(shards).run_cell(streamed).cell
+            assert _rendered(merged) == baseline
 
     def test_streamed_batched_matches_eager_scalar(self):
         eager, _ = self._pair(scheme="econ-cheap", budget_sigma=0.3)
@@ -562,9 +562,9 @@ class TestStreamedCellProperty:
                             tenant_tiers=stock.tiers)
             eager = run_tenant_cell(TenantExperimentConfig(
                 arrival_mode=ARRIVAL_EAGER, **base))
-            streamed = run_tenant_experiment([TenantExperimentConfig(
-                arrival_mode=ARRIVAL_STREAMED, planning=planning, **base)],
-                shards=shards)[0]
+            streamed = ShardCoordinator(shards).run_cell(
+                TenantExperimentConfig(arrival_mode=ARRIVAL_STREAMED,
+                                       planning=planning, **base)).cell
             assert _rendered(streamed) == _rendered(eager)
 
         check()
@@ -608,25 +608,29 @@ class TestStreamedGauges:
         assert samples
         assert all("live_tenants" in sample for sample in samples)
         assert all("materialized_tenants" in sample for sample in samples)
-        assert all("peak_rss_bytes" in sample for sample in samples)
-        assert all(sample["peak_rss_bytes"] > 0 for sample in samples)
+        # The OS high-water mark is no simulation quantity: the run
+        # manifest carries it, never a sample.
+        assert all("peak_rss_bytes" not in sample for sample in samples)
+        from repro.obs import build_manifest
+        assert build_manifest("tenants").to_dict()["peak_rss_bytes"] > 0
 
     def test_eager_metrics_stay_deterministic(self):
-        # The eager path samples live tenants (a pure simulation quantity)
-        # but never the OS high-water mark, keeping its emission bitwise
-        # reproducible run to run.
+        # Both arrival modes sample live tenants (a pure simulation
+        # quantity) but never the OS high-water mark, keeping emission
+        # bitwise reproducible run to run.
         from repro.obs.trace import TraceRecorder
 
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        arrival_mode=ARRIVAL_EAGER, **QUICK)
-        first = TraceRecorder(events=False, samples=True)
-        run_tenant_cell(config, recorder=first)
-        second = TraceRecorder(events=False, samples=True)
-        run_tenant_cell(config, recorder=second)
-        assert first.metrics_lines() == second.metrics_lines()
-        assert all("live_tenants" in sample for sample in first.samples)
-        assert all("peak_rss_bytes" not in sample
-                   for sample in first.samples)
+        for mode in (ARRIVAL_EAGER, ARRIVAL_STREAMED):
+            config = TenantExperimentConfig(scheme="econ-cheap",
+                                            arrival_mode=mode, **QUICK)
+            first = TraceRecorder(events=False, samples=True)
+            run_tenant_cell(config, recorder=first)
+            second = TraceRecorder(events=False, samples=True)
+            run_tenant_cell(config, recorder=second)
+            assert first.metrics_lines() == second.metrics_lines()
+            assert all("live_tenants" in sample for sample in first.samples)
+            assert all("peak_rss_bytes" not in sample
+                       for sample in first.samples)
 
 
 class TestBatchedStreamBounds:
@@ -797,17 +801,6 @@ class TestStreamedModeCoverage:
         assert nudged
         assert not audit.exact
         assert audit.wallet_ledger_mismatches == 1
-
-    def test_cli_streamed_partitions_match_eager(self, capsys):
-        from repro.cli import main
-
-        args = ["tenants", "--n-tenants", "12", "--queries", "60",
-                "--schemes", "econ-cheap", "--settlement-period", "60",
-                "--churn-period", "15", "--cache-partitions", "2"]
-        assert main(args) == 0
-        eager = capsys.readouterr().out
-        assert main(args + ["--arrival-mode", "streamed"]) == 0
-        assert capsys.readouterr().out == eager
 
 
 @pytest.mark.filterwarnings(

@@ -25,6 +25,8 @@ class TestWorkloadSpec:
         ("budget_scale_sigma", -0.1),
         ("interarrival_s", float("nan")),
         ("budget_scale_sigma", float("nan")),
+        # numpy's SeedSequence would raise a bare ValueError mid-run.
+        ("seed", -1),
     ])
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(WorkloadError):

@@ -35,6 +35,10 @@ class TestPopulationSpec:
             with pytest.raises(WorkloadError):
                 PopulationSpec(**{field: float("nan")})
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(WorkloadError, match="seed must be non-negative"):
+            PopulationSpec(seed=-1)
+
     def test_marker_kind_validated(self):
         with pytest.raises(WorkloadError):
             TenantLifecycleMarker(time_s=0.0, tenants=(0,), kind="resign")
