@@ -35,16 +35,18 @@ a documented divergence from the global-cache economy
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.costmodel.amortization import AmortizationPolicy
 from repro.costmodel.build import StructureCostModel
-from repro.economy.batch import BatchPricingContext
+from repro.economy.account import ConservationFolds
 from repro.economy.engine import (EconomyConfig, EconomyEngine,
                                   RegretPair, StructureBuild)
 from repro.economy.negotiation import NegotiationResult
 from repro.economy.pricing import PricedPlan
 from repro.economy.tenancy import TenantRegistry
+from repro.distcache.directory import CrossShardDirectory
 from repro.distcache.manager import PartitionedCacheManager
 from repro.errors import DistCacheError
 from repro.planner.enumerator import PlanEnumerator
@@ -53,6 +55,9 @@ from repro.structures.cached_index import CachedIndex
 from repro.workload.query import Query
 
 _BYTES_PER_GB = 1024.0 ** 3
+
+#: One remote access as ``(dollars, seconds, shipped_bytes)``.
+Surcharge = Tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,88 @@ class RemoteAccessModel:
         return dollars, seconds, shipped
 
 
+class RemoteOverlay:
+    """Remote-access pricing of one plan table, for one cache version and
+    one published directory.
+
+    A structure another partition advertises needs no build: a row that
+    uses it pays the access surcharge in its execution figures instead of
+    amortising the structure. Between two cache-content changes or
+    directory publications that is a constant of the row, so it is
+    worked out once here: each surcharged row's summed dollars, seconds
+    and shipped bytes, whether each row counts as existing (it can run
+    without building anything), and the non-remote slots its amortisation
+    sums. A query then only adds the memoized surcharge to each
+    surcharged row, which is exact because cache-plan rows carry
+    ``network_dollars == 0.0``: ``(cpu + io) + (0.0 + dollars)`` is
+    ``(cpu + io) + dollars``, bit for bit.
+
+    The overlay reads the pricing state's ``cached_flags`` and follows its
+    charges: the amortisation totals of surcharged rows are re-summed,
+    in plan order, whenever the state re-sums its own.
+    """
+
+    __slots__ = ("state", "directory", "existing", "surcharges",
+                 "_summed_slots", "_amortized", "_resums")
+
+    def __init__(self, state, directory: CrossShardDirectory,
+                 surcharge_of: Callable[[str], Optional[Surcharge]]) -> None:
+        table = state.table
+        cached_flags = state.cached_flags
+        slot_surcharges = [
+            None if cached else surcharge_of(structure.key)
+            for structure, cached in zip(table.unique_structures,
+                                         cached_flags)]
+        self.state = state
+        self.directory = directory
+        self.existing = list(state.existing)
+        # Row index -> its summed (dollars, seconds, shipped_bytes), for
+        # every row with a remote structure, in row order.
+        self.surcharges: Dict[int, Surcharge] = {}
+        self._summed_slots: List[Tuple[int, Tuple[int, ...]]] = []
+        for row_index, row in enumerate(table.rows):
+            dollars = seconds = shipped = 0.0
+            summed = []
+            has_remote = has_local_new = False
+            for slot in row.structure_indices:
+                surcharge = slot_surcharges[slot]
+                if surcharge is None:
+                    summed.append(slot)
+                    has_local_new = has_local_new or not cached_flags[slot]
+                    continue
+                access_dollars, access_seconds, access_bytes = surcharge
+                dollars += access_dollars
+                seconds += access_seconds
+                shipped += access_bytes
+                has_remote = True
+            if not has_remote:
+                continue
+            # The surcharge lands on the row's network dollars, which a
+            # cache plan leaves at zero; anything else would make the
+            # memoized add inexact.
+            assert row.plan.execution.network_dollars == 0.0, row.plan.label
+            self.surcharges[row_index] = (dollars, seconds, shipped)
+            self._summed_slots.append((row_index, tuple(summed)))
+            self.existing[row_index] = not has_local_new
+        self._amortized: List[float] = []
+        self._resums = -1
+
+    def amortized(self) -> List[float]:
+        """Every row's amortisation total, remote structures left out."""
+        state = self.state
+        if self._resums != state.resums:
+            totals = list(state.row_totals)
+            charges = state.charges
+            for row_index, slots in self._summed_slots:
+                total = 0.0
+                for slot in slots:
+                    total += charges[slot]
+                totals[row_index] = total
+            self._amortized = totals
+            self._resums = state.resums
+        return self._amortized
+
+
 class PartitionedEconomyEngine(EconomyEngine):
     """An :class:`EconomyEngine` scoped to one cache partition."""
 
@@ -134,6 +221,14 @@ class PartitionedEconomyEngine(EconomyEngine):
         self._foreign_regret: Dict[str, Tuple[CacheStructure, float]] = {}
         self._forwarded_regret_received = 0.0
         self._placement_bids: Dict[str, float] = {}
+        # _remote_surcharge's memo and the cache version and directory it
+        # was filled under.
+        self._surcharges: Dict[str, Optional[Surcharge]] = {}
+        self._surcharge_version = -1
+        self._surcharge_directory: Optional[CrossShardDirectory] = None
+        # One RemoteOverlay per template name (see _remote_overlay).
+        self._overlays: Dict[str, RemoteOverlay] = {}
+        self._barrier_folds = ConservationFolds()
 
     # -- introspection ---------------------------------------------------------
 
@@ -148,6 +243,12 @@ class PartitionedEconomyEngine(EconomyEngine):
         cache = self.cache
         assert isinstance(cache, PartitionedCacheManager)
         return cache
+
+    @property
+    def barrier_folds(self) -> ConservationFolds:
+        """The conservation folds the barrier audits resume, riding with
+        the partition's state from epoch to epoch."""
+        return self._barrier_folds
 
     @property
     def remote_hits(self) -> int:
@@ -171,6 +272,32 @@ class PartitionedEconomyEngine(EconomyEngine):
 
     # -- remote-aware pricing --------------------------------------------------
 
+    def _remote_surcharge(self, key: str) -> Optional[Surcharge]:
+        """``(dollars, seconds, shipped_bytes)`` of one access to ``key``
+        on another partition, or ``None`` when it is not remote here.
+
+        Whether a key is remote changes only with the local cache's
+        contents or the published directory, so answers are memoized per
+        cache version and directory snapshot. An ownership handoff moves
+        entries without a version bump, but the barrier that applies it
+        always installs a new directory before anything is priced.
+        """
+        cache = self.partitioned_cache
+        if (self._surcharge_version != cache.version
+                or self._surcharge_directory is not cache.directory):
+            self._surcharges = {}
+            self._surcharge_version = cache.version
+            self._surcharge_directory = cache.directory
+        surcharges = self._surcharges
+        try:
+            return surcharges[key]
+        except KeyError:
+            entry = cache.remote_entry(key)
+            surcharge = (None if entry is None
+                         else self._remote.surcharge(entry.size_bytes))
+            surcharges[key] = surcharge
+            return surcharge
+
     def _price_plans(self, query: Query, now: float) -> List[PricedPlan]:
         priced = super()._price_plans(query, now)
         if len(self.partitioned_cache.directory) == 0:
@@ -186,22 +313,19 @@ class PartitionedEconomyEngine(EconomyEngine):
         the surcharge is folded into the plan's execution estimate, so
         negotiation, charging, and regret all see the true remote price.
         """
-        cache = self.partitioned_cache
-        remote_entries = []
+        remote = []
         local_new = []
         for structure in priced.new_structures:
-            entry = cache.remote_entry(structure.key)
-            if entry is None:
+            surcharge = self._remote_surcharge(structure.key)
+            if surcharge is None:
                 local_new.append(structure)
             else:
-                remote_entries.append((structure, entry))
-        if not remote_entries:
+                remote.append((structure, surcharge))
+        if not remote:
             return priced
 
         dollars = seconds = shipped = 0.0
-        for _, entry in remote_entries:
-            access_dollars, access_seconds, access_bytes = \
-                self._remote.surcharge(entry.size_bytes)
+        for _, (access_dollars, access_seconds, access_bytes) in remote:
             dollars += access_dollars
             seconds += access_seconds
             shipped += access_bytes
@@ -213,7 +337,7 @@ class PartitionedEconomyEngine(EconomyEngine):
             response_time_s=execution.response_time_s + seconds,
         )
         plan = replace(priced.plan, execution=execution)
-        remote_keys = {structure.key for structure, _ in remote_entries}
+        remote_keys = {structure.key for structure, _ in remote}
         amortized_by_structure = {
             key: charge
             for key, charge in priced.amortized_by_structure.items()
@@ -228,75 +352,21 @@ class PartitionedEconomyEngine(EconomyEngine):
             amortized_by_structure=amortized_by_structure,
         )
 
-    def _adjust_batched_pricing(self, context: BatchPricingContext,
-                                now: float) -> None:
-        """Batched mirror of :meth:`_apply_remote`.
-
-        Rewrites plan-table rows whose missing structures are advertised
-        by the directory: the remote surcharge folds into the row's
-        execution figures and response time, the remote structures drop
-        out of the amortisation sum, and a row whose only missing
-        structures are remote counts as existing — exactly the scalar
-        re-pricing, expression for expression.
-        """
-        cache = self.partitioned_cache
-        if len(cache.directory) == 0:
-            return
-        table = context.table
-        surcharges: List[Optional[Tuple[float, float, float]]] = []
-        any_remote = False
-        for slot, structure in enumerate(table.unique_structures):
-            if context.cached_flags[slot]:
-                surcharges.append(None)
-                continue
-            entry = cache.remote_entry(structure.key)
-            if entry is None:
-                surcharges.append(None)
-                continue
-            surcharges.append(self._remote.surcharge(entry.size_bytes))
-            any_remote = True
-        if not any_remote:
-            return
-        context.remote_surcharges = surcharges
-
-        estimates = context.estimates
-        column = context.column
-        charges = context.charges
-        cached_flags = context.cached_flags
-        for row_index, row in enumerate(table.rows):
-            dollars = seconds = shipped = 0.0
-            has_remote = False
-            has_local_new = False
-            amortized = 0.0
-            for slot in row.structure_indices:
-                if cached_flags[slot]:
-                    amortized += charges[slot]
-                    continue
-                surcharge = surcharges[slot]
-                if surcharge is None:
-                    has_local_new = True
-                    amortized += charges[slot]
-                    continue
-                access_dollars, access_seconds, access_bytes = surcharge
-                dollars += access_dollars
-                seconds += access_seconds
-                shipped += access_bytes
-                has_remote = True
-            if not has_remote:
-                continue
-            cpu_dollars = estimates.value("cpu_dollars", row_index, column)
-            io_dollars = estimates.value("io_dollars", row_index, column)
-            network_dollars = estimates.value(
-                "network_dollars", row_index, column
-            )
-            execution_dollars = (
-                (cpu_dollars + io_dollars) + (network_dollars + dollars)
-            )
-            context.execution_dollars[row_index] = execution_dollars
-            context.amortized[row_index] = amortized
-            context.prices[row_index] = execution_dollars + amortized
-            context.times[row_index] = context.times[row_index] + seconds
-            context.existing[row_index] = not has_local_new
+    def _remote_overlay(self, state) -> Optional[RemoteOverlay]:
+        """The batched mirror of :meth:`_apply_remote`: the plan table's
+        :class:`RemoteOverlay` for this pricing state and directory,
+        rebuilt only when either changes; ``None`` when no row has a
+        remote structure."""
+        directory = self.partitioned_cache.directory
+        if len(directory) == 0:
+            return None
+        name = state.table.template_name
+        overlay = self._overlays.get(name)
+        if (overlay is None or overlay.state is not state
+                or overlay.directory is not directory):
+            overlay = RemoteOverlay(state, directory, self._remote_surcharge)
+            self._overlays[name] = overlay
+        return overlay if overlay.surcharges else None
 
     # -- owned-only regret with barrier forwarding -----------------------------
 
@@ -311,9 +381,10 @@ class PartitionedEconomyEngine(EconomyEngine):
         """
         cache = self.partitioned_cache
         divide = self.config.divide_regret
+        remote = self._remote_surcharge
         for missing, regret in regrets:
             missing = tuple(structure for structure in missing
-                            if cache.remote_entry(structure.key) is None)
+                            if remote(structure.key) is None)
             if not missing:
                 continue
             # distribute()'s own split, so an all-owned plan books exactly
@@ -448,8 +519,8 @@ class PartitionedEconomyEngine(EconomyEngine):
         cache = self.partitioned_cache
         accesses = 0
         for structure in result.chosen.plan.structures:
-            entry = cache.remote_entry(structure.key)
-            if entry is None:
+            surcharge = self._remote_surcharge(structure.key)
+            if surcharge is None:
                 # A locally resident structure defends its placement at
                 # the surcharge this partition avoids by owning it. Only
                 # adaptive runs pay for the tally — under hash placement
@@ -460,7 +531,7 @@ class PartitionedEconomyEngine(EconomyEngine):
                     self._record_placement_bid(structure.key, avoided)
                 continue
             accesses += 1
-            dollars, _, shipped = self._remote.surcharge(entry.size_bytes)
+            dollars, _, shipped = surcharge
             self._remote_dollars += dollars
             self._remote_bytes += shipped
             if self._record_bids:

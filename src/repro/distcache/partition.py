@@ -38,7 +38,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import DistCacheError
 from repro.partitioning import partition_index
@@ -77,6 +77,11 @@ class StructurePartitioner:
     overrides: Tuple[Tuple[str, int], ...] = ()
     _override_map: Dict[str, int] = field(
         init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    # key -> owner, filled on first lookup: pricing asks about the same
+    # few structure keys on every query, and a BLAKE2b digest per ask
+    # would dominate the lookup.
+    _owners: Dict[str, int] = field(
+        init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.partition_count < 1:
@@ -102,16 +107,20 @@ class StructurePartitioner:
         ))
         object.__setattr__(self, "overrides", canonical)
         object.__setattr__(self, "_override_map", dict(canonical))
+        object.__setattr__(self, "_owners", {})
 
     def partition_of(self, key: str) -> int:
         """The partition that owns structure ``key``: the override table
-        first, the stable hash as fallback."""
-        if not key:
-            raise DistCacheError("structure key must not be empty")
-        override = self._override_map.get(key)
-        if override is not None:
-            return override
-        return partition_index(key, self.partition_count)
+        first, the stable hash as fallback (memoized per key)."""
+        owner = self._owners.get(key)
+        if owner is None:
+            if not key:
+                raise DistCacheError("structure key must not be empty")
+            owner = self._override_map.get(key)
+            if owner is None:
+                owner = partition_index(key, self.partition_count)
+            self._owners[key] = owner
+        return owner
 
     def hash_owner_of(self, key: str) -> int:
         """The pure hash owner of ``key``, ignoring any override."""
@@ -148,10 +157,6 @@ class StructurePartitioner:
             )
         return partition
 
-    def assignment(self, keys: Iterable[str]) -> Dict[str, int]:
-        """``key -> partition`` for every key, in input order."""
-        return {key: self.partition_of(key) for key in keys}
-
 
 @dataclass(frozen=True)
 class QueryRouter:
@@ -174,18 +179,28 @@ class QueryRouter:
     """
 
     partition_count: int
+    # template name -> partition, filled on first lookup.
+    _partitions: Dict[str, int] = field(
+        init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.partition_count < 1:
             raise DistCacheError(
                 f"partition_count must be >= 1, got {self.partition_count}"
             )
+        object.__setattr__(self, "_partitions", {})
 
     def partition_of(self, query: Query) -> int:
-        """The partition that serves ``query`` (template-affinity routing)."""
-        if not query.template_name:
-            raise DistCacheError("query template_name must not be empty")
-        return partition_index(query.template_name, self.partition_count)
+        """The partition that serves ``query`` (template-affinity routing,
+        memoized per template name)."""
+        name = query.template_name
+        partition = self._partitions.get(name)
+        if partition is None:
+            if not name:
+                raise DistCacheError("query template_name must not be empty")
+            partition = partition_index(name, self.partition_count)
+            self._partitions[name] = partition
+        return partition
 
     def split(self, queries: Sequence[Query]) -> List[List[Query]]:
         """Partition queries into per-partition streams (order preserved).

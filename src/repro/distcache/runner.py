@@ -2,27 +2,34 @@
 
 One partitioned cell run executes like this::
 
-    route queries by template  ->  partition 0 .. N-1 substreams
-    for each epoch (settlement barrier to settlement barrier):
-        every partition, in partition order, runs its substream slice
-        and the epoch's shocks on a SimulationKernel against its OWN
-        PartitionedCacheManager + provider sub-account, settles at the
-        barrier, audits its sub-account, and reports its barrier state
-        at the barrier:
-            [adaptive placement] record the drained benefit bids, decide
-            the ownership handoffs, and move each handed-off entry with
-            its in-flight regret from the old owner to the new one
-            route foreign regret to the (possibly new) owners
-            publish the directory: a delta against the previous epoch,
-            fold-verified (prev + delta == full) with a periodic
-            full-snapshot anchor, folded onto every partition's snapshot
-            record the audited checkpoint
-    end of the cell: wallet integrity audit, fold into a TenantCellResult
+    for each window (consecutive epochs holding at most MAX_BATCH_SIZE
+    queries, read ahead and routed by template, each query once):
+        prime every partition's batched planner with its queries of the
+        window
+        for each epoch of the window (barrier to barrier):
+            every partition, in partition order, runs its slice of the
+            epoch and the epoch's shocks on a SimulationKernel against
+            its OWN PartitionedCacheManager + provider sub-account,
+            settles at the barrier, audits what its books gained since
+            the previous barrier, and reports its barrier state
+            at the barrier:
+                [adaptive placement] record the drained benefit bids,
+                decide the ownership handoffs, and move each handed-off
+                entry with its in-flight regret to its new owner
+                route foreign regret to the (possibly new) owners
+                publish the directory: a delta against the previous
+                epoch, fold-verified (prev + delta == full) with a
+                periodic full-snapshot anchor, folded onto every
+                partition's snapshot
+                record the audited checkpoint
+    end of the cell: every partition's books re-folded from the first
+    record, wallets included, then folded into a TenantCellResult
 
 Every partition of a cell runs in the process that runs the cell. An
 epoch task carries the partition's live scheme (cache, sub-account,
-regret, registry) and its result hands the scheme back; the runner goes
-on with the returned scheme, so a task and result that were copied (the
+regret, registry, the primed planner window and the barrier audit's
+running folds) and its result hands the scheme back; the runner goes on
+with the returned scheme, so a task and result that were copied (the
 pickle round trip of the end-to-end benchmark's traced mode) still give
 the plain run's bytes. ``max_workers`` is the process budget that whole
 cells share (:meth:`DistCacheRunner.run_cells`); a cell never splits
@@ -42,8 +49,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.distcache.directory import (
     CrossShardDirectory,
@@ -60,6 +67,7 @@ from repro.distcache.placement import (
 )
 from repro.economy.account import (CloudAccount, ConservationAudit,
                                    audit_conservation)
+from repro.economy.batch import MAX_BATCH_SIZE
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import DistCacheError, call_naming_failures
@@ -278,16 +286,26 @@ def _sample_partition(scheme: CachingScheme,
 
 def _audit(engine: PartitionedEconomyEngine,
            registry: Optional[TenantRegistry] = None) -> ConservationAudit:
-    """Audit one partition's books, raising a :class:`DistCacheError`
-    that names the partition if any identity fails."""
+    """Audit one partition's books from the first record, raising a
+    :class:`DistCacheError` that names the partition if any identity
+    fails."""
     audit = audit_conservation(engine.account, engine.outcomes, registry)
     audit.require(f"partition {engine.partition_index}", DistCacheError)
     return audit
 
 
 def _barrier_report(engine: PartitionedEconomyEngine) -> BarrierReport:
-    """Audit the sub-account, then read what the barrier needs."""
-    audit = _audit(engine)
+    """Audit what the sub-account and outcomes gained since the previous
+    barrier, then read what the barrier needs.
+
+    The audit resumes the partition's :class:`ConservationFolds`, so each
+    barrier folds only its own epoch; a rewrite of a record an earlier
+    barrier folded is left to the end-of-run :func:`_audit`.
+    """
+    folds = engine.barrier_folds
+    audit = folds.audit(engine.account,
+                        engine.outcomes_since(folds.outcomes_folded))
+    audit.require(f"partition {engine.partition_index}", DistCacheError)
     return BarrierReport(
         snapshot=engine.partitioned_cache.snapshot(),
         foreign_regret=engine.drain_foreign_regret(),
@@ -327,16 +345,14 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     with a :class:`MaintenanceSettlementEvent` at the barrier, so
     maintenance settles, and strict maintenance shuts structures down, at
     exactly the instants and in exactly the order the unpartitioned run
-    would.
+    would. A batched scheme arrives primed with the epoch's whole window
+    (see :func:`routed_epochs`); an unprimed one plans every query
+    scalar, with the same outcomes.
     """
     if not isinstance(task, PartitionEpochTask):
         raise DistCacheError(
             f"expected a PartitionEpochTask, got {type(task).__name__}")
     scheme = task.scheme
-    # Batched planners score the whole epoch slice in one vectorized pass;
-    # scalar schemes ignore the priming (see CachingScheme.prime_workload).
-    scheme.prime_workload(tuple(
-        item for item in task.arrivals if isinstance(item, Query)))
     kernel = SimulationKernel(start_time_s=task.start_s)
     log = _EpochLog()
     SchemeTenant(scheme, log, start_time_s=task.start_s).register(kernel)
@@ -391,6 +407,66 @@ def epoch_items(arrivals: Iterable[Arrival], shocks: Iterable[Event],
     cuts.append((math.inf, 0))
     return zip(_slices(arrivals, dispatch_key, cuts),
                _slices(sorted(shocks, key=_shock_key), _shock_key, cuts))
+
+
+class RoutedEpoch(NamedTuple):
+    """One epoch as the runner replays it.
+
+    ``arrivals`` holds each partition's routed queries plus every
+    lifecycle marker, in stream order (each registry books the whole
+    population), and ``shocks`` the epoch's market shocks. ``feeds`` is
+    set on the first epoch of each window only: each partition's queries
+    of the whole window, which prime its batched planner.
+    """
+
+    arrivals: Tuple[Tuple[Arrival, ...], ...]
+    shocks: Tuple[Event, ...]
+    feeds: Optional[Tuple[Tuple[Query, ...], ...]]
+
+
+def routed_epochs(epochs: Iterable[Tuple[List[Arrival], List[Event]]],
+                  router: QueryRouter) -> Iterator[RoutedEpoch]:
+    """Route each epoch's queries once and group the epochs into windows.
+
+    A window holds as many consecutive whole epochs as fit in
+    :data:`~repro.economy.batch.MAX_BATCH_SIZE` queries (an epoch larger
+    than that is a window of its own), so each partition's batched
+    planner is primed once per window and scores it in one vectorized
+    pass per template. A window is read whole before its first epoch is
+    yielded, plus the next epoch, read to see it not fit: ``epochs`` (as
+    :func:`epoch_items` yields them) is read at most one window ahead.
+    """
+    partitions = range(router.partition_count)
+    window: List[RoutedEpoch] = []
+    held = 0
+
+    def close() -> Iterator[RoutedEpoch]:
+        feeds = tuple(
+            tuple(item for epoch in window
+                  for item in epoch.arrivals[partition]
+                  if isinstance(item, Query))
+            for partition in partitions)
+        yield window[0]._replace(feeds=feeds)
+        yield from window[1:]
+
+    for arrivals, shocks in epochs:
+        routed: List[List[Arrival]] = [[] for _ in partitions]
+        queries = 0
+        for item in arrivals:
+            if isinstance(item, Query):
+                routed[router.partition_of(item)].append(item)
+                queries += 1
+            else:
+                for queue in routed:
+                    queue.append(item)
+        if window and held + queries > MAX_BATCH_SIZE:
+            yield from close()
+            window, held = [], 0
+        window.append(RoutedEpoch(tuple(tuple(queue) for queue in routed),
+                                  tuple(shocks), None))
+        held += queries
+    if window:
+        yield from close()
 
 
 class DistCacheRunner:
@@ -563,11 +639,11 @@ class DistCacheRunner:
                 cut += config.settlement_period_s
         if not barriers or barriers[-1] != end_s:
             barriers.append(end_s)
-        epochs = epoch_items(
+        epochs = routed_epochs(epoch_items(
             arrivals.items,
             compile_shock_events_for_span(
                 config.shocks, envelope.start_s, envelope.last_s),
-            barriers)
+            barriers), self._router)
 
         partitions = range(self.partition_count)
         steps: List[List[SchemeStep]] = [[] for _ in partitions]
@@ -578,29 +654,24 @@ class DistCacheRunner:
         publications: List[DirectoryPublication] = []
         directory = CrossShardDirectory.empty()
 
-        for epoch, (barrier, (epoch_arrivals, shocks)) in enumerate(
+        for epoch, (barrier, (routed, shocks, feeds)) in enumerate(
                 zip(barriers, epochs)):
             number = epoch + 1
             is_final = epoch == len(barriers) - 1
             epoch_start = barriers[epoch - 1] if epoch else start_s
-            # Every partition receives its routed queries plus every
-            # lifecycle marker (each registry books the whole population)
-            # and every shock (a shock hits the whole market).
-            routed: List[List[Arrival]] = [[] for _ in partitions]
-            for item in epoch_arrivals:
-                if isinstance(item, Query):
-                    routed[self._router.partition_of(item)].append(item)
-                else:
-                    for queue in routed:
-                        queue.append(item)
+            if feeds is not None:
+                # The epoch opens a window: each batched planner scores
+                # the partition's queries of the whole window at once.
+                for scheme, feed in zip(schemes, feeds):
+                    scheme.prime_workload(feed)
             results: List[PartitionEpochResult] = []
             for partition in partitions:
                 task = PartitionEpochTask(
                     epoch=number,
                     start_s=epoch_start,
                     settle_to_s=barrier,
-                    arrivals=tuple(routed[partition]),
-                    shocks=tuple(shocks),
+                    arrivals=routed[partition],
+                    shocks=shocks,
                     scheme=schemes[partition],
                 )
                 # Called through the module global, so a wrapper

@@ -19,7 +19,8 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, Type)
 
 from repro.errors import EconomyError, InsufficientCreditError
 
@@ -88,6 +89,21 @@ class CloudAccount:
     def transactions(self) -> Tuple[Transaction, ...]:
         """The full ledger, oldest first."""
         return tuple(self._transactions)
+
+    def entries(self, start: int = 0) -> Iterator[Transaction]:
+        """The ledger from entry ``start`` on, oldest first, read in place.
+
+        Unlike :attr:`transactions` this copies nothing, so a fold that
+        resumes at ``start`` costs only the entries after it.
+
+        Example:
+            >>> account = CloudAccount(initial_credit=1.0)
+            >>> account.deposit(2.0, time_s=1.0, category="query_payment")
+            >>> [entry.amount for entry in account.entries(1)]
+            [2.0]
+        """
+        ledger = self._transactions
+        return map(ledger.__getitem__, range(start, len(ledger)))
 
     def deposit(self, amount: float, time_s: float, category: str,
                 note: str = "") -> None:
@@ -212,7 +228,7 @@ def ledger_fold(account: CloudAccount) -> float:
     live credit is maintained by exactly these additions in this order.
     """
     credit = 0.0
-    for transaction in account.transactions:
+    for transaction in account.entries():
         credit += transaction.amount
     return credit
 
@@ -221,7 +237,7 @@ def query_payment_fold(account: CloudAccount) -> float:
     """Provider side of payment conservation: the ``query_payment``
     deposits folded in ledger order (bitwise their category total)."""
     total = 0.0
-    for transaction in account.transactions:
+    for transaction in account.entries():
         if transaction.category == CloudAccount.CATEGORY_QUERY_PAYMENT:
             total += transaction.amount
     return total
@@ -327,6 +343,76 @@ def audit_conservation(account: CloudAccount, outcomes: Iterable,
         wallets_audited=wallets_audited,
         wallet_ledger_mismatches=mismatches,
     )
+
+
+class ConservationFolds:
+    """One engine's provider-ledger, query-payment and outcome-charge
+    folds, resumable from where the previous audit stopped.
+
+    :meth:`audit` folds only the ledger entries and outcomes added since
+    the previous call, onto the running totals it left. A left fold
+    resumed from its running total makes the very additions, in the very
+    order, that a fold from the first record makes, so each audit is
+    bitwise :func:`audit_conservation`'s provider figures — provided no
+    entry already folded has changed since. Only a full re-fold sees such
+    a rewrite, so a run that audits incrementally at its barriers still
+    closes with :func:`audit_conservation`.
+
+    Example:
+        >>> from types import SimpleNamespace as Outcome
+        >>> account = CloudAccount(initial_credit=1.0)
+        >>> folds = ConservationFolds()
+        >>> account.deposit(0.1, time_s=1.0, category="query_payment")
+        >>> folds.audit(account, [Outcome(charge=0.1)]).exact
+        True
+        >>> account.deposit(0.2, time_s=2.0, category="query_payment")
+        >>> audit = folds.audit(account, [Outcome(charge=0.2)])
+        >>> audit == audit_conservation(
+        ...     account, [Outcome(charge=0.1), Outcome(charge=0.2)])
+        True
+        >>> folds.entries_folded, folds.outcomes_folded
+        (3, 2)
+    """
+
+    __slots__ = ("entries_folded", "outcomes_folded", "provider_ledger",
+                 "query_payments", "outcome_charges")
+
+    def __init__(self) -> None:
+        self.entries_folded = 0
+        self.outcomes_folded = 0
+        self.provider_ledger = 0.0
+        self.query_payments = 0.0
+        self.outcome_charges = 0.0
+
+    def audit(self, account: CloudAccount,
+              new_outcomes: Iterable) -> ConservationAudit:
+        """Fold the ledger entries past :attr:`entries_folded` and
+        ``new_outcomes`` (the outcomes past :attr:`outcomes_folded`, in
+        processing order), and audit the running totals."""
+        ledger = self.provider_ledger
+        payments = self.query_payments
+        folded = self.entries_folded
+        for transaction in account.entries(folded):
+            ledger += transaction.amount
+            if transaction.category == CloudAccount.CATEGORY_QUERY_PAYMENT:
+                payments += transaction.amount
+            folded += 1
+        charges = self.outcome_charges
+        counted = self.outcomes_folded
+        for outcome in new_outcomes:
+            charges += outcome.charge
+            counted += 1
+        self.provider_ledger = ledger
+        self.query_payments = payments
+        self.entries_folded = folded
+        self.outcome_charges = charges
+        self.outcomes_folded = counted
+        return ConservationAudit(
+            query_payments=payments,
+            outcome_charges=charges,
+            provider_ledger=ledger,
+            provider_credit=account.credit,
+        )
 
 
 def render_conservation(audit: Optional[ConservationAudit],

@@ -4,9 +4,12 @@ Batched planning is the engine's default
 (:attr:`~repro.economy.engine.EconomyConfig.planning`). The
 :class:`BatchScheduler` sits between the simulator and the engine's
 per-query pipeline: :meth:`BatchScheduler.prime` receives a feed of the
-upcoming arrivals (once per run, or once per partition epoch in the
-distributed runner), which it groups into **epochs** at settlement
-boundaries as it reads. When the engine asks for the first query of an
+upcoming arrivals, which it groups into **epochs** at settlement
+boundaries as it reads. A plain run primes it once, with the whole
+stream. The partitioned runner primes each partition's scheduler once
+per window of epochs it has read ahead
+(:func:`repro.distcache.runner.routed_epochs`), with that partition's
+queries of the window. When the engine asks for the first query of an
 unevaluated epoch, the scheduler pulls a *window* off the feed — as many
 consecutive epochs as fit in :data:`MAX_BATCH_SIZE` (1,024) queries —
 scores every template's batch in it in one vectorized pass
@@ -21,16 +24,16 @@ so scoring ahead of time is exact. Pricing against the mutable cache
 per-query inside the engine, which is how the batched path keeps outcomes
 bit-for-bit identical to scalar processing.
 
-Evaluated blocks are dropped as soon as their last query is consumed, so
-a scheduler that has drained an epoch holds no numpy arrays — relevant in
-the partitioned runner, where schemes are pickled back to the coordinator
-after every epoch.
+Evaluated blocks are dropped as soon as their last query is consumed,
+which bounds the arrays a scheduler holds to one window. A partition's
+window spans several epochs, so between two of them its scheme still
+holds the window's primed queries and arrays; a pickled scheme carries
+them along.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -45,40 +48,6 @@ from repro.workload.query import Query
 #: single-tenant run and raised its peak RSS by about 3 MiB; 512 saves
 #: little more memory than 1,024 but doubles the evaluation time.
 MAX_BATCH_SIZE = 1024
-
-
-@dataclass
-class BatchPricingContext:
-    """Mutable per-query pricing state of the batched planner.
-
-    Built by the engine's batched pricing pass and handed to the
-    remote-adjustment hook (the partitioned engine rewrites rows whose new
-    structures are remotely advertised) before skyline selection and
-    materialisation. All per-row lists are indexed by plan-table row;
-    per-structure lists by the table's unique-structure slot.
-    """
-
-    __slots__ = (
-        "table", "estimates", "column", "times", "execution_dollars",
-        "charges", "cached_flags", "maintenance", "amortized", "prices",
-        "existing", "remote_surcharges",
-    )
-
-    table: PlanTable
-    estimates: BatchPlanEstimates
-    column: int
-    times: List[float]
-    execution_dollars: List[float]
-    charges: List[float]
-    cached_flags: List[bool]
-    maintenance: List[float]
-    amortized: List[float]
-    prices: List[float]
-    existing: List[bool]
-    # Per unique-structure slot: (dollars, seconds, shipped_bytes) for
-    # structures served from a remote partition, else None. None as a whole
-    # means no remote adjustment applies.
-    remote_surcharges: Optional[List[Optional[Tuple[float, float, float]]]]
 
 
 class _TemplateBlock:

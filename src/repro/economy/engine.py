@@ -31,7 +31,7 @@ from repro.costmodel.amortization import AmortizationPolicy, UniformAmortization
 from repro.costmodel.build import StructureCostModel
 from repro.costmodel.execution import ExecutionCostModel
 from repro.economy.account import CloudAccount
-from repro.economy.batch import BatchPricingContext, BatchScheduler
+from repro.economy.batch import BatchScheduler
 from repro.economy.budget import BudgetFunction
 from repro.economy.investment import InvestmentPolicy
 from repro.economy.negotiation import (
@@ -200,10 +200,14 @@ class _TablePricingState:
 
     Each row's unbuilt structures are fixed too; they are memoized the
     first time the row earns regret (:meth:`missing`).
+
+    ``resums`` counts the re-sums, so a view derived from the row totals
+    (the partitioned engine's remote overlay) knows when to refresh.
     """
 
     __slots__ = ("table", "version", "charges", "cached_flags", "maintenance",
-                 "built", "existing", "row_totals", "stale", "row_missing")
+                 "built", "existing", "row_totals", "stale", "row_missing",
+                 "resums")
 
     def __init__(self, table: PlanTable, version: int, cache: CacheManager,
                  unbuilt_charge: Callable[[CacheStructure], float]) -> None:
@@ -225,6 +229,7 @@ class _TablePricingState:
         self.row_totals = [0.0] * table.row_count
         self.stale = True
         self.row_missing = [None] * table.row_count
+        self.resums = 0
 
     def missing(self, row_index: int) -> Tuple[CacheStructure, ...]:
         """The row's unbuilt structures in plan order (memoized): the
@@ -265,6 +270,7 @@ class _TablePricingState:
                     total += charges[slot]
                 row_totals[row_index] = total
             self.stale = False
+            self.resums += 1
 
 
 class _RowCandidate:
@@ -370,6 +376,11 @@ class EconomyEngine:
     def outcomes(self) -> Tuple[QueryOutcome, ...]:
         """Outcomes of every processed query, in processing order."""
         return tuple(self._outcomes)
+
+    def outcomes_since(self, start: int) -> List[QueryOutcome]:
+        """The outcomes from position ``start`` on, in processing order,
+        copying only that tail."""
+        return self._outcomes[start:]
 
     @property
     def execution_model(self) -> ExecutionCostModel:
@@ -688,21 +699,19 @@ class EconomyEngine:
         state = self._pricing_state_for(table)
         state.reprice_built(self._pricer.amortization, now)
         execution_dollars = estimates.execution_dollars_for(column)
-        # A copy: the partitioned engine's hook rewrites the context lists.
-        amortized = list(state.row_totals)
+        times = estimates.times_for(column)
+        overlay = self._remote_overlay(state)
+        if overlay is None:
+            amortized, existing = state.row_totals, state.existing
+        else:
+            amortized, existing = overlay.amortized(), overlay.existing
+            # Each surcharge is a constant of the overlay; the lists are
+            # fresh per query, so adding in place is safe.
+            for row_index, (dollars, seconds, _) in overlay.surcharges.items():
+                execution_dollars[row_index] += dollars
+                times[row_index] += seconds
         prices = [dollars + total
                   for dollars, total in zip(execution_dollars, amortized)]
-
-        context = BatchPricingContext(
-            table=table, estimates=estimates, column=column,
-            times=estimates.times_for(column),
-            execution_dollars=execution_dollars, charges=state.charges,
-            cached_flags=state.cached_flags, maintenance=state.maintenance,
-            amortized=amortized, prices=prices, existing=list(state.existing),
-            remote_surcharges=None,
-        )
-        self._adjust_batched_pricing(context, now)
-        times, prices, existing = context.times, context.prices, context.existing
 
         selected = skyline_indices(times, prices)
         if not any(existing[row_index] for row_index in selected):
@@ -722,9 +731,23 @@ class EconomyEngine:
                           existing[row_index], row_index)
             for row_index in selected
         ]
-        budget = self._batched_budget(query, context)
+        # Mirror of _budget_for: the back-end row, else the cheapest
+        # existing row (first strict minimum), else row 0.
+        reference = table.backend_row
+        if reference is None:
+            reference = 0
+            best_price = float("inf")
+            for row_index in range(table.row_count):
+                if existing[row_index] and prices[row_index] < best_price:
+                    reference = row_index
+                    best_price = prices[row_index]
+        budget = self._offer(query, prices[reference], times[reference])
         result = negotiate(budget, candidates, self._config.plan_selection)
-        chosen = self._materialize_row(query, context, result.chosen.row)
+        row_index = result.chosen.row
+        chosen = self._materialize_row(
+            query, state, estimates, column, row_index,
+            execution_dollars[row_index], amortized[row_index],
+            None if overlay is None else overlay.surcharges.get(row_index))
         regrets = [(state.missing(candidate.row), regret)
                    for candidate, regret in result.regrets]
         return NegotiationResult(result.case, chosen, result.charge,
@@ -753,78 +776,58 @@ class EconomyEngine:
         self._pricing_states[table.template_name] = state
         return state
 
-    def _adjust_batched_pricing(self, context: BatchPricingContext,
-                                now: float) -> None:
-        """Hook: rewrite the batch pricing context before skyline selection.
+    def _remote_overlay(self, state: _TablePricingState):
+        """Hook: the remote overlay of one plan table's pricing state.
 
-        The base engine prices purely against its own cache and adjusts
-        nothing; the partitioned engine (:mod:`repro.distcache`) overrides
-        this to fold remote-access surcharges into rows whose missing
-        structures are advertised by the directory, mirroring its scalar
-        ``_apply_remote`` re-pricing.
+        The base engine prices purely against its own cache and has none
+        (``None``). The partitioned engine (:mod:`repro.distcache`)
+        returns an overlay, built once per plan table, cache version and
+        published directory, when some row's missing structures are
+        advertised by another partition. It exposes ``existing`` (per
+        row), ``amortized()`` (per-row totals without the remote
+        structures) and ``surcharges`` (row index to the summed
+        ``(dollars, seconds, shipped_bytes)`` of every row with a remote
+        structure).
         """
+        return None
 
-    def _batched_budget(self, query: Query,
-                        context: BatchPricingContext) -> BudgetFunction:
-        """Mirror of :meth:`_budget_for` over the batch pricing context."""
-        table = context.table
-        if table.backend_row is not None:
-            reference = table.backend_row
-        else:
-            reference = 0
-            best_price = float("inf")
-            for row_index in range(table.row_count):
-                if (context.existing[row_index]
-                        and context.prices[row_index] < best_price):
-                    reference = row_index
-                    best_price = context.prices[row_index]
-        return self._offer(query, context.prices[reference],
-                           context.times[reference])
-
-    def _materialize_row(self, query: Query, context: BatchPricingContext,
-                         row_index: int) -> PricedPlan:
+    def _materialize_row(self, query: Query, state: _TablePricingState,
+                         estimates, column: int, row_index: int,
+                         execution_dollars: float, amortized: float,
+                         surcharge: Optional[Tuple[float, float, float]]
+                         ) -> PricedPlan:
         """Instantiate the chosen row as the scalar pipeline's PricedPlan.
 
         The chosen row is existing: each slot is built or, on a
         partitioned cache, a remote access, so it has no new structures.
+        A remote access has no amortisation entry: its ``surcharge``
+        (``(dollars, seconds, shipped bytes)`` summed over the row's
+        remote structures) folds into the execution estimate instead.
         """
-        row = context.table.rows[row_index]
-        charges = context.charges
-        cached_flags = context.cached_flags
-        maintenance = context.maintenance
-        surcharges = context.remote_surcharges
+        row = state.table.rows[row_index]
+        charges = state.charges
+        cached_flags = state.cached_flags
+        maintenance = state.maintenance
 
         amortized_by_structure: Dict[str, float] = {}
         maintenance_total = 0.0
-        remote_dollars = 0.0
-        remote_seconds = 0.0
-        remote_shipped = 0.0
-        has_remote = False
         for slot, structure in zip(row.structure_indices,
                                    row.plan.structures):
             if cached_flags[slot]:
                 amortized_by_structure[structure.key] = charges[slot]
                 maintenance_total += maintenance[slot]
-                continue
-            # Remote access: no build, no amortisation entry — the
-            # surcharge folds into the execution estimate below.
-            dollars, seconds, shipped = surcharges[slot]
-            remote_dollars += dollars
-            remote_seconds += seconds
-            remote_shipped += shipped
-            has_remote = True
 
         if row.constant:
             execution = row.plan.execution
         else:
-            execution = context.estimates.estimate_for(row_index,
-                                                       context.column)
-        if has_remote:
+            execution = estimates.estimate_for(row_index, column)
+        if surcharge is not None:
+            dollars, seconds, shipped = surcharge
             execution = replace(
                 execution,
-                network_bytes=execution.network_bytes + remote_shipped,
-                network_dollars=execution.network_dollars + remote_dollars,
-                response_time_s=execution.response_time_s + remote_seconds,
+                network_bytes=execution.network_bytes + shipped,
+                network_dollars=execution.network_dollars + dollars,
+                response_time_s=execution.response_time_s + seconds,
             )
         # Direct construction instead of dataclasses.replace(): this runs
         # for every query.
@@ -837,8 +840,8 @@ class EconomyEngine:
 
         return PricedPlan(
             plan=plan,
-            execution_dollars=context.execution_dollars[row_index],
-            amortized_dollars=context.amortized[row_index],
+            execution_dollars=execution_dollars,
+            amortized_dollars=amortized,
             maintenance_dollars=maintenance_total,
             new_structures=(),
             amortized_by_structure=amortized_by_structure,

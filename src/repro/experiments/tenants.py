@@ -27,7 +27,8 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
 
 from repro.economy.engine import EconomyConfig, PLANNING_MODES, PLANNING_SCALAR
 from repro.economy.tenancy import TenantRegistry
-from repro.errors import ExperimentError, ReproError, map_naming_failures
+from repro.errors import (ExperimentError, ReproError, WorkloadError,
+                          map_naming_failures)
 from repro.experiments.reporting import distribution_cells, format_table
 from repro.policies.economic import EconomicSchemeConfig
 from repro.policies.factory import SCHEME_NAMES
@@ -113,6 +114,13 @@ class TenantExperimentConfig:
                 f"arrival_mode must be one of {ARRIVAL_MODES}, "
                 f"got {self.arrival_mode!r}"
             )
+        # The population and workload halves validate their own fields;
+        # building them here rejects a bad cell before it is named or run.
+        try:
+            self.population_spec()
+            self.workload_spec()
+        except WorkloadError as error:
+            raise ExperimentError(str(error)) from None
 
     def population_spec(self) -> PopulationSpec:
         """The population half of the configuration."""

@@ -160,3 +160,28 @@ def test_ignored_flag_exits_2(tmp_path, argv, message):
     assert len(error_lines) == 1 and message in error_lines[0], err
     assert out == ""
     assert not (tmp_path / "artifacts").exists()
+
+
+#: Population and workload fields the cell config rejects, with the
+#: message of the spec that validates each.
+BAD_FIELDS = [
+    ("--n-tenants", "0", "tenant_count must be positive"),
+    ("--zipf", "-1", "zipf_exponent must be non-negative"),
+    ("--churn-fraction", "2", "churn_fraction must be in [0, 1]"),
+    ("--interarrival", "0", "interarrival_s must be positive"),
+    ("--initial-credit", "-1", "initial_credit must be non-negative"),
+    ("--churn-period", "-1", "churn_period must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_FIELDS,
+                         ids=[flag[2:] for flag, _, _ in BAD_FIELDS])
+def test_invalid_population_field_exits_2_before_the_cell_runs(
+        flag, value, message):
+    """The config rejects the value when it is built, so the one error
+    line is the spec's message, not a failure of a named cell."""
+    code, out, err = _run(BASE["tenants"] + [flag, value])
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {message}"]
+    assert out == ""

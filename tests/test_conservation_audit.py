@@ -1,6 +1,7 @@
 """The one conservation auditor: every identity is bitwise, and every mode
 that runs it raises its own typed error when the books are tampered with."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -142,6 +143,40 @@ class TestDistCacheAudit:
         with pytest.raises(DistCacheError,
                            match=r"conservation violated on partition 1"):
             DistCacheRunner(2, compare_baseline=False).run_cell(CELL)
+
+    def test_rewritten_audited_record_fails_the_end_of_run_audit(
+            self, monkeypatch):
+        """Barrier audits fold only what each epoch added, so a record
+        rewritten after barrier 1 audited it slips past them; the full
+        re-fold at the end of the run still catches it."""
+        final = DistCacheRunner(2, compare_baseline=False).run_cell(
+            CELL).barriers_verified
+        epoch = distcache_runner.run_partition_epoch
+        barriers = []
+
+        def tampering(task):
+            engine = distcache_runner._engine_of(task.scheme)
+            if task.epoch == 2 and engine.partition_index == 1:
+                ledger = engine.account._transactions
+                position = next(
+                    index for index, record in enumerate(ledger)
+                    if record.category
+                    == CloudAccount.CATEGORY_QUERY_PAYMENT)
+                assert position < engine.barrier_folds.entries_folded
+                ledger[position] = replace(
+                    ledger[position], amount=ledger[position].amount * 2)
+            result = epoch(task)
+            barriers.append(task.epoch)
+            return result
+
+        monkeypatch.setattr(distcache_runner, "run_partition_epoch",
+                            tampering)
+        with pytest.raises(DistCacheError,
+                           match=r"conservation violated on partition 1: "
+                                 r"query payments"):
+            DistCacheRunner(2, compare_baseline=False).run_cell(CELL)
+        # Every barrier passed its own audit; the end of the run raised.
+        assert barriers.count(final) == 2
 
     def test_tampered_wallet_fails_the_end_of_run_audit(self, monkeypatch):
         final = DistCacheRunner(2, compare_baseline=False).run_cell(

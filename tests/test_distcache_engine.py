@@ -121,6 +121,34 @@ class TestRemoteAwarePricing:
         assert all(key not in scan_after.amortized_by_structure
                    for key in (c.key for c in foreign))
 
+    def test_remote_price_is_the_access_models_surcharge(
+            self, execution_model, structure_costs, partitioner,
+            sample_query):
+        """Bitwise: each advertised structure adds the access model's
+        surcharge, summed in plan order, to the plan's execution."""
+        engine = make_engine(execution_model, structure_costs, partitioner)
+        query = sample_query("q6_forecast_revenue")
+        _, foreign = split_columns(query, partitioner, 0)
+        schema = structure_costs.schema
+        sizes = {c.key: c.size_bytes(schema) for c in foreign}
+        engine.partitioned_cache.set_directory(CrossShardDirectory.publish(
+            {1: list(sizes.items())}, partitioner, version=1))
+        model = RemoteAccessModel()
+        for _ in range(2):          # the second pass reads the memo
+            protos = engine._enumerator.enumerate(query)
+            priced = engine._price_plans(query, now=0.0)
+            for proto, plan in zip(protos, priced):
+                dollars = seconds = 0.0
+                for structure in proto.structures:
+                    if structure.key in sizes:
+                        access = model.surcharge(sizes[structure.key])
+                        dollars += access[0]
+                        seconds += access[1]
+                assert (plan.plan.execution.network_dollars
+                        == proto.execution.network_dollars + dollars)
+                assert (plan.response_time_s
+                        == proto.execution.response_time_s + seconds)
+
     def test_single_partition_pricing_untouched(
             self, execution_model, structure_costs, sample_query):
         solo = StructurePartitioner(partition_count=1)

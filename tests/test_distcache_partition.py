@@ -33,13 +33,6 @@ class TestStructurePartitioner:
         with pytest.raises(DistCacheError):
             StructurePartitioner(2).validate_index(2)
 
-    def test_assignment_covers_all_keys(self):
-        partitioner = StructurePartitioner(partition_count=2)
-        keys = [f"column:t.c{i}" for i in range(10)]
-        assignment = partitioner.assignment(keys)
-        assert set(assignment) == set(keys)
-        assert all(0 <= slot < 2 for slot in assignment.values())
-
     def test_picklable(self):
         import pickle
         partitioner = StructurePartitioner(partition_count=6)
@@ -82,3 +75,33 @@ class TestQueryRouter:
         query = sample_query("q6_forecast_revenue")
         assert (QueryRouter(8).partition_of(query)
                 == StructurePartitioner(8).partition_of("q6_forecast_revenue"))
+
+
+class TestOwnershipMemo:
+    def test_each_key_is_hashed_once(self, monkeypatch, sample_query):
+        from repro.distcache import partition as partition_module
+        calls = []
+        digest = partition_module.partition_index
+
+        def counting(key, count):
+            calls.append(key)
+            return digest(key, count)
+
+        monkeypatch.setattr(partition_module, "partition_index", counting)
+        partitioner = StructurePartitioner(partition_count=3)
+        router = QueryRouter(partition_count=3)
+        query = sample_query("q6_forecast_revenue", query_id=1)
+        owners = {partitioner.partition_of("k") for _ in range(5)}
+        routes = {router.partition_of(query) for _ in range(5)}
+        assert calls == ["k", "q6_forecast_revenue"]
+        assert owners == {digest("k", 3)}
+        assert routes == {digest("q6_forecast_revenue", 3)}
+
+    def test_overrides_are_memoized_per_partitioner(self):
+        base = StructurePartitioner(partition_count=2)
+        key = "column:lineitem.l_quantity"
+        owner = base.partition_of(key)
+        moved = base.with_overrides({key: 1 - owner})
+        assert moved.partition_of(key) == 1 - owner
+        assert base.partition_of(key) == owner
+        assert moved.with_overrides({key: owner}).partition_of(key) == owner

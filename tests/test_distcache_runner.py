@@ -25,7 +25,11 @@ from repro.distcache import (
     distcache_placement_table,
 )
 from repro.distcache import runner as runner_module
-from repro.distcache.runner import epoch_items
+from repro.distcache.engine import RemoteOverlay
+from repro.distcache.partition import QueryRouter
+from repro.distcache.runner import epoch_items, routed_epochs
+from repro.economy import batch as batch_module
+from repro.economy.batch import BatchScheduler
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantCell,
@@ -40,6 +44,7 @@ from repro.simulator.events import (
     StructureInvalidationEvent,
     TenantBudgetSqueezeEvent,
 )
+from repro.workload.grammar import InvalidationShock
 from repro.workload.population import TenantLifecycleMarker
 from repro.workload.query import Query
 
@@ -345,3 +350,152 @@ class TestOneProcess:
 
 _EPOCH = runner_module.run_partition_epoch
 
+
+
+class TestRoutedEpochs:
+    """The runner reads one window of epochs ahead and routes each query
+    once."""
+
+    @staticmethod
+    def _epochs(sizes):
+        epochs, query_id = [], 0
+        for epoch, size in enumerate(sizes):
+            queries = [_query(query_id + index, float(epoch))
+                       for index in range(size)]
+            query_id += size
+            epochs.append((queries, []))
+        return epochs
+
+    def test_windows_hold_whole_epochs_up_to_the_batch_bound(self):
+        sizes = [600, 400, 100, 1500, 10]
+        epochs = list(routed_epochs(self._epochs(sizes), QueryRouter(2)))
+        assert [sum(map(len, epoch.arrivals)) for epoch in epochs] == sizes
+        # 600 + 400 fit in one window; 100 does not fit beside them; a
+        # 1,500-query epoch is a window of its own.
+        opened = [epoch.feeds is not None for epoch in epochs]
+        assert opened == [True, False, True, True, True]
+        first = epochs[0].feeds
+        assert sum(map(len, first)) == 1000
+        assert [query.query_id for query in first[0] + first[1]] == sorted(
+            query.query_id for query in first[0] + first[1])
+
+    def test_the_input_is_read_one_epoch_past_the_window(self):
+        read = []
+
+        def epochs():
+            for position, epoch in enumerate(self._epochs([600, 500, 10])):
+                read.append(position)
+                yield epoch
+
+        stream = routed_epochs(epochs(), QueryRouter(2))
+        next(stream)
+        assert read == [0, 1]
+        next(stream)
+        assert read == [0, 1, 2]
+
+
+def _canonical(queries):
+    return TenantExperimentConfig(
+        scheme="econ-cheap", tenant_count=1000, query_count=queries,
+        interarrival_s=1.0, churn_period=500, settlement_period_s=60.0,
+        planning="batched", seed=0)
+
+
+PARITY_CASES = {
+    "plain": {},
+    "churn": {"churn_period": 40},
+    "invalidations": {
+        "shocks": (InvalidationShock(at_fraction=0.3, predicate="index"),
+                   InvalidationShock(at_fraction=0.6)),
+        "strict_maintenance": True},
+}
+
+
+class TestBatchedPartitions:
+    """A partitioned cell prices remote structures from memoized overlays
+    and plans each window of epochs in one pass, with the scalar run's
+    outcomes and the plain cell's pass count."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_batched_matches_scalar(self, monkeypatch, case, seed):
+        config = TenantExperimentConfig(
+            scheme="econ-cheap", tenant_count=40, query_count=240,
+            interarrival_s=1.0, settlement_period_s=20.0, seed=seed,
+            **PARITY_CASES[case])
+        engines = {}
+
+        def recording(task):
+            result = _EPOCH(task)
+            engine = runner_module._engine_of(result.scheme)
+            engines[engine.partition_index] = engine
+            return result
+
+        monkeypatch.setattr(runner_module, "run_partition_epoch", recording)
+        runs, books = {}, {}
+        for planning in ("scalar", "batched"):
+            runs[planning] = DistCacheRunner(
+                2, compare_baseline=False, placement="hash").run_cell(
+                    replace(config, planning=planning))
+            # Every ledger entry and outcome, so a drift too small to
+            # move a rounded credit or table still shows.
+            books[planning] = [(engines[partition].account.transactions,
+                                engines[partition].outcomes)
+                               for partition in (0, 1)]
+        assert books["batched"] == books["scalar"]
+        scalar, batched = runs["scalar"], runs["batched"]
+        assert batched.remote_hit_count > 0
+        assert batched.remote_hit_count == scalar.remote_hit_count
+        assert (batched.remote_dollars_paid.hex()
+                == scalar.remote_dollars_paid.hex())
+        assert batched.checkpoints == scalar.checkpoints
+        assert batched.publications == scalar.publications
+        assert _rendered(batched) == _rendered(scalar)
+
+    def test_canonical_cell_plans_like_the_plain_cell(self, monkeypatch):
+        passes, fallbacks, overlays, routed = [], [], [], []
+        evaluate = batch_module.evaluate_plan_table
+        view_for = BatchScheduler.view_for
+        build = RemoteOverlay.__init__
+        partition_of = QueryRouter.partition_of
+
+        def counting_evaluate(table, queries, model):
+            passes.append(len(queries))
+            return evaluate(table, queries, model)
+
+        def counting_view(self, query):
+            view = view_for(self, query)
+            if view is None:
+                fallbacks.append(query.query_id)
+            return view
+
+        def recording_build(self, state, directory, surcharge_of):
+            engine = surcharge_of.__self__
+            overlays.append((engine.partition_index, id(state.table),
+                             state.version, directory.version))
+            assert state.version == engine.cache.version
+            assert directory is engine.partitioned_cache.directory
+            build(self, state, directory, surcharge_of)
+
+        def counting_route(self, query):
+            routed.append(query.query_id)
+            return partition_of(self, query)
+
+        monkeypatch.setattr(batch_module, "evaluate_plan_table",
+                            counting_evaluate)
+        monkeypatch.setattr(BatchScheduler, "view_for", counting_view)
+        monkeypatch.setattr(RemoteOverlay, "__init__", recording_build)
+        monkeypatch.setattr(QueryRouter, "partition_of", counting_route)
+        config = _canonical(1000)
+        run_tenant_cell(config)
+        plain_passes = len(passes)
+        passes.clear()
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(config)
+        assert report.remote_hit_count > 0
+        assert len(passes) == plain_passes == 7
+        assert sum(passes) == 1000
+        assert fallbacks == []
+        assert sorted(routed) == list(range(1000))
+        # Rebuilt only for a new (table, cache version, directory).
+        assert overlays
+        assert len(set(overlays)) == len(overlays)

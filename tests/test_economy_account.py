@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.economy.account import (
     CloudAccount,
+    ConservationFolds,
+    Transaction,
+    audit_conservation,
     outcome_charge_fold,
     query_payment_fold,
 )
@@ -134,3 +137,46 @@ class TestCategoryTotal:
                     == totals.get(category, 0.0).hex())
         assert (account.category_total(CloudAccount.CATEGORY_QUERY_PAYMENT)
                 .hex() == query_payment_fold(account).hex())
+
+
+class TestConservationFolds:
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.sampled_from([0.0, 7.0, 0.1]),
+           operations=st.lists(st.tuples(
+               st.booleans(), st.sampled_from(CATEGORIES), amounts,
+               st.booleans()), max_size=40))
+    def test_resumed_folds_are_the_full_folds(self, initial, operations):
+        """Audited at arbitrary points, the resumed folds give bitwise
+        the figures a fold from the first record gives."""
+        account = CloudAccount(initial_credit=initial, allow_negative=True)
+        outcomes, new_outcomes = [], []
+        folds = ConservationFolds()
+        for is_deposit, category, amount, audit_here in operations:
+            if is_deposit:
+                account.deposit(amount, 0.0, category)
+            else:
+                account.withdraw(amount, 0.0, category)
+            if category == CloudAccount.CATEGORY_QUERY_PAYMENT:
+                new_outcomes.append(SimpleNamespace(
+                    charge=amount if is_deposit else -amount))
+            if audit_here:
+                resumed = folds.audit(account, new_outcomes)
+                outcomes += new_outcomes
+                new_outcomes = []
+                full = audit_conservation(account, outcomes)
+                for name in ("query_payments", "outcome_charges",
+                             "provider_ledger", "provider_credit"):
+                    assert (getattr(resumed, name).hex()
+                            == getattr(full, name).hex()), name
+        assert folds.entries_folded <= len(account.transactions)
+
+    def test_a_rewrite_behind_the_position_needs_the_full_fold(self):
+        account = CloudAccount(initial_credit=1.0)
+        account.deposit(0.5, 0.0, CloudAccount.CATEGORY_QUERY_PAYMENT)
+        folds = ConservationFolds()
+        charged = [SimpleNamespace(charge=0.5)]
+        assert folds.audit(account, charged).exact
+        account._transactions[1] = Transaction(
+            0.0, CloudAccount.CATEGORY_QUERY_PAYMENT, 0.25)
+        assert folds.audit(account, []).exact
+        assert not audit_conservation(account, charged).exact

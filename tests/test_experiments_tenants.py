@@ -27,6 +27,22 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             TenantExperimentConfig(settlement_period_s=value)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tenant_count", 0, "tenant_count must be positive"),
+        ("zipf_exponent", float("nan"), "zipf_exponent must be"),
+        ("churn_fraction", 1.5, "churn_fraction must be in"),
+        ("interarrival_s", 0.0, "interarrival_s must be positive"),
+        ("initial_credit", -1.0, "initial_credit must be"),
+        ("churn_period", -1, "churn_period must be"),
+        ("budget_sigma", -0.1, "budget_sigma must be"),
+    ])
+    def test_rejects_bad_population_and_workload_fields(self, field, value,
+                                                        message):
+        """The spec halves validate when the config is built, and their
+        error surfaces as the config's own type."""
+        with pytest.raises(ExperimentError, match=message):
+            TenantExperimentConfig(**{field: value})
+
     def test_round_trips_population_and_workload_specs(self):
         config = TenantExperimentConfig(churn_period=25, **QUICK)
         assert config.population_spec().tenant_count == 12
