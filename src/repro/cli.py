@@ -518,8 +518,16 @@ _RENDERED_WARNINGS = (PartitionImbalanceWarning, GrammarDegeneracyWarning)
 
 
 def _resolve_scaling(args: argparse.Namespace) -> None:
-    """Reject placement flags that would be ignored, then resolve the
-    unset ``--handoff-threshold`` to its 0.0 default."""
+    """Reject placement flags that would be ignored and a partitioned
+    ``tenants`` cell without an economy, then resolve the unset
+    ``--handoff-threshold`` to its 0.0 default. (``shocks`` skips
+    ``bypass`` from its partitioned rerun instead.)"""
+    if (args.command == "tenants" and args.cache_partitions > 1
+            and "bypass" in _selected_schemes(args)):
+        raise ReproError(
+            "--cache-partitions needs an economy, and the bypass scheme "
+            "has none (run it with --cache-partitions 1)"
+        )
     if args.placement != "hash" and args.cache_partitions == 1:
         raise ReproError(
             "--placement adaptive needs --cache-partitions > 1: with one "

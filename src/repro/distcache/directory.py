@@ -324,7 +324,7 @@ class CrossShardDirectory:
 
     def same_entries(self, other: "CrossShardDirectory") -> bool:
         """Whether two snapshots advertise identical entries (any order)."""
-        return self.entries_by_key() == other.entries_by_key()
+        return self._entries == other._entries
 
     def verify_backed_by(self, live_keys_by_partition:
                          Mapping[int, Sequence[str]]) -> None:

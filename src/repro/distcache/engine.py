@@ -115,7 +115,7 @@ class RemoteAccessModel:
 
 class RemoteOverlay:
     """Remote-access pricing of one plan table, for one cache version and
-    one published directory.
+    one set of advertised directory entries.
 
     A structure another partition advertises needs no build: a row that
     uses it pays the access surcharge in its execution figures instead of
@@ -134,10 +134,10 @@ class RemoteOverlay:
     in plan order, whenever the state re-sums its own.
     """
 
-    __slots__ = ("state", "directory", "existing", "surcharges",
-                 "_summed_slots", "_amortized", "_resums")
+    __slots__ = ("state", "existing", "surcharges", "_summed_slots",
+                 "_amortized", "_resums")
 
-    def __init__(self, state, directory: CrossShardDirectory,
+    def __init__(self, state,
                  surcharge_of: Callable[[str], Optional[Surcharge]]) -> None:
         table = state.table
         cached_flags = state.cached_flags
@@ -146,7 +146,6 @@ class RemoteOverlay:
             for structure, cached in zip(table.unique_structures,
                                          cached_flags)]
         self.state = state
-        self.directory = directory
         self.existing = list(state.existing)
         # Row index -> its summed (dollars, seconds, shipped_bytes), for
         # every row with a remote structure, in row order.
@@ -221,13 +220,14 @@ class PartitionedEconomyEngine(EconomyEngine):
         self._foreign_regret: Dict[str, Tuple[CacheStructure, float]] = {}
         self._forwarded_regret_received = 0.0
         self._placement_bids: Dict[str, float] = {}
-        # _remote_surcharge's memo and the cache version and directory it
-        # was filled under.
+        # _remote_surcharge's memo and the cache version it was filled
+        # under, and one RemoteOverlay per template name (see
+        # _remote_overlay). Both are dropped when the installed directory
+        # advertises other entries than _memo_directory.
         self._surcharges: Dict[str, Optional[Surcharge]] = {}
         self._surcharge_version = -1
-        self._surcharge_directory: Optional[CrossShardDirectory] = None
-        # One RemoteOverlay per template name (see _remote_overlay).
         self._overlays: Dict[str, RemoteOverlay] = {}
+        self._memo_directory: Optional[CrossShardDirectory] = None
         self._barrier_folds = ConservationFolds()
 
     # -- introspection ---------------------------------------------------------
@@ -277,17 +277,17 @@ class PartitionedEconomyEngine(EconomyEngine):
         on another partition, or ``None`` when it is not remote here.
 
         Whether a key is remote changes only with the local cache's
-        contents or the published directory, so answers are memoized per
-        cache version and directory snapshot. An ownership handoff moves
-        entries without a version bump, but the barrier that applies it
-        always installs a new directory before anything is priced.
+        contents or the advertised entries, so answers are memoized per
+        cache version and entry set. An ownership handoff moves entries
+        without a version bump, but the barrier that applies it always
+        installs a directory advertising the move before anything is
+        priced.
         """
         cache = self.partitioned_cache
-        if (self._surcharge_version != cache.version
-                or self._surcharge_directory is not cache.directory):
+        self._check_directory()
+        if self._surcharge_version != cache.version:
             self._surcharges = {}
             self._surcharge_version = cache.version
-            self._surcharge_directory = cache.directory
         surcharges = self._surcharges
         try:
             return surcharges[key]
@@ -352,19 +352,35 @@ class PartitionedEconomyEngine(EconomyEngine):
             amortized_by_structure=amortized_by_structure,
         )
 
+    def _check_directory(self) -> None:
+        """Drop the remote-pricing memos if the installed directory
+        advertises other entries than the one they were filled under.
+
+        The runner installs a new directory object at every barrier, but
+        most barriers advertise the entries of the last one, and equal
+        entries price every remote access alike.
+        """
+        directory = self.partitioned_cache.directory
+        if directory is self._memo_directory:
+            return
+        if (self._memo_directory is None
+                or not directory.same_entries(self._memo_directory)):
+            self._surcharges = {}
+            self._overlays = {}
+        self._memo_directory = directory
+
     def _remote_overlay(self, state) -> Optional[RemoteOverlay]:
         """The batched mirror of :meth:`_apply_remote`: the plan table's
-        :class:`RemoteOverlay` for this pricing state and directory,
-        rebuilt only when either changes; ``None`` when no row has a
-        remote structure."""
-        directory = self.partitioned_cache.directory
-        if len(directory) == 0:
+        :class:`RemoteOverlay` for this pricing state and the advertised
+        entries, rebuilt only when either changes; ``None`` when no row
+        has a remote structure."""
+        if len(self.partitioned_cache.directory) == 0:
             return None
+        self._check_directory()
         name = state.table.template_name
         overlay = self._overlays.get(name)
-        if (overlay is None or overlay.state is not state
-                or overlay.directory is not directory):
-            overlay = RemoteOverlay(state, directory, self._remote_surcharge)
+        if overlay is None or overlay.state is not state:
+            overlay = RemoteOverlay(state, self._remote_surcharge)
             self._overlays[name] = overlay
         return overlay if overlay.surcharges else None
 

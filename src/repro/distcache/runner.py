@@ -661,9 +661,11 @@ class DistCacheRunner:
             epoch_start = barriers[epoch - 1] if epoch else start_s
             if feeds is not None:
                 # The epoch opens a window: each batched planner scores
-                # the partition's queries of the whole window at once.
+                # the partition's queries of the whole window at once,
+                # grouped into the runner's epochs.
                 for scheme, feed in zip(schemes, feeds):
-                    scheme.prime_workload(feed)
+                    scheme.prime_workload(feed, config.settlement_period_s,
+                                          start_s)
             results: List[PartitionEpochResult] = []
             for partition in partitions:
                 task = PartitionEpochTask(

@@ -211,14 +211,6 @@ class CloudAccount:
         """
         return self._category_totals.get(category, 0.0)
 
-    def total_deposited(self) -> float:
-        """Sum of all positive ledger entries."""
-        return sum(t.amount for t in self._transactions if t.amount > 0)
-
-    def total_withdrawn(self) -> float:
-        """Sum of the magnitudes of all negative ledger entries."""
-        return sum(-t.amount for t in self._transactions if t.amount < 0)
-
 
 def ledger_fold(account: CloudAccount) -> float:
     """Left fold of an account's ledger, in ledger order.

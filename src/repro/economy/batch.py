@@ -106,7 +106,8 @@ class BatchScheduler:
         return len(self._columns)
 
     def prime(self, queries: Iterable[Query],
-              settlement_period_s: Optional[float] = None) -> None:
+              settlement_period_s: Optional[float] = None,
+              grid_start_s: Optional[float] = None) -> None:
         """Register upcoming arrivals, replacing any previous priming.
 
         Nothing is read here: windows are pulled from ``queries`` as the
@@ -118,10 +119,14 @@ class BatchScheduler:
                 simulation's settlement grid (arrivals between consecutive
                 settlement events form one epoch); otherwise the workload
                 is chunked by :data:`MAX_BATCH_SIZE` alone.
+            grid_start_s: where that grid starts; defaults to the first
+                primed arrival, which is where a run's grid starts when
+                ``queries`` are all of its arrivals.
         """
         self.clear()
         self._feed = iter(queries)
         self._period = settlement_period_s or None
+        self._start_s = grid_start_s
 
     def view_for(self, query: Query
                  ) -> Optional[Tuple[PlanTable, BatchPlanEstimates, int]]:

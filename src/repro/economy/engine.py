@@ -332,7 +332,6 @@ class EconomyEngine:
         # so both factors leave credit conservation bitwise-exact.
         self._price_factor: float = 1.0
         self._budget_factor: float = 1.0
-        self._shock_counts: Dict[str, int] = {}
         # Query-payment watermark of the last strict-maintenance
         # enforcement: income earned since is what may cover accrual.
         # The instant guard keeps enforcement idempotent when several
@@ -388,11 +387,6 @@ class EconomyEngine:
         return self._structure_costs.execution_model
 
     @property
-    def plan_tables(self) -> Optional[PlanTableCache]:
-        """The per-template plan-table cache (batched planning only)."""
-        return self._plan_tables
-
-    @property
     def trace(self):
         """The attached trace recorder, or ``None`` (tracing disabled)."""
         return self._trace
@@ -414,7 +408,8 @@ class EconomyEngine:
     # -- main entry point --------------------------------------------------------------
 
     def prime_queries(self, queries: Iterable[Query],
-                      settlement_period_s: Optional[float] = None) -> None:
+                      settlement_period_s: Optional[float] = None,
+                      grid_start_s: Optional[float] = None) -> None:
         """Announce upcoming arrivals to the batched planner.
 
         A no-op unless the engine is configured with
@@ -427,6 +422,8 @@ class EconomyEngine:
                 iterable; the scheduler pulls it one window at a time.
             settlement_period_s: the simulation's settlement period, used
                 as the batching epoch grid.
+            grid_start_s: where that grid starts (default: the first
+                primed arrival).
         """
         if self._config.planning != PLANNING_BATCHED:
             return
@@ -439,7 +436,7 @@ class EconomyEngine:
             )
             if self._trace is not None:
                 self._batch.attach_trace(self._trace)
-        self._batch.prime(queries, settlement_period_s)
+        self._batch.prime(queries, settlement_period_s, grid_start_s)
 
     def process_query(self, query: Query,
                       now: Optional[float] = None) -> QueryOutcome:
@@ -503,19 +500,9 @@ class EconomyEngine:
     # conservation stays bitwise-exact through arbitrary shock sequences.
 
     @property
-    def price_factor(self) -> float:
-        """The currently active provider price-shock factor."""
-        return self._price_factor
-
-    @property
     def budget_factor(self) -> float:
         """The currently active tenant budget-squeeze factor."""
         return self._budget_factor
-
-    @property
-    def shock_counts(self) -> Dict[str, int]:
-        """Count of shock applications by kind (reporting/diagnostics)."""
-        return dict(self._shock_counts)
 
     def apply_price_shock(self, factor: float) -> None:
         """Reprice provider build/maintenance by ``factor`` from now on.
@@ -529,9 +516,6 @@ class EconomyEngine:
                 f"price shock factor must be positive, got {factor}"
             )
         self._price_factor = factor
-        self._shock_counts["price_shock"] = (
-            self._shock_counts.get("price_shock", 0) + 1
-        )
 
     def apply_budget_squeeze(self, factor: float) -> None:
         """Scale every tenant's willingness-to-pay by ``factor`` from now on.
@@ -545,9 +529,6 @@ class EconomyEngine:
                 f"budget squeeze factor must be positive, got {factor}"
             )
         self._budget_factor = factor
-        self._shock_counts["budget_squeeze"] = (
-            self._shock_counts.get("budget_squeeze", 0) + 1
-        )
 
     def invalidate_structures(self, predicate: str,
                               now: float) -> Tuple[EvictionRecord, ...]:
@@ -568,9 +549,6 @@ class EconomyEngine:
         )
         self._enumerator.invalidate()
         self._pricing_states.clear()
-        self._shock_counts["invalidation"] = (
-            self._shock_counts.get("invalidation", 0) + 1
-        )
         return records
 
     def enforce_maintenance(self, now: float) -> Tuple[EvictionRecord, ...]:

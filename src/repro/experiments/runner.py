@@ -224,7 +224,3 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
         _cache_grid(profile, grid)
     return grid
 
-
-def clear_grid_cache() -> None:
-    """Drop all cached grids (used by tests)."""
-    _GRID_CACHE.clear()

@@ -78,7 +78,8 @@ class CachingScheme(abc.ABC):
         return False
 
     def prime_workload(self, queries: Iterable[Query],
-                       settlement_period_s: Optional[float] = None) -> None:
+                       settlement_period_s: Optional[float] = None,
+                       grid_start_s: Optional[float] = None) -> None:
         """Announce the upcoming arrivals before the run starts.
 
         Purely advisory: schemes with a batched planner pull the arrivals

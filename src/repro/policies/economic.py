@@ -125,8 +125,10 @@ class EconomicScheme(CachingScheme):
         return self._engine.config.planning == PLANNING_BATCHED
 
     def prime_workload(self, queries: Iterable[Query],
-                       settlement_period_s: Optional[float] = None) -> None:
-        self._engine.prime_queries(queries, settlement_period_s)
+                       settlement_period_s: Optional[float] = None,
+                       grid_start_s: Optional[float] = None) -> None:
+        self._engine.prime_queries(queries, settlement_period_s,
+                                   grid_start_s)
 
     # -- market shocks ---------------------------------------------------------
 

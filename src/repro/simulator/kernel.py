@@ -56,11 +56,6 @@ class SimulationKernel:
         """Current simulated time in seconds."""
         return self._clock.now
 
-    @property
-    def pending_events(self) -> int:
-        """How many events are still queued."""
-        return len(self._queue)
-
     def dispatch_count(self, event_type: Optional[Type[Event]] = None) -> int:
         """Events dispatched so far, in total or for one event type."""
         if event_type is None:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.catalog.schema import Schema
 from repro.catalog.statistics import SelectivityEstimator
 from repro.errors import WorkloadError
 
@@ -147,16 +146,6 @@ class QueryTemplate:
             ordered.setdefault(name, None)
         return tuple(ordered)
 
-    def validate_against(self, schema: Schema) -> None:
-        """Raise if the template references tables/columns not in ``schema``."""
-        table = schema.table(self.table_name)
-        for column_name in self.touched_columns:
-            table.column(column_name)
-        for predicate in self.predicates:
-            schema.column(predicate.table_name, predicate.column_name)
-        for join_table in self.join_tables:
-            schema.table(join_table)
-
     def instantiate(self, query_id: int, arrival_time: float,
                     selectivities: Optional[Dict[str, float]] = None,
                     budget_scale: float = 1.0,
@@ -255,24 +244,6 @@ class Query:
         return tuple(ordered)
 
     # -- analytic properties consumed by the cost model -----------------------
-
-    def fact_selectivity(self, estimator: SelectivityEstimator) -> float:
-        """Combined selectivity of the predicates on the fact table only.
-
-        This is what index usability and scan reduction are judged on: join
-        filters on dimension tables do not reduce how much of the fact table
-        a scan or an index probe has to touch.
-        """
-        fact_predicates = [
-            predicate for predicate in self.predicates
-            if predicate.table_name == self.table_name
-        ]
-        if not fact_predicates:
-            return 1.0
-        return estimator.conjunction_selectivity(
-            predicate.resolved_selectivity(estimator)
-            for predicate in fact_predicates
-        )
 
     def selectivity(self, estimator: SelectivityEstimator) -> float:
         """Combined selectivity of *all* predicates (fact and join filters).

@@ -72,7 +72,13 @@ class TestBuiltSchema:
 
     def test_all_paper_template_columns_exist(self, schema, all_templates):
         for template in all_templates:
-            template.validate_against(schema)
+            table = schema.table(template.table_name)
+            for column_name in template.touched_columns:
+                table.column(column_name)
+            for predicate in template.predicates:
+                schema.column(predicate.table_name, predicate.column_name)
+            for join_table in template.join_tables:
+                schema.table(join_table)
 
     def test_total_size_is_two_and_a_half_terabytes(self, schema):
         assert schema.total_size_bytes == pytest.approx(2.5e12, rel=0.01)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
-from repro.experiments.runner import clear_grid_cache
+from repro.experiments import runner
 
 
 class TestParser:
@@ -60,30 +61,28 @@ class TestCommands:
 
     def test_figure_command_with_a_tiny_profile(self, capsys, monkeypatch):
         # Shrink the quick profile so the CLI path stays fast in unit tests.
-        import repro.cli as cli
         from repro.experiments.config import ExperimentProfile
 
         tiny = ExperimentProfile(name="cli-tiny", query_count=30,
                                  interarrival_times_s=(1.0,))
         monkeypatch.setitem(cli._PROFILES, "quick", tiny)
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
         assert main(["figure4", "--profile", "quick"]) == 0
         assert "Figure 4" in capsys.readouterr().out
         assert main(["figure5", "--profile", "quick"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
     def test_parallel_figure_output_matches_sequential(self, capsys, monkeypatch):
-        import repro.cli as cli
         from repro.experiments.config import ExperimentProfile
 
         tiny = ExperimentProfile(name="cli-tiny-jobs", query_count=20,
                                  interarrival_times_s=(1.0,),
                                  schemes=("bypass", "econ-col"))
         monkeypatch.setitem(cli._PROFILES, "quick", tiny)
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
         assert main(["figure4", "--profile", "quick"]) == 0
         sequential = capsys.readouterr().out
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
         assert main(["figure4", "--profile", "quick", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == sequential
@@ -124,12 +123,6 @@ class TestPartitionedTenantsCli:
             "--schemes", "econ-cheap", "--top", "3",
             "--settlement-period", "10.0"]
 
-    def test_one_partition_is_byte_identical(self, capsys):
-        assert main(self.ARGS) == 0
-        global_run = capsys.readouterr().out
-        assert main(self.ARGS + ["--cache-partitions", "1"]) == 0
-        assert capsys.readouterr().out == global_run
-
     def test_partitioned_report_sections(self, capsys):
         assert main(self.ARGS + ["--cache-partitions", "2"]) == 0
         output = capsys.readouterr().out
@@ -138,13 +131,6 @@ class TestPartitionedTenantsCli:
         assert "conservation: exact" in output
         assert "Divergence vs global cache" in output
         assert "remote_hits" in output
-
-    def test_partitions_compose_with_jobs(self, capsys):
-        assert main(self.ARGS + ["--cache-partitions", "2"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(self.ARGS + ["--cache-partitions", "2",
-                                 "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == sequential
 
     @pytest.mark.parametrize("value", ["0", "-2", "four"])
     def test_invalid_partition_counts_exit_2(self, capsys, value):
@@ -170,12 +156,19 @@ class TestPartitionedTenantsCli:
                     assert (f"Cache partitions - {scheme} x 16 partitions"
                             in captured.out)
 
-    def test_bypass_scheme_reports_cleanly(self, capsys):
-        assert main(["tenants", "--schemes", "bypass", "--queries", "12",
-                     "--n-tenants", "4", "--cache-partitions", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "economy" in captured.err
-        assert "Traceback" not in captured.err
+    def test_bypass_scheme_reports_cleanly(self, capsys, monkeypatch):
+        """Refused before any cell runs, with one plain error line, also
+        when an economic scheme comes first."""
+        monkeypatch.setattr(cli, "_partition_runner", None)
+        for schemes in ("bypass", "econ-cheap,bypass"):
+            assert main(["tenants", "--schemes", schemes, "--queries", "12",
+                         "--n-tenants", "4", "--cache-partitions", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: --cache-partitions needs an economy, and the bypass "
+                "scheme has none (run it with --cache-partitions 1)"]
+            assert "cell config" not in captured.err
+            assert captured.out == ""
 
 
 class TestPlacementCli:
@@ -216,13 +209,6 @@ class TestPlacementCli:
         assert "Placement - adaptive (handoffs:" in output
         assert "conservation: exact" in output
         assert "delta_bytes" in output
-
-    def test_adaptive_composes_with_jobs(self, capsys):
-        extra = ["--placement", "adaptive", "--handoff-threshold", "0"]
-        assert main(self.ARGS + extra) == 0
-        sequential = capsys.readouterr().out
-        assert main(self.ARGS + extra + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == sequential
 
     def test_unknown_placement_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

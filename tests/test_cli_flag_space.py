@@ -1,6 +1,8 @@
 """Property: every combination of the partitioning and observability
 flags either runs on a tiny cell or exits 2 with exactly one ``error:``
-line — never a traceback, never a silently ignored flag."""
+line — never a traceback, never a silently ignored flag. The layouts
+and recorders are the mode lattice's (``tests/test_mode_lattice.py``):
+a layout runs exactly when the lattice declares it."""
 
 import io
 import tempfile
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from test_mode_lattice import PARTITIONS, RECORDERS
 
 #: The tiny cell each command runs (<= 8 tenants, <= 30 queries).
 BASE = {
@@ -24,33 +27,26 @@ BASE = {
                  "--settlement-period", "40"],
 }
 
-#: The flags of the space each command accepts.
-ACCEPTS = {
-    "tenants": {"--cache-partitions", "--placement", "--handoff-threshold"},
-    "shocks": {"--cache-partitions", "--placement", "--handoff-threshold"},
-    "scenario": set(),
-}
+#: The cache layouts: the lattice's, plus adaptive placement on one
+#: partition, which the CLI refuses.
+LAYOUTS = {**PARTITIONS, "1-adaptive": "--placement adaptive"}
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["tenants", "shocks", "scenario"]))
-    optional = {
-        "--cache-partitions": draw(st.sampled_from([None, "1", "2"])),
-        "--placement": draw(st.sampled_from([None, "hash", "adaptive"])),
-        "--handoff-threshold": draw(st.sampled_from([None, "0.5"])),
-    }
     flags = []
-    for flag, value in optional.items():
-        if value is not None and flag in ACCEPTS[command]:
-            flags += [flag, value]
+    if command != "scenario":
+        flags += LAYOUTS[draw(st.sampled_from(list(LAYOUTS)))].split()
+        if draw(st.booleans()):
+            flags += ["--handoff-threshold", "0.5"]
     if draw(st.booleans()):
         flags.append("--strict-maintenance")
-    sinks = {
-        "trace": draw(st.sampled_from(["absent", "new", "existing"])),
-        "metrics": draw(st.sampled_from(["absent", "new", "existing",
-                                         "trace's"])),
-    }
+    recorder = draw(st.sampled_from(list(RECORDERS)))
+    sinks = {kind: draw(st.sampled_from(["new", "existing"]))
+             for kind in RECORDERS[recorder]}
+    if recorder == "both" and draw(st.booleans()):
+        sinks["metrics"] = "trace's"
     profile = draw(st.booleans())
     force = draw(st.booleans())
     return command, flags, sinks, profile, force
@@ -75,10 +71,7 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
     workdir = tempfile.mkdtemp(dir=tmp_path)    # one per example
     argv = BASE[command] + flags
     paths = {}
-    for sink in ("trace", "metrics"):
-        kind = sinks[sink]
-        if kind == "absent":
-            continue
+    for sink, kind in sinks.items():
         path = paths.get("trace") if kind == "trace's" else None
         if path is None:
             path = f"{workdir}/{sink}.jsonl"
@@ -106,6 +99,23 @@ def test_every_flag_combination_runs_or_exits_2(tmp_path, invocation):
         for path in paths.values():
             with open(path) as handle:
                 assert handle.read() != "stale", (argv, path)
+
+
+@pytest.mark.parametrize("threshold", [False, True],
+                         ids=["no-threshold", "threshold"])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("command", ["tenants", "shocks"])
+def test_layout_runs_only_inside_the_lattice(command, layout, threshold):
+    """A layout runs exactly when the lattice declares it, and
+    ``--handoff-threshold`` only with adaptive placement, which alone
+    hands structures off."""
+    argv = BASE[command] + LAYOUTS[layout].split()
+    if threshold:
+        argv += ["--handoff-threshold", "0.5"]
+    code, out, err = _run(argv)
+    runs = layout in PARTITIONS and (not threshold or "adaptive" in layout)
+    assert code == (0 if runs else 2), (argv, err)
+    assert bool(out) == runs
 
 
 #: The CLI flags tenant cells no longer take, on each command that had one.

@@ -55,47 +55,6 @@ class TestTraceValidation:
 
 
 class TestTracedRunsAreByteIdentical:
-    def test_tenants(self, tmp_path, capsys):
-        """The acceptance pin: tenants --trace vs untraced."""
-        code, untraced, _ = _run(capsys, TENANTS_ARGS)
-        assert code == 0
-        trace_path = tmp_path / "t.jsonl"
-        code, traced, _ = _run(capsys,
-                               TENANTS_ARGS + ["--trace", str(trace_path)])
-        assert code == 0
-        assert traced == untraced
-        lines = trace_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["kind"] == "trace_header"
-        assert header["sources"] == ["econ-cheap"]
-        manifest = json.loads(
-            (tmp_path / "t.jsonl.manifest.json").read_text())
-        assert manifest["version"] == repro.__version__
-        assert "shards" not in manifest
-        assert manifest["planning"] == "batched"
-        assert manifest["peak_rss_bytes"] > 0
-        assert manifest["command"] == "tenants"
-        assert set(manifest["phase_timings_s"]) == {"run", "emit_trace"}
-        # The cell planned from plan tables: its trace has batch windows.
-        assert any('"batch_window"' in line for line in lines)
-
-    def test_tenants_partitioned_adaptive(self, tmp_path, capsys):
-        argv = TENANTS_ARGS + ["--cache-partitions", "2",
-                               "--placement", "adaptive"]
-        code, untraced, _ = _run(capsys, argv)
-        assert code == 0
-        trace_path = tmp_path / "t.jsonl"
-        code, traced, _ = _run(capsys, argv + ["--trace", str(trace_path)])
-        assert code == 0
-        assert traced == untraced
-        assert trace_path.exists()
-        # Handoffs leave the cache version stale, so adaptive cells plan
-        # scalar: no batch windows.
-        manifest = json.loads(
-            (tmp_path / "t.jsonl.manifest.json").read_text())
-        assert manifest["planning"] == "scalar"
-        assert '"batch_window"' not in trace_path.read_text()
-
     def test_scenario(self, tmp_path, capsys):
         argv = ["scenario", "--queries", "30", "--settlement-period", "60"]
         code, untraced, _ = _run(capsys, argv)
@@ -150,31 +109,6 @@ class TestMetricsValidation:
 
 
 class TestMetricsRunsAreByteIdentical:
-    def test_tenants_metrics(self, tmp_path, capsys):
-        """The acceptance pin: tenants --metrics vs plain."""
-        code, plain, _ = _run(capsys, TENANTS_ARGS)
-        assert code == 0
-        metrics_path = tmp_path / "m.jsonl"
-        code, observed, _ = _run(
-            capsys, TENANTS_ARGS + ["--metrics", str(metrics_path)])
-        assert code == 0
-        assert observed == plain
-        lines = metrics_path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["kind"] == "metrics_header"
-        assert header["sources"] == ["econ-cheap"]
-        samples = [json.loads(line) for line in lines[1:]
-                   if json.loads(line)["kind"] == "sample"]
-        assert samples and all("counters" in s for s in samples)
-        assert not any("peak_rss_bytes" in s for s in samples)
-        manifest = json.loads(
-            (tmp_path / "m.jsonl.manifest.json").read_text())
-        assert manifest["command"] == "tenants"
-        assert "shards" not in manifest
-        assert manifest["peak_rss_bytes"] > 0
-        assert manifest["metrics_samples"] == len(samples)
-        assert set(manifest["phase_timings_s"]) == {"run", "emit_metrics"}
-
     def test_trace_metrics_and_profile_together(self, tmp_path, capsys):
         argv = TENANTS_ARGS[:]
         code, plain, _ = _run(capsys, argv)
@@ -193,20 +127,6 @@ class TestMetricsRunsAreByteIdentical:
             assert hotspots and all(
                 set(spot) == {"function", "cumtime_s", "tottime_s", "calls"}
                 for spot in hotspots)
-
-    def test_shocks_metrics(self, tmp_path, capsys):
-        argv = ["shocks", "--schemes", "econ-cheap", "--n-tenants", "4",
-                "--queries", "30", "--settlement-period", "60"]
-        code, plain, _ = _run(capsys, argv)
-        assert code == 0
-        metrics_path = tmp_path / "m.jsonl"
-        code, observed, _ = _run(capsys,
-                                 argv + ["--metrics", str(metrics_path)])
-        assert code == 0
-        assert observed == plain
-        manifest = json.loads(
-            (tmp_path / "m.jsonl.manifest.json").read_text())
-        assert manifest["command"] == "shocks"
 
     def test_headline_trace(self, tmp_path, capsys):
         argv = ["headline", "--profile", "quick"]

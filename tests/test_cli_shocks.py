@@ -157,13 +157,6 @@ class TestShocksScalingModes:
         assert "conservation: exact across 2 partitions" in output
         assert "Placement - adaptive (handoffs:" in output
 
-    def test_batched_planning_composes_with_shocks(self, capsys):
-        # The cells plan batched; an extra invalidation rebuilds plan
-        # tables mid-run, and the audit must stay exact.
-        assert main(ARGS + ["--shock", "invalidate@0.5"]) == 0
-        assert ("econ-cheap: conservation: exact"
-                in capsys.readouterr().out)
-
     def test_bypass_is_skipped_from_the_partitioned_rerun(self, capsys):
         assert main(["shocks", "--schemes", "bypass,econ-cheap",
                      "--n-tenants", "4", "--queries", "20",

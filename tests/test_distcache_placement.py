@@ -235,6 +235,15 @@ class TestAdaptiveRuns:
                    for stats in adaptive_report.partitions) \
             == CONFIG.query_count
 
+    def test_every_barrier_publishes_a_folded_delta(self, adaptive_report):
+        """Each barrier published once, its delta folded onto the last
+        snapshot (the runner raises otherwise), for fewer bytes than
+        republishing the whole directory."""
+        assert (len(adaptive_report.publications)
+                == adaptive_report.barriers_verified > 0)
+        assert (adaptive_report.directory_bytes_published
+                <= adaptive_report.directory_bytes_full)
+
     def test_worker_pool_never_changes_results(self, adaptive_report):
         parallel = DistCacheRunner(
             2, max_workers=2, compare_baseline=False,

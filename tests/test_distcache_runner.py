@@ -44,7 +44,7 @@ from repro.simulator.events import (
     StructureInvalidationEvent,
     TenantBudgetSqueezeEvent,
 )
-from repro.workload.grammar import InvalidationShock
+from repro.workload.grammar import InvalidationShock, default_shock_grammar
 from repro.workload.population import TenantLifecycleMarker
 from repro.workload.query import Query
 
@@ -86,16 +86,29 @@ class TestFidelityGate:
         assert report.cell.wallet_credit == baseline.wallet_credit
 
     def test_single_partition_with_churn(self):
-        config = TenantExperimentConfig(
+        """On both planning paths, also under the stock shock grammar with
+        strict maintenance, settled every 5 s so that it shuts structures
+        down at the barriers."""
+        grammar = default_shock_grammar()
+        churned = TenantExperimentConfig(
             scheme="econ-fast", tenant_count=10, query_count=40,
             interarrival_s=1.0, seed=2, churn_period=12,
             settlement_period_s=10.0)
-        baseline = run_tenant_cell(config)
-        report = DistCacheRunner(1).run_cell(config)
-        assert report.cell.summary == baseline.summary
-        assert report.cell.tenants == baseline.tenants
-        assert report.cell.wallet_credit == baseline.wallet_credit
-        assert report.cell.churn_waves == baseline.churn_waves
+        shocked = replace(churned, settlement_period_s=5.0,
+                          strict_maintenance=True, shocks=grammar.shocks,
+                          tenant_tiers=grammar.tiers, grammar=grammar)
+        for config in (churned, shocked):
+            for planning in ("scalar", "batched"):
+                config = replace(config, planning=planning)
+                baseline = run_tenant_cell(config)
+                cell = DistCacheRunner(1).run_cell(config).cell
+                assert cell.summary == baseline.summary
+                assert cell.tenants == baseline.tenants
+                assert cell.wallet_credit == baseline.wallet_credit
+                assert cell.churn_waves == baseline.churn_waves
+                assert (tenant_aggregate_table(cell)
+                        == tenant_aggregate_table(baseline))
+                assert top_tenant_table(cell) == top_tenant_table(baseline)
 
 
 class TestDeterminism:
@@ -469,13 +482,13 @@ class TestBatchedPartitions:
                 fallbacks.append(query.query_id)
             return view
 
-        def recording_build(self, state, directory, surcharge_of):
+        def recording_build(self, state, surcharge_of):
             engine = surcharge_of.__self__
             overlays.append((engine.partition_index, id(state.table),
-                             state.version, directory.version))
+                             state.version, frozenset(
+                                 engine.partitioned_cache.directory.entries)))
             assert state.version == engine.cache.version
-            assert directory is engine.partitioned_cache.directory
-            build(self, state, directory, surcharge_of)
+            build(self, state, surcharge_of)
 
         def counting_route(self, query):
             routed.append(query.query_id)
@@ -496,6 +509,7 @@ class TestBatchedPartitions:
         assert sum(passes) == 1000
         assert fallbacks == []
         assert sorted(routed) == list(range(1000))
-        # Rebuilt only for a new (table, cache version, directory).
+        # Rebuilt only for a new (table, cache version, advertised
+        # entries): a barrier that republishes the same entries keeps it.
         assert overlays
         assert len(set(overlays)) == len(overlays)

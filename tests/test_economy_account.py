@@ -33,8 +33,7 @@ class TestCloudAccount:
         account.deposit(10.0, 1.0, CloudAccount.CATEGORY_QUERY_PAYMENT)
         account.withdraw(4.0, 2.0, CloudAccount.CATEGORY_BUILD)
         assert account.credit == pytest.approx(6.0)
-        assert account.total_deposited() == pytest.approx(10.0)
-        assert account.total_withdrawn() == pytest.approx(4.0)
+        assert [t.amount for t in account.transactions] == [10.0, -4.0]
 
     def test_overdraft_rejected_by_default(self):
         account = CloudAccount(initial_credit=1.0)
@@ -98,9 +97,8 @@ class TestCloudAccount:
         account = CloudAccount(initial_credit=100.0)
         account.deposit(20.0, 0.0, "in")
         account.withdraw(30.0, 1.0, "out")
-        deposits = account.total_deposited()
-        withdrawals = account.total_withdrawn()
-        assert account.credit == pytest.approx(deposits - withdrawals)
+        assert account.credit == pytest.approx(
+            sum(t.amount for t in account.transactions))
 
 
 # -- running category totals ----------------------------------------------------

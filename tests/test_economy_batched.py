@@ -129,7 +129,7 @@ class TestOutcomeParity:
                                                 structure_costs):
         engine = make_engine(execution_model, structure_costs, "scalar")
         engine.prime_queries(workload(count=10))
-        assert engine.plan_tables is None
+        assert engine._plan_tables is None
 
     def test_plan_tables_populated_when_batched(self, execution_model,
                                                 structure_costs):
@@ -138,8 +138,8 @@ class TestOutcomeParity:
         engine.prime_queries(queries)
         for query in queries:
             engine.process_query(query)
-        assert engine.plan_tables is not None
-        assert len(engine.plan_tables) > 0
+        assert engine._plan_tables is not None
+        assert len(engine._plan_tables) > 0
 
 
 class TestRegretPairParity:
@@ -216,17 +216,24 @@ class TestBatchScheduler:
     def test_settlement_period_splits_epochs(self, execution_model):
         from repro.obs.trace import TraceRecorder
 
-        scheduler = self.make(execution_model)
-        recorder = TraceRecorder()
-        scheduler.attach_trace(recorder)
         queries = workload(count=30, interarrival=5.0)
-        scheduler.prime(queries, settlement_period_s=25.0)
-        for query in queries:
-            scheduler.view_for(query)
-        # One window (30 queries fit the bound) spanning six 25-s epochs.
-        windows = [fields for _, _, _, kind, fields in recorder.records
-                   if kind == "batch_window"]
-        assert [(w["size"], w["epochs"]) for w in windows] == [(30, 6)]
+        # A run primes all its arrivals, on the grid they start; a cache
+        # partition primes its share of one window (here the arrivals at
+        # 20..75 s) on the run's grid, which starts at 0 s.
+        inputs = [(queries, None, (30, 6)), (queries[4:16], 0.0, (12, 4))]
+        for primed, grid_start_s, expected in inputs:
+            scheduler = self.make(execution_model)
+            recorder = TraceRecorder()
+            scheduler.attach_trace(recorder)
+            scheduler.prime(primed, settlement_period_s=25.0,
+                            grid_start_s=grid_start_s)
+            for query in primed:
+                scheduler.view_for(query)
+            # One window (the queries fit the bound) spanning the 25-s
+            # epochs they arrive in.
+            windows = [fields for _, _, _, kind, fields in recorder.records
+                       if kind == "batch_window"]
+            assert [(w["size"], w["epochs"]) for w in windows] == [expected]
 
     def test_drained_scheduler_holds_no_arrays(self, execution_model):
         scheduler = self.make(execution_model)

@@ -234,7 +234,8 @@ class TestBuildCostMemo:
         engine.prime_queries(workload[half:], settlement_period_s=60.0)
         outcomes += engine.process_workload(workload[half:])
 
-        assert engine.plan_tables is not None and len(engine.plan_tables) > 0
+        assert engine._plan_tables is not None
+        assert len(engine._plan_tables) > 0
         assert any(outcome.builds for outcome in outcomes)
         assert scalar_calls > 0
         assert counting.calls and set(counting.calls.values()) == {1}
@@ -277,7 +278,7 @@ class TestSpotCostMemo:
                 cost = build_cost_of(structure)
                 assert cost == engine._pricer.build_cost(
                     structure, engine._available_column_keys()
-                ) * engine.price_factor
+                ) * engine._price_factor
                 checked.append(structure.key)
                 return cost
             return consider(tracker, account, fresh, built_keys)

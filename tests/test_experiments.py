@@ -8,7 +8,8 @@ from repro.experiments.figure4 import figure4_rows, figure4_table
 from repro.experiments.figure5 import figure5_rows, figure5_table
 from repro.experiments.headline import headline_ratios, headline_table
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import build_system, clear_grid_cache, run_cell, run_grid
+from repro.experiments import runner
+from repro.experiments.runner import build_system, run_cell, run_grid
 
 
 #: A deliberately tiny profile so the experiment machinery can be exercised
@@ -23,7 +24,7 @@ TINY_PROFILE = ExperimentProfile(
 
 @pytest.fixture(scope="module")
 def tiny_grid():
-    clear_grid_cache()
+    runner._GRID_CACHE.clear()
     return run_grid(TINY_PROFILE)
 
 
@@ -74,7 +75,7 @@ class TestRunner:
         first = run_grid(TINY_PROFILE)
         second = run_grid(TINY_PROFILE)
         assert first is second
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
         third = run_grid(TINY_PROFILE, use_cache=False)
         assert third is not first
 
@@ -89,9 +90,7 @@ class TestRunner:
             run_grid(TINY_PROFILE, use_cache=False, jobs=0)
 
     def test_grid_cache_is_bounded(self):
-        from repro.experiments import runner
-
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
         profiles = [
             TINY_PROFILE.with_overrides(name=f"bound-{index}", query_count=2)
             for index in range(runner._GRID_CACHE_MAX_ENTRIES + 2)
@@ -105,7 +104,7 @@ class TestRunner:
         # The oldest entries were evicted; the newest are still cached.
         assert small[0] not in runner._GRID_CACHE
         assert small[-1] in runner._GRID_CACHE
-        clear_grid_cache()
+        runner._GRID_CACHE.clear()
 
 
 class TestParallelRunner:

@@ -17,7 +17,7 @@ from repro.experiments import runner as runner_module
 from repro.experiments import shocks as shocks_module
 from repro.experiments import tenants as tenants_module
 from repro.experiments.config import ExperimentProfile
-from repro.experiments.runner import clear_grid_cache, run_grid
+from repro.experiments.runner import run_grid
 from repro.experiments.shocks import run_shock_resilience
 from repro.experiments.tenants import (TenantExperimentConfig,
                                        run_tenant_experiment)
@@ -149,7 +149,7 @@ class TestGridPool:
             f"grid cell econ-cheap @ 1s, cell config {expected}: ")
 
     def test_cli_exits_2_with_one_error_line(self, monkeypatch, capsys):
-        clear_grid_cache()
+        runner_module._GRID_CACHE.clear()
         monkeypatch.setattr(runner_module, "_run_cell_task",
                             _grid_cell_dies_at_1s)
         assert main(["figure4", "--profile", "quick", "--jobs", "2"]) == 2

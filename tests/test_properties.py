@@ -143,8 +143,7 @@ def test_account_balance_always_matches_the_ledger(operations, seed):
         else:
             account.withdraw(amount, 0.0, "out")
     assert account.credit == pytest.approx(
-        account.total_deposited() - account.total_withdrawn()
-    )
+        sum(t.amount for t in account.transactions))
 
 
 # --- pricing ----------------------------------------------------------------------------------

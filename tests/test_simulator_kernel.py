@@ -99,7 +99,7 @@ class TestKernelDispatch:
         kernel.schedule(MaintenanceSettlementEvent(time_s=1.0))
         kernel.schedule(MaintenanceSettlementEvent(time_s=9.0))
         assert kernel.run(until_s=5.0) == 1
-        assert kernel.pending_events == 1
+        assert kernel.run() == 1    # the later event was still queued
 
     def test_dispatch_counts_per_type(self):
         kernel = SimulationKernel()

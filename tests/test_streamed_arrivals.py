@@ -789,7 +789,8 @@ class TestStreamedModeCoverage:
             for index in tenants:
                 state = self._states.get(tenant_id_for(index))
                 if (not nudged and state is not None
-                        and state.account.total_withdrawn() > 0):
+                        and any(t.amount < 0 for t in
+                                state.account.transactions)):
                     state.account._credit += 1e-9
                     nudged.append(index)
             return deactivate(self, tenants, now=now)

@@ -63,14 +63,6 @@ class TestQueryTemplate:
         ))
         assert template.predicate_columns == ("l_shipdate",)
 
-    def test_validate_against_schema(self, schema):
-        make_template().validate_against(schema)
-
-    def test_validate_rejects_unknown_column(self, schema):
-        template = make_template(projection_columns=("no_such_column",))
-        with pytest.raises(Exception):
-            template.validate_against(schema)
-
     def test_rejects_empty_projection(self):
         with pytest.raises(WorkloadError):
             make_template(projection_columns=())
@@ -101,12 +93,6 @@ class TestQuery:
             template.instantiate(query_id=-1, arrival_time=0.0)
         with pytest.raises(WorkloadError):
             template.instantiate(query_id=0, arrival_time=-1.0)
-
-    def test_fact_selectivity_ignores_join_predicates(self, estimator):
-        query = template_by_name("q3_shipping_priority").instantiate(0, 0.0)
-        fact = query.fact_selectivity(estimator)
-        full = query.selectivity(estimator)
-        assert full < fact  # join filters only shrink the result
 
     def test_result_bytes_scale_with_aggregation(self, estimator):
         template = make_template()
