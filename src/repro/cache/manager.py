@@ -17,7 +17,7 @@ performs two kinds of eviction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.lru import LruTracker
 from repro.cache.storage import CacheEntry, EvictionRecord
@@ -144,6 +144,27 @@ class CacheManager:
     def maintenance_rate_total(self) -> float:
         """Combined $ per second maintenance rate of everything built."""
         return sum(entry.maintenance_rate for entry in self._entries.values())
+
+    # -- ownership and remote entries ----------------------------------------------
+    #
+    # What the economy engine reads of a partitioned cache
+    # (repro.distcache.manager): a plain cache owns every key and sees no
+    # other partition.
+
+    #: Changes whenever the entries other partitions advertise change;
+    #: 0 while none are advertised.
+    remote_version = 0
+
+    #: Column keys other partitions advertise, which a build may read.
+    remote_column_keys: FrozenSet[str] = frozenset()
+
+    def owns(self, key: str) -> bool:
+        """Whether this cache may build structure ``key``."""
+        return True
+
+    def remote_entry(self, key: str):
+        """``key``'s entry on another partition, if one advertises it."""
+        return None
 
     # -- admission ------------------------------------------------------------------
 

@@ -47,10 +47,7 @@ from repro.distcache.directory import (
     DirectoryEntry,
     verify_delta_fold,
 )
-from repro.distcache.engine import (
-    PartitionedEconomyEngine,
-    RemoteAccessModel,
-)
+from repro.distcache.engine import PartitionedEconomyEngine
 from repro.distcache.manager import PartitionedCacheManager
 from repro.distcache.merge import (
     PartitionCheckpoint,
@@ -81,6 +78,7 @@ from repro.distcache.runner import (
     run_partition_epoch,
 )
 from repro.economy.account import ledger_fold, outcome_charge_fold
+from repro.economy.decisions import RemoteAccessModel
 
 __all__ = [
     "ANCHOR_PERIOD",

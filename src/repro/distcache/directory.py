@@ -4,7 +4,7 @@ Every partition plans queries against its **local** cache plus this
 directory — an immutable snapshot of what the *other* partitions held at
 the last settlement barrier. A directory hit is not a local hit: the
 structure can be used without building it, but each access pays the
-remote surcharge of :class:`~repro.distcache.engine.RemoteAccessModel`.
+remote surcharge of :class:`~repro.economy.decisions.RemoteAccessModel`.
 
 The directory is the explicitly weaker half of the partitioned-mode
 semantics contract (``docs/distcache.md``):

@@ -10,9 +10,12 @@ additions:
   different partition raises, so the disjointness the directory and the
   exact merges rely on cannot be violated silently;
 * a **directory view**: the current
-  :class:`~repro.distcache.directory.CrossShardDirectory` snapshot, from
-  which :meth:`remote_entry` answers "does this structure exist on some
-  other partition?" for the pricing and investment layers.
+  :class:`~repro.distcache.directory.CrossShardDirectory` snapshot. From
+  it and the partitioner the cache answers what the economy engine asks
+  every cache (a plain one owns every key and sees no remote entry):
+  :meth:`owns`, :meth:`remote_entry` ("does this structure exist on some
+  other partition?"), :attr:`remote_column_keys` and
+  :attr:`remote_version`.
 
 Example:
     >>> from repro.distcache.partition import StructurePartitioner
@@ -57,8 +60,11 @@ class PartitionedCacheManager(CacheManager):
         partitioner.validate_index(partition_index)
         self._partitioner = partitioner
         self._partition_index = partition_index
-        self._directory = directory or CrossShardDirectory.empty()
-        self._remote_column_keys = self._scan_remote_columns(self._directory)
+        self._directory = CrossShardDirectory.empty()
+        self._remote_column_keys: FrozenSet[str] = frozenset()
+        self._directory_changes = 0
+        if directory is not None:
+            self.set_directory(directory)
 
     # -- partition introspection ----------------------------------------------
 
@@ -88,22 +94,25 @@ class PartitionedCacheManager(CacheManager):
         return self._directory
 
     def set_directory(self, directory: CrossShardDirectory) -> None:
-        """Install the snapshot published at the latest settlement barrier."""
-        self._directory = directory
-        self._remote_column_keys = self._scan_remote_columns(directory)
+        """Install the snapshot published at the latest settlement barrier.
 
-    def _scan_remote_columns(self, directory: CrossShardDirectory
-                             ) -> FrozenSet[str]:
-        """Advertised column keys held by other partitions.
-
-        Snapshots are immutable, so the scan runs once per installation
-        instead of once per pricing/investment lookup.
+        Most barriers advertise the entries of the last one; only a
+        change of entries moves :attr:`remote_version`.
         """
-        return frozenset(
-            entry.key for entry in directory.entries
-            if entry.partition != self._partition_index
-            and entry.key.startswith("column:")
-        )
+        if not directory.same_entries(self._directory):
+            self._directory_changes += 1
+            # Snapshots are immutable: scan once per change of entries.
+            self._remote_column_keys = frozenset(
+                entry.key for entry in directory.entries
+                if entry.partition != self._partition_index
+                and entry.key.startswith("column:"))
+        self._directory = directory
+
+    @property
+    def remote_version(self) -> int:
+        """Changes whenever the advertised entries change; 0 while the
+        directory advertises nothing."""
+        return self._directory_changes if len(self._directory) else 0
 
     @property
     def remote_column_keys(self) -> FrozenSet[str]:
@@ -111,7 +120,8 @@ class PartitionedCacheManager(CacheManager):
         return self._remote_column_keys
 
     def owns(self, key: str) -> bool:
-        """Whether this partition is the hash-owner of structure ``key``."""
+        """Whether this partition owns structure ``key`` (its hash, or an
+        ownership override of adaptive placement)."""
         return self._partitioner.owns(self._partition_index, key)
 
     def remote_entry(self, key: str) -> Optional[DirectoryEntry]:

@@ -9,7 +9,7 @@ a structure should own it.
 
 During an epoch every :class:`~repro.distcache.engine.PartitionedEconomyEngine`
 tallies, per structure its chosen plans touched, the dollars the
-:class:`~repro.distcache.engine.RemoteAccessModel` prices that use at:
+:class:`~repro.economy.decisions.RemoteAccessModel` prices that use at:
 
 * a **remote** access bids the surcharge actually paid — what the
   partition would save per epoch by owning the structure;

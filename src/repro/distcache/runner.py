@@ -486,7 +486,7 @@ class DistCacheRunner:
             challenger must exceed the incumbent by (adaptive mode).
 
     Every partition prices remote structures with the default
-    :class:`~repro.distcache.engine.RemoteAccessModel`, and every
+    :class:`~repro.economy.decisions.RemoteAccessModel`, and every
     :data:`ANCHOR_PERIOD`-th barrier publishes a full-snapshot anchor.
     """
 

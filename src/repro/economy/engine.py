@@ -13,6 +13,13 @@ For every incoming query the engine
 7. evaluates the investment rule (Eq. 3), building structures whose regret
    justifies it and whose build cost the account can afford.
 
+The rules behind steps 3, 4, 6 and 7 are pure functions
+(:mod:`repro.economy.decisions`, :func:`~repro.economy.negotiation.negotiate`,
+:class:`~repro.economy.investment.InvestmentPolicy`); the engine applies
+what they return, on both planning paths and on any cache. A partitioned
+cache (:mod:`repro.distcache`) only changes their inputs: who owns a key
+and what other partitions advertise.
+
 The engine is scheme-agnostic: the four caching schemes of Section VII are
 thin configurations of this engine (or, for the bypass-yield baseline, a
 different decision procedure entirely — see :mod:`repro.policies`).
@@ -20,7 +27,7 @@ different decision procedure entirely — see :mod:`repro.policies`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -33,6 +40,17 @@ from repro.costmodel.execution import ExecutionCostModel
 from repro.economy.account import CloudAccount
 from repro.economy.batch import BatchScheduler
 from repro.economy.budget import BudgetFunction
+from repro.economy.decisions import (
+    RemoteAccessModel,
+    Surcharge,
+    attribute_regret,
+    budget_reference,
+    build_pieces,
+    offer_rows,
+    remote_priced,
+    remote_terms,
+    with_surcharge,
+)
 from repro.economy.investment import InvestmentPolicy
 from repro.economy.negotiation import (
     NegotiationCase,
@@ -50,7 +68,6 @@ from repro.planner.plan import PlanKind, QueryPlan
 from repro.planner.plan_table import PlanTable, PlanTableCache
 from repro.planner.skyline import skyline_filter, skyline_indices
 from repro.structures.base import CacheStructure, StructureKind
-from repro.structures.cached_index import CachedIndex
 from repro.workload.query import Query
 
 #: Planning-mode names accepted by :attr:`EconomyConfig.planning` (and by
@@ -199,15 +216,23 @@ class _TablePricingState:
     its horizon, so that is rare.
 
     Each row's unbuilt structures are fixed too; they are memoized the
-    first time the row earns regret (:meth:`missing`).
+    first time they are read (:meth:`missing`).
 
-    ``resums`` counts the re-sums, so a view derived from the row totals
-    (the partitioned engine's remote overlay) knows when to refresh.
+    On a partitioned cache, a row pays the access surcharge of each
+    unbuilt structure another partition advertises instead of amortising
+    it (:meth:`advertise`, redone whenever the advertised entries change).
+    Such a slot charges 0.0, which leaves every row total bit-identical to
+    the sum over its other slots (totals are never ``-0.0``), and
+    ``surcharges`` keeps each such row's summed
+    :func:`~repro.economy.decisions.remote_terms`. Adding them to a row's
+    execution figures is exact, as cache-plan rows carry
+    ``network_dollars == 0.0``: ``(cpu + io) + (0.0 + dollars)`` is
+    ``(cpu + io) + dollars``, bit for bit.
     """
 
     __slots__ = ("table", "version", "charges", "cached_flags", "maintenance",
                  "built", "existing", "row_totals", "stale", "row_missing",
-                 "resums")
+                 "unbuilt_charges", "remote_version", "surcharges")
 
     def __init__(self, table: PlanTable, version: int, cache: CacheManager,
                  unbuilt_charge: Callable[[CacheStructure], float]) -> None:
@@ -220,16 +245,44 @@ class _TablePricingState:
         # reprice_built sets on every query.
         self.built = [(slot, cache.entry(structures[slot].key))
                       for slot, cached in enumerate(cached_flags) if cached]
-        self.charges = [0.0 if cached else unbuilt_charge(structure)
-                        for structure, cached in zip(structures, cached_flags)]
+        self.unbuilt_charges = [
+            0.0 if cached else unbuilt_charge(structure)
+            for structure, cached in zip(structures, cached_flags)]
         self.maintenance = [0.0] * len(structures)
-        self.existing = [all(cached_flags[slot]
-                             for slot in row.structure_indices)
-                         for row in table.rows]
         self.row_totals = [0.0] * table.row_count
-        self.stale = True
         self.row_missing = [None] * table.row_count
-        self.resums = 0
+        self.advertise(0, None)
+
+    def advertise(self, remote_version: int,
+                  surcharge_of: Optional[Callable[[str], Optional[Surcharge]]]
+                  ) -> None:
+        """Price the unbuilt slots other partitions advertise (none while
+        ``surcharge_of`` is ``None``) as remote accesses, and mark every
+        row total stale."""
+        self.remote_version = remote_version
+        remote = [not cached and surcharge_of is not None
+                  and surcharge_of(structure.key) is not None
+                  for structure, cached in zip(self.table.unique_structures,
+                                               self.cached_flags)]
+        self.charges = [0.0 if remote_here else charge for remote_here, charge
+                        in zip(remote, self.unbuilt_charges)]
+        self.existing = [all(self.cached_flags[slot] or remote[slot]
+                             for slot in row.structure_indices)
+                         for row in self.table.rows]
+        self.stale = True
+        # Row index -> summed (dollars, seconds, shipped_bytes) of every
+        # row with a remote structure, in row order.
+        self.surcharges: Dict[int, Surcharge] = {}
+        if any(remote):
+            for row_index, row in enumerate(self.table.rows):
+                surcharge = remote_terms(self.missing(row_index),
+                                         surcharge_of)
+                if surcharge is not None:
+                    # Anything but a zero network leg would make adding
+                    # the memoized surcharge inexact.
+                    assert row.plan.execution.network_dollars == 0.0, \
+                        row.plan.label
+                    self.surcharges[row_index] = surcharge
 
     def missing(self, row_index: int) -> Tuple[CacheStructure, ...]:
         """The row's unbuilt structures in plan order (memoized): the
@@ -270,11 +323,10 @@ class _TablePricingState:
                     total += charges[slot]
                 row_totals[row_index] = total
             self.stale = False
-            self.resums += 1
 
 
 class _RowCandidate:
-    """One skyline row as negotiation reads it (a ``NegotiablePlan``)."""
+    """One offered row as negotiation reads it (a ``NegotiablePlan``)."""
 
     __slots__ = ("price", "response_time_s", "is_existing", "row")
 
@@ -318,10 +370,32 @@ class EconomyEngine:
         self._batch: Optional[BatchScheduler] = None
         self._plan_tables: Optional[PlanTableCache] = None
         # Cached-column key set, memoized against the cache version so the
-        # hot loop does not rescan the cache on every query.
+        # hot loop does not rescan the cache on every query, and that set
+        # plus the columns other partitions advertise
+        # (_available_column_keys).
         self._column_keys_memo: FrozenSet[str] = frozenset()
         self._column_keys_version: int = -1
+        self._available_memo: FrozenSet[str] = frozenset()
+        self._available_version: Tuple[int, int] = (-1, -1)
         self._pricing_states: Dict[str, _TablePricingState] = {}
+        # What a partitioned cache adds (a plain one owns every key and
+        # sees no remote entry, so these stay empty): each key's remote
+        # surcharge, memoized against the cache and remote versions;
+        # regret owed to other partitions' owners; and, for adaptive
+        # placement only, each structure's placement bids.
+        self._remote_access = RemoteAccessModel()
+        self._surcharges: Dict[str, Optional[Surcharge]] = {}
+        self._surcharges_version: Tuple[int, int] = (-1, -1)
+        self._foreign_regret: Dict[str, Tuple[CacheStructure, float]] = {}
+        self._record_bids = False
+        self._placement_bids: Dict[str, float] = {}
+        #: Chosen plans that used at least one remote structure, their
+        #: remote structure accesses, and the bytes and dollars those
+        #: shipped over the interconnect.
+        self.remote_hits = 0
+        self.remote_structure_accesses = 0
+        self.remote_bytes = 0.0
+        self.remote_dollars = 0.0
         # The investment rule's spot build costs (_spot_cost_estimator).
         self._spot_costs: Dict[str, float] = {}
         self._spot_costs_key: Optional[Tuple[FrozenSet[str], float]] = None
@@ -455,18 +529,7 @@ class EconomyEngine:
         if batch_view is not None:
             result, regrets = self._plan_batched(query, time_s, batch_view)
         else:
-            priced = self._price_plans(query, time_s)
-            skyline = skyline_filter(
-                priced,
-                time_of=lambda plan: plan.response_time_s,
-                cost_of=lambda plan: plan.price,
-            )
-            skyline = self._ensure_existing_plan(priced, skyline)
-            budget = self._budget_for(query, priced)
-            result = negotiate(budget, skyline, self._config.plan_selection)
-            built_keys = self._cache.built_keys
-            regrets = [(plan.plan.new_structures(built_keys), regret)
-                       for plan, regret in result.regrets]
+            result, regrets = self._plan_scalar(query, time_s)
 
         maintenance_recovered = self._settle_chosen_plan(query, result, time_s)
         self._distribute_regret(query, regrets)
@@ -596,43 +659,64 @@ class EconomyEngine:
             self._pricing_states.clear()
         return tuple(records)
 
-    # -- steps -----------------------------------------------------------------------
+    # -- planning --------------------------------------------------------------------
+    #
+    # Both planning paths price the query's plans into (price, time,
+    # existing) rows for _negotiate. The batched path replaces per-plan
+    # pricing with array arithmetic over a per-template plan table, but
+    # every float it produces is the output of the identical scalar
+    # expression tree, so negotiation and settlement see bit-for-bit
+    # identical inputs. What moves out of the hot loop is the
+    # per-instance execution estimation (vectorized per epoch), the
+    # per-plan re-pricing of shared structures, the re-summing of row
+    # totals no built charge moved, and the materialisation of every row
+    # but the chosen one.
+
+    def _negotiate(self, query: Query, prices: List[float],
+                   times: List[float], existing: Sequence[bool],
+                   backend_row: Optional[int], selected: Sequence[int]
+                   ) -> NegotiationResult:
+        """Offer the query the skyline ``selected`` rows (plus the cheapest
+        existing one) against the user's budget, and negotiate."""
+        reference = budget_reference(prices, existing, backend_row)
+        budget = self._offer(query, prices[reference], times[reference])
+        candidates = [
+            _RowCandidate(prices[row], times[row], existing[row], row)
+            for row in offer_rows(selected, prices, existing)
+        ]
+        return negotiate(budget, candidates, self._config.plan_selection)
+
+    def _plan_scalar(self, query: Query, now: float
+                     ) -> Tuple[NegotiationResult, List[RegretPair]]:
+        """Price every enumerated plan, then negotiate over their rows."""
+        priced = self._price_plans(query, now)
+        prices = [plan.price for plan in priced]
+        times = [plan.response_time_s for plan in priced]
+        existing = [plan.is_existing for plan in priced]
+        backend_row = next((row for row, plan in enumerate(priced)
+                            if plan.plan.kind is PlanKind.BACKEND), None)
+        # The skyline of the row positions, read through the row lists.
+        selected = skyline_filter(range(len(priced)),
+                                  time_of=times.__getitem__,
+                                  cost_of=prices.__getitem__)
+        result = self._negotiate(query, prices, times, existing,
+                                 backend_row, selected)
+        built_keys = self._cache.built_keys
+        regrets = [(priced[candidate.row].plan.new_structures(built_keys),
+                    regret) for candidate, regret in result.regrets]
+        return NegotiationResult(result.case, priced[result.chosen.row],
+                                 result.charge, result.profit,
+                                 result.regrets), regrets
 
     def _price_plans(self, query: Query, now: float) -> List[PricedPlan]:
         plans = self._enumerator.enumerate(query)
         if not plans:
             raise PlanningError(f"no plans enumerated for query {query.query_id}")
-        return self._pricer.price_plans(plans, self._cache, now)
-
-    def _ensure_existing_plan(self, priced: List[PricedPlan],
-                              skyline: List[PricedPlan]) -> List[PricedPlan]:
-        """Guarantee the skyline still offers at least one existing plan.
-
-        The skyline is computed over price and time only; if every existing
-        plan got dominated by not-yet-built plans, negotiation would have
-        nothing executable, so the cheapest existing plan is re-added.
-        """
-        if any(plan.is_existing for plan in skyline):
-            return skyline
-        existing = [plan for plan in priced if plan.is_existing]
-        if not existing:
-            return skyline
-        cheapest = min(existing, key=lambda plan: plan.price)
-        return skyline + [cheapest]
-
-    def _budget_for(self, query: Query,
-                    priced: List[PricedPlan]) -> BudgetFunction:
-        backend = [plan for plan in priced
-                   if plan.plan.kind is PlanKind.BACKEND]
-        if backend:
-            reference = backend[0]
-        else:
-            reference = min(
-                (plan for plan in priced if plan.is_existing),
-                key=lambda plan: plan.price,
-                default=priced[0],
-            )
-        return self._offer(query, reference.price, reference.response_time_s)
+        priced = self._pricer.price_plans(plans, self._cache, now)
+        if not self._cache.remote_version:
+            return priced
+        surcharge_of = self._remote_surcharge
+        return [remote_priced(plan, surcharge_of) for plan in priced]
 
     def _offer(self, query: Query, price: float,
                response_time_s: float) -> BudgetFunction:
@@ -650,137 +734,100 @@ class EconomyEngine:
             return budget
         return budget.scaled(self._budget_factor)
 
-    # -- batched planning --------------------------------------------------------------
-    #
-    # The batched path replaces _price_plans + skyline_filter +
-    # _ensure_existing_plan + _budget_for with array arithmetic over a
-    # per-template plan table, but every float it produces is the output of
-    # the identical scalar expression tree, so negotiation and settlement
-    # downstream see bit-for-bit identical inputs. Pricing against the
-    # mutable cache stays per-query; what moves out of the hot loop is the
-    # per-instance execution estimation (vectorized per epoch), the
-    # per-plan re-pricing of shared structures (each distinct structure is
-    # priced once per query instead of once per plan), the re-summing of
-    # row totals no built charge moved, and the materialisation of every
-    # row but the chosen one.
-
     def _plan_batched(self, query: Query, now: float, view: Tuple
                       ) -> Tuple[NegotiationResult, List[RegretPair]]:
-        """Price, skyline-filter, budget and negotiate one query from its
-        batch view.
+        """Price one query's rows from its batch view, then negotiate.
 
-        Negotiation runs over one :class:`_RowCandidate` per skyline row;
-        only the chosen row becomes a PricedPlan. Each regret row leaves as
-        its ``(missing structures, regret)`` pair from the pricing state.
+        Only the chosen row becomes a PricedPlan. Each regret row leaves
+        as its ``(missing structures, regret)`` pair from the pricing
+        state.
         """
         table, estimates, column = view
         state = self._pricing_state_for(table)
         state.reprice_built(self._pricer.amortization, now)
         execution_dollars = estimates.execution_dollars_for(column)
         times = estimates.times_for(column)
-        overlay = self._remote_overlay(state)
-        if overlay is None:
-            amortized, existing = state.row_totals, state.existing
-        else:
-            amortized, existing = overlay.amortized(), overlay.existing
-            # Each surcharge is a constant of the overlay; the lists are
-            # fresh per query, so adding in place is safe.
-            for row_index, (dollars, seconds, _) in overlay.surcharges.items():
-                execution_dollars[row_index] += dollars
-                times[row_index] += seconds
+        # Each surcharge is a constant of the state; the lists are fresh
+        # per query, so adding in place is safe.
+        for row_index, (dollars, seconds, _) in state.surcharges.items():
+            execution_dollars[row_index] += dollars
+            times[row_index] += seconds
+        amortized = state.row_totals
         prices = [dollars + total
                   for dollars, total in zip(execution_dollars, amortized)]
-
-        selected = skyline_indices(times, prices)
-        if not any(existing[row_index] for row_index in selected):
-            # _ensure_existing_plan: re-add the cheapest existing plan
-            # (first strict minimum, matching min()'s tie-breaking).
-            cheapest: Optional[int] = None
-            cheapest_price = float("inf")
-            for row_index in range(table.row_count):
-                if existing[row_index] and prices[row_index] < cheapest_price:
-                    cheapest = row_index
-                    cheapest_price = prices[row_index]
-            if cheapest is not None:
-                selected = selected + [cheapest]
-
-        candidates = [
-            _RowCandidate(prices[row_index], times[row_index],
-                          existing[row_index], row_index)
-            for row_index in selected
-        ]
-        # Mirror of _budget_for: the back-end row, else the cheapest
-        # existing row (first strict minimum), else row 0.
-        reference = table.backend_row
-        if reference is None:
-            reference = 0
-            best_price = float("inf")
-            for row_index in range(table.row_count):
-                if existing[row_index] and prices[row_index] < best_price:
-                    reference = row_index
-                    best_price = prices[row_index]
-        budget = self._offer(query, prices[reference], times[reference])
-        result = negotiate(budget, candidates, self._config.plan_selection)
+        result = self._negotiate(query, prices, times, state.existing,
+                                 table.backend_row,
+                                 skyline_indices(times, prices))
         row_index = result.chosen.row
         chosen = self._materialize_row(
             query, state, estimates, column, row_index,
-            execution_dollars[row_index], amortized[row_index],
-            None if overlay is None else overlay.surcharges.get(row_index))
+            execution_dollars[row_index], amortized[row_index])
         regrets = [(state.missing(candidate.row), regret)
                    for candidate, regret in result.regrets]
         return NegotiationResult(result.case, chosen, result.charge,
                                  result.profit, result.regrets), regrets
 
     def _pricing_state_for(self, table: PlanTable) -> _TablePricingState:
-        """The cache-version-invariant pricing state of one plan table.
+        """The pricing state of one plan table.
 
         Rebuilt whenever the cache contents change (tracked through
         :attr:`CacheManager.version`) or the template's plan table was
-        regenerated; otherwise reused as-is across the queries in between.
+        regenerated, and re-advertised whenever the entries other
+        partitions advertise change (``remote_version``); otherwise reused
+        as-is across the queries in between. An adaptive handoff moves
+        entries without a cache-version bump, so the state keeps its
+        cached flags across the handoff barrier.
         """
         state = self._pricing_states.get(table.template_name)
-        version = self._cache.version
-        if (state is not None and state.table is table
-                and state.version == version):
-            return state
-
-        cached_column_keys = self._cached_column_keys()
-        build_cost = self._pricer.build_cost
-        charge = self._pricer.amortization.charge
-        state = _TablePricingState(
-            table, version, self._cache,
-            lambda structure: charge(build_cost(structure, cached_column_keys),
-                                     0))
-        self._pricing_states[table.template_name] = state
+        cache = self._cache
+        if (state is None or state.table is not table
+                or state.version != cache.version):
+            cached_column_keys = self._cached_column_keys()
+            build_cost = self._pricer.build_cost
+            charge = self._pricer.amortization.charge
+            state = _TablePricingState(
+                table, cache.version, cache,
+                lambda structure: charge(
+                    build_cost(structure, cached_column_keys), 0))
+            self._pricing_states[table.template_name] = state
+        remote_version = cache.remote_version
+        if state.remote_version != remote_version:
+            state.advertise(remote_version, self._remote_surcharge)
         return state
 
-    def _remote_overlay(self, state: _TablePricingState):
-        """Hook: the remote overlay of one plan table's pricing state.
+    def _remote_surcharge(self, key: str) -> Optional[Surcharge]:
+        """``(dollars, seconds, shipped_bytes)`` of one access to ``key``
+        on another partition, or ``None`` when it is not remote here.
 
-        The base engine prices purely against its own cache and has none
-        (``None``). The partitioned engine (:mod:`repro.distcache`)
-        returns an overlay, built once per plan table, cache version and
-        published directory, when some row's missing structures are
-        advertised by another partition. It exposes ``existing`` (per
-        row), ``amortized()`` (per-row totals without the remote
-        structures) and ``surcharges`` (row index to the summed
-        ``(dollars, seconds, shipped_bytes)`` of every row with a remote
-        structure).
+        Memoized until the cache's contents or the advertised entries
+        change. A handoff moves entries without a cache-version bump, but
+        its barrier installs a directory advertising the move.
         """
-        return None
+        cache = self._cache
+        version = (cache.version, cache.remote_version)
+        if self._surcharges_version != version:
+            self._surcharges = {}
+            self._surcharges_version = version
+        surcharges = self._surcharges
+        try:
+            return surcharges[key]
+        except KeyError:
+            entry = cache.remote_entry(key)
+            surcharge = (None if entry is None
+                         else self._remote_access.surcharge(entry.size_bytes))
+            surcharges[key] = surcharge
+            return surcharge
 
     def _materialize_row(self, query: Query, state: _TablePricingState,
                          estimates, column: int, row_index: int,
-                         execution_dollars: float, amortized: float,
-                         surcharge: Optional[Tuple[float, float, float]]
+                         execution_dollars: float, amortized: float
                          ) -> PricedPlan:
         """Instantiate the chosen row as the scalar pipeline's PricedPlan.
 
         The chosen row is existing: each slot is built or, on a
         partitioned cache, a remote access, so it has no new structures.
-        A remote access has no amortisation entry: its ``surcharge``
-        (``(dollars, seconds, shipped bytes)`` summed over the row's
-        remote structures) folds into the execution estimate instead.
+        A remote access has no amortisation entry: the row's summed
+        surcharge folds into the execution estimate instead.
         """
         row = state.table.rows[row_index]
         charges = state.charges
@@ -799,14 +846,9 @@ class EconomyEngine:
             execution = row.plan.execution
         else:
             execution = estimates.estimate_for(row_index, column)
+        surcharge = state.surcharges.get(row_index)
         if surcharge is not None:
-            dollars, seconds, shipped = surcharge
-            execution = replace(
-                execution,
-                network_bytes=execution.network_bytes + shipped,
-                network_dollars=execution.network_dollars + dollars,
-                response_time_s=execution.response_time_s + seconds,
-            )
+            execution = with_surcharge(execution, surcharge)
         # Direct construction instead of dataclasses.replace(): this runs
         # for every query.
         proto = row.plan
@@ -855,20 +897,63 @@ class EconomyEngine:
                 recovered = chosen.amortized_by_structure.get(key, 0.0)
                 if recovered:
                     self._cache.record_amortized_recovery(key, recovered)
+        if self._record_bids or self._cache.remote_version:
+            self._tally_remote_accesses(chosen.plan.structures)
         return maintenance_recovered
+
+    def _tally_remote_accesses(self, structures: Sequence[CacheStructure]
+                               ) -> None:
+        """Count the chosen plan's remote accesses (their surcharge was
+        paid with the execution cost) and, for adaptive placement, bid
+        for each structure: a remote access at the surcharge it paid, a
+        resident one at the surcharge this partition avoids."""
+        cache = self._cache
+        accesses = 0
+        for structure in structures:
+            key = structure.key
+            surcharge = self._remote_surcharge(key)
+            if surcharge is None:
+                if self._record_bids and cache.contains(key):
+                    size = cache.entry(key).size_bytes
+                    self._record_placement_bid(
+                        key, self._remote_access.surcharge(size)[0])
+                continue
+            accesses += 1
+            dollars, _, shipped = surcharge
+            self.remote_dollars += dollars
+            self.remote_bytes += shipped
+            if self._record_bids:
+                self._record_placement_bid(key, dollars)
+        if accesses:
+            self.remote_hits += 1
+            self.remote_structure_accesses += accesses
+
+    def _record_placement_bid(self, key: str, dollars: float) -> None:
+        """Tally one access's placement benefit (observation only)."""
+        if dollars > 0:
+            self._placement_bids[key] = (
+                self._placement_bids.get(key, 0.0) + dollars)
 
     def _distribute_regret(self, query: Query,
                            regrets: Sequence[RegretPair]) -> None:
-        """Spread each non-chosen plan's regret over its missing structures
-        (one ``(missing structures, regret)`` pair per regretted plan)."""
+        """Book each regretted plan's ``(missing structures, regret)``
+        pair as :func:`~repro.economy.decisions.attribute_regret` splits
+        it; the tenant's own mirror records the full regret here."""
+        divide = self._config.divide_regret
+        cache = self._cache
+        foreign_regret = self._foreign_regret
         for missing, regret in regrets:
-            if not missing:
+            shares = attribute_regret(missing, regret, divide, cache.owns,
+                                      cache.remote_entry)
+            if shares is None:
                 continue
-            self._regret.distribute(missing, regret,
-                                    divide=self._config.divide_regret)
+            self._regret.distribute(shares.owned, shares.share, divide=False)
             if self._tenants is not None:
-                self._tenants.record_regret(query.tenant_id, missing, regret,
-                                            divide=self._config.divide_regret)
+                self._tenants.record_regret(query.tenant_id, shares.missing,
+                                            regret, divide=divide)
+            for structure in shares.foreign:
+                _, owed = foreign_regret.get(structure.key, (structure, 0.0))
+                foreign_regret[structure.key] = (structure, owed + shares.share)
 
     def _consider_investments(self, query: Query,
                               now: float) -> Tuple[Tuple[StructureBuild, ...], float]:
@@ -901,7 +986,9 @@ class EconomyEngine:
         """Keys of the cached columns in the local cache (memoized).
 
         The memo is keyed on :attr:`CacheManager.version`, so it refreshes
-        exactly when the set of built structures changes.
+        exactly when the set of built structures changes. Like the
+        pricing state's cached flags, it is kept across an adaptive
+        handoff, which moves entries without a version bump.
         """
         version = self._cache.version
         if self._column_keys_version != version:
@@ -913,13 +1000,17 @@ class EconomyEngine:
         return self._column_keys_memo
 
     def _available_column_keys(self) -> FrozenSet[str]:
-        """Column keys a build may read instead of re-extracting.
-
-        The base engine only has its own cache; partitioned engines
-        (:mod:`repro.distcache`) override this to add columns that exist
-        on a remote partition, which a build can read over the network.
-        """
-        return self._cached_column_keys()
+        """Column keys a build may read instead of re-extracting: the
+        cached ones plus those other partitions advertise, which a build
+        can read over the network (memoized per cache and remote
+        version)."""
+        cache = self._cache
+        version = (cache.version, cache.remote_version)
+        if self._available_version != version:
+            self._available_memo = (self._cached_column_keys()
+                                    | cache.remote_column_keys)
+            self._available_version = version
+        return self._available_memo
 
     def _spot_cost_estimator(self) -> Callable[[CacheStructure], float]:
         """The investment rule's build-cost estimate for this query.
@@ -954,25 +1045,27 @@ class EconomyEngine:
                          now: float) -> List[StructureBuild]:
         """Build one structure (plus, for an index, its missing key columns).
 
-        Returns an empty list if the account can no longer afford the build
-        (credit may have dropped since the decision was evaluated).
+        Returns an empty list if this cache may not build it (see
+        :func:`~repro.economy.decisions.build_pieces`) or the account can
+        no longer afford the build (credit may have dropped since the
+        decision was evaluated).
         """
-        plan: List[Tuple[CacheStructure, float]] = []
-        cached_columns = set(self._available_column_keys())
+        available = self._available_column_keys()
+        pieces = build_pieces(structure, available, self._cache.owns)
         # Builds are paid at spot: the active price-shock factor scales
         # every component of the build, and the admitted entry records the
-        # cost actually paid so amortization recovers the real spend.
+        # cost actually paid so amortization recovers the real spend. Each
+        # piece may read the columns built before it, so an index's sort
+        # alone remains once its key columns are in.
         spot = self._price_factor
         build_cost = self._pricer.build_cost
-        if isinstance(structure, CachedIndex):
-            for column in structure.required_columns():
-                if column.key not in cached_columns:
-                    plan.append((column, build_cost(column, cached_columns) * spot))
-                    cached_columns.add(column.key)
-            # Every key column is available now: the sort alone remains.
-            plan.append((structure, build_cost(structure, cached_columns) * spot))
-        else:
-            plan.append((structure, build_cost(structure, cached_columns) * spot))
+        readable = set(available)
+        plan: List[Tuple[CacheStructure, float]] = []
+        for piece in pieces:
+            plan.append((piece, build_cost(piece, readable) * spot))
+            readable.add(piece.key)
+        if not plan:
+            return []
 
         total_cost = sum(cost for _, cost in plan)
         if self._config.require_affordable_build and not self._account.can_afford(total_cost):

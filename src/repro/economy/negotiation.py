@@ -20,10 +20,9 @@ evaluates variants: econ-cheap picks the cheapest affordable plan and
 econ-fast the fastest affordable plan.
 
 Negotiation reads three things of a plan: its price, its response time
-and whether it is existing (:class:`NegotiablePlan`). The scalar path
-negotiates over :class:`~repro.economy.pricing.PricedPlan` objects; the
-batched path negotiates over light per-row candidates and builds a full
-priced plan only for the chosen row afterwards.
+and whether it is existing (:class:`NegotiablePlan`). The engine
+negotiates over light per-row candidates on both planning paths, and
+settles the chosen row's :class:`~repro.economy.pricing.PricedPlan`.
 """
 
 from __future__ import annotations

@@ -131,11 +131,6 @@ class PlanPricer:
             self._build_costs[memo_key] = cost
         return cost
 
-    def price_plan(self, plan: QueryPlan, cache: CacheManager,
-                   now: float) -> PricedPlan:
-        """Price a single plan against the cache state at time ``now``."""
-        return self.price_plans([plan], cache, now)[0]
-
     def price_plans(self, plans: Sequence[QueryPlan], cache: CacheManager,
                     now: float) -> List[PricedPlan]:
         """Price every plan in ``plans`` against the cache state at ``now``.

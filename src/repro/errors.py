@@ -8,7 +8,7 @@ such as ``TypeError`` raised by misuse of the Python API itself.
 from __future__ import annotations
 
 import concurrent.futures.process
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, List, Sequence, Type
 
 
@@ -151,9 +151,20 @@ def map_naming_failures(fn: Callable, items: Sequence, workers: int,
                 for item in items]
     with ProcessPoolExecutor(
             max_workers=min(workers, len(items))) as executor:
-        futures = [call_naming_failures(lambda: where(item), error_type,
-                                        executor.submit, fn, item)
-                   for item in items]
+        futures: List[Future] = []
+        broken = None
+        for item in items:
+            if broken is None:
+                try:
+                    futures.append(executor.submit(fn, item))
+                    continue
+                except concurrent.futures.process.BrokenProcessPool as error:
+                    # A worker died before every item was handed out:
+                    # stop submitting; the rest fail with the pool.
+                    broken = error
+            failed: Future = Future()
+            failed.set_exception(broken)
+            futures.append(failed)
         return [call_naming_failures(lambda: where(item), error_type,
                                      future.result)
                 for item, future in zip(items, futures)]

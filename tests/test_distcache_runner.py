@@ -25,7 +25,7 @@ from repro.distcache import (
     distcache_placement_table,
 )
 from repro.distcache import runner as runner_module
-from repro.distcache.engine import RemoteOverlay
+from repro.economy.engine import _TablePricingState
 from repro.distcache.partition import QueryRouter
 from repro.distcache.runner import epoch_items, routed_epochs
 from repro.economy import batch as batch_module
@@ -466,10 +466,10 @@ class TestBatchedPartitions:
         assert _rendered(batched) == _rendered(scalar)
 
     def test_canonical_cell_plans_like_the_plain_cell(self, monkeypatch):
-        passes, fallbacks, overlays, routed = [], [], [], []
+        passes, fallbacks, remote_states, routed = [], [], [], []
         evaluate = batch_module.evaluate_plan_table
         view_for = BatchScheduler.view_for
-        build = RemoteOverlay.__init__
+        advertise = _TablePricingState.advertise
         partition_of = QueryRouter.partition_of
 
         def counting_evaluate(table, queries, model):
@@ -482,13 +482,15 @@ class TestBatchedPartitions:
                 fallbacks.append(query.query_id)
             return view
 
-        def recording_build(self, state, surcharge_of):
-            engine = surcharge_of.__self__
-            overlays.append((engine.partition_index, id(state.table),
-                             state.version, frozenset(
-                                 engine.partitioned_cache.directory.entries)))
-            assert state.version == engine.cache.version
-            build(self, state, surcharge_of)
+        def recording_advertise(self, remote_version, surcharge_of):
+            if remote_version:
+                cache = surcharge_of.__self__.partitioned_cache
+                remote_states.append((cache.partition_index, id(self.table),
+                                      self.version,
+                                      frozenset(cache.directory.entries)))
+                assert self.version == cache.version
+                assert remote_version == cache.remote_version
+            advertise(self, remote_version, surcharge_of)
 
         def counting_route(self, query):
             routed.append(query.query_id)
@@ -497,7 +499,8 @@ class TestBatchedPartitions:
         monkeypatch.setattr(batch_module, "evaluate_plan_table",
                             counting_evaluate)
         monkeypatch.setattr(BatchScheduler, "view_for", counting_view)
-        monkeypatch.setattr(RemoteOverlay, "__init__", recording_build)
+        monkeypatch.setattr(_TablePricingState, "advertise",
+                            recording_advertise)
         monkeypatch.setattr(QueryRouter, "partition_of", counting_route)
         config = _canonical(1000)
         run_tenant_cell(config)
@@ -509,7 +512,8 @@ class TestBatchedPartitions:
         assert sum(passes) == 1000
         assert fallbacks == []
         assert sorted(routed) == list(range(1000))
-        # Rebuilt only for a new (table, cache version, advertised
-        # entries): a barrier that republishes the same entries keeps it.
-        assert overlays
-        assert len(set(overlays)) == len(overlays)
+        # Remote pricing is redone only for a new (table, cache version,
+        # advertised entries): a barrier that republishes the same
+        # entries keeps it.
+        assert remote_states
+        assert len(set(remote_states)) == len(remote_states)

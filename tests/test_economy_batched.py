@@ -152,21 +152,19 @@ class TestRegretPairParity:
 
     def record_pairs(self, monkeypatch, partitions, seed, planning):
         from repro.distcache import DistCacheRunner
-        from repro.distcache.engine import PartitionedEconomyEngine
         from repro.experiments.tenants import (TenantExperimentConfig,
                                                run_tenant_cell)
         from repro.workload.grammar import parse_shock
 
         pairs = []
-        for owner in (EconomyEngine, PartitionedEconomyEngine):
-            distribute = owner._distribute_regret
+        distribute = EconomyEngine._distribute_regret
 
-            def recording(engine, query, regrets, distribute=distribute):
-                partition = getattr(engine, "partition_index", None)
-                pairs.append((partition, query.query_id, [
-                    (missing, regret.hex()) for missing, regret in regrets]))
-                return distribute(engine, query, regrets)
-            monkeypatch.setattr(owner, "_distribute_regret", recording)
+        def recording(engine, query, regrets):
+            partition = getattr(engine, "partition_index", None)
+            pairs.append((partition, query.query_id, [
+                (missing, regret.hex()) for missing, regret in regrets]))
+            return distribute(engine, query, regrets)
+        monkeypatch.setattr(EconomyEngine, "_distribute_regret", recording)
 
         config = TenantExperimentConfig(
             scheme="econ-cheap", tenant_count=12, query_count=60,

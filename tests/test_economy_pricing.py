@@ -63,7 +63,7 @@ class TestPricing:
             cache.admit(structure, size_bytes=structure.size_bytes(schema),
                         build_cost=10.0,
                         maintenance_rate=0.0, now=0.0)
-        priced = pricer.price_plan(column_plan, cache, now=0.0)
+        priced = pricer.price_plans([column_plan], cache, now=0.0)[0]
         assert priced.is_existing
         assert priced.amortized_dollars == pytest.approx(
             10.0 / 100 * len(column_plan.structures)
@@ -80,7 +80,7 @@ class TestPricing:
             cache.admit(structure, size_bytes=structure.size_bytes(schema),
                         build_cost=10.0, maintenance_rate=0.0, now=0.0)
             cache.record_amortized_recovery(structure.key, 10.0)
-        priced = pricer.price_plan(column_plan, cache, now=0.0)
+        priced = pricer.price_plans([column_plan], cache, now=0.0)[0]
         assert priced.amortized_dollars == 0.0
         assert priced.price == pytest.approx(priced.execution_dollars)
 
@@ -94,7 +94,7 @@ class TestPricing:
         for structure in column_plan.structures:
             cache.admit(structure, size_bytes=structure.size_bytes(schema),
                         build_cost=0.0, maintenance_rate=0.001, now=0.0)
-        priced = pricer.price_plan(column_plan, cache, now=100.0)
+        priced = pricer.price_plans([column_plan], cache, now=100.0)[0]
         assert priced.maintenance_dollars == pytest.approx(
             0.1 * len(column_plan.structures)
         )
@@ -224,4 +224,5 @@ def test_price_plans_bitwise_equal_to_per_plan_reference(
             expected = per_plan_reference(structure_costs, amortization,
                                           plan, cache, now)
             assert_bitwise_equal(actual, expected)
-            assert_bitwise_equal(pricer.price_plan(plan, cache, now), expected)
+            assert_bitwise_equal(pricer.price_plans([plan], cache, now)[0],
+                                 expected)

@@ -7,10 +7,14 @@ and its config hash, and the CLI must exit 2 with one ``error:`` line.
 """
 
 import dataclasses
+import functools
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import errors as errors_module
 from repro.cli import main
 from repro.errors import ExperimentError, WorkloadError
 from repro.experiments import runner as runner_module
@@ -157,3 +161,57 @@ class TestGridPool:
         assert len(lines) == 1
         assert lines[0].startswith("error: grid cell ")
         assert "died" in lines[0]
+
+
+class _PoolBrokenAtSecondSubmit:
+    """A pool whose first worker has run (``first`` is its future's
+    fate) and which is broken by the time the second item is submitted,
+    as a forked pool is when the first worker dies that early."""
+
+    submits = 0
+
+    def __init__(self, first, max_workers):
+        self._first = first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, item):
+        type(self).submits += 1
+        if type(self).submits > 1:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        future = Future()
+        if isinstance(self._first, BaseException):
+            future.set_exception(self._first)
+        else:
+            future.set_result(self._first)
+        return future
+
+
+class TestBrokenAtSubmit:
+    """A pool that breaks while items are still being submitted names the
+    first unfinished item in ``items`` order, not the one being
+    submitted."""
+
+    def run(self, monkeypatch, first):
+        _PoolBrokenAtSecondSubmit.submits = 0
+        monkeypatch.setattr(errors_module, "ProcessPoolExecutor",
+                            functools.partial(_PoolBrokenAtSecondSubmit,
+                                              first))
+        with pytest.raises(ExperimentError, match="died") as caught:
+            errors_module.map_naming_failures(
+                str.upper, ["econ-cheap", "econ-fast", "econ-col"], 2,
+                lambda item: f"cell {item}", ExperimentError)
+        return str(caught.value)
+
+    def test_dead_first_worker_names_the_first_item(self, monkeypatch):
+        message = self.run(monkeypatch, BrokenProcessPool("worker died"))
+        assert message == "cell econ-cheap: a worker process died"
+        assert _PoolBrokenAtSecondSubmit.submits == 2  # stopped submitting
+
+    def test_finished_first_item_names_the_second(self, monkeypatch):
+        message = self.run(monkeypatch, "ECON-CHEAP")
+        assert message == "cell econ-fast: a worker process died"
