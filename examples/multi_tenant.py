@@ -70,7 +70,7 @@ def main() -> None:
         breakdown_by_tenant(result.steps).values(),
         key=lambda item: (-item.query_count, item.tenant_id),
     )
-    wallets = registry.credit_by_tenant()
+    wallets = registry.wallets()
     print()
     print("Top 10 tenants by traffic (per-tenant budget outcomes):")
     print(f"  {'tenant':8s} {'queries':>7s} {'hit rate':>8s} "
@@ -79,7 +79,7 @@ def main() -> None:
         print(f"  {item.tenant_id:8s} {item.query_count:7d} "
               f"{item.cache_hit_rate:8.0%} "
               f"${item.total_charge:8.2f} "
-              f"${wallets[item.tenant_id]:8.2f}")
+              f"${wallets.credit_of(item.tenant_id):8.2f}")
 
     quiet = [item for item in breakdowns if item.query_count == 1]
     print()

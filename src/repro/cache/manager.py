@@ -17,7 +17,7 @@ performs two kinds of eviction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, KeysView, List, Optional, Tuple
 
 from repro.cache.lru import LruTracker
 from repro.cache.storage import CacheEntry, EvictionRecord
@@ -101,9 +101,10 @@ class CacheManager:
         return self._version
 
     @property
-    def built_keys(self) -> Set[str]:
-        """Keys of every structure currently built."""
-        return set(self._entries)
+    def built_keys(self) -> KeysView[str]:
+        """Keys of every structure currently built: a live, read-only view
+        (test membership against it; copy it to keep a snapshot)."""
+        return self._entries.keys()
 
     @property
     def entries(self) -> Tuple[CacheEntry, ...]:

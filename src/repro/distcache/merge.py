@@ -20,10 +20,11 @@ result (the fidelity gate ``--cache-partitions 1`` relies on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.tenancy import TenantRegistry, WalletView
+from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
@@ -66,45 +67,49 @@ class PartitionCheckpoint:
 
 
 def merged_wallets(registries: Sequence[TenantRegistry],
-                   steps: Sequence[SchemeStep]
-                   ) -> Tuple[Tuple[str, float], ...]:
-    """Merge per-partition wallet views into one balance per tenant.
+                   steps: Sequence[SchemeStep]) -> WalletView:
+    """Merge per-partition wallets into one balance per tenant.
 
     Every partition seeds every wallet with the tenant's full credit and
     charges only the queries it served, so the merged balance is ``seed -
-    sum of charged totals across partitions`` (summed in partition order).
-    A charged total is the wallet's running left fold of its charges,
-    carried through churn, so the sum is bitwise what wallets that were
-    never dropped would give. Ordering follows the unpartitioned
+    sum of charged totals across partitions`` (summed in partition order),
+    kept only for the tenants some partition touched; every other tenant
+    holds its seed. A charged total is the wallet's running left fold of
+    its charges, carried through churn, so the sum is bitwise what wallets
+    that were never dropped would give. Ordering follows the unpartitioned
     registry: population mint order first, then ad-hoc ids by first
     appearance in the merged query stream.
     """
     if not registries:
-        return ()
+        return WalletView()
+    base = registries[0].wallets()
     if len(registries) == 1:
-        return tuple(registries[0].credit_by_tenant().items())
-    books = [registry.wallet_books() for registry in registries]
-    ordered: List[str] = list(books[0])
-    known = set(ordered)
-    extra = {tid for book in books for tid in book if tid not in known}
-    for step in steps:
+        return base
+    if any(registry.population_minted != base.minted
+           for registry in registries):
+        raise DistCacheError("partitions disagree on the minted population")
+    charged: Dict[int, float] = {}
+    adhoc: Dict[str, Tuple[float, float]] = {}
+    for registry in registries:
+        population, books = registry.touched_books()
+        for index, book in population.items():
+            charged[index] = charged.get(index, 0.0) + book.charged
+        for tenant_id, book in books.items():
+            _, total = adhoc.get(tenant_id, (0.0, 0.0))
+            adhoc[tenant_id] = (book.seed, total + book.charged)
+    ordered = list(base.adhoc)
+    extra = set(adhoc).difference(ordered)
+    for step in steps if extra else ():
         if step.tenant_id in extra:
             ordered.append(step.tenant_id)
             extra.discard(step.tenant_id)
     ordered.extend(sorted(extra))
-
-    merged: List[Tuple[str, float]] = []
-    for tenant_id in ordered:
-        seed = 0.0
-        charged = 0.0
-        for book in books:
-            wallet = book.get(tenant_id)
-            if wallet is None:
-                continue
-            seed = wallet.seed
-            charged += wallet.charged
-        merged.append((tenant_id, seed - charged))
-    return tuple(merged)
+    return replace(
+        base,
+        touched={index: base.seed_of(index) - total
+                 for index, total in charged.items()},
+        adhoc={tenant_id: adhoc[tenant_id][0] - adhoc[tenant_id][1]
+               for tenant_id in ordered})
 
 
 def merge_partition_results(

@@ -133,7 +133,8 @@ class InvestmentPolicy:
             tracker: the regret array.
             account: the cloud account (provides ``CR``).
             build_cost_of: callable mapping a structure to its build cost.
-            built_keys: keys of structures already in the cache (skipped).
+            built_keys: keys of structures already in the cache (skipped);
+                any container, such as the cache's live keys view.
 
         Returns decisions with ``should_build`` true, sorted by descending
         regret so the most-regretted structure is built first.
@@ -149,10 +150,9 @@ class InvestmentPolicy:
         # would have produced. The threshold is invest_score's
         # expression, with ``a * CR`` computed once.
         scale = self._regret_fraction * credit
-        built = set(built_keys)
         kept = []
         for key, regret in tracker.items():
-            if int(round(regret / scale)) < 1 or key in built:
+            if int(round(regret / scale)) < 1 or key in built_keys:
                 continue
             structure = tracker.structure(key)
             if structure is None:

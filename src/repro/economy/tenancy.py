@@ -32,17 +32,17 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
-from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
-                    Optional, Tuple, Union)
+from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple, Union)
 
 from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
 from repro.economy.regret import RegretTracker
 from repro.economy.user_model import UserModel
 from repro.errors import EconomyError
-from repro.workload.population import Cohort, tenant_id_for
+from repro.workload.population import Cohort, tenant_id_for, tenant_index_of
 from repro.workload.query import Query
 
 if TYPE_CHECKING:
@@ -151,6 +151,96 @@ class WalletBook(NamedTuple):
                    state.charged)
 
 
+@dataclass(frozen=True, eq=False)
+class WalletView:
+    """Every wallet balance of a registry, without one object per tenant.
+
+    Yields population tenants in mint order, then ad-hoc wallets in
+    registration order. Only touched population wallets (held or
+    archived) store a balance; every other one holds its seed credit,
+    derived from the profile source and, for a tiered population, the
+    tier drawn at mint. Immutable and picklable; two views are equal when
+    their :meth:`items` are.
+
+    Attributes:
+        source: the population's profile derivation (``None``: none).
+        minted: population indices minted.
+        touched: balance per touched population index.
+        adhoc: balance per ad-hoc id, in registration order.
+        tiers: the tier drawn per minted index (``None``: untiered).
+        owned: one ownership byte per minted index (``None``: all owned).
+
+    Example:
+        >>> from repro.workload.population import (GenerativeProfileSource,
+        ...                                        PopulationSpec)
+        >>> view = WalletView(GenerativeProfileSource(PopulationSpec(
+        ...     tenant_count=3, initial_credit=5.0)), 3, {1: 2.0}, {"x": 0.0})
+        >>> list(view.items())
+        [('t00000', 5.0), ('t00001', 2.0), ('t00002', 5.0), ('x', 0.0)]
+        >>> view.credit_of("t00002"), list(view.credits()), len(view)
+        (5.0, [5.0, 2.0, 5.0, 0.0], 4)
+    """
+
+    source: Optional["GenerativeProfileSource"] = None
+    minted: int = 0
+    touched: Dict[int, float] = field(default_factory=dict)
+    adhoc: Dict[str, float] = field(default_factory=dict)
+    tiers: Optional[bytes] = field(default=None, repr=False)
+    owned: Optional[bytes] = field(default=None, repr=False)
+
+    def _indices(self) -> Iterable[int]:
+        """The owned population indices, in mint order."""
+        indices = range(self.minted)
+        return indices if self.owned is None else compress(indices, self.owned)
+
+    def _seeds(self) -> Iterator[float]:
+        """Seed credit per owned population index, in mint order."""
+        source = self.source
+        if not self.minted:
+            return iter(())
+        if self.tiers is not None:
+            table = [source.initial_credit_for(0, tier)
+                     for tier in range(len(source.tiers))]
+            return map(table.__getitem__, self.tiers if self.owned is None
+                       else compress(self.tiers, self.owned))
+        if source.tiers:  # more tiers than a tier byte holds: draw each
+            return map(source.initial_credit_for, self._indices())
+        return repeat(source.spec.initial_credit)
+
+    def seed_of(self, index: int) -> float:
+        """The seed credit of minted population index ``index``."""
+        return self.source.initial_credit_for(
+            index, None if self.tiers is None else self.tiers[index])
+
+    def credits(self) -> Iterator[float]:
+        """Every balance, in :meth:`items` order."""
+        return chain(map(self.touched.get, self._indices(), self._seeds()),
+                     self.adhoc.values())
+
+    def items(self) -> Iterator[Tuple[str, float]]:
+        """``(tenant id, balance)`` per wallet (O(minted))."""
+        return zip(chain(map(tenant_id_for, self._indices()), self.adhoc),
+                   self.credits())
+
+    def credit_of(self, tenant_id: str) -> Optional[float]:
+        """``tenant_id``'s balance; ``None`` if the view has no such wallet."""
+        index = tenant_index_of(tenant_id)
+        if (index is not None and index < self.minted
+                and (self.owned is None or self.owned[index])):
+            return self.touched.get(index, self.seed_of(index))
+        return self.adhoc.get(tenant_id)
+
+    def __len__(self) -> int:
+        population = (self.minted if self.owned is None
+                      else self.owned.count(1))
+        return population + len(self.adhoc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WalletView):
+            return NotImplemented
+        return list(self.items()) == list(other.items())
+
+
 class TenantRegistry:
     """Holds every tenant's wallet, budget policy, and regret tracker.
 
@@ -229,7 +319,7 @@ class TenantRegistry:
         >>> _ = registry.deactivate("t00001", now=2.0)    # state dropped...
         >>> registry.materialized_tenant_count()
         0
-        >>> round(registry.credit_by_tenant()["t00001"], 6)  # ...balance kept
+        >>> round(registry.wallets().credit_of("t00001"), 6)  # ...balance kept
         7.5
     """
 
@@ -411,16 +501,8 @@ class TenantRegistry:
     def __len__(self) -> int:
         return self._owned_minted + len(self._adhoc_ids)
 
-    def tenant_ids(self) -> List[str]:
-        """Owned population ids in mint order, then ad-hoc ids in
-        registration order (O(minted))."""
-        ids = [tenant_id_for(index)
-               for index in compress(range(self._minted), self._owned)]
-        ids.extend(self._adhoc_ids)
-        return ids
-
     def active_ids(self) -> List[str]:
-        """Ids of currently live tenants, in :meth:`tenant_ids` order."""
+        """Ids of currently live tenants, in :meth:`wallets` order."""
         ids = [tenant_id_for(index)
                for index in compress(range(self._minted), self._live)]
         ids.extend(tid for tid in self._adhoc_ids if self._states[tid].active)
@@ -430,7 +512,7 @@ class TenantRegistry:
         """Every *held* tenant state, in materialisation order.
 
         Population tenants that never queried, or that churn dropped, are
-        not held; :meth:`wallet_books` covers every tenant.
+        not held; :meth:`wallets` covers every tenant.
         """
         return tuple(self._states.values())
 
@@ -667,47 +749,34 @@ class TenantRegistry:
         """Seed credit of every owned tenant minted or registered so far."""
         return self._seed_total
 
-    def _population_books(self) -> Iterator[Tuple[int, str, WalletBook]]:
-        """``(index, tenant id, book)`` per owned population tenant, in
-        mint order (O(minted)).
+    def touched_books(self) -> Tuple[Dict[int, WalletBook],
+                                     Dict[str, WalletBook]]:
+        """The book of every held or archived wallet: population wallets
+        by index, then ad-hoc wallets by id in registration order. Any
+        other owned population tenant was never charged and holds its
+        seed credit."""
+        population = dict(self._archived)
+        for tenant_id, state in self._states.items():
+            index = self._index_of(tenant_id)
+            if index is not None:
+                population[index] = WalletBook.of(state)
+        adhoc = {tenant_id: WalletBook.of(self._states[tenant_id])
+                 for tenant_id in self._adhoc_ids}
+        return population, adhoc
 
-        Held states report their live wallet and churned wallets their
-        archive. A tenant that was never charged holds its seed credit:
-        its book is shared by every such tenant with the same seed, so no
-        per-tenant object is built for it.
-        """
-        states, archived, source = self._states, self._archived, self._source
-        uncharged: Dict[float, WalletBook] = {}
-        for index in compress(range(self._minted), self._owned):
-            tenant_id = tenant_id_for(index)
-            state = states.get(tenant_id)
-            if state is not None:
-                book = WalletBook.of(state)
-            else:
-                book = archived.get(index)
-                if book is None:
-                    seed = source.initial_credit_for(index, self._tier(index))
-                    book = uncharged.get(seed)
-                    if book is None:
-                        book = uncharged[seed] = WalletBook(seed, seed, 0.0)
-            yield index, tenant_id, book
-
-    def wallet_books(self) -> Dict[str, WalletBook]:
-        """Every owned tenant's wallet, in :meth:`tenant_ids` order: the
-        population's :meth:`_population_books`, then each ad-hoc wallet."""
-        books = {tenant_id: book
-                 for _, tenant_id, book in self._population_books()}
-        for tenant_id in self._adhoc_ids:
-            books[tenant_id] = WalletBook.of(self._states[tenant_id])
-        return books
-
-    def credit_by_tenant(self) -> Dict[str, float]:
-        """Wallet balance per owned tenant, in :meth:`tenant_ids` order."""
-        credits = {tenant_id: book.credit
-                   for _, tenant_id, book in self._population_books()}
-        for tenant_id in self._adhoc_ids:
-            credits[tenant_id] = self._states[tenant_id].account.credit
-        return credits
+    def wallets(self) -> WalletView:
+        """Every owned tenant's balance (owned population ids in mint
+        order, then ad-hoc ids in registration order), as a view that
+        stores only the :meth:`touched_books`."""
+        population, adhoc = self.touched_books()
+        return WalletView(
+            source=self._source, minted=self._minted,
+            touched={index: book.credit for index, book in population.items()},
+            adhoc={tenant_id: book.credit for tenant_id, book in adhoc.items()},
+            tiers=None if self._tiers is None else bytes(self._tiers),
+            owned=(None if self._owned_minted == self._minted
+                   else bytes(self._owned)),
+        )
 
     def live_tenant_count(self) -> int:
         """Owned tenants that have arrived (or registered) and not churned."""

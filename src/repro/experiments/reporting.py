@@ -3,24 +3,39 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.errors import ExperimentError
 
+#: Values :func:`distribution_cells` reads per chunk.
+_CHUNK = 4096
 
-def distribution_cells(values: Sequence[float]) -> List[object]:
+
+def distribution_cells(values: Iterable[float]) -> List[object]:
     """``[mean, min, max]`` cells for one row of an aggregate table.
 
     Population-scale reports (the ``tenants`` experiment) summarise a
     per-tenant metric as its distribution rather than printing hundreds of
-    rows; an empty sequence renders as dashes. The mean uses ``math.fsum``
+    rows; an empty input renders as dashes. The mean uses ``math.fsum``
     so the rendered row is invariant under any permutation of the input —
     the same exactness contract the placement layer's bid folding keeps.
+    ``values`` is read once, a chunk at a time, so an iterator over a
+    million wallets is summarised without being listed.
     """
-    data = [float(value) for value in values]
-    if not data:
+    floats = map(float, values)
+    extremes = []  # (min, max, count) per chunk, in input order
+
+    def chunks() -> Iterator[List[float]]:
+        for chunk in iter(lambda: list(islice(floats, _CHUNK)), []):
+            extremes.append((min(chunk), max(chunk), len(chunk)))
+            yield chunk
+
+    total = math.fsum(chain.from_iterable(chunks()))
+    if not extremes:
         return ["-", "-", "-"]
-    return [math.fsum(data) / len(data), min(data), max(data)]
+    lows, highs, counts = zip(*extremes)
+    return [total / sum(counts), min(lows), max(highs)]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

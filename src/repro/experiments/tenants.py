@@ -26,7 +26,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Type, Union)
 
 from repro.economy.engine import EconomyConfig, PLANNING_MODES, PLANNING_SCALAR
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.tenancy import TenantRegistry, WalletView
 from repro.errors import (ExperimentError, ReproError, WorkloadError,
                           map_naming_failures)
 from repro.experiments.reporting import distribution_cells, format_table
@@ -147,21 +147,24 @@ class TenantExperimentConfig:
 class TenantCellResult:
     """Everything one population cell produced.
 
-    ``population_size`` counts every tenant ever minted; ``churn_waves``
-    counts churned tenants, not waves (the table's "churn waves" row
-    prints it under that label).
+    ``wallet_credit`` is every wallet's balance as a
+    :class:`~repro.economy.tenancy.WalletView`, which stores only charged
+    tenants' balances (empty for the bypass baseline, which has no
+    registry). ``population_size`` counts every tenant ever minted;
+    ``churn_waves`` counts churned tenants, not waves (the table's "churn
+    waves" row prints it under that label).
     """
 
     config: TenantExperimentConfig
     summary: MetricsSummary
     tenants: Tuple[TenantBreakdown, ...]
-    wallet_credit: Tuple[Tuple[str, float], ...]
+    wallet_credit: WalletView
     population_size: int
     churn_waves: int
 
     def wallet_by_tenant(self) -> Dict[str, float]:
         """Wallet balances as a dict (empty for schemes with no registry)."""
-        return dict(self.wallet_credit)
+        return dict(self.wallet_credit.items())
 
 
 class CellArrivals(NamedTuple):
@@ -278,14 +281,12 @@ class TenantCell:
 
     def outcome(self, result: SimulationResult) -> TenantCellResult:
         """The cell result of a finished :meth:`run`."""
-        wallets: Tuple[Tuple[str, float], ...] = ()
-        if self.registry is not None:
-            wallets = tuple(self.registry.credit_by_tenant().items())
         return TenantCellResult(
             config=self.config,
             summary=result.summary,
             tenants=sorted_breakdowns(result.steps),
-            wallet_credit=wallets,
+            wallet_credit=(WalletView() if self.registry is None
+                           else self.registry.wallets()),
             population_size=self.population.tenant_count,
             churn_waves=self.population.churn_waves,
         )
@@ -399,9 +400,9 @@ def tenant_aggregate_table(result: TenantCellResult) -> str:
         ["cache hit rate"] + distribution_cells(hit_rates),
         ["charge/tenant"] + distribution_cells(charges),
     ]
-    wallets = [credit for _, credit in result.wallet_credit]
-    if wallets:
-        rows.append(["wallet credit"] + distribution_cells(wallets))
+    if len(result.wallet_credit):
+        rows.append(["wallet credit"]
+                    + distribution_cells(result.wallet_credit.credits()))
     title = (f"Tenants - {config.scheme} x {config.tenant_count} tenants "
              f"({config.query_count} queries)")
     return format_table(["metric", "mean", "min", "max"], rows, title=title)
@@ -409,11 +410,10 @@ def tenant_aggregate_table(result: TenantCellResult) -> str:
 
 def top_tenant_table(result: TenantCellResult, limit: int = 10) -> str:
     """The busiest ``limit`` tenants of one cell, one row each."""
-    wallets = result.wallet_by_tenant()
     headers = ["tenant", "queries", "hit_rate", "charge", "profit", "credit"]
     rows: List[List[object]] = []
     for item in result.tenants[:limit]:
-        credit = wallets.get(item.tenant_id)
+        credit = result.wallet_credit.credit_of(item.tenant_id)
         rows.append([
             item.tenant_id,
             item.query_count,

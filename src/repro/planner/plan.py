@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Container, Dict, FrozenSet, Optional, Tuple
 
 from repro.costmodel.execution import ExecutionEstimate
 from repro.errors import PlanningError
@@ -129,16 +129,15 @@ class QueryPlan:
         return tuple(structure for structure in self.structures
                      if isinstance(structure, CpuNode))
 
-    def new_structures(self, built_keys: Iterable[str]) -> Tuple[CacheStructure, ...]:
+    def new_structures(self, built_keys: Container[str]) -> Tuple[CacheStructure, ...]:
         """Structures the plan needs that are not yet built.
 
         Args:
             built_keys: keys of structures currently present in the cache.
         """
-        built = set(built_keys)
         return tuple(structure for structure in self.structures
-                     if structure.key not in built)
+                     if structure.key not in built_keys)
 
-    def is_existing(self, built_keys: Iterable[str]) -> bool:
+    def is_existing(self, built_keys: Container[str]) -> bool:
         """Whether the plan belongs to ``PQexist`` for the given cache state."""
         return not self.new_structures(built_keys)

@@ -14,16 +14,19 @@ The merge has two jobs, in order:
 2. **Fold the ownership.** Per-tenant breakdowns and wallets are disjoint
    across shards by construction of the partitioner, so the fold is a
    concatenation plus a re-sort under the same total orders the unsharded
-   run uses — which is what makes the merged report byte-identical to the
-   single-process one.
+   run uses (:func:`merge_shard_wallets` for the wallets) — which is what
+   makes the merged report byte-identical to the single-process one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.economy.tenancy import WalletView
 from repro.errors import ShardingError
 from repro.experiments.tenants import TenantCellResult, TenantExperimentConfig
 from repro.sharding.worker import ShardResult
@@ -143,6 +146,42 @@ def _verify_conservation(shards: Sequence[ShardResult]) -> Tuple[int, float]:
     return barrier_count, max_residual
 
 
+def merge_shard_wallets(shards: Sequence[Tuple[WalletView, Tuple[int, ...]]]
+                        ) -> WalletView:
+    """The disjoint union of per-shard wallet views and ad-hoc ranks.
+
+    Every shard minted the same population; each owns a disjoint slice of
+    it, so the owned counts sum to the minted count, the touched sets are
+    disjoint, and an index's tier is the one its owner drew (the others
+    hold the not-owned sentinel, which is larger than any tier). Ad-hoc
+    wallets sort by their global first-touch rank.
+    """
+    views = [view for view, _ in shards]
+    first = views[0]
+    _require(all(view.minted == first.minted for view in views),
+             "shard wallets disagree on the minted population")
+    _require(sum(len(view) - len(view.adhoc) for view in views)
+             == first.minted,
+             "owned wallet counts do not sum to the minted population")
+    touched: Dict[int, float] = {}
+    for view in views:
+        touched.update(view.touched)
+    _require(len(touched) == sum(len(view.touched) for view in views),
+             "a wallet was reported by more than one shard")
+    tiers = first.tiers
+    if tiers is not None:
+        tiers = np.minimum.reduce([np.frombuffer(view.tiers, dtype=np.uint8)
+                                   for view in views]).tobytes()
+    adhoc = sorted((rank, tenant_id, credit) for view, ranks in shards
+                   for rank, (tenant_id, credit)
+                   in zip(ranks, view.adhoc.items()))
+    return WalletView(
+        source=first.source, minted=first.minted,
+        touched=touched,
+        adhoc={tenant_id: credit for _, tenant_id, credit in adhoc},
+        tiers=tiers)
+
+
 def merge_shard_results(shards: Sequence[ShardResult],
                         config: TenantExperimentConfig) -> ShardMergeReport:
     """Fold one cell's shard results into a verified merged cell.
@@ -184,29 +223,19 @@ def merge_shard_results(shards: Sequence[ShardResult],
              "a tenant was reported by more than one shard")
     merged_breakdowns.sort(key=lambda item: (-item.query_count, item.tenant_id))
 
-    wallet_entries: List[Tuple[int, str, float]] = []
-    for shard in results:
-        wallet_entries.extend(shard.wallets)
-    wallet_ids = [tenant_id for _, tenant_id, _ in wallet_entries]
-    _require(len(wallet_ids) == len(set(wallet_ids)),
-             "a wallet was reported by more than one shard")
-    wallet_entries.sort(key=lambda entry: (entry[0], entry[1]))
-    wallets = tuple((tenant_id, credit)
-                    for _, tenant_id, credit in wallet_entries)
-
     cell = TenantCellResult(
         config=config,
         summary=results[0].summary,
         tenants=tuple(merged_breakdowns),
-        wallet_credit=wallets,
+        wallet_credit=merge_shard_wallets(
+            [(shard.wallets, shard.adhoc_ranks) for shard in results]),
         population_size=results[0].population_size,
         churn_waves=results[0].churn_waves,
     )
     return ShardMergeReport(
         cell=cell,
         shard_count=shard_count,
-        owned_tenants_per_shard=tuple(
-            shard.owned_tenant_count for shard in results),
+        owned_tenants_per_shard=tuple(len(shard.wallets) for shard in results),
         barriers_verified=barriers,
         max_conservation_residual=max_residual,
     )

@@ -244,22 +244,13 @@ class ShardScopedRegistry(TenantRegistry):
 
     # -- merge support ---------------------------------------------------------
 
-    def owned_wallets(self) -> Tuple[Tuple[int, str, float], ...]:
-        """``(global index, tenant_id, credit)`` per owned tenant.
+    def adhoc_ranks(self) -> Tuple[int, ...]:
+        """The global first-touch rank of each owned ad-hoc wallet, in
+        :meth:`wallets` order.
 
-        Population members carry their mint index, which is the order the
-        unsharded registry reports wallets in; carrying it out of the
-        worker lets the merge rebuild that exact order (id strings alone
-        would mis-sort once the population outgrows the zero-padded id
-        width). Ad-hoc tenants sort after the population in global
-        first-touch order — which every shard observes identically, so the
-        indices never collide across shards.
+        Every shard observes the same replicated call stream, so the ranks
+        never collide across shards, and sorting the shards' ad-hoc
+        wallets by them rebuilds the unsharded registration order.
         """
-        entries = [(index, tenant_id, book.credit) for index, tenant_id, book
-                   in self._population_books()]
-        base = self.population_minted
-        entries.extend(
-            (base + self._adhoc_index[tenant_id], tenant_id,
-             self._states[tenant_id].account.credit)
-            for tenant_id in self._adhoc_ids)
-        return tuple(entries)
+        return tuple(self._adhoc_index[tenant_id]
+                     for tenant_id in self._adhoc_ids)

@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.economy.account import audit_conservation
 from repro.economy.engine import EconomyEngine
+from repro.economy.tenancy import WalletView
 from repro.errors import ShardingError
 from repro.experiments.tenants import (
     TenantCell,
@@ -82,15 +83,21 @@ class SettlementCheckpoint:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """Everything one shard sends back to the coordinator."""
+    """Everything one shard sends back to the coordinator.
+
+    ``wallets`` is the shard's owned wallets: its touched balances plus
+    the ownership and tier bytes that derive every other owned seed, and
+    ``adhoc_ranks`` orders its ad-hoc wallets globally
+    (:meth:`~repro.sharding.registry.ShardScopedRegistry.adhoc_ranks`).
+    """
 
     shard_index: int
     shard_count: int
     scheme: str
     summary: MetricsSummary
     tenants: Tuple[TenantBreakdown, ...]
-    wallets: Tuple[Tuple[int, str, float], ...]
-    owned_tenant_count: int
+    wallets: WalletView
+    adhoc_ranks: Tuple[int, ...]
     owned_initial_credit: float
     foreign_charged: float
     checkpoints: Tuple[SettlementCheckpoint, ...]
@@ -186,13 +193,13 @@ class ShardWorker:
             item for item in sorted_breakdowns(result.steps)
             if self._partitioner.owns(task.shard_index, item.tenant_id)
         )
-        wallets: Tuple[Tuple[int, str, float], ...] = ()
-        owned_count = 0
+        wallets = WalletView()
+        adhoc_ranks: Tuple[int, ...] = ()
         owned_seed = 0.0
         foreign_charged = 0.0
         if registry is not None:
-            wallets = registry.owned_wallets()
-            owned_count = len(registry)
+            wallets = registry.wallets()
+            adhoc_ranks = registry.adhoc_ranks()
             owned_seed = registry.seed_credit()
             foreign_charged = registry.foreign_charged
 
@@ -203,7 +210,7 @@ class ShardWorker:
             summary=result.summary,
             tenants=owned,
             wallets=wallets,
-            owned_tenant_count=owned_count,
+            adhoc_ranks=adhoc_ranks,
             owned_initial_credit=owned_seed,
             foreign_charged=foreign_charged,
             checkpoints=checkpoints,

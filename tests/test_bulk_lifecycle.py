@@ -13,6 +13,7 @@ marker, bitwise.
 from dataclasses import replace
 
 import pytest
+import wallet_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from repro.obs.trace import TraceRecorder
 from repro.policies.economic import EconomicSchemeConfig
 from repro.sharding import (ShardCoordinator, ShardScopedRegistry,
                             TenantPartitioner)
+from repro.sharding.merge import merge_shard_wallets
 from repro.simulator.events import TenantArrivalEvent, TenantChurnEvent
 from repro.simulator.handlers import SchemeTenant
 from repro.simulator.kernel import SimulationKernel
@@ -172,7 +174,10 @@ def test_bulk_lifecycle_matches_the_per_tenant_model(
 
     for registry, model in zip(registries, models):
         _assert_agrees(registry, model)
-        assert registry.wallet_books() == model.wallet_books()
+        assert oracle.wallet_books(registry) == model.wallet_books()
+        assert list(registry.wallets().items()) == [
+            (tenant_id, book.credit)
+            for tenant_id, book in model.wallet_books().items()]
         assert registry.peak_materialized == model.peak_materialized
         assert (registry.churned_ledgers_folded
                 == model.churned_ledgers_folded)
@@ -180,14 +185,14 @@ def test_bulk_lifecycle_matches_the_per_tenant_model(
 
     # The shards' wallets together are the unsharded registry's.
     plain, shards = registries[0], registries[1:]
-    merged = sorted(entry for shard in shards
-                    for entry in shard.owned_wallets())
-    assert [(tenant_id, credit) for _, tenant_id, credit in merged] \
-        == list(plain.credit_by_tenant().items())
+    assert oracle.merged_shard_wallets(shards) \
+        == list(oracle.credit_by_tenant(plain).items())
+    assert merge_shard_wallets([(shard.wallets(), shard.adhoc_ranks())
+                                for shard in shards]) == plain.wallets()
     books = {}
     for shard in shards:
-        books.update(shard.wallet_books())
-    assert books == plain.wallet_books()
+        books.update(oracle.wallet_books(shard))
+    assert books == oracle.wallet_books(plain)
     assert sum(len(shard) for shard in shards) == len(plain)
 
 
@@ -255,7 +260,8 @@ class TestArrivalCohortsAreRanges:
             assert registry.activate(arrival, now=2.0) is None
         assert by_id.active_ids() == by_range.active_ids() == ["t00002"]
         assert by_id.live_tenant_count() == by_range.live_tenant_count() == 1
-        assert by_id.wallet_books() == by_range.wallet_books()
+        assert oracle.wallet_books(by_id) == oracle.wallet_books(by_range)
+        assert by_id.wallets() == by_range.wallets()
 
 
 class TestParityAtPopulationScale:

@@ -80,7 +80,7 @@ class TestOwnershipAndConservation:
         total_seed = sum(credit
                          for _, credit in _seed_wallets(config, report))
         wallets_now = sum(credit
-                          for _, credit in report.cell.wallet_credit)
+                          for credit in report.cell.wallet_credit.credits())
         banked = sum(final.query_payments)
         assert abs((total_seed - wallets_now) - banked) < 1e-6
 
@@ -102,7 +102,7 @@ class TestOwnershipAndConservation:
 
 def _seed_wallets(config, report):
     """``(tenant_id, seed credit)`` for every wallet the cell reports."""
-    ever = {tenant_id for tenant_id, _ in report.cell.wallet_credit}
+    ever = {tenant_id for tenant_id, _ in report.cell.wallet_credit.items()}
     return [(tenant_id, config.initial_credit) for tenant_id in ever]
 
 

@@ -202,15 +202,15 @@ class TestWalletMergeAcrossChurn:
             for amount in (before, after, again):
                 wallet.withdraw(amount, 0.0, "tenant_charge")
             eager_charged.append(_withdrawn(wallet))
-            assert registry.wallet_books()["t00000"].charged \
-                == _withdrawn(wallet)
+            population, _ = registry.touched_books()
+            assert population[0].charged == _withdrawn(wallet)
         # The rematerialised ledger replays the history as one withdrawal,
         # so its own sum is not the eager one: only the carried fold is.
         replayed = _withdrawn(registries[0].state("t00000").account)
         assert replayed != eager_charged[0]
 
-        merged = dict(merged_wallets(registries, steps=()))
-        assert merged["t00000"] == \
+        merged = merged_wallets(registries, steps=())
+        assert merged.credit_of("t00000") == \
             self.SEED - (0.0 + eager_charged[0] + eager_charged[1])
 
 

@@ -58,7 +58,7 @@ class TestAuditedCell:
     def test_bypass_has_no_audit(self):
         cell, audit = audited_shock_cell(shocked_config(scheme="bypass"))
         assert audit is None
-        assert cell.wallet_credit == ()
+        assert len(cell.wallet_credit) == 0
 
     def test_audit_exact_is_a_bitwise_claim(self):
         good = ConservationAudit(query_payments=1.25, outcome_charges=1.25,

@@ -68,7 +68,7 @@ class TestRunCell:
     def test_bypass_cell_has_no_wallets(self):
         result = run_tenant_cell(TenantExperimentConfig(
             scheme="bypass", **QUICK))
-        assert result.wallet_credit == ()
+        assert len(result.wallet_credit) == 0
         assert result.tenants
 
     def test_population_is_deterministic(self):

@@ -44,6 +44,17 @@ class TestDistributionCells:
         cells = distribution_cells([3.0, 1.0, 2.0])
         assert cells[1:] == [1.0, 3.0]
 
+    def test_one_pass_over_an_iterator_is_the_list_rule(self):
+        """Read in several chunks, an iterator gives the list's cells bit
+        for bit, and a tie keeps its first occurrence (``0.0`` before a
+        later ``-0.0``, as ``min`` over the list does)."""
+        rng = random.Random(2)
+        values = [rng.uniform(1.0, 1e6) for _ in range(10_000)]
+        values[100], values[9_000] = 0.0, -0.0
+        expected = [math.fsum(values) / len(values), min(values), max(values)]
+        assert [float.hex(cell) for cell in distribution_cells(iter(values))] \
+            == [float.hex(cell) for cell in expected]
+
 
 class TestRenderedTablesAreShuffleInvariant:
     def test_rendered_table_bytes_survive_shuffles(self):

@@ -10,6 +10,7 @@ import dataclasses
 import os
 
 import pytest
+import wallet_oracle as oracle
 
 from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
@@ -35,6 +36,7 @@ from repro.sharding import (
     run_shard,
     stable_tenant_hash,
 )
+from repro.sharding.merge import merge_shard_wallets
 from repro.workload.population import (GenerativeProfileSource,
                                        PopulationSpec, tenant_id_for)
 from repro.workload.query import Query
@@ -118,7 +120,8 @@ class TestShardScopedRegistry:
         ids = [tenant_id_for(index) for index in range(8)]
         owned = [tid for tid in ids if partitioner.owns(0, tid)]
         assert 0 < len(owned) < len(ids)
-        assert registry.tenant_ids() == owned
+        assert [tenant_id for tenant_id, _ in registry.wallets().items()] \
+            == owned
         assert registry.population_size == 8
         for tenant_id in ids:
             registry.charge(tenant_id, 1.0, now=1.0)
@@ -166,18 +169,19 @@ class TestShardScopedRegistry:
                 assert type(observed) is type(expected)
                 assert repr(observed) == repr(expected)
 
-    def test_owned_wallets_carry_global_registration_index(self):
-        registry, _, source = self._registry(1)
+    def test_shard_wallets_hold_owned_tenants_in_mint_order(self):
+        registry, partitioner, _ = self._registry(1)
         self._arrive(registry, 8)
-        registry.charge(registry.tenant_ids()[0], 2.5, now=1.0)
-        wallets = registry.owned_wallets()
-        assert wallets  # shard 1 owns someone in this population
-        assert [index for index, _, _ in wallets] == sorted(
-            index for index, _, _ in wallets)
-        for index, tenant_id, credit in wallets:
-            assert source.profile_for(index).tenant_id == tenant_id
-        assert [credit for _, _, credit in wallets] == \
+        owned = [tenant_id_for(index) for index in range(8)
+                 if partitioner.owns(1, tenant_id_for(index))]
+        assert owned  # shard 1 owns someone in this population
+        registry.charge(owned[0], 2.5, now=1.0)
+        wallets = list(registry.wallets().items())
+        assert [tenant_id for tenant_id, _ in wallets] == owned
+        assert [credit for _, credit in wallets] == \
             [7.5] + [10.0] * (len(wallets) - 1)
+        assert wallets == [(tenant_id, credit) for _, tenant_id, credit
+                           in oracle.owned_wallets(registry)]
 
     def test_register_rejects_foreign_profile(self):
         registry, partitioner, _ = self._registry(0)
@@ -206,13 +210,11 @@ class TestShardScopedRegistry:
             base.charge(tenant_id, 0.5, now=1.0)
             for registry in scoped:
                 registry.charge(tenant_id, 0.5, now=1.0)
-        merged = sorted(
-            (entry for registry in scoped
-             for entry in registry.owned_wallets()),
-            key=lambda entry: (entry[0], entry[1]),
-        )
-        assert [(tenant_id, credit) for _, tenant_id, credit in merged] == \
-            list(base.credit_by_tenant().items())
+        merged = merge_shard_wallets(
+            [(registry.wallets(), registry.adhoc_ranks())
+             for registry in scoped])
+        assert merged == base.wallets()
+        assert list(merged.items()) == oracle.merged_shard_wallets(scoped)
 
     def test_zero_charge_reserves_no_adhoc_slot(self):
         # Base charge() returns before ensure() on amount == 0; the scoped
@@ -230,13 +232,11 @@ class TestShardScopedRegistry:
             registry.charge("zeta", 0.0, now=1.0)   # must not register zeta
             registry.charge("alpha", 1.0, now=1.0)
             registry.charge("zeta", 1.0, now=2.0)   # now zeta registers
-        merged = sorted(
-            (entry for registry in scoped
-             for entry in registry.owned_wallets()),
-            key=lambda entry: (entry[0], entry[1]),
-        )
-        assert [tenant_id for _, tenant_id, _ in merged] == \
-            list(base.credit_by_tenant())
+        merged = merge_shard_wallets(
+            [(registry.wallets(), registry.adhoc_ranks())
+             for registry in scoped])
+        assert [tenant_id for tenant_id, _ in merged.items()] == \
+            [tenant_id for tenant_id, _ in base.wallets().items()]
 
 
 class TestWorkerAndMerge:
@@ -244,7 +244,7 @@ class TestWorkerAndMerge:
         config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
         results = [run_shard(ShardTask(config, index, 3)) for index in range(3)]
         owned_ids = [tenant_id for result in results
-                     for _, tenant_id, _ in result.wallets]
+                     for tenant_id, _ in result.wallets.items()]
         assert len(owned_ids) == len(set(owned_ids))
         population = cell_arrivals(config).population
         assert len(owned_ids) == population.tenant_count
@@ -295,11 +295,12 @@ class TestWorkerAndMerge:
         config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
         results = [run_shard(ShardTask(config, index, 2)) for index in range(2)]
         # Shift a wallet balance: the shard-local books no longer balance.
-        index, tenant_id, credit = results[1].wallets[0]
+        wallets = results[1].wallets
+        index, credit = next(iter(wallets.touched.items()))
         tampered = dataclasses.replace(
             results[1],
-            wallets=((index, tenant_id, credit + 5.0),)
-            + results[1].wallets[1:],
+            wallets=dataclasses.replace(
+                wallets, touched={**wallets.touched, index: credit + 5.0}),
             checkpoints=tuple(
                 dataclasses.replace(
                     point, owned_wallet_credit=point.owned_wallet_credit + 5.0)
@@ -307,6 +308,25 @@ class TestWorkerAndMerge:
             ),
         )
         with pytest.raises(ShardingError, match="conservation"):
+            merge_shard_results([results[0], tampered], config)
+
+    def test_merge_rejects_a_wallet_two_shards_report(self):
+        config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
+        results = [run_shard(ShardTask(config, index, 2)) for index in range(2)]
+        wallets = results[1].wallets
+        stolen = dict(results[0].wallets.touched)
+        tampered = dataclasses.replace(results[1], wallets=dataclasses.replace(
+            wallets, touched={**wallets.touched, **stolen}))
+        with pytest.raises(ShardingError, match="more than one shard"):
+            merge_shard_results([results[0], tampered], config)
+
+    def test_merge_rejects_owned_counts_short_of_the_population(self):
+        config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
+        results = [run_shard(ShardTask(config, index, 2)) for index in range(2)]
+        wallets = results[1].wallets
+        tampered = dataclasses.replace(results[1], wallets=dataclasses.replace(
+            wallets, owned=bytes(wallets.minted)))
+        with pytest.raises(ShardingError, match="do not sum"):
             merge_shard_results([results[0], tampered], config)
 
     def test_invalid_task_rejected(self):
@@ -436,7 +456,7 @@ class TestByteIdentity:
         report = ShardCoordinator(3).run_cell(config)
         assert tenant_aggregate_table(report.cell) == \
             tenant_aggregate_table(base)
-        assert report.cell.wallet_credit == ()
+        assert len(report.cell.wallet_credit) == 0
         assert report.barriers_verified == 0
 
     def test_coordinator_cells_share_the_pool(self):

@@ -64,7 +64,7 @@ class TestEconomyStatePickles:
         registry.record_regret("bob", [CachedColumn("orders", "o_custkey")],
                                3.0)
         clone = roundtrip(registry)
-        assert clone.credit_by_tenant() == registry.credit_by_tenant()
+        assert clone.wallets() == registry.wallets()
         assert clone.total_charged() == registry.total_charged()
         assert clone.state("bob").profile.budget_multiplier == 2.0
 
@@ -76,11 +76,14 @@ class TestEconomyStatePickles:
             registry.activate(tenant_id_for(index), now=0.0)
             registry.charge(tenant_id_for(index), 1.0, now=0.5)
         registry.charge("alice", 1.0, now=0.5)
-        registry.deactivate(registry.tenant_ids()[0], now=1.0)
-        assert registry.owned_wallets()
+        registry.deactivate(next(registry.wallets().items())[0], now=1.0)
+        assert len(registry.wallets())
         assert registry.foreign_charged > 0
         clone = roundtrip(registry)
-        assert clone.owned_wallets() == registry.owned_wallets()
+        assert clone.wallets() == registry.wallets()
+        assert clone.adhoc_ranks() == registry.adhoc_ranks()
+        assert pickle.loads(pickle.dumps(registry.wallets())) \
+            == registry.wallets()
         assert clone.foreign_charged == registry.foreign_charged
         assert clone.shard_index == 0
         assert clone.total_credit() == registry.total_credit()

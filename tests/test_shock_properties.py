@@ -97,8 +97,8 @@ class TestConservationUnderChaos:
         config = chaos_config("econ-cheap", shocks, seed, strict=False)
         shocked, audit = audited_shock_cell(config)
         clean = run_tenant_cell(baseline_config(config))
-        shocked_ids = {tenant for tenant, _ in shocked.wallet_credit}
-        clean_ids = {tenant for tenant, _ in clean.wallet_credit}
+        shocked_ids = {tenant for tenant, _ in shocked.wallet_credit.items()}
+        clean_ids = {tenant for tenant, _ in clean.wallet_credit.items()}
         assert shocked_ids == clean_ids
         assert audit is not None and audit.wallet_ledger_mismatches == 0
         # A wallet exists from its tenant's first query on, so the audit

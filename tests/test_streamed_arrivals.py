@@ -254,7 +254,7 @@ class TestGenerativeTenantRegistry:
         assert registry.materialized_tenant_count() == 0
         assert registry.live_tenant_count() == 0
         # The balance survives the drop (archive of two floats).
-        assert registry.credit_by_tenant()["t00000"] == pytest.approx(7.5)
+        assert registry.wallets().credit_of("t00000") == pytest.approx(7.5)
         assert registry.total_credit() == pytest.approx(7.5)
         assert registry.total_charged() == pytest.approx(2.5)
 
@@ -278,7 +278,7 @@ class TestGenerativeTenantRegistry:
         assert registry.materialized_tenant_count() == 0
         # Rematerialisation is pure: the balance is simply the seed.
         source = GenerativeProfileSource(spec=self.SPEC)
-        assert registry.credit_by_tenant()["t00002"] \
+        assert registry.wallets().credit_of("t00002") \
             == source.initial_credit_for(2)
 
     def test_population_ids_cannot_be_registered_explicitly(self):
@@ -290,7 +290,7 @@ class TestGenerativeTenantRegistry:
         registry = self._registry()
         registry.register(TenantProfile("alice", initial_credit=5.0))
         registry.charge("alice", 1.0, now=0.0)
-        assert registry.credit_by_tenant()["alice"] == pytest.approx(4.0)
+        assert registry.wallets().credit_of("alice") == pytest.approx(4.0)
         assert "alice" in registry
 
     def test_peak_materialized_tracks_high_water(self):
@@ -349,12 +349,13 @@ class TestTierDrawnAtMint:
         registry.activate(range(8), now=0.0)
         for index in range(0, 8, 2):
             registry.charge(tenant_id_for(index), 1.0, now=1.0)
-        books = registry.wallet_books()
+        view = registry.wallets()
+        seeds = [view.seed_of(index) for index in range(8)]
+        assert len(list(view.credits())) == len(list(view.items())) == 8
         assert drawn == list(range(8))
         monkeypatch.undo()
         for index in range(8):
-            tenant_id = tenant_id_for(index)
-            assert books[tenant_id].seed == source.initial_credit_for(index)
+            assert seeds[index] == source.initial_credit_for(index)
         for index in range(0, 8, 2):
             assert (registry.state(tenant_id_for(index)).profile
                     == source.profile_for(index))
@@ -365,7 +366,8 @@ class TestTierDrawnAtMint:
         drawn = self._counting(monkeypatch)
         registry = ShardScopedRegistry(source, partitioner, 0)
         registry.activate(range(8), now=0.0)
-        registry.wallet_books()
+        view = registry.wallets()
+        assert list(view.credits()) == [credit for _, credit in view.items()]
         assert drawn == [index for index in range(8)
                          if partitioner.owns(0, tenant_id_for(index))]
 
